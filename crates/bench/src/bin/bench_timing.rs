@@ -57,13 +57,12 @@ const BASELINE_SECONDS: [(&str, f64); 16] = [
     // tournament's four cells.
     ("policy_lab", 29.240),
     // Four three-machine pipelines (chain, fan-out, shuffle, random DAG)
-    // through the cluster's lockstep driver.
+    // through the cluster's round driver.
     ("pipelines", 0.020),
     ("validation", 0.009),
-    // The thread sweep runs the batched arm four times per point (1/2/4/8
-    // workers) plus one single-threaded baseline arm; the lane/loser-tree
-    // merge and the per-machine memory diet still bring the whole curve in
-    // under the old two-arm budget.
+    // The thread sweep runs each point four times (1/2/4/8 workers); the
+    // lane/loser-tree merge and the per-machine memory diet bring the whole
+    // curve in under the old two-arm budget.
     ("scaling", 1.500),
 ];
 
@@ -84,9 +83,7 @@ fn scan_value(s: &str, key: &str) -> Option<f64> {
 
 /// The committed 100-machine `frames_per_sec` at `threads` workers out of
 /// `BENCH_cluster.json` (hand-rolled scan — the offline serde stub has no
-/// deserializer either). Schema `/2` carries one arm per swept thread
-/// count; a legacy `/1` file only answers for `threads == 1` (its single
-/// measured arm).
+/// deserializer either). The file carries one arm per swept thread count.
 fn anchor_fps(json: &str, threads: usize) -> Option<f64> {
     let at = json.find("\"machines\": 100,")?;
     let rest = &json[at..];
@@ -97,12 +94,6 @@ fn anchor_fps(json: &str, threads: usize) -> Option<f64> {
         .map(|i| i + 1)
         .unwrap_or(rest.len());
     let span = &rest[..span_end];
-    if json.contains("\"schema\": \"tiptop-bench-cluster/1\"") {
-        if threads != 1 {
-            return None;
-        }
-        return scan_value(span, "\"frames_per_sec\": ");
-    }
     let tkey = format!("\"threads\": {threads},");
     let arm = &span[span.find(&tkey)?..];
     scan_value(arm, "\"frames_per_sec\": ")
@@ -249,11 +240,9 @@ fn main() {
         // stay within the allowance of the committed curve at both the
         // single-thread and the 8-thread arm (the latter guards the lane +
         // merge path specifically). Throughput (like the wall-time
-        // budgets) is calibrated for release. An 8-thread anchor missing
-        // from a legacy `/1` committed file is reported, not failed — the
-        // next plain release run upgrades the file to `/2`.
+        // budgets) is calibrated for release.
         if enforce {
-            let mut gate = |threads: usize, prior: Option<f64>, required: bool| match (
+            let mut gate = |threads: usize, prior: Option<f64>| match (
                 prior,
                 scaling_result.anchor_fps(threads),
             ) {
@@ -269,22 +258,16 @@ fn main() {
                         breaches += 1;
                     }
                 }
-                _ if required => {
+                _ => {
                     eprintln!(
                         "--check: no committed 100-machine {threads}-thread anchor in \
                              {CLUSTER_JSON} — refresh it with a plain (non---check) release run"
                     );
                     breaches += 1;
                 }
-                _ => {
-                    eprintln!(
-                        "--check: 100-machine {threads}-thread anchor unavailable \
-                             (legacy {CLUSTER_JSON}?); gate skipped"
-                    );
-                }
             };
-            gate(1, prior_anchor_1t, true);
-            gate(8, prior_anchor_8t, prior_anchor_8t.is_some());
+            gate(1, prior_anchor_1t);
+            gate(8, prior_anchor_8t);
         }
 
         if breaches == 0 {

@@ -26,7 +26,7 @@
 //! planner, ranked by payload wall-clock) and [`pipelines`]
 //! (dependency-driven scenario DAGs: ETL-chain, build-farm, map-shuffle
 //! and seeded random-DAG scripts whose stages are submitted by after-exit
-//! edges and resolved — across machines — by the cluster's lockstep
+//! edges and resolved — across machines — by the cluster's round
 //! driver).
 
 pub mod fig01_snapshot;

@@ -6,7 +6,7 @@
 //!
 //! Each script becomes a [`ClusterScenario`] — roots via `spawn_at`, edges
 //! via [`Scenario::spawn_after`] — so cross-machine edges route the run
-//! through the cluster's lockstep driver. The result records every stage's
+//! through the cluster's round driver. The result records every stage's
 //! exact start/end, the pipeline's wall-clock against its critical path,
 //! and the merged frame stream, which is byte-identical at any
 //! worker-thread count (the regression tests pin stage ordering, the

@@ -4,32 +4,18 @@
 //! compute, no memory traffic) so the measurement is dominated by the
 //! frame/stream path rather than cache simulation.
 //!
-//! Every scale point runs **two arms in the same process**:
-//!
-//! * the *batched* arm — the production path: columnar [`FrameBatch`]
-//!   transport, interned labels, the id-keyed
-//!   [`ClusterWindowSink`](tiptop_core::cluster::ClusterWindowSink) folding
-//!   straight from the columns;
-//! * the *baseline* arm — the legacy one-message-per-frame transport
-//!   ([`ClusterSession::run_per_frame`](tiptop_core::cluster::ClusterSession::run_per_frame))
-//!   feeding [`LegacyRepSink`], a shim that reconstructs the seed
-//!   representation's per-frame allocation profile (owned `String` labels
-//!   per message, a header-table clone per frame, a `HashMap<String, f64>`
-//!   per row, `String`-keyed window aggregation). The seed code itself is
-//!   gone — this shim is a transparent stand-in that re-pays the same
-//!   allocations on today's data, measured in the same binary and run.
-//!
-//! The batched arm is additionally swept across worker-thread counts
+//! Every scale point runs the production path — the lane pool's columnar
+//! [`FrameBatch`](tiptop_core::batch::FrameBatch) transport, interned
+//! labels, and the id-keyed [`ClusterWindowSink`] folding straight from
+//! the columns — swept across worker-thread counts
 //! ([`THREAD_SWEEP`]): every scale point records one [`SweepArm`] per
 //! thread count — frames/sec, parallel efficiency against the point's own
-//! single-thread arm, and the arm's current-RSS delta. The baseline arm
-//! runs once per point, single-threaded.
+//! single-thread arm, and the arm's current-RSS delta.
 //!
-//! The ratio of the two is the headline speedup; the acceptance bar is
-//! ≥2× at the 100-machine point. `bench_timing` writes the whole curve to
-//! `BENCH_cluster.json` (schema `tiptop-bench-cluster/2`) and `--check`
-//! fails CI if the 100-machine frames/sec — single-thread or 8-thread —
-//! regresses more than 30% against the committed curve.
+//! `bench_timing` writes the whole curve to `BENCH_cluster.json` (schema
+//! `tiptop-bench-cluster/3`) and `--check` fails CI if the 100-machine
+//! frames/sec — single-thread or 8-thread — regresses more than 30%
+//! against the committed curve.
 //!
 //! Memory attribution: the process-peak `VmHWM` is monotone and
 //! process-wide, so it can only ever answer "how big did the whole bench
@@ -41,19 +27,13 @@
 //! a floor on the true footprint; `peak_rss_bytes` stays in the row for
 //! the whole-process context.
 
-use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
 use tiptop_core::app::{Tiptop, TiptopOptions};
-use tiptop_core::cluster::{
-    ClusterFrame, ClusterFrameSink, ClusterScenario, ClusterSession, ClusterWindowSink, RunStats,
-};
-use tiptop_core::config::{ColumnKind, ScreenConfig};
-use tiptop_core::events::parse_event;
-use tiptop_core::expr::Expr;
+use tiptop_core::cluster::{ClusterScenario, ClusterSession, ClusterWindowSink, RunStats};
+use tiptop_core::config::ScreenConfig;
 use tiptop_core::scenario::Scenario;
-use tiptop_core::symbols;
 use tiptop_kernel::program::Program;
 use tiptop_kernel::task::{SpawnSpec, Uid};
 use tiptop_machine::config::MachineConfig;
@@ -67,7 +47,7 @@ use crate::report::TableReport;
 /// stays within the bench budget.
 pub const POINTS: [(usize, usize); 3] = [(10, 400), (100, 200), (1000, 20)];
 
-/// Window size for the aggregating sinks in both arms.
+/// Window size of each arm's aggregating sink.
 pub const WINDOW: usize = 256;
 
 /// Worker-thread counts the batched arm is swept across at every scale
@@ -93,18 +73,15 @@ pub struct SweepArm {
     pub rss_delta_bytes: i64,
 }
 
-/// One measured scale point: the baseline arm plus the full thread sweep.
+/// One measured scale point: the full thread sweep.
 #[derive(Debug, Clone)]
 pub struct ScalePoint {
     pub machines: usize,
     pub refreshes: usize,
     /// Frames delivered by every arm (machines × refreshes).
     pub frames: usize,
-    /// Batched-arm measurements, one per [`THREAD_SWEEP`] entry.
+    /// Measurements, one per [`THREAD_SWEEP`] entry.
     pub arms: Vec<SweepArm>,
-    /// The legacy-representation arm, measured once, single-threaded.
-    pub baseline_wall_seconds: f64,
-    pub baseline_frames_per_sec: f64,
     /// Process peak RSS (VmHWM) after this point, in bytes; 0 where
     /// `/proc/self/status` is unavailable. Monotone and process-wide —
     /// context only, not attribution.
@@ -122,19 +99,9 @@ impl ScalePoint {
         self.arms.iter().find(|a| a.threads == threads)
     }
 
-    /// The single-thread batched arm (every sweep starts at 1).
+    /// The single-thread arm (every sweep starts at 1).
     pub fn single_thread(&self) -> &SweepArm {
         self.arm(1).unwrap_or(&self.arms[0])
-    }
-
-    /// Single-thread batched over baseline throughput — the headline
-    /// representation speedup, transport-parallelism excluded.
-    pub fn speedup(&self) -> f64 {
-        if self.baseline_frames_per_sec > 0.0 {
-            self.single_thread().frames_per_sec / self.baseline_frames_per_sec
-        } else {
-            0.0
-        }
     }
 }
 
@@ -198,100 +165,6 @@ fn monitor() -> Box<Tiptop> {
     ))
 }
 
-/// Reconstructs the seed representation's per-frame cost on the legacy
-/// per-frame transport: owned `String` labels, a cloned header table,
-/// AST-walked metric evaluation with per-leaf name parsing, eagerly
-/// formatted cell text, a `HashMap<String, f64>` per row, and
-/// `String`-keyed window sums with per-row key clones — the cost profile
-/// the columnar path and compiled metric programs removed.
-struct LegacyRepSink {
-    window: usize,
-    open_frames: usize,
-    peak: usize,
-    windows: usize,
-    sums: BTreeMap<(String, String), BTreeMap<String, (f64, usize)>>,
-    frames: usize,
-    /// The screen's metric expressions, re-evaluated per row through the
-    /// AST walker with a per-leaf identifier parse — the seed-era cost the
-    /// compiled metric programs removed from the shared observe path.
-    exprs: Vec<Expr>,
-    /// Folded into from every reconstructed value so the work can't be
-    /// optimized away.
-    checksum: f64,
-}
-
-impl LegacyRepSink {
-    fn new(window: usize) -> Self {
-        let exprs = ScreenConfig::default_screen()
-            .columns
-            .into_iter()
-            .filter_map(|c| match c.kind {
-                ColumnKind::Metric { expr, .. } => Some(expr),
-                _ => None,
-            })
-            .collect();
-        LegacyRepSink {
-            window,
-            open_frames: 0,
-            peak: 0,
-            windows: 0,
-            sums: BTreeMap::new(),
-            frames: 0,
-            exprs,
-            checksum: 0.0,
-        }
-    }
-}
-
-impl ClusterFrameSink for LegacyRepSink {
-    fn on_frame(&mut self, cf: ClusterFrame) {
-        // Seed-era message: one owned String per label per frame.
-        let machine = cf.machine.as_str().to_string();
-        let source = cf.source.as_str().to_string();
-        // Seed-era Frame: the header table cloned per frame.
-        let headers: Vec<(String, usize)> = cf.frame.headers.to_vec();
-        self.checksum += headers.len() as f64;
-        let per = self.sums.entry((machine, source)).or_default();
-        for row in &cf.frame.rows {
-            // Seed-era observe: every metric evaluated by walking the
-            // boxed AST with identifier names parsed at every leaf.
-            for expr in &self.exprs {
-                self.checksum += expr
-                    .eval(&|name| {
-                        if parse_event(name).is_some() {
-                            return Some(row.cpu_pct + 1.0);
-                        }
-                        Some(1.0)
-                    })
-                    .unwrap_or(f64::NAN);
-            }
-            // Seed-era observe: every cell's text formatted eagerly,
-            // whether or not anything renders the frame.
-            self.checksum += row.cells().len() as f64;
-            // Seed-era Row: values materialized as a String-keyed map.
-            let mut values: HashMap<String, f64> = HashMap::new();
-            for (sym, v) in &row.values {
-                values.insert(symbols::resolve(*sym).to_string(), *v);
-            }
-            for (col, v) in &values {
-                // Seed-era fold: a key clone per row per column.
-                let e = per.entry(col.clone()).or_insert((0.0, 0));
-                e.0 += *v;
-                e.1 += 1;
-                self.checksum += *v;
-            }
-        }
-        self.frames += 1;
-        self.open_frames += 1;
-        self.peak = self.peak.max(self.open_frames);
-        if self.open_frames >= self.window {
-            self.windows += 1;
-            self.open_frames = 0;
-            self.sums.clear();
-        }
-    }
-}
-
 /// A named field from `/proc/self/status`, in bytes (fields are in kB).
 fn proc_status_bytes(field: &str) -> u64 {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
@@ -336,39 +209,27 @@ pub fn run_on(seed: u64, thread_sweep: &[usize], points: &[(usize, usize)]) -> S
     assert!(!thread_sweep.is_empty(), "empty thread sweep");
     let mut out = Vec::new();
     for &(machines, refreshes) in points {
-        // Baseline arm: fresh cluster, per-frame transport, legacy shim,
-        // single-threaded. Its build is the point's RSS probe: the delta
-        // is measured before any run has grown the transport buffers.
-        let rss_before_build = current_rss_bytes();
-        let mut session = build_cluster(machines, seed);
-        let build_rss_delta_bytes = current_rss_bytes() as i64 - rss_before_build as i64;
-        let mut legacy = LegacyRepSink::new(WINDOW);
-        let t0 = Instant::now();
-        session
-            .run_per_frame(1, refreshes, |_| monitor(), &mut legacy)
-            .expect("baseline arm");
-        let baseline_wall = t0.elapsed().as_secs_f64();
-        let baseline_stats = session.last_run_stats();
-        assert_eq!(legacy.frames, machines * refreshes);
-        assert!(legacy.checksum.is_finite());
-        drop(session);
-
-        // Batched arms: a fresh cluster per thread count, columnar
-        // transport, id-keyed sink.
+        // A fresh cluster per thread count. The first arm's build is the
+        // point's RSS probe: the delta is measured before any run of this
+        // point has grown the transport buffers.
+        let mut build_rss_delta_bytes = 0i64;
         let mut arms = Vec::with_capacity(thread_sweep.len());
-        for &threads in thread_sweep {
+        for (k, &threads) in thread_sweep.iter().enumerate() {
+            let rss_before_build = current_rss_bytes();
             let mut session = build_cluster(machines, seed);
+            if k == 0 {
+                build_rss_delta_bytes = current_rss_bytes() as i64 - rss_before_build as i64;
+            }
             let mut sink = ClusterWindowSink::new(WINDOW);
             let rss_before_run = current_rss_bytes();
             let t0 = Instant::now();
             session
                 .run(threads, refreshes, |_| monitor(), &mut sink)
-                .expect("batched arm");
+                .expect("scaling arm");
             let wall = t0.elapsed().as_secs_f64();
             let rss_delta_bytes = current_rss_bytes() as i64 - rss_before_run as i64;
             let stats: RunStats = session.last_run_stats();
             assert_eq!(stats.frames, machines * refreshes);
-            assert_eq!(stats.frames, baseline_stats.frames);
             arms.push(SweepArm {
                 threads,
                 batches: stats.batches,
@@ -398,8 +259,6 @@ pub fn run_on(seed: u64, thread_sweep: &[usize], points: &[(usize, usize)]) -> S
             refreshes,
             frames: machines * refreshes,
             arms,
-            baseline_wall_seconds: baseline_wall,
-            baseline_frames_per_sec: (machines * refreshes) as f64 / baseline_wall.max(1e-9),
             peak_rss_bytes: peak_rss_bytes(),
             build_rss_delta_bytes,
             rss_per_machine_bytes: build_rss_delta_bytes.max(0) as u64 / machines as u64,
@@ -426,13 +285,13 @@ impl ScalingResult {
     }
 
     /// The hand-written `BENCH_cluster.json` body (the offline serde stub
-    /// has no serializer). Schema `/2`: per-point `arms` array, one entry
+    /// has no serializer). Schema `/3`: per-point `arms` array, one entry
     /// per swept thread count, each carrying `threads` *before*
     /// `frames_per_sec` (the `--check` anchor parser relies on that
     /// order).
     pub fn to_json(&self) -> String {
         let mut json = String::from("{\n");
-        json.push_str("  \"schema\": \"tiptop-bench-cluster/2\",\n");
+        json.push_str("  \"schema\": \"tiptop-bench-cluster/3\",\n");
         json.push_str(&format!(
             "  \"profile\": \"{}\",\n",
             if cfg!(debug_assertions) {
@@ -448,16 +307,11 @@ impl ScalingResult {
             let comma = if i + 1 < self.points.len() { "," } else { "" };
             json.push_str(&format!(
                 "    {{\"machines\": {}, \"refreshes\": {}, \"frames\": {}, \
-                 \"baseline_wall_seconds\": {:.4}, \
-                 \"baseline_frames_per_sec\": {:.0}, \"speedup\": {:.2}, \
                  \"peak_rss_bytes\": {}, \"build_rss_delta_bytes\": {}, \
                  \"rss_per_machine_bytes\": {}, \"arms\": [\n",
                 p.machines,
                 p.refreshes,
                 p.frames,
-                p.baseline_wall_seconds,
-                p.baseline_frames_per_sec,
-                p.speedup(),
                 p.peak_rss_bytes,
                 p.build_rss_delta_bytes,
                 p.rss_per_machine_bytes,
@@ -495,8 +349,6 @@ impl ScalingResult {
                 "frames",
                 "frames/s",
                 "par eff",
-                "baseline f/s",
-                "speedup",
                 "msgs",
                 "peak buf frames",
                 "peak buf KiB",
@@ -521,16 +373,6 @@ impl ScalingResult {
                     },
                     format!("{:.0}", a.frames_per_sec),
                     format!("{:.2}", a.parallel_efficiency),
-                    if first {
-                        format!("{:.0}", p.baseline_frames_per_sec)
-                    } else {
-                        String::new()
-                    },
-                    if first {
-                        format!("{:.2}x", p.speedup())
-                    } else {
-                        String::new()
-                    },
                     a.batches.to_string(),
                     a.peak_buffered_frames.to_string(),
                     format!("{:.0}", a.peak_buffered_bytes as f64 / 1024.0),

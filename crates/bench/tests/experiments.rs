@@ -751,7 +751,7 @@ fn scaling_sweeps_threads_and_reports_a_full_curve() {
     );
     assert!(a1.peak_buffered_frames > 0, "merge buffered something");
     assert!(a1.peak_buffered_bytes > 0, "byte accounting is live");
-    assert!(a1.frames_per_sec > 0.0 && p.baseline_frames_per_sec > 0.0);
+    assert!(a1.frames_per_sec > 0.0);
     assert!(
         (a1.parallel_efficiency - 1.0).abs() < 1e-9,
         "the 1-thread arm is its own efficiency base, got {}",
@@ -759,13 +759,13 @@ fn scaling_sweeps_threads_and_reports_a_full_curve() {
     );
     let a2 = p.arm(2).expect("2-thread arm");
     assert!(a2.parallel_efficiency > 0.0);
-    assert!(p.speedup() > 0.0);
     assert!(
         r.anchor().is_none(),
         "no 100-machine point in this tiny run"
     );
     let json = r.to_json();
-    assert!(json.contains("\"schema\": \"tiptop-bench-cluster/2\""));
+    assert!(json.contains("\"schema\": \"tiptop-bench-cluster/3\""));
+    assert!(!json.contains("baseline"), "schema /3 has no baseline arm");
     assert!(json.contains("\"thread_sweep\": [1, 2]"));
     assert!(json.contains("\"machines\": 4,"));
     assert!(json.contains("\"threads\": 2,"));

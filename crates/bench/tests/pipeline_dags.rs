@@ -14,7 +14,7 @@
 //!
 //! The bulk of the sweep runs single-machine sessions (the Session's
 //! native resolution); a second, smaller sweep drives three-machine
-//! clusters through the lockstep driver and checks the same exactness
+//! clusters through the round driver and checks the same exactness
 //! cross-machine.
 
 use tiptop_bench::experiments::pipelines::cluster_for;

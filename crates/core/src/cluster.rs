@@ -50,18 +50,28 @@
 //!   the machine scenarios, validates the fleet-wide DAG (typed
 //!   [`DagError`]s for cycles, unknown or migrated-away dependencies),
 //!   hands same-machine chains back to their [`Session`]s, and resolves
-//!   the rest centrally: scripted runs of such a cluster use a
-//!   round-barrier lockstep driver that keeps the merged stream
-//!   byte-identical at any thread count.
+//!   the rest centrally — in scripted and reactive runs alike — with exact
+//!   firing instants.
 //!
 //! [`Trigger::AfterExit`]: crate::scenario::Trigger::AfterExit
 //! [`Scenario::spawn_after`]: crate::scenario::Scenario::spawn_after
 //!
+//! Two drivers run a cluster, chosen by the run's own input. Machines that
+//! never wait on each other run on the free-running **lane pool**: each
+//! worker steps its machines in `(time, machine)` order and ships columnar
+//! batches over its own lane into a loser-tree merge. Runs with policies,
+//! live cross-machine dependency edges or scripted resume handoffs run on
+//! the **round driver**, which advances the fleet between barriers at each
+//! observation instant (the steps of a round are documented on
+//! [`ClusterSession::run_reactive`]). Both keep the merged stream
+//! byte-identical at any thread count.
+//!
 //! Failure is contained per shard: a [`SessionError`] inside one machine
 //! surfaces as [`SessionError::Shard`], a panic as
-//! [`SessionError::ShardPanicked`]; the rest of the pool keeps running and
+//! [`SessionError::ShardPanicked`]; the rest of the fleet keeps running and
 //! their frames still reach the sink (the exact contract is documented on
-//! [`ClusterSession::run_each`]).
+//! [`ClusterSession::run_each`]; reactive runs halt at the round barrier
+//! instead).
 //!
 //! ```
 //! use tiptop_core::prelude::*;
@@ -157,8 +167,8 @@ pub struct ClusterFrame {
 pub trait ClusterFrameSink {
     fn on_frame(&mut self, frame: ClusterFrame);
 
-    /// Deliver frames `range` of a columnar batch — the batched transport's
-    /// run delivery. The frames of the range are the next frames of the
+    /// Deliver frames `range` of a columnar batch — the lane pool's run
+    /// delivery. The frames of the range are the next frames of the
     /// merged stream, in order. The default materializes each one through
     /// [`FrameBatch::take_frame`] and hands it to
     /// [`ClusterFrameSink::on_frame`], so every existing sink keeps its
@@ -261,7 +271,7 @@ pub struct ClusterWindow {
 /// `window` frames. Peak memory is `O(sources x columns)` of open-window
 /// state plus `O(total / window)` small summaries — a fleet observed for
 /// hours never holds its stream, unlike [`ClusterCollectSink`]. On the
-/// batched transport it folds straight from the columnar batches
+/// lane pool it folds straight from the columnar batches
 /// ([`ClusterFrameSink::on_batch`]), so the merged stream's rows are
 /// aggregated without ever materializing a labelled frame.
 ///
@@ -679,8 +689,7 @@ impl ClusterScenario {
         // chains and round trips both validate.
         self.migrations.sort_by_key(|m| m.at);
         let mut handovers: Vec<HandoverRecord> = Vec::with_capacity(self.migrations.len());
-        let mut consumes: Vec<Vec<(SimTime, String, usize)>> =
-            (0..self.machines.len()).map(|_| Vec::new()).collect();
+        let mut handoffs: Vec<Handoff> = Vec::new();
         let mut resume_hops: std::collections::HashSet<(String, SimTime)> =
             std::collections::HashSet::new();
         for m in &self.migrations {
@@ -798,28 +807,31 @@ impl ClusterScenario {
                             spec,
                         },
                     );
-                    consumes[ti].push((m.at, m.tag.clone(), fi));
+                    handoffs.push(Handoff {
+                        at: m.at,
+                        src: fi,
+                        dst: ti,
+                        decided: false,
+                    });
                 }
             }
         }
 
         // Same-instant resume hops hand checkpoints across machines at one
-        // sim-time; the run-time gating orders producers before consumers,
-        // which only terminates if those edges are acyclic per instant.
+        // sim-time; the round driver publishes them in topological order,
+        // which only exists if those machine edges are acyclic per instant.
         {
-            let mut by_instant: BTreeMap<SimTime, Vec<(usize, usize)>> = BTreeMap::new();
+            let mut by_instant: BTreeMap<SimTime, Vec<(&str, &str)>> = BTreeMap::new();
             for m in &self.migrations {
                 if m.mode == MigrationMode::Resume {
-                    let index_of = |id: &str| self.machines.iter().position(|(mid, _)| mid == id);
-                    let (fi, ti) = (
-                        index_of(&m.from).expect("validated above"),
-                        index_of(&m.to).expect("validated above"),
-                    );
-                    by_instant.entry(m.at).or_default().push((fi, ti));
+                    by_instant
+                        .entry(m.at)
+                        .or_default()
+                        .push((m.from.as_str(), m.to.as_str()));
                 }
             }
             for (at, edges) in by_instant {
-                if has_cycle(self.machines.len(), &edges) {
+                if validation::spawn_edge_cycle(&edges).is_some() {
                     return Err(SessionError::InvalidScenario(format!(
                         "same-instant resume migrations at {at:?} form a machine cycle: \
                          each side would wait forever for the other's checkpoint; \
@@ -837,8 +849,8 @@ impl ClusterScenario {
         // (the [`Session`] resolves those natively); everything else —
         // cross-machine edges, and edges keyed on a tag that is itself
         // spawned by a cross-machine edge — stays in the cluster's registry
-        // and is resolved centrally by the lockstep driver (`run_units`
-        // routes to it whenever the registry is non-empty).
+        // and is resolved centrally by the round driver (`run_units`
+        // routes to it while any edge is live).
         let mut drained: Vec<(usize, String, SimDuration, WorkloadEvent)> = Vec::new();
         for (i, (_, scenario)) in self.machines.iter_mut().enumerate() {
             for (dep, delay, ev) in scenario.drain_deferred() {
@@ -1028,7 +1040,9 @@ impl ClusterScenario {
             }
         }
 
-        let board = HandoffBoard::new(self.machines.len());
+        // The checkpoint transport shared by every shard's session:
+        // resume-mode migrations publish and take through it.
+        let board = HandoffBoard::new();
         let mut shards = Vec::with_capacity(self.machines.len());
         for (id, scenario) in self.machines {
             let mut session = scenario.build().map_err(|e| SessionError::Shard {
@@ -1044,8 +1058,7 @@ impl ClusterScenario {
         Ok(ClusterSession {
             shards,
             handovers,
-            board,
-            consumes,
+            handoffs,
             deps,
             last_stats: RunStats::default(),
         })
@@ -1066,7 +1079,7 @@ struct ResolvedEdge {
 /// One cross-machine dependency edge held by the cluster: `ev` fires on
 /// machine `consumer`, `delay` after the completion of `dep`'s final
 /// incarnation (`min_incarnations` spawns) on machine `host`. Resolved by
-/// the lockstep driver; `ev` is taken when the edge fires, and an edge
+/// the round driver; `ev` is taken when the edge fires, and an edge
 /// whose host or consumer shard fails is dropped so the rest of the fleet
 /// keeps running.
 #[derive(Debug)]
@@ -1079,21 +1092,20 @@ struct ClusterDep {
     ev: Option<WorkloadEvent>,
 }
 
-/// Transport statistics of the most recent `run*` pool run (see
-/// [`ClusterSession::last_run_stats`]).
+/// Statistics of the most recent `run*` (see
+/// [`ClusterSession::last_run_stats`]), whichever driver ran it.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RunStats {
-    /// Frames the merge delivered to the sink.
+    /// Frames delivered to the sink.
     pub frames: usize,
-    /// Channel messages carrying frames: batches on the batched transport,
-    /// frames on the per-frame one.
+    /// Merge deliveries: lane messages carrying frames on the lane pool,
+    /// rounds that produced frames on the round driver.
     pub batches: usize,
-    /// Most frames the merge ever held buffered at once, waiting for
-    /// slower queues.
+    /// Most frames held at once before delivery: the lane merge's buffers
+    /// waiting on slower lanes, or the round driver's largest round.
     pub peak_buffered_frames: usize,
-    /// Estimated heap bytes behind that peak. Tracked by the batched
-    /// transport; the per-frame transport reports 0 (it never measures
-    /// its buffers).
+    /// Estimated heap bytes behind that peak. Tracked by the lane pool; the
+    /// round driver reports 0 (it never measures its buffers).
     pub peak_buffered_bytes: usize,
 }
 
@@ -1111,17 +1123,13 @@ pub struct ClusterSession {
     /// scripted ones from build time, reactive ones appended as their
     /// decisions apply.
     handovers: Vec<HandoverRecord>,
-    /// The checkpoint transport shared by every shard's session (resume-mode
-    /// migrations publish and take through it).
-    board: Arc<HandoffBoard>,
-    /// Per machine index: the scripted resume handoffs it consumes, as
-    /// `(instant, tag, producer machine index)` in instant order — the
-    /// scripted runs' worker gating keys.
-    consumes: Vec<Vec<(SimTime, String, usize)>>,
-    /// Cross-machine dependency edges, in declaration order. Non-empty
-    /// registries route every scripted run through the lockstep driver.
+    /// The scripted resume handoffs, in instant order. Non-empty lists
+    /// route every run through the round driver.
+    handoffs: Vec<Handoff>,
+    /// Cross-machine dependency edges, in declaration order. Live edges
+    /// route every run through the round driver.
     deps: Vec<ClusterDep>,
-    /// Transport statistics of the most recent pool run.
+    /// Statistics of the most recent run.
     last_stats: RunStats,
 }
 
@@ -1196,8 +1204,8 @@ impl ClusterSession {
         &self.handovers
     }
 
-    /// Transport statistics of the most recent `run`/`run_each`/`run_all`
-    /// pool run: frames delivered, channel messages, and the merge's peak
+    /// Statistics of the most recent `run*` — scripted or reactive, on
+    /// either driver: frames delivered, merge deliveries, and the peak
     /// buffering — the scaling bench's memory-frontier numbers.
     pub fn last_run_stats(&self) -> RunStats {
         self.last_stats
@@ -1220,6 +1228,18 @@ impl ClusterSession {
     /// `sink` merged by `(time, machine_index)` — deterministically, at any
     /// thread count.
     ///
+    /// # Two drivers
+    ///
+    /// The run's own input picks the driver. A run whose machines are
+    /// independent goes to the free-running lane pool: each worker steps its
+    /// machines in `(time, machine)` order and ships columnar batches over
+    /// its own lane into a loser-tree merge. A cluster with live
+    /// cross-machine dependency edges or scripted resume handoffs couples
+    /// its machines, so its runs go to the round driver (see
+    /// [`ClusterSession::run_reactive`]), which advances the fleet between
+    /// barriers. Both produce the same `(time, machine)` stream at any
+    /// thread count.
+    ///
     /// # Failure contract: deliver-then-error
     ///
     /// A shard failure does **not** tear down the run. The contract, locked
@@ -1232,7 +1252,7 @@ impl ClusterSession {
     /// * frames the failed machine produced *before* failing are still
     ///   merged at their proper `(time, machine)` position relative to
     ///   every other stream — never reordered around the failure;
-    /// * only after the pool has drained does `run_each` return the first
+    /// * only after every machine has finished does `run_each` return the first
     ///   failure **by machine index** (deterministic at any thread count);
     ///   when several shards fail, the later-indexed errors are dropped but
     ///   their pre-failure frames are not.
@@ -1253,7 +1273,6 @@ impl ClusterSession {
             threads,
             max_refreshes,
             |mref| vec![(monitor(mref), until(mref))],
-            Transport::Batched,
             sink,
         )
     }
@@ -1272,8 +1291,8 @@ impl ClusterSession {
     /// merged stream; same-instant frames of one machine observe (and
     /// merge) in set order, same-instant frames of different machines in
     /// machine order — so the merged stream stays byte-identical at any
-    /// worker-thread count. The failure contract is that of
-    /// [`ClusterSession::run_each`].
+    /// worker-thread count. The drivers and the failure contract are those
+    /// of [`ClusterSession::run_each`].
     pub fn run_all(
         &mut self,
         threads: usize,
@@ -1281,68 +1300,16 @@ impl ClusterSession {
         mut monitors: impl FnMut(MachineRef<'_>) -> Vec<Box<dyn Monitor + Send>>,
         sink: &mut dyn ClusterFrameSink,
     ) -> Result<(), SessionError> {
-        self.run_units(
-            threads,
-            refreshes,
-            |mref| {
-                monitors(mref)
-                    .into_iter()
-                    .map(|m| {
-                        let u: Until = Box::new(|_| false);
-                        (m, u)
-                    })
-                    .collect()
-            },
-            Transport::Batched,
-            sink,
-        )
+        self.run_units(threads, refreshes, |mref| never_stop(monitors(mref)), sink)
     }
 
-    /// [`ClusterSession::run`] over the **per-frame transport**: one
-    /// channel message per frame, one merge queue per machine, every
-    /// frame's labels materialized at the worker — the transport the
-    /// cluster used before columnar batching. Kept public as the
-    /// differential baseline: the byte-identity tests drive both
-    /// transports and assert identical merged streams, and the scaling
-    /// bench measures the batched transport's win against it.
-    pub fn run_per_frame(
+    /// Move every machine's session and monitor set into a [`WorkUnit`].
+    /// Every set is built and validated *before* any session leaves its
+    /// slot, so an error here leaves the cluster untouched and re-runnable.
+    fn take_units(
         &mut self,
-        threads: usize,
-        refreshes: usize,
-        mut monitor: impl FnMut(MachineRef<'_>) -> Box<dyn Monitor + Send>,
-        sink: &mut dyn ClusterFrameSink,
-    ) -> Result<(), SessionError> {
-        self.run_units(
-            threads,
-            refreshes,
-            |mref| {
-                let u: Until = Box::new(|_| false);
-                vec![(monitor(mref), u)]
-            },
-            Transport::PerFrame,
-            sink,
-        )
-    }
-
-    /// The shared driver behind [`run_each`](ClusterSession::run_each) and
-    /// [`run_all`](ClusterSession::run_all).
-    fn run_units(
-        &mut self,
-        threads: usize,
-        max_refreshes: usize,
-        mut tools: impl FnMut(MachineRef<'_>) -> ToolSet,
-        transport: Transport,
-        sink: &mut dyn ClusterFrameSink,
-    ) -> Result<(), SessionError> {
-        // Cross-machine dependency edges need central resolution: the
-        // lockstep driver marches the whole fleet in rounds, resolving
-        // completions between epoch-bounded passes. (The free-running
-        // worker pool below would let a consumer overrun its dependency's
-        // still-unknown exit instant.)
-        if self.deps.iter().any(|d| d.ev.is_some()) {
-            return self.run_lockstep(threads, max_refreshes, &mut tools, sink);
-        }
-        let n = self.shards.len();
+        tools: &mut dyn FnMut(MachineRef<'_>) -> ToolSet,
+    ) -> Result<Vec<WorkUnit>, SessionError> {
         for slot in &self.shards {
             if slot.session.is_none() {
                 return Err(SessionError::ShardPanicked {
@@ -1351,69 +1318,77 @@ impl ClusterSession {
                 });
             }
         }
-        // Build and validate every machine's monitors and stop predicates
-        // *before* taking any session out of its slot, so an error here
-        // leaves the cluster untouched and re-runnable.
-        let mut per_machine: Vec<ToolSet> = Vec::with_capacity(n);
+        let mut per_machine: Vec<ToolSet> = Vec::with_capacity(self.shards.len());
         for (index, slot) in self.shards.iter().enumerate() {
-            let mref = MachineRef {
+            let set = tools(MachineRef {
                 id: &slot.id,
                 index,
-            };
-            let set = tools(mref);
+            });
             validate_monitor_set(
                 &slot.id,
                 set.iter().map(|(m, _)| m.as_ref() as &dyn Monitor),
             )?;
             per_machine.push(set);
         }
-        let mut units: Vec<WorkUnit> = Vec::with_capacity(n);
-        for ((index, slot), set) in self.shards.iter_mut().enumerate().zip(per_machine) {
-            let label = Label::new(&slot.id);
-            let sym = label.sym();
-            units.push(WorkUnit {
-                index,
-                id: slot.id.clone(),
-                label,
-                sym,
-                session: slot.session.take().expect("checked above"),
-                slots: set
-                    .into_iter()
-                    .map(|(monitor, until)| {
-                        let source = Label::new(monitor.name());
-                        let source_sym = source.sym();
-                        MonitorSlot {
-                            monitor,
-                            until,
-                            source,
-                            source_sym,
-                            next_at: SimTime::ZERO,
-                            taken: 0,
-                            done: false,
-                        }
-                    })
-                    .collect(),
-                consumes: self.consumes[index].clone(),
-            });
-        }
+        let units = self
+            .shards
+            .iter_mut()
+            .enumerate()
+            .zip(per_machine)
+            .map(|((index, slot), set)| {
+                let label = Label::new(&slot.id);
+                let sym = label.sym();
+                WorkUnit {
+                    index,
+                    id: slot.id.clone(),
+                    label,
+                    sym,
+                    session: slot.session.take().expect("checked above"),
+                    slots: set
+                        .into_iter()
+                        .map(|(monitor, until)| {
+                            let source = Label::new(monitor.name());
+                            let source_sym = source.sym();
+                            MonitorSlot {
+                                monitor,
+                                until,
+                                source,
+                                source_sym,
+                                next_at: SimTime::ZERO,
+                                taken: 0,
+                                done: false,
+                            }
+                        })
+                        .collect(),
+                }
+            })
+            .collect();
+        Ok(units)
+    }
 
+    /// The shared entry behind [`run_each`](ClusterSession::run_each) and
+    /// [`run_all`](ClusterSession::run_all): the round driver when the
+    /// cluster couples its machines (live dependency edges or scripted
+    /// resume handoffs), the lane pool otherwise.
+    fn run_units(
+        &mut self,
+        threads: usize,
+        max_refreshes: usize,
+        mut tools: impl FnMut(MachineRef<'_>) -> ToolSet,
+        sink: &mut dyn ClusterFrameSink,
+    ) -> Result<(), SessionError> {
+        let units = self.take_units(&mut tools)?;
+        if !self.handoffs.is_empty() || self.deps.iter().any(|d| d.ev.is_some()) {
+            return self
+                .run_rounds(units, threads, max_refreshes, &mut [], sink)
+                .map(|_| ());
+        }
+        let n = units.len();
         let threads = threads.clamp(1, n);
         let mut parts: Vec<Vec<WorkUnit>> = (0..threads).map(|_| Vec::new()).collect();
         for (i, u) in units.into_iter().enumerate() {
             parts[i % threads].push(u);
         }
-
-        // The batched transport's per-worker queues are valid because a
-        // worker always executes its globally earliest pending step —
-        // resume-handoff gating breaks that (a gated earlier step can run
-        // after a later free one), so runs with scripted resume handoffs
-        // fall back to the per-frame transport's per-machine queues, where
-        // only per-machine order matters.
-        let transport = if self.consumes.iter().any(|c| !c.is_empty()) {
-            Transport::PerFrame
-        } else {
-            transport
-        };
 
         // One single-producer lane per worker instead of a shared channel:
         // workers never contend on one sender, and the merge thread drains
@@ -1421,18 +1396,14 @@ impl ClusterSession {
         // message.
         let hub = LaneHub::new(threads);
         // Spent batch shells cycle back to the workers through this pool,
-        // so a steady-state batched run reuses its buffers round after
-        // round instead of allocating fresh ones. Bounded: each worker
-        // only keeps a couple of shells in flight, so idle shells beyond
-        // that are dropped rather than hoarded for the rest of the run.
+        // so a steady-state run reuses its buffers round after round
+        // instead of allocating fresh ones. Bounded: each worker only keeps
+        // a couple of shells in flight, so idle shells beyond that are
+        // dropped rather than hoarded for the rest of the run.
         let pool = Arc::new(ShellPool::new(2 * threads + 4));
-        // Batched workers interleave their machines into one ordered
-        // stream each, so the merge needs one queue per *worker*; the
-        // per-frame transport keeps its queue per machine.
-        let mut merger = match transport {
-            Transport::PerFrame => MergerKind::PerFrame(Merger::new(n)),
-            Transport::Batched => MergerKind::Batched(BatchMerger::new(threads, pool.clone())),
-        };
+        // Workers interleave their machines into one ordered stream each,
+        // so the merge needs one queue per *worker*.
+        let mut merger = BatchMerger::new(threads, pool.clone());
         let mut first_err: Option<(usize, SessionError)> = None;
         let mut returned: Vec<(usize, Option<Session>)> = Vec::with_capacity(n);
 
@@ -1442,43 +1413,27 @@ impl ClusterSession {
                 .enumerate()
                 .map(|(queue, part)| {
                     let tx = hub.sender(queue);
-                    let board = self.board.clone();
                     let cfg = WorkerCfg {
                         queue,
-                        transport,
-                        batch_cap: BATCH_CAP,
                         pool: pool.clone(),
                     };
-                    scope.spawn(move || run_worker(part, max_refreshes, tx, board, cfg))
+                    scope.spawn(move || run_worker(part, max_refreshes, tx, cfg))
                 })
                 .collect();
 
             let mut inbox: Vec<Msg> = Vec::new();
             while hub.recv_all(&mut inbox) {
                 for msg in inbox.drain(..) {
-                    match (msg, &mut merger) {
-                        (Msg::Batch(b), MergerKind::Batched(m)) => m.push(b, sink),
-                        (Msg::Frame { queue, frame }, MergerKind::PerFrame(m)) => {
-                            m.push(queue, frame, sink)
-                        }
-                        (Msg::Done { queue }, MergerKind::PerFrame(m)) => m.close(queue, sink),
-                        (Msg::Done { queue }, MergerKind::Batched(m)) => m.close(queue, sink),
-                        (
-                            Msg::Failed {
-                                machine_index,
-                                error,
-                            },
-                            _,
-                        ) => {
+                    match msg {
+                        Msg::Batch(b) => merger.push(b, sink),
+                        Msg::Done { queue } => merger.close(queue, sink),
+                        Msg::Failed {
+                            machine_index,
+                            error,
+                        } => {
                             if first_err.as_ref().is_none_or(|(i, _)| machine_index < *i) {
                                 first_err = Some((machine_index, error));
                             }
-                        }
-                        // A worker only sends the message shape its
-                        // transport produces.
-                        (Msg::Batch(_), MergerKind::PerFrame(_))
-                        | (Msg::Frame { .. }, MergerKind::Batched(_)) => {
-                            unreachable!("message shape does not match the run's transport")
                         }
                     }
                 }
@@ -1491,183 +1446,13 @@ impl ClusterSession {
             }
         });
 
-        self.last_stats = match &merger {
-            MergerKind::PerFrame(m) => m.stats(),
-            MergerKind::Batched(m) => m.stats(),
-        };
+        self.last_stats = merger.stats();
         for (index, session) in returned {
             self.shards[index].session = session;
         }
         match first_err {
             Some((_, e)) => Err(e),
             None => Ok(()),
-        }
-    }
-
-    /// The round-barrier driver behind every scripted run of a cluster with
-    /// cross-machine dependency edges. Rounds are keyed to t\* — the
-    /// globally earliest pending observation — and between rounds the
-    /// whole fleet marches to t\* in *passes*:
-    ///
-    /// * each pass first resolves completions: every edge whose
-    ///   dependency's final incarnation has completed on its host injects
-    ///   its event on the consumer at `max(exit + delay, consumer-now)`;
-    /// * then every machine short of t\* advances to the pass target —
-    ///   capped by its unresolved edges (an exit at or before the host's
-    ///   pass-start watermark would already have resolved, so the event
-    ///   cannot fire at or before `watermark + delay`), floored at one
-    ///   scheduler epoch for progress, and hard-gated by unpublished
-    ///   resume-handoff checkpoints.
-    ///
-    /// The caps make cross-machine firing instants *exact* whenever the
-    /// consumer trails `exit + delay` (always, unless mutually-gated
-    /// sub-epoch edges force the epoch floor, where the documented
-    /// clamp-forward applies). Pass structure is a pure function of the
-    /// scenario, and frames are delivered at t\* in `(machine, monitor)`
-    /// order — so the merged stream is byte-identical at any thread count;
-    /// threads only parallelize the advance between barriers.
-    ///
-    /// Unlike the free-running pool, every machine keeps pace with the
-    /// fleet until the run's last observation — a machine whose own
-    /// monitors finished early still advances (and its jobs still
-    /// complete) so stages depending on it keep firing.
-    fn run_lockstep(
-        &mut self,
-        threads: usize,
-        max_refreshes: usize,
-        tools: &mut dyn FnMut(MachineRef<'_>) -> ToolSet,
-        sink: &mut dyn ClusterFrameSink,
-    ) -> Result<(), SessionError> {
-        let n = self.shards.len();
-        for slot in &self.shards {
-            if slot.session.is_none() {
-                return Err(SessionError::ShardPanicked {
-                    machine: slot.id.clone(),
-                    message: "session was lost to a panic in an earlier run".into(),
-                });
-            }
-        }
-        // Build and validate every machine's monitors before taking any
-        // session out of its slot (same guarantees as the pool path).
-        let mut per_machine: Vec<ToolSet> = Vec::with_capacity(n);
-        for (index, slot) in self.shards.iter().enumerate() {
-            let mref = MachineRef {
-                id: &slot.id,
-                index,
-            };
-            let set = tools(mref);
-            validate_monitor_set(
-                &slot.id,
-                set.iter().map(|(m, _)| m.as_ref() as &dyn Monitor),
-            )?;
-            per_machine.push(set);
-        }
-        let mut units: Vec<Option<WorkUnit>> = Vec::with_capacity(n);
-        for ((index, slot), set) in self.shards.iter_mut().enumerate().zip(per_machine) {
-            let label = Label::new(&slot.id);
-            let sym = label.sym();
-            units.push(Some(WorkUnit {
-                index,
-                id: slot.id.clone(),
-                label,
-                sym,
-                session: slot.session.take().expect("checked above"),
-                slots: set
-                    .into_iter()
-                    .map(|(monitor, until)| {
-                        let source = Label::new(monitor.name());
-                        let source_sym = source.sym();
-                        MonitorSlot {
-                            monitor,
-                            until,
-                            source,
-                            source_sym,
-                            next_at: SimTime::ZERO,
-                            taken: 0,
-                            done: false,
-                        }
-                    })
-                    .collect(),
-                consumes: self.consumes[index].clone(),
-            }));
-        }
-
-        let mut finished: Vec<(usize, Option<Session>)> = Vec::new();
-        let mut first_err: Option<(usize, SessionError)> = None;
-        let mut frames = 0usize;
-
-        // Prime every machine's monitors (serially — priming advances no
-        // time). A machine with nothing to observe is handed back
-        // untouched; it does not join the fleet's marching order.
-        for i in 0..n {
-            if max_refreshes == 0 || units[i].as_ref().is_some_and(|u| u.slots.is_empty()) {
-                let unit = units[i].take().expect("just built");
-                finished.push((unit.index, Some(unit.session)));
-                continue;
-            }
-            let unit = units[i].as_mut().expect("just built");
-            let primed = guard(&unit.id, || {
-                for slot in &mut unit.slots {
-                    slot.monitor.prime(unit.session.kernel_mut());
-                }
-                Ok(())
-            });
-            match primed {
-                Ok(()) => {
-                    let now = unit.session.now();
-                    for slot in &mut unit.slots {
-                        slot.next_at = now + slot.monitor.interval();
-                    }
-                }
-                Err(e) => fail_unit(&mut units, &mut finished, &mut first_err, i, e),
-            }
-        }
-
-        let rounds = lockstep_rounds(
-            &mut units,
-            &mut self.deps,
-            &self.board,
-            threads,
-            max_refreshes,
-            sink,
-            &mut finished,
-            &mut first_err,
-            &mut frames,
-        );
-
-        // Teardown every surviving machine; a teardown panic tears the
-        // shard like an observe panic would.
-        for u in units.iter_mut() {
-            let Some(mut unit) = u.take() else { continue };
-            let torn_down = guard(&unit.id, || {
-                for slot in &mut unit.slots {
-                    slot.monitor.teardown(unit.session.kernel_mut());
-                }
-                Ok(())
-            });
-            match torn_down {
-                Ok(()) => finished.push((unit.index, Some(unit.session))),
-                Err(error) => {
-                    if first_err.as_ref().is_none_or(|(i, _)| unit.index < *i) {
-                        first_err = Some((unit.index, error));
-                    }
-                    finished.push((unit.index, None));
-                }
-            }
-        }
-
-        self.last_stats = RunStats {
-            frames,
-            batches: 0,
-            peak_buffered_frames: 0,
-            peak_buffered_bytes: 0,
-        };
-        for (index, session) in finished {
-            self.shards[index].session = session;
-        }
-        match first_err {
-            Some((_, e)) => Err(e),
-            None => rounds,
         }
     }
 
@@ -1685,7 +1470,7 @@ impl ClusterSession {
 
     /// [`ClusterSession::run`] into a [`ClusterCollectSink`], returning the
     /// merged stream. On failure the error carries every frame merged
-    /// before the pool drained ([`ClusterRunError::partial`]) — the
+    /// before the run finished ([`ClusterRunError::partial`]) — the
     /// deliver-then-error contract means a long run's healthy shards are
     /// preserved, not discarded.
     pub fn run_collect(
@@ -1710,41 +1495,71 @@ impl ClusterSession {
     /// merged stream **live** and issue migrations, closing the paper's
     /// monitor→decision loop. Returns the decisions that were applied.
     ///
-    /// # How the loop stays deterministic
+    /// # The round driver
     ///
     /// Runtime decisions break the free-running worker model: a shard that
     /// has raced ahead of the merge frontier could already be *past* the
-    /// instant a decision must land on. `run_reactive` therefore advances
-    /// the fleet in **observation rounds**: each round takes the globally
-    /// earliest pending observation instant `t*`, advances every machine
-    /// due at `t*` concurrently on the worker pool, merges the round's
-    /// frames (machine order, then set order — the same order `run_all`
-    /// produces), shows each frame to every policy, and delivers it to the
-    /// sink. Decisions fired on a frame at `t*` are validated and injected
-    /// as pending events at the **next scheduler-epoch boundary after
-    /// `t*`** ([`Kernel::epoch_boundary_after`]) — strictly ahead of every
+    /// instant a decision must land on. `run_reactive` therefore runs on
+    /// the **round driver**, the same one behind every scripted run of a
+    /// cluster with cross-machine dependency edges or resume handoffs. Each
+    /// round takes the globally earliest pending observation instant `t*`
+    /// and, in order:
+    ///
+    /// 1. resolves cross-machine dependency edges to fixpoint: an edge
+    ///    whose dependency's final incarnation has exited injects its event
+    ///    on the consumer at `max(exit + delay, consumer-now)`;
+    /// 2. advances every resume-handoff source to its handoff instant
+    ///    before any consumer crosses it (publish first; same-instant
+    ///    chains in topological order), so a checkpoint is always on the
+    ///    board before its destination takes it;
+    /// 3. advances the machines due at `t*` concurrently on the worker
+    ///    pool, each taking its observations on its own worker;
+    /// 4. merges the round's frames in `(machine, monitor)` order — the
+    ///    order `run_all` produces;
+    /// 5. shows each frame to every policy, then delivers it to the sink.
+    ///
+    /// With live dependency edges, steps 1–2 repeat in epoch-bounded
+    /// passes that march *every* machine to `t*`: an unresolved edge caps
+    /// its consumer at `host-watermark + delay`, which keeps cross-machine
+    /// firing instants exact. Without them only the machines due at `t*`
+    /// advance.
+    ///
+    /// Decisions fired on a frame at `t*` are validated and injected as
+    /// pending events at the **next scheduler-epoch boundary after `t*`**
+    /// ([`Kernel::epoch_boundary_after`]) — strictly ahead of every
     /// machine's clock, since no machine is ever past `t*` between rounds.
     /// Everything is keyed to sim-time, so the merged stream, the decisions
     /// and their application instants are **byte-identical at any
     /// worker-thread count**; `threads` only changes wall-clock.
+    ///
+    /// # Dependency edges and decisions at one instant
+    ///
+    /// Cross-machine dependency edges work here exactly as in scripted
+    /// runs. A dependency-fired event and a decision event landing at the
+    /// same instant on one machine apply in the order they were scheduled.
+    /// An edge is scheduled as soon as a pass sees its dependency's exit,
+    /// and every exit at or before `t*` is seen before the round's frames
+    /// are taken; a decision is scheduled after its round. So an edge whose
+    /// dependency exited at or before the deciding frame's instant applies
+    /// **before** the decision; one whose dependency exits later (only
+    /// possible when `exit + delay` falls inside the single epoch between
+    /// `t*` and the decision's boundary) applies after it.
     ///
     /// A decision is a kill on the source plus a spawn of the retained job
     /// spec ([`Session::job_spec`]) on the destination at the same instant,
     /// exactly like a scripted [`ClusterScenario::migrate_at`] — and, like
     /// it, mode-aware: a [`MigrationMode::Resume`] decision checkpoints the
     /// task at the kill instant and resumes it mid-program on the
-    /// destination (the sources are advanced to the handoff instant ahead
-    /// of the round's parallel phase, so the checkpoint is always published
-    /// before the destination takes it — sequencing that changes nothing
-    /// observable, since frames exist only at observation instants). When the
-    /// refresh interval exceeds the scheduler epoch (the usual shape —
-    /// seconds-scale refreshes over a 20 ms epoch) the boundary falls
-    /// strictly between observation instants and the reactive stream has
-    /// no double-visibility handover frame; if an observation lands
-    /// exactly on the application instant, the handover frame appears just
-    /// as in scripted runs — [`ClusterSession::handovers`] (every applied
-    /// decision is appended to it) identifies those instants for post-hoc
-    /// dedupe of aggregates.
+    /// destination (step 2 publishes the checkpoint; the split advance
+    /// changes nothing observable, since `advance_to` stops at every event
+    /// instant anyway). When the refresh interval exceeds the scheduler
+    /// epoch (the usual shape — seconds-scale refreshes over a 20 ms epoch)
+    /// the boundary falls strictly between observation instants and the
+    /// reactive stream has no double-visibility handover frame; if an
+    /// observation lands exactly on the application instant, the handover
+    /// frame appears just as in scripted runs —
+    /// [`ClusterSession::handovers`] (every applied decision is appended to
+    /// it) identifies those instants for post-hoc dedupe of aggregates.
     ///
     /// # Run-time validation
     ///
@@ -1758,14 +1573,16 @@ impl ClusterSession {
     ///
     /// # Failure contract
     ///
-    /// Unlike [`ClusterSession::run_each`]'s deliver-then-error, a reactive
-    /// run **halts at the round barrier**: on a shard error (or an
+    /// Unlike [`ClusterSession::run_each`]'s deliver-then-error, a run with
+    /// policies **halts at the round barrier**: on a shard error (or an
     /// infeasible decision) the current round's healthy frames are still
     /// delivered, then the run stops — continuing without the full fleet
     /// would feed the policies a partial view and silently change their
     /// decisions. The first error by machine index is returned; healthy
     /// shards' sessions are handed back (a panicked shard's is withheld,
-    /// as everywhere else).
+    /// as everywhere else). With an empty policy slice nothing can decide,
+    /// and the run is a scripted [`ClusterSession::run_all`] with its
+    /// deliver-then-error contract.
     ///
     /// [`Kernel::epoch_boundary_after`]: tiptop_kernel::kernel::Kernel::epoch_boundary_after
     pub fn run_reactive(
@@ -1776,70 +1593,44 @@ impl ClusterSession {
         policies: &mut [Box<dyn SchedulerPolicy>],
         sink: &mut dyn ClusterFrameSink,
     ) -> Result<Vec<AppliedDecision>, SessionError> {
-        if self.deps.iter().any(|d| d.ev.is_some()) {
-            return Err(SessionError::InvalidScenario(
-                "cross-machine dependency edges are not supported by run_reactive: \
-                 dependency-triggered events and live policy decisions would contend \
-                 for the same injection instants; use run/run_each/run_all for \
-                 scenarios with cross-machine edges"
-                    .into(),
-            ));
-        }
-        let n = self.shards.len();
-        for slot in &self.shards {
-            if slot.session.is_none() {
-                return Err(SessionError::ShardPanicked {
-                    machine: slot.id.clone(),
-                    message: "session was lost to a panic in an earlier run".into(),
-                });
-            }
-        }
-        // Build and validate every machine's monitor set before taking any
-        // session out of its slot (same guarantees as `run_all`).
-        let mut per_machine: Vec<Vec<Box<dyn Monitor + Send>>> = Vec::with_capacity(n);
-        for (index, slot) in self.shards.iter().enumerate() {
-            let set = monitors(MachineRef {
-                id: &slot.id,
-                index,
-            });
-            validate_monitor_set(&slot.id, set.iter().map(|m| m.as_ref() as &dyn Monitor))?;
-            per_machine.push(set);
-        }
-        let mut units: Vec<ReactiveUnit> = Vec::with_capacity(n);
-        for ((index, slot), set) in self.shards.iter_mut().enumerate().zip(per_machine) {
-            units.push(ReactiveUnit {
-                index,
-                id: slot.id.clone(),
-                label: Label::new(&slot.id),
-                session: slot.session.take().expect("checked above"),
-                slots: set
-                    .into_iter()
-                    .map(|monitor| {
-                        let source = Label::new(monitor.name());
-                        ReactiveSlot {
-                            monitor,
-                            source,
-                            next_at: SimTime::ZERO,
-                            taken: 0,
-                        }
-                    })
-                    .collect(),
-                torn: false,
-            });
-        }
+        let units = self.take_units(&mut |mref| never_stop(monitors(mref)))?;
+        self.run_rounds(units, threads, refreshes, policies, sink)
+    }
 
-        let mut applied: Vec<AppliedDecision> = Vec::new();
-        let result = reactive_loop(
-            &mut units,
-            threads,
-            refreshes,
+    /// Run `units` on the round driver, then hand the sessions back and
+    /// record the run's statistics and applied handovers.
+    fn run_rounds(
+        &mut self,
+        units: Vec<WorkUnit>,
+        threads: usize,
+        max_refreshes: usize,
+        policies: &mut [Box<dyn SchedulerPolicy>],
+        sink: &mut dyn ClusterFrameSink,
+    ) -> Result<Vec<AppliedDecision>, SessionError> {
+        let n = units.len();
+        let mut rounds = Rounds {
+            status: vec![Status::Live; n],
+            units,
+            march_all: self.deps.iter().any(|d| d.ev.is_some()),
+            deps: &mut self.deps,
+            handoffs: self.handoffs.clone(),
+            halt: !policies.is_empty(),
             policies,
             sink,
-            &mut self.handovers,
-            &mut applied,
-        );
-        for unit in units {
-            if !unit.torn {
+            threads,
+            max_refreshes,
+            first_err: None,
+            stats: RunStats::default(),
+            injected: Vec::new(),
+            applied: Vec::new(),
+            handovers: Vec::new(),
+        };
+        let result = rounds.run();
+        self.last_stats = rounds.stats;
+        self.handovers.append(&mut rounds.handovers);
+        let applied = std::mem::take(&mut rounds.applied);
+        for (unit, status) in rounds.units.into_iter().zip(rounds.status) {
+            if status != Status::Torn {
                 self.shards[unit.index].session = Some(unit.session);
             }
         }
@@ -1847,16 +1638,15 @@ impl ClusterSession {
     }
 }
 
-/// Which transport a pool run uses between workers and the merge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Transport {
-    /// One channel message per frame, one merge queue per machine, labels
-    /// materialized at the worker — the original transport, kept as the
-    /// differential baseline (see [`ClusterSession::run_per_frame`]).
-    PerFrame,
-    /// Columnar [`FrameBatch`]es, one merge queue per worker, interned
-    /// labels, shells recycled through a shared pool — the default.
-    Batched,
+/// Pair every monitor with a stop rule that never fires.
+fn never_stop(monitors: Vec<Box<dyn Monitor + Send>>) -> ToolSet {
+    monitors
+        .into_iter()
+        .map(|m| {
+            let until: Until = Box::new(|_| false);
+            (m, until)
+        })
+        .collect()
 }
 
 /// Frames per [`FrameBatch`] before a worker flushes it to the merge. Big
@@ -1867,11 +1657,8 @@ const BATCH_CAP: usize = 32;
 
 /// Per-worker transport configuration of one pool run.
 struct WorkerCfg {
-    /// This worker's merge queue (batched transport; per-frame uses the
-    /// machine index instead).
+    /// This worker's merge queue.
     queue: usize,
-    transport: Transport,
-    batch_cap: usize,
     /// Spent-shell recycling pool, shared with the merge.
     pool: Arc<ShellPool>,
 }
@@ -1898,568 +1685,6 @@ struct WorkUnit {
     sym: SymId,
     session: Session,
     slots: Vec<MonitorSlot>,
-    /// Scripted resume handoffs this machine consumes — `(instant, tag,
-    /// producer machine index)` in instant order. A step may not cross an
-    /// instant whose checkpoint is unpublished (see `run_worker`).
-    consumes: Vec<(SimTime, String, usize)>,
-}
-
-/// One monitor of one machine in a reactive run: its own interval clock
-/// and observation count (stop predicates don't apply — the policies are
-/// the control surface).
-struct ReactiveSlot {
-    monitor: Box<dyn Monitor + Send>,
-    /// The monitor's name as a shared label, captured once — each round's
-    /// frames refbump it instead of allocating a `String`.
-    source: Label,
-    next_at: SimTime,
-    taken: usize,
-}
-
-struct ReactiveUnit {
-    index: usize,
-    id: String,
-    /// The machine id as a shared label, captured once.
-    label: Label,
-    session: Session,
-    slots: Vec<ReactiveSlot>,
-    /// A panic tore this shard mid-epoch; its session is never handed back.
-    torn: bool,
-}
-
-/// The round-barrier driver behind [`ClusterSession::run_reactive`]: run
-/// the observation rounds, then tear every surviving shard's monitors down
-/// — on the error path too, since healthy sessions are handed back and
-/// must not keep leaked counter fds attached.
-fn reactive_loop(
-    units: &mut [ReactiveUnit],
-    threads: usize,
-    refreshes: usize,
-    policies: &mut [Box<dyn SchedulerPolicy>],
-    sink: &mut dyn ClusterFrameSink,
-    handovers: &mut Vec<HandoverRecord>,
-    applied: &mut Vec<AppliedDecision>,
-) -> Result<(), SessionError> {
-    let mut run_handovers: Vec<HandoverRecord> = Vec::new();
-    let mut injected: Vec<InjectedDecision> = Vec::new();
-    let mut result = reactive_rounds(
-        units,
-        threads,
-        refreshes,
-        policies,
-        sink,
-        &mut run_handovers,
-        applied,
-        &mut injected,
-    );
-    // Teardown, machine by machine; a panic tears the shard like an
-    // observe panic would, but never masks the rounds' own error.
-    for unit in units.iter_mut().filter(|u| !u.torn) {
-        let torn_down = guard(&unit.id, || {
-            for slot in &mut unit.slots {
-                slot.monitor.teardown(unit.session.kernel_mut());
-            }
-            Ok(())
-        });
-        if let Err(e) = torn_down {
-            unit.torn = true;
-            if result.is_ok() {
-                result = Err(e);
-            }
-        }
-    }
-    if result.is_err() {
-        // The run halted before some decisions' kill/spawn could apply.
-        // Keep the fleet consistent: a decision that applied on *neither*
-        // side is rolled back (both events cancelled), one that applied on
-        // one side is *completed* on the other — the lagging machine is
-        // advanced past the instant, producing no frames — so after any
-        // run every decision either fully happened (and is recorded in
-        // `handovers()`) or never did; a handed-back cluster can never
-        // perform a silent, unrecorded migration on a later run.
-        for inj in &injected {
-            let src_applied = units[inj.src].session.now() >= inj.at;
-            let dst_applied = units[inj.dst].session.now() >= inj.at;
-            match (src_applied, dst_applied) {
-                (false, false) => {
-                    units[inj.src].session.cancel_scheduled(inj.at, &inj.tag);
-                    units[inj.dst].session.cancel_scheduled(inj.at, &inj.tag);
-                }
-                (true, true) => {}
-                _ => {
-                    // Advance both sides one epoch past the instant: the
-                    // lagging side applies its event, the other side reaps
-                    // its zombie into the exit record.
-                    for index in [inj.src, inj.dst] {
-                        let unit = &mut units[index];
-                        if unit.torn {
-                            continue;
-                        }
-                        let target = unit.session.kernel().epoch_boundary_after(inj.at);
-                        if unit.session.now() >= target {
-                            continue;
-                        }
-                        let r = guard(&unit.id, || unit.session.advance_to(target));
-                        if matches!(r, Err(SessionError::ShardPanicked { .. })) {
-                            unit.torn = true;
-                        }
-                        // A clean completion failure (e.g. the kill racing
-                        // a natural exit) is swallowed: the original error
-                        // stands, and the ground-truth prune below keeps
-                        // only records of migrations that really happened.
-                    }
-                }
-            }
-            // If the source's kill mis-fired — the job retired its last
-            // instruction inside the decision-to-boundary window and the
-            // kill hit a tombstone — the decision did not happen: revert
-            // the destination (cancel a still-pending spawn, kill an
-            // already-started clone) so the handed-back fleet carries no
-            // unrecorded restarted copy of a job that finished on its own.
-            let killed_at_boundary = units[inj.src].session.pid(&inj.tag).is_some_and(|pid| {
-                let k = units[inj.src].session.kernel();
-                match k.exit_record(pid) {
-                    Some(rec) => rec.end_time == inj.at,
-                    None => {
-                        units[inj.src].session.now() < inj.at
-                            || k.stat(pid).is_some_and(|st| st.state == TaskState::Zombie)
-                    }
-                }
-            });
-            if !killed_at_boundary {
-                let dst = &mut units[inj.dst];
-                dst.session.cancel_scheduled(inj.at, &inj.tag);
-                if let Some(pid) = dst.session.pid(&inj.tag) {
-                    if dst.session.kernel().is_alive(pid) {
-                        let _ = dst.session.kernel_mut().kill(pid);
-                    }
-                }
-            }
-        }
-    }
-    // [`ClusterSession::handovers`] promises *applied* migrations. A run
-    // that errors mid-flight may have scheduled decisions whose kill/spawn
-    // never executed (or only half did); keep a record only when the
-    // destination resolved the spawned tag AND the source's task ended at
-    // exactly the handover instant (an earlier end time means the job
-    // exited on its own and the migration's kill mis-fired). On success
-    // the final flush guarantees both, so this prunes nothing.
-    run_handovers.retain(|h| {
-        let unit = |id: &str| units.iter().find(|u| u.id == *id);
-        let spawned = unit(&h.to).is_some_and(|u| u.session.pid(&h.tag).is_some());
-        let killed = unit(&h.from).is_some_and(|u| {
-            u.session.pid(&h.tag).is_some_and(|pid| {
-                match u.session.kernel().exit_record(pid) {
-                    Some(rec) => rec.end_time == h.at,
-                    // Applied but not yet reaped: the clock stopped on the
-                    // application instant itself.
-                    None => {
-                        u.session.now() >= h.at
-                            && u.session
-                                .kernel()
-                                .stat(pid)
-                                .is_some_and(|st| st.state == TaskState::Zombie)
-                    }
-                }
-            })
-        });
-        spawned && killed
-    });
-    handovers.extend(run_handovers);
-    result
-}
-
-/// One live decision's injected event pair, for the resume-mode
-/// source-before-destination ordering, the end-of-run flush and the
-/// error-path rollback.
-struct InjectedDecision {
-    at: SimTime,
-    tag: String,
-    /// Source / destination positions in the units slice.
-    src: usize,
-    dst: usize,
-    mode: MigrationMode,
-}
-
-/// Prime, then repeat: advance the machines due at the globally earliest
-/// pending observation instant concurrently, merge the round's frames, let
-/// the policies watch, apply their decisions at the next epoch boundary —
-/// and, once the rounds are done, flush decision events scheduled past the
-/// final observation so every reported [`AppliedDecision`] really applied.
-#[allow(clippy::too_many_arguments)]
-fn reactive_rounds(
-    units: &mut [ReactiveUnit],
-    threads: usize,
-    refreshes: usize,
-    policies: &mut [Box<dyn SchedulerPolicy>],
-    sink: &mut dyn ClusterFrameSink,
-    handovers: &mut Vec<HandoverRecord>,
-    applied: &mut Vec<AppliedDecision>,
-    injected: &mut Vec<InjectedDecision>,
-) -> Result<(), SessionError> {
-    // Prime every machine's monitors (serially — priming advances no time).
-    for unit in units.iter_mut() {
-        let primed = guard(&unit.id, || {
-            for slot in &mut unit.slots {
-                slot.monitor.prime(unit.session.kernel_mut());
-            }
-            Ok(())
-        });
-        if let Err(e) = primed {
-            unit.torn = true;
-            return Err(e);
-        }
-        let now = unit.session.now();
-        for slot in &mut unit.slots {
-            slot.next_at = now + slot.monitor.interval();
-        }
-    }
-
-    let mut pre_advanced = 0usize;
-    loop {
-        // The globally earliest pending observation instant.
-        let t_star = units
-            .iter()
-            .flat_map(|u| {
-                u.slots
-                    .iter()
-                    .filter(|s| s.taken < refreshes)
-                    .map(|s| s.next_at)
-            })
-            .min();
-        let Some(t_star) = t_star else { break };
-
-        // A resume-mode decision landing at or before this round's instant
-        // must publish its checkpoint before any machine crosses the
-        // handoff in the parallel phase: advance each source sequentially
-        // to the handoff instant first. `advance_to` stops at every event
-        // instant anyway, so splitting the source's advance changes
-        // nothing observable — frames only exist at observation instants —
-        // and the merged stream stays byte-identical at any thread count.
-        // Injection order is application order, so the cursor only moves
-        // forward. A checkpoint of a program that already ran to
-        // completion surfaces here as the session's typed
-        // [`SessionError::InvalidDecision`], passed through unwrapped.
-        while pre_advanced < injected.len() && injected[pre_advanced].at <= t_star {
-            let inj = &injected[pre_advanced];
-            pre_advanced += 1;
-            if inj.mode != MigrationMode::Resume {
-                continue;
-            }
-            let unit = &mut units[inj.src];
-            if unit.torn || unit.session.now() >= inj.at {
-                continue;
-            }
-            let r = guard(&unit.id, || unit.session.advance_to(inj.at));
-            match r {
-                Ok(()) => {}
-                Err(e @ SessionError::ShardPanicked { .. }) => {
-                    unit.torn = true;
-                    return Err(e);
-                }
-                Err(e @ SessionError::InvalidDecision(_)) => return Err(e),
-                Err(e) => {
-                    return Err(SessionError::Shard {
-                        machine: unit.id.clone(),
-                        error: Box::new(e),
-                    })
-                }
-            }
-        }
-
-        // Advance every machine due at t* concurrently. Each worker owns a
-        // disjoint set of units; results are re-ordered by machine index
-        // afterwards, so the partition never shows in the output.
-        let due: Vec<&mut ReactiveUnit> = units
-            .iter_mut()
-            .filter(|u| {
-                u.slots
-                    .iter()
-                    .any(|s| s.taken < refreshes && s.next_at == t_star)
-            })
-            .collect();
-        let mut round: Vec<(usize, String, Result<Vec<ClusterFrame>, SessionError>)> = Vec::new();
-        if due.len() == 1 {
-            // A single due machine gains nothing from the pool; advance it
-            // inline instead of paying a thread spawn + join per round.
-            let unit = due.into_iter().next().expect("one due machine");
-            round.push(advance_due_unit(unit, t_star, refreshes));
-        } else {
-            let workers = threads.clamp(1, due.len());
-            let mut parts: Vec<Vec<&mut ReactiveUnit>> = (0..workers).map(|_| Vec::new()).collect();
-            for (i, u) in due.into_iter().enumerate() {
-                parts[i % workers].push(u);
-            }
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = parts
-                    .into_iter()
-                    .map(|part| {
-                        scope.spawn(move || {
-                            part.into_iter()
-                                .map(|unit| advance_due_unit(unit, t_star, refreshes))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    round.extend(h.join().expect("worker thread panicked"));
-                }
-            });
-        }
-        round.sort_by_key(|(index, _, _)| *index);
-
-        // Merge the round (all frames share t*, so machine order then set
-        // order is exactly the (time, machine) merge), let every policy
-        // watch each frame, then deliver it.
-        let mut first_err: Option<SessionError> = None;
-        let mut decisions: Vec<(String, MigrationDecision)> = Vec::new();
-        for (_, id, r) in round {
-            match r {
-                Ok(frames) => {
-                    for frame in frames {
-                        for p in policies.iter_mut() {
-                            for d in p.observe(&frame) {
-                                decisions.push((p.name().to_string(), d));
-                            }
-                        }
-                        sink.on_frame(frame);
-                    }
-                }
-                Err(e) if first_err.is_none() => {
-                    first_err = Some(match e {
-                        e @ SessionError::ShardPanicked { .. } => e,
-                        other => SessionError::Shard {
-                            machine: id,
-                            error: Box::new(other),
-                        },
-                    });
-                }
-                Err(_) => {}
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        for (policy, decision) in decisions {
-            let record = apply_decision(units, policy, decision, t_star, injected)?;
-            handovers.push(record.1);
-            applied.push(record.0);
-        }
-    }
-
-    // A decision fired on the final round scheduled its kill/spawn past
-    // the last observation; land those events so every reported
-    // AppliedDecision (and handover record) really happened. Two phases,
-    // both keyed to sim-time (no frames are produced, so determinism is
-    // unaffected): first land every injection's events in injection order
-    // — the source reaches the handoff instant before its destination, so
-    // a resume checkpoint is always published before the ResumeSpawn takes
-    // it, and no machine moves *past* an instant while later handoffs are
-    // still pending — then advance every involved machine one epoch past
-    // its latest instant, reaping the source's zombie into its exit record.
-    for phase in 0..2 {
-        for inj in injected.iter() {
-            for index in [inj.src, inj.dst] {
-                let unit = &mut units[index];
-                let target = if phase == 0 {
-                    inj.at
-                } else {
-                    unit.session.kernel().epoch_boundary_after(inj.at)
-                };
-                if unit.session.now() >= target {
-                    continue;
-                }
-                let r = guard(&unit.id, || unit.session.advance_to(target));
-                if let Err(e) = r {
-                    let torn = matches!(e, SessionError::ShardPanicked { .. });
-                    unit.torn = torn;
-                    return Err(match e {
-                        e @ SessionError::ShardPanicked { .. } => e,
-                        // A resume-mode kill that found its program already
-                        // completed is the decision's fault, not the
-                        // shard's: surface the typed InvalidDecision
-                        // unwrapped.
-                        e @ SessionError::InvalidDecision(_) => e,
-                        other => SessionError::Shard {
-                            machine: unit.id.clone(),
-                            error: Box::new(other),
-                        },
-                    });
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Advance one due machine to the round instant and take every due slot's
-/// observation, panics contained; the shared per-unit step of a round.
-fn advance_due_unit(
-    unit: &mut ReactiveUnit,
-    t_star: SimTime,
-    refreshes: usize,
-) -> (usize, String, Result<Vec<ClusterFrame>, SessionError>) {
-    let r = guard(&unit.id, || {
-        unit.session.advance_to(t_star)?;
-        let mut frames = Vec::new();
-        for slot in unit
-            .slots
-            .iter_mut()
-            .filter(|s| s.taken < refreshes && s.next_at == t_star)
-        {
-            let frame = slot.monitor.observe(unit.session.kernel_mut());
-            slot.taken += 1;
-            slot.next_at = t_star + slot.monitor.interval();
-            frames.push(ClusterFrame {
-                machine: unit.label.clone(),
-                machine_index: unit.index,
-                source: slot.source.clone(),
-                seq: slot.taken - 1,
-                frame,
-            });
-        }
-        Ok(frames)
-    });
-    if matches!(r, Err(SessionError::ShardPanicked { .. })) {
-        unit.torn = true;
-    }
-    (unit.index, unit.id.clone(), r)
-}
-
-/// Validate one live decision against the live sessions (the run-time half
-/// of migration validation) and inject its kill + spawn at the next epoch
-/// boundary after the deciding frame.
-fn apply_decision(
-    units: &mut [ReactiveUnit],
-    policy: String,
-    d: MigrationDecision,
-    decided_at: SimTime,
-    injected: &mut Vec<InjectedDecision>,
-) -> Result<(AppliedDecision, HandoverRecord), SessionError> {
-    let label = format!(
-        "{policy}: migrate '{}' {}->{} decided at {decided_at:?}",
-        d.tag, d.from, d.to
-    );
-    let infeasible = |msg: String| SessionError::InvalidDecision(format!("{label}: {msg}"));
-    if d.from == d.to {
-        return Err(infeasible(
-            "source and destination are the same machine".into(),
-        ));
-    }
-    let position = |id: &str| units.iter().position(|u| u.id == id);
-    let (Some(fi), Some(ti)) = (position(&d.from), position(&d.to)) else {
-        let missing = if position(&d.from).is_none() {
-            &d.from
-        } else {
-            &d.to
-        };
-        return Err(infeasible(format!("unknown machine '{missing}'")));
-    };
-    let src = &units[fi].session;
-    let Some(pid) = src.pid(&d.tag) else {
-        return Err(infeasible(format!(
-            "no task tagged '{}' on '{}'",
-            d.tag, d.from
-        )));
-    };
-    if !src.kernel().is_alive(pid) {
-        return Err(infeasible(format!("'{}' already exited", d.tag)));
-    }
-    // Checked *before* touching the destination, so a rejected duplicate
-    // claim (two same-round decisions fighting over one job) leaves no
-    // stray spawn behind.
-    if let Some(kill_at) = src.pending_kill(&d.tag) {
-        return Err(infeasible(format!(
-            "'{}' is already claimed by another decision (kill pending at {kill_at:?})",
-            d.tag
-        )));
-    }
-    let spec = src
-        .job_spec(&d.tag)
-        .cloned()
-        .expect("a resolved tag retains its spec");
-    // Between rounds no machine's clock is past the deciding frame, so the
-    // next epoch boundary after it is strictly ahead of both sessions.
-    let at = src.kernel().epoch_boundary_after(decided_at);
-    // The run loops publish a resume checkpoint by advancing its source to
-    // the handoff instant before anything else crosses it. That ordering
-    // breaks if this decision's destination is itself the *source* of
-    // another resume handoff at the same instant: advancing that machine
-    // (to publish) would also apply this decision's ResumeSpawn, before
-    // this source has published. Same-instant resume chains through one
-    // machine are therefore infeasible (this also catches cycles).
-    if d.mode == MigrationMode::Resume
-        && injected
-            .iter()
-            .any(|inj| inj.at == at && inj.mode == MigrationMode::Resume && inj.src == ti)
-    {
-        return Err(infeasible(format!(
-            "machine '{}' is already the source of a resume handoff applying at \
-             {at:?}; same-instant resume chains are not supported",
-            d.to
-        )));
-    }
-    let comm = spec.comm.clone();
-    // Re-label the sessions' own InvalidDecision messages with the
-    // decision context before surfacing them.
-    fn relabel(label: &str, e: SessionError) -> SessionError {
-        match e {
-            SessionError::InvalidDecision(msg) => {
-                SessionError::InvalidDecision(format!("{label}: {msg}"))
-            }
-            other => other,
-        }
-    }
-    let (spawn_ev, kill_ev) = match d.mode {
-        MigrationMode::Restart => (
-            WorkloadEvent::Spawn {
-                tag: d.tag.clone(),
-                spec,
-            },
-            WorkloadEvent::Kill { tag: d.tag.clone() },
-        ),
-        MigrationMode::Resume => (
-            WorkloadEvent::ResumeSpawn {
-                tag: d.tag.clone(),
-                spec,
-            },
-            WorkloadEvent::CheckpointKill { tag: d.tag.clone() },
-        ),
-    };
-    units[ti]
-        .session
-        .schedule_at(at, spawn_ev)
-        .map_err(|e| relabel(&label, e))?;
-    units[fi]
-        .session
-        .schedule_at(at, kill_ev)
-        .map_err(|e| relabel(&label, e))?;
-    injected.push(InjectedDecision {
-        at,
-        tag: d.tag.clone(),
-        src: fi,
-        dst: ti,
-        mode: d.mode,
-    });
-    Ok((
-        AppliedDecision {
-            policy,
-            tag: d.tag.clone(),
-            from: d.from.clone(),
-            to: d.to.clone(),
-            decided_at,
-            applied_at: at,
-            mode: d.mode,
-        },
-        HandoverRecord {
-            at,
-            tag: d.tag,
-            comm,
-            from: d.from,
-            to: d.to,
-            mode: d.mode,
-        },
-    ))
 }
 
 /// The worker→merge fan-in: one single-producer lane per worker instead of
@@ -2619,10 +1844,8 @@ impl Drop for LaneTx {
 }
 
 enum Msg {
-    /// A batch of consecutive frames from one batched-transport queue.
+    /// A batch of consecutive frames from one worker's queue.
     Batch(FrameBatch),
-    /// One frame of one per-frame-transport queue.
-    Frame { queue: usize, frame: ClusterFrame },
     /// The queue has no more messages.
     Done { queue: usize },
     /// A machine failed; its queue still gets a `Done` when it closes.
@@ -2630,122 +1853,6 @@ enum Msg {
         machine_index: usize,
         error: SessionError,
     },
-}
-
-/// The run's merge, matching its transport.
-enum MergerKind {
-    PerFrame(Merger),
-    Batched(BatchMerger),
-}
-
-struct MergeQueue {
-    buf: VecDeque<ClusterFrame>,
-    /// Still producing: its head bounds what may still arrive.
-    open: bool,
-}
-
-impl Default for MergeQueue {
-    fn default() -> Self {
-        MergeQueue {
-            buf: VecDeque::new(),
-            open: true,
-        }
-    }
-}
-
-/// The deterministic k-way merge, driven incrementally: a frontier heap
-/// holds the head `(time, machine)` key of every non-empty queue, so
-/// delivering a frame costs `O(log n)` instead of rescanning all `n`
-/// queues per delivered frame. Frames may be emitted only while no
-/// still-producing queue is empty — such a queue could still emit a frame
-/// earlier than every buffered head.
-struct Merger {
-    queues: Vec<MergeQueue>,
-    /// Min-heap over each non-empty queue's head key; every non-empty
-    /// queue appears exactly once.
-    frontier: BinaryHeap<Reverse<(SimTime, usize)>>,
-    /// How many queues are open with nothing buffered — while any exist,
-    /// the merge must wait on them.
-    blocked: usize,
-    delivered: usize,
-    messages: usize,
-    buffered: usize,
-    peak_buffered: usize,
-}
-
-impl Merger {
-    fn new(n: usize) -> Self {
-        Merger {
-            queues: (0..n).map(|_| MergeQueue::default()).collect(),
-            frontier: BinaryHeap::with_capacity(n),
-            blocked: n,
-            delivered: 0,
-            messages: 0,
-            buffered: 0,
-            peak_buffered: 0,
-        }
-    }
-
-    fn stats(&self) -> RunStats {
-        RunStats {
-            frames: self.delivered,
-            batches: self.messages,
-            peak_buffered_frames: self.peak_buffered,
-            peak_buffered_bytes: 0,
-        }
-    }
-
-    fn push(&mut self, index: usize, frame: ClusterFrame, sink: &mut dyn ClusterFrameSink) {
-        let q = &mut self.queues[index];
-        if q.buf.is_empty() {
-            self.frontier.push(Reverse((frame.frame.time, index)));
-            // Per-machine messages are ordered (one worker owns the
-            // machine), so a frame never arrives after Done/Failed.
-            if q.open {
-                self.blocked -= 1;
-            }
-        }
-        q.buf.push_back(frame);
-        self.messages += 1;
-        self.buffered += 1;
-        self.peak_buffered = self.peak_buffered.max(self.buffered);
-        self.drain(sink);
-    }
-
-    fn close(&mut self, index: usize, sink: &mut dyn ClusterFrameSink) {
-        let q = &mut self.queues[index];
-        if q.open {
-            q.open = false;
-            if q.buf.is_empty() {
-                self.blocked -= 1;
-            }
-        }
-        self.drain(sink);
-    }
-
-    fn drain(&mut self, sink: &mut dyn ClusterFrameSink) {
-        while self.blocked == 0 {
-            let Some(Reverse((_, i))) = self.frontier.pop() else {
-                return;
-            };
-            let q = &mut self.queues[i];
-            let frame = q.buf.pop_front().expect("frontier tracks non-empty queues");
-            match q.buf.front() {
-                Some(head) => {
-                    let key = (head.frame.time, i);
-                    self.frontier.push(Reverse(key));
-                }
-                None => {
-                    if q.open {
-                        self.blocked += 1;
-                    }
-                }
-            }
-            self.buffered -= 1;
-            self.delivered += 1;
-            sink.on_frame(frame);
-        }
-    }
 }
 
 /// One batched-transport merge queue: batches in arrival order, with a
@@ -2897,7 +2004,7 @@ impl LoserTree {
 /// because a worker always steps its earliest-keyed machine next, so each
 /// worker's concatenated stream is `(time, machine_index)`-ordered; and
 /// since machines are partitioned across workers, no key can appear in two
-/// queues. That turns the per-frame heap pop into **run delivery**: the
+/// queues. That turns a per-frame heap pop into **run delivery**: the
 /// head queue delivers every consecutive frame below the other queues'
 /// minimum key with one `on_batch` call, so merge cost per frame drops
 /// from `O(log n)` plus a channel message to amortized `O(1)`. The
@@ -3034,43 +2141,32 @@ impl BatchMerger {
     }
 }
 
-/// One worker: owns a set of machines and always advances the (machine,
-/// monitor) whose next observation is earliest (ties by machine index,
-/// then monitor order), so the global merge frontier keeps moving and the
-/// merger buffers as little as possible.
+/// One worker of the lane pool: owns a set of machines and always advances
+/// the (machine, monitor) whose next observation is earliest (ties by
+/// machine index, then monitor order), so the global merge frontier keeps
+/// moving and the merger buffers as little as possible.
 ///
-/// Resume-mode handoffs add a gate: a step may not cross a consume instant
-/// whose checkpoint is not yet on the board (the destination's
-/// `ResumeSpawn` would find nothing to take). A gated worker first makes
-/// whatever progress *is* safe — gated units advance to just before their
-/// gate, applying every earlier event including their own publishes — and
-/// only blocks on [`HandoffBoard::wait_published`] when nothing can move.
-/// Build-time rejection of same-instant resume cycles makes this
-/// deadlock-free, and everything stays keyed to sim-time, so the merged
-/// stream is unchanged by the gating at any thread count.
+/// Step selection runs off a persistent min-heap over every live slot's
+/// (next_at, machine index, monitor order) key: O(log n) per step instead
+/// of an O(n) rescan of every owned slot, which is what dominated the
+/// 1000-machine point. Entries go stale only when their unit leaves
+/// `active` (teardown or failure) or their slot finishes; `slot_of` maps a
+/// popped machine index back to its `active` position, with usize::MAX
+/// marking a retired unit.
 fn run_worker(
     units: Vec<WorkUnit>,
     max_refreshes: usize,
     tx: LaneTx,
-    board: Arc<HandoffBoard>,
     cfg: WorkerCfg,
 ) -> Vec<(usize, Option<Session>)> {
     let mut finished: Vec<(usize, Option<Session>)> = Vec::new();
     let mut active: Vec<WorkUnit> = Vec::new();
-    // The batch being filled (batched transport). Always bound to this
-    // worker's queue; flushed when full, before any blocking wait, and at
-    // the end of the run.
-    let mut batch = match cfg.transport {
-        Transport::Batched => Some(cfg.pool.take(cfg.queue)),
-        Transport::PerFrame => None,
-    };
+    // The batch being filled. Always bound to this worker's queue; flushed
+    // when full and at the end of the run.
+    let mut batch = cfg.pool.take(cfg.queue);
 
     for mut unit in units {
         if max_refreshes == 0 || unit.slots.is_empty() {
-            board.mark_done(unit.index);
-            if cfg.transport == Transport::PerFrame {
-                tx.send(Msg::Done { queue: unit.index });
-            }
             finished.push((unit.index, Some(unit.session)));
             continue;
         }
@@ -3089,202 +2185,35 @@ fn run_worker(
                 active.push(unit);
             }
             Err(e) => {
-                board.mark_done(unit.index);
                 tx.send(Msg::Failed {
                     machine_index: unit.index,
                     error: e,
                 });
-                if cfg.transport == Transport::PerFrame {
-                    tx.send(Msg::Done { queue: unit.index });
-                }
                 finished.push((unit.index, None));
             }
         }
     }
 
-    // With no resume gates anywhere on this worker — the overwhelmingly
-    // common shape — step selection runs off a persistent min-heap over
-    // every live slot's (next_at, machine index, monitor order) key:
-    // O(log n) per step instead of an O(n) rescan of every owned slot,
-    // which is what dominated the 1000-machine point. The key is the same
-    // tuple the scan minimized, so the chosen order (and the merged
-    // stream) is identical. Entries go stale only when their unit leaves
-    // `active` (teardown or failure) or their slot finishes; `slot_of`
-    // maps a popped machine index back to its `active` position, with
-    // usize::MAX marking a retired unit.
-    let use_heap = active.iter().all(|u| u.consumes.is_empty());
     let mut agenda: BinaryHeap<Reverse<(SimTime, usize, usize)>> = BinaryHeap::new();
-    let mut slot_of: Vec<usize> = Vec::new();
-    if use_heap {
-        let max_index = active.iter().map(|u| u.index + 1).max().unwrap_or(0);
-        slot_of = vec![usize::MAX; max_index];
-        for (p, u) in active.iter().enumerate() {
-            slot_of[u.index] = p;
-            for (sp, s) in u.slots.iter().enumerate() {
-                if !s.done {
-                    agenda.push(Reverse((s.next_at, u.index, sp)));
-                }
-            }
+    let max_index = active.iter().map(|u| u.index + 1).max().unwrap_or(0);
+    let mut slot_of = vec![usize::MAX; max_index];
+    for (p, u) in active.iter().enumerate() {
+        slot_of[u.index] = p;
+        for (sp, s) in u.slots.iter().enumerate() {
+            agenda.push(Reverse((s.next_at, u.index, sp)));
         }
     }
 
-    while !active.is_empty() {
-        // The earliest pending observation across every owned machine:
-        // (time, machine index, monitor order) for determinism.
-        let mut chosen: Option<(usize, usize)> = None;
-        let mut first_gate: Option<(usize, SimTime, String, usize)> = None;
-        if use_heap {
-            while let Some(&Reverse((at, index, sp))) = agenda.peek() {
-                let p = slot_of.get(index).copied().unwrap_or(usize::MAX);
-                if p == usize::MAX {
-                    // The unit already retired; skip its leftovers.
-                    agenda.pop();
-                    continue;
-                }
-                let slot = &active[p].slots[sp];
-                if slot.done || slot.next_at != at {
-                    agenda.pop();
-                    continue;
-                }
-                // Pop the winning entry now: after the step the slot's key
-                // advances (or the slot finishes) and is re-pushed then.
-                agenda.pop();
-                chosen = Some((p, sp));
-                break;
-            }
-        } else {
-            // The pending observations across every owned machine,
-            // earliest first; the earliest step whose unit has no
-            // unpublished handoff to consume at or before the step target
-            // runs now.
-            type StepKey = (SimTime, usize, usize);
-            let mut cands: Vec<(StepKey, (usize, usize))> = active
-                .iter()
-                .enumerate()
-                .flat_map(|(p, u)| {
-                    u.slots
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, s)| !s.done)
-                        .map(move |(sp, s)| ((s.next_at, u.index, sp), (p, sp)))
-                })
-                .collect();
-            cands.sort_by_key(|(key, _)| *key);
-
-            for (key, (p, sp)) in &cands {
-                let gate = active[*p]
-                    .consumes
-                    .iter()
-                    .filter(|(at, _, _)| *at <= key.0)
-                    .find(|(at, tag, _)| !board.is_published(tag, *at))
-                    .cloned();
-                match gate {
-                    None => {
-                        chosen = Some((*p, *sp));
-                        break;
-                    }
-                    Some((at, tag, producer)) => {
-                        if first_gate.is_none() {
-                            first_gate = Some((*p, at, tag, producer));
-                        }
-                    }
-                }
-            }
-        }
-
-        let Some((pos, spos)) = chosen else {
-            // Every owned step is gated. Park gated units just before
-            // their gate instant — events strictly earlier (including this
-            // worker's own checkpoint publishes) still apply and can
-            // unblock another worker or this one — then re-select; block
-            // on the earliest gate's producer only when nothing moved.
-            let mut progressed = false;
-            let mut failures: Vec<(usize, SessionError)> = Vec::new();
-            for (pos, unit) in active.iter_mut().enumerate() {
-                let gate_at = match unit
-                    .consumes
-                    .iter()
-                    .find(|(at, tag, _)| !board.is_published(tag, *at))
-                {
-                    Some((at, _, _)) => *at,
-                    // Published since the scan above: just re-select.
-                    None => {
-                        progressed = true;
-                        continue;
-                    }
-                };
-                let park = SimTime(gate_at.0.saturating_sub(1));
-                if unit.session.now() >= park {
-                    continue;
-                }
-                let r = guard(&unit.id, || unit.session.advance_to(park));
-                match r {
-                    Ok(()) => progressed = true,
-                    Err(e) => failures.push((pos, e)),
-                }
-            }
-            let any_failures = !failures.is_empty();
-            for (pos, e) in failures.into_iter().rev() {
-                let failed = active.swap_remove(pos);
-                let torn = matches!(e, SessionError::ShardPanicked { .. });
-                let error = match e {
-                    e @ SessionError::ShardPanicked { .. } => e,
-                    other => SessionError::Shard {
-                        machine: failed.id.clone(),
-                        error: Box::new(other),
-                    },
-                };
-                board.mark_done(failed.index);
-                tx.send(Msg::Failed {
-                    machine_index: failed.index,
-                    error,
-                });
-                if cfg.transport == Transport::PerFrame {
-                    tx.send(Msg::Done {
-                        queue: failed.index,
-                    });
-                }
-                finished.push((failed.index, (!torn).then_some(failed.session)));
-            }
-            if !progressed && !any_failures {
-                let (pos, gate_at, tag, producer) =
-                    first_gate.expect("a fully gated worker has a first gate");
-                // About to block on another worker: flush the partial
-                // batch first, or the merge (and with it every other
-                // worker's delivery) would stall on this queue's
-                // unsent frames for the whole wait.
-                if let Some(batch) = batch.as_mut() {
-                    flush_batch(batch, &tx, &cfg);
-                }
-                if !board.wait_published(&tag, gate_at, producer) {
-                    // The producer's run is over and the checkpoint never
-                    // appeared (it stopped early, or errored first): the
-                    // consumer cannot proceed — a typed failure, session
-                    // handed back.
-                    let failed = active.swap_remove(pos);
-                    let error = SessionError::Shard {
-                        machine: failed.id.clone(),
-                        error: Box::new(SessionError::InvalidDecision(format!(
-                            "resume handoff of '{tag}' at {gate_at:?}: the source \
-                             machine finished its run without publishing a checkpoint"
-                        ))),
-                    };
-                    board.mark_done(failed.index);
-                    tx.send(Msg::Failed {
-                        machine_index: failed.index,
-                        error,
-                    });
-                    if cfg.transport == Transport::PerFrame {
-                        tx.send(Msg::Done {
-                            queue: failed.index,
-                        });
-                    }
-                    finished.push((failed.index, Some(failed.session)));
-                }
-            }
+    while let Some(Reverse((at, index, spos))) = agenda.pop() {
+        let pos = slot_of[index];
+        if pos == usize::MAX {
+            // The unit already retired; skip its leftovers.
             continue;
-        };
+        }
         let unit = &mut active[pos];
+        if unit.slots[spos].done || unit.slots[spos].next_at != at {
+            continue;
+        }
         let step = {
             let session = &mut unit.session;
             let slot = &mut unit.slots[spos];
@@ -3299,42 +2228,21 @@ fn run_worker(
             Ok((frame, stop)) => {
                 let slot = &mut unit.slots[spos];
                 slot.taken += 1;
-                match batch.as_mut() {
-                    // Batched: move the frame's rows into the columnar
-                    // batch — no label allocation, no per-frame send.
-                    Some(batch) => {
-                        batch.push(unit.sym, unit.index, slot.source_sym, slot.taken - 1, frame);
-                        if batch.len() >= cfg.batch_cap {
-                            flush_batch(batch, &tx, &cfg);
-                        }
-                    }
-                    // Per-frame: one message per frame, labels refbumped.
-                    None => {
-                        tx.send(Msg::Frame {
-                            queue: unit.index,
-                            frame: ClusterFrame {
-                                machine: unit.label.clone(),
-                                machine_index: unit.index,
-                                source: slot.source.clone(),
-                                seq: slot.taken - 1,
-                                frame,
-                            },
-                        });
-                    }
+                // Move the frame's rows into the columnar batch — no label
+                // allocation, no per-frame send.
+                batch.push(unit.sym, unit.index, slot.source_sym, slot.taken - 1, frame);
+                if batch.len() >= BATCH_CAP {
+                    flush_batch(&mut batch, &tx, &cfg);
                 }
                 if stop || slot.taken >= max_refreshes {
                     slot.done = true;
                 } else {
                     slot.next_at += slot.monitor.interval();
-                    if use_heap {
-                        agenda.push(Reverse((slot.next_at, unit.index, spos)));
-                    }
+                    agenda.push(Reverse((slot.next_at, unit.index, spos)));
                 }
                 if unit.slots.iter().all(|s| s.done) {
                     let mut done = active.swap_remove(pos);
-                    if use_heap {
-                        retire_slot(&mut slot_of, done.index, pos, &active);
-                    }
+                    retire_slot(&mut slot_of, done.index, pos, &active);
                     // A teardown panic tears the shard like an observe
                     // panic would: surface it and withhold the session.
                     let torn_down = guard(&done.id, || {
@@ -3343,22 +2251,13 @@ fn run_worker(
                         }
                         Ok(())
                     });
-                    board.mark_done(done.index);
                     match torn_down {
-                        Ok(()) => {
-                            if cfg.transport == Transport::PerFrame {
-                                tx.send(Msg::Done { queue: done.index });
-                            }
-                            finished.push((done.index, Some(done.session)));
-                        }
+                        Ok(()) => finished.push((done.index, Some(done.session))),
                         Err(error) => {
                             tx.send(Msg::Failed {
                                 machine_index: done.index,
                                 error,
                             });
-                            if cfg.transport == Transport::PerFrame {
-                                tx.send(Msg::Done { queue: done.index });
-                            }
                             finished.push((done.index, None));
                         }
                     }
@@ -3366,9 +2265,7 @@ fn run_worker(
             }
             Err(e) => {
                 let failed = active.swap_remove(pos);
-                if use_heap {
-                    retire_slot(&mut slot_of, failed.index, pos, &active);
-                }
+                retire_slot(&mut slot_of, failed.index, pos, &active);
                 // A panic may have torn the shard mid-epoch; only a clean
                 // SessionError hands the session back.
                 let torn = matches!(e, SessionError::ShardPanicked { .. });
@@ -3379,180 +2276,212 @@ fn run_worker(
                         error: Box::new(other),
                     },
                 };
-                board.mark_done(failed.index);
                 tx.send(Msg::Failed {
                     machine_index: failed.index,
                     error,
                 });
-                if cfg.transport == Transport::PerFrame {
-                    tx.send(Msg::Done {
-                        queue: failed.index,
-                    });
-                }
                 finished.push((failed.index, (!torn).then_some(failed.session)));
             }
         }
     }
-    if let Some(batch) = batch.as_mut() {
-        // Last frames out, then close this worker's queue.
-        flush_batch(batch, &tx, &cfg);
-        tx.send(Msg::Done { queue: cfg.queue });
-    }
+    // Last frames out, then close this worker's queue.
+    flush_batch(&mut batch, &tx, &cfg);
+    tx.send(Msg::Done { queue: cfg.queue });
     finished
 }
 
-/// Remove a failed machine from the lockstep fleet: record its error
-/// (first failure by machine index wins, like the pool path), hand its
-/// session back unless a panic tore it, and leave its slot `None` so the
-/// passes skip it and its dependency edges get dropped.
-fn fail_unit(
-    units: &mut [Option<WorkUnit>],
-    finished: &mut Vec<(usize, Option<Session>)>,
-    first_err: &mut Option<(usize, SessionError)>,
-    index: usize,
-    e: SessionError,
-) {
-    let Some(unit) = units[index].take() else {
-        return;
-    };
-    let torn = matches!(e, SessionError::ShardPanicked { .. });
-    let error = match e {
-        e @ SessionError::ShardPanicked { .. } => e,
-        other => SessionError::Shard {
-            machine: unit.id.clone(),
-            error: Box::new(other),
-        },
-    };
-    if first_err.as_ref().is_none_or(|(i, _)| index < *i) {
-        *first_err = Some((index, error));
-    }
-    finished.push((index, (!torn).then_some(unit.session)));
+/// One resume-mode checkpoint handoff: `src` publishes the checkpoint at
+/// `at` and `dst` takes it at the same instant.
+#[derive(Clone, Copy, Debug)]
+struct Handoff {
+    at: SimTime,
+    src: usize,
+    dst: usize,
+    /// A live decision's handoff: a failed publish is the decision's
+    /// fault, so its typed [`SessionError::InvalidDecision`] surfaces
+    /// unwrapped.
+    decided: bool,
 }
 
-/// The observation rounds of [`ClusterSession::run_lockstep`]: march the
-/// fleet to each round's t\* in epoch-bounded passes, resolving
-/// cross-machine dependency completions between passes, then observe every
-/// due monitor in `(machine, monitor)` order straight into the sink.
-#[allow(clippy::too_many_arguments)]
-fn lockstep_rounds(
-    units: &mut [Option<WorkUnit>],
-    deps: &mut [ClusterDep],
-    board: &Arc<HandoffBoard>,
+/// One live decision's injected event pair, for the end-of-run flush and
+/// the error-path rollback.
+struct InjectedDecision {
+    at: SimTime,
+    tag: String,
+    /// Source / destination machine indices.
+    src: usize,
+    dst: usize,
+}
+
+/// Lifecycle of one machine on the round driver.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Status {
+    /// Nothing to observe: never primed, never advanced, handed back
+    /// untouched.
+    Idle,
+    Live,
+    /// Failed with a typed error: it no longer advances or observes, and
+    /// its session is handed back.
+    Failed,
+    /// A panic tore the shard mid-epoch: its session is never handed back.
+    Torn,
+}
+
+/// The round-barrier driver behind [`ClusterSession::run_reactive`] and
+/// every scripted run of a cluster whose machines are coupled by live
+/// dependency edges or resume handoffs. The five steps of a round are
+/// documented on `run_reactive`; a scripted run is a run with no policies.
+struct Rounds<'a> {
+    /// Every machine, in index order.
+    units: Vec<WorkUnit>,
+    /// Per machine index.
+    status: Vec<Status>,
+    deps: &'a mut [ClusterDep],
+    /// Resume handoffs not yet published: the scripted ones, plus live
+    /// resume decisions as they apply.
+    handoffs: Vec<Handoff>,
+    policies: &'a mut [Box<dyn SchedulerPolicy>],
+    sink: &'a mut dyn ClusterFrameSink,
     threads: usize,
     max_refreshes: usize,
-    sink: &mut dyn ClusterFrameSink,
-    finished: &mut Vec<(usize, Option<Session>)>,
-    first_err: &mut Option<(usize, SessionError)>,
-    frames: &mut usize,
-) -> Result<(), SessionError> {
-    let n = units.len();
-    loop {
-        // The globally earliest pending observation instant.
-        let t_star = units
-            .iter()
-            .flatten()
-            .flat_map(|u| u.slots.iter().filter(|s| !s.done).map(|s| s.next_at))
-            .min();
-        let Some(t_star) = t_star else { break };
+    /// The run started with live dependency edges: every live machine
+    /// marches to each round's instant in passes capped by the edges.
+    /// Otherwise only the machines due at the instant advance.
+    march_all: bool,
+    /// Halt at the first failing barrier (runs with policies) instead of
+    /// delivering the whole surviving fleet, then erroring.
+    halt: bool,
+    /// The failure to report; the lowest machine index wins.
+    first_err: Option<(usize, SessionError)>,
+    stats: RunStats,
+    injected: Vec<InjectedDecision>,
+    applied: Vec<AppliedDecision>,
+    /// Handovers of the applied decisions.
+    handovers: Vec<HandoverRecord>,
+}
 
-        // March every live machine to t*.
+impl Rounds<'_> {
+    /// Run the rounds, then tear every primed machine's monitors down — on
+    /// the error path too, since healthy sessions are handed back and must
+    /// not keep leaked counter fds attached.
+    fn run(&mut self) -> Result<(), SessionError> {
+        let mut result = self.rounds();
+        for i in 0..self.units.len() {
+            if !matches!(self.status[i], Status::Live | Status::Failed) {
+                continue;
+            }
+            let unit = &mut self.units[i];
+            let torn_down = guard(&unit.id, || {
+                for slot in &mut unit.slots {
+                    slot.monitor.teardown(unit.session.kernel_mut());
+                }
+                Ok(())
+            });
+            // A teardown panic tears the shard like an observe panic
+            // would, but never masks the rounds' own error.
+            if let Err(e) = torn_down {
+                self.status[i] = Status::Torn;
+                self.record(i, e);
+            }
+        }
+        if result.is_ok() {
+            if let Some((_, e)) = self.first_err.take() {
+                result = Err(e);
+            }
+        }
+        if result.is_err() {
+            self.rollback();
+        }
+        self.prune_handovers();
+        result
+    }
+
+    /// Prime, run a round per pending observation instant, then land the
+    /// decision events scheduled past the final observation.
+    fn rounds(&mut self) -> Result<(), SessionError> {
+        // Priming advances no time, so it runs serially. A machine with
+        // nothing to observe sits the run out untouched.
+        for i in 0..self.units.len() {
+            let unit = &mut self.units[i];
+            if self.max_refreshes == 0 || unit.slots.is_empty() {
+                self.status[i] = Status::Idle;
+                continue;
+            }
+            let primed = guard(&unit.id, || {
+                for slot in &mut unit.slots {
+                    slot.monitor.prime(unit.session.kernel_mut());
+                }
+                Ok(())
+            });
+            match primed {
+                Ok(()) => {
+                    let now = unit.session.now();
+                    for slot in &mut unit.slots {
+                        slot.next_at = now + slot.monitor.interval();
+                    }
+                }
+                Err(e) => self.fail(i, e, false),
+            }
+        }
+        self.check()?;
         loop {
-            // Resolve completions to fixpoint: an injected event can apply
-            // immediately (its instant may be the consumer's now) and end a
-            // task another edge keys on.
-            loop {
-                let mut any = false;
-                for d in deps.iter_mut() {
-                    if d.ev.is_none() {
-                        continue;
-                    }
-                    let (host, consumer) = (d.host, d.consumer);
-                    let Some(host_u) = units[host].as_ref() else {
-                        // The host shard is gone: the edge can never
-                        // resolve — drop it so the consumer runs free.
-                        d.ev = None;
-                        continue;
-                    };
-                    let Some(exit) = host_u.session.completion_of(&d.dep, d.min_incarnations)
-                    else {
-                        continue;
-                    };
-                    if units[consumer].is_none() {
-                        d.ev = None;
-                        continue;
-                    }
-                    let ev = d.ev.take().expect("checked above");
-                    let delay = d.delay;
-                    let cons_u = units[consumer].as_mut().expect("checked above");
-                    let fire = (exit + delay).max(cons_u.session.now());
-                    let session = &mut cons_u.session;
-                    let r = guard(&cons_u.id, || session.schedule_at(fire, ev));
-                    if let Err(e) = r {
-                        fail_unit(units, finished, first_err, consumer, e);
-                    }
-                    any = true;
-                }
-                if !any {
-                    break;
-                }
-            }
+            // The globally earliest pending observation instant.
+            let t_star = self
+                .live()
+                .flat_map(|u| u.slots.iter().filter(|s| !s.done).map(|s| s.next_at))
+                .min();
+            let Some(t_star) = t_star else { break };
+            self.march(t_star)?;
+            self.observe(t_star)?;
+        }
+        self.flush()
+    }
 
-            if units.iter().flatten().all(|u| u.session.now() >= t_star) {
-                break;
-            }
+    fn live(&self) -> impl Iterator<Item = &WorkUnit> {
+        self.units
+            .iter()
+            .zip(&self.status)
+            .filter(|(_, s)| **s == Status::Live)
+            .map(|(u, _)| u)
+    }
 
-            // Pass targets, from pass-start watermarks. An unresolved edge
-            // caps its consumer at `host-watermark + delay`: completions at
-            // or before the watermark resolved above, so the edge cannot
-            // fire at or before that cap — advancing to it is safe and
-            // keeps the eventual injection exact. The epoch floor keeps
-            // mutually-gated machines moving; unpublished resume-handoff
-            // checkpoints stay hard gates.
-            let w: Vec<Option<SimTime>> = units
-                .iter()
-                .map(|u| u.as_ref().map(|u| u.session.now()))
-                .collect();
-            let mut targets: Vec<Option<SimTime>> = vec![None; n];
-            for (i, u) in units.iter().enumerate() {
-                let Some(u) = u else { continue };
-                let now = w[i].expect("live unit has a watermark");
-                if now >= t_star {
-                    continue;
-                }
-                let mut cap = t_star;
-                for d in deps.iter().filter(|d| d.ev.is_some() && d.consumer == i) {
-                    if let Some(wh) = w[d.host] {
-                        cap = cap.min(wh + d.delay);
-                    }
-                }
-                let mut target = cap
-                    .max(u.session.kernel().epoch_boundary_after(now))
-                    .min(t_star);
-                for (at, tag, _) in &u.consumes {
-                    if *at <= target && now < *at && !board.is_published(tag, *at) {
-                        target = target.min(SimTime(at.0.saturating_sub(1)));
-                    }
-                }
-                if target > now {
-                    targets[i] = Some(target);
-                }
+    /// Steps 1 and 2: resolve dependency edges and publish resume
+    /// checkpoints up to `t_star`. With live edges every live machine
+    /// marches to `t_star` in passes; without them only the machines due
+    /// at `t_star` advance, in [`Rounds::observe`].
+    fn march(&mut self, t_star: SimTime) -> Result<(), SessionError> {
+        if !self.march_all {
+            self.publish(t_star, None);
+            return self.check();
+        }
+        loop {
+            self.resolve_deps();
+            self.check()?;
+            if self.live().all(|u| u.session.now() >= t_star) {
+                return Ok(());
             }
-
-            let mut work: Vec<(&mut WorkUnit, SimTime)> = units
+            let mut targets = self.pass_targets(t_star);
+            let published = self.publish(t_star, Some(&mut targets));
+            self.check()?;
+            let work: Vec<(&mut WorkUnit, SimTime)> = self
+                .units
                 .iter_mut()
-                .enumerate()
-                .filter_map(|(i, u)| {
-                    let t = targets[i]?;
-                    u.as_mut().map(|u| (u, t))
+                .zip(&self.status)
+                .zip(targets)
+                .filter_map(|((u, s), t)| {
+                    let t = t.filter(|t| *s == Status::Live && *t > u.session.now())?;
+                    Some((u, t))
                 })
                 .collect();
             if work.is_empty() {
+                if published {
+                    continue;
+                }
                 // Unreachable given the epoch floor and build-time
                 // rejection of same-instant resume cycles; defensive.
                 drop(work);
-                let stuck: Vec<String> = units
-                    .iter()
-                    .flatten()
+                let stuck: Vec<String> = self
+                    .live()
                     .filter(|u| u.session.now() < t_star)
                     .map(|u| u.id.clone())
                     .collect();
@@ -3561,96 +2490,588 @@ fn lockstep_rounds(
                      cannot advance (mutually gated handoffs)"
                 )));
             }
-            // Advance the pass concurrently; the barrier at the end of the
-            // scope keeps pass structure (and the stream) deterministic.
-            let results: Vec<(usize, Result<(), SessionError>)> = if work.len() == 1 {
-                let (u, t) = work.pop().expect("one mover");
+            let results = on_workers(self.threads, work, |(u, t)| {
                 let session = &mut u.session;
-                vec![(u.index, guard(&u.id, || session.advance_to(t)))]
-            } else {
-                let workers = threads.clamp(1, work.len());
-                let mut parts: Vec<Vec<(&mut WorkUnit, SimTime)>> =
-                    (0..workers).map(|_| Vec::new()).collect();
-                for (k, wt) in work.into_iter().enumerate() {
-                    parts[k % workers].push(wt);
-                }
-                let mut results = Vec::new();
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = parts
-                        .into_iter()
-                        .map(|part| {
-                            scope.spawn(move || {
-                                part.into_iter()
-                                    .map(|(u, t)| {
-                                        let session = &mut u.session;
-                                        (u.index, guard(&u.id, || session.advance_to(t)))
-                                    })
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        results.extend(h.join().expect("worker thread panicked"));
-                    }
-                });
-                results
-            };
+                (u.index, guard(&u.id, || session.advance_to(t)))
+            });
             for (i, r) in results {
                 if let Err(e) = r {
-                    fail_unit(units, finished, first_err, i, e);
+                    self.fail(i, e, false);
                 }
             }
+            self.check()?;
         }
+    }
 
-        // Observe every due monitor at t*, machine order then set order —
-        // exactly the (time, machine) merge — straight into the sink.
-        for i in 0..n {
-            let mut failure: Option<SessionError> = None;
-            if let Some(u) = units[i].as_mut() {
-                for sp in 0..u.slots.len() {
-                    let step = {
-                        let session = &mut u.session;
-                        let slot = &mut u.slots[sp];
-                        if slot.done || slot.next_at != t_star {
-                            continue;
-                        }
-                        guard(&u.id, || {
-                            let frame = slot.monitor.observe(session.kernel_mut());
-                            let stop = (slot.until)(&frame);
-                            Ok((frame, stop))
-                        })
-                    };
-                    match step {
-                        Ok((frame, stop)) => {
-                            let slot = &mut u.slots[sp];
-                            slot.taken += 1;
-                            sink.on_frame(ClusterFrame {
-                                machine: u.label.clone(),
-                                machine_index: u.index,
-                                source: slot.source.clone(),
-                                seq: slot.taken - 1,
-                                frame,
-                            });
-                            *frames += 1;
-                            if stop || slot.taken >= max_refreshes {
-                                slot.done = true;
-                            } else {
-                                slot.next_at += slot.monitor.interval();
-                            }
-                        }
-                        Err(e) => {
-                            failure = Some(e);
-                            break;
-                        }
-                    }
+    /// Resolve dependency completions to fixpoint: an injected event can
+    /// apply immediately (its instant may be the consumer's now) and end a
+    /// task another edge keys on. An edge whose host or consumer is out of
+    /// the run can never fire and is dropped, so the rest of the fleet
+    /// runs free.
+    fn resolve_deps(&mut self) {
+        loop {
+            let mut any = false;
+            for k in 0..self.deps.len() {
+                let d = &mut self.deps[k];
+                if d.ev.is_none() {
+                    continue;
                 }
+                let (host, consumer) = (d.host, d.consumer);
+                if self.status[host] != Status::Live {
+                    d.ev = None;
+                    continue;
+                }
+                let Some(exit) = self.units[host]
+                    .session
+                    .completion_of(&d.dep, d.min_incarnations)
+                else {
+                    continue;
+                };
+                let Some(ev) = d.ev.take() else { continue };
+                if self.status[consumer] != Status::Live {
+                    continue;
+                }
+                let fire = exit + d.delay;
+                let unit = &mut self.units[consumer];
+                let fire = fire.max(unit.session.now());
+                let session = &mut unit.session;
+                if let Err(e) = guard(&unit.id, || session.schedule_at(fire, ev)) {
+                    self.fail(consumer, e, false);
+                }
+                any = true;
             }
-            if let Some(e) = failure {
-                fail_unit(units, finished, first_err, i, e);
+            if !any {
+                break;
             }
         }
     }
-    Ok(())
+
+    /// One marching pass's targets, from pass-start watermarks. An
+    /// unresolved edge caps its consumer at `host-watermark + delay`:
+    /// completions at or before the watermark resolved already, so the
+    /// edge cannot fire at or before that cap — advancing to it is safe
+    /// and keeps the eventual injection exact. The epoch floor keeps
+    /// mutually-gated machines moving.
+    fn pass_targets(&self, t_star: SimTime) -> Vec<Option<SimTime>> {
+        let w: Vec<Option<SimTime>> = self
+            .units
+            .iter()
+            .zip(&self.status)
+            .map(|(u, s)| (*s == Status::Live).then(|| u.session.now()))
+            .collect();
+        self.units
+            .iter()
+            .enumerate()
+            .map(|(i, u)| {
+                let now = w[i].filter(|now| *now < t_star)?;
+                let mut cap = t_star;
+                for d in self
+                    .deps
+                    .iter()
+                    .filter(|d| d.ev.is_some() && d.consumer == i)
+                {
+                    if let Some(wh) = w[d.host] {
+                        cap = cap.min(wh + d.delay);
+                    }
+                }
+                let target = cap
+                    .max(u.session.kernel().epoch_boundary_after(now))
+                    .min(t_star);
+                (target > now).then_some(target)
+            })
+            .collect()
+    }
+
+    /// Step 2, publish first: advance each resume-handoff source to its
+    /// handoff instant before any consumer crosses it. A source first
+    /// waits for every handoff into it at or before its own instant, so
+    /// same-instant chains publish in topological order. `advance_to`
+    /// stops at every event instant anyway, so the split advance changes
+    /// nothing observable.
+    ///
+    /// In a marching pass (`targets`), a source publishes only once its
+    /// pass target reaches the instant, and a consumer whose target would
+    /// cross a still-unpublished handoff holds for the pass. Returns
+    /// whether any source moved.
+    fn publish(&mut self, t_star: SimTime, targets: Option<&mut [Option<SimTime>]>) -> bool {
+        let mut moved = false;
+        loop {
+            // A handoff is settled once its source reached the instant (the
+            // checkpoint is on the board) or failed (the consumer's
+            // ResumeSpawn then fails with a typed error).
+            let (units, status) = (&self.units, &self.status);
+            self.handoffs
+                .retain(|h| status[h.src] == Status::Live && units[h.src].session.now() < h.at);
+            let ready = self.handoffs.iter().copied().find(|h| {
+                h.at <= t_star
+                    && targets
+                        .as_deref()
+                        .is_none_or(|t| t[h.src].is_some_and(|t| t >= h.at))
+                    && !self.handoffs.iter().any(|g| g.dst == h.src && g.at <= h.at)
+            });
+            let Some(h) = ready else { break };
+            let unit = &mut self.units[h.src];
+            let session = &mut unit.session;
+            if let Err(e) = guard(&unit.id, || session.advance_to(h.at)) {
+                self.fail(h.src, e, h.decided);
+            }
+            moved = true;
+        }
+        if let Some(targets) = targets {
+            for h in &self.handoffs {
+                if targets[h.dst].is_some_and(|t| t >= h.at) {
+                    targets[h.dst] = None;
+                }
+            }
+        }
+        moved
+    }
+
+    /// Steps 3–5: advance the machines due at `t_star` concurrently, each
+    /// taking its due observations on its own worker; merge the round in
+    /// `(machine, monitor)` order — exactly the `(time, machine)` merge,
+    /// since every frame shares `t_star`; show each frame to every policy
+    /// and deliver it; then apply the round's decisions.
+    fn observe(&mut self, t_star: SimTime) -> Result<(), SessionError> {
+        let max_refreshes = self.max_refreshes;
+        let due: Vec<&mut WorkUnit> = self
+            .units
+            .iter_mut()
+            .zip(&self.status)
+            .filter(|(u, s)| {
+                **s == Status::Live && u.slots.iter().any(|sl| !sl.done && sl.next_at == t_star)
+            })
+            .map(|(u, _)| u)
+            .collect();
+        // Taking observations is cheap next to advancing: when the march
+        // already brought every due machine to `t_star`, a worker would
+        // cost more to start than it saves.
+        let threads = if due.iter().all(|u| u.session.now() >= t_star) {
+            1
+        } else {
+            self.threads
+        };
+        let mut round = on_workers(threads, due, |u| observe_due(u, t_star, max_refreshes));
+        round.sort_by_key(|(index, _, _)| *index);
+
+        let mut decisions: Vec<(String, MigrationDecision)> = Vec::new();
+        let mut delivered = 0usize;
+        for (index, frames, r) in round {
+            for frame in frames {
+                for p in self.policies.iter_mut() {
+                    for d in p.observe(&frame) {
+                        decisions.push((p.name().to_string(), d));
+                    }
+                }
+                self.sink.on_frame(frame);
+                delivered += 1;
+            }
+            if let Err(e) = r {
+                self.fail(index, e, false);
+            }
+        }
+        if delivered > 0 {
+            self.stats.frames += delivered;
+            self.stats.batches += 1;
+            self.stats.peak_buffered_frames = self.stats.peak_buffered_frames.max(delivered);
+        }
+        self.check()?;
+        for (policy, decision) in decisions {
+            self.apply_decision(policy, decision, t_star)?;
+        }
+        Ok(())
+    }
+
+    /// A decision fired on the final round scheduled its kill/spawn past
+    /// the last observation; land those events so every reported
+    /// [`AppliedDecision`] (and handover record) really happened. Two
+    /// phases, both keyed to sim-time (no frames are produced, so
+    /// determinism is unaffected): first land every injection's events in
+    /// injection order — the source reaches the handoff instant before its
+    /// destination, so a resume checkpoint is always published before the
+    /// ResumeSpawn takes it, and no machine moves *past* an instant while
+    /// later handoffs are still pending — then advance every involved
+    /// machine one epoch past its latest instant, reaping the source's
+    /// zombie into its exit record.
+    fn flush(&mut self) -> Result<(), SessionError> {
+        for phase in 0..2 {
+            for k in 0..self.injected.len() {
+                let (at, src, dst) = {
+                    let inj = &self.injected[k];
+                    (inj.at, inj.src, inj.dst)
+                };
+                for index in [src, dst] {
+                    let unit = &mut self.units[index];
+                    let target = if phase == 0 {
+                        at
+                    } else {
+                        unit.session.kernel().epoch_boundary_after(at)
+                    };
+                    if unit.session.now() >= target {
+                        continue;
+                    }
+                    let session = &mut unit.session;
+                    if let Err(e) = guard(&unit.id, || session.advance_to(target)) {
+                        // A resume-mode kill that found its program already
+                        // completed is the decision's fault, not the
+                        // shard's.
+                        self.fail(index, e, true);
+                        return self.check();
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Take machine `i` out of the run: a panic tears it; any other error
+    /// is labelled with the machine, except a live decision's own typed
+    /// [`SessionError::InvalidDecision`] (`decided`), which surfaces as is.
+    fn fail(&mut self, i: usize, e: SessionError, decided: bool) {
+        let torn = matches!(e, SessionError::ShardPanicked { .. });
+        self.status[i] = if torn { Status::Torn } else { Status::Failed };
+        let error = match e {
+            e @ SessionError::ShardPanicked { .. } => e,
+            e @ SessionError::InvalidDecision(_) if decided => e,
+            other => SessionError::Shard {
+                machine: self.units[i].id.clone(),
+                error: Box::new(other),
+            },
+        };
+        self.record(i, error);
+    }
+
+    fn record(&mut self, i: usize, error: SessionError) {
+        if self.first_err.as_ref().is_none_or(|(j, _)| i < *j) {
+            self.first_err = Some((i, error));
+        }
+    }
+
+    /// The barrier check: a halting run stops at the first barrier that saw
+    /// a failure; a deliver-then-error run keeps going.
+    fn check(&mut self) -> Result<(), SessionError> {
+        match self.first_err.take() {
+            Some((_, e)) if self.halt => Err(e),
+            kept => {
+                self.first_err = kept;
+                Ok(())
+            }
+        }
+    }
+
+    /// Validate one live decision against the live sessions (the run-time
+    /// half of migration validation) and inject its kill + spawn at the
+    /// next epoch boundary after the deciding frame.
+    fn apply_decision(
+        &mut self,
+        policy: String,
+        d: MigrationDecision,
+        decided_at: SimTime,
+    ) -> Result<(), SessionError> {
+        let label = format!(
+            "{policy}: migrate '{}' {}->{} decided at {decided_at:?}",
+            d.tag, d.from, d.to
+        );
+        let infeasible = |msg: String| SessionError::InvalidDecision(format!("{label}: {msg}"));
+        if d.from == d.to {
+            return Err(infeasible(
+                "source and destination are the same machine".into(),
+            ));
+        }
+        let position = |id: &str| self.units.iter().position(|u| u.id == id);
+        let (Some(fi), Some(ti)) = (position(&d.from), position(&d.to)) else {
+            let missing = if position(&d.from).is_none() {
+                &d.from
+            } else {
+                &d.to
+            };
+            return Err(infeasible(format!("unknown machine '{missing}'")));
+        };
+        let src = &self.units[fi].session;
+        let Some(pid) = src.pid(&d.tag) else {
+            return Err(infeasible(format!(
+                "no task tagged '{}' on '{}'",
+                d.tag, d.from
+            )));
+        };
+        if !src.kernel().is_alive(pid) {
+            return Err(infeasible(format!("'{}' already exited", d.tag)));
+        }
+        // Checked *before* touching the destination, so a rejected duplicate
+        // claim (two same-round decisions fighting over one job) leaves no
+        // stray spawn behind.
+        if let Some(kill_at) = src.pending_kill(&d.tag) {
+            return Err(infeasible(format!(
+                "'{}' is already claimed by another decision (kill pending at {kill_at:?})",
+                d.tag
+            )));
+        }
+        let Some(spec) = src.job_spec(&d.tag).cloned() else {
+            return Err(infeasible(format!(
+                "'{}' retains no job spec on '{}'",
+                d.tag, d.from
+            )));
+        };
+        // Between rounds no machine's clock is past the deciding frame, so the
+        // next epoch boundary after it is strictly ahead of both sessions.
+        let at = src.kernel().epoch_boundary_after(decided_at);
+        // A resume decision whose destination is itself the source of
+        // another resume handoff at the same instant would chain two
+        // handoffs through one machine at one sim-time. Publishing orders
+        // such chains only while they stay acyclic, which one more live
+        // edge can break, so same-instant resume chains are rejected.
+        if d.mode == MigrationMode::Resume
+            && self.handoffs.iter().any(|h| h.at == at && h.src == ti)
+        {
+            return Err(infeasible(format!(
+                "machine '{}' is already the source of a resume handoff applying at \
+                 {at:?}; same-instant resume chains are not supported",
+                d.to
+            )));
+        }
+        let comm = spec.comm.clone();
+        // Re-label the sessions' own InvalidDecision messages with the
+        // decision context before surfacing them.
+        let relabel = |e: SessionError| match e {
+            SessionError::InvalidDecision(msg) => {
+                SessionError::InvalidDecision(format!("{label}: {msg}"))
+            }
+            other => other,
+        };
+        let (spawn_ev, kill_ev) = match d.mode {
+            MigrationMode::Restart => (
+                WorkloadEvent::Spawn {
+                    tag: d.tag.clone(),
+                    spec,
+                },
+                WorkloadEvent::Kill { tag: d.tag.clone() },
+            ),
+            MigrationMode::Resume => (
+                WorkloadEvent::ResumeSpawn {
+                    tag: d.tag.clone(),
+                    spec,
+                },
+                WorkloadEvent::CheckpointKill { tag: d.tag.clone() },
+            ),
+        };
+        self.units[ti]
+            .session
+            .schedule_at(at, spawn_ev)
+            .map_err(relabel)?;
+        self.units[fi]
+            .session
+            .schedule_at(at, kill_ev)
+            .map_err(relabel)?;
+        if d.mode == MigrationMode::Resume {
+            self.handoffs.push(Handoff {
+                at,
+                src: fi,
+                dst: ti,
+                decided: true,
+            });
+        }
+        self.injected.push(InjectedDecision {
+            at,
+            tag: d.tag.clone(),
+            src: fi,
+            dst: ti,
+        });
+        self.applied.push(AppliedDecision {
+            policy,
+            tag: d.tag.clone(),
+            from: d.from.clone(),
+            to: d.to.clone(),
+            decided_at,
+            applied_at: at,
+            mode: d.mode,
+        });
+        self.handovers.push(HandoverRecord {
+            at,
+            tag: d.tag,
+            comm,
+            from: d.from,
+            to: d.to,
+            mode: d.mode,
+        });
+        Ok(())
+    }
+
+    /// The run halted before some decisions' kill/spawn could apply. Keep
+    /// the fleet consistent: a decision that applied on *neither* side is
+    /// rolled back (both events cancelled), one that applied on one side
+    /// is *completed* on the other — the lagging machine is advanced past
+    /// the instant, producing no frames — so after any run every decision
+    /// either fully happened (and is recorded in `handovers()`) or never
+    /// did; a handed-back cluster can never perform a silent, unrecorded
+    /// migration on a later run.
+    fn rollback(&mut self) {
+        let (units, status) = (&mut self.units, &mut self.status);
+        for inj in &self.injected {
+            let src_applied = units[inj.src].session.now() >= inj.at;
+            let dst_applied = units[inj.dst].session.now() >= inj.at;
+            match (src_applied, dst_applied) {
+                (false, false) => {
+                    units[inj.src].session.cancel_scheduled(inj.at, &inj.tag);
+                    units[inj.dst].session.cancel_scheduled(inj.at, &inj.tag);
+                }
+                (true, true) => {}
+                _ => {
+                    // Advance both sides one epoch past the instant: the
+                    // lagging side applies its event, the other side reaps
+                    // its zombie into the exit record.
+                    for index in [inj.src, inj.dst] {
+                        if status[index] == Status::Torn {
+                            continue;
+                        }
+                        let unit = &mut units[index];
+                        let target = unit.session.kernel().epoch_boundary_after(inj.at);
+                        if unit.session.now() >= target {
+                            continue;
+                        }
+                        let session = &mut unit.session;
+                        let r = guard(&unit.id, || session.advance_to(target));
+                        if matches!(r, Err(SessionError::ShardPanicked { .. })) {
+                            status[index] = Status::Torn;
+                        }
+                        // A clean completion failure (e.g. the kill racing
+                        // a natural exit) is swallowed: the original error
+                        // stands, and the ground-truth prune keeps only
+                        // records of migrations that really happened.
+                    }
+                }
+            }
+            // If the source's kill mis-fired — the job retired its last
+            // instruction inside the decision-to-boundary window and the
+            // kill hit a tombstone — the decision did not happen: revert
+            // the destination (cancel a still-pending spawn, kill an
+            // already-started clone) so the handed-back fleet carries no
+            // unrecorded restarted copy of a job that finished on its own.
+            let src = &units[inj.src].session;
+            let killed_at_boundary = src.pid(&inj.tag).is_some_and(|pid| {
+                let k = src.kernel();
+                match k.exit_record(pid) {
+                    Some(rec) => rec.end_time == inj.at,
+                    None => {
+                        src.now() < inj.at
+                            || k.stat(pid).is_some_and(|st| st.state == TaskState::Zombie)
+                    }
+                }
+            });
+            if !killed_at_boundary {
+                let dst = &mut units[inj.dst].session;
+                dst.cancel_scheduled(inj.at, &inj.tag);
+                if let Some(pid) = dst.pid(&inj.tag) {
+                    if dst.kernel().is_alive(pid) {
+                        let _ = dst.kernel_mut().kill(pid);
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`ClusterSession::handovers`] promises *applied* migrations. A run
+    /// that errors mid-flight may have scheduled decisions whose kill/spawn
+    /// never executed (or only half did); keep a record only when the
+    /// destination resolved the spawned tag AND the source's task ended at
+    /// exactly the handover instant (an earlier end time means the job
+    /// exited on its own and the migration's kill mis-fired). On success
+    /// the final flush guarantees both, so this prunes nothing.
+    fn prune_handovers(&mut self) {
+        let units = &self.units;
+        self.handovers.retain(|h| {
+            let unit = |id: &str| units.iter().find(|u| u.id == *id);
+            let spawned = unit(&h.to).is_some_and(|u| u.session.pid(&h.tag).is_some());
+            let killed = unit(&h.from).is_some_and(|u| {
+                u.session.pid(&h.tag).is_some_and(|pid| {
+                    match u.session.kernel().exit_record(pid) {
+                        Some(rec) => rec.end_time == h.at,
+                        // Applied but not yet reaped: the clock stopped on
+                        // the application instant itself.
+                        None => {
+                            u.session.now() >= h.at
+                                && u.session
+                                    .kernel()
+                                    .stat(pid)
+                                    .is_some_and(|st| st.state == TaskState::Zombie)
+                        }
+                    }
+                })
+            });
+            spawned && killed
+        });
+    }
+}
+
+/// Advance one due machine to the round instant and take each of its
+/// observations due then, in monitor order, panics contained. Returns the
+/// machine index, the frames taken, and the failure that stopped it, if
+/// any (frames taken before a failure are still delivered).
+fn observe_due(
+    u: &mut WorkUnit,
+    t_star: SimTime,
+    max_refreshes: usize,
+) -> (usize, Vec<ClusterFrame>, Result<(), SessionError>) {
+    let mut frames = Vec::new();
+    let r = guard(&u.id, || {
+        u.session.advance_to(t_star)?;
+        for slot in u
+            .slots
+            .iter_mut()
+            .filter(|s| !s.done && s.next_at == t_star)
+        {
+            let frame = slot.monitor.observe(u.session.kernel_mut());
+            let stop = (slot.until)(&frame);
+            slot.taken += 1;
+            frames.push(ClusterFrame {
+                machine: u.label.clone(),
+                machine_index: u.index,
+                source: slot.source.clone(),
+                seq: slot.taken - 1,
+                frame,
+            });
+            if stop || slot.taken >= max_refreshes {
+                slot.done = true;
+            } else {
+                slot.next_at += slot.monitor.interval();
+            }
+        }
+        Ok(())
+    });
+    (u.index, frames, r)
+}
+
+/// Run `f` on every item across up to `threads` workers: the calling
+/// thread takes the first share and scoped threads the rest, so a phase
+/// with one mover (or one thread) spawns nothing. Results come back grouped
+/// by worker; callers needing machine order sort them.
+fn on_workers<T: Send, R: Send>(
+    threads: usize,
+    items: Vec<T>,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let workers = threads.clamp(1, items.len().max(1));
+    if workers == 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let mut parts: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
+    for (k, item) in items.into_iter().enumerate() {
+        parts[k % workers].push(item);
+    }
+    let f = &f;
+    std::thread::scope(|scope| {
+        let mut parts = parts.into_iter();
+        let mine = parts.next().unwrap_or_default();
+        let handles: Vec<_> = parts
+            .map(|part| scope.spawn(move || part.into_iter().map(f).collect::<Vec<R>>()))
+            .collect();
+        let mut out: Vec<R> = mine.into_iter().map(f).collect();
+        for h in handles {
+            // `f` contains shard panics itself; a join error here would be
+            // a bug in the driver.
+            out.extend(h.join().expect("round worker panicked"));
+        }
+        out
+    })
 }
 
 /// Book-keeping for the heap-selection path after `active.swap_remove(pos)`:
@@ -3701,43 +3122,6 @@ fn validate_monitor_set<'a>(
         )));
     }
     Ok(())
-}
-
-/// Does the directed graph over `n` machine nodes with the given edges
-/// contain a cycle? (Iterative three-color DFS; `n` is a fleet size, the
-/// edge list a handful of same-instant migrations.)
-fn has_cycle(n: usize, edges: &[(usize, usize)]) -> bool {
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(from, to) in edges {
-        adj[from].push(to);
-    }
-    // 0 = unvisited, 1 = on the current path, 2 = finished.
-    let mut color = vec![0u8; n];
-    for start in 0..n {
-        if color[start] != 0 {
-            continue;
-        }
-        let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
-        color[start] = 1;
-        while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            if *next < adj[node].len() {
-                let child = adj[node][*next];
-                *next += 1;
-                match color[child] {
-                    0 => {
-                        color[child] = 1;
-                        stack.push((child, 0));
-                    }
-                    1 => return true,
-                    _ => {}
-                }
-            } else {
-                color[node] = 2;
-                stack.pop();
-            }
-        }
-    }
-    false
 }
 
 /// Run `f`, converting an unwind into a typed [`SessionError::ShardPanicked`]

@@ -2,7 +2,7 @@
 //! checkpoint handoff board.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 use tiptop_kernel::kernel::Checkpoint;
 use tiptop_kernel::sched::CpuSet;
@@ -111,80 +111,26 @@ pub(crate) struct DeferredEvent {
 /// source machine's [`WorkloadEvent::CheckpointKill`] publishes the
 /// checkpoint under `(tag, instant)`, the destination's
 /// [`WorkloadEvent::ResumeSpawn`] takes it. Shared (via `Arc`) by every
-/// session of a cluster; the cluster's run loops order the two sides so a
-/// take never races its publish (see `crate::cluster`).
-///
-/// Keys stay registered after their checkpoint is taken, so the cluster's
-/// worker gating can distinguish "not yet produced" from "already consumed".
+/// session of a cluster; the cluster's round driver advances each source to
+/// its handoff instant before any consumer crosses it, so a take never
+/// races its publish (see `crate::cluster`).
 #[derive(Debug, Default)]
 pub struct HandoffBoard {
-    inner: Mutex<BoardInner>,
-    cv: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct BoardInner {
-    /// `Some` until taken, then `None` (the key itself is never removed).
-    published: HashMap<(String, SimTime), Option<Checkpoint>>,
-    /// Shard indices whose run has finished (cleanly or not) — a consumer
-    /// waiting on a checkpoint its producer can no longer publish must fail
-    /// rather than wait forever.
-    done: Vec<bool>,
+    published: Mutex<HashMap<(String, SimTime), Checkpoint>>,
 }
 
 impl HandoffBoard {
-    pub(crate) fn new(shards: usize) -> Arc<Self> {
-        Arc::new(HandoffBoard {
-            inner: Mutex::new(BoardInner {
-                published: HashMap::new(),
-                done: vec![false; shards],
-            }),
-            cv: Condvar::new(),
-        })
+    pub(crate) fn new() -> Arc<Self> {
+        Arc::new(HandoffBoard::default())
     }
 
     pub(crate) fn publish(&self, tag: &str, at: SimTime, cp: Checkpoint) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.published.insert((tag.to_string(), at), Some(cp));
-        self.cv.notify_all();
+        let mut published = self.published.lock().unwrap();
+        published.insert((tag.to_string(), at), cp);
     }
 
     pub(crate) fn take(&self, tag: &str, at: SimTime) -> Option<Checkpoint> {
-        let mut inner = self.inner.lock().unwrap();
-        inner
-            .published
-            .get_mut(&(tag.to_string(), at))
-            .and_then(|slot| slot.take())
-    }
-
-    /// Has the checkpoint for `(tag, at)` ever been published?
-    pub(crate) fn is_published(&self, tag: &str, at: SimTime) -> bool {
-        let inner = self.inner.lock().unwrap();
-        inner.published.contains_key(&(tag.to_string(), at))
-    }
-
-    /// Record that shard `index`'s run is over; wakes every waiter.
-    pub(crate) fn mark_done(&self, index: usize) {
-        let mut inner = self.inner.lock().unwrap();
-        if index < inner.done.len() {
-            inner.done[index] = true;
-        }
-        self.cv.notify_all();
-    }
-
-    /// Block until the checkpoint for `(tag, at)` is published, or until
-    /// shard `producer` finishes without publishing it (returns `false`).
-    pub(crate) fn wait_published(&self, tag: &str, at: SimTime, producer: usize) -> bool {
-        let key = (tag.to_string(), at);
-        let mut inner = self.inner.lock().unwrap();
-        loop {
-            if inner.published.contains_key(&key) {
-                return true;
-            }
-            if inner.done.get(producer).copied().unwrap_or(true) {
-                return false;
-            }
-            inner = self.cv.wait(inner).unwrap();
-        }
+        let mut published = self.published.lock().unwrap();
+        published.remove(&(tag.to_string(), at))
     }
 }

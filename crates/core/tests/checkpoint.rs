@@ -297,3 +297,138 @@ fn incarnation_addressing_rejects_aliasing_and_dead_sources_at_build() {
         other => panic!("expected InvalidScenario, got {other:?}"),
     }
 }
+
+#[test]
+fn scripted_resume_stream_is_identical_at_1_and_2_threads_under_a_slow_producer() {
+    // The producer is expensive to simulate (twelve jobs touching 64 MiB
+    // each at random) and the consumer cheap, so at 2 workers the consumer
+    // reaches the 2s handoff long before the producer has published. The
+    // merged stream must still equal the 1-thread stream, byte for byte:
+    // the round driver publishes every checkpoint before its consumer
+    // crosses the handoff instant, and advances every machine only to
+    // instants where splitting an advance changes nothing.
+    let endless = |name: &str, memory: Option<MemoryBehavior>| {
+        let profile = ExecProfile::builder(name).base_cpi(0.9).branches(0.18, 0.0);
+        let profile = match memory {
+            Some(memory) => profile.memory(memory),
+            None => profile,
+        };
+        Program::endless(profile.build())
+    };
+    let run_at = |threads: usize| {
+        let mut producer = node(1).spawn("job", SpawnSpec::new("job", Uid(1), job()).seed(5));
+        for i in 0..12u64 {
+            let tag = format!("heavy-{i}");
+            let program = endless(&tag, Some(MemoryBehavior::uniform(64 * 1024 * 1024)));
+            producer = producer.spawn(&tag, SpawnSpec::new(&tag, Uid(1), program).seed(10 + i));
+        }
+        let mut consumer = node(2);
+        for i in 0..11u64 {
+            let tag = format!("light-{i}");
+            let program = endless(&tag, None);
+            consumer = consumer.spawn(&tag, SpawnSpec::new(&tag, Uid(1), program).seed(30 + i));
+        }
+        let mut session = ClusterScenario::new()
+            .machine("node-a", producer)
+            .machine("node-b", consumer)
+            .resume_at(SimTime::from_secs(2), "job", "node-a", "node-b")
+            .build()
+            .unwrap();
+        let frames = session
+            .run_collect(threads, 5, |_m: MachineRef<'_>| tool(1))
+            .unwrap();
+        rendered(&frames)
+    };
+    let golden = run_at(1);
+    for attempt in 0..10 {
+        assert_eq!(
+            golden,
+            run_at(2),
+            "attempt {attempt}: 2 workers must not change one byte"
+        );
+    }
+}
+
+#[test]
+fn same_instant_resume_cycle_is_rejected_at_build() {
+    // Two jobs swap machines at one instant: each side would need the
+    // other's checkpoint before it could publish its own.
+    let err = ClusterScenario::new()
+        .machine(
+            "node-a",
+            node(1).spawn("job-a", SpawnSpec::new("job-a", Uid(1), job()).seed(5)),
+        )
+        .machine(
+            "node-b",
+            node(2).spawn("job-b", SpawnSpec::new("job-b", Uid(1), job()).seed(6)),
+        )
+        .resume_at(SimTime::from_secs(2), "job-a", "node-a", "node-b")
+        .resume_at(SimTime::from_secs(2), "job-b", "node-b", "node-a")
+        .build()
+        .unwrap_err();
+    match err {
+        SessionError::InvalidScenario(msg) => {
+            assert!(msg.contains("form a machine cycle"), "{msg}")
+        }
+        other => panic!("expected InvalidScenario, got {other:?}"),
+    }
+
+    // The same swap staggered across two instants is a chain, not a cycle.
+    ClusterScenario::new()
+        .machine(
+            "node-a",
+            node(1).spawn("job-a", SpawnSpec::new("job-a", Uid(1), job()).seed(5)),
+        )
+        .machine(
+            "node-b",
+            node(2).spawn("job-b", SpawnSpec::new("job-b", Uid(1), job()).seed(6)),
+        )
+        .resume_at(SimTime::from_secs(2), "job-a", "node-a", "node-b")
+        .resume_at(SimTime::from_secs(3), "job-b", "node-b", "node-a")
+        .build()
+        .expect("staggered hops validate");
+}
+
+#[test]
+fn same_instant_resume_chain_publishes_in_topological_order() {
+    // At 2s job-b leaves node-b for node-c while job-a arrives on node-b
+    // from node-a. node-b must take job-a's checkpoint only after node-a
+    // published it, whatever order the hops were declared in.
+    let run_at = |threads: usize| {
+        let mut session = ClusterScenario::new()
+            .machine(
+                "node-a",
+                node(1).spawn("job-a", SpawnSpec::new("job-a", Uid(1), job()).seed(5)),
+            )
+            .machine(
+                "node-b",
+                node(2).spawn("job-b", SpawnSpec::new("job-b", Uid(1), job()).seed(6)),
+            )
+            .machine("node-c", node(3))
+            .resume_at(SimTime::from_secs(2), "job-b", "node-b", "node-c")
+            .resume_at(SimTime::from_secs(2), "job-a", "node-a", "node-b")
+            .build()
+            .unwrap();
+        let frames = session
+            .run_collect(threads, 7, |_m: MachineRef<'_>| tool(1))
+            .unwrap();
+        (rendered(&frames), session)
+    };
+    let (golden, session) = run_at(1);
+    for (tag, home) in [("job-a", "node-b"), ("job-b", "node-c")] {
+        let s = session.session(home).unwrap();
+        let rec = s.kernel().exit_record(s.pid(tag).unwrap()).unwrap();
+        assert_eq!(rec.start_time, SimTime::from_secs(2), "{tag} resumed at 2s");
+        assert_eq!(
+            rec.total_instructions, JOB_INSNS,
+            "{tag} retired the whole job"
+        );
+    }
+    for threads in [2, 8] {
+        assert_eq!(
+            golden,
+            run_at(threads).0,
+            "{threads} workers must not change one byte"
+        );
+    }
+}

@@ -1612,43 +1612,26 @@ fn build_rejects_duplicate_ids_and_labels_scenario_errors() {
 }
 
 #[test]
-fn batched_and_per_frame_transports_are_byte_identical() {
-    // `run` ships columnar batches; `run_per_frame` is the legacy
-    // one-message-per-frame transport kept as a differential baseline.
-    // Both must produce the same merged stream, byte for byte.
-    let run = |threads: usize, per_frame: bool| {
-        let mut session = cluster().build().unwrap();
-        let mut sink = ClusterCollectSink::new();
-        let monitor = |m: MachineRef<'_>| -> Box<dyn Monitor + Send> {
-            tool(if m.index.is_multiple_of(2) { 1 } else { 2 })
-        };
-        if per_frame {
-            session
-                .run_per_frame(threads, 5, monitor, &mut sink)
-                .unwrap();
-        } else {
-            session.run(threads, 5, monitor, &mut sink).unwrap();
-        }
-        (rendered(sink.frames()), session.last_run_stats())
+fn batched_run_coalesces_sends_and_reports_its_frames() {
+    // `run` ships columnar batches: fewer lane messages than frames, and
+    // every frame accounted for in the run statistics. Thread-count
+    // identity of the stream is pinned by
+    // `merged_stream_is_byte_identical_at_1_2_8_and_16_threads`.
+    let mut session = cluster().build().unwrap();
+    let mut sink = ClusterCollectSink::new();
+    let monitor = |m: MachineRef<'_>| -> Box<dyn Monitor + Send> {
+        tool(if m.index.is_multiple_of(2) { 1 } else { 2 })
     };
-    let (golden, batched) = run(1, false);
-    let (legacy, per_frame) = run(1, true);
-    assert_eq!(golden, legacy, "transports must agree frame for frame");
-    assert_eq!(batched.frames, per_frame.frames, "same frames delivered");
+    session.run(1, 5, monitor, &mut sink).unwrap();
+    let stats = session.last_run_stats();
+    assert_eq!(stats.frames, sink.frames().len(), "every frame counted");
+    assert_eq!(stats.frames, session.len() * 5, "5 frames per machine");
     assert!(
-        batched.batches < batched.frames,
+        stats.batches < stats.frames,
         "batched path must coalesce sends: {} messages for {} frames",
-        batched.batches,
-        batched.frames
+        stats.batches,
+        stats.frames
     );
-    assert_eq!(
-        per_frame.batches, per_frame.frames,
-        "legacy path is one message per frame"
-    );
-    assert_eq!(golden, run(8, false).0, "8 batched workers agree");
-    assert_eq!(golden, run(8, true).0, "8 per-frame workers agree");
-    assert_eq!(golden, run(16, false).0, "16 batched workers agree");
-    assert_eq!(golden, run(16, true).0, "16 per-frame workers agree");
 }
 
 #[test]
@@ -1872,7 +1855,7 @@ fn scheduler_selection_default_matches_cfs_and_alternatives_are_deterministic() 
 
 // ---------------------------------------------------------------------------
 // Cross-machine dependency edges: a machine's scenario keys events on tags
-// that complete on other machines; the lockstep driver resolves them with
+// that complete on other machines; the round driver resolves them with
 // exact firing instants and a byte-identical merged stream.
 
 fn work(comm: &str, cpi: f64, insns: u64, seed: u64) -> SpawnSpec {
@@ -2038,6 +2021,67 @@ fn cross_machine_kill_after_lands_exactly() {
 }
 
 #[test]
+fn resume_handoff_in_a_dependency_cluster_publishes_before_its_consumer_crosses_it() {
+    // node-4 consumes an edge keyed on `sort-b`, so it marches in passes
+    // capped 50 ms behind node-0; node-3 has no edges and could reach each
+    // round's instant in one pass. The 1.5s resume hop node-4 → node-3
+    // must still publish its checkpoint before node-3 crosses 1.5s: the
+    // consumer holds until the source's pass reaches the handoff.
+    let node = |seed: u64| {
+        Scenario::new(MachineConfig::nehalem_w3550().noiseless())
+            .seed(seed)
+            .user(Uid(1), "u1")
+    };
+    let handoff = SimTime(1_500_000_000);
+    let run_at = |threads: usize| {
+        let mut session = pipeline_cluster()
+            .machine("node-3", node(44))
+            .machine(
+                "node-4",
+                node(55)
+                    .spawn("batch", work("batch", 0.8, 8_000_000_000, 9))
+                    .spawn_after(
+                        "sort-b",
+                        SimDuration::from_millis(50),
+                        "tail",
+                        work("tail", 1.0, 100_000_000, 10),
+                    ),
+            )
+            .resume_at(handoff, "batch", "node-4", "node-3")
+            .build()
+            .unwrap();
+        let frames = session.run_collect(threads, 5, |_| tool(1)).unwrap();
+        (rendered(&frames), session)
+    };
+    let (golden, session) = run_at(1);
+    let exit = |machine: &str, tag: &str| {
+        let s = session.session(machine).unwrap();
+        let pid = *s.incarnations(tag).last().unwrap();
+        s.kernel().exit_record(pid).unwrap().clone()
+    };
+    let left = exit("node-4", "batch");
+    let resumed = exit("node-3", "batch");
+    assert_eq!(left.end_time, handoff);
+    assert_eq!(resumed.start_time, handoff);
+    assert_eq!(
+        resumed.total_instructions, 8_000_000_000,
+        "the resumed incarnation retires the whole job"
+    );
+    assert_eq!(
+        exit("node-4", "tail").start_time,
+        exit("node-0", "sort-b").end_time + SimDuration::from_millis(50),
+        "the edge still fires exactly"
+    );
+    for threads in [2, 8] {
+        assert_eq!(
+            golden,
+            run_at(threads).0,
+            "{threads} workers must not change one byte"
+        );
+    }
+}
+
+#[test]
 fn cluster_dependency_cycle_is_a_typed_error() {
     let node = |seed: u64| {
         Scenario::new(MachineConfig::nehalem_w3550().noiseless())
@@ -2100,26 +2144,189 @@ fn cluster_unknown_dependency_is_a_typed_error() {
     }
 }
 
-#[test]
-fn run_reactive_rejects_clusters_with_cross_machine_edges() {
-    let mut session = pipeline_cluster().build().unwrap();
+/// [`pipeline_cluster`] plus a spare machine running a background job and
+/// a fourth node, which hosts a `probe` stage submitted `delay` after
+/// `extract` exits when `probe` is set.
+fn reactive_pipeline(probe: Option<SimDuration>) -> ClusterScenario {
+    let node = |seed: u64| {
+        Scenario::new(MachineConfig::nehalem_w3550().noiseless())
+            .seed(seed)
+            .user(Uid(1), "u1")
+    };
+    let node3 = match probe {
+        None => node(44),
+        Some(delay) => node(44).spawn_after(
+            "extract",
+            delay,
+            "probe",
+            work("probe", 1.0, 1_000_000_000, 8),
+        ),
+    };
+    pipeline_cluster().machine("node-3", node3).machine(
+        "spare",
+        node(55).spawn("bg", SpawnSpec::new("bg", Uid(1), spin(0.9)).seed(6)),
+    )
+}
+
+/// Run [`reactive_pipeline`] through `run_reactive` with a policy that
+/// moves `bg` from the spare to `to` on the spare's second frame (t=2s).
+fn run_reactive_pipeline(
+    probe: Option<SimDuration>,
+    to: &str,
+    threads: usize,
+) -> (
+    String,
+    Vec<tiptop_core::reactive::AppliedDecision>,
+    tiptop_core::cluster::ClusterSession,
+) {
+    let mut session = reactive_pipeline(probe).build().unwrap();
+    let mut policies: Vec<Box<dyn SchedulerPolicy>> = vec![Box::new(MigrateOnSeq {
+        machine: "spare",
+        on_seq: 1,
+        decision: MigrationDecision {
+            tag: "bg".to_string(),
+            from: "spare".to_string(),
+            to: to.to_string(),
+            mode: MigrationMode::Restart,
+        },
+        fired: false,
+    })];
     let mut sink = ClusterCollectSink::new();
-    let err = session
-        .run_reactive(
-            2,
-            3,
-            |_| vec![tool(1) as Box<dyn Monitor + Send>],
-            &mut [],
-            &mut sink,
-        )
-        .unwrap_err();
-    match err {
-        SessionError::InvalidScenario(msg) => {
-            assert!(
-                msg.contains("not supported by run_reactive"),
-                "unexpected message: {msg}"
-            );
-        }
-        other => panic!("expected a typed rejection, got: {other}"),
+    let applied = session
+        .run_reactive(threads, 5, |_| vec![tool(1)], &mut policies, &mut sink)
+        .unwrap();
+    (rendered(sink.frames()), applied, session)
+}
+
+#[test]
+fn run_reactive_resolves_cross_machine_edges_exactly_and_is_byte_identical() {
+    let (golden, applied, session) = run_reactive_pipeline(None, "node-1", 1);
+    let exit = |machine: &str, tag: &str| {
+        let s = session.session(machine).unwrap();
+        let pid = s.pid(tag).unwrap_or_else(|| panic!("{tag} never spawned"));
+        s.kernel()
+            .exit_record(pid)
+            .unwrap_or_else(|| panic!("{tag} never exited"))
+            .clone()
+    };
+    let extract = exit("node-0", "extract");
+    let map_a = exit("node-1", "map-a");
+    let map_b = exit("node-2", "map-b");
+    let sort_a = exit("node-0", "sort-a");
+    let sort_b = exit("node-0", "sort-b");
+    // Every edge fires exactly `delay` after its dependency exits, even
+    // with a policy watching the stream and moving work mid-run.
+    assert_eq!(
+        map_a.start_time,
+        extract.end_time + SimDuration::from_millis(100)
+    );
+    assert_eq!(
+        map_b.start_time,
+        extract.end_time + SimDuration::from_millis(250)
+    );
+    assert_eq!(
+        sort_a.start_time,
+        map_a.end_time + SimDuration::from_millis(60)
+    );
+    assert_eq!(
+        sort_b.start_time,
+        map_b.end_time + SimDuration::from_millis(80)
+    );
+
+    // The decision fired on the spare's t=2s frame and landed on node-1 at
+    // the next 20 ms epoch boundary.
+    assert_eq!(applied.len(), 1);
+    assert_eq!(applied[0].decided_at, SimTime::from_secs(2));
+    assert_eq!(applied[0].applied_at.as_nanos(), 2_020_000_000);
+    let bg = {
+        let s = session.session("node-1").unwrap();
+        s.kernel()
+            .stat(s.pid("bg").expect("bg moved to node-1"))
+            .unwrap()
+    };
+    assert_eq!(bg.start_time, applied[0].applied_at);
+
+    for threads in [2, 8] {
+        let (stream, applied_n, _) = run_reactive_pipeline(None, "node-1", threads);
+        assert_eq!(golden, stream, "{threads} workers must not change one byte");
+        assert_eq!(applied_n[0].applied_at, applied[0].applied_at);
     }
+}
+
+#[test]
+fn same_instant_dependency_and_decision_events_apply_in_scheduling_order() {
+    // Land a dependency-fired spawn and a decision's spawn on one machine
+    // at one instant: `probe` fires `delay` after `extract` exits, with
+    // `delay` chosen so the firing instant is the decision's boundary.
+    let (_, applied, session) = run_reactive_pipeline(None, "node-3", 1);
+    let extract_end = {
+        let s = session.session("node-0").unwrap();
+        s.kernel()
+            .exit_record(s.pid("extract").unwrap())
+            .unwrap()
+            .end_time
+    };
+    let at = applied[0].applied_at;
+    assert!(extract_end < applied[0].decided_at, "extract exits first");
+    let delay = SimDuration::from_nanos(at.as_nanos() - extract_end.as_nanos());
+
+    let (golden, applied, session) = run_reactive_pipeline(Some(delay), "node-3", 1);
+    assert_eq!(applied[0].applied_at, at, "the decision lands where it did");
+    let node3 = session.session("node-3").unwrap();
+    let (probe, bg) = (node3.pid("probe").unwrap(), node3.pid("bg").unwrap());
+    let start = |pid| {
+        let k = node3.kernel();
+        k.exit_record(pid)
+            .map(|rec| rec.start_time)
+            .or_else(|| k.stat(pid).map(|st| st.start_time))
+            .unwrap()
+    };
+    assert_eq!(start(probe), at, "the edge fires exactly");
+    assert_eq!(start(bg), at, "the decision applies at the same instant");
+    // The edge was scheduled when `extract` exited, before the deciding
+    // round; the decision after its round. Same-instant events apply in
+    // scheduling order, so the dependency-fired spawn applies first and
+    // takes the lower pid.
+    assert!(
+        probe < bg,
+        "dependency-fired event applies before the decision"
+    );
+    for threads in [2, 8] {
+        let (stream, _, _) = run_reactive_pipeline(Some(delay), "node-3", threads);
+        assert_eq!(golden, stream, "{threads} workers must not change one byte");
+    }
+}
+
+#[test]
+fn last_run_stats_reports_the_reactive_run() {
+    let mut session = reactive_pair().build().unwrap();
+    session
+        .run(2, 3, |_| tool(1), &mut ClusterCollectSink::new())
+        .unwrap();
+    assert_eq!(session.last_run_stats().frames, 6);
+
+    let mut policies: Vec<Box<dyn SchedulerPolicy>> = vec![Box::new(MigrateOnSeq {
+        machine: "node-a",
+        on_seq: 1,
+        decision: MigrationDecision {
+            tag: "job".to_string(),
+            from: "node-a".to_string(),
+            to: "node-b".to_string(),
+            mode: MigrationMode::Restart,
+        },
+        fired: false,
+    })];
+    let mut sink = ClusterCollectSink::new();
+    session
+        .run_reactive(2, 5, |_| vec![tool(1)], &mut policies, &mut sink)
+        .unwrap();
+    let stats = session.last_run_stats();
+    assert_eq!(sink.frames().len(), 10);
+    assert_eq!(
+        stats.frames,
+        sink.frames().len(),
+        "stats must describe the reactive run, not the previous one"
+    );
+    assert_eq!(stats.batches, 5, "one merge delivery per round");
+    assert_eq!(stats.peak_buffered_frames, 2, "one frame per machine");
 }

@@ -10,7 +10,7 @@
 //! fixed delay after another stage's exit). The bench layer turns a script
 //! into a cluster scenario by mapping roots to `spawn_at` and edges to
 //! `spawn_after` — which machine resolves each edge (locally or through the
-//! cluster's lockstep driver) is decided there, not here.
+//! cluster's round driver) is decided there, not here.
 //!
 //! Three fixed shapes cover the classic topologies — [`etl_chain`] (a
 //! linear chain), [`build_farm`] (fan-out), [`map_shuffle`] (fan-out then
