@@ -40,7 +40,8 @@ pub struct Fig10Result {
 /// Replay the Figure 10 script. `scale` compresses time (1.0 = the paper's
 /// ~1 h burst; tests use ~0.01 for a ~40 s one).
 ///
-/// The node is driven as a one-machine [`ClusterSession`] — the same
+/// The node is driven as a one-machine
+/// [`ClusterSession`](tiptop_core::cluster::ClusterSession) — the same
 /// streaming/merge path the multi-machine experiments use, so the
 /// data-center scenario composes with any fleet (Fig 1's snapshot node and
 /// this burst node can co-run in one cluster).

@@ -10,8 +10,9 @@
 //! victim's IPC back up.
 //!
 //! Each placement cell is an independent physical box, so the five cells
-//! run as one [`ClusterSession`] — concurrently on the worker pool, with
-//! identical per-cell frames to the old serial loop.
+//! run as one [`ClusterSession`](tiptop_core::cluster::ClusterSession) —
+//! concurrently on the worker pool, with identical per-cell frames to the
+//! old serial loop.
 
 use tiptop_core::app::{Tiptop, TiptopOptions};
 use tiptop_core::cluster::ClusterScenario;

@@ -79,12 +79,12 @@ const POP_CONFIRM: usize = 2;
 /// The detector × placement policies the lab ranks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LabPolicy {
-    /// [`IpcFloor`](tiptop_core::reactive::IpcFloor) → fixed spare.
+    /// [`IpcFloor`] → fixed spare.
     Floor,
-    /// [`Cusum`](tiptop_core::reactive::Cusum) → fixed spare.
+    /// [`Cusum`] → fixed spare.
     Cusum,
-    /// [`Population`](tiptop_core::reactive::Population) →
-    /// [`LeastLoaded`](tiptop_core::reactive::LeastLoaded) destination.
+    /// [`Population`] → [`LeastLoaded`](tiptop_core::reactive::LeastLoaded)
+    /// destination.
     Population,
 }
 

@@ -211,8 +211,8 @@ impl Session {
     /// behind live scheduling decisions. Scripted schedules are fully
     /// validated by [`Scenario::build`](super::Scenario::build); an event
     /// injected mid-run gets the *run-time half* of that validation here
-    /// (the same shared checker — see [`validation`]), with infeasible
-    /// requests surfacing as typed [`SessionError::InvalidDecision`]s:
+    /// (the same shared checker), with infeasible requests surfacing as
+    /// typed [`SessionError::InvalidDecision`]s:
     ///
     /// * `at` must not lie in the past (an event at exactly the current
     ///   instant is applied before this returns);

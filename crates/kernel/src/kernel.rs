@@ -5,7 +5,7 @@
 //! real tool uses on Linux — `/proc` reads and the perf syscalls — plus
 //! `spawn`/`advance` for driving experiments. The scheduler + execution loop
 //! itself lives in [`crate::engine`]; the kernel folds the engine's per-epoch
-//! [`PerfCharge`](crate::engine::PerfCharge)s into its counter fd table.
+//! [`PerfCharge`]s into its counter fd table.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -7,9 +7,14 @@
 //! interleaved — in proportion to its access rate — through the same L1/L2
 //! (per physical core, shared by SMT siblings) and L3 (per socket, shared by
 //! all its cores) before any CPI is computed.
+//!
+//! The interleaving is one total order: slice `i`'s `j`-th sample is due at
+//! virtual time `t(j, quota_i)`, ties going to the lower slice index. The
+//! sampler never builds that order globally. Each private L1/L2 sees its
+//! core's accesses in `(t, i)` order, each L3 sees its socket's L2 misses in
+//! `(t, i)` order, and each slice's tallies accumulate in its own `j` order,
+//! which is all a global merge would guarantee (see `Machine::sample_caches`).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
@@ -17,10 +22,10 @@ use rand::{RngExt, SeedableRng};
 
 use crate::access::TaskStream;
 use crate::cache::{CacheLevel, SetAssocCache};
-use crate::config::MachineConfig;
+use crate::config::{MachineConfig, UarchParams};
 use crate::exec::{ExecOutcome, ExecProfile, FpUnit};
 use crate::pmu::{EventCounts, HwEvent};
-use crate::topology::{PuId, Topology};
+use crate::topology::{CoreId, PuId, Topology};
 
 /// One task's share of an epoch on one PU.
 pub struct SliceRequest<'a> {
@@ -81,6 +86,32 @@ struct SampleStats {
     penalty_sum: f64,
 }
 
+impl SampleStats {
+    /// Count one sample served by `level`.
+    #[inline]
+    fn add(&mut self, level: CacheLevel, u: &UarchParams) {
+        self.sampled += 1;
+        match level {
+            CacheLevel::L1 => {}
+            CacheLevel::L2 => {
+                self.l1_miss += 1;
+                self.penalty_sum += u.lat_l2;
+            }
+            CacheLevel::L3 => {
+                self.l1_miss += 1;
+                self.l2_miss += 1;
+                self.penalty_sum += u.lat_l3;
+            }
+            CacheLevel::Memory => {
+                self.l1_miss += 1;
+                self.l2_miss += 1;
+                self.l3_miss += 1;
+                self.penalty_sum += u.lat_mem;
+            }
+        }
+    }
+}
+
 /// The simulated machine.
 ///
 /// The configuration is held behind an [`Arc`]: a fleet of identical
@@ -94,6 +125,7 @@ pub struct Machine {
     l3: Vec<SetAssocCache>,
     noise_rng: SmallRng,
     epochs_executed: u64,
+    scratch: SampleScratch,
 }
 
 impl Machine {
@@ -114,6 +146,7 @@ impl Machine {
             noise_rng: SmallRng::seed_from_u64(seed ^ 0x6d61_6368_696e_6531),
             cfg,
             epochs_executed: 0,
+            scratch: SampleScratch::default(),
         }
     }
 
@@ -166,6 +199,16 @@ impl Machine {
     /// # Panics
     /// Panics if two slices name the same PU, or a PU is out of range.
     pub fn execute_epoch(&mut self, slices: &mut [SliceRequest<'_>]) -> Vec<ExecOutcome> {
+        self.execute_epoch_with(slices, Self::sample_caches)
+    }
+
+    /// [`Machine::execute_epoch`] with the cache sampler as a parameter, so
+    /// tests can run the same epoch through the reference sampler.
+    fn execute_epoch_with(
+        &mut self,
+        slices: &mut [SliceRequest<'_>],
+        sample: impl FnOnce(&mut Self, &mut [SliceRequest<'_>], &Topology) -> Vec<SampleStats>,
+    ) -> Vec<ExecOutcome> {
         self.epochs_executed += 1;
         let n = slices.len();
         if n == 0 {
@@ -193,7 +236,7 @@ impl Machine {
         }
 
         // --- phase 1: jointly sample the cache hierarchy ---
-        let stats = self.sample_caches(slices, topo);
+        let stats = sample(self, slices, topo);
 
         // --- phase 2: analytic CPI and event accounting per slice ---
         let mut out = Vec::with_capacity(n);
@@ -261,50 +304,166 @@ impl Machine {
     /// the budget makes heavily co-scheduled epochs (the Fig 10 data-center
     /// burst runs 7 jobs at once) proportionally cheaper instead of
     /// linearly more expensive.
+    ///
+    /// # Access order
+    ///
+    /// Slice `i`'s `j`-th sample is due at virtual epoch time
+    /// `(j + 0.5) / quota_i` (scaled to an integer by [`sample_time`]), and
+    /// the interleaving is the order of `(t, i)` over all samples. Only the
+    /// shared L3 needs that global order, so the walk runs in two passes
+    /// that present each cache with exactly the accesses, in exactly the
+    /// order, a single global merge would:
+    ///
+    /// 1. *Per physical core.* The core's slices (one, or two SMT siblings)
+    ///    are merged by `(t, i)` and walked through its private L1, then
+    ///    L2. No other core touches those caches, so they see their core's
+    ///    accesses in `(t, i)` order. Every L2 miss is queued for the
+    ///    core's socket.
+    /// 2. *Per socket.* The queued misses are sorted by `(t, i)` (unique:
+    ///    `t` is strictly increasing in `j`) and walked through the L3, which
+    ///    therefore sees its socket's L2 misses in `(t, i)` order.
+    ///
+    /// Each slice draws its addresses in its own `j` order, and its tallies,
+    /// the `f64` penalty sum included, accumulate in `j` order from the
+    /// per-sample levels, so the result is the single merge's bit for bit.
     fn sample_caches(
         &mut self,
         slices: &mut [SliceRequest<'_>],
         topo: &Topology,
     ) -> Vec<SampleStats> {
         let n = slices.len();
-        let k_base = self.cfg.cache_samples_per_slice as f64;
+        let Some(quotas) = sample_quotas(&self.cfg, slices) else {
+            return vec![SampleStats::default(); n];
+        };
+        let Machine {
+            cfg,
+            l1,
+            l2,
+            l3,
+            scratch,
+            ..
+        } = self;
+
+        scratch.core.clear();
+        scratch.start.clear();
+        let mut total = 0;
+        for (s, &q) in slices.iter().zip(&quotas) {
+            scratch.core.push(topo.core_of(s.pu).0);
+            scratch.start.push(total);
+            total += q as usize;
+        }
+        scratch.levels.clear();
+        scratch.levels.resize(total, CacheLevel::L1);
+        scratch.misses.resize_with(topo.sockets(), Vec::new);
+        for queue in &mut scratch.misses {
+            queue.clear();
+        }
+
+        // Pass 1: each physical core's slices through its L1 and L2.
+        for i in 0..n {
+            let core = scratch.core[i];
+            let sibling = (0..n).find(|&k| k != i && scratch.core[k] == core);
+            if sibling.is_some_and(|k| k < i) {
+                continue; // walked together with its lower-indexed sibling
+            }
+            let (l1, l2) = (&mut l1[core], &mut l2[core]);
+            let misses = &mut scratch.misses[topo.socket_of_core(CoreId(core)).0];
+            let (start, levels) = (&scratch.start, &mut scratch.levels);
+            // Draw slice `i`'s `j`-th address and walk it through L1 then
+            // L2, recording the serving level or, on an L2 miss, queueing
+            // it for the socket's L3.
+            let mut walk = |s: &mut SliceRequest<'_>, i: usize, j: u64| {
+                let addr = s.stream.next_addr(&s.profile.mem);
+                let at = start[i] + j as usize;
+                levels[at] = if l1.access(addr) {
+                    CacheLevel::L1
+                } else if l2.access(addr) {
+                    CacheLevel::L2
+                } else {
+                    let t = sample_time(j, quotas[i]);
+                    misses.push(L2Miss {
+                        t,
+                        slice: i,
+                        at,
+                        addr,
+                    });
+                    CacheLevel::Memory // settled by the L3 pass
+                };
+            };
+            match sibling {
+                None => {
+                    for j in 0..quotas[i] {
+                        walk(&mut slices[i], i, j);
+                    }
+                }
+                Some(k) => {
+                    let (qi, qk) = (quotas[i], quotas[k]);
+                    let (mut ji, mut jk) = (0, 0);
+                    let (mut ti, mut tk) = (sample_time(0, qi), sample_time(0, qk));
+                    // `i < k`, so a tie in `t` goes to `i`.
+                    while ji < qi || jk < qk {
+                        if jk == qk || (ji < qi && ti <= tk) {
+                            walk(&mut slices[i], i, ji);
+                            ji += 1;
+                            ti = sample_time(ji, qi);
+                        } else {
+                            walk(&mut slices[k], k, jk);
+                            jk += 1;
+                            tk = sample_time(jk, qk);
+                        }
+                    }
+                }
+            }
+        }
+
+        // Pass 2: each socket's L2 misses through its L3, in (t, i) order.
+        for (queue, l3) in scratch.misses.iter_mut().zip(l3.iter_mut()) {
+            queue.sort_unstable_by_key(|m| (m.t, m.slice));
+            for m in queue.iter() {
+                scratch.levels[m.at] = if l3.access(m.addr) {
+                    CacheLevel::L3
+                } else {
+                    CacheLevel::Memory
+                };
+            }
+        }
+
+        (0..n)
+            .map(|i| {
+                let at = scratch.start[i];
+                let mut st = SampleStats::default();
+                for &level in &scratch.levels[at..at + quotas[i] as usize] {
+                    st.add(level, &cfg.uarch);
+                }
+                st
+            })
+            .collect()
+    }
+
+    /// The single-pass sampler [`Machine::sample_caches`] replaces: one
+    /// global heap merge of every slice's samples by `(t, i)`, each walked
+    /// through L1, L2 and L3 in turn. Kept as the oracle the two-pass
+    /// sampler is checked against.
+    #[cfg(test)]
+    fn sample_caches_reference(
+        &mut self,
+        slices: &mut [SliceRequest<'_>],
+        topo: &Topology,
+    ) -> Vec<SampleStats> {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        let n = slices.len();
+        let Some(quotas) = sample_quotas(&self.cfg, slices) else {
+            return vec![SampleStats::default(); n];
+        };
         let u = &self.cfg.uarch;
 
-        // Expected accesses per slice, for proportional sample allocation.
-        let weights: Vec<f64> = slices
-            .iter()
-            .map(|s| {
-                let cpi = if s.cpi_hint > 0.0 {
-                    s.cpi_hint
-                } else {
-                    s.profile.base_cpi.max(0.1)
-                };
-                let apc = s.profile.accesses_per_insn();
-                (s.cycles as f64 / cpi * apc).max(0.0)
-            })
-            .collect();
-        let total_w: f64 = weights.iter().sum();
-        if total_w <= 0.0 {
-            return vec![SampleStats::default(); n];
-        }
-        let k_total = k_base * (n as f64).min(JOINT_SAMPLE_SLICES as f64);
-        let quotas: Vec<u64> = weights
-            .iter()
-            .map(|w| ((k_total * w / total_w).round() as u64).clamp(16, (k_total * 4.0) as u64))
-            .collect();
-
-        // Event-driven merge on virtual epoch time in [0, 1): slice i's j-th
-        // access happens at (j + 0.5) / quota_i. BinaryHeap is a max-heap, so
-        // order by Reverse of a monotone integer key derived from the time.
         #[derive(PartialEq, Eq, PartialOrd, Ord)]
         struct Key(u64, usize); // (scaled virtual time, slice index)
-        let scale = 1u64 << 40;
         let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::with_capacity(n);
         for (i, &q) in quotas.iter().enumerate() {
-            if q > 0 {
-                let t = (0.5 / q as f64 * scale as f64) as u64;
-                heap.push(Reverse(Key(t, i)));
-            }
+            heap.push(Reverse(Key(sample_time(0, q), i)));
         }
         let mut emitted = vec![0u64; n];
         let mut stats = vec![SampleStats::default(); n];
@@ -324,36 +483,85 @@ impl Machine {
             } else {
                 CacheLevel::Memory
             };
-
-            let st = &mut stats[i];
-            st.sampled += 1;
-            match level {
-                CacheLevel::L1 => {}
-                CacheLevel::L2 => {
-                    st.l1_miss += 1;
-                    st.penalty_sum += u.lat_l2;
-                }
-                CacheLevel::L3 => {
-                    st.l1_miss += 1;
-                    st.l2_miss += 1;
-                    st.penalty_sum += u.lat_l3;
-                }
-                CacheLevel::Memory => {
-                    st.l1_miss += 1;
-                    st.l2_miss += 1;
-                    st.l3_miss += 1;
-                    st.penalty_sum += u.lat_mem;
-                }
-            }
+            stats[i].add(level, u);
 
             emitted[i] += 1;
             if emitted[i] < quotas[i] {
-                let t = ((emitted[i] as f64 + 0.5) / quotas[i] as f64 * scale as f64) as u64;
-                heap.push(Reverse(Key(t, i)));
+                heap.push(Reverse(Key(sample_time(emitted[i], quotas[i]), i)));
             }
         }
         stats
     }
+}
+
+/// Scale of the integer virtual-time key: `[0, 1)` maps onto `[0, 2^40)`.
+const TIME_SCALE: f64 = (1u64 << 40) as f64;
+
+/// Virtual time, in `[0, 2^40)`, of the `j`-th of `quota` evenly spaced
+/// samples in an epoch: `(j + 0.5) / quota`, scaled to an integer.
+#[inline]
+fn sample_time(j: u64, quota: u64) -> u64 {
+    ((j as f64 + 0.5) / quota as f64 * TIME_SCALE) as u64
+}
+
+/// Each slice's sample quota, proportional to its expected accesses this
+/// epoch, or `None` when no slice touches memory.
+fn sample_quotas(cfg: &MachineConfig, slices: &[SliceRequest<'_>]) -> Option<Vec<u64>> {
+    let weights: Vec<f64> = slices
+        .iter()
+        .map(|s| {
+            let cpi = if s.cpi_hint > 0.0 {
+                s.cpi_hint
+            } else {
+                s.profile.base_cpi.max(0.1)
+            };
+            let apc = s.profile.accesses_per_insn();
+            (s.cycles as f64 / cpi * apc).max(0.0)
+        })
+        .collect();
+    let total_w: f64 = weights.iter().sum();
+    if total_w <= 0.0 {
+        return None;
+    }
+    let k_total =
+        cfg.cache_samples_per_slice as f64 * (slices.len() as f64).min(JOINT_SAMPLE_SLICES as f64);
+    // A budget under 4 samples per slice would put the ceiling below the
+    // floor; the floor wins.
+    let ceiling = ((k_total * 4.0) as u64).max(MIN_SLICE_SAMPLES);
+    Some(
+        weights
+            .iter()
+            .map(|w| ((k_total * w / total_w).round() as u64).clamp(MIN_SLICE_SAMPLES, ceiling))
+            .collect(),
+    )
+}
+
+/// Fewest samples a memory-touching epoch gives any one slice.
+const MIN_SLICE_SAMPLES: u64 = 16;
+
+/// A sample that missed its core's L2, queued for its socket's L3.
+struct L2Miss {
+    /// Virtual time key, see [`sample_time`].
+    t: u64,
+    slice: usize,
+    /// Index of the sample in [`SampleScratch::levels`].
+    at: usize,
+    addr: u64,
+}
+
+/// Working memory of [`Machine::sample_caches`], kept across epochs. Every
+/// vector starts empty, so a machine whose epochs never sample memory
+/// allocates none of it.
+#[derive(Default)]
+struct SampleScratch {
+    /// Per slice: its physical core.
+    core: Vec<usize>,
+    /// Per slice: index of its first sample in `levels`.
+    start: Vec<usize>,
+    /// Level that served each sample, slice by slice, each in `j` order.
+    levels: Vec<CacheLevel>,
+    /// Per socket: the L2 misses bound for its L3.
+    misses: Vec<Vec<L2Miss>>,
 }
 
 /// Fraction of this profile's FP ops that take a micro-code assist on a
@@ -721,5 +929,188 @@ mod tests {
         let o = m.execute_epoch(&mut req)[0];
         assert_eq!(o.instructions, 0);
         assert_eq!(o.cycles, 0);
+    }
+
+    #[test]
+    fn sample_budgets_under_four_run_at_the_floor() {
+        let p = small_profile("budget", 1 << 20);
+        for n in [0, 1, 3] {
+            let mut m = Machine::new(MachineConfig::nehalem_w3550().with_samples(n), 1);
+            let mut s = TaskStream::new(1, 1);
+            let o =
+                m.execute_epoch(&mut [SliceRequest::new(PuId(0), &p, &mut s).cycles(1_000_000)])[0];
+            assert!(o.instructions > 0, "budget {n}");
+            assert_eq!(s.drawn(), MIN_SLICE_SAMPLES, "budget {n}");
+        }
+    }
+
+    /// Every field, `penalty_sum` by its bits.
+    fn stats_bits(stats: &[SampleStats]) -> Vec<[u64; 5]> {
+        stats
+            .iter()
+            .map(|s| {
+                [
+                    s.sampled,
+                    s.l1_miss,
+                    s.l2_miss,
+                    s.l3_miss,
+                    s.penalty_sum.to_bits(),
+                ]
+            })
+            .collect()
+    }
+
+    /// Seeded random epochs through the two-pass sampler and the heap-merge
+    /// oracle on twin machines: every tally, outcome, L3 count and stream
+    /// position must agree after every epoch.
+    #[test]
+    fn two_pass_sampler_matches_the_single_merge_oracle() {
+        use crate::access::{AccessPattern, WorkingSetTier};
+
+        let mem = |tiers: Vec<(u64, f64, AccessPattern)>| {
+            MemoryBehavior::new(
+                tiers
+                    .into_iter()
+                    .map(|(bytes, w, pat)| WorkingSetTier::new(bytes, w, pat))
+                    .collect(),
+            )
+        };
+        let profile = |name: &str, loads: f64, mem: MemoryBehavior| {
+            ExecProfile::builder(name)
+                .base_cpi(0.8)
+                .loads_per_insn(loads)
+                .stores_per_insn(loads / 3.0)
+                .memory(mem)
+                .build()
+        };
+        let profiles = [
+            profile("seq", 0.3, MemoryBehavior::streaming(384 << 10)),
+            profile(
+                "strided",
+                0.25,
+                mem(vec![
+                    (64 << 10, 0.7, AccessPattern::Strided(192)),
+                    (20 << 20, 0.3, AccessPattern::Strided(4160)),
+                ]),
+            ),
+            profile(
+                "random",
+                0.4,
+                mem(vec![
+                    (24 << 10, 0.6, AccessPattern::Random),
+                    (6 << 20, 0.3, AccessPattern::Random),
+                    (64 << 20, 0.1, AccessPattern::Random),
+                ]),
+            ),
+            profile("no-mem", 0.0, MemoryBehavior::uniform(4096)),
+        ];
+        // Non-integer latencies make the order of the f64 penalty additions
+        // observable; an L3 this small evicts within a few epochs, which
+        // makes the order of its accesses observable.
+        let mut base = MachineConfig::datacenter_e5640().with_l3_kib(256);
+        base.uarch.lat_l2 = 8.3;
+        base.uarch.lat_l3 = 37.7;
+        base.uarch.lat_mem = 181.9;
+        let pus = base.topology.num_pus();
+        let tasks = 24;
+
+        let (mut floor, mut lone, mut siblings, mut both_sockets) = (0, 0, 0, 0);
+        let (mut l3_hits, mut l3_misses) = (0, 0);
+        for seed in 0..16u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            // Budgets under 4 make the k_total*4 ceiling bind.
+            let budget = [0, 1, 3, 4, 64, 512][seed as usize % 6];
+            let cfg = Arc::new(base.clone().with_samples(budget));
+            let mut a = Machine::new(Arc::clone(&cfg), seed);
+            let mut b = Machine::new(cfg, seed);
+            let mut streams_a: Vec<TaskStream> = (0..tasks)
+                .map(|t| TaskStream::new(t + 1, seed * 1000 + t))
+                .collect();
+            let mut streams_b = streams_a.clone();
+
+            for epoch in 0..40 {
+                let n = if epoch == 0 {
+                    1
+                } else {
+                    rng.random_range(1..pus as u64 + 1) as usize
+                };
+                // n distinct PUs and n distinct tasks, by partial shuffles.
+                let mut pu_ids: Vec<usize> = (0..pus).collect();
+                let mut task_ids: Vec<usize> = (0..tasks as usize).collect();
+                for k in 0..n {
+                    let p = k + rng.random_range(0..(pus - k) as u64) as usize;
+                    pu_ids.swap(k, p);
+                    let t = k + rng.random_range(0..(tasks as usize - k) as u64) as usize;
+                    task_ids.swap(k, t);
+                }
+                let plan: Vec<(usize, usize, u64, f64)> = (0..n)
+                    .map(|k| {
+                        let cycles = if rng.random_range(0..8) == 0 {
+                            0
+                        } else {
+                            rng.random_range(1..4_000_000)
+                        };
+                        let hint = if rng.random_range(0..2) == 0 {
+                            0.0
+                        } else {
+                            0.5 + rng.random::<f64>() * 3.0
+                        };
+                        (pu_ids[k], task_ids[k], cycles, hint)
+                    })
+                    .collect();
+                let run = |m: &mut Machine, streams: &mut [TaskStream], oracle: bool| {
+                    let mut picked: Vec<Option<&mut TaskStream>> =
+                        streams.iter_mut().map(Some).collect();
+                    let mut reqs: Vec<SliceRequest<'_>> = plan
+                        .iter()
+                        .map(|&(pu, t, cycles, hint)| {
+                            let stream = picked[t].take().expect("distinct tasks");
+                            SliceRequest::new(PuId(pu), &profiles[t % profiles.len()], stream)
+                                .cycles(cycles)
+                                .cpi_hint(hint)
+                        })
+                        .collect();
+                    let mut stats = Vec::new();
+                    let out = m.execute_epoch_with(&mut reqs, |m, s, topo| {
+                        let st = if oracle {
+                            m.sample_caches_reference(s, topo)
+                        } else {
+                            m.sample_caches(s, topo)
+                        };
+                        stats = st.clone();
+                        st
+                    });
+                    (stats_bits(&stats), out)
+                };
+                let (stats_a, out_a) = run(&mut a, &mut streams_a, false);
+                let (stats_b, out_b) = run(&mut b, &mut streams_b, true);
+                let ctx = format!("seed {seed} epoch {epoch}");
+                assert_eq!(stats_a, stats_b, "{ctx}: sample tallies");
+                assert_eq!(out_a, out_b, "{ctx}: outcomes");
+                for socket in 0..base.topology.sockets() {
+                    assert_eq!(a.l3_stats(socket), b.l3_stats(socket), "{ctx}: L3 {socket}");
+                }
+                let drawn = |s: &[TaskStream]| s.iter().map(TaskStream::drawn).collect::<Vec<_>>();
+                assert_eq!(drawn(&streams_a), drawn(&streams_b), "{ctx}: draws");
+
+                let topo = &base.topology;
+                floor += stats_a.iter().filter(|s| s[0] == MIN_SLICE_SAMPLES).count();
+                lone += usize::from(n == 1);
+                let cores: Vec<usize> = plan.iter().map(|p| topo.core_of(PuId(p.0)).0).collect();
+                siblings += usize::from((1..n).any(|k| cores[..k].contains(&cores[k])));
+                let sockets: Vec<usize> = cores
+                    .iter()
+                    .map(|&c| topo.socket_of_core(CoreId(c)).0)
+                    .collect();
+                both_sockets += usize::from(sockets.contains(&0) && sockets.contains(&1));
+            }
+            for socket in 0..base.topology.sockets() {
+                let (hits, misses) = a.l3_stats(socket);
+                l3_hits += hits;
+                l3_misses += misses;
+            }
+        }
+        assert!(floor > 0 && lone > 0 && siblings > 0 && both_sockets > 0);
+        assert!(l3_hits > 0 && l3_misses > 0);
     }
 }

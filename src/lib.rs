@@ -6,10 +6,10 @@
 //!
 //! | crate | role |
 //! |-------|------|
-//! | [`machine`](tiptop_machine) | multicore CPU simulator: Nehalem/Core/PPC970 models, SMT topology, set-associative L1/L2/shared-L3 caches, per-hw-thread PMU events |
-//! | [`kernel`](tiptop_kernel) | OS layer: tasks, a pluggable `Scheduler` trait (CFS-like default, FIFO, round-robin) with affinity, `/proc`, `perf_event_open`-style syscalls with multiplexing |
-//! | [`workloads`](tiptop_workloads) | SPEC CPU2006 stand-ins, the §3.1 diverging R program, micro-benchmarks, data-center job scripts |
-//! | [`core`](tiptop_core) | **tiptop itself**: collector, metric DSL, screens, live/batch rendering, baselines (`top`, Pin-style `inscount`), the `Scenario`/`Monitor` session API, and the multi-machine `ClusterScenario`/`ClusterSession` layer |
+//! | [`machine`] | multicore CPU simulator: Nehalem/Core/PPC970 models, SMT topology, set-associative L1/L2/shared-L3 caches, per-hw-thread PMU events |
+//! | [`kernel`] | OS layer: tasks, a pluggable `Scheduler` trait (CFS-like default, FIFO, round-robin) with affinity, `/proc`, `perf_event_open`-style syscalls with multiplexing |
+//! | [`workloads`] | SPEC CPU2006 stand-ins, the §3.1 diverging R program, micro-benchmarks, data-center job scripts |
+//! | [`core`] | **tiptop itself**: collector, metric DSL, screens, live/batch rendering, baselines (`top`, Pin-style `inscount`), the `Scenario`/`Monitor` session API, and the multi-machine `ClusterScenario`/`ClusterSession` layer |
 //!
 //! Experiments are declared with [`tiptop_core::scenario::Scenario`]
 //! (machine + users + timed spawn/kill/renice events) and driven through
