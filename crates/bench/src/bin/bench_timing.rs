@@ -60,9 +60,9 @@ const BASELINE_SECONDS: [(&str, f64); 16] = [
     // through the cluster's round driver.
     ("pipelines", 0.020),
     ("validation", 0.009),
-    // The thread sweep runs each point four times (1/2/4/8 workers); the
-    // lane/loser-tree merge and the per-machine memory diet bring the whole
-    // curve in under the old two-arm budget.
+    // The thread sweep runs each point four times (1/2/4/8 workers) on the
+    // round driver's run-long pool; the per-machine memory diet keeps the
+    // whole curve under the old two-arm budget.
     ("scaling", 1.500),
 ];
 
@@ -238,8 +238,8 @@ fn main() {
         }
         // Cluster throughput gates: the fresh 100-machine frames/sec must
         // stay within the allowance of the committed curve at both the
-        // single-thread and the 8-thread arm (the latter guards the lane +
-        // merge path specifically). Throughput (like the wall-time
+        // single-thread and the 8-thread arm (the latter guards the worker
+        // pool's hand-off path specifically). Throughput (like the wall-time
         // budgets) is calibrated for release.
         if enforce {
             let mut gate = |threads: usize, prior: Option<f64>| match (

@@ -1,19 +1,17 @@
-//! **Scaling** — the throughput frontier of the cluster merge: frames per
-//! second and peak buffered bytes against machine count at 10, 100 and
-//! 1000 machines, each shard running a few synthetic light jobs (pure
+//! **Scaling** — the throughput frontier of the cluster driver: frames per
+//! second against machine count at 10, 100 and 1000 machines, each shard running a few synthetic light jobs (pure
 //! compute, no memory traffic) so the measurement is dominated by the
 //! frame/stream path rather than cache simulation.
 //!
-//! Every scale point runs the production path — the lane pool's columnar
-//! [`FrameBatch`](tiptop_core::batch::FrameBatch) transport, interned
-//! labels, and the id-keyed [`ClusterWindowSink`] folding straight from
-//! the columns — swept across worker-thread counts
+//! Every scale point runs the production path — the round driver on its
+//! run-long worker pool, interned labels, and the id-keyed
+//! [`ClusterWindowSink`] — swept across worker-thread counts
 //! ([`THREAD_SWEEP`]): every scale point records one [`SweepArm`] per
 //! thread count — frames/sec, parallel efficiency against the point's own
 //! single-thread arm, and the arm's current-RSS delta.
 //!
 //! `bench_timing` writes the whole curve to `BENCH_cluster.json` (schema
-//! `tiptop-bench-cluster/3`) and `--check` fails CI if the 100-machine
+//! `tiptop-bench-cluster/4`) and `--check` fails CI if the 100-machine
 //! frames/sec — single-thread or 8-thread — regresses more than 30%
 //! against the committed curve.
 //!
@@ -58,10 +56,11 @@ pub const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 #[derive(Debug, Clone)]
 pub struct SweepArm {
     pub threads: usize,
-    /// Lane messages (≪ frames when batching works).
+    /// Rounds that delivered frames (≪ frames when machines share
+    /// observation instants).
     pub batches: usize,
+    /// Frames of the largest round.
     pub peak_buffered_frames: usize,
-    pub peak_buffered_bytes: usize,
     /// Wall seconds of this arm's run (build excluded).
     pub wall_seconds: f64,
     pub frames_per_sec: f64,
@@ -234,7 +233,6 @@ pub fn run_on(seed: u64, thread_sweep: &[usize], points: &[(usize, usize)]) -> S
                 threads,
                 batches: stats.batches,
                 peak_buffered_frames: stats.peak_buffered_frames,
-                peak_buffered_bytes: stats.peak_buffered_bytes,
                 wall_seconds: wall,
                 frames_per_sec: stats.frames as f64 / wall.max(1e-9),
                 parallel_efficiency: 0.0, // filled below, once the base exists
@@ -285,13 +283,13 @@ impl ScalingResult {
     }
 
     /// The hand-written `BENCH_cluster.json` body (the offline serde stub
-    /// has no serializer). Schema `/3`: per-point `arms` array, one entry
+    /// has no serializer). Schema `/4`: per-point `arms` array, one entry
     /// per swept thread count, each carrying `threads` *before*
     /// `frames_per_sec` (the `--check` anchor parser relies on that
     /// order).
     pub fn to_json(&self) -> String {
         let mut json = String::from("{\n");
-        json.push_str("  \"schema\": \"tiptop-bench-cluster/3\",\n");
+        json.push_str("  \"schema\": \"tiptop-bench-cluster/4\",\n");
         json.push_str(&format!(
             "  \"profile\": \"{}\",\n",
             if cfg!(debug_assertions) {
@@ -322,14 +320,13 @@ impl ScalingResult {
                     "      {{\"threads\": {}, \"wall_seconds\": {:.4}, \
                      \"frames_per_sec\": {:.0}, \"parallel_efficiency\": {:.3}, \
                      \"batches\": {}, \"peak_buffered_frames\": {}, \
-                     \"peak_buffered_bytes\": {}, \"rss_delta_bytes\": {}}}{acomma}\n",
+                     \"rss_delta_bytes\": {}}}{acomma}\n",
                     a.threads,
                     a.wall_seconds,
                     a.frames_per_sec,
                     a.parallel_efficiency,
                     a.batches,
                     a.peak_buffered_frames,
-                    a.peak_buffered_bytes,
                     a.rss_delta_bytes,
                 ));
             }
@@ -349,9 +346,8 @@ impl ScalingResult {
                 "frames",
                 "frames/s",
                 "par eff",
-                "msgs",
+                "rounds",
                 "peak buf frames",
-                "peak buf KiB",
                 "RSS/machine KiB",
                 "peak RSS MiB",
             ],
@@ -375,7 +371,6 @@ impl ScalingResult {
                     format!("{:.2}", a.parallel_efficiency),
                     a.batches.to_string(),
                     a.peak_buffered_frames.to_string(),
-                    format!("{:.0}", a.peak_buffered_bytes as f64 / 1024.0),
                     if first {
                         format!("{:.0}", p.rss_per_machine_bytes as f64 / 1024.0)
                     } else {

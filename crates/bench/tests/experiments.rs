@@ -750,7 +750,6 @@ fn scaling_sweeps_threads_and_reports_a_full_curve() {
         p.frames
     );
     assert!(a1.peak_buffered_frames > 0, "merge buffered something");
-    assert!(a1.peak_buffered_bytes > 0, "byte accounting is live");
     assert!(a1.frames_per_sec > 0.0);
     assert!(
         (a1.parallel_efficiency - 1.0).abs() < 1e-9,
@@ -764,7 +763,7 @@ fn scaling_sweeps_threads_and_reports_a_full_curve() {
         "no 100-machine point in this tiny run"
     );
     let json = r.to_json();
-    assert!(json.contains("\"schema\": \"tiptop-bench-cluster/3\""));
+    assert!(json.contains("\"schema\": \"tiptop-bench-cluster/4\""));
     assert!(!json.contains("baseline"), "schema /3 has no baseline arm");
     assert!(json.contains("\"thread_sweep\": [1, 2]"));
     assert!(json.contains("\"machines\": 4,"));

@@ -1,20 +1,18 @@
-//! Columnar frame batches: the unit of transport on the cluster's batched
-//! hot path.
+//! Columnar frame batches: frames stored in columns — per-frame metadata
+//! keyed by interned [`SymId`]s (machine id, monitor name) beside one flat
+//! row column — for sinks that take a run of the merged stream at once
+//! through [`ClusterFrameSink::on_batch`].
 //!
-//! A shard worker used to send one channel message per observed frame,
-//! each carrying freshly allocated `String` labels. A [`FrameBatch`]
-//! instead accumulates an observation round's frames in columns — one flat
-//! row column plus per-frame metadata keyed by interned [`SymId`]s
-//! (machine id, monitor name, per-row command) — and is sent once. Batch
-//! shells are recycled through a pool after the merge consumes them, so a
-//! steady-state run allocates no transport memory per round at all.
+//! No cluster driver produces batches any more: the round driver delivers
+//! each frame through [`ClusterFrameSink::on_frame`]. The type stays for
+//! sinks that implement or forward `on_batch`, whose default materializes
+//! each [`ClusterFrame`] via [`FrameBatch::take_frame`], moving the rows
+//! out without copying.
 //!
-//! Consumers that understand the columnar layout
-//! ([`crate::cluster::ClusterWindowSink`]) fold straight from the columns;
-//! everything else materializes [`ClusterFrame`]s via
-//! [`FrameBatch::take_frame`], which moves the rows out without copying.
+//! [`ClusterFrameSink::on_batch`]: crate::cluster::ClusterFrameSink::on_batch
+//! [`ClusterFrameSink::on_frame`]: crate::cluster::ClusterFrameSink::on_frame
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use tiptop_machine::time::SimTime;
 
@@ -37,43 +35,19 @@ struct FrameMeta {
     rows_end: usize,
 }
 
-/// A batch of consecutive frames from one merge queue, stored columnar:
+/// A batch of consecutive frames of the merged stream, stored columnar:
 /// frame metadata (interned labels, times, row ranges) in one vector, all
-/// rows flattened into another, with each row's command interned alongside.
-/// Frames in a batch are ordered by `(time, machine_index)` — the producing
-/// worker emits them that way — so the merge can deliver whole runs of a
-/// batch with one sink call.
-#[derive(Debug)]
+/// rows flattened into another, in `(time, machine_index)` order.
+#[derive(Debug, Default)]
 pub struct FrameBatch {
-    queue: usize,
     metas: Vec<FrameMeta>,
     rows: Vec<Row>,
-    /// Interned command per row, parallel to `rows` — the id-based dedupe
-    /// key for window aggregation.
-    comms: Vec<SymId>,
-    /// Running estimate of the row payload's heap footprint.
-    row_bytes: usize,
 }
 
 impl FrameBatch {
-    /// An empty batch bound to merge queue `queue`.
-    pub fn new(queue: usize) -> Self {
-        FrameBatch {
-            queue,
-            metas: Vec::new(),
-            rows: Vec::new(),
-            comms: Vec::new(),
-            row_bytes: 0,
-        }
-    }
-
-    pub fn queue(&self) -> usize {
-        self.queue
-    }
-
-    /// Re-bind a recycled shell to a (possibly different) queue.
-    pub fn set_queue(&mut self, queue: usize) {
-        self.queue = queue;
+    /// An empty batch.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Number of frames.
@@ -85,8 +59,7 @@ impl FrameBatch {
         self.metas.is_empty()
     }
 
-    /// Append one frame, moving its rows into the flat column and interning
-    /// each row's command.
+    /// Append one frame, moving its rows into the flat column.
     pub fn push(
         &mut self,
         machine: SymId,
@@ -102,11 +75,7 @@ impl FrameBatch {
             unobservable,
         } = frame;
         let rows_start = self.rows.len();
-        for row in rows {
-            self.comms.push(symbols::intern(&row.comm));
-            self.row_bytes += row_heap_estimate(&row);
-            self.rows.push(row);
-        }
+        self.rows.extend(rows);
         self.metas.push(FrameMeta {
             machine,
             machine_index,
@@ -120,23 +89,6 @@ impl FrameBatch {
         });
     }
 
-    /// Forget the contents, keeping every allocation for reuse.
-    pub fn clear(&mut self) {
-        self.metas.clear();
-        self.rows.clear();
-        self.comms.clear();
-        self.row_bytes = 0;
-    }
-
-    /// Rough heap footprint of the buffered frames (the merge's
-    /// peak-buffered-bytes statistic).
-    pub fn approx_bytes(&self) -> usize {
-        self.row_bytes
-            + self.metas.capacity() * std::mem::size_of::<FrameMeta>()
-            + self.rows.capacity() * std::mem::size_of::<Row>()
-            + self.comms.capacity() * std::mem::size_of::<SymId>()
-    }
-
     /// Observation time of frame `i`.
     pub fn time(&self, i: usize) -> SimTime {
         self.metas[i].time
@@ -145,29 +97,6 @@ impl FrameBatch {
     /// Machine declaration index of frame `i` (the merge tie-breaker).
     pub fn machine_index(&self, i: usize) -> usize {
         self.metas[i].machine_index
-    }
-
-    /// Merge key of the first frame, if any.
-    pub fn first_key(&self) -> Option<(SimTime, usize)> {
-        self.metas.first().map(|m| (m.time, m.machine_index))
-    }
-
-    /// Interned `(machine, source)` labels of frame `i`.
-    pub fn labels(&self, i: usize) -> (SymId, SymId) {
-        (self.metas[i].machine, self.metas[i].source)
-    }
-
-    /// Rows of frame `i`, in place.
-    pub fn rows_of(&self, i: usize) -> &[Row] {
-        let m = &self.metas[i];
-        &self.rows[m.rows_start..m.rows_end]
-    }
-
-    /// Interned command per row of frame `i`, parallel to
-    /// [`FrameBatch::rows_of`].
-    pub fn comms_of(&self, i: usize) -> &[SymId] {
-        let m = &self.metas[i];
-        &self.comms[m.rows_start..m.rows_end]
     }
 
     /// Materialize frame `i` as a labelled [`ClusterFrame`], moving its
@@ -195,67 +124,6 @@ impl FrameBatch {
     }
 }
 
-/// The bounded pool of recycled [`FrameBatch`] shells shared between the
-/// merge thread (which returns spent shells) and the shard workers (which
-/// take them to fill the next round). The bound matters: a bursty run —
-/// many small flushes racing one slow merge — would otherwise let returned
-/// shells accumulate without limit, each one pinning its grown row and
-/// metadata capacity. At the cap, [`ShellPool::put`] drops the shell
-/// instead, so idle transport memory is `O(cap)` no matter how long or
-/// bursty the run.
-#[derive(Debug)]
-pub struct ShellPool {
-    shells: Mutex<Vec<FrameBatch>>,
-    cap: usize,
-}
-
-impl ShellPool {
-    /// A pool holding at most `cap` idle shells.
-    pub fn new(cap: usize) -> Self {
-        ShellPool {
-            shells: Mutex::new(Vec::new()),
-            cap,
-        }
-    }
-
-    /// The bound: idle shells beyond this are dropped, not hoarded.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
-    /// Idle shells currently pooled.
-    pub fn len(&self) -> usize {
-        self.shells.lock().expect("shell pool poisoned").len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// An empty shell bound to `queue`: a recycled one when available,
-    /// freshly allocated otherwise.
-    pub fn take(&self, queue: usize) -> FrameBatch {
-        match self.shells.lock().expect("shell pool poisoned").pop() {
-            Some(mut shell) => {
-                shell.set_queue(queue);
-                shell
-            }
-            None => FrameBatch::new(queue),
-        }
-    }
-
-    /// Clear a spent batch and return its allocations to the pool —
-    /// unless the pool already holds [`ShellPool::cap`] shells, in which
-    /// case the batch is dropped.
-    pub fn put(&self, mut batch: FrameBatch) {
-        batch.clear();
-        let mut shells = self.shells.lock().expect("shell pool poisoned");
-        if shells.len() < self.cap {
-            shells.push(batch);
-        }
-    }
-}
-
 fn take_row(row: &mut Row) -> Row {
     std::mem::replace(
         row,
@@ -268,18 +136,6 @@ fn take_row(row: &mut Row) -> Row {
             Vec::new(),
         ),
     )
-}
-
-fn row_heap_estimate(row: &Row) -> usize {
-    let cells = row
-        .materialized_cells()
-        .map(|cs| std::mem::size_of_val(cs) + cs.iter().map(|c| c.capacity()).sum::<usize>())
-        .unwrap_or(0);
-    std::mem::size_of::<Row>()
-        + row.user.capacity()
-        + row.comm.capacity()
-        + cells
-        + row.values.capacity() * std::mem::size_of::<(SymId, f64)>()
 }
 
 #[cfg(test)]
@@ -315,14 +171,12 @@ mod tests {
     fn batch_roundtrips_frames_in_order() {
         let m = symbols::intern("batch-test-m0");
         let src = symbols::intern("tiptop");
-        let mut b = FrameBatch::new(0);
+        let mut b = FrameBatch::new();
+        assert!(b.is_empty());
         b.push(m, 0, src, 0, frame(1, &["a", "b"]));
         b.push(m, 0, src, 1, frame(2, &["a"]));
         assert_eq!(b.len(), 2);
-        assert_eq!(b.first_key(), Some((SimTime::from_secs(1), 0)));
-        assert_eq!(b.rows_of(0).len(), 2);
-        assert_eq!(b.comms_of(1), &[symbols::intern("a")]);
-        assert!(b.approx_bytes() > 0);
+        assert_eq!((b.time(0), b.machine_index(0)), (SimTime::from_secs(1), 0));
 
         let f0 = b.take_frame(0);
         assert_eq!(f0.machine, "batch-test-m0");
@@ -333,44 +187,5 @@ mod tests {
         let f1 = b.take_frame(1);
         assert_eq!(f1.frame.time, SimTime::from_secs(2));
         assert_eq!(f1.frame.rows[0].cells(), vec!["a".to_string()]);
-
-        b.clear();
-        assert!(b.is_empty());
-        assert_eq!(b.first_key(), None);
-    }
-
-    #[test]
-    fn shell_pool_recycles_and_rebinds() {
-        let pool = ShellPool::new(4);
-        assert!(pool.is_empty());
-        let mut shell = pool.take(3);
-        assert_eq!(shell.queue(), 3);
-        let m = symbols::intern("pool-test-m0");
-        let src = symbols::intern("tiptop");
-        shell.push(m, 0, src, 0, frame(1, &["a"]));
-        pool.put(shell);
-        assert_eq!(pool.len(), 1);
-        let recycled = pool.take(7);
-        assert!(recycled.is_empty(), "put clears before pooling");
-        assert_eq!(recycled.queue(), 7, "take re-binds the shell's queue");
-        assert!(pool.is_empty());
-    }
-
-    #[test]
-    fn shell_pool_is_bounded() {
-        let pool = ShellPool::new(2);
-        for _ in 0..10 {
-            pool.put(FrameBatch::new(0));
-        }
-        assert_eq!(pool.len(), 2, "idle shells beyond the cap are dropped");
-        assert_eq!(pool.cap(), 2);
-        // Draining and refilling keeps honouring the bound.
-        let a = pool.take(0);
-        let b = pool.take(1);
-        let c = pool.take(2);
-        pool.put(a);
-        pool.put(b);
-        pool.put(c);
-        assert_eq!(pool.len(), 2);
     }
 }

@@ -56,15 +56,13 @@
 //! [`Trigger::AfterExit`]: crate::scenario::Trigger::AfterExit
 //! [`Scenario::spawn_after`]: crate::scenario::Scenario::spawn_after
 //!
-//! Two drivers run a cluster, chosen by the run's own input. Machines that
-//! never wait on each other run on the free-running **lane pool**: each
-//! worker steps its machines in `(time, machine)` order and ships columnar
-//! batches over its own lane into a loser-tree merge. Runs with policies,
-//! live cross-machine dependency edges or scripted resume handoffs run on
-//! the **round driver**, which advances the fleet between barriers at each
-//! observation instant (the steps of a round are documented on
-//! [`ClusterSession::run_reactive`]). Both keep the merged stream
-//! byte-identical at any thread count.
+//! One driver runs every cluster: the **round driver**. At each
+//! observation instant it resolves dependency edges and resume handoffs,
+//! advances the machines due then on a worker pool spawned once per run,
+//! delivers the round's frames in machine order, and lets policies decide
+//! (the steps of a round are documented on
+//! [`ClusterSession::run_reactive`]). Scripted runs are runs with no
+//! policies. The merged stream is byte-identical at any thread count.
 //!
 //! Failure is contained per shard: a [`SessionError`] inside one machine
 //! surfaces as [`SessionError::Shard`], a panic as
@@ -116,19 +114,17 @@
 //! ```
 
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc};
 
 use tiptop_kernel::sched::SchedulerSelect;
 use tiptop_kernel::task::TaskState;
 use tiptop_machine::time::{SimDuration, SimTime};
 
-use crate::batch::{FrameBatch, ShellPool};
+use crate::batch::FrameBatch;
 use crate::monitor::Monitor;
 use crate::reactive::{AppliedDecision, MigrationDecision, MigrationMode, SchedulerPolicy};
 use crate::render::{Frame, Row};
@@ -167,13 +163,11 @@ pub struct ClusterFrame {
 pub trait ClusterFrameSink {
     fn on_frame(&mut self, frame: ClusterFrame);
 
-    /// Deliver frames `range` of a columnar batch — the lane pool's run
-    /// delivery. The frames of the range are the next frames of the
-    /// merged stream, in order. The default materializes each one through
-    /// [`FrameBatch::take_frame`] and hands it to
-    /// [`ClusterFrameSink::on_frame`], so every existing sink keeps its
-    /// exact semantics; columnar-aware sinks ([`ClusterWindowSink`])
-    /// override this to fold straight from the columns.
+    /// Deliver frames `range` of a columnar batch: the next frames of the
+    /// merged stream, in order. The cluster driver delivers frame by frame
+    /// and never calls this; it is for sinks that forward batches. The
+    /// default materializes each frame through [`FrameBatch::take_frame`]
+    /// and hands it to [`ClusterFrameSink::on_frame`].
     fn on_batch(&mut self, batch: &mut FrameBatch, range: Range<usize>) {
         for i in range {
             self.on_frame(batch.take_frame(i));
@@ -270,10 +264,7 @@ pub struct ClusterWindow {
 /// frame is ever buffered — closing the window ([`ClusterWindow`]) every
 /// `window` frames. Peak memory is `O(sources x columns)` of open-window
 /// state plus `O(total / window)` small summaries — a fleet observed for
-/// hours never holds its stream, unlike [`ClusterCollectSink`]. On the
-/// lane pool it folds straight from the columnar batches
-/// ([`ClusterFrameSink::on_batch`]), so the merged stream's rows are
-/// aggregated without ever materializing a labelled frame.
+/// hours never holds its stream, unlike [`ClusterCollectSink`].
 ///
 /// Callers who need the raw frames spilled elsewhere (rendered to a file,
 /// forwarded downstream) can chain a closure sink in front; this sink's
@@ -383,18 +374,9 @@ impl ClusterWindowSink {
         self.windows
     }
 
-    /// Fold one frame's rows into the open window. `comms` carries the
-    /// rows' interned commands when the caller already has them (the
-    /// batched path); otherwise each command is looked up only if this
-    /// instant has registered handovers.
-    fn fold(
-        &mut self,
-        machine: SymId,
-        source: SymId,
-        time: SimTime,
-        rows: &[Row],
-        comms: Option<&[SymId]>,
-    ) {
+    /// Fold one frame's rows into the open window. A row's command is
+    /// looked up only if this instant has registered handovers.
+    fn fold(&mut self, machine: SymId, source: SymId, time: SimTime, rows: &[Row]) {
         // Drop dedupe instants the stream has moved past — frames arrive
         // in nondecreasing time, so an earlier instant can never match
         // again. This is what keeps a long reactive run's dedupe map from
@@ -420,13 +402,10 @@ impl ClusterWindowSink {
         let dedupe = self.dedupe.get(&time);
         let stats = ow.sources.entry((machine, source)).or_default();
         stats.frames += 1;
-        for (i, row) in rows.iter().enumerate() {
+        for row in rows {
             let is_handover = dedupe.is_some_and(|d| {
-                let comm = match comms {
-                    Some(c) => Some(c[i]),
-                    None => symbols::lookup(&row.comm),
-                };
-                comm.is_some_and(|c| d.iter().any(|&(to, dc)| to == machine && dc == c))
+                symbols::lookup(&row.comm)
+                    .is_some_and(|c| d.iter().any(|&(to, dc)| to == machine && dc == c))
             });
             if is_handover {
                 stats.handover_rows += 1;
@@ -485,23 +464,7 @@ impl ClusterFrameSink for ClusterWindowSink {
             frame.source.sym(),
             frame.frame.time,
             &frame.frame.rows,
-            None,
         );
-    }
-
-    /// The columnar fast path: aggregate straight from the batch's rows —
-    /// no labelled frame is materialized, no row is moved or cloned.
-    fn on_batch(&mut self, batch: &mut FrameBatch, range: Range<usize>) {
-        for i in range {
-            let (machine, source) = batch.labels(i);
-            self.fold(
-                machine,
-                source,
-                batch.time(i),
-                batch.rows_of(i),
-                Some(batch.comms_of(i)),
-            );
-        }
     }
 }
 
@@ -849,8 +812,7 @@ impl ClusterScenario {
         // (the [`Session`] resolves those natively); everything else —
         // cross-machine edges, and edges keyed on a tag that is itself
         // spawned by a cross-machine edge — stays in the cluster's registry
-        // and is resolved centrally by the round driver (`run_units`
-        // routes to it while any edge is live).
+        // and is resolved centrally by the round driver.
         let mut drained: Vec<(usize, String, SimDuration, WorkloadEvent)> = Vec::new();
         for (i, (_, scenario)) in self.machines.iter_mut().enumerate() {
             for (dep, delay, ev) in scenario.drain_deferred() {
@@ -1093,20 +1055,15 @@ struct ClusterDep {
 }
 
 /// Statistics of the most recent `run*` (see
-/// [`ClusterSession::last_run_stats`]), whichever driver ran it.
+/// [`ClusterSession::last_run_stats`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RunStats {
     /// Frames delivered to the sink.
     pub frames: usize,
-    /// Merge deliveries: lane messages carrying frames on the lane pool,
-    /// rounds that produced frames on the round driver.
+    /// Merge deliveries: rounds that produced frames.
     pub batches: usize,
-    /// Most frames held at once before delivery: the lane merge's buffers
-    /// waiting on slower lanes, or the round driver's largest round.
+    /// Most frames held at once before delivery: the largest round.
     pub peak_buffered_frames: usize,
-    /// Estimated heap bytes behind that peak. Tracked by the lane pool; the
-    /// round driver reports 0 (it never measures its buffers).
-    pub peak_buffered_bytes: usize,
 }
 
 struct ShardSlot {
@@ -1123,11 +1080,10 @@ pub struct ClusterSession {
     /// scripted ones from build time, reactive ones appended as their
     /// decisions apply.
     handovers: Vec<HandoverRecord>,
-    /// The scripted resume handoffs, in instant order. Non-empty lists
-    /// route every run through the round driver.
+    /// The scripted resume handoffs, in instant order.
     handoffs: Vec<Handoff>,
-    /// Cross-machine dependency edges, in declaration order. Live edges
-    /// route every run through the round driver.
+    /// Cross-machine dependency edges, in declaration order. While any is
+    /// live, every machine marches to each round's instant.
     deps: Vec<ClusterDep>,
     /// Statistics of the most recent run.
     last_stats: RunStats,
@@ -1204,9 +1160,8 @@ impl ClusterSession {
         &self.handovers
     }
 
-    /// Statistics of the most recent `run*` — scripted or reactive, on
-    /// either driver: frames delivered, merge deliveries, and the peak
-    /// buffering — the scaling bench's memory-frontier numbers.
+    /// Statistics of the most recent `run*`, scripted or reactive: frames
+    /// delivered, merge deliveries, and the peak buffering.
     pub fn last_run_stats(&self) -> RunStats {
         self.last_stats
     }
@@ -1228,17 +1183,15 @@ impl ClusterSession {
     /// `sink` merged by `(time, machine_index)` — deterministically, at any
     /// thread count.
     ///
-    /// # Two drivers
+    /// # The driver
     ///
-    /// The run's own input picks the driver. A run whose machines are
-    /// independent goes to the free-running lane pool: each worker steps its
-    /// machines in `(time, machine)` order and ships columnar batches over
-    /// its own lane into a loser-tree merge. A cluster with live
-    /// cross-machine dependency edges or scripted resume handoffs couples
-    /// its machines, so its runs go to the round driver (see
-    /// [`ClusterSession::run_reactive`]), which advances the fleet between
-    /// barriers. Both produce the same `(time, machine)` stream at any
-    /// thread count.
+    /// Every run goes to the round driver (see
+    /// [`ClusterSession::run_reactive`]), here with no policies: each round
+    /// advances the machines due at the globally earliest observation
+    /// instant on a pool of `threads − 1` workers, spawned once for the
+    /// run, plus the calling thread, and delivers the round's frames in
+    /// machine order. Cross-machine dependency edges and scripted resume
+    /// handoffs are resolved at those barriers.
     ///
     /// # Failure contract: deliver-then-error
     ///
@@ -1291,7 +1244,7 @@ impl ClusterSession {
     /// merged stream; same-instant frames of one machine observe (and
     /// merge) in set order, same-instant frames of different machines in
     /// machine order — so the merged stream stays byte-identical at any
-    /// worker-thread count. The drivers and the failure contract are those
+    /// worker-thread count. The driver and the failure contract are those
     /// of [`ClusterSession::run_each`].
     pub fn run_all(
         &mut self,
@@ -1305,19 +1258,13 @@ impl ClusterSession {
 
     /// Move every machine's session and monitor set into a [`WorkUnit`].
     /// Every set is built and validated *before* any session leaves its
-    /// slot, so an error here leaves the cluster untouched and re-runnable.
+    /// slot, and a session lost to an earlier run's panic puts back every
+    /// session taken before it, so an error here leaves the cluster
+    /// untouched and re-runnable.
     fn take_units(
         &mut self,
         tools: &mut dyn FnMut(MachineRef<'_>) -> ToolSet,
     ) -> Result<Vec<WorkUnit>, SessionError> {
-        for slot in &self.shards {
-            if slot.session.is_none() {
-                return Err(SessionError::ShardPanicked {
-                    machine: slot.id.clone(),
-                    message: "session was lost to a panic in an earlier run".into(),
-                });
-            }
-        }
         let mut per_machine: Vec<ToolSet> = Vec::with_capacity(self.shards.len());
         for (index, slot) in self.shards.iter().enumerate() {
             let set = tools(MachineRef {
@@ -1330,46 +1277,42 @@ impl ClusterSession {
             )?;
             per_machine.push(set);
         }
-        let units = self
-            .shards
-            .iter_mut()
-            .enumerate()
-            .zip(per_machine)
-            .map(|((index, slot), set)| {
-                let label = Label::new(&slot.id);
-                let sym = label.sym();
-                WorkUnit {
-                    index,
-                    id: slot.id.clone(),
-                    label,
-                    sym,
-                    session: slot.session.take().expect("checked above"),
-                    slots: set
-                        .into_iter()
-                        .map(|(monitor, until)| {
-                            let source = Label::new(monitor.name());
-                            let source_sym = source.sym();
-                            MonitorSlot {
-                                monitor,
-                                until,
-                                source,
-                                source_sym,
-                                next_at: SimTime::ZERO,
-                                taken: 0,
-                                done: false,
-                            }
-                        })
-                        .collect(),
+        let mut units: Vec<WorkUnit> = Vec::with_capacity(self.shards.len());
+        for (index, set) in per_machine.into_iter().enumerate() {
+            let slot = &mut self.shards[index];
+            let Some(session) = slot.session.take() else {
+                let machine = slot.id.clone();
+                for unit in units {
+                    self.shards[unit.index].session = Some(*unit.session);
                 }
-            })
-            .collect();
+                return Err(SessionError::ShardPanicked {
+                    machine,
+                    message: "session was lost to a panic in an earlier run".into(),
+                });
+            };
+            units.push(WorkUnit {
+                index,
+                id: Label::new(&slot.id),
+                session: Box::new(session),
+                slots: set
+                    .into_iter()
+                    .map(|(monitor, until)| MonitorSlot {
+                        source: Label::new(monitor.name()),
+                        monitor,
+                        until,
+                        next_at: SimTime::ZERO,
+                        taken: 0,
+                        done: false,
+                    })
+                    .collect(),
+            });
+        }
         Ok(units)
     }
 
     /// The shared entry behind [`run_each`](ClusterSession::run_each) and
-    /// [`run_all`](ClusterSession::run_all): the round driver when the
-    /// cluster couples its machines (live dependency edges or scripted
-    /// resume handoffs), the lane pool otherwise.
+    /// [`run_all`](ClusterSession::run_all): the round driver with no
+    /// policies, so a shard failure is delivered-then-errored.
     fn run_units(
         &mut self,
         threads: usize,
@@ -1378,82 +1321,8 @@ impl ClusterSession {
         sink: &mut dyn ClusterFrameSink,
     ) -> Result<(), SessionError> {
         let units = self.take_units(&mut tools)?;
-        if !self.handoffs.is_empty() || self.deps.iter().any(|d| d.ev.is_some()) {
-            return self
-                .run_rounds(units, threads, max_refreshes, &mut [], sink)
-                .map(|_| ());
-        }
-        let n = units.len();
-        let threads = threads.clamp(1, n);
-        let mut parts: Vec<Vec<WorkUnit>> = (0..threads).map(|_| Vec::new()).collect();
-        for (i, u) in units.into_iter().enumerate() {
-            parts[i % threads].push(u);
-        }
-
-        // One single-producer lane per worker instead of a shared channel:
-        // workers never contend on one sender, and the merge thread drains
-        // whole lanes per wake-up instead of paying one park/unpark per
-        // message.
-        let hub = LaneHub::new(threads);
-        // Spent batch shells cycle back to the workers through this pool,
-        // so a steady-state run reuses its buffers round after round
-        // instead of allocating fresh ones. Bounded: each worker only keeps
-        // a couple of shells in flight, so idle shells beyond that are
-        // dropped rather than hoarded for the rest of the run.
-        let pool = Arc::new(ShellPool::new(2 * threads + 4));
-        // Workers interleave their machines into one ordered stream each,
-        // so the merge needs one queue per *worker*.
-        let mut merger = BatchMerger::new(threads, pool.clone());
-        let mut first_err: Option<(usize, SessionError)> = None;
-        let mut returned: Vec<(usize, Option<Session>)> = Vec::with_capacity(n);
-
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = parts
-                .into_iter()
-                .enumerate()
-                .map(|(queue, part)| {
-                    let tx = hub.sender(queue);
-                    let cfg = WorkerCfg {
-                        queue,
-                        pool: pool.clone(),
-                    };
-                    scope.spawn(move || run_worker(part, max_refreshes, tx, cfg))
-                })
-                .collect();
-
-            let mut inbox: Vec<Msg> = Vec::new();
-            while hub.recv_all(&mut inbox) {
-                for msg in inbox.drain(..) {
-                    match msg {
-                        Msg::Batch(b) => merger.push(b, sink),
-                        Msg::Done { queue } => merger.close(queue, sink),
-                        Msg::Failed {
-                            machine_index,
-                            error,
-                        } => {
-                            if first_err.as_ref().is_none_or(|(i, _)| machine_index < *i) {
-                                first_err = Some((machine_index, error));
-                            }
-                        }
-                    }
-                }
-            }
-
-            for h in handles {
-                // Workers never unwind (shard panics are caught inside);
-                // a join error here would be a bug in the pool itself.
-                returned.extend(h.join().expect("worker thread panicked"));
-            }
-        });
-
-        self.last_stats = merger.stats();
-        for (index, session) in returned {
-            self.shards[index].session = session;
-        }
-        match first_err {
-            Some((_, e)) => Err(e),
-            None => Ok(()),
-        }
+        self.run_rounds(units, threads, max_refreshes, &mut [], sink)
+            .map(|_| ())
     }
 
     /// [`ClusterSession::run_each`] without early stopping: every machine
@@ -1497,13 +1366,11 @@ impl ClusterSession {
     ///
     /// # The round driver
     ///
-    /// Runtime decisions break the free-running worker model: a shard that
-    /// has raced ahead of the merge frontier could already be *past* the
-    /// instant a decision must land on. `run_reactive` therefore runs on
-    /// the **round driver**, the same one behind every scripted run of a
-    /// cluster with cross-machine dependency edges or resume handoffs. Each
-    /// round takes the globally earliest pending observation instant `t*`
-    /// and, in order:
+    /// A decision must land on an instant no machine has passed yet, so no
+    /// machine may race ahead of the merge frontier. Every cluster run
+    /// therefore goes to the **round driver**; scripted runs are runs with
+    /// no policies. Each round takes the globally earliest pending
+    /// observation instant `t*` and, in order:
     ///
     /// 1. resolves cross-machine dependency edges to fixpoint: an edge
     ///    whose dependency's final incarnation has exited injects its event
@@ -1512,8 +1379,9 @@ impl ClusterSession {
     ///    before any consumer crosses it (publish first; same-instant
     ///    chains in topological order), so a checkpoint is always on the
     ///    board before its destination takes it;
-    /// 3. advances the machines due at `t*` concurrently on the worker
-    ///    pool, each taking its observations on its own worker;
+    /// 3. advances the machines due at `t*` concurrently on the run's
+    ///    worker pool (spawned once per run), each machine taking its
+    ///    observations on the worker it was moved to;
     /// 4. merges the round's frames in `(machine, monitor)` order — the
     ///    order `run_all` produces;
     /// 5. shows each frame to every policy, then delivers it to the sink.
@@ -1597,8 +1465,9 @@ impl ClusterSession {
         self.run_rounds(units, threads, refreshes, policies, sink)
     }
 
-    /// Run `units` on the round driver, then hand the sessions back and
-    /// record the run's statistics and applied handovers.
+    /// Run `units` on the round driver over a pool of `threads − 1` workers
+    /// spawned for the whole run, then hand the sessions back and record
+    /// the run's statistics and applied handovers.
     fn run_rounds(
         &mut self,
         units: Vec<WorkUnit>,
@@ -1608,33 +1477,61 @@ impl ClusterSession {
         sink: &mut dyn ClusterFrameSink,
     ) -> Result<Vec<AppliedDecision>, SessionError> {
         let n = units.len();
-        let mut rounds = Rounds {
-            status: vec![Status::Live; n],
-            units,
-            march_all: self.deps.iter().any(|d| d.ev.is_some()),
-            deps: &mut self.deps,
-            handoffs: self.handoffs.clone(),
-            halt: !policies.is_empty(),
-            policies,
-            sink,
-            threads,
-            max_refreshes,
-            first_err: None,
-            stats: RunStats::default(),
-            injected: Vec::new(),
-            applied: Vec::new(),
-            handovers: Vec::new(),
-        };
-        let result = rounds.run();
-        self.last_stats = rounds.stats;
-        self.handovers.append(&mut rounds.handovers);
-        let applied = std::mem::take(&mut rounds.applied);
-        for (unit, status) in rounds.units.into_iter().zip(rounds.status) {
-            if status != Status::Torn {
-                self.shards[unit.index].session = Some(unit.session);
+        std::thread::scope(|scope| {
+            let mut joins = Vec::new();
+            let workers = (1..threads.min(n).max(1))
+                .map(|_| {
+                    let (shares, inbox) = mpsc::channel();
+                    let (outbox, stepped) = mpsc::channel();
+                    joins.push(scope.spawn(move || serve(inbox, outbox, max_refreshes)));
+                    Worker { shares, stepped }
+                })
+                .collect();
+            let mut rounds = Rounds {
+                status: vec![Status::Live; n],
+                units,
+                pool: Pool {
+                    workers,
+                    max_refreshes,
+                },
+                march_all: self.deps.iter().any(|d| d.ev.is_some()),
+                deps: &mut self.deps,
+                handoffs: self.handoffs.clone(),
+                halt: !policies.is_empty(),
+                policies,
+                sink,
+                first_err: None,
+                stats: RunStats::default(),
+                injected: Vec::new(),
+                applied: Vec::new(),
+                handovers: Vec::new(),
+            };
+            let result = rounds.run();
+            let Rounds {
+                units,
+                status,
+                pool,
+                stats,
+                applied,
+                mut handovers,
+                ..
+            } = rounds;
+            // Closing the workers' channels ends their loops. A worker that
+            // died was already reported by the phase that lost it, so a
+            // failed join carries nothing new.
+            drop(pool);
+            for join in joins {
+                let _ = join.join();
             }
-        }
-        result.map(|()| applied)
+            self.last_stats = stats;
+            self.handovers.append(&mut handovers);
+            for unit in units {
+                if status[unit.index] != Status::Torn {
+                    self.shards[unit.index].session = Some(*unit.session);
+                }
+            }
+            result.map(|()| applied)
+        })
     }
 }
 
@@ -1649,29 +1546,14 @@ fn never_stop(monitors: Vec<Box<dyn Monitor + Send>>) -> ToolSet {
         .collect()
 }
 
-/// Frames per [`FrameBatch`] before a worker flushes it to the merge. Big
-/// enough to amortize the channel send and wake-up, small enough that the
-/// merge's run-delivery latency (and its buffering of other queues) stays
-/// a round or two.
-const BATCH_CAP: usize = 32;
-
-/// Per-worker transport configuration of one pool run.
-struct WorkerCfg {
-    /// This worker's merge queue.
-    queue: usize,
-    /// Spent-shell recycling pool, shared with the merge.
-    pool: Arc<ShellPool>,
-}
-
 /// One monitor of one machine: its own interval clock, stop predicate and
 /// observation count.
 struct MonitorSlot {
     monitor: Box<dyn Monitor + Send>,
     until: Until,
-    /// The monitor's name as a shared label / interned id, captured once —
-    /// the hot loop never calls `name()` again.
+    /// The monitor's name as a shared label, captured once — the hot loop
+    /// never calls `name()` again.
     source: Label,
-    source_sym: SymId,
     next_at: SimTime,
     taken: usize,
     done: bool,
@@ -1679,615 +1561,12 @@ struct MonitorSlot {
 
 struct WorkUnit {
     index: usize,
-    id: String,
-    /// The machine id as a shared label / interned id, captured once.
-    label: Label,
-    sym: SymId,
-    session: Session,
+    /// The machine id as a shared label, captured once.
+    id: Label,
+    /// Boxed, so a phase that moves the machine to a worker and back
+    /// moves a pointer, not the whole session.
+    session: Box<Session>,
     slots: Vec<MonitorSlot>,
-}
-
-/// The worker→merge fan-in: one single-producer lane per worker instead of
-/// one shared [`std::sync::mpsc`] channel. A producer appends to its own
-/// lane under an uncontended mutex, so workers never serialize on a shared
-/// sender; the merge thread drains *every* lane per wake-up, so a busy run
-/// pays one park/unpark per drained burst instead of one per message.
-///
-/// The sleep protocol is an eventcount: the consumer publishes `sleeping`
-/// (SeqCst) *before* re-checking the lanes under the signal lock, and a
-/// producer that pushed a message loads `sleeping` (SeqCst) after its push.
-/// Either the producer's load observes the store — and it takes the signal
-/// lock to notify, serializing with the consumer's wait — or the load ran
-/// before the store in the total order, in which case the push it follows
-/// is visible to the consumer's re-check. A missed wake-up is impossible.
-///
-/// Per-lane FIFO is all the merge needs (each merge queue is fed by exactly
-/// one worker); cross-lane interleaving is as unordered as the shared
-/// channel was, and the deterministic merge never depended on it.
-struct LaneHub {
-    lanes: Vec<Mutex<LaneState>>,
-    /// True while the consumer is committing to sleep; producers that see
-    /// it take the signal lock and notify.
-    sleeping: AtomicBool,
-    signal: Mutex<()>,
-    wakeup: Condvar,
-}
-
-struct LaneState {
-    buf: Vec<Msg>,
-    /// Set when the lane's producer is gone (normal return or panic).
-    closed: bool,
-}
-
-/// What one full sweep over the lanes yielded.
-enum LanePoll {
-    /// At least one message was moved into the inbox.
-    Got,
-    /// Nothing buffered, but producers remain.
-    Empty,
-    /// Every lane is closed and drained: the stream is over.
-    Finished,
-}
-
-impl LaneHub {
-    fn new(lanes: usize) -> Arc<Self> {
-        Arc::new(LaneHub {
-            lanes: (0..lanes)
-                .map(|_| {
-                    Mutex::new(LaneState {
-                        buf: Vec::new(),
-                        closed: false,
-                    })
-                })
-                .collect(),
-            sleeping: AtomicBool::new(false),
-            signal: Mutex::new(()),
-            wakeup: Condvar::new(),
-        })
-    }
-
-    /// The single producer handle of lane `lane`. Dropping it (including
-    /// by a panicking worker thread) closes the lane, like an mpsc sender
-    /// disconnect.
-    fn sender(self: &Arc<Self>, lane: usize) -> LaneTx {
-        LaneTx {
-            hub: self.clone(),
-            lane,
-        }
-    }
-
-    /// Wake the consumer if it is parked (or committing to park).
-    fn wake(&self) {
-        if self.sleeping.load(Ordering::SeqCst) {
-            let _guard = self.signal.lock().expect("lane signal poisoned");
-            self.wakeup.notify_one();
-        }
-    }
-
-    /// Sweep every lane once, appending drained messages to `inbox`.
-    fn poll(&self, inbox: &mut Vec<Msg>) -> LanePoll {
-        let mut got = false;
-        let mut open = false;
-        for lane in &self.lanes {
-            let mut state = lane.lock().expect("lane poisoned");
-            if !state.buf.is_empty() {
-                inbox.append(&mut state.buf);
-                got = true;
-            }
-            if !state.closed {
-                open = true;
-            }
-        }
-        if got {
-            LanePoll::Got
-        } else if open {
-            LanePoll::Empty
-        } else {
-            LanePoll::Finished
-        }
-    }
-
-    /// Drain all lanes into `inbox`, blocking until at least one message
-    /// arrives. Returns `false` once every lane is closed and drained.
-    fn recv_all(&self, inbox: &mut Vec<Msg>) -> bool {
-        loop {
-            match self.poll(inbox) {
-                LanePoll::Got => return true,
-                LanePoll::Finished => return false,
-                LanePoll::Empty => {}
-            }
-            let guard = self.signal.lock().expect("lane signal poisoned");
-            self.sleeping.store(true, Ordering::SeqCst);
-            // Re-check after publishing `sleeping`: a producer that pushed
-            // before observing it is caught here, not slept through.
-            let verdict = self.poll(inbox);
-            match verdict {
-                LanePoll::Got | LanePoll::Finished => {
-                    self.sleeping.store(false, Ordering::SeqCst);
-                    return matches!(verdict, LanePoll::Got);
-                }
-                LanePoll::Empty => {
-                    // Spurious wakes loop back through the outer poll.
-                    let _guard = self.wakeup.wait(guard).expect("lane signal poisoned");
-                    self.sleeping.store(false, Ordering::SeqCst);
-                }
-            }
-        }
-    }
-}
-
-/// The producing end of one [`LaneHub`] lane. Not `Clone` — a lane has
-/// exactly one producer, which is what keeps per-queue message order free.
-struct LaneTx {
-    hub: Arc<LaneHub>,
-    lane: usize,
-}
-
-impl LaneTx {
-    fn send(&self, msg: Msg) {
-        {
-            let mut state = self.hub.lanes[self.lane].lock().expect("lane poisoned");
-            state.buf.push(msg);
-        }
-        self.hub.wake();
-    }
-}
-
-impl Drop for LaneTx {
-    fn drop(&mut self) {
-        {
-            let mut state = self.hub.lanes[self.lane].lock().expect("lane poisoned");
-            state.closed = true;
-        }
-        self.hub.wake();
-    }
-}
-
-enum Msg {
-    /// A batch of consecutive frames from one worker's queue.
-    Batch(FrameBatch),
-    /// The queue has no more messages.
-    Done { queue: usize },
-    /// A machine failed; its queue still gets a `Done` when it closes.
-    Failed {
-        machine_index: usize,
-        error: SessionError,
-    },
-}
-
-/// One batched-transport merge queue: batches in arrival order, with a
-/// cursor into the head batch marking how far it has been delivered.
-struct BatchQueue {
-    buf: VecDeque<FrameBatch>,
-    /// Next undelivered frame of the head batch.
-    cursor: usize,
-    /// Still producing: its head bounds what may still arrive.
-    open: bool,
-}
-
-impl Default for BatchQueue {
-    fn default() -> Self {
-        BatchQueue {
-            buf: VecDeque::new(),
-            cursor: 0,
-            open: true,
-        }
-    }
-}
-
-/// A loser (tournament) tree over the merge queues' head keys — the
-/// k-way merge's select-min structure. `tree[0]` names the winning leaf;
-/// each internal node `1..k` stores the leaf that *lost* the match played
-/// there. Replacing one leaf's key replays only the matches on that leaf's
-/// root path — `O(log k)` with no allocation and, unlike a binary heap, no
-/// pop/push pair per delivery: the winner is simply re-seeded in place.
-/// The runner-up (the bound for run delivery) also lives on the winner's
-/// root path, so reading it is `O(log k)` too, against the heap's
-/// pop-peek-push dance.
-struct LoserTree {
-    k: usize,
-    /// `tree[0]`: the overall winner; `tree[1..k]`: the loser per match.
-    tree: Vec<usize>,
-    /// Head key per leaf; `None` means exhausted (+∞).
-    keys: Vec<Option<(SimTime, usize)>>,
-}
-
-impl LoserTree {
-    fn new(k: usize) -> Self {
-        let k = k.max(1);
-        let mut t = LoserTree {
-            k,
-            tree: vec![0; k],
-            keys: vec![None; k],
-        };
-        t.rebuild();
-        t
-    }
-
-    /// Does leaf `a` beat leaf `b`? Exhausted leaves lose to live ones;
-    /// the leaf index breaks exact ties deterministically (merge keys are
-    /// unique across queues, so live ties only occur between `None`s).
-    fn beats(&self, a: usize, b: usize) -> bool {
-        match (&self.keys[a], &self.keys[b]) {
-            (Some(ka), Some(kb)) => (ka, a) < (kb, b),
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => a < b,
-        }
-    }
-
-    /// Bottom-up full rebuild: play every match, storing losers.
-    fn rebuild(&mut self) {
-        let k = self.k;
-        if k == 1 {
-            self.tree[0] = 0;
-            return;
-        }
-        // Leaf `i` sits at external node `k + i`; internal node `n` plays
-        // the winners of `2n` and `2n + 1`.
-        let mut winner_at = vec![0usize; 2 * k];
-        for i in 0..k {
-            winner_at[k + i] = i;
-        }
-        for node in (1..k).rev() {
-            let (a, b) = (winner_at[2 * node], winner_at[2 * node + 1]);
-            let (winner, loser) = if self.beats(a, b) { (a, b) } else { (b, a) };
-            winner_at[node] = winner;
-            self.tree[node] = loser;
-        }
-        self.tree[0] = winner_at[1];
-    }
-
-    /// Replace leaf `leaf`'s key. For the reigning winner this replays
-    /// only its root path: having won every match on the way up, the
-    /// stored losers there are exactly its would-be opponents, so the
-    /// local matches reconstruct the tournament — the classic `O(log k)`
-    /// k-way-merge step, and this merge's hot path (the winner advances
-    /// after every delivered run). For any *other* leaf that invariant
-    /// does not hold (its own path stores the leaf itself at the match it
-    /// lost, and its true opponent lives further up), so the bracket is
-    /// re-seeded instead — the rare path, taken only when an empty queue
-    /// receives a batch, and still just `O(k)` over the worker count.
-    fn set(&mut self, leaf: usize, key: Option<(SimTime, usize)>) {
-        let was_winner = self.tree[0] == leaf;
-        self.keys[leaf] = key;
-        if self.k == 1 {
-            return;
-        }
-        if !was_winner {
-            self.rebuild();
-            return;
-        }
-        let mut winner = leaf;
-        let mut node = (self.k + leaf) / 2;
-        while node >= 1 {
-            let loser = self.tree[node];
-            if self.beats(loser, winner) {
-                self.tree[node] = winner;
-                winner = loser;
-            }
-            node /= 2;
-        }
-        self.tree[0] = winner;
-    }
-
-    /// The leaf holding the minimum key, or `None` once every leaf is
-    /// exhausted.
-    fn winner(&self) -> Option<usize> {
-        let w = self.tree[0];
-        self.keys[w].map(|_| w)
-    }
-
-    /// The minimum key among every *other* leaf — the second-best key.
-    /// The runner-up lost a match directly against the winner, so it is
-    /// one of the losers stored on the winner's root path.
-    fn runner_up(&self) -> Option<(SimTime, usize)> {
-        if self.k == 1 {
-            return None;
-        }
-        let w = self.tree[0];
-        let mut best: Option<(SimTime, usize)> = None;
-        let mut node = (self.k + w) / 2;
-        while node >= 1 {
-            if let Some(key) = self.keys[self.tree[node]] {
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-            node /= 2;
-        }
-        best
-    }
-}
-
-/// The k-way merge over columnar batches — one queue per *worker*. Valid
-/// because a worker always steps its earliest-keyed machine next, so each
-/// worker's concatenated stream is `(time, machine_index)`-ordered; and
-/// since machines are partitioned across workers, no key can appear in two
-/// queues. That turns a per-frame heap pop into **run delivery**: the
-/// head queue delivers every consecutive frame below the other queues'
-/// minimum key with one `on_batch` call, so merge cost per frame drops
-/// from `O(log n)` plus a channel message to amortized `O(1)`. The
-/// frontier is a [`LoserTree`] over the queues' head keys, so advancing
-/// the winning queue replays one root path in place of a heap pop/push.
-///
-/// Spent batch shells are cleared and pushed back into the shared pool for
-/// the workers to refill.
-struct BatchMerger {
-    queues: Vec<BatchQueue>,
-    /// Tournament over each queue's head `(time, machine_index)` key;
-    /// exhausted queues hold `None`.
-    frontier: LoserTree,
-    /// Queues open with nothing undelivered — while any exist, the merge
-    /// must wait on them.
-    blocked: usize,
-    pool: Arc<ShellPool>,
-    delivered: usize,
-    messages: usize,
-    buffered_frames: usize,
-    peak_frames: usize,
-    buffered_bytes: usize,
-    peak_bytes: usize,
-}
-
-impl BatchMerger {
-    fn new(n: usize, pool: Arc<ShellPool>) -> Self {
-        BatchMerger {
-            queues: (0..n).map(|_| BatchQueue::default()).collect(),
-            frontier: LoserTree::new(n),
-            blocked: n,
-            pool,
-            delivered: 0,
-            messages: 0,
-            buffered_frames: 0,
-            peak_frames: 0,
-            buffered_bytes: 0,
-            peak_bytes: 0,
-        }
-    }
-
-    fn stats(&self) -> RunStats {
-        RunStats {
-            frames: self.delivered,
-            batches: self.messages,
-            peak_buffered_frames: self.peak_frames,
-            peak_buffered_bytes: self.peak_bytes,
-        }
-    }
-
-    fn push(&mut self, batch: FrameBatch, sink: &mut dyn ClusterFrameSink) {
-        self.messages += 1;
-        if batch.is_empty() {
-            self.pool.put(batch);
-            return;
-        }
-        let queue = batch.queue();
-        let q = &mut self.queues[queue];
-        if q.buf.is_empty() {
-            let key = batch.first_key().expect("non-empty");
-            self.frontier.set(queue, Some(key));
-            // Per-queue messages are ordered (one worker owns the queue),
-            // so a batch never arrives after Done.
-            if q.open {
-                self.blocked -= 1;
-            }
-        }
-        self.buffered_frames += batch.len();
-        self.buffered_bytes += batch.approx_bytes();
-        self.peak_frames = self.peak_frames.max(self.buffered_frames);
-        self.peak_bytes = self.peak_bytes.max(self.buffered_bytes);
-        q.buf.push_back(batch);
-        self.drain(sink);
-    }
-
-    fn close(&mut self, queue: usize, sink: &mut dyn ClusterFrameSink) {
-        let q = &mut self.queues[queue];
-        if q.open {
-            q.open = false;
-            if q.buf.is_empty() {
-                self.blocked -= 1;
-            }
-        }
-        self.drain(sink);
-    }
-
-    fn drain(&mut self, sink: &mut dyn ClusterFrameSink) {
-        while self.blocked == 0 {
-            let Some(qi) = self.frontier.winner() else {
-                return;
-            };
-            // Keys are unique across queues (machines are partitioned), so
-            // every consecutive head-batch frame strictly below the next
-            // queue's minimum is deliverable in one run.
-            let limit = self.frontier.runner_up();
-            let q = &mut self.queues[qi];
-            let batch = q.buf.front_mut().expect("frontier tracks non-empty queues");
-            let start = q.cursor;
-            let end = match limit {
-                None => batch.len(),
-                Some(lim) => {
-                    let mut end = start;
-                    while end < batch.len() && (batch.time(end), batch.machine_index(end)) < lim {
-                        end += 1;
-                    }
-                    end
-                }
-            };
-            debug_assert!(end > start, "the winning head key is the global minimum");
-            sink.on_batch(batch, start..end);
-            self.delivered += end - start;
-            self.buffered_frames -= end - start;
-            if end == batch.len() {
-                let spent = q.buf.pop_front().expect("head batch exists");
-                self.buffered_bytes = self.buffered_bytes.saturating_sub(spent.approx_bytes());
-                self.pool.put(spent);
-                q.cursor = 0;
-            } else {
-                q.cursor = end;
-            }
-            match q.buf.front() {
-                Some(head) => {
-                    let key = (head.time(q.cursor), head.machine_index(q.cursor));
-                    self.frontier.set(qi, Some(key));
-                }
-                None => {
-                    self.frontier.set(qi, None);
-                    if q.open {
-                        self.blocked += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// One worker of the lane pool: owns a set of machines and always advances
-/// the (machine, monitor) whose next observation is earliest (ties by
-/// machine index, then monitor order), so the global merge frontier keeps
-/// moving and the merger buffers as little as possible.
-///
-/// Step selection runs off a persistent min-heap over every live slot's
-/// (next_at, machine index, monitor order) key: O(log n) per step instead
-/// of an O(n) rescan of every owned slot, which is what dominated the
-/// 1000-machine point. Entries go stale only when their unit leaves
-/// `active` (teardown or failure) or their slot finishes; `slot_of` maps a
-/// popped machine index back to its `active` position, with usize::MAX
-/// marking a retired unit.
-fn run_worker(
-    units: Vec<WorkUnit>,
-    max_refreshes: usize,
-    tx: LaneTx,
-    cfg: WorkerCfg,
-) -> Vec<(usize, Option<Session>)> {
-    let mut finished: Vec<(usize, Option<Session>)> = Vec::new();
-    let mut active: Vec<WorkUnit> = Vec::new();
-    // The batch being filled. Always bound to this worker's queue; flushed
-    // when full and at the end of the run.
-    let mut batch = cfg.pool.take(cfg.queue);
-
-    for mut unit in units {
-        if max_refreshes == 0 || unit.slots.is_empty() {
-            finished.push((unit.index, Some(unit.session)));
-            continue;
-        }
-        let primed = guard(&unit.id, || {
-            for slot in &mut unit.slots {
-                slot.monitor.prime(unit.session.kernel_mut());
-            }
-            Ok(())
-        });
-        match primed {
-            Ok(()) => {
-                let now = unit.session.now();
-                for slot in &mut unit.slots {
-                    slot.next_at = now + slot.monitor.interval();
-                }
-                active.push(unit);
-            }
-            Err(e) => {
-                tx.send(Msg::Failed {
-                    machine_index: unit.index,
-                    error: e,
-                });
-                finished.push((unit.index, None));
-            }
-        }
-    }
-
-    let mut agenda: BinaryHeap<Reverse<(SimTime, usize, usize)>> = BinaryHeap::new();
-    let max_index = active.iter().map(|u| u.index + 1).max().unwrap_or(0);
-    let mut slot_of = vec![usize::MAX; max_index];
-    for (p, u) in active.iter().enumerate() {
-        slot_of[u.index] = p;
-        for (sp, s) in u.slots.iter().enumerate() {
-            agenda.push(Reverse((s.next_at, u.index, sp)));
-        }
-    }
-
-    while let Some(Reverse((at, index, spos))) = agenda.pop() {
-        let pos = slot_of[index];
-        if pos == usize::MAX {
-            // The unit already retired; skip its leftovers.
-            continue;
-        }
-        let unit = &mut active[pos];
-        if unit.slots[spos].done || unit.slots[spos].next_at != at {
-            continue;
-        }
-        let step = {
-            let session = &mut unit.session;
-            let slot = &mut unit.slots[spos];
-            guard(&unit.id, || {
-                session.advance_to(slot.next_at)?;
-                let frame = slot.monitor.observe(session.kernel_mut());
-                let stop = (slot.until)(&frame);
-                Ok((frame, stop))
-            })
-        };
-        match step {
-            Ok((frame, stop)) => {
-                let slot = &mut unit.slots[spos];
-                slot.taken += 1;
-                // Move the frame's rows into the columnar batch — no label
-                // allocation, no per-frame send.
-                batch.push(unit.sym, unit.index, slot.source_sym, slot.taken - 1, frame);
-                if batch.len() >= BATCH_CAP {
-                    flush_batch(&mut batch, &tx, &cfg);
-                }
-                if stop || slot.taken >= max_refreshes {
-                    slot.done = true;
-                } else {
-                    slot.next_at += slot.monitor.interval();
-                    agenda.push(Reverse((slot.next_at, unit.index, spos)));
-                }
-                if unit.slots.iter().all(|s| s.done) {
-                    let mut done = active.swap_remove(pos);
-                    retire_slot(&mut slot_of, done.index, pos, &active);
-                    // A teardown panic tears the shard like an observe
-                    // panic would: surface it and withhold the session.
-                    let torn_down = guard(&done.id, || {
-                        for slot in &mut done.slots {
-                            slot.monitor.teardown(done.session.kernel_mut());
-                        }
-                        Ok(())
-                    });
-                    match torn_down {
-                        Ok(()) => finished.push((done.index, Some(done.session))),
-                        Err(error) => {
-                            tx.send(Msg::Failed {
-                                machine_index: done.index,
-                                error,
-                            });
-                            finished.push((done.index, None));
-                        }
-                    }
-                }
-            }
-            Err(e) => {
-                let failed = active.swap_remove(pos);
-                retire_slot(&mut slot_of, failed.index, pos, &active);
-                // A panic may have torn the shard mid-epoch; only a clean
-                // SessionError hands the session back.
-                let torn = matches!(e, SessionError::ShardPanicked { .. });
-                let error = match e {
-                    e @ SessionError::ShardPanicked { .. } => e,
-                    other => SessionError::Shard {
-                        machine: failed.id.clone(),
-                        error: Box::new(other),
-                    },
-                };
-                tx.send(Msg::Failed {
-                    machine_index: failed.index,
-                    error,
-                });
-                finished.push((failed.index, (!torn).then_some(failed.session)));
-            }
-        }
-    }
-    // Last frames out, then close this worker's queue.
-    flush_batch(&mut batch, &tx, &cfg);
-    tx.send(Msg::Done { queue: cfg.queue });
-    finished
 }
 
 /// One resume-mode checkpoint handoff: `src` publishes the checkpoint at
@@ -2327,23 +1606,22 @@ enum Status {
     Torn,
 }
 
-/// The round-barrier driver behind [`ClusterSession::run_reactive`] and
-/// every scripted run of a cluster whose machines are coupled by live
-/// dependency edges or resume handoffs. The five steps of a round are
-/// documented on `run_reactive`; a scripted run is a run with no policies.
+/// The round-barrier driver behind every cluster run: scripted runs are
+/// runs with no policies. The five steps of a round are documented on
+/// [`ClusterSession::run_reactive`].
 struct Rounds<'a> {
-    /// Every machine, in index order.
+    /// Every machine, in index order. A phase moves its machines to the
+    /// pool and puts them back before the next one starts.
     units: Vec<WorkUnit>,
     /// Per machine index.
     status: Vec<Status>,
+    pool: Pool,
     deps: &'a mut [ClusterDep],
     /// Resume handoffs not yet published: the scripted ones, plus live
     /// resume decisions as they apply.
     handoffs: Vec<Handoff>,
     policies: &'a mut [Box<dyn SchedulerPolicy>],
     sink: &'a mut dyn ClusterFrameSink,
-    threads: usize,
-    max_refreshes: usize,
     /// The run started with live dependency edges: every live machine
     /// marches to each round's instant in passes capped by the edges.
     /// Otherwise only the machines due at the instant advance.
@@ -2366,11 +1644,12 @@ impl Rounds<'_> {
     /// not keep leaked counter fds attached.
     fn run(&mut self) -> Result<(), SessionError> {
         let mut result = self.rounds();
-        for i in 0..self.units.len() {
+        for k in 0..self.units.len() {
+            let unit = &mut self.units[k];
+            let i = unit.index;
             if !matches!(self.status[i], Status::Live | Status::Failed) {
                 continue;
             }
-            let unit = &mut self.units[i];
             let torn_down = guard(&unit.id, || {
                 for slot in &mut unit.slots {
                     slot.monitor.teardown(unit.session.kernel_mut());
@@ -2389,7 +1668,10 @@ impl Rounds<'_> {
                 result = Err(e);
             }
         }
-        if result.is_err() {
+        // A dead worker takes its machines with it: the fleet can no longer
+        // be indexed by machine, and can never run again, so there is
+        // nothing left to keep consistent.
+        if result.is_err() && self.units.len() == self.status.len() {
             self.rollback();
         }
         self.prune_handovers();
@@ -2403,7 +1685,7 @@ impl Rounds<'_> {
         // nothing to observe sits the run out untouched.
         for i in 0..self.units.len() {
             let unit = &mut self.units[i];
-            if self.max_refreshes == 0 || unit.slots.is_empty() {
+            if self.pool.max_refreshes == 0 || unit.slots.is_empty() {
                 self.status[i] = Status::Idle;
                 continue;
             }
@@ -2445,6 +1727,36 @@ impl Rounds<'_> {
             .map(|(u, _)| u)
     }
 
+    /// Move every live machine `to` gives an instant to the pool, advance
+    /// each there (taking its due observations in an observation round),
+    /// and put them back. Returns the outcomes in machine order. Only a
+    /// dead worker fails the phase itself.
+    fn step_on_pool(
+        &mut self,
+        spread: bool,
+        observe: bool,
+        to: impl Fn(&WorkUnit) -> Option<SimTime>,
+    ) -> Result<Vec<Outcome>, SessionError> {
+        let mut tasks = Vec::new();
+        let units = std::mem::replace(&mut self.units, Vec::with_capacity(self.status.len()));
+        for unit in units {
+            match to(&unit).filter(|_| self.status[unit.index] == Status::Live) {
+                Some(to) => tasks.push(Task { unit, to }),
+                None => self.units.push(unit),
+            }
+        }
+        let mut stepped = Vec::with_capacity(tasks.len());
+        let result = self.pool.run(tasks, observe, spread, &mut stepped);
+        let mut outcomes = Vec::with_capacity(stepped.len());
+        for (unit, outcome) in stepped {
+            self.units.push(unit);
+            outcomes.push(outcome);
+        }
+        self.units.sort_by_key(|u| u.index);
+        outcomes.sort_by_key(|o| o.index);
+        result.map(|()| outcomes)
+    }
+
     /// Steps 1 and 2: resolve dependency edges and publish resume
     /// checkpoints up to `t_star`. With live edges every live machine
     /// marches to `t_star` in passes; without them only the machines due
@@ -2463,40 +1775,28 @@ impl Rounds<'_> {
             let mut targets = self.pass_targets(t_star);
             let published = self.publish(t_star, Some(&mut targets));
             self.check()?;
-            let work: Vec<(&mut WorkUnit, SimTime)> = self
-                .units
-                .iter_mut()
-                .zip(&self.status)
-                .zip(targets)
-                .filter_map(|((u, s), t)| {
-                    let t = t.filter(|t| *s == Status::Live && *t > u.session.now())?;
-                    Some((u, t))
-                })
-                .collect();
-            if work.is_empty() {
+            let moved = self.step_on_pool(true, false, |u| {
+                targets[u.index].filter(|t| *t > u.session.now())
+            })?;
+            if moved.is_empty() {
                 if published {
                     continue;
                 }
                 // Unreachable given the epoch floor and build-time
                 // rejection of same-instant resume cycles; defensive.
-                drop(work);
                 let stuck: Vec<String> = self
                     .live()
                     .filter(|u| u.session.now() < t_star)
-                    .map(|u| u.id.clone())
+                    .map(|u| u.id.to_string())
                     .collect();
                 return Err(SessionError::InvalidScenario(format!(
                     "cross-machine dependency stall at {t_star:?}: machines {stuck:?} \
                      cannot advance (mutually gated handoffs)"
                 )));
             }
-            let results = on_workers(self.threads, work, |(u, t)| {
-                let session = &mut u.session;
-                (u.index, guard(&u.id, || session.advance_to(t)))
-            });
-            for (i, r) in results {
-                if let Err(e) = r {
-                    self.fail(i, e, false);
+            for o in moved {
+                if let Err(e) = o.result {
+                    self.fail(o.index, e, false);
                 }
             }
             self.check()?;
@@ -2633,30 +1933,21 @@ impl Rounds<'_> {
     /// since every frame shares `t_star`; show each frame to every policy
     /// and deliver it; then apply the round's decisions.
     fn observe(&mut self, t_star: SimTime) -> Result<(), SessionError> {
-        let max_refreshes = self.max_refreshes;
-        let due: Vec<&mut WorkUnit> = self
-            .units
-            .iter_mut()
-            .zip(&self.status)
-            .filter(|(u, s)| {
-                **s == Status::Live && u.slots.iter().any(|sl| !sl.done && sl.next_at == t_star)
-            })
-            .map(|(u, _)| u)
-            .collect();
+        let due = |u: &WorkUnit| u.slots.iter().any(|s| !s.done && s.next_at == t_star);
         // Taking observations is cheap next to advancing: when the march
-        // already brought every due machine to `t_star`, a worker would
-        // cost more to start than it saves.
-        let threads = if due.iter().all(|u| u.session.now() >= t_star) {
-            1
-        } else {
-            self.threads
-        };
-        let mut round = on_workers(threads, due, |u| observe_due(u, t_star, max_refreshes));
-        round.sort_by_key(|(index, _, _)| *index);
+        // already brought every due machine to `t_star`, handing them to
+        // the workers would cost more than it saves.
+        let spread = self.live().any(|u| due(u) && u.session.now() < t_star);
+        let round = self.step_on_pool(spread, true, |u| due(u).then_some(t_star))?;
 
         let mut decisions: Vec<(String, MigrationDecision)> = Vec::new();
         let mut delivered = 0usize;
-        for (index, frames, r) in round {
+        for Outcome {
+            index,
+            frames,
+            result,
+        } in round
+        {
             for frame in frames {
                 for p in self.policies.iter_mut() {
                     for d in p.observe(&frame) {
@@ -2666,7 +1957,7 @@ impl Rounds<'_> {
                 self.sink.on_frame(frame);
                 delivered += 1;
             }
-            if let Err(e) = r {
+            if let Err(e) = result {
                 self.fail(index, e, false);
             }
         }
@@ -2734,7 +2025,7 @@ impl Rounds<'_> {
             e @ SessionError::ShardPanicked { .. } => e,
             e @ SessionError::InvalidDecision(_) if decided => e,
             other => SessionError::Shard {
-                machine: self.units[i].id.clone(),
+                machine: self.units[i].id.to_string(),
                 error: Box::new(other),
             },
         };
@@ -3002,28 +2293,150 @@ impl Rounds<'_> {
     }
 }
 
-/// Advance one due machine to the round instant and take each of its
-/// observations due then, in monitor order, panics contained. Returns the
-/// machine index, the frames taken, and the failure that stopped it, if
-/// any (frames taken before a failure are still delivered).
-fn observe_due(
-    u: &mut WorkUnit,
-    t_star: SimTime,
+/// One machine handed to the pool for one parallel phase, with the
+/// instant to advance it to.
+struct Task {
+    unit: WorkUnit,
+    to: SimTime,
+}
+
+/// What one [`Task`] did: the frames its machine took (observation rounds
+/// only) and the failure that stopped it, if any. Frames taken before a
+/// failure are still delivered.
+struct Outcome {
+    index: usize,
+    frames: Vec<ClusterFrame>,
+    result: Result<(), SessionError>,
+}
+
+/// One worker's share of a parallel phase.
+struct Share {
+    tasks: Vec<Task>,
+    observe: bool,
+}
+
+/// The calling thread's end of one pool worker: shares go out, stepped
+/// machines come back.
+struct Worker {
+    shares: mpsc::Sender<Share>,
+    stepped: mpsc::Receiver<Vec<(WorkUnit, Outcome)>>,
+}
+
+/// The run's worker pool: `threads − 1` workers spawned once per run by
+/// [`ClusterSession::run_rounds`]. Each parallel phase moves its machines
+/// to the workers by value and gets them back; the calling thread steps
+/// the first share itself, so with one thread — or one machine to move —
+/// nothing crosses a thread.
+struct Pool {
+    workers: Vec<Worker>,
     max_refreshes: usize,
-) -> (usize, Vec<ClusterFrame>, Result<(), SessionError>) {
+}
+
+impl Pool {
+    /// Step every task, and append each machine with its [`Outcome`] to
+    /// `out`, grouped by share. Task `k` goes to share `k mod shares`, so
+    /// machines declared side by side land on different threads. With
+    /// `spread` false the calling thread steps them all. A dead worker is
+    /// reported as a [`SessionError::ShardPanicked`] of the first machine
+    /// of its share; a share it never received is stepped here, one it
+    /// held is lost, and every other machine still comes back.
+    fn run(
+        &self,
+        tasks: Vec<Task>,
+        observe: bool,
+        spread: bool,
+        out: &mut Vec<(WorkUnit, Outcome)>,
+    ) -> Result<(), SessionError> {
+        let shares = if spread {
+            (self.workers.len() + 1).min(tasks.len()).max(1)
+        } else {
+            1
+        };
+        let mut parts: Vec<Vec<Task>> = (0..shares)
+            .map(|_| Vec::with_capacity(tasks.len().div_ceil(shares)))
+            .collect();
+        for (k, task) in tasks.into_iter().enumerate() {
+            parts[k % shares].push(task);
+        }
+        let mut parts = parts.into_iter();
+        let mut mine = parts.next().unwrap_or_default();
+        let mut dead: Option<String> = None;
+        let mut sent: Vec<(&Worker, String)> = Vec::with_capacity(shares - 1);
+        for (worker, part) in self.workers.iter().zip(parts) {
+            let first = part
+                .first()
+                .map(|t| t.unit.id.to_string())
+                .unwrap_or_default();
+            match worker.shares.send(Share {
+                tasks: part,
+                observe,
+            }) {
+                Ok(()) => sent.push((worker, first)),
+                Err(mpsc::SendError(share)) => {
+                    dead.get_or_insert(first);
+                    mine.extend(share.tasks);
+                }
+            }
+        }
+        out.extend(
+            mine.into_iter()
+                .map(|t| step(t, observe, self.max_refreshes)),
+        );
+        for (worker, first) in sent {
+            match worker.stepped.recv() {
+                Ok(stepped) => out.extend(stepped),
+                Err(mpsc::RecvError) => {
+                    dead.get_or_insert(first);
+                }
+            }
+        }
+        match dead {
+            None => Ok(()),
+            Some(machine) => Err(SessionError::ShardPanicked {
+                machine,
+                message: "its cluster worker thread died".into(),
+            }),
+        }
+    }
+}
+
+/// A pool worker: step every share it is sent and send the machines back,
+/// until the pool closes its channel at the end of the run.
+fn serve(
+    shares: mpsc::Receiver<Share>,
+    stepped: mpsc::Sender<Vec<(WorkUnit, Outcome)>>,
+    max_refreshes: usize,
+) {
+    for share in shares {
+        let done = share
+            .tasks
+            .into_iter()
+            .map(|t| step(t, share.observe, max_refreshes))
+            .collect();
+        if stepped.send(done).is_err() {
+            return;
+        }
+    }
+}
+
+/// Advance one machine to its task's instant and, in an observation round,
+/// take each of its observations due then, in monitor order, panics
+/// contained.
+fn step(task: Task, observe: bool, max_refreshes: usize) -> (WorkUnit, Outcome) {
+    let Task { mut unit, to } = task;
+    let u = &mut unit;
     let mut frames = Vec::new();
-    let r = guard(&u.id, || {
-        u.session.advance_to(t_star)?;
-        for slot in u
-            .slots
-            .iter_mut()
-            .filter(|s| !s.done && s.next_at == t_star)
-        {
+    let result = guard(&u.id, || {
+        u.session.advance_to(to)?;
+        if !observe {
+            return Ok(());
+        }
+        for slot in u.slots.iter_mut().filter(|s| !s.done && s.next_at == to) {
             let frame = slot.monitor.observe(u.session.kernel_mut());
             let stop = (slot.until)(&frame);
             slot.taken += 1;
             frames.push(ClusterFrame {
-                machine: u.label.clone(),
+                machine: u.id.clone(),
                 machine_index: u.index,
                 source: slot.source.clone(),
                 seq: slot.taken - 1,
@@ -3037,61 +2450,15 @@ fn observe_due(
         }
         Ok(())
     });
-    (u.index, frames, r)
-}
-
-/// Run `f` on every item across up to `threads` workers: the calling
-/// thread takes the first share and scoped threads the rest, so a phase
-/// with one mover (or one thread) spawns nothing. Results come back grouped
-/// by worker; callers needing machine order sort them.
-fn on_workers<T: Send, R: Send>(
-    threads: usize,
-    items: Vec<T>,
-    f: impl Fn(T) -> R + Sync,
-) -> Vec<R> {
-    let workers = threads.clamp(1, items.len().max(1));
-    if workers == 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let mut parts: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
-    for (k, item) in items.into_iter().enumerate() {
-        parts[k % workers].push(item);
-    }
-    let f = &f;
-    std::thread::scope(|scope| {
-        let mut parts = parts.into_iter();
-        let mine = parts.next().unwrap_or_default();
-        let handles: Vec<_> = parts
-            .map(|part| scope.spawn(move || part.into_iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        let mut out: Vec<R> = mine.into_iter().map(f).collect();
-        for h in handles {
-            // `f` contains shard panics itself; a join error here would be
-            // a bug in the driver.
-            out.extend(h.join().expect("round worker panicked"));
-        }
-        out
-    })
-}
-
-/// Book-keeping for the heap-selection path after `active.swap_remove(pos)`:
-/// void the retired unit's map entry and re-point the unit that moved into
-/// `pos` (the former tail, if any).
-fn retire_slot(slot_of: &mut [usize], removed_index: usize, pos: usize, active: &[WorkUnit]) {
-    slot_of[removed_index] = usize::MAX;
-    if let Some(moved) = active.get(pos) {
-        slot_of[moved.index] = pos;
-    }
-}
-
-/// Send the filled batch to the merge, leaving a fresh (usually recycled)
-/// shell in its place. No-op on an empty batch.
-fn flush_batch(batch: &mut FrameBatch, tx: &LaneTx, cfg: &WorkerCfg) {
-    if batch.is_empty() {
-        return;
-    }
-    let full = std::mem::replace(batch, cfg.pool.take(cfg.queue));
-    tx.send(Msg::Batch(full));
+    let index = unit.index;
+    (
+        unit,
+        Outcome {
+            index,
+            frames,
+            result,
+        },
+    )
 }
 
 /// Reject monitor sets that cannot drive a machine — shared by
@@ -3143,119 +2510,5 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// Compile-time proof that a whole shard (session + stack below it) can
-/// move to a worker thread.
-#[allow(dead_code)]
-fn assert_shard_is_send() {
-    fn is_send<T: Send>() {}
-    is_send::<Session>();
-}
-
-#[cfg(test)]
-mod loser_tree_tests {
-    use super::LoserTree;
-    use tiptop_machine::time::SimTime;
-
-    fn key(t: u64, mi: usize) -> Option<(SimTime, usize)> {
-        Some((SimTime(t), mi))
-    }
-
-    /// The reference answer: a linear scan for the minimum live key.
-    fn naive_winner(keys: &[Option<(SimTime, usize)>]) -> Option<usize> {
-        keys.iter()
-            .enumerate()
-            .filter_map(|(i, k)| k.map(|k| (k, i)))
-            .min()
-            .map(|(_, i)| i)
-    }
-
-    fn naive_runner_up(
-        keys: &[Option<(SimTime, usize)>],
-        winner: usize,
-    ) -> Option<(SimTime, usize)> {
-        keys.iter()
-            .enumerate()
-            .filter(|(i, _)| *i != winner)
-            .filter_map(|(_, k)| *k)
-            .min()
-    }
-
-    fn check(t: &LoserTree, keys: &[Option<(SimTime, usize)>]) {
-        assert_eq!(t.winner(), naive_winner(keys));
-        if let Some(w) = t.winner() {
-            assert_eq!(t.runner_up(), naive_runner_up(keys, w));
-        }
-    }
-
-    #[test]
-    fn non_winner_update_does_not_clobber_the_champion() {
-        // The regression that motivated re-seeding on non-winner updates:
-        // leaf 0 holds the minimum, leaf 1 (exhausted, stored as the loser
-        // of its own match) receives a *larger* key. A naive root-path
-        // replay meets only itself on the way up and overwrites tree[0].
-        let mut t = LoserTree::new(2);
-        t.set(0, key(5, 0));
-        t.set(1, key(7, 1));
-        let keys = [key(5, 0), key(7, 1)];
-        check(&t, &keys);
-        assert_eq!(t.winner(), Some(0));
-    }
-
-    #[test]
-    fn tracks_min_through_mixed_updates() {
-        // Odd width, winner advances, queues empty out and refill — every
-        // state checked against a linear scan.
-        for k in 1..=9usize {
-            let mut t = LoserTree::new(k);
-            let mut keys: Vec<Option<(SimTime, usize)>> = vec![None; k];
-            // Deterministic pseudo-random walk (LCG); no rand dependency.
-            let mut state: u64 = 0x2545_f491_4f6c_dd1d;
-            let mut step = || {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                state >> 33
-            };
-            for round in 0..200 {
-                let r = step();
-                let leaf = (r as usize) % k;
-                // Merge keys are unique across queues: embed the leaf in
-                // the machine-index tie-breaker like the real merge does.
-                let next = if r % 5 == 0 {
-                    None
-                } else {
-                    key(1 + round as u64 * 10 + (r % 7), leaf)
-                };
-                keys[leaf] = next;
-                t.set(leaf, next);
-                check(&t, &keys);
-                // Advance the winner (the hot path) every other round.
-                if round % 2 == 1 {
-                    if let Some(w) = t.winner() {
-                        let bumped = key(1000 + round as u64 * 3, w);
-                        keys[w] = bumped;
-                        t.set(w, bumped);
-                        check(&t, &keys);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn exhausting_every_leaf_empties_the_tree() {
-        let mut t = LoserTree::new(4);
-        for i in 0..4 {
-            t.set(i, key(10 + i as u64, i));
-        }
-        for _ in 0..4 {
-            let w = t.winner().expect("live leaves remain");
-            t.set(w, None);
-        }
-        assert_eq!(t.winner(), None);
-        assert_eq!(t.runner_up(), None);
     }
 }

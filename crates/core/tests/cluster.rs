@@ -94,9 +94,9 @@ fn merged_stream_is_byte_identical_at_1_2_8_and_16_threads() {
     let single = run_at(1);
     assert_eq!(single, run_at(2), "2 workers must not change one byte");
     assert_eq!(single, run_at(8), "8 workers must not change one byte");
-    // 16 lanes into a 4-machine cluster: more lanes than shards, so some
-    // lanes stay empty for the whole run — the loser tree must keep
-    // treating them as +∞ without ever stalling or reordering the merge.
+    // 16 threads for a 4-machine cluster: more threads than shards, so
+    // the pool is clamped to the fleet without stalling or reordering the
+    // merge.
     assert_eq!(single, run_at(16), "16 workers must not change one byte");
     assert!(single.contains("[ppc #4 tiptop]"), "every machine finished");
 }
@@ -1613,7 +1613,7 @@ fn build_rejects_duplicate_ids_and_labels_scenario_errors() {
 
 #[test]
 fn batched_run_coalesces_sends_and_reports_its_frames() {
-    // `run` ships columnar batches: fewer lane messages than frames, and
+    // `run` delivers a round at a time: fewer deliveries than frames, and
     // every frame accounted for in the run statistics. Thread-count
     // identity of the stream is pinned by
     // `merged_stream_is_byte_identical_at_1_2_8_and_16_threads`.
@@ -2329,4 +2329,71 @@ fn last_run_stats_reports_the_reactive_run() {
     );
     assert_eq!(stats.batches, 5, "one merge delivery per round");
     assert_eq!(stats.peak_buffered_frames, 2, "one frame per machine");
+}
+
+/// A [`Tiptop`] that records the thread each of its observations runs on.
+struct ThreadProbe {
+    inner: Tiptop,
+    seen: std::sync::Arc<std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>>,
+}
+
+impl Monitor for ThreadProbe {
+    fn name(&self) -> &str {
+        "thread-probe"
+    }
+
+    fn interval(&self) -> SimDuration {
+        Monitor::interval(&self.inner)
+    }
+
+    fn prime(&mut self, k: &mut Kernel) {
+        self.inner.prime(k);
+    }
+
+    fn observe(&mut self, k: &mut Kernel) -> Frame {
+        self.seen
+            .lock()
+            .unwrap()
+            .insert(std::thread::current().id());
+        Monitor::observe(&mut self.inner, k)
+    }
+}
+
+#[test]
+fn worker_pool_is_spawned_once_per_run() {
+    // A scripted resume handoff couples the two machines, and neither is
+    // at the round instant before its observation, so every round hands
+    // its machines to the pool. Over 24 rounds at 2 threads the
+    // observations must run on the calling thread and the run's one
+    // worker only — never on a thread spawned for a round.
+    let node = |seed: u64| {
+        Scenario::new(MachineConfig::nehalem_w3550().noiseless())
+            .seed(seed)
+            .user(Uid(1), "u1")
+    };
+    let mut session = ClusterScenario::new()
+        .machine(
+            "node-a",
+            node(1).spawn("job", SpawnSpec::new("job", Uid(1), spin(0.8)).seed(5)),
+        )
+        .machine("node-b", node(2))
+        .resume_at(SimTime::from_secs(3), "job", "node-a", "node-b")
+        .build()
+        .unwrap();
+    let seen = std::sync::Arc::new(std::sync::Mutex::new(std::collections::HashSet::new()));
+    let frames = session
+        .run_collect(2, 24, |_| {
+            Box::new(ThreadProbe {
+                inner: *tool(1),
+                seen: seen.clone(),
+            })
+        })
+        .unwrap();
+    assert_eq!(frames.len(), 48, "24 refreshes on each machine");
+    assert_eq!(session.handovers().len(), 1, "the resume handoff ran");
+    let threads = seen.lock().unwrap().len();
+    assert!(
+        threads <= 2,
+        "observations ran on {threads} threads; a 2-thread run owns 2"
+    );
 }
