@@ -18,9 +18,9 @@
 //! [`tournament`] (restart-vs-resume relocation crossed with the
 //! IPC-floor and CUSUM detectors — the checkpoint/restore subsystem
 //! measured as a 2×2 of wall-clock and recovered IPC), [`scaling`]
-//! (the throughput frontier: frames/sec and peak buffered bytes at 10,
-//! 100 and 1000 machines, batched columnar transport against a
-//! legacy-representation baseline measured in the same run),
+//! (the throughput frontier of the round driver: frames/sec and parallel
+//! efficiency at 10, 100 and 1000 machines, swept across worker-thread
+//! counts),
 //! [`policy_lab`] (the pluggable-scheduling payoff: detector × placement
 //! policies crossed with scenarios that also swap the *in-kernel* epoch
 //! planner, ranked by payload wall-clock) and [`pipelines`]

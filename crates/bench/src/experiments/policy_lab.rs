@@ -41,7 +41,7 @@ use tiptop_core::cluster::{
 use tiptop_core::config::ScreenConfig;
 use tiptop_core::monitor::Monitor;
 use tiptop_core::reactive::{
-    AppliedDecision, Balanced, Cusum, IpcFloor, MigrationMode, Population, SchedulerPolicy,
+    AppliedDecision, Balanced, MigrationMode, Population, SchedulerPolicy,
 };
 use tiptop_core::session::cluster_series_for_comm;
 use tiptop_kernel::sched::SchedulerSelect;
@@ -52,8 +52,7 @@ use tiptop_workloads::datacenter::{grid_script, tournament_script, TournamentScr
 use crate::experiments::default_threads;
 use crate::experiments::grid::{DELAY_S, SPARE_NODE, VICTIM_NODE};
 use crate::experiments::tournament::{
-    nodes, render_stream, CANARY, CUSUM_DRIFT, CUSUM_SKIP, CUSUM_THRESHOLD, CUSUM_WARMUP,
-    FLOOR_PATIENCE_REFRESHES, IPC_FLOOR, PAYLOAD,
+    self, nodes, render_stream, Detector, CANARY, CUSUM_SKIP, PAYLOAD,
 };
 use crate::report::{Series, TableReport};
 
@@ -79,9 +78,9 @@ const POP_CONFIRM: usize = 2;
 /// The detector × placement policies the lab ranks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LabPolicy {
-    /// [`IpcFloor`] → fixed spare.
+    /// [`IpcFloor`](tiptop_core::reactive::IpcFloor) → fixed spare.
     Floor,
-    /// [`Cusum`] → fixed spare.
+    /// [`Cusum`](tiptop_core::reactive::Cusum) → fixed spare.
     Cusum,
     /// [`Population`] → [`LeastLoaded`](tiptop_core::reactive::LeastLoaded)
     /// destination.
@@ -239,35 +238,10 @@ fn cluster_for(
 }
 
 fn policy_for(policy: LabPolicy) -> Box<dyn SchedulerPolicy> {
-    let delay = SimDuration::from_secs_f64(DELAY_S);
     let mode = MigrationMode::Resume;
     match policy {
-        LabPolicy::Floor => Box::new(
-            IpcFloor::new(
-                VICTIM_NODE,
-                CANARY,
-                IPC_FLOOR,
-                delay * FLOOR_PATIENCE_REFRESHES,
-                SPARE_NODE,
-            )
-            .source("tiptop")
-            .mode(mode)
-            .evicting(|row| row.comm == PAYLOAD),
-        ),
-        LabPolicy::Cusum => Box::new(
-            Cusum::new(
-                VICTIM_NODE,
-                CANARY,
-                CUSUM_WARMUP,
-                CUSUM_DRIFT,
-                CUSUM_THRESHOLD,
-                SPARE_NODE,
-            )
-            .skip(CUSUM_SKIP)
-            .source("tiptop")
-            .mode(mode)
-            .evicting(|row| row.comm == PAYLOAD),
-        ),
+        LabPolicy::Floor => tournament::policy_for(Detector::IpcFloor, mode),
+        LabPolicy::Cusum => tournament::policy_for(Detector::Cusum, mode),
         LabPolicy::Population => Box::new(
             Balanced::new(
                 Population::new(

@@ -228,7 +228,9 @@ pub(crate) fn nodes(seed: u64, script: &TournamentScript) -> (Scenario, Scenario
     (victim_node, node(seed + 1))
 }
 
-fn policy_for(detector: Detector, mode: MigrationMode) -> Box<dyn SchedulerPolicy> {
+/// The cell's detector, relieving the payload onto the spare in `mode`
+/// (shared with [`policy_lab`](crate::experiments::policy_lab)).
+pub(crate) fn policy_for(detector: Detector, mode: MigrationMode) -> Box<dyn SchedulerPolicy> {
     let delay = SimDuration::from_secs_f64(DELAY_S);
     match detector {
         Detector::IpcFloor => Box::new(

@@ -36,12 +36,14 @@
 //!   pool, and merges their frames deterministically by (time, machine)
 //!   into a streaming [`ClusterFrameSink`];
 //! * [`reactive`] — reactive fleet scheduling: [`SchedulerPolicy`]s
-//!   ([`IpcFloor`] threshold detection, [`Cusum`] change-point detection)
 //!   watch the merged stream during a
 //!   [`ClusterSession::run_reactive`](cluster::ClusterSession::run_reactive)
 //!   and issue live migrations — restart-from-zero or checkpoint/resume
 //!   per [`MigrationMode`] — applied deterministically at the next epoch
-//!   boundary.
+//!   boundary. The detectors ([`IpcFloor`] threshold detection, [`Cusum`]
+//!   and [`Population`] change-point detection) are each a [`Watch`] over
+//!   a [`Statistic`], and [`Balanced`] re-routes any of them to the
+//!   machine [`LeastLoaded`] ranks lowest.
 //!
 //! ## Quickstart
 //!
@@ -107,7 +109,7 @@ pub use monitor::{CollectSink, FrameSink, Monitor};
 pub use procinfo::CpuTracker;
 pub use reactive::{
     AppliedDecision, Balanced, Cusum, IpcFloor, LeastLoaded, MigrationDecision, MigrationMode,
-    Population, SchedulerPolicy,
+    Population, SchedulerPolicy, Statistic, Watch,
 };
 pub use render::{CellSpec, Frame, Row};
 pub use scenario::{DagError, Scenario, Session, SessionError, Trigger, WorkloadEvent};

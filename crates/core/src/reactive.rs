@@ -14,27 +14,21 @@
 //! Decisions are keyed to sim-time, so a reactive run is byte-identical at
 //! any worker-thread count.
 //!
-//! Three built-in policies cover the classic detector families:
+//! Every built-in detector is a [`Watch`] over a [`Statistic`]. The watch
+//! owns what detectors share — target selection, the frame filter, and the
+//! eviction of co-runners to a relief machine in [`MigrationMode::Restart`]
+//! or [`MigrationMode::Resume`] (see
+//! [`Kernel::checkpoint`](tiptop_kernel::kernel::Kernel::checkpoint)); the
+//! statistic only decides, sample by sample, whether to fire:
 //!
-//! * [`IpcFloor`] — threshold detection on a monitored IPC series (the
-//!   simplest online change-point detector): when a watched job's IPC stays
-//!   below a floor for a sustained breach window, every co-running job
-//!   matching an eviction rule is migrated to a relief machine.
-//! * [`Cusum`] — a one-sided CUSUM change-point detector: it calibrates a
-//!   reference IPC over a warmup window, then accumulates downward
-//!   deviations beyond a drift allowance and fires when the cumulative sum
-//!   crosses a decision threshold.
-//! * [`Population`] — a population-based change-point detector in the
-//!   spirit of Prates et al.: the warmup samples form a reference
-//!   *population* (mean and spread), and a change-point is declared once a
-//!   confirmation run of samples falls outside the population's tolerance
-//!   band.
-//!
-//! Either policy can issue its migrations in [`MigrationMode::Restart`]
-//! (the destination re-runs the job from instruction zero) or
-//! [`MigrationMode::Resume`] (the source checkpoints at kill time and the
-//! destination continues mid-program; see
-//! [`Kernel::checkpoint`](tiptop_kernel::kernel::Kernel::checkpoint)).
+//! * [`IpcFloor`] — threshold detection: fire once the watched IPC, seen
+//!   healthy first, stays below a floor for a sustained breach window.
+//! * [`Cusum`] — one-sided CUSUM: calibrate a reference IPC over a warmup
+//!   window, accumulate downward deviations beyond a drift allowance, and
+//!   fire when the sum crosses a decision threshold.
+//! * [`Population`] — after Prates et al.: the warmup samples form a
+//!   reference *population* (μ, σ), and a confirmation run of samples below
+//!   the band μ − kσ declares a change-point.
 //!
 //! Detectors answer *when* to migrate; **placement** answers *where to*.
 //! The built-in detectors name a fixed relief machine, while
@@ -128,64 +122,94 @@ pub trait SchedulerPolicy {
     fn observe(&mut self, frame: &ClusterFrame) -> Vec<MigrationDecision>;
 }
 
+/// What a detector measures: the one part of a [`Watch`] that differs
+/// between detectors. A new detector is only its statistic.
+///
+/// `sample` sees the watched job's IPC series in stream order (only the
+/// samples that pass the watch's frame filter and any
+/// [`skip`](Watch::skip)) and returns `true` to fire on that sample's
+/// frame. Like [`SchedulerPolicy::observe`], it must be deterministic.
+///
+/// ```
+/// use tiptop_core::reactive::{SchedulerPolicy, Statistic, Watch};
+/// use tiptop_core::{render::values_of, ClusterFrame, Frame, Row};
+/// use tiptop_kernel::task::Pid;
+/// use tiptop_machine::time::SimTime;
+///
+/// /// Fire on the first IPC below a fixed level.
+/// struct FirstBelow(f64);
+/// impl Statistic for FirstBelow {
+///     fn sample(&mut self, _t: SimTime, ipc: f64) -> bool {
+///         ipc < self.0
+///     }
+/// }
+/// let mut detector = Watch::with("first-below", FirstBelow(1.0), "node", "victim", "spare");
+///
+/// let row = |pid, user, comm, ipc| Row::new(Pid(pid), user, comm, 0.0, vec![], values_of([("IPC", ipc)]));
+/// let rows = vec![row(1, "alice", "victim", 0.6), row(2, "bob", "batch", 1.3)];
+/// let frame = Frame { time: SimTime::from_secs(2), headers: Vec::new().into(), rows, unobservable: 0 };
+/// let (machine, source) = ("node".into(), "tiptop".into());
+/// let decisions = detector.observe(&ClusterFrame { machine, machine_index: 0, source, seq: 0, frame });
+/// assert_eq!(decisions[0].tag, "batch"); // the other user's job moves to "spare"
+/// ```
+pub trait Statistic {
+    /// Fold in the watched job's IPC sampled at `t`; `true` fires.
+    fn sample(&mut self, t: SimTime, ipc: f64) -> bool;
+}
+
+/// A [`Statistic`] that calibrates on the watched job's own first samples,
+/// so discarding a cold-start ramp with [`Watch::skip`] is meaningful.
+pub trait Calibrating: Statistic {}
+
 /// A custom eviction rule over a triggering frame's rows.
 type EvictRule = Box<dyn FnMut(&Row) -> bool>;
 
-/// Threshold detection on a monitored IPC series: watch one job (`comm`)
-/// on one machine; once its IPC has been seen healthy (at or above
-/// `threshold`) and then stays below the floor for a sustained breach of
-/// at least `cooldown`, evict co-running jobs to the relief machine `to`.
-///
-/// * **Arming** — the policy only reacts to a *drop*: it must first see
-///   the watched IPC at or above the floor (so a cold-start ramp below the
-///   floor never fires it).
-/// * **`cooldown`** — the breach must persist this long before the policy
-///   pays a migration: a debounce against transient dips, and, because the
-///   breach clock resets on firing, a refire throttle too. Zero means
-///   "fire on the first breached frame".
-/// * **Eviction rule** — which rows of the triggering frame to move. The
-///   default evicts every job owned by a different **non-root** user than
-///   the watched victim (the grid-scheduler story: protect the interactive
-///   user, move the batch arrivals — root-owned rows are monitoring/system
-///   plumbing such as tiptop's own modelled self-load task, not grid
-///   jobs); [`IpcFloor::evicting`] installs a custom rule. Each tag is
-///   evicted at most once.
-pub struct IpcFloor {
+/// A detector: one [`Statistic`] watching one job (`comm`) on one machine.
+/// Only frames of that machine (and, with [`source`](Watch::source), of one
+/// monitor) carrying the job's row with a finite IPC reach the statistic.
+/// When it fires, the watch evicts the triggering frame's co-runners to the
+/// relief machine `to`: by default every job of a different **non-root**
+/// user than the victim (protect the interactive user, move the batch
+/// arrivals; root rows are monitoring plumbing such as tiptop's own
+/// self-load task), or whatever [`evicting`](Watch::evicting) selects. The
+/// victim is never evicted, and each tag at most once.
+pub struct Watch<S> {
+    name: &'static str,
     machine: String,
     comm: String,
-    threshold: f64,
-    cooldown: SimDuration,
     to: String,
     mode: MigrationMode,
     /// Only frames of this monitor are considered (`None`: any frame whose
     /// watched row carries a finite IPC).
     source: Option<String>,
-    evict: Option<EvictRule>,
-    armed: bool,
-    breach_since: Option<SimTime>,
+    rule: Option<EvictRule>,
     moved: HashSet<String>,
+    /// Watched samples still to discard before the statistic sees any.
+    skip: usize,
+    stat: S,
 }
 
-impl IpcFloor {
-    pub fn new(
+impl<S: Statistic> Watch<S> {
+    /// Watch `comm` on `machine` with `stat`, relieving onto `to`; `name`
+    /// labels the decisions it fires.
+    pub fn with(
+        name: &'static str,
+        stat: S,
         machine: impl Into<String>,
         comm: impl Into<String>,
-        threshold: f64,
-        cooldown: SimDuration,
         to: impl Into<String>,
     ) -> Self {
-        IpcFloor {
+        Watch {
+            name,
             machine: machine.into(),
             comm: comm.into(),
-            threshold,
-            cooldown,
             to: to.into(),
             mode: MigrationMode::Restart,
             source: None,
-            evict: None,
-            armed: false,
-            breach_since: None,
+            rule: None,
             moved: HashSet::new(),
+            skip: 0,
+            stat,
         }
     }
 
@@ -205,199 +229,51 @@ impl IpcFloor {
     /// Install a custom eviction rule over the triggering frame's rows
     /// (the watched victim itself is never evicted).
     pub fn evicting(mut self, rule: impl FnMut(&Row) -> bool + 'static) -> Self {
-        self.evict = Some(Box::new(rule));
-        self
-    }
-}
-
-/// Shared firing logic: evict the triggering frame's co-runners matching
-/// the rule (default: jobs of a different non-root user than the victim),
-/// each tag at most once across the policy's lifetime.
-#[allow(clippy::too_many_arguments)]
-fn evict_corunners(
-    cf: &ClusterFrame,
-    victim: &Row,
-    machine: &str,
-    to: &str,
-    mode: MigrationMode,
-    evict: &mut Option<EvictRule>,
-    moved: &mut HashSet<String>,
-) -> Vec<MigrationDecision> {
-    let victim_pid = victim.pid;
-    let victim_user = victim.user.clone();
-    let mut out = Vec::new();
-    for row in &cf.frame.rows {
-        if row.pid == victim_pid {
-            continue;
-        }
-        let hit = match evict {
-            Some(rule) => rule(row),
-            None => row.user != victim_user && row.user != "root",
-        };
-        if hit && moved.insert(row.comm.clone()) {
-            out.push(MigrationDecision {
-                tag: row.comm.clone(),
-                from: machine.to_string(),
-                to: to.to_string(),
-                mode,
-            });
-        }
-    }
-    out
-}
-
-impl SchedulerPolicy for IpcFloor {
-    fn name(&self) -> &str {
-        "ipc-floor"
-    }
-
-    fn observe(&mut self, cf: &ClusterFrame) -> Vec<MigrationDecision> {
-        if cf.machine != self.machine || self.source.as_ref().is_some_and(|s| *s != cf.source) {
-            return Vec::new();
-        }
-        let Some(victim) = cf.frame.row_for_comm(&self.comm) else {
-            return Vec::new();
-        };
-        let Some(ipc) = victim.value("IPC").filter(|v| v.is_finite()) else {
-            return Vec::new();
-        };
-        if ipc >= self.threshold {
-            self.armed = true;
-            self.breach_since = None;
-            return Vec::new();
-        }
-        if !self.armed {
-            return Vec::new();
-        }
-        let t = cf.frame.time;
-        let since = *self.breach_since.get_or_insert(t);
-        if t - since < self.cooldown {
-            return Vec::new();
-        }
-        // Fire: evict matching co-runners (each tag at most once) and reset
-        // the breach clock so a continued breach must re-accumulate a full
-        // cooldown before firing again.
-        self.breach_since = None;
-        evict_corunners(
-            cf,
-            victim,
-            &self.machine,
-            &self.to,
-            self.mode,
-            &mut self.evict,
-            &mut self.moved,
-        )
-    }
-}
-
-/// One-sided CUSUM change-point detection on a monitored IPC series: the
-/// classic sequential detector for a *sustained downward shift* in a noisy
-/// signal, dropped in beside [`IpcFloor`] so the `tournament` experiment
-/// can rank the two families.
-///
-/// The first `warmup` watched samples calibrate a reference level `μ` (their
-/// mean) without detecting anything — optionally after [`Cusum::skip`]ping
-/// some leading samples, so a monitor's cold-start ramp doesn't depress the
-/// calibrated baseline. After warmup the policy accumulates downward
-/// deviations beyond a drift allowance,
-///
-/// ```text
-/// S ← max(0, S + (μ − ipc − drift))
-/// ```
-///
-/// and fires when `S > threshold`, evicting co-running jobs matching the
-/// eviction rule (same defaults as [`IpcFloor`]) to the relief machine.
-/// Firing resets `S` to zero, so a persisting shift must re-accumulate the
-/// full threshold before firing again. Unlike a fixed floor, CUSUM needs no
-/// absolute "healthy" level up front — it reacts to a shift *relative to
-/// the job's own calibrated baseline*, and small dips below `μ − drift` are
-/// integrated over time instead of being ignored until a hard floor breaks.
-pub struct Cusum {
-    machine: String,
-    comm: String,
-    skip: usize,
-    warmup: usize,
-    drift: f64,
-    threshold: f64,
-    to: String,
-    mode: MigrationMode,
-    source: Option<String>,
-    evict: Option<EvictRule>,
-    seen: usize,
-    ref_sum: f64,
-    s: f64,
-    moved: HashSet<String>,
-}
-
-impl Cusum {
-    /// Watch `comm` on `machine`; calibrate over `warmup` samples, then
-    /// fire once the cumulative downward deviation (with `drift` slack per
-    /// sample) exceeds `threshold`, relieving onto `to`.
-    pub fn new(
-        machine: impl Into<String>,
-        comm: impl Into<String>,
-        warmup: usize,
-        drift: f64,
-        threshold: f64,
-        to: impl Into<String>,
-    ) -> Self {
-        assert!(warmup > 0, "CUSUM needs at least one calibration sample");
-        Cusum {
-            machine: machine.into(),
-            comm: comm.into(),
-            skip: 0,
-            warmup,
-            drift,
-            threshold,
-            to: to.into(),
-            mode: MigrationMode::Restart,
-            source: None,
-            evict: None,
-            seen: 0,
-            ref_sum: 0.0,
-            s: 0.0,
-            moved: HashSet::new(),
-        }
-    }
-
-    /// Restrict the watched frames to one monitor's.
-    pub fn source(mut self, source: impl Into<String>) -> Self {
-        self.source = Some(source.into());
+        self.rule = Some(Box::new(rule));
         self
     }
 
-    /// Ignore the first `n` watched samples entirely — they neither
-    /// calibrate nor accumulate. A monitor observing a freshly-spawned job
-    /// reports a few ramping samples while caches and tiers warm; including
-    /// them in the calibration mean would depress `μ` below the true
-    /// healthy level and blind the detector to a later downward shift.
+    /// Evict the triggering frame's co-runners matching the rule (default:
+    /// jobs of a different non-root user than the victim), each tag at
+    /// most once across the detector's lifetime.
+    fn evict(&mut self, cf: &ClusterFrame, victim: &Row) -> Vec<MigrationDecision> {
+        let mut out = Vec::new();
+        for row in &cf.frame.rows {
+            if row.pid == victim.pid {
+                continue;
+            }
+            let hit = match &mut self.rule {
+                Some(rule) => rule(row),
+                None => row.user != victim.user && row.user != "root",
+            };
+            if hit && self.moved.insert(row.comm.clone()) {
+                out.push(MigrationDecision {
+                    tag: row.comm.clone(),
+                    from: self.machine.clone(),
+                    to: self.to.clone(),
+                    mode: self.mode,
+                });
+            }
+        }
+        out
+    }
+}
+
+impl<S: Calibrating> Watch<S> {
+    /// Ignore the first `n` watched samples entirely — the statistic never
+    /// sees them. A monitor observing a freshly-spawned job reports a few
+    /// ramping samples while caches and tiers warm; calibrating on them
+    /// would depress the reference below the true healthy level and blind
+    /// the detector to a later downward shift.
     pub fn skip(mut self, n: usize) -> Self {
         self.skip = n;
         self
     }
-
-    /// Issue migrations in this mode (default [`MigrationMode::Restart`]).
-    pub fn mode(mut self, mode: MigrationMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Install a custom eviction rule over the triggering frame's rows
-    /// (the watched victim itself is never evicted).
-    pub fn evicting(mut self, rule: impl FnMut(&Row) -> bool + 'static) -> Self {
-        self.evict = Some(Box::new(rule));
-        self
-    }
-
-    /// The cumulative sum's current value (test/diagnostic introspection).
-    pub fn statistic(&self) -> f64 {
-        self.s
-    }
 }
 
-impl SchedulerPolicy for Cusum {
+impl<S: Statistic> SchedulerPolicy for Watch<S> {
     fn name(&self) -> &str {
-        "cusum"
+        self.name
     }
 
     fn observe(&mut self, cf: &ClusterFrame) -> Vec<MigrationDecision> {
@@ -414,28 +290,222 @@ impl SchedulerPolicy for Cusum {
             self.skip -= 1;
             return Vec::new();
         }
-        if self.seen < self.warmup {
-            self.seen += 1;
-            self.ref_sum += ipc;
+        if !self.stat.sample(cf.frame.time, ipc) {
             return Vec::new();
         }
-        let reference = self.ref_sum / self.warmup as f64;
-        self.s = (self.s + (reference - ipc - self.drift)).max(0.0);
-        if self.s <= self.threshold {
-            return Vec::new();
-        }
-        self.s = 0.0;
-        evict_corunners(
-            cf,
-            victim,
-            &self.machine,
-            &self.to,
-            self.mode,
-            &mut self.evict,
-            &mut self.moved,
-        )
+        self.evict(cf, victim)
     }
 }
+
+/// A calibrating statistic's reference population: the first `warmup`
+/// samples are collected, then frozen into their mean `μ` and population
+/// standard deviation `σ` once, when the last one arrives.
+enum Baseline {
+    Learning { warmup: usize, samples: Vec<f64> },
+    Calibrated { mean: f64, sd: f64 },
+}
+
+impl Baseline {
+    fn new(warmup: usize) -> Self {
+        Baseline::Learning {
+            warmup,
+            samples: Vec::new(),
+        }
+    }
+
+    /// While learning, take `ipc` as a calibration sample and return
+    /// `None`; once calibrated, return `(μ, σ)` and leave `ipc` to the
+    /// caller.
+    fn learn(&mut self, ipc: f64) -> Option<(f64, f64)> {
+        let Baseline::Learning { warmup, samples } = self else {
+            return self.reference();
+        };
+        samples.push(ipc);
+        if samples.len() == *warmup {
+            let n = samples.len() as f64;
+            let mean = samples.iter().sum::<f64>() / n;
+            let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / n;
+            *self = Baseline::Calibrated {
+                mean,
+                sd: var.sqrt(),
+            };
+        }
+        None
+    }
+
+    fn reference(&self) -> Option<(f64, f64)> {
+        match *self {
+            Baseline::Learning { .. } => None,
+            Baseline::Calibrated { mean, sd } => Some((mean, sd)),
+        }
+    }
+}
+
+/// [`IpcFloor`]'s statistic: a floor with a dwell.
+pub struct FloorStat {
+    threshold: f64,
+    cooldown: SimDuration,
+    armed: bool,
+    breach_since: Option<SimTime>,
+}
+
+impl Statistic for FloorStat {
+    fn sample(&mut self, t: SimTime, ipc: f64) -> bool {
+        if ipc >= self.threshold {
+            self.armed = true;
+            self.breach_since = None;
+            return false;
+        }
+        if !self.armed {
+            return false;
+        }
+        let since = *self.breach_since.get_or_insert(t);
+        if t - since < self.cooldown {
+            return false;
+        }
+        // Fire and reset the breach clock, so a continued breach must
+        // re-accumulate a full cooldown before firing again.
+        self.breach_since = None;
+        true
+    }
+}
+
+/// Threshold detection on a monitored IPC series: watch one job (`comm`)
+/// on one machine; once its IPC has been seen healthy (at or above
+/// `threshold`) and then stays below the floor for a sustained breach of
+/// at least `cooldown`, evict co-running jobs to the relief machine `to`.
+///
+/// * **Arming** — the policy only reacts to a *drop*: it must first see
+///   the watched IPC at or above the floor (so a cold-start ramp below the
+///   floor never fires it).
+/// * **`cooldown`** — the breach must persist this long before the policy
+///   pays a migration: a debounce against transient dips, and, because the
+///   breach clock resets on firing, a refire throttle too. Zero means
+///   "fire on the first breached frame".
+pub type IpcFloor = Watch<FloorStat>;
+
+impl IpcFloor {
+    pub fn new(
+        machine: impl Into<String>,
+        comm: impl Into<String>,
+        threshold: f64,
+        cooldown: SimDuration,
+        to: impl Into<String>,
+    ) -> Self {
+        let stat = FloorStat {
+            threshold,
+            cooldown,
+            armed: false,
+            breach_since: None,
+        };
+        Watch::with("ipc-floor", stat, machine, comm, to)
+    }
+}
+
+/// [`Cusum`]'s statistic: a one-sided cumulative sum below the calibrated
+/// mean.
+pub struct CusumStat {
+    baseline: Baseline,
+    drift: f64,
+    threshold: f64,
+    s: f64,
+}
+
+impl Statistic for CusumStat {
+    fn sample(&mut self, _t: SimTime, ipc: f64) -> bool {
+        let Some((reference, _)) = self.baseline.learn(ipc) else {
+            return false;
+        };
+        self.s = (self.s + (reference - ipc - self.drift)).max(0.0);
+        if self.s <= self.threshold {
+            return false;
+        }
+        self.s = 0.0;
+        true
+    }
+}
+
+impl Calibrating for CusumStat {}
+
+/// One-sided CUSUM change-point detection on a monitored IPC series: the
+/// classic sequential detector for a *sustained downward shift* in a noisy
+/// signal, dropped in beside [`IpcFloor`] so the `tournament` experiment
+/// can rank the two families.
+///
+/// The first `warmup` watched samples calibrate a reference level `μ` (their
+/// mean) without detecting anything — optionally after
+/// [`skip`](Watch::skip)ping some leading samples, so a monitor's
+/// cold-start ramp doesn't depress the calibrated baseline. After warmup
+/// the policy accumulates downward deviations beyond a drift allowance,
+///
+/// ```text
+/// S ← max(0, S + (μ − ipc − drift))
+/// ```
+///
+/// and fires when `S > threshold`, evicting co-running jobs matching the
+/// eviction rule (see [`Watch`]) to the relief machine. Firing resets `S`
+/// to zero, so a persisting shift must re-accumulate the full threshold
+/// before firing again. Unlike a fixed floor, CUSUM needs no absolute
+/// "healthy" level up front — it reacts to a shift *relative to the job's
+/// own calibrated baseline*, and small dips below `μ − drift` are
+/// integrated over time instead of being ignored until a hard floor breaks.
+pub type Cusum = Watch<CusumStat>;
+
+impl Cusum {
+    /// Watch `comm` on `machine`; calibrate over `warmup` samples, then
+    /// fire once the cumulative downward deviation (with `drift` slack per
+    /// sample) exceeds `threshold`, relieving onto `to`.
+    pub fn new(
+        machine: impl Into<String>,
+        comm: impl Into<String>,
+        warmup: usize,
+        drift: f64,
+        threshold: f64,
+        to: impl Into<String>,
+    ) -> Self {
+        assert!(warmup > 0, "CUSUM needs at least one calibration sample");
+        let stat = CusumStat {
+            baseline: Baseline::new(warmup),
+            drift,
+            threshold,
+            s: 0.0,
+        };
+        Watch::with("cusum", stat, machine, comm, to)
+    }
+
+    /// The cumulative sum's current value (test/diagnostic introspection).
+    pub fn statistic(&self) -> f64 {
+        self.stat.s
+    }
+}
+
+/// [`Population`]'s statistic: a `μ − kσ` band with a confirmation run.
+pub struct PopulationStat {
+    baseline: Baseline,
+    sigmas: f64,
+    confirm: usize,
+    run: usize,
+}
+
+impl Statistic for PopulationStat {
+    fn sample(&mut self, _t: SimTime, ipc: f64) -> bool {
+        let Some((mean, sd)) = self.baseline.learn(ipc) else {
+            return false;
+        };
+        if ipc >= mean - self.sigmas * sd {
+            self.run = 0;
+            return false;
+        }
+        self.run += 1;
+        if self.run < self.confirm {
+            return false;
+        }
+        self.run = 0;
+        true
+    }
+}
+
+impl Calibrating for PopulationStat {}
 
 /// Population-based change-point detection on a monitored IPC series
 /// (after Prates et al.): rather than a fixed floor or an accumulated sum,
@@ -444,32 +514,18 @@ impl SchedulerPolicy for Cusum {
 /// declares a change-point when `confirm` consecutive samples fall below
 /// the tolerance band `μ − sigmas·σ`.
 ///
-/// * **Calibration** — optionally [`Population::skip`] the cold-start ramp,
-///   then the next `warmup` samples form the population; nothing fires
-///   while calibrating. The band adapts to the job's own noise level: a
-///   jittery signal widens `σ` and keeps ordinary wobble inside the band.
+/// * **Calibration** — optionally [`skip`](Watch::skip) the cold-start
+///   ramp, then the next `warmup` samples form the population; nothing
+///   fires while calibrating. The band adapts to the job's own noise level:
+///   a jittery signal widens `σ` and keeps ordinary wobble inside the band.
 /// * **Confirmation run** — one outlier is not a change-point; a sample
 ///   back inside the band resets the run. Only `confirm` consecutive
 ///   out-of-population samples fire the eviction (the population analogue
 ///   of [`IpcFloor`]'s cooldown).
-/// * Firing evicts co-runners exactly as the other detectors do (same
-///   default rule, same at-most-once dedupe) and resets the run, so a
-///   persisting shift must re-confirm before firing again.
-pub struct Population {
-    machine: String,
-    comm: String,
-    skip: usize,
-    warmup: usize,
-    sigmas: f64,
-    confirm: usize,
-    to: String,
-    mode: MigrationMode,
-    source: Option<String>,
-    evict: Option<EvictRule>,
-    samples: Vec<f64>,
-    run: usize,
-    moved: HashSet<String>,
-}
+/// * Firing evicts co-runners exactly as the other detectors do (see
+///   [`Watch`]) and resets the run, so a persisting shift must re-confirm
+///   before firing again.
+pub type Population = Watch<PopulationStat>;
 
 impl Population {
     /// Watch `comm` on `machine`; calibrate a population over `warmup`
@@ -488,108 +544,24 @@ impl Population {
             "population needs at least one calibration sample"
         );
         assert!(confirm > 0, "confirmation run must be at least one sample");
-        Population {
-            machine: machine.into(),
-            comm: comm.into(),
-            skip: 0,
-            warmup,
+        let stat = PopulationStat {
+            baseline: Baseline::new(warmup),
             sigmas,
             confirm,
-            to: to.into(),
-            mode: MigrationMode::Restart,
-            source: None,
-            evict: None,
-            samples: Vec::new(),
             run: 0,
-            moved: HashSet::new(),
-        }
-    }
-
-    /// Restrict the watched frames to one monitor's.
-    pub fn source(mut self, source: impl Into<String>) -> Self {
-        self.source = Some(source.into());
-        self
-    }
-
-    /// Ignore the first `n` watched samples entirely (cold-start ramp; see
-    /// [`Cusum::skip`]).
-    pub fn skip(mut self, n: usize) -> Self {
-        self.skip = n;
-        self
-    }
-
-    /// Issue migrations in this mode (default [`MigrationMode::Restart`]).
-    pub fn mode(mut self, mode: MigrationMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Install a custom eviction rule over the triggering frame's rows
-    /// (the watched victim itself is never evicted).
-    pub fn evicting(mut self, rule: impl FnMut(&Row) -> bool + 'static) -> Self {
-        self.evict = Some(Box::new(rule));
-        self
+        };
+        Watch::with("population", stat, machine, comm, to)
     }
 
     /// The calibrated `(μ, σ)` of the reference population, once `warmup`
     /// samples are in (test/diagnostic introspection).
     pub fn reference(&self) -> Option<(f64, f64)> {
-        (self.samples.len() >= self.warmup).then(|| {
-            let n = self.samples.len() as f64;
-            let mean = self.samples.iter().sum::<f64>() / n;
-            let var = self.samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / n;
-            (mean, var.sqrt())
-        })
+        self.stat.baseline.reference()
     }
 
     /// Length of the current out-of-population confirmation run.
     pub fn breach_run(&self) -> usize {
-        self.run
-    }
-}
-
-impl SchedulerPolicy for Population {
-    fn name(&self) -> &str {
-        "population"
-    }
-
-    fn observe(&mut self, cf: &ClusterFrame) -> Vec<MigrationDecision> {
-        if cf.machine != self.machine || self.source.as_ref().is_some_and(|s| *s != cf.source) {
-            return Vec::new();
-        }
-        let Some(victim) = cf.frame.row_for_comm(&self.comm) else {
-            return Vec::new();
-        };
-        let Some(ipc) = victim.value("IPC").filter(|v| v.is_finite()) else {
-            return Vec::new();
-        };
-        if self.skip > 0 {
-            self.skip -= 1;
-            return Vec::new();
-        }
-        if self.samples.len() < self.warmup {
-            self.samples.push(ipc);
-            return Vec::new();
-        }
-        let (mean, sd) = self.reference().expect("population is calibrated");
-        if ipc >= mean - self.sigmas * sd {
-            self.run = 0;
-            return Vec::new();
-        }
-        self.run += 1;
-        if self.run < self.confirm {
-            return Vec::new();
-        }
-        self.run = 0;
-        evict_corunners(
-            cf,
-            victim,
-            &self.machine,
-            &self.to,
-            self.mode,
-            &mut self.evict,
-            &mut self.moved,
-        )
+        self.stat.run
     }
 }
 
@@ -897,16 +869,77 @@ mod tests {
         assert_eq!(fired[0].tag, "batch");
     }
 
+    /// Feed `p` every frame the shared filter must drop — each carries a
+    /// sample that would arm, calibrate or use up `skip` if it got through
+    /// — and check none fires or leaves `pristine`; then check a watched
+    /// frame does reach the statistic, so `pristine` is not vacuous.
+    fn assert_filters<S: Statistic>(mut p: Watch<S>, pristine: impl Fn(&Watch<S>) -> bool) {
+        let rows = || vec![("victim", "u1", 1.4), ("batch", "u2", 1.2)];
+        let mut elsewhere = frame_at(1, rows());
+        elsewhere.machine = "other".into();
+        let mut wrong_source = frame_at(1, rows());
+        wrong_source.source = "top".into();
+        let unwatched = frame_at(1, vec![("batch", "u2", 1.2)]);
+        let nan = frame_at(1, vec![("victim", "u1", f64::NAN), ("batch", "u2", 1.2)]);
+        for (what, cf) in [
+            ("another machine", elsewhere),
+            ("another source", wrong_source),
+            ("no watched row", unwatched),
+            ("a NaN IPC", nan),
+        ] {
+            assert!(p.observe(&cf).is_empty(), "{}: {what} fired", p.name());
+            assert!(pristine(&p), "{}: {what} reached the statistic", p.name());
+        }
+        assert!(p.observe(&frame_at(2, rows())).is_empty());
+        assert!(!pristine(&p), "{}: a watched frame was dropped", p.name());
+    }
+
     #[test]
     fn cusum_ignores_other_machines_and_unwatched_frames() {
-        let mut p = Cusum::new("node", "victim", 1, 0.0, 0.1, "spare").source("tiptop");
-        let mut elsewhere = frame_at(1, vec![("victim", "u1", 1.4)]);
-        elsewhere.machine = "other".into();
-        assert!(p.observe(&elsewhere).is_empty());
-        let mut wrong_source = frame_at(1, vec![("victim", "u1", 1.4)]);
-        wrong_source.source = "top".into();
-        assert!(p.observe(&wrong_source).is_empty());
-        assert_eq!(p.statistic(), 0.0, "ignored frames never calibrate");
+        let empty =
+            |b: &Baseline| matches!(b, Baseline::Learning { samples, .. } if samples.is_empty());
+        assert_filters(
+            IpcFloor::new("node", "victim", 1.0, SimDuration::ZERO, "spare").source("tiptop"),
+            |p| !p.stat.armed && p.stat.breach_since.is_none(),
+        );
+        assert_filters(
+            Cusum::new("node", "victim", 1, 0.0, 0.1, "spare")
+                .source("tiptop")
+                .skip(1),
+            |p| p.skip == 1 && empty(&p.stat.baseline) && p.statistic() == 0.0,
+        );
+        assert_filters(
+            Population::new("node", "victim", 1, 0.0, 1, "spare")
+                .source("tiptop")
+                .skip(1),
+            |p| p.skip == 1 && empty(&p.stat.baseline) && p.breach_run() == 0,
+        );
+    }
+
+    #[test]
+    fn population_never_evicts_a_tag_twice() {
+        // Calibrate on 1.4 (σ = 0, confirm = 1): every sample below fires.
+        let mut p = Population::new("node", "victim", 1, 0.0, 1, "spare");
+        assert!(p
+            .observe(&frame_at(1, vec![("victim", "u1", 1.4)]))
+            .is_empty());
+        let fired = p.observe(&frame_at(
+            2,
+            vec![("victim", "u1", 1.0), ("batch", "u2", 1.2)],
+        ));
+        assert_eq!(fired.len(), 1);
+        assert_eq!(fired[0].tag, "batch");
+        // The second firing evicts only the newcomer.
+        let fired = p.observe(&frame_at(
+            3,
+            vec![
+                ("victim", "u1", 1.0),
+                ("batch", "u2", 1.2),
+                ("late", "u3", 1.2),
+            ],
+        ));
+        assert_eq!(fired.len(), 1);
+        assert_eq!(fired[0].tag, "late");
     }
 
     #[test]
