@@ -24,8 +24,16 @@
 //! untouched and instead acts as the regression anchor — CI fails if the
 //! fresh 100-machine frames/sec, at **either** the single-thread or the
 //! 8-thread arm, falls more than 30% below the committed curve.
+//!
+//! One per-layer cost line rides along, report-only: `machine_sample_ns`,
+//! the machine's cost per cache sample on a fixed seeded epoch sequence
+//! (see [`machine_sample_ns`]). No budget gates it yet.
 
 use std::time::Instant;
+
+use tiptop_kernel::program::Phase;
+use tiptop_machine::prelude::*;
+use tiptop_workloads::datacenter::tournament_script;
 
 use tiptop_bench::experiments::{
     fig01_snapshot, fig03_evolution, fig06_07_phases, fig08_ipc_vs_instructions, fig09_compilers,
@@ -111,6 +119,63 @@ fn budget_for(name: &str) -> Option<f64> {
         .map(|(_, base)| base * (1.0 + REGRESSION_ALLOWANCE) + ABSOLUTE_SLACK_SECONDS)
 }
 
+/// Epochs in the [`machine_sample_ns`] sequence.
+const SAMPLE_EPOCHS: u64 = 300;
+
+/// Nanoseconds per cache sample of [`Machine::execute_epoch`] on the
+/// contended node of the burst experiments: the tournament's canary,
+/// payload and five aggressors, one per physical core of a
+/// `datacenter_e5640` sampling 4,096 accesses per slice, through
+/// [`SAMPLE_EPOCHS`] seeded 10 ms epochs. Each slice's CPI hint is its
+/// previous outcome, as the kernel's.
+fn machine_sample_ns() -> f64 {
+    let script = tournament_script(0.01);
+    let mut jobs = vec![script.canary, script.payload];
+    jobs.extend(script.aggressors);
+    let profiles: Vec<ExecProfile> = jobs
+        .iter()
+        .map(|job| match &job.program.phases()[0] {
+            Phase::Compute { profile, .. } => profile.clone(),
+            Phase::Sleep { .. } => unreachable!("every burst job computes"),
+        })
+        .collect();
+    let cfg = MachineConfig::datacenter_e5640().with_samples(4096);
+    let pus: Vec<PuId> = cfg
+        .topology
+        .cores()
+        .map(|core| cfg.topology.pus_of_core(core)[0])
+        .collect();
+    let mut machine = Machine::new(cfg, 7);
+    let mut streams: Vec<TaskStream> = jobs
+        .iter()
+        .zip(1..)
+        .map(|(job, asid)| TaskStream::new(asid, job.seed))
+        .collect();
+    let mut hints = vec![0.0; jobs.len()];
+    let cycles = 26_700_000; // 10 ms at 2.67 GHz
+
+    let t0 = Instant::now();
+    for _ in 0..SAMPLE_EPOCHS {
+        let mut slices: Vec<SliceRequest<'_>> = profiles
+            .iter()
+            .zip(&mut streams)
+            .zip(&pus)
+            .zip(&hints)
+            .map(|(((profile, stream), &pu), &hint)| {
+                SliceRequest::new(pu, profile, stream)
+                    .cycles(cycles)
+                    .cpi_hint(hint)
+            })
+            .collect();
+        for (hint, out) in hints.iter_mut().zip(machine.execute_epoch(&mut slices)) {
+            *hint = out.cycles as f64 / out.instructions.max(1) as f64;
+        }
+    }
+    let elapsed = t0.elapsed().as_secs_f64();
+    let samples: u64 = streams.iter().map(TaskStream::drawn).sum();
+    elapsed * 1e9 / samples as f64
+}
+
 fn main() {
     let mut check = false;
     let mut out_path = "BENCH_experiments.json".to_string();
@@ -184,6 +249,8 @@ fn main() {
     });
     let scaling_result = scaling_result.expect("scaling ran");
     eprintln!("{}", scaling_result.report());
+    let sample_ns = machine_sample_ns();
+    eprintln!("{:>24}  {sample_ns:7.2}ns/sample", "machine_sample_ns");
 
     let committed = std::fs::read_to_string(CLUSTER_JSON).ok();
     let prior_anchor_1t = committed.as_deref().and_then(|s| anchor_fps(s, 1));
@@ -209,7 +276,8 @@ fn main() {
         json.push_str(&format!("    \"{name}\": {t:.3}{comma}\n"));
     }
     json.push_str("  },\n");
-    json.push_str(&format!("  \"total_seconds\": {total:.3}\n}}\n"));
+    json.push_str(&format!("  \"total_seconds\": {total:.3},\n"));
+    json.push_str(&format!("  \"machine_sample_ns\": {sample_ns:.2}\n}}\n"));
 
     std::fs::write(&out_path, &json).expect("write timing json");
     eprintln!("{:>24}  {total:7.2}s", "total");

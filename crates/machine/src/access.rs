@@ -11,7 +11,7 @@
 //! seed and the number of addresses drawn so far.
 
 use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
+use rand::{RngCore, RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// How addresses are drawn within one tier.
@@ -170,17 +170,38 @@ impl TaskStream {
         let offset = match tier.pattern {
             AccessPattern::Sequential => {
                 let o = self.cursors[ti];
-                self.cursors[ti] = (o + 64) % tier.bytes;
+                self.cursors[ti] = wrap_add(o, 64, tier.bytes);
                 o
             }
             AccessPattern::Strided(stride) => {
                 let o = self.cursors[ti];
-                self.cursors[ti] = (o + stride) % tier.bytes;
+                self.cursors[ti] = wrap_add(o, stride, tier.bytes);
                 o
+            }
+            // `random_range(0..bytes)` is `next_u64() % bytes`; for a
+            // power-of-two size that is the low bits.
+            AccessPattern::Random if tier.bytes.is_power_of_two() => {
+                self.rng.next_u64() & (tier.bytes - 1)
             }
             AccessPattern::Random => self.rng.random_range(0..tier.bytes),
         };
         (self.asid << 40) | (mem.bases[ti] + offset)
+    }
+}
+
+/// `(cursor + step) % bytes`, by one compare and subtract when the sum is
+/// below `2 * bytes`: always, for a cursor already inside the tier and a
+/// step smaller than it. A cursor left past the end by an earlier, larger
+/// tier, or a step of a tier or more, falls back to the division.
+#[inline]
+fn wrap_add(cursor: u64, step: u64, bytes: u64) -> u64 {
+    let next = cursor + step;
+    if next < bytes {
+        next
+    } else if next - bytes < bytes {
+        next - bytes
+    } else {
+        next % bytes
     }
 }
 
@@ -257,6 +278,80 @@ mod tests {
         let vc: Vec<u64> = (0..100).map(|_| c.next_addr(&mem)).collect();
         assert_eq!(va, vb);
         assert_ne!(va, vc);
+    }
+
+    /// `next_addr` as it was before division-free draws: `random_range`
+    /// for random offsets and `%` to wrap cursors.
+    fn reference_next_addr(s: &mut TaskStream, mem: &MemoryBehavior) -> u64 {
+        if s.cursors.len() != mem.tiers.len() {
+            s.cursors = vec![0; mem.tiers.len()];
+        }
+        s.drawn += 1;
+        let u: f64 = s.rng.random();
+        let ti = mem.pick_tier(u);
+        let tier = &mem.tiers[ti];
+        let offset = match tier.pattern {
+            AccessPattern::Sequential => {
+                let o = s.cursors[ti];
+                s.cursors[ti] = (o + 64) % tier.bytes;
+                o
+            }
+            AccessPattern::Strided(stride) => {
+                let o = s.cursors[ti];
+                s.cursors[ti] = (o + stride) % tier.bytes;
+                o
+            }
+            AccessPattern::Random => s.rng.random_range(0..tier.bytes),
+        };
+        (s.asid << 40) | (mem.bases[ti] + offset)
+    }
+
+    /// The division-free draw against the reference over 10k draws per
+    /// behaviour: random tiers of power-of-two and other sizes, sequential
+    /// tiers that are not a whole number of lines, strides below, equal to
+    /// and above the tier, and a phase change that leaves cursors past the
+    /// end of smaller tiers.
+    #[test]
+    fn next_addr_matches_the_division_reference() {
+        use AccessPattern::{Random, Sequential, Strided};
+        let tiers = |t: &[(u64, AccessPattern)]| {
+            MemoryBehavior::new(
+                t.iter()
+                    .map(|&(bytes, pattern)| WorkingSetTier::new(bytes, 1.0, pattern))
+                    .collect(),
+            )
+        };
+        let behaviours = [
+            tiers(&[(16 << 10, Random), (4 << 20, Random)]),
+            tiers(&[(5 << 20, Random), (24_000, Random), (64, Random)]),
+            tiers(&[(1000, Sequential), (64 * 7 + 8, Sequential)]),
+            tiers(&[
+                (4096, Strided(192)),
+                (4096, Strided(4096)),
+                (4096, Strided(10_000)),
+            ]),
+            tiers(&[
+                (5000, Strided(4999)),
+                (640, Strided(64)),
+                (100, Strided(250)),
+            ]),
+        ];
+        let shrunk = tiers(&[(200, Sequential), (300, Strided(128)), (96, Strided(64))]);
+        for (b, mem) in behaviours.iter().enumerate() {
+            let mut fast = TaskStream::new(b as u64 + 1, 17 * b as u64);
+            let mut reference = fast.clone();
+            for k in 0..10_000 {
+                // Same tier count, smaller tiers: cursors left past the end.
+                let mem = if b >= 3 && k >= 5_000 { &shrunk } else { mem };
+                assert_eq!(
+                    fast.next_addr(mem),
+                    reference_next_addr(&mut reference, mem),
+                    "behaviour {b}, draw {k}"
+                );
+                assert_eq!(fast.cursors, reference.cursors, "behaviour {b}, draw {k}");
+            }
+            assert_eq!(fast.drawn(), reference.drawn());
+        }
     }
 
     #[test]

@@ -10,6 +10,13 @@
 //! Tags carry the full (address-space-qualified) line address, so two tasks
 //! touching the same virtual addresses still conflict only through capacity,
 //! never through aliasing.
+//!
+//! Every access does the same work whichever way it hits: a set's recency
+//! order *is* the slot order (slot 0 is MRU, slot `ways - 1` the victim), and
+//! an access moves its line to slot 0 with a bitmask lookup and per-slot
+//! selects over a fixed-width array instead of a search and a rotate. The
+//! set index is a mask whenever the set count is a power of two: every
+//! shipped cache but the E5640's 12,288-set L3, which only L2 misses reach.
 
 use serde::{Deserialize, Serialize};
 
@@ -37,15 +44,23 @@ impl CacheGeometry {
     /// Number of sets implied by the geometry.
     ///
     /// Set counts need not be powers of two (the 12 MB L3 of the Xeon E5640
-    /// has 12288 sets); lines are mapped to sets by modulo.
+    /// has 12288 sets). A line maps to set `line mod sets`, which
+    /// [`SetAssocCache`] computes as `line & (sets - 1)` when the set count
+    /// is a power of two.
     ///
     /// # Panics
-    /// Panics if the geometry is degenerate (zero ways/line, a non-power-of-
-    /// two line size, or capacity not a multiple of `ways * line_bytes`).
+    /// Panics if the geometry is degenerate (zero ways/line, more than 64
+    /// ways, a non-power-of-two line size, or capacity not a multiple of
+    /// `ways * line_bytes`).
     pub fn num_sets(&self) -> u64 {
         assert!(
             self.ways > 0 && self.line_bytes > 0,
             "degenerate cache geometry"
+        );
+        assert!(
+            self.ways <= MAX_WAYS,
+            "associativity {} exceeds {MAX_WAYS} ways",
+            self.ways
         );
         assert!(
             self.line_bytes.is_power_of_two(),
@@ -100,36 +115,61 @@ impl AccessOutcome {
 /// with the owning task's address-space id by the caller). `u64::MAX` is
 /// reserved as the invalid tag.
 ///
+/// Each set is `width` slots, the associativity rounded up to a power of
+/// two, and its recency order is the slot position: slot 0 holds the MRU
+/// line and slot `ways - 1` the LRU line, the next victim. No per-way stamps
+/// are kept. Slots past `ways` (only when the associativity is not a power
+/// of two, which no shipped geometry is) stay invalid and never match.
+/// A line's set is `line & (sets - 1)` when the set count is a power of two
+/// and `line % sets` otherwise; the rule is fixed by the geometry in
+/// [`SetAssocCache::new`].
+///
 /// The tag array is allocated **lazily, on the first access**: a machine
 /// whose workload never touches memory (the cluster bench's pure-compute
 /// jobs, any `loads_per_insn == 0` profile) carries the geometry but none
-/// of the `sets × ways × 8` bytes — at fleet scale that is hundreds of KiB
+/// of the `sets × width × 8` bytes — at fleet scale that is hundreds of KiB
 /// per simulated machine that is never paid. An untouched cache behaves
 /// exactly like an all-invalid one: every probe misses, no lines resident.
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     geometry: CacheGeometry,
     line_shift: u32,
-    num_sets: u64,
-    ways: usize,
-    /// `sets * ways` tags, LRU-ordered within each set: index 0 is MRU.
+    /// Slots per set: the associativity rounded up to a power of two.
+    width: u32,
+    index: SetIndex,
+    /// `sets * width` tags, LRU-ordered within each set: index 0 is MRU.
     /// Empty until the first [`SetAssocCache::access`].
     tags: Vec<u64>,
     hits: u64,
     misses: u64,
 }
 
+/// How a line finds its set, fixed by the set count.
+#[derive(Clone, Copy, Debug)]
+enum SetIndex {
+    /// `line & mask`, for a power-of-two set count `mask + 1`.
+    Mask(u64),
+    /// `line % sets`, for any other set count.
+    Modulo(u64),
+}
+
 const INVALID: u64 = u64::MAX;
+
+/// Widest supported set: one bit per way in a `u64` match mask.
+const MAX_WAYS: u32 = 64;
 
 impl SetAssocCache {
     pub fn new(geometry: CacheGeometry) -> Self {
         let sets = geometry.num_sets();
-        let ways = geometry.ways as usize;
         SetAssocCache {
             geometry,
             line_shift: geometry.line_bytes.trailing_zeros(),
-            num_sets: sets,
-            ways,
+            width: geometry.ways.next_power_of_two(),
+            index: if sets.is_power_of_two() {
+                SetIndex::Mask(sets - 1)
+            } else {
+                SetIndex::Modulo(sets)
+            },
             tags: Vec::new(),
             hits: 0,
             misses: 0,
@@ -146,6 +186,17 @@ impl SetAssocCache {
         addr >> self.line_shift
     }
 
+    /// Tags of `line`'s set: its first index and the padded width.
+    #[inline]
+    fn set_of(&self, line: u64) -> (usize, usize) {
+        let set = match self.index {
+            SetIndex::Mask(mask) => line & mask,
+            SetIndex::Modulo(sets) => line % sets,
+        };
+        let width = self.width as usize;
+        (set as usize * width, width)
+    }
+
     /// Access the line containing `addr` (byte address); on miss, fill it.
     /// Returns `true` on hit.
     #[inline]
@@ -154,42 +205,29 @@ impl SetAssocCache {
         debug_assert_ne!(line, INVALID, "reserved tag");
         if self.tags.is_empty() {
             // First touch: materialize the tag array.
-            self.tags = vec![INVALID; self.num_sets as usize * self.ways];
+            let slots = self.geometry.num_sets() as usize * self.width as usize;
+            self.tags = vec![INVALID; slots];
         }
-        let set = (line % self.num_sets) as usize;
-        let base = set * self.ways;
-        let slots = &mut self.tags[base..base + self.ways];
-
-        match slots.iter().position(|&t| t == line) {
-            Some(0) => {
-                self.hits += 1;
-                true
-            }
-            Some(pos) => {
-                // Move to MRU position; order of the others is preserved.
-                slots[..=pos].rotate_right(1);
-                self.hits += 1;
-                true
-            }
-            None => {
-                // Evict LRU (last slot) by shifting everything down.
-                slots.rotate_right(1);
-                slots[0] = line;
-                self.misses += 1;
-                false
-            }
-        }
+        let (base, width) = self.set_of(line);
+        let ways = self.geometry.ways as usize;
+        let hit = access_set(&mut self.tags[base..base + width], line, ways);
+        self.hits += u64::from(hit);
+        self.misses += u64::from(!hit);
+        hit
     }
 
-    /// Is `addr`'s line currently resident? Does not touch LRU state.
+    /// Is `addr`'s line currently resident? Does not touch LRU state: the
+    /// lookup runs on a copy of the set.
     pub fn probe(&self, addr: u64) -> bool {
         if self.tags.is_empty() {
             return false;
         }
         let line = self.line_of(addr);
-        let set = (line % self.num_sets) as usize;
-        let base = set * self.ways;
-        self.tags[base..base + self.ways].contains(&line)
+        let (base, width) = self.set_of(line);
+        let mut set = [INVALID; MAX_WAYS as usize];
+        let set = &mut set[..width];
+        set.copy_from_slice(&self.tags[base..base + width]);
+        access_set(set, line, self.geometry.ways as usize)
     }
 
     /// Lifetime (hits, misses) over all accesses.
@@ -216,9 +254,158 @@ impl SetAssocCache {
     }
 }
 
+/// Access `line` in one set of `set.len()` slots, the first `ways` of them
+/// live: move it to slot 0, filling it over slot `ways - 1` on a miss.
+/// Returns `true` on hit. The one `match` on the padded width instantiates
+/// [`access_fixed`] for every supported associativity.
+#[inline]
+fn access_set(set: &mut [u64], line: u64, ways: usize) -> bool {
+    match set.len() {
+        1 => access_fixed::<1>(set, line, ways),
+        2 => access_fixed::<2>(set, line, ways),
+        4 => access_fixed::<4>(set, line, ways),
+        8 => access_fixed::<8>(set, line, ways),
+        16 => access_fixed::<16>(set, line, ways),
+        32 => access_fixed::<32>(set, line, ways),
+        64 => access_fixed::<64>(set, line, ways),
+        w => unreachable!("set width {w} is not a power of two up to {MAX_WAYS}"),
+    }
+}
+
+/// [`access_set`] over a fixed-width set, in constant work whichever slot
+/// hits. A hit in slot 0 changes nothing. Otherwise the position is the
+/// lowest set bit of the tag-equality mask with the victim slot
+/// `ways - 1` ORed in, so a miss lands on the victim; slots `1..=pos` take
+/// their lower neighbour by per-slot selects and the line goes to slot 0.
+/// This is exactly a right rotation of `set[..=pos]` by one.
+#[inline(always)]
+fn access_fixed<const W: usize>(set: &mut [u64], line: u64, ways: usize) -> bool {
+    let set: &mut [u64; W] = set.try_into().expect("the match passes a set of W slots");
+    if set[0] == line {
+        return true;
+    }
+    let mut equal = 0u64;
+    for (k, &tag) in set.iter().enumerate() {
+        equal |= u64::from(tag == line) << k;
+    }
+    let pos = (equal | 1 << (ways - 1)).trailing_zeros() as usize;
+    let old = *set;
+    for k in 1..W {
+        set[k] = if k <= pos { old[k - 1] } else { old[k] };
+    }
+    set[0] = line;
+    equal != 0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// The cache before constant-work lookups, kept as the reference model:
+    /// `ways` tags per set at `line % sets`, found by a linear search and
+    /// moved to MRU by rotating the set's prefix.
+    struct RotateCache {
+        line_shift: u32,
+        num_sets: u64,
+        ways: usize,
+        tags: Vec<u64>,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl RotateCache {
+        fn new(geometry: CacheGeometry) -> Self {
+            let num_sets = geometry.num_sets();
+            let ways = geometry.ways as usize;
+            RotateCache {
+                line_shift: geometry.line_bytes.trailing_zeros(),
+                num_sets,
+                ways,
+                tags: vec![INVALID; num_sets as usize * ways],
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn set(&self, addr: u64) -> (u64, usize) {
+            let line = addr >> self.line_shift;
+            (line, (line % self.num_sets) as usize * self.ways)
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            let (line, base) = self.set(addr);
+            let slots = &mut self.tags[base..base + self.ways];
+            match slots.iter().position(|&t| t == line) {
+                Some(pos) => {
+                    slots[..=pos].rotate_right(1);
+                    self.hits += 1;
+                    true
+                }
+                None => {
+                    slots.rotate_right(1);
+                    slots[0] = line;
+                    self.misses += 1;
+                    false
+                }
+            }
+        }
+
+        fn probe(&self, addr: u64) -> bool {
+            let (line, base) = self.set(addr);
+            self.tags[base..base + self.ways].contains(&line)
+        }
+
+        fn resident_lines(&self) -> usize {
+            self.tags.iter().filter(|&&t| t != INVALID).count()
+        }
+    }
+
+    /// Seeded streams through `SetAssocCache` and the rotate model, over
+    /// every width class and both set-index rules: hits, statistics,
+    /// resident lines and probes of recently touched lines must agree
+    /// after every access.
+    #[test]
+    fn cache_matches_the_rotate_reference_model() {
+        for ways in [1u32, 2, 3, 8, 12, 16] {
+            for sets in [16u64, 12, 3 << 4] {
+                let geometry = CacheGeometry {
+                    size_bytes: sets * ways as u64 * 64,
+                    ways,
+                    line_bytes: 64,
+                };
+                let mut cache = SetAssocCache::new(geometry);
+                let mut model = RotateCache::new(geometry);
+                let mut rng = SmallRng::seed_from_u64(sets * 100 + ways as u64);
+                let capacity = sets * ways as u64;
+                let mut recent = [0u64; 8];
+                for step in 0..6_000usize {
+                    // Mostly a hot pool smaller than the cache, so hits land
+                    // at every recency position; sometimes a pool three
+                    // times its size, in a second address space.
+                    let addr = if rng.random_range(0..4) == 0 {
+                        (1 << 40) | rng.random_range(0..3 * capacity) << 6
+                    } else {
+                        rng.random_range(0..capacity / 2 + 1) << 6 | rng.random_range(0..64)
+                    };
+                    let ctx = format!("{ways} ways, {sets} sets, access {step}");
+                    assert_eq!(cache.access(addr), model.access(addr), "{ctx}: hit");
+                    assert_eq!(cache.stats(), (model.hits, model.misses), "{ctx}: stats");
+                    assert_eq!(
+                        cache.resident_lines(),
+                        model.resident_lines(),
+                        "{ctx}: resident lines"
+                    );
+                    recent[step % recent.len()] = addr;
+                    for &a in &recent {
+                        assert_eq!(cache.probe(a), model.probe(a), "{ctx}: probe {a:#x}");
+                    }
+                }
+                assert!(cache.stats().0 > 0 && cache.stats().1 > 0);
+            }
+        }
+    }
 
     fn tiny() -> SetAssocCache {
         // 4 sets × 2 ways × 64 B lines = 512 B.
@@ -242,6 +429,17 @@ mod tests {
         CacheGeometry {
             size_bytes: 1000,
             ways: 2,
+            line_bytes: 64,
+        }
+        .num_sets();
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 64 ways")]
+    fn more_than_64_ways_panics() {
+        CacheGeometry {
+            size_bytes: 65 * 64,
+            ways: 65,
             line_bytes: 64,
         }
         .num_sets();
