@@ -25,15 +25,18 @@
 //! fresh 100-machine frames/sec, at **either** the single-thread or the
 //! 8-thread arm, falls more than 30% below the committed curve.
 //!
-//! One per-layer cost line rides along, report-only: `machine_sample_ns`,
+//! Two per-layer cost lines ride along, report-only: `machine_sample_ns`,
 //! the machine's cost per cache sample on a fixed seeded epoch sequence
-//! (see [`machine_sample_ns`]). No budget gates it yet.
+//! (see [`machine_sample_ns`]), and `dag_build_ms`, the median wall time of
+//! `ClusterScenario::build` on a 4,000-stage random DAG over 64 machines
+//! (see [`dag_build_ms`]). No budget gates either yet.
 
 use std::time::Instant;
 
 use tiptop_kernel::program::Phase;
 use tiptop_machine::prelude::*;
 use tiptop_workloads::datacenter::tournament_script;
+use tiptop_workloads::pipelines::random_dag;
 
 use tiptop_bench::experiments::{
     fig01_snapshot, fig03_evolution, fig06_07_phases, fig08_ipc_vs_instructions, fig09_compilers,
@@ -176,6 +179,29 @@ fn machine_sample_ns() -> f64 {
     elapsed * 1e9 / samples as f64
 }
 
+/// Seeds of the [`dag_build_ms`] median.
+const DAG_BUILD_SEEDS: u64 = 5;
+
+/// Median milliseconds of `ClusterScenario::build` over
+/// [`DAG_BUILD_SEEDS`] seeds of a `random_dag` of 4,000 stages on 64
+/// machines (the shape of the benchmark's `dag_lockstep` workload), wired
+/// by [`pipelines::cluster_for`]. Only the build is timed: fleet-wide
+/// dependency validation, edge classification and the 64 machine builds.
+fn dag_build_ms() -> f64 {
+    let mut ms: Vec<f64> = (0..DAG_BUILD_SEEDS)
+        .map(|seed| {
+            let cluster = pipelines::cluster_for(&random_dag(seed, 4000, 64), seed);
+            let t0 = Instant::now();
+            let session = cluster.build().expect("random DAGs are acyclic");
+            let dt = t0.elapsed().as_secs_f64() * 1e3;
+            drop(session);
+            dt
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    ms[ms.len() / 2]
+}
+
 fn main() {
     let mut check = false;
     let mut out_path = "BENCH_experiments.json".to_string();
@@ -251,6 +277,8 @@ fn main() {
     eprintln!("{}", scaling_result.report());
     let sample_ns = machine_sample_ns();
     eprintln!("{:>24}  {sample_ns:7.2}ns/sample", "machine_sample_ns");
+    let build_ms = dag_build_ms();
+    eprintln!("{:>24}  {build_ms:7.2}ms", "dag_build_ms");
 
     let committed = std::fs::read_to_string(CLUSTER_JSON).ok();
     let prior_anchor_1t = committed.as_deref().and_then(|s| anchor_fps(s, 1));
@@ -277,7 +305,8 @@ fn main() {
     }
     json.push_str("  },\n");
     json.push_str(&format!("  \"total_seconds\": {total:.3},\n"));
-    json.push_str(&format!("  \"machine_sample_ns\": {sample_ns:.2}\n}}\n"));
+    json.push_str(&format!("  \"machine_sample_ns\": {sample_ns:.2},\n"));
+    json.push_str(&format!("  \"dag_build_ms\": {build_ms:.2}\n}}\n"));
 
     std::fs::write(&out_path, &json).expect("write timing json");
     eprintln!("{:>24}  {total:7.2}s", "total");

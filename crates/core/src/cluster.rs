@@ -46,14 +46,17 @@
 //!   event on a tag that completes on *another* machine
 //!   ([`Trigger::AfterExit`], via [`Scenario::spawn_after`] and friends):
 //!   a pipeline stage on node B starts when the extract job on node A
-//!   exits. [`ClusterScenario::build`] lifts every dependency edge out of
-//!   the machine scenarios, validates the fleet-wide DAG (typed
-//!   [`DagError`]s for cycles, unknown or migrated-away dependencies),
-//!   hands same-machine chains back to their [`Session`]s, and resolves
-//!   the rest centrally — in scripted and reactive runs alike — with exact
-//!   firing instants.
+//!   exits. One validator checks a machine and a fleet: the one behind
+//!   [`Scenario::build`] runs over every machine's schedule at once in
+//!   [`ClusterScenario::build`], with the same checks, messages and typed
+//!   [`DagError`]s (cycles, unknown or migrated-away dependencies), and
+//!   names the machine hosting each dependency. The build hands
+//!   same-machine chains back to their [`Session`]s and resolves the rest
+//!   centrally — in scripted and reactive runs alike — with exact firing
+//!   instants.
 //!
 //! [`Trigger::AfterExit`]: crate::scenario::Trigger::AfterExit
+//! [`DagError`]: crate::scenario::DagError
 //! [`Scenario::spawn_after`]: crate::scenario::Scenario::spawn_after
 //!
 //! One driver runs every cluster: the **round driver**. At each
@@ -129,7 +132,7 @@ use crate::monitor::Monitor;
 use crate::reactive::{AppliedDecision, MigrationDecision, MigrationMode, SchedulerPolicy};
 use crate::render::{Frame, Row};
 use crate::scenario::validation;
-use crate::scenario::{DagError, HandoffBoard, Scenario, Session, SessionError, WorkloadEvent};
+use crate::scenario::{HandoffBoard, Scenario, Session, SessionError, WorkloadEvent};
 use crate::symbols::{self, Label, SymId};
 
 /// Identity of one machine of the cluster, handed to the per-machine
@@ -805,200 +808,58 @@ impl ClusterScenario {
         }
 
         // ------------------------------------------------------------------
-        // Dependency edges ([`Trigger::AfterExit`]). Lift every dependency-
-        // triggered event out of the machine scenarios, validate the whole
-        // fleet's DAG, then classify each edge: an edge whose dependency
-        // chain is scripted entirely on its own machine goes straight back
-        // (the [`Session`] resolves those natively); everything else —
-        // cross-machine edges, and edges keyed on a tag that is itself
-        // spawned by a cross-machine edge — stays in the cluster's registry
-        // and is resolved centrally by the round driver.
-        let mut drained: Vec<(usize, String, SimDuration, WorkloadEvent)> = Vec::new();
+        // Dependency edges ([`Trigger::AfterExit`]). The validator behind
+        // `Scenario::build` checks every machine's edges against the whole
+        // fleet's schedules (migrations are desugared above, so a migrated
+        // dependency resolves to its last destination) and names the
+        // machine hosting each dependency's final incarnation. Each edge is
+        // then classified: an edge whose dependency chain is scripted
+        // entirely on its own machine goes back to its [`Session`], which
+        // resolves it natively; everything else — cross-machine edges, and
+        // edges keyed on a tag that is itself spawned by a cross-machine
+        // edge — stays in the cluster's registry and is resolved centrally
+        // by the round driver.
+        let hosts = {
+            let schedules: Vec<_> = self.machines.iter().map(|(_, sc)| sc.events()).collect();
+            validation::validate_dag(&schedules, |i, error| SessionError::Shard {
+                machine: self.machines[i].0.clone(),
+                error: Box::new(error),
+            })?
+        };
+        let mut edges: Vec<(usize, String, SimDuration, WorkloadEvent)> = Vec::new();
         for (i, (_, scenario)) in self.machines.iter_mut().enumerate() {
             for (dep, delay, ev) in scenario.drain_deferred() {
-                drained.push((i, dep, delay, ev));
+                edges.push((i, dep, delay, ev));
+            }
+        }
+        // Native to a fixpoint: an edge keyed on a dependency-spawned tag
+        // counts once the edge spawning its dependency went back too.
+        let mut native = vec![false; edges.len()];
+        loop {
+            let mut changed = false;
+            for (k, h) in hosts.iter().enumerate() {
+                if !native[k] && h.host == edges[k].0 && h.dep_edge.is_none_or(|se| native[se]) {
+                    native[k] = true;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
             }
         }
         let mut deps: Vec<ClusterDep> = Vec::new();
-        if !drained.is_empty() {
-            // Where each dependency-spawned tag will live: its spawn is
-            // injected on the machine that declared the edge. One spawn per
-            // tag, and never also a scripted one — incarnations must not
-            // overlap and a dependent tag's timeline is unknown at build
-            // time.
-            let mut deferred_spawn_host: BTreeMap<String, usize> = BTreeMap::new();
-            for (i, _, _, ev) in &drained {
-                if !ev.is_spawn() {
-                    continue;
-                }
-                let tag = ev.tag();
-                if self
-                    .machines
-                    .iter()
-                    .any(|(_, sc)| !sc.spawn_events(tag).is_empty())
-                {
-                    return Err(SessionError::InvalidScenario(format!(
-                        "duplicate spawn tag '{tag}': spawned both at a scripted instant \
-                         and by a dependency edge (incarnations of one tag must not \
-                         overlap)"
-                    )));
-                }
-                if deferred_spawn_host.insert(tag.to_string(), *i).is_some() {
-                    return Err(SessionError::InvalidScenario(format!(
-                        "duplicate spawn tag '{tag}': two dependency-triggered spawns \
-                         (incarnations of one tag must not overlap)"
-                    )));
-                }
-            }
-            // Scripted events must not target dependency-spawned tags.
-            for tag in deferred_spawn_host.keys() {
-                for (_, sc) in &self.machines {
-                    if let Some(at) = sc.first_timed_event_on(tag) {
-                        return Err(SessionError::InvalidDag(
-                            DagError::TimedEventOnDependentTag {
-                                tag: tag.clone(),
-                                at,
-                            },
-                        ));
-                    }
-                }
-            }
-            // Cluster-wide Kahn over the spawn-after edges.
-            {
-                let edges: Vec<(&str, &str)> = drained
-                    .iter()
-                    .filter(|(_, _, _, ev)| ev.is_spawn())
-                    .map(|(_, dep, _, ev)| (dep.as_str(), ev.tag()))
-                    .collect();
-                if let Some(tags) = validation::spawn_edge_cycle(&edges) {
-                    return Err(SessionError::InvalidDag(DagError::Cycle { tags }));
-                }
-            }
-            // Resolve each edge's dependency to the machine hosting its
-            // *final* incarnation. Migrations were desugared into timed
-            // spawns above, so a migrated tag resolves to its last
-            // destination; its completion is that incarnation's exit.
-            let mut resolved: Vec<ResolvedEdge> = Vec::new();
-            for (i, dep, delay, ev) in drained {
-                let host = match deferred_spawn_host.get(&dep) {
-                    Some(h) => *h,
-                    None => {
-                        let mut best: Option<(SimTime, usize)> = None;
-                        let mut tie = false;
-                        for (j, (_, sc)) in self.machines.iter().enumerate() {
-                            let Some(last) = sc.spawn_events(&dep).last().map(|(at, _)| *at) else {
-                                continue;
-                            };
-                            match best {
-                                Some((at, _)) if at == last => tie = true,
-                                Some((at, _)) if at > last => {}
-                                _ => {
-                                    best = Some((last, j));
-                                    tie = false;
-                                }
-                            }
-                        }
-                        match best {
-                            None => {
-                                return Err(SessionError::InvalidDag(DagError::UnknownDependency {
-                                    event_tag: ev.tag().to_string(),
-                                    dependency: dep,
-                                }))
-                            }
-                            Some(_) if tie => {
-                                return Err(SessionError::InvalidScenario(format!(
-                                    "dependency '{dep}' is ambiguous: two machines spawn \
-                                     its final incarnation at the same instant"
-                                )))
-                            }
-                            Some((_, j)) => j,
-                        }
-                    }
-                };
-                // A dependency whose final incarnation is checkpoint-killed
-                // (migrated away and never returned) never completes.
-                if self.machines[host].1.ends_checkpoint_killed(&dep) {
-                    return Err(SessionError::InvalidDag(DagError::DependencyOnKilled {
-                        dependency: dep,
-                    }));
-                }
-                // A non-spawn event applies on the machine that declared it;
-                // its target must live there.
-                if !ev.is_spawn() {
-                    let target = ev.tag();
-                    let on_consumer = !self.machines[i].1.spawn_events(target).is_empty()
-                        || deferred_spawn_host.get(target) == Some(&i);
-                    if !on_consumer {
-                        return Err(SessionError::Shard {
-                            machine: self.machines[i].0.clone(),
-                            error: Box::new(SessionError::InvalidScenario(format!(
-                                "event against unknown tag '{target}'"
-                            ))),
-                        });
-                    }
-                }
-                let min_incarnations = if deferred_spawn_host.contains_key(&dep) {
-                    1
-                } else {
-                    self.machines[host].1.spawn_events(&dep).len().max(1)
-                };
-                resolved.push(ResolvedEdge {
-                    consumer: i,
+        for (((consumer, dep, delay, ev), h), native) in edges.into_iter().zip(hosts).zip(native) {
+            if native {
+                self.machines[consumer].1.defer(dep, delay, ev);
+            } else {
+                deps.push(ClusterDep {
+                    consumer,
                     dep,
+                    host: h.host,
+                    min_incarnations: h.min_incarnations,
                     delay,
-                    ev,
-                    host,
-                    min_incarnations,
+                    ev: Some(ev),
                 });
-            }
-            // Edges whose whole dependency chain is scripted on their own
-            // machine go back to the Session (fixpoint: an edge counts once
-            // the edge spawning its dependency went back too).
-            let mut native: Vec<bool> = resolved
-                .iter()
-                .map(|e| {
-                    e.host == e.consumer
-                        && !self.machines[e.consumer].1.spawn_events(&e.dep).is_empty()
-                })
-                .collect();
-            {
-                let spawn_edge_of: BTreeMap<&str, usize> = resolved
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| e.ev.is_spawn())
-                    .map(|(k, e)| (e.ev.tag(), k))
-                    .collect();
-                loop {
-                    let mut changed = false;
-                    for k in 0..resolved.len() {
-                        if native[k] || resolved[k].host != resolved[k].consumer {
-                            continue;
-                        }
-                        if let Some(&se) = spawn_edge_of.get(resolved[k].dep.as_str()) {
-                            if native[se] && !native[k] {
-                                native[k] = true;
-                                changed = true;
-                            }
-                        }
-                    }
-                    if !changed {
-                        break;
-                    }
-                }
-            }
-            for (k, e) in resolved.into_iter().enumerate() {
-                if native[k] {
-                    self.machines[e.consumer].1.defer(e.dep, e.delay, e.ev);
-                } else {
-                    deps.push(ClusterDep {
-                        consumer: e.consumer,
-                        dep: e.dep,
-                        host: e.host,
-                        min_incarnations: e.min_incarnations,
-                        delay: e.delay,
-                        ev: Some(e.ev),
-                    });
-                }
             }
         }
 
@@ -1025,17 +886,6 @@ impl ClusterScenario {
             last_stats: RunStats::default(),
         })
     }
-}
-
-/// One drained dependency edge with its dependency's host resolved — the
-/// intermediate form between build-time validation and classification.
-struct ResolvedEdge {
-    consumer: usize,
-    dep: String,
-    delay: SimDuration,
-    ev: WorkloadEvent,
-    host: usize,
-    min_incarnations: usize,
 }
 
 /// One cross-machine dependency edge held by the cluster: `ev` fires on

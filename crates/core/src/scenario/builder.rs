@@ -15,7 +15,7 @@ use tiptop_machine::topology::PuId;
 use super::errors::SessionError;
 use super::events::{DeferredEvent, Trigger, WorkloadEvent};
 use super::session::Session;
-use super::validation::{self, DeferredDecl, TagFacts};
+use super::validation::{self, TagFacts};
 
 /// Declarative description of an experiment: machine, seed, users, and a
 /// schedule of [`WorkloadEvent`]s fired by [`Trigger`]s. Build it into a
@@ -286,55 +286,28 @@ impl Scenario {
         self.events.push((Trigger::At(at), ev));
     }
 
-    /// Re-append a dependency-triggered entry — the cluster layer hands
-    /// same-machine edges back after classifying the drained set.
+    /// Every declared event with its trigger, in declaration order — the
+    /// schedule the cluster layer hands to
+    /// [`validation::validate_dag`] with every other machine's.
+    pub(crate) fn events(&self) -> &[(Trigger, WorkloadEvent)] {
+        &self.events
+    }
+
+    /// Re-append a dependency-triggered entry — after the fleet-wide
+    /// [`validation::validate_dag`] pass, the cluster layer hands back the
+    /// edges whose whole dependency chain lives on this machine, and this
+    /// machine's [`Scenario::build`] validates them again as a one-machine
+    /// schedule.
     pub(crate) fn defer(&mut self, dep: String, delay: SimDuration, ev: WorkloadEvent) {
         self.events
             .push((Trigger::AfterExit { tag: dep, delay }, ev));
     }
 
-    /// The earliest *timed* event targeting `tag`, if any — the cluster
-    /// layer's typed rejection of scripted events against
-    /// dependency-spawned tags points at it.
-    pub(crate) fn first_timed_event_on(&self, tag: &str) -> Option<SimTime> {
-        self.events
-            .iter()
-            .filter_map(|(trigger, ev)| match trigger {
-                Trigger::At(at) if ev.tag() == tag => Some(*at),
-                _ => None,
-            })
-            .min()
-    }
-
-    /// Does this machine's timed schedule end `tag`'s life with a
-    /// checkpoint-kill (migrated away, no later spawn)? Its exit then never
-    /// lands here — an after-exit edge keyed on it would wait forever.
-    pub(crate) fn ends_checkpoint_killed(&self, tag: &str) -> bool {
-        let mut evs: Vec<(SimTime, &WorkloadEvent)> = self
-            .events
-            .iter()
-            .filter_map(|(trigger, ev)| match trigger {
-                Trigger::At(at) if ev.tag() == tag => Some((*at, ev)),
-                _ => None,
-            })
-            .collect();
-        evs.sort_by_key(|(at, _)| *at);
-        let mut ends_migrated = false;
-        for (_, ev) in evs {
-            if ev.is_spawn() {
-                ends_migrated = false;
-            } else if matches!(ev, WorkloadEvent::CheckpointKill { .. }) {
-                ends_migrated = true;
-            } else if matches!(ev, WorkloadEvent::Kill { .. }) {
-                ends_migrated = false;
-            }
-        }
-        ends_migrated
-    }
-
     /// Remove and return every dependency-triggered entry, in declaration
-    /// order — the cluster layer lifts them into its cross-machine
-    /// dependency registry and resolves them centrally.
+    /// order — the cluster layer drains them once the fleet-wide
+    /// [`validation::validate_dag`] pass accepted them, keeps the ones that
+    /// cross machines in its registry, and hands the rest back through
+    /// [`Scenario::defer`].
     pub(crate) fn drain_deferred(&mut self) -> Vec<(String, SimDuration, WorkloadEvent)> {
         let mut deferred = Vec::new();
         let mut rest = Vec::with_capacity(self.events.len());
@@ -351,6 +324,16 @@ impl Scenario {
     /// Validate the schedule and build the live [`Session`]. Events at t=0
     /// are applied immediately, so their pids are resolvable right away.
     pub fn build(mut self) -> Result<Session, SessionError> {
+        // Dependency edges first, through the validator a cluster runs over
+        // its whole fleet: no duplicate dependency-triggered spawn, known
+        // deps, no timed event against a dependency-spawned tag, no
+        // dependency that is migrated away for good, an acyclic spawn-after
+        // graph. Running this before the timed walk means a timed event on
+        // a dependency-spawned tag surfaces as the typed DAG error, not as
+        // the walk's "unknown tag". (No dependency edges — every
+        // pre-existing scenario — makes this a no-op.)
+        let hosts = validation::validate_dag(&[&self.events], |_, error| error)?;
+
         // Split the schedule into its timed half and its dependency edges.
         let mut deferred: Vec<(String, SimDuration, WorkloadEvent)> = Vec::new();
         let mut timed: Vec<(SimTime, WorkloadEvent)> = Vec::new();
@@ -363,19 +346,6 @@ impl Scenario {
 
         // Stable by time: same-instant events keep their declaration order.
         timed.sort_by_key(|(at, _)| *at);
-
-        // Dependency edges first: known deps, acyclic spawn-after graph, no
-        // timed event against a dependency-spawned tag, no dependency that
-        // is migrated away for good. Running this before the timed walk
-        // means a timed event on a dependency-spawned tag surfaces as the
-        // typed DAG error, not as the walk's "unknown tag". (No dependency
-        // edges — every pre-existing scenario — makes this a no-op.)
-        let decls: Vec<DeferredDecl<'_>> = deferred
-            .iter()
-            .map(|(dep, _, ev)| DeferredDecl { dep, ev })
-            .collect();
-        validation::validate_dag(&timed, &decls)?;
-        drop(decls);
 
         // First spawn instant per tag, for the "precedes its spawn" message.
         let mut first_spawn: BTreeMap<&str, SimTime> = BTreeMap::new();
@@ -431,23 +401,14 @@ impl Scenario {
         // scripting mistake, so reject it before the kernel boots. (The
         // `CpuSet` constructors still assert internally; scripts that build
         // masks from untrusted input use `CpuSet::try_of`/`try_single`.)
-        let num_pus = self.machine.topology.num_pus();
-        for (at, ev) in &timed {
-            let (tag, cpus, what) = match ev {
-                WorkloadEvent::Pin { tag, cpus } => (tag, cpus, "pin"),
-                WorkloadEvent::Spawn { tag, spec } | WorkloadEvent::ResumeSpawn { tag, spec } => {
-                    (tag, &spec.affinity, "spawn affinity")
-                }
-                _ => continue,
-            };
-            if !(0..num_pus).any(|pu| cpus.allows(PuId(pu))) {
-                return Err(SessionError::InvalidScenario(format!(
-                    "{what} for '{tag}' at {at:?} allows none of the machine's \
-                     {num_pus} PUs"
-                )));
-            }
+        enum When<'a> {
+            At(SimTime),
+            After(&'a str),
         }
-        for (dep, _, ev) in &deferred {
+        let num_pus = self.machine.topology.num_pus();
+        let scheduled = timed.iter().map(|(at, ev)| (When::At(*at), ev));
+        let triggered = deferred.iter().map(|(dep, _, ev)| (When::After(dep), ev));
+        for (when, ev) in scheduled.chain(triggered) {
             let (tag, cpus, what) = match ev {
                 WorkloadEvent::Pin { tag, cpus } => (tag, cpus, "pin"),
                 WorkloadEvent::Spawn { tag, spec } | WorkloadEvent::ResumeSpawn { tag, spec } => {
@@ -456,9 +417,12 @@ impl Scenario {
                 _ => continue,
             };
             if !(0..num_pus).any(|pu| cpus.allows(PuId(pu))) {
+                let when = match when {
+                    When::At(at) => format!("at {at:?}"),
+                    When::After(dep) => format!("(triggered after '{dep}' exits)"),
+                };
                 return Err(SessionError::InvalidScenario(format!(
-                    "{what} for '{tag}' (triggered after '{dep}' exits) allows none of \
-                     the machine's {num_pus} PUs"
+                    "{what} for '{tag}' {when} allows none of the machine's {num_pus} PUs"
                 )));
             }
         }
@@ -492,26 +456,14 @@ impl Scenario {
 
         // A dependency edge fires on its dep's *completion*: the exit of
         // the last incarnation this schedule creates for it.
-        let mut spawn_counts: BTreeMap<String, usize> = BTreeMap::new();
-        for ev in timed
-            .iter()
-            .map(|(_, ev)| ev)
-            .chain(deferred.iter().map(|(_, _, ev)| ev))
-        {
-            if ev.is_spawn() {
-                *spawn_counts.entry(ev.tag().to_string()).or_default() += 1;
-            }
-        }
         let deferred: Vec<DeferredEvent> = deferred
             .into_iter()
-            .map(|(dep, delay, ev)| {
-                let min_incarnations = spawn_counts.get(dep.as_str()).copied().unwrap_or(1).max(1);
-                DeferredEvent {
-                    dep,
-                    min_incarnations,
-                    delay,
-                    ev,
-                }
+            .zip(hosts)
+            .map(|((dep, delay, ev), host)| DeferredEvent {
+                dep,
+                min_incarnations: host.min_incarnations,
+                delay,
+                ev,
             })
             .collect();
 

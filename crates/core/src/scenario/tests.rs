@@ -3,11 +3,13 @@ use crate::app::{Tiptop, TiptopOptions};
 use crate::config::ScreenConfig;
 use tiptop_kernel::errno::Errno;
 use tiptop_kernel::program::Program;
+use tiptop_kernel::sched::CpuSet;
 use tiptop_kernel::task::{SpawnSpec, Uid};
 use tiptop_machine::access::MemoryBehavior;
 use tiptop_machine::config::MachineConfig;
 use tiptop_machine::exec::ExecProfile;
 use tiptop_machine::time::{SimDuration, SimTime};
+use tiptop_machine::topology::PuId;
 
 fn spin() -> Program {
     Program::endless(
@@ -555,5 +557,35 @@ fn live_injected_cycle_rejected() {
     assert!(
         matches!(err, SessionError::InvalidDag(DagError::Cycle { .. })),
         "got {err:?}"
+    );
+}
+
+#[test]
+fn affinity_allowing_no_pu_is_rejected_for_timed_and_triggered_events() {
+    // The Nehalem W3550 has 8 PUs; PU 20 is none of them.
+    let outside = CpuSet::single(PuId(20));
+    let at = SimTime::from_secs(1);
+    let timed = base()
+        .spawn("a", SpawnSpec::new("a", Uid(1), burst(1_000_000)))
+        .pin_at(at, "a", outside)
+        .build()
+        .unwrap_err();
+    assert_eq!(
+        timed,
+        SessionError::InvalidScenario(format!(
+            "pin for 'a' at {at:?} allows none of the machine's 8 PUs"
+        ))
+    );
+    let triggered = base()
+        .spawn("a", SpawnSpec::new("a", Uid(1), burst(1_000_000)))
+        .spawn("b", SpawnSpec::new("b", Uid(1), spin()))
+        .pin_after("a", SimDuration::ZERO, "b", outside)
+        .build()
+        .unwrap_err();
+    assert_eq!(
+        triggered,
+        SessionError::InvalidScenario(
+            "pin for 'b' (triggered after 'a' exits) allows none of the machine's 8 PUs".into()
+        )
     );
 }

@@ -1,21 +1,26 @@
-//! The one event-feasibility checker behind both validation sites, plus the
-//! dependency-DAG validation (Kahn topological sort).
+//! The one owner of schedule validation, for one machine and for a fleet.
 //!
-//! [`Scenario::build`](super::Scenario::build) validates a whole scripted
-//! schedule up front; [`Session::schedule_at`](super::Session::schedule_at)
-//! validates a single event injected mid-run. Both ask the same question —
-//! "is this event feasible against the tag's state at its instant?" — so
-//! both route through [`check_event`] and differ only in how they phrase
-//! the refusal: build time wraps it as
-//! [`SessionError::InvalidScenario`], run time as
-//! [`SessionError::InvalidDecision`].
+//! * **Event feasibility.** [`Scenario::build`](super::Scenario::build)
+//!   validates a whole scripted schedule up front;
+//!   [`Session::schedule_at`](super::Session::schedule_at) validates a
+//!   single event injected mid-run. Both ask the same question — "is this
+//!   event feasible against the tag's state at its instant?" — so both
+//!   route through [`check_event`] and differ only in how they phrase the
+//!   refusal: build time wraps it as [`SessionError::InvalidScenario`], run
+//!   time as [`SessionError::InvalidDecision`].
+//! * **Dependency edges.** [`validate_dag`] checks the after-exit edges of
+//!   every machine's schedule at once — one machine for `Scenario::build`,
+//!   the whole fleet for `ClusterScenario::build` — and resolves the
+//!   machine hosting each dependency's final incarnation. The same checks
+//!   run in the same order at both sites, so a one-machine fleet and its
+//!   lone scenario report the same error.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use tiptop_machine::time::SimTime;
 
 use super::errors::{DagError, SessionError};
-use super::events::WorkloadEvent;
+use super::events::{Trigger, WorkloadEvent};
 
 /// What is known about an event's target tag at the event's instant —
 /// assembled from the build-time schedule walk or from live session state.
@@ -156,47 +161,103 @@ pub(crate) fn check_event(
     }
 }
 
-/// A dependency-triggered event as declared: `(dep, event)` — the edge
-/// `dep → event.tag()` when the event is a spawn.
-pub(crate) struct DeferredDecl<'a> {
-    pub dep: &'a str,
-    pub ev: &'a WorkloadEvent,
+/// Where an edge's dependency completes, as [`validate_dag`] resolved it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct EdgeHost {
+    /// The machine hosting the dependency's final incarnation.
+    pub host: usize,
+    /// Incarnations of the dependency on `host`: the exit of the last one
+    /// is the completion that fires the edge.
+    pub min_incarnations: usize,
+    /// The edge (an index into [`validate_dag`]'s result) whose event
+    /// spawns the dependency, when the dependency is dependency-spawned.
+    pub dep_edge: Option<usize>,
 }
 
-/// Validate the dependency edges of one machine's schedule: every
-/// dependency must be spawned somewhere, spawn-after edges must form a DAG,
-/// a dependency whose final incarnation is checkpoint-killed (migrated
-/// away) can never fire its dependents, and timed events must not target
-/// dependency-spawned tags (their timeline is unknown at build time).
+/// One declared dependency edge: `ev` fires on machine `consumer` after
+/// `dep` completes.
+struct Edge<'a> {
+    consumer: usize,
+    dep: &'a str,
+    ev: &'a WorkloadEvent,
+}
+
+/// What the schedules say about one tag.
+#[derive(Default)]
+struct TagEntry<'a> {
+    /// Timed spawn- and kill-like events as `(machine, instant, event)`:
+    /// machine by machine, each machine's in apply order.
+    timed: Vec<(usize, SimTime, &'a WorkloadEvent)>,
+    /// The edge whose event spawns the tag.
+    spawned_by: Option<usize>,
+}
+
+/// Validate the dependency edges of every machine's schedule (`schedules[m]`
+/// is machine `m`'s timed events and edges, in declaration order) and
+/// resolve each edge's dependency host. The result holds one entry per
+/// edge, machine by machine, each machine's in declaration order. Checked
+/// in this order:
 ///
-/// `timed` is the absolute-instant half of the schedule, already sorted.
+/// 1. a tag is spawned by at most one edge, and never also at a scripted
+///    instant (incarnations must not overlap);
+/// 2. per edge: its dependency is spawned somewhere; no two machines spawn
+///    the dependency's final incarnation at the same instant; a non-spawn
+///    event's target lives on the edge's own machine (the one error scoped
+///    to a machine: `scope(consumer, error)` labels it);
+/// 3. no timed event targets a dependency-spawned tag (its timeline is
+///    unknown at build time);
+/// 4. no dependency's final incarnation is checkpoint-killed (migrated
+///    away, so its exit never lands);
+/// 5. the spawn-after edges form a DAG.
 pub(crate) fn validate_dag(
-    timed: &[(SimTime, WorkloadEvent)],
-    deferred: &[DeferredDecl<'_>],
-) -> Result<(), SessionError> {
-    if deferred.is_empty() {
-        return Ok(());
+    schedules: &[&[(Trigger, WorkloadEvent)]],
+    scope: impl Fn(usize, SessionError) -> SessionError,
+) -> Result<Vec<EdgeHost>, SessionError> {
+    let mut edges: Vec<Edge<'_>> = Vec::new();
+    for (m, schedule) in schedules.iter().enumerate() {
+        for (trigger, ev) in schedule.iter() {
+            if let Trigger::AfterExit { tag, .. } = trigger {
+                edges.push(Edge {
+                    consumer: m,
+                    dep: tag,
+                    ev,
+                });
+            }
+        }
+    }
+    if edges.is_empty() {
+        return Ok(Vec::new());
     }
 
-    // Tags spawned by the timed schedule vs by dependency edges.
-    let timed_spawns: BTreeSet<&str> = timed
-        .iter()
-        .filter(|(_, ev)| ev.is_spawn())
-        .map(|(_, ev)| ev.tag())
-        .collect();
-    let mut deferred_spawns: BTreeSet<&str> = BTreeSet::new();
-    for d in deferred {
-        if !d.ev.is_spawn() {
+    // One index per build: each tag's timed spawns and kills, then the
+    // edge spawning each dependency-spawned tag.
+    let mut index: HashMap<&str, TagEntry<'_>> = HashMap::new();
+    for (m, schedule) in schedules.iter().enumerate() {
+        for (trigger, ev) in schedule.iter() {
+            if let Trigger::At(at) = trigger {
+                if ev.is_spawn() || ev.is_kill() {
+                    index.entry(ev.tag()).or_default().timed.push((m, *at, ev));
+                }
+            }
+        }
+    }
+    for entry in index.values_mut() {
+        // Stable: same-instant events keep declaration order.
+        entry.timed.sort_by_key(|(m, at, _)| (*m, *at));
+    }
+    for (k, e) in edges.iter().enumerate() {
+        if !e.ev.is_spawn() {
             continue;
         }
-        let tag = d.ev.tag();
-        if timed_spawns.contains(tag) {
+        let tag = e.ev.tag();
+        let entry = index.entry(tag).or_default();
+        if entry.timed.iter().any(|(_, _, ev)| ev.is_spawn()) {
             return Err(SessionError::InvalidScenario(format!(
                 "duplicate spawn tag '{tag}': spawned both at a scripted instant and by \
                  a dependency edge (incarnations of one tag must not overlap)"
             )));
         }
-        if !deferred_spawns.insert(tag) {
+        if entry.spawned_by.replace(k).is_some() {
             return Err(SessionError::InvalidScenario(format!(
                 "duplicate spawn tag '{tag}': two dependency-triggered spawns \
                  (incarnations of one tag must not overlap)"
@@ -204,75 +265,135 @@ pub(crate) fn validate_dag(
         }
     }
 
-    // Every dependency and every deferred event's target must be spawned
-    // somewhere.
-    for d in deferred {
-        if !timed_spawns.contains(d.dep) && !deferred_spawns.contains(d.dep) {
-            return Err(SessionError::InvalidDag(DagError::UnknownDependency {
-                event_tag: d.ev.tag().to_string(),
-                dependency: d.dep.to_string(),
-            }));
+    let mut hosts = Vec::with_capacity(edges.len());
+    for e in &edges {
+        let entry = index.get(e.dep);
+        let host = match entry.and_then(|d| d.spawned_by) {
+            Some(k) => EdgeHost {
+                host: edges[k].consumer,
+                min_incarnations: 1,
+                dep_edge: Some(k),
+            },
+            None => final_host(e, entry.map_or(&[], |d| &d.timed))?,
+        };
+        // A non-spawn event applies on the machine that declared it; its
+        // target must live there.
+        if !e.ev.is_spawn() {
+            let target = e.ev.tag();
+            let on_consumer = index.get(target).is_some_and(|t| {
+                t.timed
+                    .iter()
+                    .any(|(m, _, ev)| *m == e.consumer && ev.is_spawn())
+                    || t.spawned_by
+                        .is_some_and(|k| edges[k].consumer == e.consumer)
+            });
+            if !on_consumer {
+                return Err(scope(
+                    e.consumer,
+                    SessionError::InvalidScenario(format!("event against unknown tag '{target}'")),
+                ));
+            }
         }
-        let tag = d.ev.tag();
-        if !d.ev.is_spawn() && !timed_spawns.contains(tag) && !deferred_spawns.contains(tag) {
-            return Err(SessionError::InvalidScenario(format!(
-                "event against unknown tag '{tag}'"
-            )));
-        }
+        hosts.push(host);
     }
 
-    // Timed events must not target dependency-spawned tags.
-    for (at, ev) in timed {
-        if deferred_spawns.contains(ev.tag()) {
+    // Timed events must not target dependency-spawned tags. Each machine
+    // reports its first such event in apply order.
+    let dependent = |tag: &str| index.get(tag).is_some_and(|t| t.spawned_by.is_some());
+    for schedule in schedules {
+        let first = schedule
+            .iter()
+            .filter_map(|(trigger, ev)| match trigger {
+                Trigger::At(at) if dependent(ev.tag()) => Some((*at, ev)),
+                _ => None,
+            })
+            .min_by_key(|(at, _)| *at);
+        if let Some((at, ev)) = first {
             return Err(SessionError::InvalidDag(
                 DagError::TimedEventOnDependentTag {
                     tag: ev.tag().to_string(),
-                    at: *at,
+                    at,
                 },
             ));
         }
     }
 
     // A dependency whose final incarnation is checkpoint-killed never
-    // completes on this schedule.
-    for d in deferred {
-        if dep_ends_checkpoint_killed(timed, d.dep) {
+    // completes.
+    for (e, h) in edges.iter().zip(&hosts) {
+        let on_host = index
+            .get(e.dep)
+            .into_iter()
+            .flat_map(|d| &d.timed)
+            .filter(|(m, _, _)| *m == h.host)
+            .map(|(_, _, ev)| *ev);
+        if dep_ends_checkpoint_killed(on_host) {
             return Err(SessionError::InvalidDag(DagError::DependencyOnKilled {
-                dependency: d.dep.to_string(),
+                dependency: e.dep.to_string(),
             }));
         }
     }
 
     // Kahn topological sort over the spawn-after edges.
-    let edges: Vec<(&str, &str)> = deferred
+    let spawn_edges: Vec<(&str, &str)> = edges
         .iter()
-        .filter(|d| d.ev.is_spawn())
-        .map(|d| (d.dep, d.ev.tag()))
+        .filter(|e| e.ev.is_spawn())
+        .map(|e| (e.dep, e.ev.tag()))
         .collect();
-    if let Some(tags) = spawn_edge_cycle(&edges) {
+    if let Some(tags) = spawn_edge_cycle(&spawn_edges) {
         return Err(SessionError::InvalidDag(DagError::Cycle { tags }));
     }
-    Ok(())
+    Ok(hosts)
 }
 
-/// Does the timed schedule end `dep`'s life with a checkpoint-kill (no
-/// later spawn-like event)? Then its exit never lands here.
-pub(crate) fn dep_ends_checkpoint_killed(timed: &[(SimTime, WorkloadEvent)], dep: &str) -> bool {
-    // Walk in apply order; the last spawn/kill-like event for the tag wins.
-    let mut ends_migrated = false;
-    for (_, ev) in timed {
-        if ev.tag() != dep {
+/// Resolve `e`'s dependency to the machine hosting its final timed
+/// incarnation — the machine whose last spawn of the tag comes latest —
+/// from the tag's [`TagEntry::timed`] events.
+fn final_host(
+    e: &Edge<'_>,
+    timed: &[(usize, SimTime, &WorkloadEvent)],
+) -> Result<EdgeHost, SessionError> {
+    let mut best: Option<(SimTime, EdgeHost)> = None;
+    let mut tie = false;
+    for on_machine in timed.chunk_by(|a, b| a.0 == b.0) {
+        let mut spawns = on_machine.iter().filter(|(_, _, ev)| ev.is_spawn());
+        let Some(&(host, first, _)) = spawns.next() else {
             continue;
-        }
-        if ev.is_spawn() {
-            ends_migrated = false;
-        } else if matches!(ev, WorkloadEvent::CheckpointKill { .. }) {
-            ends_migrated = true;
-        } else if matches!(ev, WorkloadEvent::Kill { .. }) {
-            ends_migrated = false;
+        };
+        let (count, last) = spawns.fold((1, first), |(n, _), (_, at, _)| (n + 1, *at));
+        match best {
+            Some((at, _)) if at == last => tie = true,
+            Some((at, _)) if at > last => {}
+            _ => {
+                let host = EdgeHost {
+                    host,
+                    min_incarnations: count,
+                    dep_edge: None,
+                };
+                best = Some((last, host));
+                tie = false;
+            }
         }
     }
-    ends_migrated
+    match best {
+        None => Err(SessionError::InvalidDag(DagError::UnknownDependency {
+            event_tag: e.ev.tag().to_string(),
+            dependency: e.dep.to_string(),
+        })),
+        Some(_) if tie => Err(SessionError::InvalidScenario(format!(
+            "dependency '{}' is ambiguous: two machines spawn its final incarnation at \
+             the same instant",
+            e.dep
+        ))),
+        Some((_, host)) => Ok(host),
+    }
+}
+
+/// Does a machine's timed history of a tag (its spawn- and kill-like
+/// events, in apply order) end with a checkpoint-kill? Then the tag is
+/// migrated away for good and its exit never lands there.
+fn dep_ends_checkpoint_killed<'a>(history: impl Iterator<Item = &'a WorkloadEvent>) -> bool {
+    matches!(history.last(), Some(WorkloadEvent::CheckpointKill { .. }))
 }
 
 /// Kahn topological sort over `dep → spawned-tag` edges; `Some(tags)` (the

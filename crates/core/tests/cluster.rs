@@ -2081,66 +2081,240 @@ fn resume_handoff_in_a_dependency_cluster_publishes_before_its_consumer_crosses_
     }
 }
 
-#[test]
-fn cluster_dependency_cycle_is_a_typed_error() {
-    let node = |seed: u64| {
-        Scenario::new(MachineConfig::nehalem_w3550().noiseless())
-            .seed(seed)
-            .user(Uid(1), "u1")
+/// One build-time rejection of a fleet's dependency edges: the machines'
+/// scenarios (named `node-a`, `node-b`, ... in order) and the error
+/// `ClusterScenario::build` reports.
+struct DagRejection {
+    name: &'static str,
+    machines: fn() -> Vec<Scenario>,
+    error: SessionError,
+}
+
+fn dag_node(seed: u64) -> Scenario {
+    Scenario::new(MachineConfig::nehalem_w3550().noiseless())
+        .seed(seed)
+        .user(Uid(1), "u1")
+}
+
+fn dag_rejections() -> Vec<DagRejection> {
+    let scenario = |msg: &str| SessionError::InvalidScenario(msg.to_string());
+    let scripted_and_edge = scenario(
+        "duplicate spawn tag 'x': spawned both at a scripted instant and by a dependency \
+         edge (incarnations of one tag must not overlap)",
+    );
+    let two_edges = scenario(
+        "duplicate spawn tag 'x': two dependency-triggered spawns (incarnations of one tag \
+         must not overlap)",
+    );
+    let timed_on_dependent = SessionError::InvalidDag(DagError::TimedEventOnDependentTag {
+        tag: "x".into(),
+        at: SimTime::from_secs(2),
+    });
+    let cycle = SessionError::InvalidDag(DagError::Cycle {
+        tags: vec!["x".into(), "y".into()],
+    });
+    let unknown_dependency = SessionError::InvalidDag(DagError::UnknownDependency {
+        event_tag: "y".into(),
+        dependency: "ghost".into(),
+    });
+    let unknown_target = |machine: &str| SessionError::Shard {
+        machine: machine.into(),
+        error: Box::new(scenario("event against unknown tag 't'")),
     };
-    let err = ClusterScenario::new()
-        .machine(
-            "node-a",
-            node(1)
-                .spawn("seed", work("seed", 0.8, 100_000_000, 1))
-                .spawn_after("x", SimDuration::ZERO, "y", work("y", 1.0, 1_000_000, 2)),
-        )
-        .machine(
-            "node-b",
-            node(2).spawn_after("y", SimDuration::ZERO, "x", work("x", 1.0, 1_000_000, 3)),
-        )
-        .build()
-        .unwrap_err();
-    match err {
-        SessionError::InvalidDag(DagError::Cycle { tags }) => {
-            assert_eq!(tags, vec!["x".to_string(), "y".to_string()]);
-        }
-        other => panic!("expected a typed cross-machine cycle error, got: {other}"),
-    }
+    vec![
+        DagRejection {
+            name: "a tag spawned at a scripted instant on one machine and by an edge on another",
+            machines: || {
+                vec![
+                    dag_node(1)
+                        .spawn("seed", work("seed", 0.8, 100_000_000, 1))
+                        .spawn("x", work("x", 1.0, 1_000_000, 2)),
+                    dag_node(2).spawn_after(
+                        "seed",
+                        SimDuration::ZERO,
+                        "x",
+                        work("x", 1.0, 1_000_000, 3),
+                    ),
+                ]
+            },
+            error: scripted_and_edge.clone(),
+        },
+        DagRejection {
+            name: "one machine: a tag spawned at a scripted instant and by an edge",
+            machines: || {
+                vec![dag_node(1)
+                    .spawn("seed", work("seed", 0.8, 100_000_000, 1))
+                    .spawn("x", work("x", 1.0, 1_000_000, 2))
+                    .spawn_after("seed", SimDuration::ZERO, "x", work("x", 1.0, 1_000_000, 3))]
+            },
+            error: scripted_and_edge,
+        },
+        DagRejection {
+            name: "two edges on different machines spawn the same tag",
+            machines: || {
+                vec![
+                    dag_node(1)
+                        .spawn("seed", work("seed", 0.8, 100_000_000, 1))
+                        .spawn_after("seed", SimDuration::ZERO, "x", work("x", 1.0, 1_000_000, 2)),
+                    dag_node(2).spawn_after(
+                        "seed",
+                        SimDuration::ZERO,
+                        "x",
+                        work("x", 1.0, 1_000_000, 3),
+                    ),
+                ]
+            },
+            error: two_edges.clone(),
+        },
+        DagRejection {
+            name: "one machine: two edges spawn the same tag",
+            machines: || {
+                vec![dag_node(1)
+                    .spawn("seed", work("seed", 0.8, 100_000_000, 1))
+                    .spawn_after("seed", SimDuration::ZERO, "x", work("x", 1.0, 1_000_000, 2))
+                    .spawn_after("seed", SimDuration::ZERO, "x", work("x", 1.0, 1_000_000, 3))]
+            },
+            error: two_edges,
+        },
+        DagRejection {
+            name: "a scripted event on one machine against a tag another machine spawns by an edge",
+            machines: || {
+                vec![
+                    dag_node(1)
+                        .spawn("seed", work("seed", 0.8, 100_000_000, 1))
+                        .spawn_after("seed", SimDuration::ZERO, "x", work("x", 1.0, 1_000_000, 2)),
+                    dag_node(2).renice_at(SimTime::from_secs(2), "x", 5),
+                ]
+            },
+            error: timed_on_dependent.clone(),
+        },
+        DagRejection {
+            name: "one machine: a scripted event against a tag an edge spawns",
+            machines: || {
+                vec![dag_node(1)
+                    .spawn("seed", work("seed", 0.8, 100_000_000, 1))
+                    .spawn_after("seed", SimDuration::ZERO, "x", work("x", 1.0, 1_000_000, 2))
+                    .renice_at(SimTime::from_secs(2), "x", 5)]
+            },
+            error: timed_on_dependent,
+        },
+        DagRejection {
+            name: "a dependency whose final incarnation two machines spawn at the same instant",
+            machines: || {
+                let at = SimTime::from_secs(1);
+                vec![
+                    dag_node(1)
+                        .spawn_at(at, "d", work("d", 0.8, 1_000_000, 1))
+                        .spawn_after("d", SimDuration::ZERO, "y", work("y", 1.0, 1_000_000, 2)),
+                    dag_node(2).spawn_at(at, "d", work("d", 0.8, 1_000_000, 3)),
+                ]
+            },
+            error: scenario(
+                "dependency 'd' is ambiguous: two machines spawn its final incarnation at \
+                 the same instant",
+            ),
+        },
+        DagRejection {
+            name: "a kill_after whose target lives on another machine",
+            machines: || {
+                vec![
+                    dag_node(1)
+                        .spawn("seed", work("seed", 0.8, 100_000_000, 1))
+                        .spawn("t", work("t", 1.0, 100_000_000, 2)),
+                    dag_node(2).kill_after("seed", SimDuration::ZERO, "t"),
+                ]
+            },
+            error: unknown_target("node-b"),
+        },
+        DagRejection {
+            name: "one machine: a kill_after whose target is never spawned",
+            machines: || {
+                vec![dag_node(1)
+                    .spawn("seed", work("seed", 0.8, 100_000_000, 1))
+                    .kill_after("seed", SimDuration::ZERO, "t")]
+            },
+            error: unknown_target("node-a"),
+        },
+        DagRejection {
+            name: "spawn-after edges on two machines form a cycle",
+            machines: || {
+                vec![
+                    dag_node(1)
+                        .spawn("seed", work("seed", 0.8, 100_000_000, 1))
+                        .spawn_after("x", SimDuration::ZERO, "y", work("y", 1.0, 1_000_000, 2)),
+                    dag_node(2).spawn_after(
+                        "y",
+                        SimDuration::ZERO,
+                        "x",
+                        work("x", 1.0, 1_000_000, 3),
+                    ),
+                ]
+            },
+            error: cycle.clone(),
+        },
+        DagRejection {
+            name: "one machine: spawn-after edges form a cycle",
+            machines: || {
+                vec![dag_node(1)
+                    .spawn("seed", work("seed", 0.8, 100_000_000, 1))
+                    .spawn_after("x", SimDuration::ZERO, "y", work("y", 1.0, 1_000_000, 2))
+                    .spawn_after("y", SimDuration::ZERO, "x", work("x", 1.0, 1_000_000, 3))]
+            },
+            error: cycle,
+        },
+        DagRejection {
+            name: "an edge keyed on a tag no machine spawns",
+            machines: || {
+                vec![
+                    dag_node(1).spawn("seed", work("seed", 0.8, 100_000_000, 1)),
+                    dag_node(2).spawn_after(
+                        "ghost",
+                        SimDuration::ZERO,
+                        "y",
+                        work("y", 1.0, 1_000_000, 2),
+                    ),
+                ]
+            },
+            error: unknown_dependency.clone(),
+        },
+        DagRejection {
+            name: "one machine: an edge keyed on a tag nothing spawns",
+            machines: || {
+                vec![dag_node(1)
+                    .spawn("seed", work("seed", 0.8, 100_000_000, 1))
+                    .spawn_after(
+                        "ghost",
+                        SimDuration::ZERO,
+                        "y",
+                        work("y", 1.0, 1_000_000, 2),
+                    )]
+            },
+            error: unknown_dependency,
+        },
+    ]
 }
 
 #[test]
-fn cluster_unknown_dependency_is_a_typed_error() {
-    let node = |seed: u64| {
-        Scenario::new(MachineConfig::nehalem_w3550().noiseless())
-            .seed(seed)
-            .user(Uid(1), "u1")
-    };
-    let err = ClusterScenario::new()
-        .machine(
-            "node-a",
-            node(1).spawn("seed", work("seed", 0.8, 100_000_000, 1)),
-        )
-        .machine(
-            "node-b",
-            node(2).spawn_after(
-                "ghost",
-                SimDuration::ZERO,
-                "y",
-                work("y", 1.0, 1_000_000, 2),
-            ),
-        )
-        .build()
-        .unwrap_err();
-    match err {
-        SessionError::InvalidDag(DagError::UnknownDependency {
-            event_tag,
-            dependency,
-        }) => {
-            assert_eq!(event_tag, "y");
-            assert_eq!(dependency, "ghost");
+fn dag_rejections_are_typed_and_one_machine_fleets_match_scenario_build() {
+    for row in dag_rejections() {
+        let machines = (row.machines)();
+        let single = machines.len() == 1;
+        let mut cluster = ClusterScenario::new();
+        for (id, scenario) in ["node-a", "node-b"].into_iter().zip(machines) {
+            cluster = cluster.machine(id, scenario);
         }
-        other => panic!("expected a typed unknown-dependency error, got: {other}"),
+        let err = cluster.build().unwrap_err();
+        assert_eq!(err, row.error, "{}", row.name);
+        if single {
+            // Scenario::build reports the same error, without the
+            // machine label the fleet puts on consumer-scoped errors.
+            let bare = (row.machines)().pop().unwrap().build().unwrap_err();
+            let unscoped = match err {
+                SessionError::Shard { machine, error } if machine == "node-a" => *error,
+                other => other,
+            };
+            assert_eq!(bare, unscoped, "{}", row.name);
+        }
     }
 }
 
