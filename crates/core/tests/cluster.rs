@@ -2081,6 +2081,69 @@ fn resume_handoff_in_a_dependency_cluster_publishes_before_its_consumer_crosses_
     }
 }
 
+#[test]
+fn cluster_dependency_cycle_is_a_typed_error() {
+    let node = |seed: u64| {
+        Scenario::new(MachineConfig::nehalem_w3550().noiseless())
+            .seed(seed)
+            .user(Uid(1), "u1")
+    };
+    let err = ClusterScenario::new()
+        .machine(
+            "node-a",
+            node(1)
+                .spawn("seed", work("seed", 0.8, 100_000_000, 1))
+                .spawn_after("x", SimDuration::ZERO, "y", work("y", 1.0, 1_000_000, 2)),
+        )
+        .machine(
+            "node-b",
+            node(2).spawn_after("y", SimDuration::ZERO, "x", work("x", 1.0, 1_000_000, 3)),
+        )
+        .build()
+        .unwrap_err();
+    match err {
+        SessionError::InvalidDag(DagError::Cycle { tags }) => {
+            assert_eq!(tags, vec!["x".to_string(), "y".to_string()]);
+        }
+        other => panic!("expected a typed cross-machine cycle error, got: {other}"),
+    }
+}
+
+#[test]
+fn cluster_unknown_dependency_is_a_typed_error() {
+    let node = |seed: u64| {
+        Scenario::new(MachineConfig::nehalem_w3550().noiseless())
+            .seed(seed)
+            .user(Uid(1), "u1")
+    };
+    let err = ClusterScenario::new()
+        .machine(
+            "node-a",
+            node(1).spawn("seed", work("seed", 0.8, 100_000_000, 1)),
+        )
+        .machine(
+            "node-b",
+            node(2).spawn_after(
+                "ghost",
+                SimDuration::ZERO,
+                "y",
+                work("y", 1.0, 1_000_000, 2),
+            ),
+        )
+        .build()
+        .unwrap_err();
+    match err {
+        SessionError::InvalidDag(DagError::UnknownDependency {
+            event_tag,
+            dependency,
+        }) => {
+            assert_eq!(event_tag, "y");
+            assert_eq!(dependency, "ghost");
+        }
+        other => panic!("expected a typed unknown-dependency error, got: {other}"),
+    }
+}
+
 /// One build-time rejection of a fleet's dependency edges: the machines'
 /// scenarios (named `node-a`, `node-b`, ... in order) and the error
 /// `ClusterScenario::build` reports.
