@@ -56,10 +56,10 @@ pub const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 #[derive(Debug, Clone)]
 pub struct SweepArm {
     pub threads: usize,
-    /// Rounds that delivered frames (≪ frames when machines share
-    /// observation instants).
+    /// Rounds and windows that delivered frames (≪ frames when machines
+    /// share observation instants).
     pub batches: usize,
-    /// Frames of the largest round.
+    /// Frames of the largest round or window.
     pub peak_buffered_frames: usize,
     /// Wall seconds of this arm's run (build excluded).
     pub wall_seconds: f64,
@@ -346,7 +346,7 @@ impl ScalingResult {
                 "frames",
                 "frames/s",
                 "par eff",
-                "rounds",
+                "batches",
                 "peak buf frames",
                 "RSS/machine KiB",
                 "peak RSS MiB",

@@ -65,7 +65,12 @@
 //! delivers the round's frames in machine order, and lets policies decide
 //! (the steps of a round are documented on
 //! [`ClusterSession::run_reactive`]). Scripted runs are runs with no
-//! policies. The merged stream is byte-identical at any thread count.
+//! policies. A barrier is paid only where the run needs one: once no
+//! policy, unresolved edge or unpublished handoff can act between two
+//! instants, a round becomes a **window** — each machine takes all of its
+//! observations up to a horizon in one task, bounded to 256 buffered
+//! frames, and the window is merged by `(time, machine)`. The merged
+//! stream is the same either way, and byte-identical at any thread count.
 //!
 //! Failure is contained per shard: a [`SessionError`] inside one machine
 //! surfaces as [`SessionError::Shard`], a panic as
@@ -910,9 +915,13 @@ struct ClusterDep {
 pub struct RunStats {
     /// Frames delivered to the sink.
     pub frames: usize,
-    /// Merge deliveries: rounds that produced frames.
+    /// Driver steps: rounds plus windows (see
+    /// [`ClusterSession::run_reactive`]). Each one is a barrier.
+    pub rounds: usize,
+    /// Merge deliveries: rounds and windows that produced frames.
     pub batches: usize,
-    /// Most frames held at once before delivery: the largest round.
+    /// Most frames held at once before delivery: the largest round or
+    /// window. A window holds at most `max(256, one round)` frames.
     pub peak_buffered_frames: usize,
 }
 
@@ -1011,7 +1020,7 @@ impl ClusterSession {
     }
 
     /// Statistics of the most recent `run*`, scripted or reactive: frames
-    /// delivered, merge deliveries, and the peak buffering.
+    /// delivered, driver steps, merge deliveries, and the peak buffering.
     pub fn last_run_stats(&self) -> RunStats {
         self.last_stats
     }
@@ -1041,7 +1050,12 @@ impl ClusterSession {
     /// instant on a pool of `threads − 1` workers, spawned once for the
     /// run, plus the calling thread, and delivers the round's frames in
     /// machine order. Cross-machine dependency edges and scripted resume
-    /// handoffs are resolved at those barriers.
+    /// handoffs are resolved at those barriers. Once every edge has fired
+    /// and every handoff is published, nothing couples the machines
+    /// between two instants, so each round becomes a **window**: every
+    /// machine takes all of its observations up to the window's horizon in
+    /// one task, and the window is merged by `(time, machine)` — the same
+    /// stream, with a barrier per window instead of per instant.
     ///
     /// # Failure contract: deliver-then-error
     ///
@@ -1242,6 +1256,27 @@ impl ClusterSession {
     /// firing instants exact. Without them only the machines due at `t*`
     /// advance.
     ///
+    /// # Rounds and windows
+    ///
+    /// Each round has a horizon `H`. It stays `t*` — exactly the round
+    /// above — while the run has policies (any frame can trigger a
+    /// decision), while any cross-machine edge is unresolved, or while any
+    /// resume handoff is unpublished. Otherwise the round becomes a
+    /// **window**: with `n` unfinished monitor slots on live machines and
+    /// `i` the smallest of their intervals, `H = t* + (k − 1)·i` with
+    /// `k = max(1, 256 / n)`, so a window buffers at most `max(256, one
+    /// round)` frames and a fleet of 256 or more monitors keeps one round
+    /// per instant. Each due machine then steps through each of its own
+    /// observation instants up to `H` in one task, taking the due slots in
+    /// slot order; the calling thread stable-sorts the window's frames by
+    /// time, which is the `(time, machine, monitor)` order the rounds
+    /// deliver. In a run that marches (it started with live edges), a
+    /// window needs every observing machine due at the same instants, and
+    /// it ends with every live machine — stopped ones included — marched
+    /// through those instants to the last one observed, as the rounds
+    /// would have left it; otherwise it stays a round.
+    /// [`RunStats::rounds`] counts rounds plus windows.
+    ///
     /// Decisions fired on a frame at `t*` are validated and injected as
     /// pending events at the **next scheduler-epoch boundary after `t*`**
     /// ([`Kernel::epoch_boundary_after`]) — strictly ahead of every
@@ -1337,6 +1372,9 @@ impl ClusterSession {
                     Worker { shares, stepped }
                 })
                 .collect();
+            let pending: Vec<usize> = (0..self.deps.len())
+                .filter(|&k| self.deps[k].ev.is_some())
+                .collect();
             let mut rounds = Rounds {
                 status: vec![Status::Live; n],
                 units,
@@ -1344,7 +1382,8 @@ impl ClusterSession {
                     workers,
                     max_refreshes,
                 },
-                march_all: self.deps.iter().any(|d| d.ev.is_some()),
+                march_all: !pending.is_empty(),
+                pending,
                 deps: &mut self.deps,
                 handoffs: self.handoffs.clone(),
                 halt: !policies.is_empty(),
@@ -1457,8 +1496,8 @@ enum Status {
 }
 
 /// The round-barrier driver behind every cluster run: scripted runs are
-/// runs with no policies. The five steps of a round are documented on
-/// [`ClusterSession::run_reactive`].
+/// runs with no policies. The five steps of a round, and when a round
+/// becomes a window, are documented on [`ClusterSession::run_reactive`].
 struct Rounds<'a> {
     /// Every machine, in index order. A phase moves its machines to the
     /// pool and puts them back before the next one starts.
@@ -1467,6 +1506,9 @@ struct Rounds<'a> {
     status: Vec<Status>,
     pool: Pool,
     deps: &'a mut [ClusterDep],
+    /// Indices of the edges in `deps` still holding their event, in
+    /// declaration order: same-instant injections apply in that order.
+    pending: Vec<usize>,
     /// Resume handoffs not yet published: the scripted ones, plus live
     /// resume decisions as they apply.
     handoffs: Vec<Handoff>,
@@ -1563,10 +1605,60 @@ impl Rounds<'_> {
                 .flat_map(|u| u.slots.iter().filter(|s| !s.done).map(|s| s.next_at))
                 .min();
             let Some(t_star) = t_star else { break };
-            self.march(t_star)?;
-            self.observe(t_star)?;
+            let window = self.window(t_star);
+            // A window is only opened once no edge or handoff is left for
+            // the march to resolve.
+            if window.horizon == t_star {
+                self.march(t_star)?;
+            }
+            self.observe(t_star, window)?;
         }
         self.flush()
+    }
+
+    /// The round at `t_star`, or a window past it once no policy, edge or
+    /// handoff can act between two instants (the rule is documented on
+    /// [`ClusterSession::run_reactive`]).
+    fn window(&self, t_star: SimTime) -> Window {
+        let round = Window {
+            horizon: t_star,
+            grid: Vec::new(),
+        };
+        let unpublished = self
+            .handoffs
+            .iter()
+            .any(|h| self.status[h.src] == Status::Live && self.units[h.src].session.now() < h.at);
+        if !self.policies.is_empty() || !self.pending.is_empty() || unpublished {
+            return round;
+        }
+        let open = || self.live().flat_map(|u| &u.slots).filter(|s| !s.done);
+        let Some(interval) = open().map(|s| s.monitor.interval()).min() else {
+            return round;
+        };
+        let k = (WINDOW_FRAMES / open().count()).max(1);
+        let horizon = t_star + interval * (k as u64 - 1);
+        if !self.march_all || k == 1 {
+            return Window {
+                horizon,
+                grid: Vec::new(),
+            };
+        }
+        // A marching run splits every live machine's advance at every
+        // fleet instant. A window keeps those splits only while every
+        // machine still observing is due at the same instants: then no
+        // machine's stop or failure removes an instant the others would
+        // have been marched through.
+        let max_refreshes = self.pool.max_refreshes;
+        let mut grids = self
+            .live()
+            .filter(|u| u.slots.iter().any(|s| !s.done))
+            .map(|u| instants(u, horizon, max_refreshes));
+        let grid = grids.next().unwrap_or_default();
+        if grids.all(|g| g == grid) {
+            Window { horizon, grid }
+        } else {
+            round
+        }
     }
 
     fn live(&self) -> impl Iterator<Item = &WorkUnit> {
@@ -1577,14 +1669,13 @@ impl Rounds<'_> {
             .map(|(u, _)| u)
     }
 
-    /// Move every live machine `to` gives an instant to the pool, advance
-    /// each there (taking its due observations in an observation round),
-    /// and put them back. Returns the outcomes in machine order. Only a
-    /// dead worker fails the phase itself.
+    /// Move every live machine `to` gives an instant to the pool, step
+    /// each there as `phase` says, and put them back. Returns the outcomes
+    /// in machine order. Only a dead worker fails the phase itself.
     fn step_on_pool(
         &mut self,
         spread: bool,
-        observe: bool,
+        phase: Phase,
         to: impl Fn(&WorkUnit) -> Option<SimTime>,
     ) -> Result<Vec<Outcome>, SessionError> {
         let mut tasks = Vec::new();
@@ -1596,7 +1687,7 @@ impl Rounds<'_> {
             }
         }
         let mut stepped = Vec::with_capacity(tasks.len());
-        let result = self.pool.run(tasks, observe, spread, &mut stepped);
+        let result = self.pool.run(tasks, &phase, spread, &mut stepped);
         let mut outcomes = Vec::with_capacity(stepped.len());
         for (unit, outcome) in stepped {
             self.units.push(unit);
@@ -1625,7 +1716,7 @@ impl Rounds<'_> {
             let mut targets = self.pass_targets(t_star);
             let published = self.publish(t_star, Some(&mut targets));
             self.check()?;
-            let moved = self.step_on_pool(true, false, |u| {
+            let moved = self.step_on_pool(true, Phase::March(Arc::from([])), |u| {
                 targets[u.index].filter(|t| *t > u.session.now())
             })?;
             if moved.is_empty() {
@@ -1661,11 +1752,10 @@ impl Rounds<'_> {
     fn resolve_deps(&mut self) {
         loop {
             let mut any = false;
-            for k in 0..self.deps.len() {
+            let mut kept = 0;
+            for j in 0..self.pending.len() {
+                let k = self.pending[j];
                 let d = &mut self.deps[k];
-                if d.ev.is_none() {
-                    continue;
-                }
                 let (host, consumer) = (d.host, d.consumer);
                 if self.status[host] != Status::Live {
                     d.ev = None;
@@ -1675,6 +1765,8 @@ impl Rounds<'_> {
                     .session
                     .completion_of(&d.dep, d.min_incarnations)
                 else {
+                    self.pending[kept] = k;
+                    kept += 1;
                     continue;
                 };
                 let Some(ev) = d.ev.take() else { continue };
@@ -1690,6 +1782,7 @@ impl Rounds<'_> {
                 }
                 any = true;
             }
+            self.pending.truncate(kept);
             if !any {
                 break;
             }
@@ -1709,21 +1802,19 @@ impl Rounds<'_> {
             .zip(&self.status)
             .map(|(u, s)| (*s == Status::Live).then(|| u.session.now()))
             .collect();
+        let mut cap = vec![t_star; w.len()];
+        for &k in &self.pending {
+            let d = &self.deps[k];
+            if let Some(wh) = w[d.host] {
+                cap[d.consumer] = cap[d.consumer].min(wh + d.delay);
+            }
+        }
         self.units
             .iter()
+            .zip(cap)
             .enumerate()
-            .map(|(i, u)| {
+            .map(|(i, (u, cap))| {
                 let now = w[i].filter(|now| *now < t_star)?;
-                let mut cap = t_star;
-                for d in self
-                    .deps
-                    .iter()
-                    .filter(|d| d.ev.is_some() && d.consumer == i)
-                {
-                    if let Some(wh) = w[d.host] {
-                        cap = cap.min(wh + d.delay);
-                    }
-                }
                 let target = cap
                     .max(u.session.kernel().epoch_boundary_after(now))
                     .min(t_star);
@@ -1777,48 +1868,81 @@ impl Rounds<'_> {
         moved
     }
 
-    /// Steps 3–5: advance the machines due at `t_star` concurrently, each
-    /// taking its due observations on its own worker; merge the round in
-    /// `(machine, monitor)` order — exactly the `(time, machine)` merge,
-    /// since every frame shares `t_star`; show each frame to every policy
-    /// and deliver it; then apply the round's decisions.
-    fn observe(&mut self, t_star: SimTime) -> Result<(), SessionError> {
-        let due = |u: &WorkUnit| u.slots.iter().any(|s| !s.done && s.next_at == t_star);
+    /// Steps 3–5: advance the machines due by the window's horizon
+    /// concurrently, each taking its due observations on its own worker;
+    /// merge them by `(time, machine, monitor)` — a stable sort by time of
+    /// the outcomes in machine order, each already in time-then-slot
+    /// order; show each frame to every policy and deliver it; then apply
+    /// the round's decisions.
+    fn observe(&mut self, t_star: SimTime, window: Window) -> Result<(), SessionError> {
+        let Window { horizon, grid } = window;
+        let due = |u: &WorkUnit| u.slots.iter().any(|s| !s.done && s.next_at <= horizon);
         // Taking observations is cheap next to advancing: when the march
         // already brought every due machine to `t_star`, handing them to
         // the workers would cost more than it saves.
-        let spread = self.live().any(|u| due(u) && u.session.now() < t_star);
-        let round = self.step_on_pool(spread, true, |u| due(u).then_some(t_star))?;
+        let spread = self.live().any(|u| due(u) && u.session.now() < horizon);
+        let stepped = self.step_on_pool(spread, Phase::Observe, |u| due(u).then_some(horizon))?;
+        self.stats.rounds += 1;
 
+        let mut runs = Vec::with_capacity(stepped.len());
+        let mut failed = Vec::new();
+        let mut last = t_star;
+        for o in stepped {
+            runs.push(o.frames);
+            last = last.max(o.reached);
+            if let Err(e) = o.result {
+                failed.push((o.index, e));
+            }
+        }
+        // A round's frames all share `t_star`, so machine order is already
+        // the merge.
+        if horizon > t_star {
+            let mut window: Vec<ClusterFrame> = runs.into_iter().flatten().collect();
+            window.sort_by_key(|f| f.frame.time);
+            runs = vec![window];
+        }
         let mut decisions: Vec<(String, MigrationDecision)> = Vec::new();
         let mut delivered = 0usize;
-        for Outcome {
-            index,
-            frames,
-            result,
-        } in round
-        {
-            for frame in frames {
-                for p in self.policies.iter_mut() {
-                    for d in p.observe(&frame) {
-                        decisions.push((p.name().to_string(), d));
-                    }
+        for frame in runs.into_iter().flatten() {
+            for p in self.policies.iter_mut() {
+                for d in p.observe(&frame) {
+                    decisions.push((p.name().to_string(), d));
                 }
-                self.sink.on_frame(frame);
-                delivered += 1;
             }
-            if let Err(e) = result {
-                self.fail(index, e, false);
-            }
+            self.sink.on_frame(frame);
+            delivered += 1;
+        }
+        for (index, e) in failed {
+            self.fail(index, e, false);
         }
         if delivered > 0 {
             self.stats.frames += delivered;
             self.stats.batches += 1;
             self.stats.peak_buffered_frames = self.stats.peak_buffered_frames.max(delivered);
         }
+        if !grid.is_empty() {
+            self.catch_up(grid, last)?;
+        }
         self.check()?;
         for (policy, decision) in decisions {
             self.apply_decision(policy, decision, t_star)?;
+        }
+        Ok(())
+    }
+
+    /// End a marching window where the rounds would have: march every
+    /// live machine behind `last` — one stopped by its `until`, or one
+    /// with nothing left to observe — through each instant of the
+    /// window's `grid` up to `last`, the last instant observed.
+    fn catch_up(&mut self, grid: Vec<SimTime>, last: SimTime) -> Result<(), SessionError> {
+        let behind = |u: &WorkUnit| (u.session.now() < last).then_some(last);
+        if !self.live().any(|u| behind(u).is_some()) {
+            return Ok(());
+        }
+        for o in self.step_on_pool(true, Phase::March(grid.into()), behind)? {
+            if let Err(e) = o.result {
+                self.fail(o.index, e, false);
+            }
         }
         Ok(())
     }
@@ -2143,26 +2267,66 @@ impl Rounds<'_> {
     }
 }
 
+/// Most frames a window may buffer (see [`ClusterSession::run_reactive`]).
+const WINDOW_FRAMES: usize = 256;
+
+/// One driver step: its horizon, `t*` for a round, and — for a marching
+/// window — the instants every observing machine is due at up to it.
+struct Window {
+    horizon: SimTime,
+    grid: Vec<SimTime>,
+}
+
+/// Machine `u`'s observation instants up to `horizon`, in order.
+fn instants(u: &WorkUnit, horizon: SimTime, max_refreshes: usize) -> Vec<SimTime> {
+    let mut at: Vec<SimTime> = u
+        .slots
+        .iter()
+        .filter(|s| !s.done)
+        .flat_map(|s| {
+            let interval = s.monitor.interval();
+            (0..max_refreshes - s.taken)
+                .map(move |j| s.next_at + interval * j as u64)
+                .take_while(|t| *t <= horizon)
+        })
+        .collect();
+    at.sort_unstable();
+    at.dedup();
+    at
+}
+
 /// One machine handed to the pool for one parallel phase, with the
-/// instant to advance it to.
+/// instant to step it to.
 struct Task {
     unit: WorkUnit,
     to: SimTime,
 }
 
-/// What one [`Task`] did: the frames its machine took (observation rounds
-/// only) and the failure that stopped it, if any. Frames taken before a
-/// failure are still delivered.
+/// What a parallel phase does with each machine.
+#[derive(Clone)]
+enum Phase {
+    /// Advance to the task's instant, stopping at each listed instant on
+    /// the way: a marching pass (no stops) or a window's catch-up.
+    March(Arc<[SimTime]>),
+    /// Take every observation due by the task's instant, advancing to each
+    /// one in turn: one instant for a round, several for a window.
+    Observe,
+}
+
+/// What one [`Task`] did: the frames its machine took (observation phases
+/// only), the last instant it stepped towards, and the failure that
+/// stopped it, if any. Frames taken before a failure are still delivered.
 struct Outcome {
     index: usize,
     frames: Vec<ClusterFrame>,
+    reached: SimTime,
     result: Result<(), SessionError>,
 }
 
 /// One worker's share of a parallel phase.
 struct Share {
     tasks: Vec<Task>,
-    observe: bool,
+    phase: Phase,
 }
 
 /// The calling thread's end of one pool worker: shares go out, stepped
@@ -2193,7 +2357,7 @@ impl Pool {
     fn run(
         &self,
         tasks: Vec<Task>,
-        observe: bool,
+        phase: &Phase,
         spread: bool,
         out: &mut Vec<(WorkUnit, Outcome)>,
     ) -> Result<(), SessionError> {
@@ -2219,7 +2383,7 @@ impl Pool {
                 .unwrap_or_default();
             match worker.shares.send(Share {
                 tasks: part,
-                observe,
+                phase: phase.clone(),
             }) {
                 Ok(()) => sent.push((worker, first)),
                 Err(mpsc::SendError(share)) => {
@@ -2228,10 +2392,7 @@ impl Pool {
                 }
             }
         }
-        out.extend(
-            mine.into_iter()
-                .map(|t| step(t, observe, self.max_refreshes)),
-        );
+        out.extend(mine.into_iter().map(|t| step(t, phase, self.max_refreshes)));
         for (worker, first) in sent {
             match worker.stepped.recv() {
                 Ok(stepped) => out.extend(stepped),
@@ -2261,7 +2422,7 @@ fn serve(
         let done = share
             .tasks
             .into_iter()
-            .map(|t| step(t, share.observe, max_refreshes))
+            .map(|t| step(t, &share.phase, max_refreshes))
             .collect();
         if stepped.send(done).is_err() {
             return;
@@ -2269,36 +2430,49 @@ fn serve(
     }
 }
 
-/// Advance one machine to its task's instant and, in an observation round,
-/// take each of its observations due then, in monitor order, panics
-/// contained.
-fn step(task: Task, observe: bool, max_refreshes: usize) -> (WorkUnit, Outcome) {
+/// Step one machine to its task's instant as `phase` says, panics
+/// contained. Observing, it advances to each of its own observation
+/// instants up to the task's instant and takes the slots due there in
+/// slot order.
+fn step(task: Task, phase: &Phase, max_refreshes: usize) -> (WorkUnit, Outcome) {
     let Task { mut unit, to } = task;
     let u = &mut unit;
     let mut frames = Vec::new();
-    let result = guard(&u.id, || {
-        u.session.advance_to(to)?;
-        if !observe {
-            return Ok(());
-        }
-        for slot in u.slots.iter_mut().filter(|s| !s.done && s.next_at == to) {
-            let frame = slot.monitor.observe(u.session.kernel_mut());
-            let stop = (slot.until)(&frame);
-            slot.taken += 1;
-            frames.push(ClusterFrame {
-                machine: u.id.clone(),
-                machine_index: u.index,
-                source: slot.source.clone(),
-                seq: slot.taken - 1,
-                frame,
-            });
-            if stop || slot.taken >= max_refreshes {
-                slot.done = true;
-            } else {
-                slot.next_at += slot.monitor.interval();
+    let mut reached = to;
+    let result = guard(&u.id, || match phase {
+        Phase::March(stops) => {
+            for &at in stops.iter().filter(|at| **at < to) {
+                if u.session.now() < at {
+                    u.session.advance_to(at)?;
+                }
             }
+            u.session.advance_to(to)
         }
-        Ok(())
+        Phase::Observe => loop {
+            let next = u.slots.iter().filter(|s| !s.done).map(|s| s.next_at).min();
+            let Some(at) = next.filter(|at| *at <= to) else {
+                return Ok(());
+            };
+            reached = at;
+            u.session.advance_to(at)?;
+            for slot in u.slots.iter_mut().filter(|s| !s.done && s.next_at == at) {
+                let frame = slot.monitor.observe(u.session.kernel_mut());
+                let stop = (slot.until)(&frame);
+                slot.taken += 1;
+                frames.push(ClusterFrame {
+                    machine: u.id.clone(),
+                    machine_index: u.index,
+                    source: slot.source.clone(),
+                    seq: slot.taken - 1,
+                    frame,
+                });
+                if stop || slot.taken >= max_refreshes {
+                    slot.done = true;
+                } else {
+                    slot.next_at += slot.monitor.interval();
+                }
+            }
+        },
     });
     let index = unit.index;
     (
@@ -2306,6 +2480,7 @@ fn step(task: Task, observe: bool, max_refreshes: usize) -> (WorkUnit, Outcome) 
         Outcome {
             index,
             frames,
+            reached,
             result,
         },
     )

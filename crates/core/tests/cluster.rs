@@ -3,12 +3,14 @@
 //! typed errors without poisoning the pool, per-machine stop predicates
 //! behave like `Session::run_until`, cross-machine migrations hand a job
 //! over at one exact instant, fleet-scale `run_all` interleaves monitor
-//! sets deterministically, and the window sink bounds buffered frames.
+//! sets deterministically, the window sink bounds buffered frames, and a
+//! windowed run delivers exactly the stream of one round per instant.
 
 use tiptop_core::app::{Tiptop, TiptopOptions};
 use tiptop_core::baseline::TopView;
 use tiptop_core::cluster::{
-    ClusterCollectSink, ClusterFrame, ClusterScenario, ClusterWindowSink, MachineRef,
+    ClusterCollectSink, ClusterFrame, ClusterScenario, ClusterSession, ClusterWindowSink,
+    MachineRef,
 };
 use tiptop_core::config::ScreenConfig;
 use tiptop_core::monitor::Monitor;
@@ -22,6 +24,7 @@ use tiptop_machine::access::MemoryBehavior;
 use tiptop_machine::config::MachineConfig;
 use tiptop_machine::exec::ExecProfile;
 use tiptop_machine::time::{SimDuration, SimTime};
+use tiptop_workloads::pipelines::{random_dag, PIPELINE_USER};
 
 fn spin(cpi: f64) -> Program {
     Program::endless(
@@ -2633,4 +2636,387 @@ fn worker_pool_is_spawned_once_per_run() {
         threads <= 2,
         "observations ran on {threads} threads; a 2-thread run owns 2"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Windowed rounds: once no policy, dependency edge or resume handoff can act
+// between two instants, each machine takes a window of observations in one
+// task. The oracle is the same run held to one round per instant: under a
+// policy that never decides, or with a cross-machine edge that never fires.
+
+/// Watches every frame and never decides; its presence alone holds every
+/// round of a run to one instant.
+struct NeverDecides;
+
+impl SchedulerPolicy for NeverDecides {
+    fn name(&self) -> &str {
+        "never-decides"
+    }
+
+    fn observe(&mut self, _: &ClusterFrame) -> Vec<MigrationDecision> {
+        Vec::new()
+    }
+}
+
+fn tool_ms(ms: u64) -> Box<Tiptop> {
+    Box::new(Tiptop::new(
+        TiptopOptions::default()
+            .observer(Uid::ROOT)
+            .delay(SimDuration::from_millis(ms)),
+        ScreenConfig::default_screen(),
+    ))
+}
+
+/// Every machine's handed-back state after a run: its clock and its exit
+/// records.
+fn handed_back(session: &ClusterSession) -> String {
+    session
+        .machines()
+        .map(|m| {
+            let s = session
+                .session(m.id)
+                .expect("a healthy shard is handed back");
+            let exits: Vec<String> = s
+                .kernel()
+                .exit_records()
+                .map(|r| format!("{r:?}"))
+                .collect();
+            format!("{} now={:?} exits={exits:?}", m.id, s.now())
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// A per-machine monitor-set factory.
+type MonitorSets = dyn Fn(MachineRef<'_>) -> Vec<Box<dyn Monitor + Send>>;
+
+/// Two monitors per machine at intervals that differ across the fleet, so
+/// instants interleave and machines finish at different times.
+fn mixed_sets(m: MachineRef<'_>) -> Vec<Box<dyn Monitor + Send>> {
+    let (a, b) = [(50, 80), (70, 50), (60, 90), (50, 50)][m.index];
+    vec![
+        tool_ms(a) as Box<dyn Monitor + Send>,
+        Box::new(TopView::new().delay(SimDuration::from_millis(b))),
+    ]
+}
+
+#[test]
+fn windowed_run_all_matches_one_round_per_instant_at_1_2_and_8_threads() {
+    let (refreshes, monitors) = (40, 4 * 2);
+    let mut reference = cluster().build().unwrap();
+    let mut sink = ClusterCollectSink::new();
+    let mut policies: Vec<Box<dyn SchedulerPolicy>> = vec![Box::new(NeverDecides)];
+    reference
+        .run_reactive(1, refreshes, mixed_sets, &mut policies, &mut sink)
+        .unwrap();
+    let (golden, golden_state) = (rendered(sink.frames()), handed_back(&reference));
+    let rounds = reference.last_run_stats().rounds;
+
+    for threads in [1, 2, 8] {
+        let mut session = cluster().build().unwrap();
+        let mut sink = ClusterCollectSink::new();
+        session
+            .run_all(threads, refreshes, mixed_sets, &mut sink)
+            .unwrap();
+        assert_eq!(golden, rendered(sink.frames()), "{threads} threads: stream");
+        assert_eq!(
+            golden_state,
+            handed_back(&session),
+            "{threads} threads: state"
+        );
+        let stats = session.last_run_stats();
+        assert_eq!(stats.frames, monitors * refreshes);
+        assert!(
+            stats.rounds < rounds,
+            "a scripted run takes windows: {} steps against {rounds} rounds",
+            stats.rounds
+        );
+        assert!(
+            stats.peak_buffered_frames <= 256.max(monitors),
+            "a window buffers at most 256 frames, got {}",
+            stats.peak_buffered_frames
+        );
+    }
+}
+
+/// A seeded random DAG over four machines. `node-2` also runs a long job
+/// that outlives the DAG, and at 4.51 s — off every 40 ms observation
+/// instant — starts a short one, so how its clock is marched after its
+/// monitor stops shows in both jobs' exit records. `node-3` runs an
+/// endless job. With `pin`, `node-0` holds one more cross-machine edge,
+/// on the endless job and an hour late: it never fires, it never holds a
+/// marching pass short of its instant, and — never firing — it keeps every
+/// round of the run at one instant.
+fn dag_cluster(pin: bool) -> ClusterScenario {
+    let script = random_dag(5, 40, 4);
+    let machine_of = |tag: &str| {
+        script
+            .stages
+            .iter()
+            .find(|st| st.tag == tag)
+            .unwrap()
+            .machine
+    };
+    assert!(
+        script.stages.iter().any(|st| st
+            .dep
+            .as_ref()
+            .is_some_and(|(dep, _)| machine_of(dep) != st.machine)),
+        "the DAG must cross machines, so the run marches"
+    );
+    let mut nodes: Vec<Option<Scenario>> = (0..4)
+        .map(|i| {
+            Some(
+                Scenario::new(MachineConfig::nehalem_w3550().noiseless())
+                    .seed(100 + i)
+                    .user(PIPELINE_USER, "grid"),
+            )
+        })
+        .collect();
+    let mut add = |i: usize, f: &dyn Fn(Scenario) -> Scenario| {
+        nodes[i] = nodes[i].take().map(f);
+    };
+    for st in &script.stages {
+        let spec = SpawnSpec::new(&st.tag, PIPELINE_USER, st.program.clone()).seed(st.seed);
+        add(st.machine, &|node| match &st.dep {
+            None => node.spawn_at(SimTime::ZERO + st.start, &st.tag, spec.clone()),
+            Some((dep, delay)) => node.spawn_after(dep, *delay, &st.tag, spec.clone()),
+        });
+    }
+    let long = work("long", 0.9, 15_000_000_000, 9);
+    add(2, &|node| node.spawn("long", long.clone()));
+    let tail = work("tail", 1.0, 400_000_000, 12);
+    let at = SimTime::ZERO + SimDuration::from_millis(4_510);
+    add(2, &|node| node.spawn_at(at, "tail", tail.clone()));
+    let endless = SpawnSpec::new("endless", PIPELINE_USER, spin(1.1)).seed(11);
+    add(3, &|node| node.spawn("endless", endless.clone()));
+    if pin {
+        let late = work("late", 0.9, 1_000_000, 10);
+        add(0, &|node| {
+            node.spawn_after(
+                "endless",
+                SimDuration::from_secs(3600),
+                "late",
+                late.clone(),
+            )
+        });
+    }
+    nodes
+        .into_iter()
+        .enumerate()
+        .fold(ClusterScenario::new(), |c, (i, node)| {
+            c.machine(format!("node-{i}"), node.unwrap())
+        })
+}
+
+#[test]
+fn windowed_dag_run_matches_one_round_per_instant_with_a_machine_stopped_early() {
+    let refreshes = 150;
+    let interval = 40;
+    let stop = SimTime::ZERO + SimDuration::from_millis(4_000);
+    let run = |pin: bool, threads: usize| {
+        let mut session = dag_cluster(pin).build().unwrap();
+        let mut sink = ClusterCollectSink::new();
+        session
+            .run_each(
+                threads,
+                refreshes,
+                |_| tool_ms(interval),
+                |m| {
+                    let stops = m.id == "node-2";
+                    Box::new(move |f: &Frame| stops && f.time >= stop)
+                },
+                &mut sink,
+            )
+            .unwrap();
+        let stats = session.last_run_stats();
+        (
+            rendered(sink.frames()),
+            handed_back(&session),
+            stats,
+            session,
+        )
+    };
+    let (golden, golden_state, held, reference) = run(true, 1);
+    assert_eq!(
+        held.rounds, refreshes,
+        "the pinned run takes one round per instant"
+    );
+    // The catch-up is exercised: node-2 stopped mid-run, its long job still
+    // ran on, and every machine ended at the run's last instant.
+    let node2 = reference.session("node-2").unwrap();
+    let long = node2.kernel().exit_record(node2.pid("long").unwrap());
+    assert!(
+        long.is_some_and(|r| r.end_time > stop),
+        "the long job must exit after node-2 stops observing: {long:?}"
+    );
+    let end = SimTime::ZERO + SimDuration::from_millis(interval * refreshes as u64);
+    assert_eq!(
+        node2.now(),
+        end,
+        "the march carries a stopped machine along"
+    );
+
+    for threads in [1, 2, 8] {
+        let (stream, state, stats, _) = run(false, threads);
+        assert_eq!(golden, stream, "{threads} threads: stream");
+        assert_eq!(golden_state, state, "{threads} threads: state");
+        assert!(
+            stats.rounds < held.rounds,
+            "windows once the DAG's edges fired: {} steps",
+            stats.rounds
+        );
+        assert!(stats.peak_buffered_frames <= 256);
+    }
+}
+
+#[test]
+fn windowed_dag_run_all_matches_one_round_per_instant() {
+    // The DAG under a policy that never decides. With one interval fleet
+    // wide the scripted run takes windows once the edges fired. With mixed
+    // intervals a marching window would skip instants the rounds march
+    // every machine through, so it stays a round until the machines still
+    // observing share their instants again.
+    let uniform = |_: MachineRef<'_>| vec![tool_ms(40) as Box<dyn Monitor + Send>];
+    let sets: [&MonitorSets; 2] = [&uniform, &mixed_sets];
+    for (k, monitors) in sets.into_iter().enumerate() {
+        let mut reference = dag_cluster(false).build().unwrap();
+        let mut sink = ClusterCollectSink::new();
+        let mut policies: Vec<Box<dyn SchedulerPolicy>> = vec![Box::new(NeverDecides)];
+        reference
+            .run_reactive(2, 60, monitors, &mut policies, &mut sink)
+            .unwrap();
+        let mut session = dag_cluster(false).build().unwrap();
+        let mut windowed = ClusterCollectSink::new();
+        session.run_all(2, 60, monitors, &mut windowed).unwrap();
+        assert_eq!(rendered(sink.frames()), rendered(windowed.frames()));
+        assert_eq!(handed_back(&reference), handed_back(&session));
+        let (steps, rounds) = (
+            session.last_run_stats().rounds,
+            reference.last_run_stats().rounds,
+        );
+        assert!(steps <= rounds);
+        if k == 0 {
+            assert!(steps < rounds, "windows: {steps} steps, {rounds} rounds");
+        }
+    }
+}
+
+#[test]
+fn fleets_of_256_monitors_or_more_keep_one_round_per_instant() {
+    let sets = |n: usize| {
+        move |_: MachineRef<'_>| -> Vec<Box<dyn Monitor + Send>> {
+            (0..n)
+                .map(|_| {
+                    Box::new(TopView::new().delay(SimDuration::from_millis(100)))
+                        as Box<dyn Monitor + Send>
+                })
+                .collect()
+        }
+    };
+    let steps = |n: usize| {
+        let mut session = cluster().build().unwrap();
+        let mut sink = ClusterCollectSink::new();
+        session.run_all(2, 6, sets(n), &mut sink).unwrap();
+        session.last_run_stats()
+    };
+    // 4 machines x 64 monitors: one round per instant, each holding them all.
+    let full = steps(64);
+    assert_eq!((full.rounds, full.peak_buffered_frames), (6, 256));
+    // 4 x 16: a window takes four instants at once, still 256 frames.
+    let windowed = steps(16);
+    assert_eq!(windowed.rounds, 2);
+    assert_eq!(windowed.peak_buffered_frames, 256);
+}
+
+/// One node of [`failing_fleet`], by index.
+fn failing_node(i: usize) -> Scenario {
+    Scenario::new(MachineConfig::nehalem_w3550().noiseless())
+        .seed(40 + i as u64)
+        .user(Uid(1), "u1")
+        .spawn(
+            "spin",
+            SpawnSpec::new("spin", Uid(1), spin(0.8 + 0.1 * i as f64)).seed(i as u64),
+        )
+}
+
+/// node-1 panics on its 5th observation and node-2 on its 3rd, both inside
+/// the window that covers the whole run.
+fn failing_monitor(m: MachineRef<'_>) -> Box<dyn Monitor + Send> {
+    let panic_on = match m.id {
+        "node-1" => 5,
+        "node-2" => 3,
+        _ => usize::MAX,
+    };
+    Box::new(PanicMonitor {
+        inner: *tool_ms(if m.index == 3 { 300 } else { 200 }),
+        observations: 0,
+        panic_on,
+    })
+}
+
+#[test]
+fn a_shard_failing_mid_window_delivers_healthy_frames_then_the_lowest_index_error() {
+    let ids = ["node-0", "node-1", "node-2", "node-3"];
+    // Nothing couples the machines, so each one alone streams exactly what
+    // it contributes to the fleet; merged by (time, machine) they are the
+    // expected stream.
+    let mut expected: Vec<ClusterFrame> = Vec::new();
+    for (i, id) in ids.iter().enumerate() {
+        let mut solo = ClusterScenario::new()
+            .machine(*id, failing_node(i))
+            .build()
+            .unwrap();
+        let mut sink = ClusterCollectSink::new();
+        let monitor = |_: MachineRef<'_>| failing_monitor(MachineRef { id, index: i });
+        let _ = solo.run_each(1, 8, monitor, |_| Box::new(|_| false), &mut sink);
+        expected.extend(sink.into_frames());
+    }
+    expected.sort_by_key(|f| f.frame.time);
+
+    for threads in [1, 2, 8] {
+        let mut fleet = ids
+            .iter()
+            .enumerate()
+            .fold(ClusterScenario::new(), |c, (i, id)| {
+                c.machine(*id, failing_node(i))
+            })
+            .build()
+            .unwrap();
+        let mut sink = ClusterCollectSink::new();
+        let err = fleet
+            .run_each(
+                threads,
+                8,
+                failing_monitor,
+                |_| Box::new(|_| false),
+                &mut sink,
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, SessionError::ShardPanicked { machine, .. } if machine == "node-1"),
+            "{threads} threads: the lowest index wins, got {err:?}"
+        );
+        assert_eq!(
+            fleet.last_run_stats().rounds,
+            1,
+            "one window covers the run"
+        );
+        let frames = sink.into_frames();
+        let count = |id: &str| frames.iter().filter(|f| f.machine == id).count();
+        assert_eq!(
+            (count("node-0"), count("node-3")),
+            (8, 8),
+            "healthy runs whole"
+        );
+        assert_eq!(
+            (count("node-1"), count("node-2")),
+            (4, 2),
+            "pre-failure frames"
+        );
+        let key = |f: &ClusterFrame| (f.frame.time, f.machine_index);
+        assert!(frames.windows(2).all(|w| key(&w[0]) <= key(&w[1])));
+        // The solo streams label every machine index 0; compare by id.
+        assert_eq!(rendered(&expected), rendered(&frames), "{threads} threads");
+    }
 }
