@@ -7,7 +7,7 @@
 //! expressions, sort, render.
 
 use std::collections::HashMap;
-use std::sync::{Arc, LazyLock, Mutex};
+use std::sync::{Arc, Mutex};
 
 use tiptop_kernel::kernel::Kernel;
 use tiptop_kernel::program::{Phase, Program};
@@ -145,6 +145,8 @@ impl TiptopOptions {
 /// default screen holds one plan allocation, not a thousand compiled
 /// copies.
 struct ScreenPlan {
+    /// The counters the screen's metrics read, in event order.
+    events: Vec<HwEvent>,
     /// Header slice shared by every frame (the screen never changes
     /// mid-run); one refcount bump per refresh instead of a `String` per
     /// column per frame.
@@ -165,20 +167,25 @@ struct ScreenPlan {
 
 impl ScreenPlan {
     /// The process-wide plan for `screen`, building it on first sight.
-    /// Keyed by the screen's full structural fingerprint, so two screens
-    /// agreeing on name *and* columns share one plan and any difference
-    /// gets its own.
+    /// Keyed by value (`==`), so two screens agreeing on name *and*
+    /// columns share one plan and any difference gets its own. A process
+    /// holds a handful of distinct screens, so a scan of equality checks
+    /// finds the plan without formatting or hashing the screen on every
+    /// construction.
     fn shared(screen: &ScreenConfig) -> Arc<ScreenPlan> {
-        static CACHE: LazyLock<Mutex<HashMap<String, Arc<ScreenPlan>>>> =
-            LazyLock::new(|| Mutex::new(HashMap::new()));
-        let key = format!("{:?}|{:?}", screen.name, screen.columns);
-        Arc::clone(
-            CACHE
-                .lock()
-                .expect("screen plan cache poisoned")
-                .entry(key)
-                .or_insert_with(|| Arc::new(ScreenPlan::build(screen))),
-        )
+        static CACHE: Mutex<Vec<(ScreenConfig, Arc<ScreenPlan>)>> = Mutex::new(Vec::new());
+        let mut cache = CACHE.lock().expect("screen plan cache poisoned");
+        if let Some((_, plan)) = cache.iter().find(|(s, _)| s == screen) {
+            return Arc::clone(plan);
+        }
+        let plan = Arc::new(ScreenPlan::build(screen));
+        // A NaN constant makes a screen unequal to itself: it would never
+        // be found again, so it is not kept.
+        let kept = screen.clone();
+        if kept == *screen {
+            cache.push((kept, Arc::clone(&plan)));
+        }
+        plan
     }
 
     fn build(screen: &ScreenConfig) -> ScreenPlan {
@@ -238,6 +245,7 @@ impl ScreenPlan {
             })
             .collect();
         ScreenPlan {
+            events: screen.required_events(),
             headers,
             metric_syms,
             metric_progs,
@@ -261,8 +269,8 @@ pub struct Tiptop {
 
 impl Tiptop {
     pub fn new(options: TiptopOptions, screen: ScreenConfig) -> Self {
-        let collector = Collector::new(options.observer, screen.required_events());
         let plan = ScreenPlan::shared(&screen);
+        let collector = Collector::new(options.observer, plan.events.clone());
         Tiptop {
             options,
             screen,
@@ -499,5 +507,38 @@ impl Tiptop {
         if let Some(pid) = self.self_pid.take() {
             let _ = k.kill(pid);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{ColumnSpec, NumFormat};
+    use crate::expr::Expr;
+
+    #[test]
+    fn screens_share_a_plan_only_when_equal() {
+        let plan = |s: ScreenConfig| Tiptop::new(TiptopOptions::default(), s).cell_plan();
+        let default = plan(ScreenConfig::default_screen());
+        assert!(Arc::ptr_eq(&default, &plan(ScreenConfig::default_screen())));
+        assert!(!Arc::ptr_eq(
+            &default,
+            &plan(ScreenConfig::fp_assist_screen())
+        ));
+        let mut renamed = ScreenConfig::default_screen();
+        renamed.name = "renamed".into();
+        assert!(!Arc::ptr_eq(&default, &plan(renamed)));
+        // A NaN constant never equals itself, so its screen is never found
+        // in the cache: each monitor builds its own plan.
+        let mut nan = ScreenConfig::default_screen();
+        nan.columns.push(ColumnSpec {
+            header: "NAN".into(),
+            width: 5,
+            kind: ColumnKind::Metric {
+                expr: Expr::Num(f64::NAN),
+                format: NumFormat::Float(1),
+            },
+        });
+        assert!(!Arc::ptr_eq(&plan(nan.clone()), &plan(nan)));
     }
 }

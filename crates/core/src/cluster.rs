@@ -1624,20 +1624,29 @@ impl Rounds<'_> {
             horizon: t_star,
             grid: Vec::new(),
         };
-        let unpublished = self
-            .handoffs
-            .iter()
-            .any(|h| self.status[h.src] == Status::Live && self.units[h.src].session.now() < h.at);
-        if !self.policies.is_empty() || !self.pending.is_empty() || unpublished {
+        // A policy may decide on any frame, and an unresolved edge or an
+        // unpublished handoff may act between two instants. A published
+        // handoff leaves the list at the next round's march.
+        if !self.policies.is_empty() || !self.pending.is_empty() || !self.handoffs.is_empty() {
             return round;
         }
-        let open = || self.live().flat_map(|u| &u.slots).filter(|s| !s.done);
-        let Some(interval) = open().map(|s| s.monitor.interval()).min() else {
+        let mut open = self.live().flat_map(|u| &u.slots).filter(|s| !s.done);
+        let Some(first) = open.next() else {
             return round;
         };
-        let k = (WINDOW_FRAMES / open().count()).max(1);
+        let (mut n, mut interval) = (1, first.monitor.interval());
+        for s in open {
+            n += 1;
+            // More than half the budget open: a window would take one
+            // instant, which is the round.
+            if n > WINDOW_FRAMES / 2 {
+                return round;
+            }
+            interval = interval.min(s.monitor.interval());
+        }
+        let k = WINDOW_FRAMES / n;
         let horizon = t_star + interval * (k as u64 - 1);
-        if !self.march_all || k == 1 {
+        if !self.march_all {
             return Window {
                 horizon,
                 grid: Vec::new(),
@@ -1884,34 +1893,26 @@ impl Rounds<'_> {
         let stepped = self.step_on_pool(spread, Phase::Observe, |u| due(u).then_some(horizon))?;
         self.stats.rounds += 1;
 
-        let mut runs = Vec::with_capacity(stepped.len());
+        let mut decisions: Vec<(String, MigrationDecision)> = Vec::new();
+        let mut delivered = 0usize;
+        let mut merged = Vec::new();
         let mut failed = Vec::new();
         let mut last = t_star;
         for o in stepped {
-            runs.push(o.frames);
             last = last.max(o.reached);
             if let Err(e) = o.result {
                 failed.push((o.index, e));
             }
-        }
-        // A round's frames all share `t_star`, so machine order is already
-        // the merge.
-        if horizon > t_star {
-            let mut window: Vec<ClusterFrame> = runs.into_iter().flatten().collect();
-            window.sort_by_key(|f| f.frame.time);
-            runs = vec![window];
-        }
-        let mut decisions: Vec<(String, MigrationDecision)> = Vec::new();
-        let mut delivered = 0usize;
-        for frame in runs.into_iter().flatten() {
-            for p in self.policies.iter_mut() {
-                for d in p.observe(&frame) {
-                    decisions.push((p.name().to_string(), d));
-                }
+            // A round's frames all share `t_star`, so machine order is
+            // already the merge.
+            if horizon == t_star {
+                delivered += self.deliver(o.frames, &mut decisions);
+            } else {
+                merged.extend(o.frames);
             }
-            self.sink.on_frame(frame);
-            delivered += 1;
         }
+        merged.sort_by_key(|f| f.frame.time);
+        delivered += self.deliver(merged, &mut decisions);
         for (index, e) in failed {
             self.fail(index, e, false);
         }
@@ -1928,6 +1929,25 @@ impl Rounds<'_> {
             self.apply_decision(policy, decision, t_star)?;
         }
         Ok(())
+    }
+
+    /// Show each frame to every policy, collecting its decisions, and
+    /// deliver it. Returns how many frames were delivered.
+    fn deliver(
+        &mut self,
+        frames: Vec<ClusterFrame>,
+        decisions: &mut Vec<(String, MigrationDecision)>,
+    ) -> usize {
+        let n = frames.len();
+        for frame in frames {
+            for p in self.policies.iter_mut() {
+                for d in p.observe(&frame) {
+                    decisions.push((p.name().to_string(), d));
+                }
+            }
+            self.sink.on_frame(frame);
+        }
+        n
     }
 
     /// End a marching window where the rounds would have: march every

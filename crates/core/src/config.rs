@@ -26,6 +26,7 @@
 //! ```
 
 use std::collections::BTreeSet;
+use std::sync::LazyLock;
 
 use tiptop_machine::pmu::HwEvent;
 
@@ -105,8 +106,14 @@ pub struct ScreenConfig {
 }
 
 impl ScreenConfig {
-    /// The paper's Figure 1 screen.
+    /// The paper's Figure 1 screen. Its metrics are parsed once per
+    /// process; every call returns a copy.
     pub fn default_screen() -> ScreenConfig {
+        static DEFAULT: LazyLock<ScreenConfig> = LazyLock::new(ScreenConfig::figure_1);
+        DEFAULT.clone()
+    }
+
+    fn figure_1() -> ScreenConfig {
         ScreenConfig {
             name: "default".to_string(),
             columns: vec![
