@@ -110,9 +110,9 @@ impl PinReport {
 /// the reported count is of *original* instructions — exact by
 /// construction. Two modes:
 ///
-/// * [`PinInscount::run`] / [`PinInscount::try_run`] — the §2.4/§2.5 batch
-///   shape: run one program to completion in a dedicated kernel and charge
-///   the measured 1.7× on wall time.
+/// * [`PinInscount::try_run`] — the §2.4/§2.5 batch shape: run one
+///   program to completion in a dedicated kernel and charge the measured
+///   1.7× on wall time.
 /// * as a [`crate::monitor::Monitor`] — sample exact per-task counts inside
 ///   a live [`crate::scenario::Session`], for cross-checks against tiptop's
 ///   sampled counters.
@@ -175,24 +175,6 @@ impl PinInscount {
             ),
         })
     }
-
-    /// Like [`PinInscount::try_run`], panicking on timeout (the original
-    /// API; prefer `try_run`).
-    ///
-    /// # Panics
-    /// Panics if the program does not finish within `timeout`.
-    pub fn run(
-        &self,
-        kcfg: KernelConfig,
-        program: Program,
-        seed: u64,
-        timeout: SimDuration,
-    ) -> PinReport {
-        match self.try_run(kcfg, program, seed, timeout) {
-            Ok(report) => report,
-            Err(e) => panic!("instrumented program {e}"),
-        }
-    }
 }
 
 fn try_run_to_completion_as(
@@ -233,22 +215,6 @@ pub fn try_run_to_completion(
     timeout: SimDuration,
 ) -> Result<ExitRecord, SessionError> {
     try_run_to_completion_as("native-run", kcfg, program, seed, timeout)
-}
-
-/// Like [`try_run_to_completion`], panicking on timeout (the original API).
-///
-/// # Panics
-/// Panics if the program does not finish within `timeout`.
-pub fn run_to_completion(
-    kcfg: KernelConfig,
-    program: Program,
-    seed: u64,
-    timeout: SimDuration,
-) -> ExitRecord {
-    match try_run_to_completion(kcfg, program, seed, timeout) {
-        Ok(rec) => rec,
-        Err(e) => panic!("program {e}"),
-    }
 }
 
 /// Helper: spawn a list of programs and run until all exit, returning the
@@ -329,12 +295,14 @@ mod tests {
 
     #[test]
     fn pin_reports_exact_count_and_1_7x_wall() {
-        let report = PinInscount::default().run(
-            kcfg(),
-            short_program(500_000_000),
-            3,
-            SimDuration::from_secs(60),
-        );
+        let report = PinInscount::default()
+            .try_run(
+                kcfg(),
+                short_program(500_000_000),
+                3,
+                SimDuration::from_secs(60),
+            )
+            .expect("the program finishes well within the timeout");
         // The program retires at least its requested instructions; slice
         // rounding may add a sliver within the final epoch.
         assert!(report.instructions >= 500_000_000);
@@ -354,17 +322,6 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, SessionError::Timeout { .. }), "got {err:?}");
-    }
-
-    #[test]
-    #[should_panic(expected = "did not finish")]
-    fn pin_rejects_endless_programs() {
-        PinInscount::default().run(
-            kcfg(),
-            Program::endless(ExecProfile::builder("x").build()),
-            0,
-            SimDuration::from_millis(600),
-        );
     }
 
     #[test]

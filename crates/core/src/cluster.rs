@@ -62,7 +62,8 @@
 //! One driver runs every cluster: the **round driver**. At each
 //! observation instant it resolves dependency edges and resume handoffs,
 //! advances the machines due then on a worker pool spawned once per run,
-//! delivers the round's frames in machine order, and lets policies decide
+//! each through the observation loop of a lone [`Session`], delivers the
+//! round's frames in machine order, and lets policies decide
 //! (the steps of a round are documented on
 //! [`ClusterSession::run_reactive`]). Scripted runs are runs with no
 //! policies. A barrier is paid only where the run needs one: once no
@@ -129,7 +130,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 
 use tiptop_kernel::sched::SchedulerSelect;
-use tiptop_kernel::task::TaskState;
+use tiptop_kernel::task::{SpawnSpec, TaskState};
 use tiptop_machine::time::{SimDuration, SimTime};
 
 use crate::batch::FrameBatch;
@@ -137,7 +138,7 @@ use crate::monitor::Monitor;
 use crate::reactive::{AppliedDecision, MigrationDecision, MigrationMode, SchedulerPolicy};
 use crate::render::{Frame, Row};
 use crate::scenario::validation;
-use crate::scenario::{HandoffBoard, Scenario, Session, SessionError, WorkloadEvent};
+use crate::scenario::{HandoffBoard, MonitorSet, Scenario, Session, SessionError, WorkloadEvent};
 use crate::symbols::{self, Label, SymId};
 
 /// Identity of one machine of the cluster, handed to the per-machine
@@ -507,6 +508,69 @@ struct Migration {
     mode: MigrationMode,
 }
 
+/// What one migration lands as: by mode, the kill on the source and the
+/// spawn on the destination; a resume's checkpoint handoff; and the
+/// handover the merged stream shows.
+struct Landing {
+    kill: WorkloadEvent,
+    spawn: WorkloadEvent,
+    handoff: Option<Handoff>,
+    handover: HandoverRecord,
+}
+
+impl Migration {
+    /// Desugar the migration of `spec` from machine index `src` to `dst`.
+    /// `decided` marks a live decision's handoff (see [`Handoff`]).
+    fn land(&self, src: usize, dst: usize, spec: SpawnSpec, decided: bool) -> Landing {
+        let tag = self.tag.clone();
+        let handover = HandoverRecord {
+            at: self.at,
+            tag: tag.clone(),
+            comm: spec.comm.clone(),
+            from: self.from.clone(),
+            to: self.to.clone(),
+            mode: self.mode,
+        };
+        let (kill, spawn, handoff) = match self.mode {
+            MigrationMode::Restart => (
+                WorkloadEvent::Kill { tag: tag.clone() },
+                WorkloadEvent::Spawn { tag, spec },
+                None,
+            ),
+            MigrationMode::Resume => (
+                WorkloadEvent::CheckpointKill { tag: tag.clone() },
+                WorkloadEvent::ResumeSpawn { tag, spec },
+                Some(Handoff {
+                    at: self.at,
+                    src,
+                    dst,
+                    decided,
+                }),
+            ),
+        };
+        Landing {
+            kill,
+            spawn,
+            handoff,
+            handover,
+        }
+    }
+}
+
+/// The machine indices of a migration's endpoints, by `index_of`; or why
+/// there are none, to be labelled with the migration.
+fn endpoints(
+    from: &str,
+    to: &str,
+    index_of: impl Fn(&str) -> Option<usize>,
+) -> Result<(usize, usize), String> {
+    if from == to {
+        return Err("source and destination are the same machine".into());
+    }
+    let index = |id: &str| index_of(id).ok_or_else(|| format!("unknown machine '{id}'"));
+    Ok((index(from)?, index(to)?))
+}
+
 /// Declarative description of a multi-machine experiment: one [`Scenario`]
 /// per machine — each with its own machine config, seed, users, and timed
 /// workload events — plus *cross-machine* events ([`migrate_at`]) that span
@@ -668,22 +732,9 @@ impl ClusterScenario {
                 "migration of '{}' {}->{} at {:?}",
                 m.tag, m.from, m.to, m.at
             );
-            if m.from == m.to {
-                return Err(SessionError::InvalidScenario(format!(
-                    "{label}: source and destination are the same machine"
-                )));
-            }
             let index_of = |id: &str| self.machines.iter().position(|(mid, _)| mid == id);
-            let (Some(fi), Some(ti)) = (index_of(&m.from), index_of(&m.to)) else {
-                let missing = if index_of(&m.from).is_none() {
-                    &m.from
-                } else {
-                    &m.to
-                };
-                return Err(SessionError::InvalidScenario(format!(
-                    "{label}: unknown machine '{missing}'"
-                )));
-            };
+            let (fi, ti) = endpoints(&m.from, &m.to, index_of)
+                .map_err(|msg| SessionError::InvalidScenario(format!("{label}: {msg}")))?;
             if !self.machines[fi].1.tag_live_at(&m.tag, m.at) {
                 let spawns = self.machines[fi].1.spawn_events(&m.tag);
                 let msg = match spawns.first() {
@@ -746,46 +797,11 @@ impl ClusterScenario {
                 .find(|(s, _)| *s <= m.at)
                 .map(|(_, spec)| spec.clone())
                 .expect("a live tag has a spawn at or before the instant");
-            handovers.push(HandoverRecord {
-                at: m.at,
-                tag: m.tag.clone(),
-                comm: spec.comm.clone(),
-                from: m.from.clone(),
-                to: m.to.clone(),
-                mode: m.mode,
-            });
-            match m.mode {
-                MigrationMode::Restart => {
-                    self.machines[fi]
-                        .1
-                        .schedule(m.at, WorkloadEvent::Kill { tag: m.tag.clone() });
-                    self.machines[ti].1.schedule(
-                        m.at,
-                        WorkloadEvent::Spawn {
-                            tag: m.tag.clone(),
-                            spec,
-                        },
-                    );
-                }
-                MigrationMode::Resume => {
-                    self.machines[fi]
-                        .1
-                        .schedule(m.at, WorkloadEvent::CheckpointKill { tag: m.tag.clone() });
-                    self.machines[ti].1.schedule(
-                        m.at,
-                        WorkloadEvent::ResumeSpawn {
-                            tag: m.tag.clone(),
-                            spec,
-                        },
-                    );
-                    handoffs.push(Handoff {
-                        at: m.at,
-                        src: fi,
-                        dst: ti,
-                        decided: false,
-                    });
-                }
-            }
+            let landing = m.land(fi, ti, spec, false);
+            self.machines[fi].1.schedule(m.at, landing.kill);
+            self.machines[ti].1.schedule(m.at, landing.spawn);
+            handoffs.extend(landing.handoff);
+            handovers.push(landing.handover);
         }
 
         // Same-instant resume hops hand checkpoints across machines at one
@@ -990,7 +1006,9 @@ impl std::error::Error for ClusterRunError {
 
 type Until = Box<dyn FnMut(&Frame) -> bool + Send>;
 /// The monitor set one machine runs: each tool paired with its stop rule.
-type ToolSet = Vec<(Box<dyn Monitor + Send>, Until)>;
+type ToolSet = Vec<(Box<dyn Monitor + Send>, Option<Until>)>;
+/// One machine's monitors with their clocks, as a run drives them.
+type Monitors = MonitorSet<Box<dyn Monitor + Send>, Until>;
 
 impl ClusterSession {
     pub fn len(&self) -> usize {
@@ -1053,9 +1071,12 @@ impl ClusterSession {
     /// handoffs are resolved at those barriers. Once every edge has fired
     /// and every handoff is published, nothing couples the machines
     /// between two instants, so each round becomes a **window**: every
-    /// machine takes all of its observations up to the window's horizon in
-    /// one task, and the window is merged by `(time, machine)` — the same
-    /// stream, with a barrier per window instead of per instant.
+    /// machine runs the observation loop of [`Session::run_until`] up to
+    /// the window's horizon in one task, and the window is merged by
+    /// `(time, machine)` — the same stream, with a barrier per window
+    /// instead of per instant. Without migrations or cross-machine edges,
+    /// a machine's frames are the ones a lone [`Session`] built from its
+    /// scenario would take.
     ///
     /// # Failure contract: deliver-then-error
     ///
@@ -1089,7 +1110,7 @@ impl ClusterSession {
         self.run_units(
             threads,
             max_refreshes,
-            |mref| vec![(monitor(mref), until(mref))],
+            |mref| vec![(monitor(mref), Some(until(mref)))],
             sink,
         )
     }
@@ -1127,18 +1148,19 @@ impl ClusterSession {
     /// untouched and re-runnable.
     fn take_units(
         &mut self,
+        refreshes: usize,
         tools: &mut dyn FnMut(MachineRef<'_>) -> ToolSet,
     ) -> Result<Vec<WorkUnit>, SessionError> {
-        let mut per_machine: Vec<ToolSet> = Vec::with_capacity(self.shards.len());
+        let mut per_machine: Vec<Monitors> = Vec::with_capacity(self.shards.len());
         for (index, slot) in self.shards.iter().enumerate() {
-            let set = tools(MachineRef {
-                id: &slot.id,
-                index,
-            });
-            validate_monitor_set(
-                &slot.id,
-                set.iter().map(|(m, _)| m.as_ref() as &dyn Monitor),
-            )?;
+            let set = MonitorSet::new(
+                tools(MachineRef {
+                    id: &slot.id,
+                    index,
+                }),
+                refreshes,
+            );
+            validate_monitor_set(&slot.id, &set)?;
             per_machine.push(set);
         }
         let mut units: Vec<WorkUnit> = Vec::with_capacity(self.shards.len());
@@ -1158,17 +1180,8 @@ impl ClusterSession {
                 index,
                 id: Label::new(&slot.id),
                 session: Box::new(session),
-                slots: set
-                    .into_iter()
-                    .map(|(monitor, until)| MonitorSlot {
-                        source: Label::new(monitor.name()),
-                        monitor,
-                        until,
-                        next_at: SimTime::ZERO,
-                        taken: 0,
-                        done: false,
-                    })
-                    .collect(),
+                sources: set.monitors().map(|m| Label::new(m.name())).collect(),
+                monitors: set,
             });
         }
         Ok(units)
@@ -1184,9 +1197,8 @@ impl ClusterSession {
         mut tools: impl FnMut(MachineRef<'_>) -> ToolSet,
         sink: &mut dyn ClusterFrameSink,
     ) -> Result<(), SessionError> {
-        let units = self.take_units(&mut tools)?;
-        self.run_rounds(units, threads, max_refreshes, &mut [], sink)
-            .map(|_| ())
+        let units = self.take_units(max_refreshes, &mut tools)?;
+        self.run_rounds(units, threads, &mut [], sink).map(|_| ())
     }
 
     /// [`ClusterSession::run_each`] without early stopping: every machine
@@ -1244,8 +1256,9 @@ impl ClusterSession {
     ///    chains in topological order), so a checkpoint is always on the
     ///    board before its destination takes it;
     /// 3. advances the machines due at `t*` concurrently on the run's
-    ///    worker pool (spawned once per run), each machine taking its
-    ///    observations on the worker it was moved to;
+    ///    worker pool (spawned once per run); on the worker it was moved
+    ///    to, each machine runs the observation loop of
+    ///    [`Session::run_all`] up to the round's horizon;
     /// 4. merges the round's frames in `(machine, monitor)` order — the
     ///    order `run_all` produces;
     /// 5. shows each frame to every policy, then delivers it to the sink.
@@ -1266,15 +1279,15 @@ impl ClusterSession {
     /// `i` the smallest of their intervals, `H = t* + (k − 1)·i` with
     /// `k = max(1, 256 / n)`, so a window buffers at most `max(256, one
     /// round)` frames and a fleet of 256 or more monitors keeps one round
-    /// per instant. Each due machine then steps through each of its own
-    /// observation instants up to `H` in one task, taking the due slots in
-    /// slot order; the calling thread stable-sorts the window's frames by
-    /// time, which is the `(time, machine, monitor)` order the rounds
-    /// deliver. In a run that marches (it started with live edges), a
-    /// window needs every observing machine due at the same instants, and
-    /// it ends with every live machine — stopped ones included — marched
-    /// through those instants to the last one observed, as the rounds
-    /// would have left it; otherwise it stays a round.
+    /// per instant. Each due machine then runs its observation loop through
+    /// each of its own instants up to `H` in one task, taking the monitors
+    /// due at each in set order; the calling thread stable-sorts the
+    /// window's frames by time, which is the `(time, machine, monitor)`
+    /// order the rounds deliver. In a run that marches (it started with
+    /// live edges), a window needs every observing machine due at the same
+    /// instants, and it ends with every live machine — stopped ones
+    /// included — marched through those instants to the last one observed,
+    /// as the rounds would have left it; otherwise it stays a round.
     /// [`RunStats::rounds`] counts rounds plus windows.
     ///
     /// Decisions fired on a frame at `t*` are validated and injected as
@@ -1346,8 +1359,8 @@ impl ClusterSession {
         policies: &mut [Box<dyn SchedulerPolicy>],
         sink: &mut dyn ClusterFrameSink,
     ) -> Result<Vec<AppliedDecision>, SessionError> {
-        let units = self.take_units(&mut |mref| never_stop(monitors(mref)))?;
-        self.run_rounds(units, threads, refreshes, policies, sink)
+        let units = self.take_units(refreshes, &mut |mref| never_stop(monitors(mref)))?;
+        self.run_rounds(units, threads, policies, sink)
     }
 
     /// Run `units` on the round driver over a pool of `threads − 1` workers
@@ -1357,7 +1370,6 @@ impl ClusterSession {
         &mut self,
         units: Vec<WorkUnit>,
         threads: usize,
-        max_refreshes: usize,
         policies: &mut [Box<dyn SchedulerPolicy>],
         sink: &mut dyn ClusterFrameSink,
     ) -> Result<Vec<AppliedDecision>, SessionError> {
@@ -1368,7 +1380,7 @@ impl ClusterSession {
                 .map(|_| {
                     let (shares, inbox) = mpsc::channel();
                     let (outbox, stepped) = mpsc::channel();
-                    joins.push(scope.spawn(move || serve(inbox, outbox, max_refreshes)));
+                    joins.push(scope.spawn(move || serve(inbox, outbox)));
                     Worker { shares, stepped }
                 })
                 .collect();
@@ -1378,10 +1390,7 @@ impl ClusterSession {
             let mut rounds = Rounds {
                 status: vec![Status::Live; n],
                 units,
-                pool: Pool {
-                    workers,
-                    max_refreshes,
-                },
+                pool: Pool { workers },
                 march_all: !pending.is_empty(),
                 pending,
                 deps: &mut self.deps,
@@ -1424,28 +1433,9 @@ impl ClusterSession {
     }
 }
 
-/// Pair every monitor with a stop rule that never fires.
+/// Pair every monitor with no stop rule.
 fn never_stop(monitors: Vec<Box<dyn Monitor + Send>>) -> ToolSet {
-    monitors
-        .into_iter()
-        .map(|m| {
-            let until: Until = Box::new(|_| false);
-            (m, until)
-        })
-        .collect()
-}
-
-/// One monitor of one machine: its own interval clock, stop predicate and
-/// observation count.
-struct MonitorSlot {
-    monitor: Box<dyn Monitor + Send>,
-    until: Until,
-    /// The monitor's name as a shared label, captured once — the hot loop
-    /// never calls `name()` again.
-    source: Label,
-    next_at: SimTime,
-    taken: usize,
-    done: bool,
+    monitors.into_iter().map(|m| (m, None)).collect()
 }
 
 struct WorkUnit {
@@ -1455,7 +1445,10 @@ struct WorkUnit {
     /// Boxed, so a phase that moves the machine to a worker and back
     /// moves a pointer, not the whole session.
     session: Box<Session>,
-    slots: Vec<MonitorSlot>,
+    monitors: Monitors,
+    /// Each monitor's name as a shared label, captured once — the hot loop
+    /// never calls `name()` again.
+    sources: Vec<Label>,
 }
 
 /// One resume-mode checkpoint handoff: `src` publishes the checkpoint at
@@ -1543,9 +1536,7 @@ impl Rounds<'_> {
                 continue;
             }
             let torn_down = guard(&unit.id, || {
-                for slot in &mut unit.slots {
-                    slot.monitor.teardown(unit.session.kernel_mut());
-                }
+                unit.monitors.teardown(&mut unit.session);
                 Ok(())
             });
             // A teardown panic tears the shard like an observe panic
@@ -1577,33 +1568,18 @@ impl Rounds<'_> {
         // nothing to observe sits the run out untouched.
         for i in 0..self.units.len() {
             let unit = &mut self.units[i];
-            if self.pool.max_refreshes == 0 || unit.slots.is_empty() {
+            if unit.monitors.next_due().is_none() {
                 self.status[i] = Status::Idle;
                 continue;
             }
-            let primed = guard(&unit.id, || {
-                for slot in &mut unit.slots {
-                    slot.monitor.prime(unit.session.kernel_mut());
-                }
-                Ok(())
-            });
-            match primed {
-                Ok(()) => {
-                    let now = unit.session.now();
-                    for slot in &mut unit.slots {
-                        slot.next_at = now + slot.monitor.interval();
-                    }
-                }
-                Err(e) => self.fail(i, e, false),
+            if let Err(e) = guard(&unit.id, || unit.monitors.prime(&mut unit.session)) {
+                self.fail(i, e, false);
             }
         }
         self.check()?;
         loop {
             // The globally earliest pending observation instant.
-            let t_star = self
-                .live()
-                .flat_map(|u| u.slots.iter().filter(|s| !s.done).map(|s| s.next_at))
-                .min();
+            let t_star = self.live().filter_map(|u| u.monitors.next_due()).min();
             let Some(t_star) = t_star else { break };
             let window = self.window(t_star);
             // A window is only opened once no edge or handoff is left for
@@ -1630,19 +1606,19 @@ impl Rounds<'_> {
         if !self.policies.is_empty() || !self.pending.is_empty() || !self.handoffs.is_empty() {
             return round;
         }
-        let mut open = self.live().flat_map(|u| &u.slots).filter(|s| !s.done);
-        let Some(first) = open.next() else {
+        let mut open = self.live().flat_map(|u| u.monitors.open());
+        let Some((_, mut interval, _)) = open.next() else {
             return round;
         };
-        let (mut n, mut interval) = (1, first.monitor.interval());
-        for s in open {
+        let mut n = 1;
+        for (_, i, _) in open {
             n += 1;
             // More than half the budget open: a window would take one
             // instant, which is the round.
             if n > WINDOW_FRAMES / 2 {
                 return round;
             }
-            interval = interval.min(s.monitor.interval());
+            interval = interval.min(i);
         }
         let k = WINDOW_FRAMES / n;
         let horizon = t_star + interval * (k as u64 - 1);
@@ -1657,11 +1633,10 @@ impl Rounds<'_> {
         // machine still observing is due at the same instants: then no
         // machine's stop or failure removes an instant the others would
         // have been marched through.
-        let max_refreshes = self.pool.max_refreshes;
         let mut grids = self
             .live()
-            .filter(|u| u.slots.iter().any(|s| !s.done))
-            .map(|u| instants(u, horizon, max_refreshes));
+            .filter(|u| u.monitors.next_due().is_some())
+            .map(|u| instants(u, horizon));
         let grid = grids.next().unwrap_or_default();
         if grids.all(|g| g == grid) {
             Window { horizon, grid }
@@ -1885,7 +1860,7 @@ impl Rounds<'_> {
     /// the round's decisions.
     fn observe(&mut self, t_star: SimTime, window: Window) -> Result<(), SessionError> {
         let Window { horizon, grid } = window;
-        let due = |u: &WorkUnit| u.slots.iter().any(|s| !s.done && s.next_at <= horizon);
+        let due = |u: &WorkUnit| u.monitors.next_due().is_some_and(|at| at <= horizon);
         // Taking observations is cheap next to advancing: when the march
         // already brought every due machine to `t_star`, handing them to
         // the workers would cost more than it saves.
@@ -2058,20 +2033,8 @@ impl Rounds<'_> {
             d.tag, d.from, d.to
         );
         let infeasible = |msg: String| SessionError::InvalidDecision(format!("{label}: {msg}"));
-        if d.from == d.to {
-            return Err(infeasible(
-                "source and destination are the same machine".into(),
-            ));
-        }
         let position = |id: &str| self.units.iter().position(|u| u.id == id);
-        let (Some(fi), Some(ti)) = (position(&d.from), position(&d.to)) else {
-            let missing = if position(&d.from).is_none() {
-                &d.from
-            } else {
-                &d.to
-            };
-            return Err(infeasible(format!("unknown machine '{missing}'")));
-        };
+        let (fi, ti) = endpoints(&d.from, &d.to, position).map_err(infeasible)?;
         let src = &self.units[fi].session;
         let Some(pid) = src.pid(&d.tag) else {
             return Err(infeasible(format!(
@@ -2114,7 +2077,6 @@ impl Rounds<'_> {
                 d.to
             )));
         }
-        let comm = spec.comm.clone();
         // Re-label the sessions' own InvalidDecision messages with the
         // decision context before surfacing them.
         let relabel = |e: SessionError| match e {
@@ -2123,61 +2085,39 @@ impl Rounds<'_> {
             }
             other => other,
         };
-        let (spawn_ev, kill_ev) = match d.mode {
-            MigrationMode::Restart => (
-                WorkloadEvent::Spawn {
-                    tag: d.tag.clone(),
-                    spec,
-                },
-                WorkloadEvent::Kill { tag: d.tag.clone() },
-            ),
-            MigrationMode::Resume => (
-                WorkloadEvent::ResumeSpawn {
-                    tag: d.tag.clone(),
-                    spec,
-                },
-                WorkloadEvent::CheckpointKill { tag: d.tag.clone() },
-            ),
+        let m = Migration {
+            at,
+            tag: d.tag,
+            from: d.from,
+            to: d.to,
+            mode: d.mode,
         };
+        let landing = m.land(fi, ti, spec, true);
         self.units[ti]
             .session
-            .schedule_at(at, spawn_ev)
+            .schedule_at(at, landing.spawn)
             .map_err(relabel)?;
         self.units[fi]
             .session
-            .schedule_at(at, kill_ev)
+            .schedule_at(at, landing.kill)
             .map_err(relabel)?;
-        if d.mode == MigrationMode::Resume {
-            self.handoffs.push(Handoff {
-                at,
-                src: fi,
-                dst: ti,
-                decided: true,
-            });
-        }
+        self.handoffs.extend(landing.handoff);
         self.injected.push(InjectedDecision {
             at,
-            tag: d.tag.clone(),
+            tag: m.tag.clone(),
             src: fi,
             dst: ti,
         });
         self.applied.push(AppliedDecision {
             policy,
-            tag: d.tag.clone(),
-            from: d.from.clone(),
-            to: d.to.clone(),
+            tag: m.tag,
+            from: m.from,
+            to: m.to,
             decided_at,
             applied_at: at,
-            mode: d.mode,
+            mode: m.mode,
         });
-        self.handovers.push(HandoverRecord {
-            at,
-            tag: d.tag,
-            comm,
-            from: d.from,
-            to: d.to,
-            mode: d.mode,
-        });
+        self.handovers.push(landing.handover);
         Ok(())
     }
 
@@ -2231,18 +2171,14 @@ impl Rounds<'_> {
             // the destination (cancel a still-pending spawn, kill an
             // already-started clone) so the handed-back fleet carries no
             // unrecorded restarted copy of a job that finished on its own.
+            // A source short of the instant whose task has no exit record
+            // yet never reached its kill: nothing misfired.
             let src = &units[inj.src].session;
-            let killed_at_boundary = src.pid(&inj.tag).is_some_and(|pid| {
-                let k = src.kernel();
-                match k.exit_record(pid) {
-                    Some(rec) => rec.end_time == inj.at,
-                    None => {
-                        src.now() < inj.at
-                            || k.stat(pid).is_some_and(|st| st.state == TaskState::Zombie)
-                    }
-                }
-            });
-            if !killed_at_boundary {
+            let cancelled = src.now() < inj.at
+                && src
+                    .pid(&inj.tag)
+                    .is_some_and(|pid| src.kernel().exit_record(pid).is_none());
+            if !cancelled && !killed_at(src, &inj.tag, inj.at) {
                 let dst = &mut units[inj.dst].session;
                 dst.cancel_scheduled(inj.at, &inj.tag);
                 if let Some(pid) = dst.pid(&inj.tag) {
@@ -2266,25 +2202,24 @@ impl Rounds<'_> {
         self.handovers.retain(|h| {
             let unit = |id: &str| units.iter().find(|u| u.id == *id);
             let spawned = unit(&h.to).is_some_and(|u| u.session.pid(&h.tag).is_some());
-            let killed = unit(&h.from).is_some_and(|u| {
-                u.session.pid(&h.tag).is_some_and(|pid| {
-                    match u.session.kernel().exit_record(pid) {
-                        Some(rec) => rec.end_time == h.at,
-                        // Applied but not yet reaped: the clock stopped on
-                        // the application instant itself.
-                        None => {
-                            u.session.now() >= h.at
-                                && u.session
-                                    .kernel()
-                                    .stat(pid)
-                                    .is_some_and(|st| st.state == TaskState::Zombie)
-                        }
-                    }
-                })
-            });
-            spawned && killed
+            spawned && unit(&h.from).is_some_and(|u| killed_at(&u.session, &h.tag, h.at))
         });
     }
+}
+
+/// Did `tag`'s current task on `session` end exactly at `at`, as a
+/// migration's kill ends it? Its exit record ends then; or, applied but not
+/// yet reaped, it is a zombie and the clock stopped at or past `at`.
+fn killed_at(session: &Session, tag: &str, at: SimTime) -> bool {
+    session.pid(tag).is_some_and(|pid| {
+        let k = session.kernel();
+        match k.exit_record(pid) {
+            Some(rec) => rec.end_time == at,
+            None => {
+                session.now() >= at && k.stat(pid).is_some_and(|st| st.state == TaskState::Zombie)
+            }
+        }
+    })
 }
 
 /// Most frames a window may buffer (see [`ClusterSession::run_reactive`]).
@@ -2298,15 +2233,13 @@ struct Window {
 }
 
 /// Machine `u`'s observation instants up to `horizon`, in order.
-fn instants(u: &WorkUnit, horizon: SimTime, max_refreshes: usize) -> Vec<SimTime> {
+fn instants(u: &WorkUnit, horizon: SimTime) -> Vec<SimTime> {
     let mut at: Vec<SimTime> = u
-        .slots
-        .iter()
-        .filter(|s| !s.done)
-        .flat_map(|s| {
-            let interval = s.monitor.interval();
-            (0..max_refreshes - s.taken)
-                .map(move |j| s.next_at + interval * j as u64)
+        .monitors
+        .open()
+        .flat_map(|(next, interval, left)| {
+            (0..left)
+                .map(move |j| next + interval * j as u64)
                 .take_while(|t| *t <= horizon)
         })
         .collect();
@@ -2363,7 +2296,6 @@ struct Worker {
 /// nothing crosses a thread.
 struct Pool {
     workers: Vec<Worker>,
-    max_refreshes: usize,
 }
 
 impl Pool {
@@ -2412,7 +2344,7 @@ impl Pool {
                 }
             }
         }
-        out.extend(mine.into_iter().map(|t| step(t, phase, self.max_refreshes)));
+        out.extend(mine.into_iter().map(|t| step(t, phase)));
         for (worker, first) in sent {
             match worker.stepped.recv() {
                 Ok(stepped) => out.extend(stepped),
@@ -2433,16 +2365,12 @@ impl Pool {
 
 /// A pool worker: step every share it is sent and send the machines back,
 /// until the pool closes its channel at the end of the run.
-fn serve(
-    shares: mpsc::Receiver<Share>,
-    stepped: mpsc::Sender<Vec<(WorkUnit, Outcome)>>,
-    max_refreshes: usize,
-) {
+fn serve(shares: mpsc::Receiver<Share>, stepped: mpsc::Sender<Vec<(WorkUnit, Outcome)>>) {
     for share in shares {
         let done = share
             .tasks
             .into_iter()
-            .map(|t| step(t, &share.phase, max_refreshes))
+            .map(|t| step(t, &share.phase))
             .collect();
         if stepped.send(done).is_err() {
             return;
@@ -2451,10 +2379,9 @@ fn serve(
 }
 
 /// Step one machine to its task's instant as `phase` says, panics
-/// contained. Observing, it advances to each of its own observation
-/// instants up to the task's instant and takes the slots due there in
-/// slot order.
-fn step(task: Task, phase: &Phase, max_refreshes: usize) -> (WorkUnit, Outcome) {
+/// contained. Observing, it runs the machine's [`MonitorSet`] loop up to
+/// the task's instant.
+fn step(task: Task, phase: &Phase) -> (WorkUnit, Outcome) {
     let Task { mut unit, to } = task;
     let u = &mut unit;
     let mut frames = Vec::new();
@@ -2468,32 +2395,26 @@ fn step(task: Task, phase: &Phase, max_refreshes: usize) -> (WorkUnit, Outcome) 
             }
             u.session.advance_to(to)
         }
-        Phase::Observe => loop {
-            let next = u.slots.iter().filter(|s| !s.done).map(|s| s.next_at).min();
-            let Some(at) = next.filter(|at| *at <= to) else {
-                return Ok(());
-            };
-            reached = at;
-            u.session.advance_to(at)?;
-            for slot in u.slots.iter_mut().filter(|s| !s.done && s.next_at == at) {
-                let frame = slot.monitor.observe(u.session.kernel_mut());
-                let stop = (slot.until)(&frame);
-                slot.taken += 1;
+        Phase::Observe => {
+            let (id, index, sources) = (&u.id, u.index, &u.sources);
+            let emit = |slot: usize, seq, _: &_, frame| {
                 frames.push(ClusterFrame {
-                    machine: u.id.clone(),
-                    machine_index: u.index,
-                    source: slot.source.clone(),
-                    seq: slot.taken - 1,
+                    machine: id.clone(),
+                    machine_index: index,
+                    source: sources[slot].clone(),
+                    seq,
                     frame,
-                });
-                if stop || slot.taken >= max_refreshes {
-                    slot.done = true;
-                } else {
-                    slot.next_at += slot.monitor.interval();
-                }
-            }
-        },
+                })
+            };
+            reached = u.monitors.observe_through(&mut u.session, to, emit)?;
+            Ok(())
+        }
     });
+    // A failed observation stopped at the instant it was stepping to: the
+    // earliest one its monitors are still due at.
+    if result.is_err() && matches!(phase, Phase::Observe) {
+        reached = unit.monitors.next_due().unwrap_or(to);
+    }
     let index = unit.index;
     (
         unit,
@@ -2508,30 +2429,22 @@ fn step(task: Task, phase: &Phase, max_refreshes: usize) -> (WorkUnit, Outcome) 
 
 /// Reject monitor sets that cannot drive a machine — shared by
 /// [`ClusterSession::run_all`]/[`ClusterSession::run_each`] and
-/// [`ClusterSession::run_reactive`]: an empty set (the machine would stay
-/// frozen at its current sim-time, since machines only advance through
-/// their observations) and zero-interval monitors (which would never let
-/// time advance).
-fn validate_monitor_set<'a>(
-    machine: &str,
-    monitors: impl Iterator<Item = &'a (dyn Monitor + 'a)>,
-) -> Result<(), SessionError> {
-    let mut any = false;
-    for m in monitors {
-        any = true;
-        if m.interval().is_zero() {
-            return Err(SessionError::InvalidScenario(format!(
-                "machine '{machine}': monitor '{}' has a zero refresh interval",
-                m.name()
-            )));
-        }
-    }
-    if !any {
-        return Err(SessionError::InvalidScenario(format!(
-            "machine '{machine}': empty monitor set — a machine only advances through \
-             its observations, so it would stay frozen at its current sim-time; \
-             give every machine at least one monitor"
-        )));
+/// [`ClusterSession::run_reactive`]: zero-interval monitors
+/// ([`MonitorSet::check`]) and an empty set (the machine would stay frozen
+/// at its current sim-time, since machines only advance through their
+/// observations). Both errors name the machine.
+fn validate_monitor_set(machine: &str, set: &Monitors) -> Result<(), SessionError> {
+    let named = |msg: &str| SessionError::InvalidScenario(format!("machine '{machine}': {msg}"));
+    set.check().map_err(|e| match e {
+        SessionError::InvalidScenario(msg) => named(&msg),
+        other => other,
+    })?;
+    if set.monitors().next().is_none() {
+        return Err(named(
+            "empty monitor set — a machine only advances through its observations, \
+             so it would stay frozen at its current sim-time; give every machine at \
+             least one monitor",
+        ));
     }
     Ok(())
 }

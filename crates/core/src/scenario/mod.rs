@@ -76,6 +76,7 @@ pub(crate) mod validation;
 pub use builder::Scenario;
 pub use errors::{DagError, SessionError};
 pub use events::{HandoffBoard, Trigger, WorkloadEvent};
+pub(crate) use session::MonitorSet;
 pub use session::Session;
 
 #[cfg(test)]

@@ -4,13 +4,14 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::ops::DerefMut;
 use std::sync::Arc;
 
 use tiptop_kernel::kernel::Kernel;
 use tiptop_kernel::task::{Pid, SpawnSpec};
 use tiptop_machine::time::{SimDuration, SimTime};
 
-use crate::monitor::{CollectSink, FrameSink, Monitor};
+use crate::monitor::{FrameSink, Monitor};
 use crate::render::Frame;
 
 use super::errors::{DagError, SessionError};
@@ -541,30 +542,6 @@ impl Session {
         self.advance_to(self.kernel.now() + dur)
     }
 
-    /// Reject zero-interval monitors (they would never let time advance)
-    /// and prime the rest at the current instant.
-    fn check_and_prime(&mut self, monitors: &mut [&mut dyn Monitor]) -> Result<(), SessionError> {
-        for m in monitors.iter() {
-            if m.interval().is_zero() {
-                return Err(SessionError::InvalidScenario(format!(
-                    "monitor '{}' has a zero refresh interval",
-                    m.name()
-                )));
-            }
-        }
-        for m in monitors.iter_mut() {
-            m.prime(&mut self.kernel);
-        }
-        Ok(())
-    }
-
-    /// Advance one interval of a primed monitor (applying due events) and
-    /// take its observation.
-    fn observe_next(&mut self, monitor: &mut dyn Monitor) -> Result<Frame, SessionError> {
-        self.advance_to(self.kernel.now() + monitor.interval())?;
-        Ok(monitor.observe(&mut self.kernel))
-    }
-
     /// Drive several monitors concurrently — the §2.5 interference shape.
     /// Every monitor is primed now, then observed on its own interval until
     /// it has produced `refreshes` frames; frames go to `sink` labelled
@@ -576,28 +553,12 @@ impl Session {
         refreshes: usize,
         sink: &mut dyn FrameSink,
     ) -> Result<(), SessionError> {
-        self.check_and_prime(monitors)?;
-        let start = self.kernel.now();
-        let mut next: Vec<SimTime> = monitors.iter().map(|m| start + m.interval()).collect();
-        let mut taken = vec![0usize; monitors.len()];
-        loop {
-            let due = next
-                .iter()
-                .zip(&taken)
-                .filter(|(_, &n)| n < refreshes)
-                .map(|(&t, _)| t)
-                .min();
-            let Some(t) = due else { break };
-            self.advance_to(t)?;
-            for (i, m) in monitors.iter_mut().enumerate() {
-                if taken[i] < refreshes && next[i] == t {
-                    let frame = m.observe(&mut self.kernel);
-                    sink.on_frame(m.name(), frame);
-                    taken[i] += 1;
-                    next[i] = t + m.interval();
-                }
-            }
-        }
+        let never = None::<fn(&Frame) -> bool>;
+        let mut set = MonitorSet::new(monitors.iter_mut().map(|m| (&mut **m, never)), refreshes);
+        set.prime(self)?;
+        set.observe_through(self, UNBOUNDED, |_, _, m, frame| {
+            sink.on_frame(m.name(), frame)
+        })?;
         Ok(())
     }
 
@@ -635,9 +596,7 @@ impl Session {
         monitor: &mut dyn Monitor,
         refreshes: usize,
     ) -> Result<Vec<Frame>, SessionError> {
-        let mut sink = CollectSink::new();
-        self.run_all(&mut [monitor], refreshes, &mut sink)?;
-        Ok(sink.into_frames())
+        self.run_until(monitor, refreshes, |_| false)
     }
 
     /// Like [`Session::run`] but stops early when `until` says so (given
@@ -648,16 +607,10 @@ impl Session {
         max_refreshes: usize,
         until: impl Fn(&Frame) -> bool,
     ) -> Result<Vec<Frame>, SessionError> {
-        self.check_and_prime(&mut [&mut *monitor])?;
+        let mut set = MonitorSet::new([(monitor, Some(until))], max_refreshes);
+        set.prime(self)?;
         let mut frames = Vec::new();
-        for _ in 0..max_refreshes {
-            let frame = self.observe_next(monitor)?;
-            let done = until(&frame);
-            frames.push(frame);
-            if done {
-                break;
-            }
-        }
+        set.observe_through(self, UNBOUNDED, |_, _, _, frame| frames.push(frame))?;
         Ok(frames)
     }
 
@@ -665,5 +618,136 @@ impl Session {
     /// session's kernel.
     pub fn teardown(&mut self, monitor: &mut dyn Monitor) {
         monitor.teardown(&mut self.kernel);
+    }
+}
+
+/// The horizon of a lone session's run: observe until every monitor is done.
+const UNBOUNDED: SimTime = SimTime(u64::MAX);
+
+/// One machine's observation loop: its monitors, each with its own clock
+/// and optional stop rule, primed, observed and torn down against one
+/// [`Session`]. [`Session::run_all`] and [`Session::run_until`] run it over
+/// borrowed monitors with an unbounded horizon; a cluster shard runs it
+/// over boxed monitors, up to each round's or window's horizon.
+pub(crate) struct MonitorSet<M, U> {
+    slots: Vec<Slot<M, U>>,
+    /// Frames each monitor takes at most.
+    refreshes: usize,
+}
+
+/// One monitor of a [`MonitorSet`] and its clock.
+struct Slot<M, U> {
+    monitor: M,
+    /// Stops the monitor once it returns true; the stopping frame counts.
+    until: Option<U>,
+    next_at: SimTime,
+    taken: usize,
+    /// Stopped by `until`, or out of refreshes.
+    done: bool,
+}
+
+impl<M, U> MonitorSet<M, U>
+where
+    M: DerefMut,
+    M::Target: Monitor,
+    U: FnMut(&Frame) -> bool,
+{
+    pub(crate) fn new(
+        monitors: impl IntoIterator<Item = (M, Option<U>)>,
+        refreshes: usize,
+    ) -> Self {
+        let slots = monitors
+            .into_iter()
+            .map(|(monitor, until)| Slot {
+                monitor,
+                until,
+                next_at: SimTime::ZERO,
+                taken: 0,
+                done: refreshes == 0,
+            })
+            .collect();
+        MonitorSet { slots, refreshes }
+    }
+
+    /// The monitors, in set order.
+    pub(crate) fn monitors(&self) -> impl Iterator<Item = &M::Target> {
+        self.slots.iter().map(|s| &*s.monitor)
+    }
+
+    /// Reject zero-interval monitors: they would never let time advance.
+    pub(crate) fn check(&self) -> Result<(), SessionError> {
+        match self.monitors().find(|m| m.interval().is_zero()) {
+            Some(m) => Err(SessionError::InvalidScenario(format!(
+                "monitor '{}' has a zero refresh interval",
+                m.name()
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    /// Check the set, then prime every monitor at the session's current
+    /// instant, in set order. Each first observes one interval later.
+    pub(crate) fn prime(&mut self, session: &mut Session) -> Result<(), SessionError> {
+        self.check()?;
+        let now = session.now();
+        for slot in &mut self.slots {
+            slot.monitor.prime(&mut session.kernel);
+            slot.next_at = now + slot.monitor.interval();
+        }
+        Ok(())
+    }
+
+    /// The earliest instant an unfinished monitor is due, if any.
+    pub(crate) fn next_due(&self) -> Option<SimTime> {
+        self.slots
+            .iter()
+            .filter(|s| !s.done)
+            .map(|s| s.next_at)
+            .min()
+    }
+
+    /// Each unfinished monitor's next instant, interval and refreshes left.
+    pub(crate) fn open(&self) -> impl Iterator<Item = (SimTime, SimDuration, usize)> + '_ {
+        self.slots
+            .iter()
+            .filter(|s| !s.done)
+            .map(|s| (s.next_at, s.monitor.interval(), self.refreshes - s.taken))
+    }
+
+    /// Advance the session to each instant a monitor is due, up to
+    /// `horizon`, applying the events on the way, and observe the monitors
+    /// due there in set order. `emit` gets each frame with its monitor's
+    /// set index and observation number (0-based). Returns the last
+    /// instant observed.
+    pub(crate) fn observe_through(
+        &mut self,
+        session: &mut Session,
+        horizon: SimTime,
+        mut emit: impl FnMut(usize, usize, &M::Target, Frame),
+    ) -> Result<SimTime, SessionError> {
+        let mut reached = session.now();
+        while let Some(at) = self.next_due().filter(|at| *at <= horizon) {
+            session.advance_to(at)?;
+            reached = at;
+            for (i, slot) in self.slots.iter_mut().enumerate() {
+                if slot.done || slot.next_at != at {
+                    continue;
+                }
+                let frame = slot.monitor.observe(&mut session.kernel);
+                let stop = slot.until.as_mut().is_some_and(|until| until(&frame));
+                slot.taken += 1;
+                slot.done = stop || slot.taken >= self.refreshes;
+                slot.next_at = at + slot.monitor.interval();
+                emit(i, slot.taken - 1, &slot.monitor, frame);
+            }
+        }
+        Ok(reached)
+    }
+
+    /// Tear every monitor down (close its counter fds etc.).
+    pub(crate) fn teardown(&mut self, session: &mut Session) {
+        for slot in &mut self.slots {
+            slot.monitor.teardown(&mut session.kernel);
+        }
     }
 }

@@ -3020,3 +3020,137 @@ fn a_shard_failing_mid_window_delivers_healthy_frames_then_the_lowest_index_erro
         assert_eq!(rendered(&expected), rendered(&frames), "{threads} threads");
     }
 }
+
+/// One machine with timed spawn, renice and kill events, at instants that
+/// differ per machine and fall between and on observation instants.
+fn evented_node(i: u64) -> Scenario {
+    let at_ms = |ms: u64| SimTime::ZERO + SimDuration::from_millis(ms);
+    Scenario::new(MachineConfig::nehalem_w3550().noiseless())
+        .seed(60 + i)
+        .user(Uid(1), "u1")
+        .spawn("base", SpawnSpec::new("base", Uid(1), spin(0.8)).seed(i))
+        .spawn_at(
+            at_ms(1500 + 1000 * i),
+            "late",
+            SpawnSpec::new("late", Uid(1), spin(1.2)).seed(10 + i),
+        )
+        .renice_at(SimTime::from_secs(3 + i), "base", 5)
+        .kill_at(at_ms(5250 + 500 * i), "late")
+}
+
+fn evented_cluster() -> ClusterScenario {
+    (0..3).fold(ClusterScenario::new(), |c, i| {
+        c.machine(format!("node-{i}"), evented_node(i))
+    })
+}
+
+/// tiptop every second next to top every two seconds.
+fn tiptop_and_top() -> Vec<Box<dyn Monitor + Send>> {
+    vec![
+        tool(1),
+        Box::new(TopView::new().delay(SimDuration::from_secs(2))),
+    ]
+}
+
+/// The frames of machine `index`, rendered, in merge order.
+fn sub_stream(frames: &[ClusterFrame], index: usize) -> Vec<String> {
+    frames
+        .iter()
+        .filter(|f| f.machine_index == index)
+        .map(|f| format!("[{}]\n{}", f.source, f.frame.render()))
+        .collect()
+}
+
+/// A machine's clock and exit records.
+fn clock_and_exits(session: &tiptop_core::scenario::Session) -> String {
+    let exits: Vec<String> = session
+        .kernel()
+        .exit_records()
+        .map(|r| format!("{r:?}"))
+        .collect();
+    format!("now={:?} exits={exits:?}", session.now())
+}
+
+#[test]
+fn a_machine_of_the_fleet_observes_exactly_as_a_lone_session() {
+    let refreshes = 8;
+    // `run_all`: each machine's sub-stream is what `Session::run_all`
+    // streams over the same scenario.
+    let solo: Vec<(Vec<String>, String)> = (0..3)
+        .map(|i| {
+            let mut session = evented_node(i).build().unwrap();
+            let mut monitors = tiptop_and_top();
+            let mut refs: Vec<&mut dyn Monitor> = monitors
+                .iter_mut()
+                .map(|m| m.as_mut() as &mut dyn Monitor)
+                .collect();
+            let mut out = Vec::new();
+            let mut sink = |source: &str, frame: Frame| {
+                out.push(format!("[{source}]\n{}", frame.render()));
+            };
+            session.run_all(&mut refs, refreshes, &mut sink).unwrap();
+            (out, clock_and_exits(&session))
+        })
+        .collect();
+    for threads in [1, 2] {
+        let mut fleet = evented_cluster().build().unwrap();
+        let mut sink = ClusterCollectSink::new();
+        fleet
+            .run_all(threads, refreshes, |_| tiptop_and_top(), &mut sink)
+            .unwrap();
+        for (i, (frames, state)) in solo.iter().enumerate() {
+            assert_eq!(
+                *frames,
+                sub_stream(sink.frames(), i),
+                "{threads} threads: node-{i}'s frames"
+            );
+            let handed_back = fleet.session(&format!("node-{i}")).unwrap();
+            assert_eq!(
+                *state,
+                clock_and_exits(handed_back),
+                "{threads} threads: node-{i}'s state"
+            );
+        }
+    }
+
+    // `run_each` with an `until`: each machine's sub-stream is what
+    // `Session::run_until` returns. node-0 stops at 3 s, node-1 at 6 s and
+    // node-2 never (its instant lies past the budget).
+    let stop_at = |i: usize| SimTime::from_secs(3 + 3 * i as u64);
+    let solo: Vec<Vec<String>> = (0..3)
+        .map(|i| {
+            let mut session = evented_node(i as u64).build().unwrap();
+            let mut monitor = tool(1);
+            session
+                .run_until(monitor.as_mut(), refreshes, |f| f.time == stop_at(i))
+                .unwrap()
+                .iter()
+                .map(|f| format!("[tiptop]\n{}", f.render()))
+                .collect()
+        })
+        .collect();
+    for threads in [1, 2] {
+        let mut fleet = evented_cluster().build().unwrap();
+        let mut sink = ClusterCollectSink::new();
+        fleet
+            .run_each(
+                threads,
+                refreshes,
+                |_| tool(1),
+                |m| {
+                    let at = stop_at(m.index);
+                    Box::new(move |f: &Frame| f.time == at)
+                },
+                &mut sink,
+            )
+            .unwrap();
+        for (i, frames) in solo.iter().enumerate() {
+            assert_eq!(
+                *frames,
+                sub_stream(sink.frames(), i),
+                "{threads} threads: node-{i}'s frames"
+            );
+        }
+    }
+    assert_eq!(solo.iter().map(Vec::len).collect::<Vec<_>>(), [3, 6, 8]);
+}
