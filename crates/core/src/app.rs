@@ -10,6 +10,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use tiptop_kernel::kernel::Kernel;
+use tiptop_kernel::procfs::ProcStat;
 use tiptop_kernel::program::{Phase, Program};
 use tiptop_kernel::task::{Pid, SpawnSpec, Uid};
 use tiptop_machine::access::MemoryBehavior;
@@ -265,6 +266,10 @@ pub struct Tiptop {
     self_pid: Option<Pid>,
     /// Derived screen state, shared process-wide per distinct screen.
     plan: Arc<ScreenPlan>,
+    /// Per-refresh scratch, reused: the `/proc` scan (ascending pids) and
+    /// the observable tasks with their stat and `%CPU`.
+    pids: Vec<Pid>,
+    entries: Vec<(Pid, ProcStat, f64)>,
 }
 
 impl Tiptop {
@@ -278,6 +283,8 @@ impl Tiptop {
             cpu: CpuTracker::new(),
             self_pid: None,
             plan,
+            pids: Vec::new(),
+            entries: Vec::new(),
         }
     }
 
@@ -339,17 +346,20 @@ impl Tiptop {
     pub fn refresh(&mut self, k: &mut Kernel) -> Frame {
         self.ensure_self_task(k);
         let now = k.now();
-        self.collector.refresh(k);
 
-        // Scan /proc.
-        let pids = k.pids();
-        self.cpu.retain_pids(&|p| pids.contains(&p));
+        // Scan /proc once: the collector and the %CPU tracker share the
+        // ascending pid list, and test membership by binary search.
+        k.pids_into(&mut self.pids);
+        let pids = &self.pids;
+        self.collector.refresh_live(k, pids);
+        self.cpu.retain_pids(&|p| pids.binary_search(&p).is_ok());
         // Borrowed (not moved) so the refresh makes no per-frame map copy;
         // `cpu` and `collector` are disjoint fields, so the borrows coexist.
         let deltas = self.collector.deltas();
-        let mut entries: Vec<(Pid, tiptop_kernel::procfs::ProcStat, f64)> = Vec::new();
+        let mut entries = std::mem::take(&mut self.entries);
+        entries.clear();
         let mut unobservable = 0usize;
-        for pid in pids {
+        for &pid in pids {
             let Some(stat) = k.stat(pid) else { continue };
             let pct = self.cpu.update(&stat, now);
             if let Some(filter) = self.options.user_filter {
@@ -412,12 +422,23 @@ impl Tiptop {
                     .then_with(|| a.pid.cmp(&b.pid))
             }),
             SortKey::Pid => rows.sort_by_key(|r| r.pid),
-            SortKey::Column(h) => rows.sort_by(|a, b| {
-                let av = a.value(h).unwrap_or(f64::NEG_INFINITY);
-                let bv = b.value(h).unwrap_or(f64::NEG_INFINITY);
-                bv.partial_cmp(&av).unwrap().then_with(|| a.pid.cmp(&b.pid))
-            }),
+            SortKey::Column(h) => {
+                // Resolve the header once; a never-interned header has no
+                // values, so rows fall back to pid order.
+                let id = symbols::lookup(h);
+                let value = |r: &Row| {
+                    id.and_then(|id| r.value_by_sym(id))
+                        .unwrap_or(f64::NEG_INFINITY)
+                };
+                rows.sort_by(|a, b| {
+                    value(b)
+                        .partial_cmp(&value(a))
+                        .unwrap()
+                        .then_with(|| a.pid.cmp(&b.pid))
+                })
+            }
         }
+        self.entries = entries;
 
         Frame {
             time: now,
@@ -431,7 +452,7 @@ impl Tiptop {
         &self,
         k: &Kernel,
         display_pid: Pid,
-        stat: &tiptop_kernel::procfs::ProcStat,
+        stat: &ProcStat,
         cpu_pct: f64,
         counts: EventCounts,
         now: tiptop_machine::time::SimTime,

@@ -20,14 +20,15 @@ use tiptop_machine::time::{SimDuration, SimTime};
 
 use crate::procinfo::CpuTracker;
 use crate::scenario::{Scenario, SessionError};
+use crate::symbols::Label;
 
 /// One row of the `top` baseline.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TopRow {
     pub pid: Pid,
-    pub user: String,
+    pub user: Label,
     pub cpu_pct: f64,
-    pub comm: String,
+    pub comm: Label,
 }
 
 /// The CPU%-only view.
@@ -62,7 +63,7 @@ impl TopView {
     pub fn refresh(&mut self, k: &Kernel) -> Vec<TopRow> {
         let now = k.now();
         let pids = k.pids();
-        self.cpu.retain_pids(&|p| pids.contains(&p));
+        self.cpu.retain_pids(&|p| pids.binary_search(&p).is_ok());
         let mut rows: Vec<TopRow> = pids
             .into_iter()
             .filter_map(|pid| {

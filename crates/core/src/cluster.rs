@@ -229,9 +229,11 @@ pub struct WindowStats {
     /// destination side of a registered migration handover (see
     /// [`ClusterWindowSink::dedupe_handovers`]); 0 unless deduping.
     pub handover_rows: usize,
-    /// Per-column `(sum, samples)` over every finite row value, keyed by
-    /// the column's interned id — the fold allocates nothing per row.
-    sums: BTreeMap<SymId, (f64, usize)>,
+    /// Per-column `(id, sum, samples)` over every finite row value, keyed
+    /// by the column's interned id in first-seen order. A screen has a
+    /// handful of columns, so lookups scan linearly, like [`Row::values`]:
+    /// no map node per column per source per window.
+    sums: Vec<(SymId, f64, usize)>,
 }
 
 impl WindowStats {
@@ -240,16 +242,31 @@ impl WindowStats {
     pub fn mean(&self, column: &str) -> Option<f64> {
         let id = symbols::lookup(column)?;
         self.sums
-            .get(&id)
-            .filter(|(_, n)| *n > 0)
-            .map(|(sum, n)| sum / *n as f64)
+            .iter()
+            .find(|(c, _, n)| *c == id && *n > 0)
+            .map(|(_, sum, n)| sum / *n as f64)
     }
 
     /// Column names observed in this window, alphabetically.
     pub fn columns(&self) -> impl Iterator<Item = Arc<str>> {
-        let mut names: Vec<Arc<str>> = self.sums.keys().map(|id| symbols::resolve(*id)).collect();
+        let mut names: Vec<Arc<str>> = self
+            .sums
+            .iter()
+            .map(|(id, _, _)| symbols::resolve(*id))
+            .collect();
         names.sort();
         names.into_iter()
+    }
+
+    /// Add one finite sample of column `col`.
+    fn add(&mut self, col: SymId, v: f64) {
+        match self.sums.iter_mut().find(|(c, _, _)| *c == col) {
+            Some((_, sum, n)) => {
+                *sum += v;
+                *n += 1;
+            }
+            None => self.sums.push((col, v, 1)),
+        }
     }
 }
 
@@ -413,8 +430,8 @@ impl ClusterWindowSink {
         stats.frames += 1;
         for row in rows {
             let is_handover = dedupe.is_some_and(|d| {
-                symbols::lookup(&row.comm)
-                    .is_some_and(|c| d.iter().any(|&(to, dc)| to == machine && dc == c))
+                let comm = row.comm.sym();
+                d.iter().any(|&(to, c)| to == machine && c == comm)
             });
             if is_handover {
                 stats.handover_rows += 1;
@@ -423,9 +440,7 @@ impl ClusterWindowSink {
             stats.rows += 1;
             for &(col, v) in &row.values {
                 if v.is_finite() {
-                    let (sum, n) = stats.sums.entry(col).or_insert((0.0, 0));
-                    *sum += v;
-                    *n += 1;
+                    stats.add(col, v);
                 }
             }
         }
@@ -526,7 +541,7 @@ impl Migration {
         let handover = HandoverRecord {
             at: self.at,
             tag: tag.clone(),
-            comm: spec.comm.clone(),
+            comm: spec.comm.to_string(),
             from: self.from.clone(),
             to: self.to.clone(),
             mode: self.mode,

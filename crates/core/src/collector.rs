@@ -93,17 +93,21 @@ impl Collector {
     /// order/fd scratch, a steady-state refresh allocates nothing here.
     pub fn refresh(&mut self, k: &mut Kernel) -> &HashMap<Pid, TaskDelta> {
         let live = k.pids();
+        self.refresh_live(k, &live)
+    }
+
+    /// [`Collector::refresh`] over a `/proc` scan the caller already made:
+    /// `live` is [`Kernel::pids`]' ascending list, so membership tests are
+    /// binary searches and a monitor scans `/proc` once per refresh.
+    pub fn refresh_live(&mut self, k: &mut Kernel, live: &[Pid]) -> &HashMap<Pid, TaskDelta> {
+        debug_assert!(live.windows(2).all(|w| w[0] < w[1]), "pids ascend");
+        let is_live = |p: &Pid| live.binary_search(p).is_ok();
         self.deltas.clear();
 
         // Harvest final counts from vanished tasks (one batched read over
         // all their fds), then release the fds.
         let gone: Vec<(Pid, TaskCounters)> = {
-            let gone_pids: Vec<Pid> = self
-                .tasks
-                .keys()
-                .copied()
-                .filter(|p| !live.contains(p))
-                .collect();
+            let gone_pids: Vec<Pid> = self.tasks.keys().copied().filter(|p| !is_live(p)).collect();
             gone_pids
                 .into_iter()
                 .filter_map(|p| self.tasks.remove(&p).map(|tc| (p, tc)))
@@ -140,10 +144,10 @@ impl Collector {
                 }
             }
         }
-        self.forbidden.retain(|p| live.contains(p));
+        self.forbidden.retain(|p| is_live(p));
 
         // Attach to newcomers.
-        for &pid in &live {
+        for &pid in live {
             if self.tasks.contains_key(&pid) || self.forbidden.contains(&pid) {
                 continue;
             }

@@ -92,7 +92,9 @@ pub mod reactive;
 pub mod render;
 pub mod scenario;
 pub mod session;
-pub mod symbols;
+/// String interning and [`Label`], re-exported from the kernel crate,
+/// where task commands and user names are first interned.
+pub use tiptop_kernel::symbols;
 
 pub use app::{SortKey, Tiptop, TiptopOptions};
 pub use baseline::{PinInscount, PinReport, TopView};

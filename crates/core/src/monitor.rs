@@ -28,6 +28,7 @@ use tiptop_machine::time::SimDuration;
 use crate::app::Tiptop;
 use crate::baseline::{PinInscount, TopView};
 use crate::render::{values_of, Frame, Row};
+use crate::symbols::Label;
 
 /// A tool that periodically observes a kernel and produces [`Frame`]s.
 ///
@@ -142,9 +143,9 @@ impl Monitor for TopView {
             .map(|r| {
                 let cells = vec![
                     r.pid.0.to_string(),
-                    r.user.clone(),
+                    r.user.to_string(),
                     format!("{:.1}", r.cpu_pct),
-                    r.comm.clone(),
+                    r.comm.to_string(),
                 ];
                 Row::new(
                     r.pid,
@@ -210,12 +211,12 @@ impl Monitor for PinInscount {
     /// two samples — gets one final row from its exit record, like real
     /// `inscount2` printing its count when the program ends.
     fn observe(&mut self, k: &mut Kernel) -> Frame {
-        let pin_row = |pid: Pid, user: String, counted: u64, comm: String| {
+        let pin_row = |pid: Pid, user: Label, counted: u64, comm: Label| {
             let cells = vec![
                 pid.0.to_string(),
-                user.clone(),
+                user.to_string(),
                 counted.to_string(),
-                comm.clone(),
+                comm.to_string(),
             ];
             Row::new(
                 pid,
@@ -231,7 +232,7 @@ impl Monitor for PinInscount {
 
         // Final counts from tombstones not yet reported (pre-attach deaths
         // were marked reported at prime); each is emitted exactly once.
-        let finals: Vec<(Pid, String, u64, String)> = k
+        let finals: Vec<(Pid, Label, u64, Label)> = k
             .exit_records()
             .filter(|rec| !self.reported.contains(&rec.pid))
             .map(|rec| {

@@ -42,6 +42,7 @@ use tiptop_machine::time::{SimDuration, SimTime};
 
 use crate::cluster::ClusterFrame;
 use crate::render::Row;
+use crate::symbols::Label;
 
 /// How a migration moves a job's work to the destination machine.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -183,7 +184,7 @@ pub struct Watch<S> {
     /// watched row carries a finite IPC).
     source: Option<String>,
     rule: Option<EvictRule>,
-    moved: HashSet<String>,
+    moved: HashSet<Label>,
     /// Watched samples still to discard before the statistic sees any.
     skip: usize,
     stat: S,
@@ -248,7 +249,7 @@ impl<S: Statistic> Watch<S> {
             };
             if hit && self.moved.insert(row.comm.clone()) {
                 out.push(MigrationDecision {
-                    tag: row.comm.clone(),
+                    tag: row.comm.to_string(),
                     from: self.machine.clone(),
                     to: self.to.clone(),
                     mode: self.mode,

@@ -8,10 +8,12 @@
 //!
 //! The layout is tuned for the cluster hot path (thousands of frames per
 //! second through the merge): headers are an `Arc` slice shared by every
-//! frame a monitor produces (the screen never changes mid-run), and typed
-//! row values are a small vector keyed by interned [`SymId`]s instead of a
-//! per-row `HashMap<String, f64>` — [`Row::value`] still takes the header
-//! text, resolving it through the process-wide [`crate::symbols`] table.
+//! frame a monitor produces (the screen never changes mid-run), a row's
+//! user and command are the kernel's interned [`Label`]s (filling them is
+//! a refcount bump, not a `String` copy), and typed row values are a small
+//! vector keyed by interned [`SymId`]s instead of a per-row
+//! `HashMap<String, f64>` — [`Row::value`] still takes the header text,
+//! resolving it through the process-wide [`crate::symbols`] table.
 
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
@@ -20,7 +22,7 @@ use tiptop_kernel::task::Pid;
 use tiptop_machine::time::SimTime;
 
 use crate::config::NumFormat;
-use crate::symbols::{self, SymId};
+use crate::symbols::{self, Label, SymId};
 
 /// How one cell of a deferred row materializes from the row's raw data.
 /// A monitor builds one spec slice per screen (shared by every row it ever
@@ -42,11 +44,15 @@ pub enum CellSpec {
 /// formatted lazily — aggregating consumers (the cluster window sink)
 /// never pay for it, while [`Frame::render`] produces byte-identical
 /// output on first access.
+///
+/// `user` and `comm` are [`Label`]s shared with the kernel's task and user
+/// tables: they read and compare like strings (`row.comm == "mcf"`), and
+/// [`Label::sym`] gives the interned id without a table lookup.
 #[derive(Clone, Debug)]
 pub struct Row {
     pub pid: Pid,
-    pub user: String,
-    pub comm: String,
+    pub user: Label,
+    pub comm: Label,
     pub cpu_pct: f64,
     /// Typed values of metric columns (and `%CPU`), keyed by the interned
     /// id of the column header (see [`crate::symbols`]). A handful of
@@ -64,8 +70,8 @@ impl Row {
     /// A row with eagerly-rendered cells (test and baseline-monitor sugar).
     pub fn new(
         pid: Pid,
-        user: impl Into<String>,
-        comm: impl Into<String>,
+        user: impl Into<Label>,
+        comm: impl Into<Label>,
         cpu_pct: f64,
         cells: Vec<String>,
         values: Vec<(SymId, f64)>,
@@ -89,8 +95,8 @@ impl Row {
     /// hot path's constructor.
     pub fn deferred(
         pid: Pid,
-        user: String,
-        comm: String,
+        user: Label,
+        comm: Label,
         cpu_pct: f64,
         values: Vec<(SymId, f64)>,
         plan: Arc<[CellSpec]>,
@@ -118,9 +124,9 @@ impl Row {
             plan.iter()
                 .map(|spec| match spec {
                     CellSpec::Pid => self.pid.0.to_string(),
-                    CellSpec::User => self.user.clone(),
+                    CellSpec::User => self.user.to_string(),
                     CellSpec::CpuPct => format!("{:.1}", self.cpu_pct),
-                    CellSpec::Comm => self.comm.clone(),
+                    CellSpec::Comm => self.comm.to_string(),
                     CellSpec::Text(i) => self.texts[*i].clone(),
                     CellSpec::Metric(i, format) => {
                         format.render(self.values.get(*i).map(|(_, v)| *v).unwrap_or(f64::NAN))
@@ -307,8 +313,8 @@ mod tests {
         // Out-of-range metric indices render like NaN, not a panic.
         let bare = Row::deferred(
             Pid(1),
-            String::new(),
-            String::new(),
+            "".into(),
+            "".into(),
             0.0,
             Vec::new(),
             vec![CellSpec::Metric(7, NumFormat::Int)].into(),

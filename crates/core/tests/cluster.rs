@@ -9,14 +9,15 @@
 use tiptop_core::app::{Tiptop, TiptopOptions};
 use tiptop_core::baseline::TopView;
 use tiptop_core::cluster::{
-    ClusterCollectSink, ClusterFrame, ClusterScenario, ClusterSession, ClusterWindowSink,
-    MachineRef,
+    ClusterCollectSink, ClusterFrame, ClusterScenario, ClusterSession, ClusterWindow,
+    ClusterWindowSink, MachineRef,
 };
-use tiptop_core::config::ScreenConfig;
+use tiptop_core::config::{ColumnSpec, NumFormat, ScreenConfig};
 use tiptop_core::monitor::Monitor;
 use tiptop_core::reactive::{MigrationDecision, MigrationMode, SchedulerPolicy};
 use tiptop_core::render::Frame;
 use tiptop_core::scenario::{DagError, Scenario, SessionError};
+use tiptop_core::symbols;
 use tiptop_kernel::kernel::Kernel;
 use tiptop_kernel::program::Program;
 use tiptop_kernel::task::{SpawnSpec, Uid};
@@ -801,6 +802,116 @@ fn window_sink_dedupes_registered_handover_rows_from_the_aggregates() {
     assert_eq!(stats_for("node-a"), 0);
     assert_eq!(stats_for("node-b"), 1);
     assert_eq!(stats_for("node-c"), 1);
+}
+
+/// Window summaries as text: per window its span and frame count, per
+/// source its counts and each column's mean, bit for bit. `run` (a tag in
+/// one column's header) is masked so runs with different tags compare.
+fn window_summary(windows: &[ClusterWindow], run: &str) -> String {
+    let mut out = String::new();
+    for w in windows {
+        out += &format!(
+            "window {} {:?}..{:?} frames {}\n",
+            w.index, w.start, w.end, w.frames
+        );
+        for ((machine, source), st) in &w.sources {
+            out += &format!(
+                "  {machine}/{source}: frames {} rows {} handover {}",
+                st.frames, st.rows, st.handover_rows
+            );
+            for col in st.columns() {
+                let mean = st.mean(&col).expect("listed columns have samples");
+                out += &format!(" {}={:016x}", col.replace(run, "RUN"), mean.to_bits());
+            }
+            out.push('\n');
+        }
+    }
+    out
+}
+
+#[test]
+fn window_summaries_are_identical_at_1_2_and_8_threads_with_names_interned_mid_run() {
+    // Symbol ids are assigned in interning order, which on a fleet depends
+    // on which worker reaches a name first. Every run below interns names
+    // no earlier run saw: user names (the uids have no registered name, so
+    // a worker interns the number when it builds the row), job commands,
+    // some spawned mid-run, and two screen columns. The columns are
+    // interned in an order that differs between runs, so a summary that
+    // followed id order rather than text would differ too.
+    let run_at = |threads: usize| {
+        let run = format!("r{threads}x");
+        let machines = 6;
+        let mut cluster = ClusterScenario::new();
+        for i in 0..machines {
+            let uid = Uid(9_000 + 100 * threads as u32 + i as u32);
+            let job = |name: &str| format!("win-{run}-m{i}-{name}");
+            let mut sc = Scenario::new(MachineConfig::nehalem_w3550().noiseless())
+                .seed(i as u64)
+                .spawn(
+                    format!("base-{i}"),
+                    SpawnSpec::new(job("base"), uid, spin(0.8 + 0.1 * i as f64)).seed(i as u64),
+                );
+            for k in 0..3u64 {
+                let profile = ExecProfile::builder("late").base_cpi(0.7).build();
+                sc = sc.spawn_at(
+                    SimTime::ZERO + SimDuration::from_millis(1_500 + 1_000 * k + 100 * i as u64),
+                    format!("late-{k}"),
+                    SpawnSpec::new(
+                        job(&format!("late{k}")),
+                        uid,
+                        Program::single(profile, 2_000_000_000),
+                    )
+                    .seed(k),
+                );
+            }
+            cluster = cluster.machine(format!("m{i}"), sc);
+        }
+        let mut session = cluster
+            .migrate_at(SimTime::from_secs(3), "base-0", "m0", "m1")
+            .build()
+            .unwrap();
+        let (a, b) = (format!("A-{run}"), format!("B-{run}"));
+        if threads == 2 {
+            symbols::intern(&a);
+            symbols::intern(&b);
+        } else {
+            symbols::intern(&b);
+            symbols::intern(&a);
+        }
+        let mut screen = ScreenConfig::default_screen();
+        for (header, expr) in [(a, "INSTRUCTIONS / CYCLES"), (b, "CYCLES / INSTRUCTIONS")] {
+            screen
+                .columns
+                .push(ColumnSpec::metric(header, 6, NumFormat::Float(2), expr).unwrap());
+        }
+        let mut sink = ClusterWindowSink::new(5).dedupe_handovers(session.handovers().to_vec());
+        session
+            .run(
+                threads,
+                8,
+                |_| {
+                    Box::new(Tiptop::new(
+                        TiptopOptions::default().delay(SimDuration::from_secs(1)),
+                        screen.clone(),
+                    ))
+                },
+                &mut sink,
+            )
+            .unwrap();
+        window_summary(&sink.finish(), &run)
+    };
+    let single = run_at(1);
+    assert_eq!(single, run_at(2), "2 workers must not change a summary");
+    assert_eq!(single, run_at(8), "8 workers must not change a summary");
+    assert!(single.matches("window ").count() > 1, "{single}");
+    assert!(
+        single.contains("handover 1"),
+        "the migration is deduped: {single}"
+    );
+    assert!(
+        single.contains("A-RUN=") && single.contains("B-RUN="),
+        "the per-run columns are aggregated"
+    );
 }
 
 #[test]

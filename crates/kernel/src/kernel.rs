@@ -8,7 +8,7 @@
 //! [`PerfCharge`]s into its counter fd table.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use tiptop_machine::config::MachineConfig;
 use tiptop_machine::machine::Machine;
@@ -26,6 +26,7 @@ use crate::perf::{
 use crate::procfs::ProcStat;
 use crate::program::{Program, ProgramCursor};
 use crate::sched::{CpuSet, SchedulerSelect};
+use crate::symbols::Label;
 use crate::task::{Pid, SpawnSpec, Task, TaskState, Uid};
 
 /// Kernel construction parameters.
@@ -76,7 +77,8 @@ impl KernelConfig {
 #[derive(Clone, Debug)]
 pub struct ExitRecord {
     pub pid: Pid,
-    pub comm: String,
+    /// The task's command label (shared, not copied, at reaping).
+    pub comm: Label,
     pub uid: Uid,
     pub start_time: SimTime,
     pub end_time: SimTime,
@@ -96,7 +98,7 @@ pub struct ExitRecord {
 /// checkpoint while deciding where to place it.
 #[derive(Clone, Debug)]
 pub struct Checkpoint {
-    pub comm: String,
+    pub comm: Label,
     pub uid: Uid,
     pub nice: i32,
     pub affinity: CpuSet,
@@ -126,15 +128,19 @@ pub struct Kernel {
     next_pid: u32,
     counters: BTreeMap<PerfFd, PerfCounter>,
     next_fd: u64,
-    users: BTreeMap<Uid, String>,
+    users: BTreeMap<Uid, Label>,
+    /// Per-epoch counter-update buffers, reused across every advance.
+    charge_scratch: ChargeScratch,
 }
 
 impl Kernel {
     pub fn new(cfg: KernelConfig) -> Self {
         let machine = Machine::new(Arc::clone(&cfg.machine), cfg.seed);
         let engine = EpochEngine::with_scheduler(machine, cfg.epoch, cfg.scheduler.make());
+        // Every kernel of a fleet shares one interned "root".
+        static ROOT: OnceLock<Label> = OnceLock::new();
         let mut users = BTreeMap::new();
-        users.insert(Uid::ROOT, "root".to_string());
+        users.insert(Uid::ROOT, ROOT.get_or_init(|| Label::new("root")).clone());
         Kernel {
             engine,
             tasks: BTreeMap::new(),
@@ -143,6 +149,7 @@ impl Kernel {
             counters: BTreeMap::new(),
             next_fd: 3,
             users,
+            charge_scratch: ChargeScratch::default(),
             cfg,
         }
     }
@@ -199,15 +206,16 @@ impl Kernel {
 
     /// Register a user name for a uid (like `/etc/passwd`).
     pub fn add_user(&mut self, uid: Uid, name: impl Into<String>) {
-        self.users.insert(uid, name.into());
+        self.users.insert(uid, Label::from(name.into()));
     }
 
-    /// `/etc/passwd` lookup; unknown uids render as their number.
-    pub fn username(&self, uid: Uid) -> String {
+    /// `/etc/passwd` lookup; unknown uids render as their number. A known
+    /// user's name is a refcount bump of the registered label.
+    pub fn username(&self, uid: Uid) -> Label {
         self.users
             .get(&uid)
             .cloned()
-            .unwrap_or_else(|| uid.0.to_string())
+            .unwrap_or_else(|| Label::new(uid.0.to_string()))
     }
 
     // ------------------------------------------------------------------
@@ -344,6 +352,13 @@ impl Kernel {
     /// List live pids, ascending (a `/proc` directory scan).
     pub fn pids(&self) -> Vec<Pid> {
         self.tasks.keys().copied().collect()
+    }
+
+    /// [`Kernel::pids`] into a caller-owned buffer (cleared first), so a
+    /// monitor's per-refresh scan reuses one allocation across its run.
+    pub fn pids_into(&self, out: &mut Vec<Pid>) {
+        out.clear();
+        out.extend(self.tasks.keys().copied());
     }
 
     /// Read `/proc/<pid>/stat`. `None` if the task is gone — callers must
@@ -487,13 +502,13 @@ impl Kernel {
             exited,
             counters,
             cfg,
+            charge_scratch,
             ..
         } = self;
         let pmu = cfg.machine.uarch.pmu;
-        let mut scratch = ChargeScratch::default();
         engine.advance(dur, tasks, exited, |epoch_index, charges| {
             for charge in charges {
-                apply_perf_charge(counters, pmu, epoch_index, charge, &mut scratch);
+                apply_perf_charge(counters, pmu, epoch_index, charge, charge_scratch);
             }
         });
     }
@@ -522,8 +537,9 @@ impl Kernel {
 }
 
 /// Reusable event-list buffers for [`apply_perf_charge`]: one set per
-/// [`Kernel::advance`] call instead of fresh heap allocations per task per
-/// epoch (the fleet bench runs millions of charges per simulated minute).
+/// kernel, kept across [`Kernel::advance`] calls, instead of fresh heap
+/// allocations per task per epoch (the fleet bench runs millions of
+/// charges per simulated minute).
 #[derive(Default)]
 struct ChargeScratch {
     fixed: Vec<HwEvent>,

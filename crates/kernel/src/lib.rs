@@ -47,6 +47,7 @@ pub mod perf;
 pub mod procfs;
 pub mod program;
 pub mod sched;
+pub mod symbols;
 pub mod task;
 pub mod world;
 
@@ -57,9 +58,10 @@ pub use perf::{EventSel, GenericEvent, PerfEventAttr, PerfFd, PerfValue};
 pub use procfs::ProcStat;
 pub use program::{Continuation, NextWork, Phase, Program, ProgramCursor};
 pub use sched::{
-    place_in_order, plan_epoch, weight_for_nice, CfsLike, CpuSet, EpochPlan, Fifo, RoundRobin,
-    SchedCtx, SchedEntity, Scheduler, SchedulerSelect,
+    place_in_order, plan_epoch, weight_for_nice, CfsLike, CpuSet, EpochPlan, Fifo, PlanScratch,
+    RoundRobin, SchedCtx, SchedEntity, Scheduler, SchedulerSelect,
 };
+pub use symbols::{Label, SymId, SymbolTable};
 pub use task::{Pid, SpawnSpec, Task, TaskState, Uid};
 pub use world::World;
 

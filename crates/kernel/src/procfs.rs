@@ -9,6 +9,7 @@
 use tiptop_machine::time::{SimDuration, SimTime};
 use tiptop_machine::topology::PuId;
 
+use crate::symbols::Label;
 use crate::task::{Pid, TaskState, Uid};
 
 /// What a read of `/proc/<pid>/stat` (+ `status`) yields.
@@ -16,7 +17,8 @@ use crate::task::{Pid, TaskState, Uid};
 pub struct ProcStat {
     pub pid: Pid,
     pub tgid: Pid,
-    pub comm: String,
+    /// The task's command: a refcount bump of the kernel's label.
+    pub comm: Label,
     pub uid: Uid,
     pub state: TaskState,
     pub nice: i32,

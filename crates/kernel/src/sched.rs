@@ -20,6 +20,7 @@
 //! [`Fifo`] and [`RoundRobin`] are alternative planners, and custom ones
 //! plug in through [`SchedulerSelect::custom`] without touching the kernel.
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
@@ -102,7 +103,7 @@ pub struct SchedEntity {
 }
 
 /// The epoch's placement decision: `assignment[pu] = Some(pid)`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EpochPlan {
     pub assignment: Vec<Option<Pid>>,
 }
@@ -126,15 +127,11 @@ impl EpochPlan {
 /// This is the [`CfsLike`] policy as a free function, kept for callers that
 /// predate the [`Scheduler`] trait.
 pub fn plan_epoch(topo: &Topology, runnable: &[SchedEntity]) -> EpochPlan {
-    // Lowest vruntime first; ties on pid for determinism.
-    let mut order: Vec<&SchedEntity> = runnable.iter().collect();
-    order.sort_by(|a, b| {
-        a.vruntime
-            .partial_cmp(&b.vruntime)
-            .unwrap()
-            .then_with(|| a.pid.cmp(&b.pid))
-    });
-    place_in_order(topo, &order)
+    CfsLike.plan(&SchedCtx {
+        topo,
+        runnable,
+        epoch_index: 0,
+    })
 }
 
 /// The greedy placement pass shared by every planner: walk `order` (highest
@@ -142,10 +139,25 @@ pub fn plan_epoch(topo: &Topology, runnable: &[SchedEntity]) -> EpochPlan {
 /// fully idle core, then warm-but-shared, then any allowed. Entities left
 /// over when PUs run out simply don't run this epoch.
 pub fn place_in_order(topo: &Topology, order: &[&SchedEntity]) -> EpochPlan {
-    let mut assignment: Vec<Option<Pid>> = vec![None; topo.num_pus()];
-    let mut core_busy = vec![0u32; topo.num_cores()];
+    let mut plan = EpochPlan::default();
+    place_into(topo, order.iter().copied(), &mut plan, &mut Vec::new());
+    plan
+}
+
+/// [`place_in_order`] into a reused plan and core-occupancy buffer.
+fn place_into<'e>(
+    topo: &Topology,
+    order: impl Iterator<Item = &'e SchedEntity>,
+    plan: &mut EpochPlan,
+    core_busy: &mut Vec<u32>,
+) {
+    let assignment = &mut plan.assignment;
+    assignment.clear();
+    assignment.resize(topo.num_pus(), None);
+    core_busy.clear();
+    core_busy.resize(topo.num_cores(), 0);
     for ent in order {
-        let chosen = choose_pu(topo, &assignment, &core_busy, ent);
+        let chosen = choose_pu(topo, assignment, core_busy, ent);
         if let Some(pu) = chosen {
             assignment[pu.0] = Some(ent.pid);
             core_busy[topo.core_of(pu).0] += 1;
@@ -153,7 +165,51 @@ pub fn place_in_order(topo: &Topology, order: &[&SchedEntity]) -> EpochPlan {
         // else: no allowed PU free this epoch; under CfsLike the task keeps
         // its low vruntime and wins next epoch — timesharing.
     }
-    EpochPlan { assignment }
+}
+
+/// Reusable buffers for [`Scheduler::plan_into`]: the pick order (indices
+/// into [`SchedCtx::runnable`]) and per-core occupancy. The epoch engine
+/// keeps one, so the built-in planners plan an epoch without allocating.
+#[derive(Clone, Debug, Default)]
+pub struct PlanScratch {
+    order: Vec<usize>,
+    core_busy: Vec<u32>,
+}
+
+impl PlanScratch {
+    /// Plan `ctx` into `out`: the runnable entities sorted by `cmp` (a total
+    /// order, so the sort is unique), rotated left by `rotate`, then placed.
+    fn plan(
+        &mut self,
+        ctx: &SchedCtx<'_>,
+        out: &mut EpochPlan,
+        cmp: impl Fn(&SchedEntity, &SchedEntity) -> Ordering,
+        rotate: u64,
+    ) {
+        let PlanScratch { order, core_busy } = self;
+        let runnable = ctx.runnable;
+        order.clear();
+        order.extend(0..runnable.len());
+        order.sort_unstable_by(|&a, &b| cmp(&runnable[a], &runnable[b]));
+        if !order.is_empty() {
+            let k = (rotate % order.len() as u64) as usize;
+            order.rotate_left(k);
+        }
+        place_into(
+            ctx.topo,
+            order.iter().map(|&i| &runnable[i]),
+            out,
+            core_busy,
+        );
+    }
+}
+
+/// [`Scheduler::plan`] of a planner that implements
+/// [`Scheduler::plan_into`]: plan into fresh buffers.
+fn plan_fresh(planner: &mut impl Scheduler, ctx: &SchedCtx<'_>) -> EpochPlan {
+    let mut plan = EpochPlan::default();
+    planner.plan_into(ctx, &mut plan, &mut PlanScratch::default());
+    plan
 }
 
 fn choose_pu(
@@ -212,6 +268,27 @@ pub trait Scheduler: Send + Sync {
 
     /// Plan one epoch.
     fn plan(&mut self, ctx: &SchedCtx<'_>) -> EpochPlan;
+
+    /// Plan one epoch into `out`, reusing its buffer and `scratch`'s. This
+    /// is what the engine calls; it must produce what [`Scheduler::plan`]
+    /// would. The default calls `plan`; the built-in planners override it
+    /// so that a steady-state epoch plans without allocating.
+    fn plan_into(&mut self, ctx: &SchedCtx<'_>, out: &mut EpochPlan, scratch: &mut PlanScratch) {
+        let _ = scratch;
+        *out = self.plan(ctx);
+    }
+}
+
+/// CfsLike's pick order: lowest vruntime first, ties on pid.
+fn by_vruntime(a: &SchedEntity, b: &SchedEntity) -> Ordering {
+    a.vruntime
+        .partial_cmp(&b.vruntime)
+        .unwrap()
+        .then_with(|| a.pid.cmp(&b.pid))
+}
+
+fn by_pid(a: &SchedEntity, b: &SchedEntity) -> Ordering {
+    a.pid.cmp(&b.pid)
 }
 
 /// The default planner — the paper's CFS-like policy: lowest vruntime wins,
@@ -226,7 +303,11 @@ impl Scheduler for CfsLike {
     }
 
     fn plan(&mut self, ctx: &SchedCtx<'_>) -> EpochPlan {
-        plan_epoch(ctx.topo, ctx.runnable)
+        plan_fresh(self, ctx)
+    }
+
+    fn plan_into(&mut self, ctx: &SchedCtx<'_>, out: &mut EpochPlan, scratch: &mut PlanScratch) {
+        scratch.plan(ctx, out, by_vruntime, 0);
     }
 }
 
@@ -242,9 +323,11 @@ impl Scheduler for Fifo {
     }
 
     fn plan(&mut self, ctx: &SchedCtx<'_>) -> EpochPlan {
-        let mut order: Vec<&SchedEntity> = ctx.runnable.iter().collect();
-        order.sort_by_key(|e| e.pid);
-        place_in_order(ctx.topo, &order)
+        plan_fresh(self, ctx)
+    }
+
+    fn plan_into(&mut self, ctx: &SchedCtx<'_>, out: &mut EpochPlan, scratch: &mut PlanScratch) {
+        scratch.plan(ctx, out, by_pid, 0);
     }
 }
 
@@ -261,13 +344,11 @@ impl Scheduler for RoundRobin {
     }
 
     fn plan(&mut self, ctx: &SchedCtx<'_>) -> EpochPlan {
-        let mut order: Vec<&SchedEntity> = ctx.runnable.iter().collect();
-        order.sort_by_key(|e| e.pid);
-        if !order.is_empty() {
-            let k = (ctx.epoch_index % order.len() as u64) as usize;
-            order.rotate_left(k);
-        }
-        place_in_order(ctx.topo, &order)
+        plan_fresh(self, ctx)
+    }
+
+    fn plan_into(&mut self, ctx: &SchedCtx<'_>, out: &mut EpochPlan, scratch: &mut PlanScratch) {
+        scratch.plan(ctx, out, by_pid, ctx.epoch_index);
     }
 }
 
@@ -517,6 +598,85 @@ mod tests {
             })
             .collect();
         assert_eq!(winners, vec![0, 1, 2, 0, 1, 2]);
+    }
+
+    /// The planners as they were before [`Scheduler::plan_into`]: a fresh
+    /// vector of references, sorted stably, placed into fresh vectors.
+    fn reference_plan(name: &str, ctx: &SchedCtx<'_>) -> EpochPlan {
+        let mut order: Vec<&SchedEntity> = ctx.runnable.iter().collect();
+        match name {
+            "cfs-like" => order.sort_by(|a, b| {
+                a.vruntime
+                    .partial_cmp(&b.vruntime)
+                    .unwrap()
+                    .then_with(|| a.pid.cmp(&b.pid))
+            }),
+            _ => order.sort_by_key(|e| e.pid),
+        }
+        if name == "round-robin" && !order.is_empty() {
+            let k = (ctx.epoch_index % order.len() as u64) as usize;
+            order.rotate_left(k);
+        }
+        let mut assignment: Vec<Option<Pid>> = vec![None; ctx.topo.num_pus()];
+        let mut core_busy = vec![0u32; ctx.topo.num_cores()];
+        for ent in order {
+            if let Some(pu) = choose_pu(ctx.topo, &assignment, &core_busy, ent) {
+                assignment[pu.0] = Some(ent.pid);
+                core_busy[ctx.topo.core_of(pu).0] += 1;
+            }
+        }
+        EpochPlan { assignment }
+    }
+
+    #[test]
+    fn reused_plans_match_the_reference_planners() {
+        let t = topo();
+        let mut state = 7u64;
+        let mut next = move |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        for select in [
+            SchedulerSelect::cfs_like(),
+            SchedulerSelect::fifo(),
+            SchedulerSelect::round_robin(),
+        ] {
+            let mut planner = select.make();
+            // One plan and one scratch across every epoch, as the engine
+            // keeps them.
+            let mut plan = EpochPlan::default();
+            let mut scratch = PlanScratch::default();
+            for epoch_index in 0..200 {
+                let runnable: Vec<SchedEntity> = (0..next(14))
+                    .map(|i| {
+                        let mut e = ent(i as u32 * 3 + next(3) as u32, next(5) as f64);
+                        if next(3) == 0 {
+                            e.affinity =
+                                CpuSet::of(&[PuId(next(8) as usize), PuId(next(8) as usize)]);
+                        }
+                        if next(2) == 0 {
+                            e.last_pu = Some(PuId(next(8) as usize));
+                        }
+                        e
+                    })
+                    .collect();
+                let ctx = SchedCtx {
+                    topo: &t,
+                    runnable: &runnable,
+                    epoch_index,
+                };
+                planner.plan_into(&ctx, &mut plan, &mut scratch);
+                assert_eq!(
+                    plan,
+                    reference_plan(select.name(), &ctx),
+                    "{}",
+                    select.name()
+                );
+                assert_eq!(planner.plan(&ctx), plan, "{}", select.name());
+            }
+        }
     }
 
     #[test]

@@ -1,26 +1,33 @@
-//! String interning for the cluster hot path: a process-wide
-//! [`SymbolTable`] mapping column headers, commands, machine ids and
-//! monitor names to dense `u32` [`SymId`]s, plus [`Label`] — a cheap
-//! shared string for frame labels.
+//! String interning for the frame path: a process-wide [`SymbolTable`]
+//! mapping column headers, commands, user names, machine ids and monitor
+//! names to dense `u32` [`SymId`]s, plus [`Label`] — a shared string that
+//! carries its id.
 //!
-//! The merge/stream path used to pay a `String` per frame label and a
-//! `String` per row value key, per frame, per row. Interning replaces
-//! those with `Copy` ids through [`crate::render::Row`], the cluster
-//! merger and [`crate::cluster::ClusterWindowSink`]; labels that must
-//! stay textual ([`crate::cluster::ClusterFrame::machine`]) become
-//! [`Label`]s — one refcount bump per frame instead of one heap copy.
+//! The interner lives in the kernel crate because the kernel is where most
+//! labels are born: a task's command is a [`Label`] from its spawn spec on
+//! and a user's name from `add_user` on, so filling a `/proc` read, and
+//! then a tiptop row (`tiptop_core::render::Row`), bumps a refcount instead
+//! of copying a `String`. `tiptop_core` re-exports this module as
+//! `tiptop_core::symbols`.
 //!
-//! The table is append-only and process-global so ids resolve anywhere
-//! (a [`crate::render::Row`] built by a bare [`crate::app::Tiptop`] and
-//! one built inside a cluster shard agree); a
-//! [`crate::cluster::ClusterScenario::build`] pre-interns its machine
-//! ids so every shard shares warm ids before the worker pool starts.
-//! Id *values* depend on interning order and must never be persisted —
-//! resolve to text at any boundary that outlives the process.
+//! A [`Label`] is interned once, when it is built, and stores its id:
+//! [`Label::sym`] is a field read, so a consumer that keys aggregates by id
+//! (the cluster window sink, the merge) pays no lock and no hash per frame
+//! or per row. Two labels of one text share one [`SymId`] and, when built
+//! from text the table already holds, the table's own allocation.
+//!
+//! The table is append-only and process-global so ids resolve anywhere (a
+//! row built by a bare monitor and one built inside a cluster shard agree).
+//! Id *values* depend on interning order — on a fleet, on which worker
+//! thread reaches a name first — so they must never be persisted or
+//! used to order output: resolve to text at any boundary that outlives the
+//! process, and sort by text.
 
 use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock, RwLock};
 
@@ -53,18 +60,30 @@ impl SymbolTable {
 
     /// Id of `s`, interning it on first sight.
     pub fn intern(&self, s: &str) -> SymId {
-        if let Some(&id) = self.inner.read().expect("symbol table poisoned").ids.get(s) {
-            return id;
+        self.intern_shared(s).0
+    }
+
+    /// Id of `s` and the table's copy of its text, interning it on first
+    /// sight: a label of a known string shares the table's allocation.
+    fn intern_shared(&self, s: &str) -> (SymId, Arc<str>) {
+        if let Some((name, &id)) = self
+            .inner
+            .read()
+            .expect("symbol table poisoned")
+            .ids
+            .get_key_value(s)
+        {
+            return (id, name.clone());
         }
         let mut inner = self.inner.write().expect("symbol table poisoned");
-        if let Some(&id) = inner.ids.get(s) {
-            return id; // raced with another writer
+        if let Some((name, &id)) = inner.ids.get_key_value(s) {
+            return (id, name.clone()); // raced with another writer
         }
         let name: Arc<str> = Arc::from(s);
         let id = SymId(inner.names.len() as u32);
         inner.names.push(name.clone());
-        inner.ids.insert(name, id);
-        id
+        inner.ids.insert(name.clone(), id);
+        (id, name)
     }
 
     /// Id of `s` if it was ever interned.
@@ -118,24 +137,66 @@ pub fn resolve(id: SymId) -> Arc<str> {
     SymbolTable::global().resolve(id)
 }
 
-/// A shared, immutable string label (machine id, monitor name): cloning is
-/// a refcount bump, comparisons against `&str`/`String` work directly, so
-/// code written against `String` labels keeps reading naturally.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Label(Arc<str>);
+/// A shared, immutable string label (command, user name, machine id,
+/// monitor name) that carries its interned id. Cloning is a refcount bump
+/// and [`Label::sym`] a field read; comparisons against `&str`/`String`
+/// work directly, so code written against `String` labels keeps reading
+/// naturally.
+///
+/// `Hash`, `Ord` and `Borrow<str>` follow the text, so a map keyed by
+/// labels is found by `&str` and iterates in text order. Equality compares
+/// ids, which is the same thing: the one global table gives one id per
+/// text.
+#[derive(Clone)]
+pub struct Label {
+    text: Arc<str>,
+    sym: SymId,
+}
 
 impl Label {
     pub fn new(s: impl AsRef<str>) -> Self {
-        Label(Arc::from(s.as_ref()))
+        let (sym, text) = SymbolTable::global().intern_shared(s.as_ref());
+        Label { text, sym }
     }
 
     pub fn as_str(&self) -> &str {
-        &self.0
+        &self.text
     }
 
-    /// This label's id in the process-wide table (interning it if new).
+    /// This label's id in the process-wide table, interned when the label
+    /// was built.
     pub fn sym(&self) -> SymId {
-        intern(&self.0)
+        self.sym
+    }
+}
+
+impl PartialEq for Label {
+    fn eq(&self, other: &Label) -> bool {
+        self.sym == other.sym
+    }
+}
+
+impl Eq for Label {}
+
+impl Hash for Label {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state)
+    }
+}
+
+impl PartialOrd for Label {
+    fn partial_cmp(&self, other: &Label) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Label {
+    fn cmp(&self, other: &Label) -> Ordering {
+        if self.sym == other.sym {
+            Ordering::Equal
+        } else {
+            self.as_str().cmp(other.as_str())
+        }
     }
 }
 
@@ -143,31 +204,31 @@ impl Deref for Label {
     type Target = str;
 
     fn deref(&self) -> &str {
-        &self.0
+        &self.text
     }
 }
 
 impl Borrow<str> for Label {
     fn borrow(&self) -> &str {
-        &self.0
+        &self.text
     }
 }
 
 impl AsRef<str> for Label {
     fn as_ref(&self) -> &str {
-        &self.0
+        &self.text
     }
 }
 
 impl fmt::Display for Label {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(&self.text)
     }
 }
 
 impl fmt::Debug for Label {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&self.0, f)
+        fmt::Debug::fmt(&*self.text, f)
     }
 }
 
@@ -179,13 +240,19 @@ impl From<&str> for Label {
 
 impl From<String> for Label {
     fn from(s: String) -> Self {
-        Label(Arc::from(s))
+        Label::new(s)
+    }
+}
+
+impl From<&String> for Label {
+    fn from(s: &String) -> Self {
+        Label::new(s)
     }
 }
 
 impl From<Arc<str>> for Label {
     fn from(s: Arc<str>) -> Self {
-        Label(s)
+        Label::new(s)
     }
 }
 
@@ -269,6 +336,42 @@ mod tests {
         assert_eq!(&l[..4], "node");
         let map: std::collections::BTreeMap<Label, u32> = [(l.clone(), 1)].into();
         assert_eq!(map.get("node-a"), Some(&1), "Borrow<str> lookup");
+    }
+
+    #[test]
+    fn labels_of_one_text_are_one_label() {
+        let text = "symbols-test-label";
+        let a = Label::new(text);
+        let b = Label::from(text.to_string());
+        let c = Label::from(Arc::<str>::from(text));
+        assert_eq!(a, b);
+        assert_eq!(b, c);
+        assert_eq!(a.sym(), b.sym());
+        assert_eq!(b.sym(), c.sym());
+        assert_eq!(a.sym(), intern(text), "the stored id is the table's id");
+        assert_eq!(lookup(text), Some(a.sym()));
+        assert_ne!(a, Label::new("symbols-test-label-2"));
+    }
+
+    #[test]
+    fn labels_hash_and_order_by_text() {
+        // Intern in reverse text order so id order and text order differ.
+        let z = Label::new("symbols-test-order-z");
+        let a = Label::new("symbols-test-order-a");
+        assert!(z.sym() < a.sym());
+        assert!(a < z, "Ord follows the text, not the id");
+        let mut sorted = vec![z.clone(), a.clone()];
+        sorted.sort();
+        assert_eq!(sorted, [a.clone(), z.clone()]);
+
+        let map: HashMap<Label, u32> = [(a.clone(), 1), (z.clone(), 2)].into();
+        assert_eq!(
+            map.get("symbols-test-order-a"),
+            Some(&1),
+            "Hash agrees with str"
+        );
+        assert_eq!(map.get("symbols-test-order-z"), Some(&2));
+        assert_eq!(map.get("symbols-test-order-none"), None);
     }
 
     #[test]

@@ -13,6 +13,7 @@ use tiptop_machine::topology::PuId;
 
 use crate::program::{Program, ProgramCursor};
 use crate::sched::CpuSet;
+use crate::symbols::Label;
 
 /// Process/task identifier.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -59,7 +60,9 @@ pub struct Task {
     /// Thread-group id: equals `pid` for a process's main thread.
     pub tgid: Pid,
     pub uid: Uid,
-    pub comm: String,
+    /// Command name, the spawn spec's label: every `/proc` read and tiptop
+    /// row that shows it shares this one allocation.
+    pub comm: Label,
     pub nice: i32,
     pub affinity: CpuSet,
     pub state: TaskState,
@@ -97,7 +100,9 @@ pub struct Task {
 /// re-submit the same job description elsewhere (cluster migration).
 #[derive(Clone, Debug)]
 pub struct SpawnSpec {
-    pub comm: String,
+    /// Command name, interned when the spec is built: cloning a spec and
+    /// spawning from it share this label.
+    pub comm: Label,
     pub uid: Uid,
     pub program: Program,
     pub nice: i32,
@@ -109,7 +114,7 @@ pub struct SpawnSpec {
 }
 
 impl SpawnSpec {
-    pub fn new(comm: impl Into<String>, uid: Uid, program: Program) -> Self {
+    pub fn new(comm: impl Into<Label>, uid: Uid, program: Program) -> Self {
         SpawnSpec {
             comm: comm.into(),
             uid,

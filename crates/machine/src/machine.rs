@@ -199,20 +199,36 @@ impl Machine {
     /// # Panics
     /// Panics if two slices name the same PU, or a PU is out of range.
     pub fn execute_epoch(&mut self, slices: &mut [SliceRequest<'_>]) -> Vec<ExecOutcome> {
-        self.execute_epoch_with(slices, Self::sample_caches)
+        let mut out = Vec::new();
+        self.execute_epoch_into(slices, &mut out);
+        out
     }
 
-    /// [`Machine::execute_epoch`] with the cache sampler as a parameter, so
-    /// tests can run the same epoch through the reference sampler.
+    /// [`Machine::execute_epoch`] into a caller-owned buffer (cleared
+    /// first). With the machine's own per-epoch buffers kept across epochs,
+    /// a steady-state epoch allocates nothing.
+    pub fn execute_epoch_into(
+        &mut self,
+        slices: &mut [SliceRequest<'_>],
+        out: &mut Vec<ExecOutcome>,
+    ) {
+        self.execute_epoch_with(slices, out, Self::sample_caches)
+    }
+
+    /// [`Machine::execute_epoch_into`] with the cache sampler as a
+    /// parameter, so tests can run the same epoch through the reference
+    /// sampler. The sampler fills one tally per slice into its buffer.
     fn execute_epoch_with(
         &mut self,
         slices: &mut [SliceRequest<'_>],
-        sample: impl FnOnce(&mut Self, &mut [SliceRequest<'_>], &Topology) -> Vec<SampleStats>,
-    ) -> Vec<ExecOutcome> {
+        out: &mut Vec<ExecOutcome>,
+        sample: impl FnOnce(&mut Self, &mut [SliceRequest<'_>], &Topology, &mut Vec<SampleStats>),
+    ) {
+        out.clear();
         self.epochs_executed += 1;
         let n = slices.len();
         if n == 0 {
-            return Vec::new();
+            return;
         }
         // Refcount bump, not a deep copy: keeps the config borrowable
         // alongside the `&mut self` cache sampling below.
@@ -220,26 +236,29 @@ impl Machine {
         let topo = &cfg.topology;
 
         // --- sanity: one slice per PU ---
-        {
-            let mut seen = vec![false; topo.num_pus()];
-            for s in slices.iter() {
-                assert!(s.pu.0 < topo.num_pus(), "PU {} out of range", s.pu.0);
-                assert!(!seen[s.pu.0], "two slices on PU {}", s.pu.0);
-                seen[s.pu.0] = true;
-            }
+        let seen = &mut self.scratch.pu_taken;
+        seen.clear();
+        seen.resize(topo.num_pus(), false);
+        for s in slices.iter() {
+            assert!(s.pu.0 < topo.num_pus(), "PU {} out of range", s.pu.0);
+            assert!(!seen[s.pu.0], "two slices on PU {}", s.pu.0);
+            seen[s.pu.0] = true;
         }
 
         // --- which physical cores have both SMT siblings busy? ---
-        let mut busy_on_core = vec![0u32; topo.num_cores()];
+        let mut busy_on_core = std::mem::take(&mut self.scratch.busy_on_core);
+        busy_on_core.clear();
+        busy_on_core.resize(topo.num_cores(), 0);
         for s in slices.iter() {
             busy_on_core[topo.core_of(s.pu).0] += 1;
         }
 
         // --- phase 1: jointly sample the cache hierarchy ---
-        let stats = sample(self, slices, topo);
+        let mut stats = std::mem::take(&mut self.scratch.stats);
+        sample(self, slices, topo, &mut stats);
 
         // --- phase 2: analytic CPI and event accounting per slice ---
-        let mut out = Vec::with_capacity(n);
+        out.reserve(n);
         for (i, s) in slices.iter_mut().enumerate() {
             let st = &stats[i];
             let u = &cfg.uarch;
@@ -289,7 +308,8 @@ impl Machine {
                 mem_cpi,
             ));
         }
-        out
+        self.scratch.busy_on_core = busy_on_core;
+        self.scratch.stats = stats;
     }
 
     /// Interleave every slice's sampled address stream through the shared
@@ -330,11 +350,16 @@ impl Machine {
         &mut self,
         slices: &mut [SliceRequest<'_>],
         topo: &Topology,
-    ) -> Vec<SampleStats> {
+        stats: &mut Vec<SampleStats>,
+    ) {
         let n = slices.len();
-        let Some(quotas) = sample_quotas(&self.cfg, slices) else {
-            return vec![SampleStats::default(); n];
-        };
+        stats.clear();
+        let mut quotas = std::mem::take(&mut self.scratch.quotas);
+        if !sample_quotas(&self.cfg, slices, &mut quotas) {
+            stats.resize(n, SampleStats::default());
+            self.scratch.quotas = quotas;
+            return;
+        }
         let Machine {
             cfg,
             l1,
@@ -428,16 +453,15 @@ impl Machine {
             }
         }
 
-        (0..n)
-            .map(|i| {
-                let at = scratch.start[i];
-                let mut st = SampleStats::default();
-                for &level in &scratch.levels[at..at + quotas[i] as usize] {
-                    st.add(level, &cfg.uarch);
-                }
-                st
-            })
-            .collect()
+        stats.extend((0..n).map(|i| {
+            let at = scratch.start[i];
+            let mut st = SampleStats::default();
+            for &level in &scratch.levels[at..at + quotas[i] as usize] {
+                st.add(level, &cfg.uarch);
+            }
+            st
+        }));
+        scratch.quotas = quotas;
     }
 
     /// The single-pass sampler [`Machine::sample_caches`] replaces: one
@@ -454,9 +478,10 @@ impl Machine {
         use std::collections::BinaryHeap;
 
         let n = slices.len();
-        let Some(quotas) = sample_quotas(&self.cfg, slices) else {
+        let mut quotas = Vec::new();
+        if !sample_quotas(&self.cfg, slices, &mut quotas) {
             return vec![SampleStats::default(); n];
-        };
+        }
         let u = &self.cfg.uarch;
 
         #[derive(PartialEq, Eq, PartialOrd, Ord)]
@@ -504,36 +529,33 @@ fn sample_time(j: u64, quota: u64) -> u64 {
     ((j as f64 + 0.5) / quota as f64 * TIME_SCALE) as u64
 }
 
-/// Each slice's sample quota, proportional to its expected accesses this
-/// epoch, or `None` when no slice touches memory.
-fn sample_quotas(cfg: &MachineConfig, slices: &[SliceRequest<'_>]) -> Option<Vec<u64>> {
-    let weights: Vec<f64> = slices
-        .iter()
-        .map(|s| {
-            let cpi = if s.cpi_hint > 0.0 {
-                s.cpi_hint
-            } else {
-                s.profile.base_cpi.max(0.1)
-            };
-            let apc = s.profile.accesses_per_insn();
-            (s.cycles as f64 / cpi * apc).max(0.0)
-        })
-        .collect();
-    let total_w: f64 = weights.iter().sum();
+/// Each slice's sample quota into `quotas`, proportional to its expected
+/// accesses this epoch; `false` (and `quotas` untouched) when no slice
+/// touches memory.
+fn sample_quotas(cfg: &MachineConfig, slices: &[SliceRequest<'_>], quotas: &mut Vec<u64>) -> bool {
+    let weight = |s: &SliceRequest<'_>| {
+        let cpi = if s.cpi_hint > 0.0 {
+            s.cpi_hint
+        } else {
+            s.profile.base_cpi.max(0.1)
+        };
+        let apc = s.profile.accesses_per_insn();
+        (s.cycles as f64 / cpi * apc).max(0.0)
+    };
+    let total_w: f64 = slices.iter().map(weight).sum();
     if total_w <= 0.0 {
-        return None;
+        return false;
     }
     let k_total =
         cfg.cache_samples_per_slice as f64 * (slices.len() as f64).min(JOINT_SAMPLE_SLICES as f64);
     // A budget under 4 samples per slice would put the ceiling below the
     // floor; the floor wins.
     let ceiling = ((k_total * 4.0) as u64).max(MIN_SLICE_SAMPLES);
-    Some(
-        weights
-            .iter()
-            .map(|w| ((k_total * w / total_w).round() as u64).clamp(MIN_SLICE_SAMPLES, ceiling))
-            .collect(),
-    )
+    quotas.clear();
+    quotas.extend(slices.iter().map(|s| {
+        ((k_total * weight(s) / total_w).round() as u64).clamp(MIN_SLICE_SAMPLES, ceiling)
+    }));
+    true
 }
 
 /// Fewest samples a memory-touching epoch gives any one slice.
@@ -549,11 +571,20 @@ struct L2Miss {
     addr: u64,
 }
 
-/// Working memory of [`Machine::sample_caches`], kept across epochs. Every
-/// vector starts empty, so a machine whose epochs never sample memory
-/// allocates none of it.
+/// Working memory of an epoch ([`Machine::execute_epoch_into`] and
+/// [`Machine::sample_caches`]), kept across epochs. Every vector starts
+/// empty, and the sampling ones stay empty on a machine whose epochs never
+/// sample memory.
 #[derive(Default)]
 struct SampleScratch {
+    /// Per PU: whether a slice of this epoch runs there (the sanity check).
+    pu_taken: Vec<bool>,
+    /// Per physical core: slices of this epoch running on it.
+    busy_on_core: Vec<u32>,
+    /// Per slice: its sample quota.
+    quotas: Vec<u64>,
+    /// Per slice: its sampling tallies.
+    stats: Vec<SampleStats>,
     /// Per slice: its physical core.
     core: Vec<usize>,
     /// Per slice: index of its first sample in `levels`.
@@ -1071,14 +1102,14 @@ mod tests {
                         })
                         .collect();
                     let mut stats = Vec::new();
-                    let out = m.execute_epoch_with(&mut reqs, |m, s, topo| {
-                        let st = if oracle {
-                            m.sample_caches_reference(s, topo)
+                    let mut out = Vec::new();
+                    m.execute_epoch_with(&mut reqs, &mut out, |m, s, topo, st| {
+                        if oracle {
+                            *st = m.sample_caches_reference(s, topo);
                         } else {
-                            m.sample_caches(s, topo)
-                        };
+                            m.sample_caches(s, topo, st);
+                        }
                         stats = st.clone();
-                        st
                     });
                     (stats_bits(&stats), out)
                 };
