@@ -351,7 +351,7 @@ impl Tiptop {
         // ascending pid list, and test membership by binary search.
         k.pids_into(&mut self.pids);
         let pids = &self.pids;
-        self.collector.refresh_live(k, pids);
+        self.collector.refresh(k, pids);
         self.cpu.retain_pids(&|p| pids.binary_search(&p).is_ok());
         // Borrowed (not moved) so the refresh makes no per-frame map copy;
         // `cpu` and `collector` are disjoint fields, so the borrows coexist.

@@ -313,11 +313,11 @@ pub struct ClusterWindowSink {
     peak: usize,
     windows: Vec<ClusterWindow>,
     /// Destination-side rows to exclude from aggregates, keyed by handover
-    /// instant: interned `(destination machine, command)`. Entries are
+    /// instant: `(interned destination machine, command)`. Entries are
     /// dropped as soon as the stream advances past their instant (frames
     /// arrive in nondecreasing time), so a long reactive run with many
     /// migrations never accumulates stale instants.
-    dedupe: BTreeMap<SimTime, Vec<(SymId, SymId)>>,
+    dedupe: BTreeMap<SimTime, Vec<(SymId, String)>>,
     /// The window currently being folded, if any frame has arrived since
     /// the last close.
     open: Option<OpenWindow>,
@@ -369,7 +369,7 @@ impl ClusterWindowSink {
             self.dedupe
                 .entry(h.at)
                 .or_default()
-                .push((symbols::intern(&h.to), symbols::intern(&h.comm)));
+                .push((symbols::intern(&h.to), h.comm));
         }
         self
     }
@@ -401,7 +401,7 @@ impl ClusterWindowSink {
     }
 
     /// Fold one frame's rows into the open window. A row's command is
-    /// looked up only if this instant has registered handovers.
+    /// compared only if this instant has registered handovers.
     fn fold(&mut self, machine: SymId, source: SymId, time: SimTime, rows: &[Row]) {
         // Drop dedupe instants the stream has moved past — frames arrive
         // in nondecreasing time, so an earlier instant can never match
@@ -429,10 +429,8 @@ impl ClusterWindowSink {
         let stats = ow.sources.entry((machine, source)).or_default();
         stats.frames += 1;
         for row in rows {
-            let is_handover = dedupe.is_some_and(|d| {
-                let comm = row.comm.sym();
-                d.iter().any(|&(to, c)| to == machine && c == comm)
-            });
+            let is_handover =
+                dedupe.is_some_and(|d| d.iter().any(|(to, c)| *to == machine && row.comm == *c));
             if is_handover {
                 stats.handover_rows += 1;
                 continue;
@@ -1193,9 +1191,9 @@ impl ClusterSession {
             };
             units.push(WorkUnit {
                 index,
-                id: Label::new(&slot.id),
+                id: Label::interned(&slot.id),
                 session: Box::new(session),
-                sources: set.monitors().map(|m| Label::new(m.name())).collect(),
+                sources: set.monitors().map(|m| Label::interned(m.name())).collect(),
                 monitors: set,
             });
         }

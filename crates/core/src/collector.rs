@@ -91,15 +91,11 @@ impl Collector {
     /// refresh snapshots every fd this observer holds in one batched call
     /// into a reused buffer — together with the recycled delta map and
     /// order/fd scratch, a steady-state refresh allocates nothing here.
-    pub fn refresh(&mut self, k: &mut Kernel) -> &HashMap<Pid, TaskDelta> {
-        let live = k.pids();
-        self.refresh_live(k, &live)
-    }
-
-    /// [`Collector::refresh`] over a `/proc` scan the caller already made:
-    /// `live` is [`Kernel::pids`]' ascending list, so membership tests are
-    /// binary searches and a monitor scans `/proc` once per refresh.
-    pub fn refresh_live(&mut self, k: &mut Kernel, live: &[Pid]) -> &HashMap<Pid, TaskDelta> {
+    ///
+    /// `live` is the caller's `/proc` scan, [`Kernel::pids`]' ascending
+    /// list, so membership tests are binary searches and a monitor scans
+    /// `/proc` once per refresh.
+    pub fn refresh(&mut self, k: &mut Kernel, live: &[Pid]) -> &HashMap<Pid, TaskDelta> {
         debug_assert!(live.windows(2).all(|w| w[0] < w[1]), "pids ascend");
         let is_live = |p: &Pid| live.binary_search(p).is_ok();
         self.deltas.clear();
@@ -279,16 +275,22 @@ mod tests {
         vec![HwEvent::Cycles, HwEvent::Instructions, HwEvent::CacheMisses]
     }
 
+    /// One refresh over a fresh `/proc` scan, as a monitor makes it.
+    fn refresh<'c>(c: &'c mut Collector, k: &mut Kernel) -> &'c HashMap<Pid, TaskDelta> {
+        let live = k.pids();
+        c.refresh(k, &live)
+    }
+
     #[test]
     fn collects_deltas_for_own_tasks() {
         let mut k = kernel();
         let pid = k.spawn(SpawnSpec::new("spin", Uid(1), spin()));
         let mut c = Collector::new(Uid(1), base_events());
 
-        let first = c.refresh(&mut k);
+        let first = refresh(&mut c, &mut k);
         assert!(!first[&pid].full_interval, "first sight is partial");
         k.advance(SimDuration::from_secs(1));
-        let second = c.refresh(&mut k);
+        let second = refresh(&mut c, &mut k);
         let d = &second[&pid];
         assert!(d.full_interval);
         let cy = d.counts.get(HwEvent::Cycles) as f64;
@@ -305,7 +307,7 @@ mod tests {
         let theirs = k.spawn(SpawnSpec::new("theirs", Uid(2), spin()));
         let mut c = Collector::new(Uid(1), base_events());
         k.advance(SimDuration::from_millis(100));
-        let deltas = c.refresh(&mut k);
+        let deltas = refresh(&mut c, &mut k);
         assert!(deltas.contains_key(&mine));
         assert!(!deltas.contains_key(&theirs));
         assert_eq!(c.attached(), 1);
@@ -318,7 +320,7 @@ mod tests {
         k.spawn(SpawnSpec::new("b", Uid(2), spin()));
         let mut c = Collector::new(Uid::ROOT, base_events());
         k.advance(SimDuration::from_millis(100));
-        assert_eq!(c.refresh(&mut k).len(), 2);
+        assert_eq!(refresh(&mut c, &mut k).len(), 2);
     }
 
     #[test]
@@ -326,13 +328,13 @@ mod tests {
         let mut k = kernel();
         let pid = k.spawn(SpawnSpec::new("short", Uid(1), spin()));
         let mut c = Collector::new(Uid(1), base_events());
-        c.refresh(&mut k);
+        refresh(&mut c, &mut k);
         let fds_before = k.open_fds(Uid(1));
         assert_eq!(fds_before, 3);
         k.advance(SimDuration::from_millis(100)); // let it run while counted
         k.kill(pid).unwrap();
         k.advance(SimDuration::from_millis(100));
-        let deltas = c.refresh(&mut k);
+        let deltas = refresh(&mut c, &mut k);
         // The final partial-interval counts are harvested before closing.
         let last = &deltas[&pid];
         assert!(!last.full_interval);
@@ -342,7 +344,10 @@ mod tests {
         );
         assert_eq!(k.open_fds(Uid(1)), 0, "fds closed after exit");
         assert_eq!(c.attached(), 0);
-        assert!(c.refresh(&mut k).is_empty(), "nothing left next refresh");
+        assert!(
+            refresh(&mut c, &mut k).is_empty(),
+            "nothing left next refresh"
+        );
     }
 
     #[test]
@@ -351,9 +356,9 @@ mod tests {
         let pid = k.spawn(SpawnSpec::new("spin", Uid(1), spin()));
         k.advance(SimDuration::from_secs(2)); // unobserved
         let mut c = Collector::new(Uid(1), base_events());
-        c.refresh(&mut k);
+        refresh(&mut c, &mut k);
         k.advance(SimDuration::from_secs(1));
-        let d = c.refresh(&mut k);
+        let d = refresh(&mut c, &mut k);
         let cy = d[&pid].counts.get(HwEvent::Cycles) as f64;
         assert!(
             (cy / 3.07e9 - 1.0).abs() < 0.02,
@@ -367,7 +372,7 @@ mod tests {
         k.spawn(SpawnSpec::new("a", Uid(1), spin()));
         k.spawn(SpawnSpec::new("b", Uid(1), spin()));
         let mut c = Collector::new(Uid(1), base_events());
-        c.refresh(&mut k);
+        refresh(&mut c, &mut k);
         assert_eq!(k.open_fds(Uid(1)), 6);
         c.detach_all(&mut k);
         assert_eq!(k.open_fds(Uid(1)), 0);

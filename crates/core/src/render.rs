@@ -9,7 +9,7 @@
 //! The layout is tuned for the cluster hot path (thousands of frames per
 //! second through the merge): headers are an `Arc` slice shared by every
 //! frame a monitor produces (the screen never changes mid-run), a row's
-//! user and command are the kernel's interned [`Label`]s (filling them is
+//! user and command are the kernel's [`Label`]s (filling them is
 //! a refcount bump, not a `String` copy), and typed row values are a small
 //! vector keyed by interned [`SymId`]s instead of a per-row
 //! `HashMap<String, f64>` — [`Row::value`] still takes the header text,
@@ -47,7 +47,7 @@ pub enum CellSpec {
 ///
 /// `user` and `comm` are [`Label`]s shared with the kernel's task and user
 /// tables: they read and compare like strings (`row.comm == "mcf"`), and
-/// [`Label::sym`] gives the interned id without a table lookup.
+/// [`Label::sym`] gives an interned id when a consumer wants one.
 #[derive(Clone, Debug)]
 pub struct Row {
     pub pid: Pid,

@@ -830,14 +830,14 @@ fn window_summary(windows: &[ClusterWindow], run: &str) -> String {
 }
 
 #[test]
-fn window_summaries_are_identical_at_1_2_and_8_threads_with_names_interned_mid_run() {
+fn window_summaries_are_identical_at_1_2_and_8_threads_whatever_the_id_order() {
     // Symbol ids are assigned in interning order, which on a fleet depends
-    // on which worker reaches a name first. Every run below interns names
-    // no earlier run saw: user names (the uids have no registered name, so
-    // a worker interns the number when it builds the row), job commands,
-    // some spawned mid-run, and two screen columns. The columns are
-    // interned in an order that differs between runs, so a summary that
-    // followed id order rather than text would differ too.
+    // on which thread reaches a name first. Every run below uses names no
+    // earlier run saw: user names (the uids have no registered name, so a
+    // worker builds the number when it builds the row), job commands, some
+    // spawned mid-run, and two screen columns. The columns are interned in
+    // an order that differs between runs, so a summary that followed id
+    // order rather than text would differ too.
     let run_at = |threads: usize| {
         let run = format!("r{threads}x");
         let machines = 6;

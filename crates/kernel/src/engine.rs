@@ -11,6 +11,7 @@
 //! a cluster driver run many independent engines on worker threads while
 //! every kernel keeps its own fd table.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use tiptop_machine::exec::ExecOutcome;
@@ -44,7 +45,6 @@ pub struct EpochEngine {
     now: SimTime,
     epoch_index: u64,
     scheduler: Box<dyn Scheduler>,
-    scratch: EpochScratch,
 }
 
 /// One planned task's bookkeeping for the epoch in flight. The engine keeps
@@ -70,6 +70,11 @@ impl Slot {
 
 /// Buffers the epoch loop reuses across epochs, so a steady-state epoch
 /// builds no collection of its own.
+///
+/// One per thread ([`SCRATCH`]), not one per engine: a cluster worker steps
+/// many machines one at a time, so the buffers scale with worker threads
+/// rather than with machines, and a fleet of a thousand machines keeps a
+/// handful of them instead of a thousand.
 #[derive(Default)]
 struct EpochScratch {
     entities: Vec<SchedEntity>,
@@ -84,10 +89,22 @@ struct EpochScratch {
     dead: Vec<Pid>,
 }
 
+thread_local! {
+    /// The epoch scratch of the engines this thread advances, taken for the
+    /// length of an [`EpochEngine::advance`] call and put back after it.
+    static SCRATCH: Cell<EpochScratch> = Cell::new(EpochScratch::default());
+}
+
 /// An empty request vector with a new borrow lifetime, keeping the
 /// allocation: the in-place `collect` of an emptied vector reuses its
 /// buffer (the element layout is the same), so a round's requests cost no
 /// heap traffic once the buffer has grown.
+///
+/// The reuse is std's in-place-iteration specialization of `collect`, an
+/// optimization rather than a documented guarantee; should a toolchain
+/// drop it, each round allocates again with no change here.
+/// `tests/allocations.rs` in `tiptop-core` (zero allocations per
+/// steady-state epoch) is what catches that.
 fn recycle<'a, 'b>(mut v: Vec<SliceRequest<'a>>) -> Vec<SliceRequest<'b>> {
     v.clear();
     v.into_iter().map(|_| unreachable!("emptied")).collect()
@@ -134,7 +151,6 @@ impl EpochEngine {
             now: SimTime::ZERO,
             epoch_index: 0,
             scheduler,
-            scratch: EpochScratch::default(),
         }
     }
 
@@ -170,18 +186,20 @@ impl EpochEngine {
         mut on_epoch: impl FnMut(u64, &[PerfCharge]),
     ) {
         let target = self.now + dur;
+        let mut scratch = SCRATCH.take();
         while self.now < target {
             let e = self.epoch.min(target - self.now);
             let index = self.epoch_index;
-            self.run_epoch(e, tasks, exited);
-            on_epoch(index, &self.scratch.charges);
+            self.run_epoch(e, tasks, exited, &mut scratch);
+            on_epoch(index, &scratch.charges);
         }
+        SCRATCH.set(scratch);
     }
 
     /// One scheduler epoch: plan placement, execute slices in rounds so
     /// phase boundaries inside the epoch are honored, charge CPU time and
     /// fairness into `scratch.charges`, and reap zombies (tombstones keep
-    /// pids reserved).
+    /// pids reserved). Every buffer of `scratch` is cleared before use.
     ///
     /// Every pass runs in pid order: within a round each planned task is
     /// stepped, put to sleep or marked exited, and its slice requested, in
@@ -191,13 +209,13 @@ impl EpochEngine {
         epoch_len: SimDuration,
         tasks: &mut BTreeMap<Pid, Task>,
         exited: &mut BTreeMap<Pid, ExitRecord>,
+        scratch: &mut EpochScratch,
     ) {
         let EpochEngine {
             machine,
             now,
             epoch_index,
             scheduler,
-            scratch,
             ..
         } = self;
         let now = *now;
@@ -693,6 +711,8 @@ mod tests {
                 )
             };
             let (mut e, mut r) = (boot(), boot());
+            // One scratch across every epoch, as `advance` keeps it.
+            let mut scratch = EpochScratch::default();
             let (mut tasks, mut ref_tasks) = (BTreeMap::new(), BTreeMap::new());
             let (mut exited, mut ref_exited) = (BTreeMap::new(), BTreeMap::new());
             let mut next_pid = 100u32;
@@ -735,12 +755,12 @@ mod tests {
                 } else {
                     SimDuration::from_millis(20)
                 };
-                e.run_epoch(len, &mut tasks, &mut exited);
+                e.run_epoch(len, &mut tasks, &mut exited, &mut scratch);
                 let ref_charges = r.run_epoch_reference(len, &mut ref_tasks, &mut ref_exited);
 
                 let at = format!("seed {seed}, epoch {epoch}");
                 assert_eq!(
-                    format!("{:?}", e.scratch.charges),
+                    format!("{:?}", scratch.charges),
                     format!("{ref_charges:?}"),
                     "charges, {at}"
                 );

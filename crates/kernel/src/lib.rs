@@ -58,8 +58,8 @@ pub use perf::{EventSel, GenericEvent, PerfEventAttr, PerfFd, PerfValue};
 pub use procfs::ProcStat;
 pub use program::{Continuation, NextWork, Phase, Program, ProgramCursor};
 pub use sched::{
-    place_in_order, plan_epoch, weight_for_nice, CfsLike, CpuSet, EpochPlan, Fifo, PlanScratch,
-    RoundRobin, SchedCtx, SchedEntity, Scheduler, SchedulerSelect,
+    plan_epoch, weight_for_nice, CfsLike, CpuSet, EpochPlan, Fifo, PlanScratch, RoundRobin,
+    SchedCtx, SchedEntity, Scheduler, SchedulerSelect,
 };
 pub use symbols::{Label, SymId, SymbolTable};
 pub use task::{Pid, SpawnSpec, Task, TaskState, Uid};

@@ -136,15 +136,9 @@ pub fn plan_epoch(topo: &Topology, runnable: &[SchedEntity]) -> EpochPlan {
 
 /// The greedy placement pass shared by every planner: walk `order` (highest
 /// priority first) and give each entity its preferred free PU — warm, then
-/// fully idle core, then warm-but-shared, then any allowed. Entities left
-/// over when PUs run out simply don't run this epoch.
-pub fn place_in_order(topo: &Topology, order: &[&SchedEntity]) -> EpochPlan {
-    let mut plan = EpochPlan::default();
-    place_into(topo, order.iter().copied(), &mut plan, &mut Vec::new());
-    plan
-}
-
-/// [`place_in_order`] into a reused plan and core-occupancy buffer.
+/// fully idle core, then warm-but-shared, then any allowed — into a reused
+/// plan and core-occupancy buffer. Entities left over when PUs run out
+/// simply don't run this epoch.
 fn place_into<'e>(
     topo: &Topology,
     order: impl Iterator<Item = &'e SchedEntity>,
@@ -204,14 +198,6 @@ impl PlanScratch {
     }
 }
 
-/// [`Scheduler::plan`] of a planner that implements
-/// [`Scheduler::plan_into`]: plan into fresh buffers.
-fn plan_fresh(planner: &mut impl Scheduler, ctx: &SchedCtx<'_>) -> EpochPlan {
-    let mut plan = EpochPlan::default();
-    planner.plan_into(ctx, &mut plan, &mut PlanScratch::default());
-    plan
-}
-
 fn choose_pu(
     topo: &Topology,
     assignment: &[Option<Pid>],
@@ -266,16 +252,16 @@ pub struct SchedCtx<'a> {
 pub trait Scheduler: Send + Sync {
     fn name(&self) -> &'static str;
 
-    /// Plan one epoch.
-    fn plan(&mut self, ctx: &SchedCtx<'_>) -> EpochPlan;
-
     /// Plan one epoch into `out`, reusing its buffer and `scratch`'s. This
-    /// is what the engine calls; it must produce what [`Scheduler::plan`]
-    /// would. The default calls `plan`; the built-in planners override it
-    /// so that a steady-state epoch plans without allocating.
-    fn plan_into(&mut self, ctx: &SchedCtx<'_>, out: &mut EpochPlan, scratch: &mut PlanScratch) {
-        let _ = scratch;
-        *out = self.plan(ctx);
+    /// is what the engine calls, with one plan and one scratch kept across
+    /// epochs, so a steady-state epoch plans without allocating.
+    fn plan_into(&mut self, ctx: &SchedCtx<'_>, out: &mut EpochPlan, scratch: &mut PlanScratch);
+
+    /// Plan one epoch into fresh buffers.
+    fn plan(&mut self, ctx: &SchedCtx<'_>) -> EpochPlan {
+        let mut plan = EpochPlan::default();
+        self.plan_into(ctx, &mut plan, &mut PlanScratch::default());
+        plan
     }
 }
 
@@ -302,10 +288,6 @@ impl Scheduler for CfsLike {
         "cfs-like"
     }
 
-    fn plan(&mut self, ctx: &SchedCtx<'_>) -> EpochPlan {
-        plan_fresh(self, ctx)
-    }
-
     fn plan_into(&mut self, ctx: &SchedCtx<'_>, out: &mut EpochPlan, scratch: &mut PlanScratch) {
         scratch.plan(ctx, out, by_vruntime, 0);
     }
@@ -320,10 +302,6 @@ pub struct Fifo;
 impl Scheduler for Fifo {
     fn name(&self) -> &'static str {
         "fifo"
-    }
-
-    fn plan(&mut self, ctx: &SchedCtx<'_>) -> EpochPlan {
-        plan_fresh(self, ctx)
     }
 
     fn plan_into(&mut self, ctx: &SchedCtx<'_>, out: &mut EpochPlan, scratch: &mut PlanScratch) {
@@ -341,10 +319,6 @@ pub struct RoundRobin;
 impl Scheduler for RoundRobin {
     fn name(&self) -> &'static str {
         "round-robin"
-    }
-
-    fn plan(&mut self, ctx: &SchedCtx<'_>) -> EpochPlan {
-        plan_fresh(self, ctx)
     }
 
     fn plan_into(&mut self, ctx: &SchedCtx<'_>, out: &mut EpochPlan, scratch: &mut PlanScratch) {

@@ -1,20 +1,21 @@
 //! String interning for the frame path: a process-wide [`SymbolTable`]
-//! mapping column headers, commands, user names, machine ids and monitor
-//! names to dense `u32` [`SymId`]s, plus [`Label`] — a shared string that
-//! carries its id.
+//! mapping column headers, machine ids and monitor names to dense `u32`
+//! [`SymId`]s, plus [`Label`] — a shared string that can carry its id.
 //!
-//! The interner lives in the kernel crate because the kernel is where most
+//! This module lives in the kernel crate because the kernel is where most
 //! labels are born: a task's command is a [`Label`] from its spawn spec on
 //! and a user's name from `add_user` on, so filling a `/proc` read, and
 //! then a tiptop row (`tiptop_core::render::Row`), bumps a refcount instead
 //! of copying a `String`. `tiptop_core` re-exports this module as
 //! `tiptop_core::symbols`.
 //!
-//! A [`Label`] is interned once, when it is built, and stores its id:
-//! [`Label::sym`] is a field read, so a consumer that keys aggregates by id
-//! (the cluster window sink, the merge) pays no lock and no hash per frame
-//! or per row. Two labels of one text share one [`SymId`] and, when built
-//! from text the table already holds, the table's own allocation.
+//! Most labels — every command and user name — are only ever compared and
+//! printed as text, so [`Label::new`] leaves the table alone: spawning
+//! uniquely named jobs does not grow it. Labels that a consumer keys by id
+//! (a cluster shard's machine id and monitor names, which the window sink
+//! reads per frame) are built with [`Label::interned`], which interns once
+//! and stores the id, so every clone answers [`Label::sym`] with a field
+//! read.
 //!
 //! The table is append-only and process-global so ids resolve anywhere (a
 //! row built by a bare monitor and one built inside a cluster shard agree).
@@ -60,30 +61,18 @@ impl SymbolTable {
 
     /// Id of `s`, interning it on first sight.
     pub fn intern(&self, s: &str) -> SymId {
-        self.intern_shared(s).0
-    }
-
-    /// Id of `s` and the table's copy of its text, interning it on first
-    /// sight: a label of a known string shares the table's allocation.
-    fn intern_shared(&self, s: &str) -> (SymId, Arc<str>) {
-        if let Some((name, &id)) = self
-            .inner
-            .read()
-            .expect("symbol table poisoned")
-            .ids
-            .get_key_value(s)
-        {
-            return (id, name.clone());
+        if let Some(&id) = self.inner.read().expect("symbol table poisoned").ids.get(s) {
+            return id;
         }
         let mut inner = self.inner.write().expect("symbol table poisoned");
-        if let Some((name, &id)) = inner.ids.get_key_value(s) {
-            return (id, name.clone()); // raced with another writer
+        if let Some(&id) = inner.ids.get(s) {
+            return id; // raced with another writer
         }
         let name: Arc<str> = Arc::from(s);
         let id = SymId(inner.names.len() as u32);
         inner.names.push(name.clone());
-        inner.ids.insert(name.clone(), id);
-        (id, name)
+        inner.ids.insert(name, id);
+        id
     }
 
     /// Id of `s` if it was ever interned.
@@ -138,41 +127,51 @@ pub fn resolve(id: SymId) -> Arc<str> {
 }
 
 /// A shared, immutable string label (command, user name, machine id,
-/// monitor name) that carries its interned id. Cloning is a refcount bump
-/// and [`Label::sym`] a field read; comparisons against `&str`/`String`
-/// work directly, so code written against `String` labels keeps reading
-/// naturally.
+/// monitor name), carrying its interned id if built with
+/// [`Label::interned`]. Cloning is a refcount bump; comparisons against
+/// `&str`/`String` work directly, so code written against `String` labels
+/// keeps reading naturally.
 ///
-/// `Hash`, `Ord` and `Borrow<str>` follow the text, so a map keyed by
-/// labels is found by `&str` and iterates in text order. Equality compares
-/// ids, which is the same thing: the one global table gives one id per
-/// text.
+/// `Eq`, `Hash`, `Ord` and `Borrow<str>` all follow the text, so a map
+/// keyed by labels is found by `&str` and iterates in text order, and two
+/// labels of one text are equal whether or not either was interned.
 #[derive(Clone)]
 pub struct Label {
     text: Arc<str>,
-    sym: SymId,
+    sym: Option<SymId>,
 }
 
 impl Label {
     pub fn new(s: impl AsRef<str>) -> Self {
-        let (sym, text) = SymbolTable::global().intern_shared(s.as_ref());
-        Label { text, sym }
+        Label::from(Arc::<str>::from(s.as_ref()))
+    }
+
+    /// A label whose id is interned now and stored, so it and every clone
+    /// answer [`Label::sym`] with a field read — for labels a consumer
+    /// keys by id.
+    pub fn interned(s: impl AsRef<str>) -> Self {
+        let s = s.as_ref();
+        Label {
+            text: Arc::from(s),
+            sym: Some(intern(s)),
+        }
     }
 
     pub fn as_str(&self) -> &str {
         &self.text
     }
 
-    /// This label's id in the process-wide table, interned when the label
-    /// was built.
+    /// This label's id in the process-wide table: the stored id of a label
+    /// built with [`Label::interned`], else a table lookup (interning the
+    /// text if new) on every call.
     pub fn sym(&self) -> SymId {
-        self.sym
+        self.sym.unwrap_or_else(|| intern(&self.text))
     }
 }
 
 impl PartialEq for Label {
     fn eq(&self, other: &Label) -> bool {
-        self.sym == other.sym
+        Arc::ptr_eq(&self.text, &other.text) || self.text == other.text
     }
 }
 
@@ -192,11 +191,7 @@ impl PartialOrd for Label {
 
 impl Ord for Label {
     fn cmp(&self, other: &Label) -> Ordering {
-        if self.sym == other.sym {
-            Ordering::Equal
-        } else {
-            self.as_str().cmp(other.as_str())
-        }
+        self.as_str().cmp(other.as_str())
     }
 }
 
@@ -251,8 +246,8 @@ impl From<&String> for Label {
 }
 
 impl From<Arc<str>> for Label {
-    fn from(s: Arc<str>) -> Self {
-        Label::new(s)
+    fn from(text: Arc<str>) -> Self {
+        Label { text, sym: None }
     }
 }
 
@@ -348,16 +343,32 @@ mod tests {
         assert_eq!(b, c);
         assert_eq!(a.sym(), b.sym());
         assert_eq!(b.sym(), c.sym());
-        assert_eq!(a.sym(), intern(text), "the stored id is the table's id");
+        assert_eq!(a.sym(), intern(text), "the id is the table's id");
         assert_eq!(lookup(text), Some(a.sym()));
         assert_ne!(a, Label::new("symbols-test-label-2"));
     }
 
     #[test]
+    fn only_interned_labels_enter_the_table() {
+        let text = "symbols-test-plain";
+        let a = Label::new(text);
+        assert_eq!(lookup(text), None, "a plain label interns nothing");
+        assert_eq!(a.sym, None);
+        let id = a.sym();
+        assert_eq!(lookup(text), Some(id), "asking for the id interns it");
+
+        let text = "symbols-test-interned";
+        let b = Label::interned(text);
+        assert_eq!(lookup(text), Some(b.sym()));
+        assert_eq!(b.clone().sym, Some(b.sym()), "clones carry the id");
+        assert_eq!(b, Label::new(text), "equality ignores the stored id");
+    }
+
+    #[test]
     fn labels_hash_and_order_by_text() {
         // Intern in reverse text order so id order and text order differ.
-        let z = Label::new("symbols-test-order-z");
-        let a = Label::new("symbols-test-order-a");
+        let z = Label::interned("symbols-test-order-z");
+        let a = Label::interned("symbols-test-order-a");
         assert!(z.sym() < a.sym());
         assert!(a < z, "Ord follows the text, not the id");
         let mut sorted = vec![z.clone(), a.clone()];

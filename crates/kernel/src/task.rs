@@ -100,8 +100,8 @@ pub struct Task {
 /// re-submit the same job description elsewhere (cluster migration).
 #[derive(Clone, Debug)]
 pub struct SpawnSpec {
-    /// Command name, interned when the spec is built: cloning a spec and
-    /// spawning from it share this label.
+    /// Command name: cloning a spec and spawning from it share this
+    /// label.
     pub comm: Label,
     pub uid: Uid,
     pub program: Program,
