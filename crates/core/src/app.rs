@@ -23,7 +23,7 @@ use crate::config::{ColumnKind, ScreenConfig};
 use crate::events::parse_event;
 use crate::expr::Compiled;
 use crate::procinfo::CpuTracker;
-use crate::render::{CellSpec, Frame, Row};
+use crate::render::{CellSpec, Frame, Row, Values};
 use crate::symbols::{self, SymId};
 
 /// A metric expression variable resolved at screen-build time, so the
@@ -267,9 +267,9 @@ pub struct Tiptop {
     /// Derived screen state, shared process-wide per distinct screen.
     plan: Arc<ScreenPlan>,
     /// Per-refresh scratch, reused: the `/proc` scan (ascending pids) and
-    /// the observable tasks with their stat and `%CPU`.
+    /// the observable tasks with their stat, `%CPU` and counter deltas.
     pids: Vec<Pid>,
-    entries: Vec<(Pid, ProcStat, f64)>,
+    entries: Vec<(Pid, ProcStat, f64, EventCounts)>,
 }
 
 impl Tiptop {
@@ -347,18 +347,20 @@ impl Tiptop {
         self.ensure_self_task(k);
         let now = k.now();
 
-        // Scan /proc once: the collector and the %CPU tracker share the
-        // ascending pid list, and test membership by binary search.
+        // Scan /proc once: the collector and the %CPU tracker merge their
+        // pid-sorted state against the ascending pid list.
         k.pids_into(&mut self.pids);
         let pids = &self.pids;
         self.collector.refresh(k, pids);
-        self.cpu.retain_pids(&|p| pids.binary_search(&p).is_ok());
-        // Borrowed (not moved) so the refresh makes no per-frame map copy;
-        // `cpu` and `collector` are disjoint fields, so the borrows coexist.
+        self.cpu.retain_pids(pids);
+        // Borrowed (not moved) so the refresh copies no deltas; `cpu` and
+        // `collector` are disjoint fields, so the borrows coexist. The
+        // deltas ascend by pid like the scan, so one cursor pairs them.
         let deltas = self.collector.deltas();
         let mut entries = std::mem::take(&mut self.entries);
         entries.clear();
         let mut unobservable = 0usize;
+        let mut at = 0;
         for &pid in pids {
             let Some(stat) = k.stat(pid) else { continue };
             let pct = self.cpu.update(&stat, now);
@@ -367,36 +369,34 @@ impl Tiptop {
                     continue;
                 }
             }
-            if !deltas.contains_key(&pid) {
-                unobservable += 1;
-                continue;
+            while deltas.get(at).is_some_and(|(p, _)| *p < pid) {
+                at += 1;
             }
-            entries.push((pid, stat, pct));
+            match deltas.get(at) {
+                Some((p, delta)) if *p == pid => entries.push((pid, stat, pct, delta.counts)),
+                _ => unobservable += 1,
+            }
         }
 
         // Aggregate threads into processes unless -H.
         let mut rows: Vec<Row> = if self.options.per_thread {
             entries
                 .iter()
-                .map(|(pid, stat, pct)| {
-                    self.build_row(k, *pid, stat, *pct, deltas[pid].counts, now)
-                })
+                .map(|(pid, stat, pct, counts)| self.build_row(k, *pid, stat, *pct, *counts, now))
                 .collect()
-        } else if entries.iter().all(|(pid, stat, _)| stat.tgid == *pid) {
+        } else if entries.iter().all(|(pid, stat, _, _)| stat.tgid == *pid) {
             // No multi-threaded process in sight (the cluster-shard common
             // case): every task is its own group — skip the group map.
             entries
                 .iter()
-                .map(|(pid, stat, pct)| {
-                    self.build_row(k, *pid, stat, *pct, deltas[pid].counts, now)
-                })
+                .map(|(pid, stat, pct, counts)| self.build_row(k, *pid, stat, *pct, *counts, now))
                 .collect()
         } else {
             // Representative stat: the main thread if present, else the
             // first member seen.
             let mut groups: HashMap<Pid, (usize, f64, EventCounts)> =
                 HashMap::with_capacity(entries.len());
-            for (i, (pid, stat, pct)) in entries.iter().enumerate() {
+            for (i, (pid, stat, pct, counts)) in entries.iter().enumerate() {
                 let g = groups
                     .entry(stat.tgid)
                     .or_insert((i, 0.0, EventCounts::ZERO));
@@ -404,7 +404,7 @@ impl Tiptop {
                     g.0 = i;
                 }
                 g.1 += pct;
-                g.2.accumulate(&deltas[pid].counts);
+                g.2.accumulate(counts);
             }
             let mut rows = Vec::with_capacity(groups.len());
             for (tgid, (rep, pct, counts)) in groups {
@@ -477,7 +477,7 @@ impl Tiptop {
                 }
             }
         }
-        let mut values: Vec<(SymId, f64)> = Vec::with_capacity(self.screen.columns.len() + 1);
+        let mut values = Values::new();
         let mut metric_i = 0usize;
         for (col, sym) in self.screen.columns.iter().zip(&self.plan.metric_syms) {
             if let ColumnKind::Metric { expr, .. } = &col.kind {

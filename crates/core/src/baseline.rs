@@ -63,7 +63,7 @@ impl TopView {
     pub fn refresh(&mut self, k: &Kernel) -> Vec<TopRow> {
         let now = k.now();
         let pids = k.pids();
-        self.cpu.retain_pids(&|p| pids.binary_search(&p).is_ok());
+        self.cpu.retain_pids(&pids);
         let mut rows: Vec<TopRow> = pids
             .into_iter()
             .filter_map(|pid| {

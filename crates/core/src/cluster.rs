@@ -232,8 +232,9 @@ pub struct WindowStats {
     /// Per-column `(id, sum, samples)` over every finite row value, keyed
     /// by the column's interned id in first-seen order. A screen has a
     /// handful of columns, so lookups scan linearly, like [`Row::values`]:
-    /// no map node per column per source per window.
-    sums: Vec<(SymId, f64, usize)>,
+    /// no map node per column per source per window. Boxed at its exact
+    /// length: a long run retains one of these per source per window.
+    sums: Box<[(SymId, f64, usize)]>,
 }
 
 impl WindowStats {
@@ -257,17 +258,6 @@ impl WindowStats {
         names.sort();
         names.into_iter()
     }
-
-    /// Add one finite sample of column `col`.
-    fn add(&mut self, col: SymId, v: f64) {
-        match self.sums.iter_mut().find(|(c, _, _)| *c == col) {
-            Some((_, sum, n)) => {
-                *sum += v;
-                *n += 1;
-            }
-            None => self.sums.push((col, v, 1)),
-        }
-    }
 }
 
 /// One tumbling window of the merged stream, folded to aggregates.
@@ -288,9 +278,16 @@ pub struct ClusterWindow {
 /// Bounded-memory sink for long cluster runs: folds each frame into the
 /// open window's per-source column aggregates *as it arrives* — no raw
 /// frame is ever buffered — closing the window ([`ClusterWindow`]) every
-/// `window` frames. Peak memory is `O(sources x columns)` of open-window
-/// state plus `O(total / window)` small summaries — a fleet observed for
-/// hours never holds its stream, unlike [`ClusterCollectSink`].
+/// `window` frames. The open-window state is `O(sources x columns)` and
+/// reused from window to window. Each closed window retains one
+/// [`WindowStats`] per source that contributed to it, so the summaries
+/// are `O(total / window)` when a few sources fill each window, but
+/// `O(frames)` when a window's frames come from distinct sources — as on a
+/// 1,000-machine fleet with 256-frame windows. A retained source-window
+/// of the default screen costs about 280 B (its map entry, its two name
+/// strings and five column sums at exact size; about 370 B while the sums
+/// were a growable vector). A fleet observed for hours never holds its
+/// stream, unlike [`ClusterCollectSink`], but it does hold its summaries.
 ///
 /// Callers who need the raw frames spilled elsewhere (rendered to a file,
 /// forwarded downstream) can chain a closure sink in front; this sink's
@@ -318,18 +315,99 @@ pub struct ClusterWindowSink {
     /// arrive in nondecreasing time), so a long reactive run with many
     /// migrations never accumulates stale instants.
     dedupe: BTreeMap<SimTime, Vec<(SymId, String)>>,
-    /// The window currently being folded, if any frame has arrived since
-    /// the last close.
-    open: Option<OpenWindow>,
+    /// The window currently being folded (no frame yet if `frames` is 0).
+    open: OpenWindow,
 }
 
-/// Incremental state of the window being folded.
-#[derive(Debug)]
+/// Incremental state of the window being folded, reused across windows.
+#[derive(Debug, Default)]
 struct OpenWindow {
     start: SimTime,
     end: SimTime,
     frames: usize,
-    sources: BTreeMap<(SymId, SymId), WindowStats>,
+    /// Every source seen so far, in first-seen order, with its names
+    /// resolved once (the sink's name cache) and its open aggregates.
+    sources: Vec<OpenSource>,
+    /// `(machine, monitor)` ids to their index in `sources`, ascending by
+    /// ids: a frame finds its source by binary search, and only a source
+    /// never seen before inserts.
+    slots: Vec<((SymId, SymId), usize)>,
+    /// Indices of the sources folded into this window, in first-fold
+    /// order.
+    active: Vec<usize>,
+}
+
+/// One `(machine, monitor)` source of the stream and its aggregates in
+/// the open window.
+#[derive(Debug)]
+struct OpenSource {
+    names: (String, String),
+    active: bool,
+    frames: usize,
+    rows: usize,
+    handover_rows: usize,
+    sums: Vec<(SymId, f64, usize)>,
+}
+
+impl OpenWindow {
+    /// The open aggregates of `key`, joining it to this window.
+    fn source(&mut self, key: (SymId, SymId)) -> &mut OpenSource {
+        let i = match self.slots.binary_search_by_key(&key, |(k, _)| *k) {
+            Ok(at) => self.slots[at].1,
+            Err(at) => {
+                let (machine, monitor) = key;
+                self.sources.push(OpenSource {
+                    names: (
+                        symbols::resolve(machine).to_string(),
+                        symbols::resolve(monitor).to_string(),
+                    ),
+                    active: false,
+                    frames: 0,
+                    rows: 0,
+                    handover_rows: 0,
+                    sums: Vec::new(),
+                });
+                self.slots.insert(at, (key, self.sources.len() - 1));
+                self.sources.len() - 1
+            }
+        };
+        let src = &mut self.sources[i];
+        if !src.active {
+            src.active = true;
+            self.active.push(i);
+        }
+        src
+    }
+}
+
+impl OpenSource {
+    /// Add one finite sample of column `col`.
+    fn add(&mut self, col: SymId, v: f64) {
+        match self.sums.iter_mut().find(|(c, _, _)| *c == col) {
+            Some((_, sum, n)) => {
+                *sum += v;
+                *n += 1;
+            }
+            None => self.sums.push((col, v, 1)),
+        }
+    }
+
+    /// This window's aggregates, leaving the source empty (its buffer
+    /// kept) for the next window.
+    fn close(&mut self) -> WindowStats {
+        let stats = WindowStats {
+            frames: self.frames,
+            rows: self.rows,
+            handover_rows: self.handover_rows,
+            sums: self.sums.as_slice().into(),
+        };
+        self.active = false;
+        self.frames = 0;
+        self.rows = 0;
+        self.handover_rows = 0;
+        self.sums.clear();
+        stats
+    }
 }
 
 impl ClusterWindowSink {
@@ -342,7 +420,7 @@ impl ClusterWindowSink {
             peak: 0,
             windows: Vec::new(),
             dedupe: BTreeMap::new(),
-            open: None,
+            open: OpenWindow::default(),
         }
     }
 
@@ -415,18 +493,17 @@ impl ClusterWindowSink {
             self.dedupe.pop_first();
         }
 
-        let ow = self.open.get_or_insert_with(|| OpenWindow {
-            start: time,
-            end: time,
-            frames: 0,
-            sources: BTreeMap::new(),
-        });
+        let ow = &mut self.open;
+        if ow.frames == 0 {
+            ow.start = time;
+        }
         ow.end = time;
         ow.frames += 1;
         self.peak = self.peak.max(ow.frames);
+        let full = ow.frames >= self.window;
 
         let dedupe = self.dedupe.get(&time);
-        let stats = ow.sources.entry((machine, source)).or_default();
+        let stats = ow.source((machine, source));
         stats.frames += 1;
         for row in rows {
             let is_handover =
@@ -443,30 +520,24 @@ impl ClusterWindowSink {
             }
         }
 
-        if self
-            .open
-            .as_ref()
-            .is_some_and(|ow| ow.frames >= self.window)
-        {
+        if full {
             self.close_window();
         }
     }
 
-    /// Close the open window, resolving its interned source keys to the
-    /// public `(machine, monitor)` strings — once per window, not per row.
+    /// Close the open window: each of its sources' names come from the
+    /// sink's cache, and its aggregates are copied out at exact size.
     fn close_window(&mut self) {
-        let Some(ow) = self.open.take() else { return };
+        let ow = &mut self.open;
+        if ow.frames == 0 {
+            return;
+        }
         let sources = ow
-            .sources
-            .into_iter()
-            .map(|((m, s), stats)| {
-                (
-                    (
-                        symbols::resolve(m).to_string(),
-                        symbols::resolve(s).to_string(),
-                    ),
-                    stats,
-                )
+            .active
+            .drain(..)
+            .map(|i| {
+                let src = &mut ow.sources[i];
+                (src.names.clone(), src.close())
             })
             .collect();
         self.windows.push(ClusterWindow {
@@ -476,6 +547,7 @@ impl ClusterWindowSink {
             frames: ow.frames,
             sources,
         });
+        ow.frames = 0;
     }
 }
 

@@ -113,7 +113,7 @@ pub use reactive::{
     AppliedDecision, Balanced, Cusum, IpcFloor, LeastLoaded, MigrationDecision, MigrationMode,
     Population, SchedulerPolicy, Statistic, Watch,
 };
-pub use render::{CellSpec, Frame, Row};
+pub use render::{CellSpec, Frame, Row, Values};
 pub use scenario::{DagError, Scenario, Session, SessionError, Trigger, WorkloadEvent};
 pub use session::{cluster_series_for_comm, machine_frames, mean, series_for_comm, series_for_pid};
 pub use symbols::{Label, SymId, SymbolTable};

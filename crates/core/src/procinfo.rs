@@ -2,8 +2,6 @@
 //! the paper's motivating blind spot: it can read 100% while the pipeline
 //! does almost nothing.
 
-use std::collections::HashMap;
-
 use tiptop_kernel::procfs::ProcStat;
 use tiptop_kernel::task::Pid;
 use tiptop_machine::time::{SimDuration, SimTime};
@@ -12,7 +10,10 @@ use tiptop_machine::time::{SimDuration, SimTime};
 /// percentage of wall time.
 #[derive(Debug, Default)]
 pub struct CpuTracker {
-    last: HashMap<Pid, (SimDuration, SimTime)>,
+    /// Per task, the CPU time and instant of its last update; ascending by
+    /// pid, so the ascending `/proc` scan finds each task by a binary
+    /// search and a newcomer (the highest pid, usually) appends.
+    last: Vec<(Pid, SimDuration, SimTime)>,
 }
 
 impl CpuTracker {
@@ -25,10 +26,16 @@ impl CpuTracker {
     /// task averages over its whole lifetime (like `top`'s first screen).
     pub fn update(&mut self, stat: &ProcStat, now: SimTime) -> f64 {
         let cpu = stat.cpu_time();
-        let (prev_cpu, prev_t) = self
-            .last
-            .insert(stat.pid, (cpu, now))
-            .unwrap_or((SimDuration::ZERO, stat.start_time));
+        let (prev_cpu, prev_t) = match self.last.binary_search_by_key(&stat.pid, |e| e.0) {
+            Ok(i) => {
+                let (_, c, t) = std::mem::replace(&mut self.last[i], (stat.pid, cpu, now));
+                (c, t)
+            }
+            Err(i) => {
+                self.last.insert(i, (stat.pid, cpu, now));
+                (SimDuration::ZERO, stat.start_time)
+            }
+        };
         let wall = now.since(prev_t);
         if wall.is_zero() {
             return 0.0;
@@ -37,9 +44,16 @@ impl CpuTracker {
         100.0 * used.as_secs_f64() / wall.as_secs_f64()
     }
 
-    /// Forget tasks no longer present (call with the live pid set).
-    pub fn retain_pids(&mut self, alive: &dyn Fn(Pid) -> bool) {
-        self.last.retain(|pid, _| alive(*pid));
+    /// Forget tasks no longer present: `live` is the `/proc` scan,
+    /// ascending, merged against the tracked pids.
+    pub fn retain_pids(&mut self, live: &[Pid]) {
+        let mut at = 0;
+        self.last.retain(|&(pid, _, _)| {
+            while live.get(at).is_some_and(|&p| p < pid) {
+                at += 1;
+            }
+            live.get(at) == Some(&pid)
+        });
     }
 
     pub fn tracked(&self) -> usize {
@@ -108,7 +122,7 @@ mod tests {
         let mut t = CpuTracker::new();
         t.update(&stat(1, 0, SimTime::ZERO), SimTime::ZERO);
         t.update(&stat(2, 0, SimTime::ZERO), SimTime::ZERO);
-        t.retain_pids(&|pid| pid == Pid(1));
+        t.retain_pids(&[Pid(1)]);
         assert_eq!(t.tracked(), 1);
     }
 }

@@ -42,7 +42,7 @@ use tiptop_machine::time::{SimDuration, SimTime};
 
 use crate::cluster::ClusterFrame;
 use crate::render::Row;
-use crate::symbols::Label;
+use crate::symbols::{self, Label, SymId};
 
 /// How a migration moves a job's work to the destination machine.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -178,6 +178,8 @@ pub struct Watch<S> {
     name: &'static str,
     machine: String,
     comm: String,
+    /// The `IPC` column's id, interned once at construction.
+    ipc: SymId,
     to: String,
     mode: MigrationMode,
     /// Only frames of this monitor are considered (`None`: any frame whose
@@ -204,6 +206,7 @@ impl<S: Statistic> Watch<S> {
             name,
             machine: machine.into(),
             comm: comm.into(),
+            ipc: symbols::intern("IPC"),
             to: to.into(),
             mode: MigrationMode::Restart,
             source: None,
@@ -284,7 +287,7 @@ impl<S: Statistic> SchedulerPolicy for Watch<S> {
         let Some(victim) = cf.frame.row_for_comm(&self.comm) else {
             return Vec::new();
         };
-        let Some(ipc) = victim.value("IPC").filter(|v| v.is_finite()) else {
+        let Some(ipc) = victim.value_by_sym(self.ipc).filter(|v| v.is_finite()) else {
             return Vec::new();
         };
         if self.skip > 0 {

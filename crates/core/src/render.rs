@@ -10,12 +10,14 @@
 //! second through the merge): headers are an `Arc` slice shared by every
 //! frame a monitor produces (the screen never changes mid-run), a row's
 //! user and command are the kernel's [`Label`]s (filling them is
-//! a refcount bump, not a `String` copy), and typed row values are a small
-//! vector keyed by interned [`SymId`]s instead of a per-row
-//! `HashMap<String, f64>` — [`Row::value`] still takes the header text,
+//! a refcount bump, not a `String` copy), and typed row values are
+//! [`Values`], a small inline vector keyed by interned [`SymId`]s instead
+//! of a per-row `HashMap<String, f64>`, so a row of a built-in screen
+//! allocates nothing — [`Row::value`] still takes the header text,
 //! resolving it through the process-wide [`crate::symbols`] table.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 use tiptop_kernel::task::Pid;
@@ -40,10 +42,107 @@ pub enum CellSpec {
     Metric(usize, NumFormat),
 }
 
+/// Entries a [`Values`] holds without a heap block: the widest built-in
+/// screen (`fp-assist`) has five metric columns, plus the `%CPU` entry
+/// every row carries.
+pub const INLINE_VALUES: usize = 6;
+
+/// A row's typed values, `(column id, value)` pairs in screen order:
+/// inline up to [`INLINE_VALUES`] entries, on the heap past that. It reads
+/// as a slice (`Deref<Target = [(SymId, f64)]>`, `for &(id, v) in
+/// &values`), so code written against the `Vec` it replaced keeps working.
+#[derive(Clone)]
+pub struct Values(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline {
+        len: u8,
+        buf: [(SymId, f64); INLINE_VALUES],
+    },
+    Heap(Vec<(SymId, f64)>),
+}
+
+impl Values {
+    pub const fn new() -> Self {
+        Values(Repr::Inline {
+            len: 0,
+            buf: [(SymId(0), 0.0); INLINE_VALUES],
+        })
+    }
+
+    pub fn push(&mut self, entry: (SymId, f64)) {
+        match &mut self.0 {
+            Repr::Inline { len, buf } if usize::from(*len) < INLINE_VALUES => {
+                buf[usize::from(*len)] = entry;
+                *len += 1;
+            }
+            Repr::Inline { buf, .. } => {
+                let mut heap = Vec::with_capacity(2 * INLINE_VALUES);
+                heap.extend_from_slice(buf);
+                heap.push(entry);
+                self.0 = Repr::Heap(heap);
+            }
+            Repr::Heap(heap) => heap.push(entry),
+        }
+    }
+}
+
+impl Default for Values {
+    fn default() -> Self {
+        Values::new()
+    }
+}
+
+impl Deref for Values {
+    type Target = [(SymId, f64)];
+
+    fn deref(&self) -> &[(SymId, f64)] {
+        match &self.0 {
+            Repr::Inline { len, buf } => &buf[..usize::from(*len)],
+            Repr::Heap(heap) => heap,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Values {
+    type Item = &'a (SymId, f64);
+    type IntoIter = std::slice::Iter<'a, (SymId, f64)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// Keeps a vector that does not fit inline as the heap block.
+impl From<Vec<(SymId, f64)>> for Values {
+    fn from(v: Vec<(SymId, f64)>) -> Self {
+        if v.len() > INLINE_VALUES {
+            return Values(Repr::Heap(v));
+        }
+        let mut values = Values::new();
+        for entry in v {
+            values.push(entry);
+        }
+        values
+    }
+}
+
+impl fmt::Debug for Values {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// One displayed task row: typed metric values plus cell text that is
 /// formatted lazily — aggregating consumers (the cluster window sink)
 /// never pay for it, while [`Frame::render`] produces byte-identical
 /// output on first access.
+///
+/// A deferred row of a built-in screen owns no heap block: its values are
+/// inline ([`Values`]), its labels are shared, its cell plan is the
+/// screen's, and its texts and cells stay empty until a screen with
+/// kernel-state columns or a render asks for them.
 ///
 /// `user` and `comm` are [`Label`]s shared with the kernel's task and user
 /// tables: they read and compare like strings (`row.comm == "mcf"`), and
@@ -57,7 +156,7 @@ pub struct Row {
     /// Typed values of metric columns (and `%CPU`), keyed by the interned
     /// id of the column header (see [`crate::symbols`]). A handful of
     /// entries per row, so lookups scan linearly — no per-row map.
-    pub values: Vec<(SymId, f64)>,
+    pub values: Values,
     /// Deferred-formatting recipe; `None` for eagerly-built rows.
     plan: Option<Arc<[CellSpec]>>,
     /// Kernel-state cell texts captured at observe time ([`CellSpec::Text`]
@@ -83,7 +182,7 @@ impl Row {
             user: user.into(),
             comm: comm.into(),
             cpu_pct,
-            values,
+            values: values.into(),
             plan: None,
             texts: Vec::new(),
             cells: lock,
@@ -98,7 +197,7 @@ impl Row {
         user: Label,
         comm: Label,
         cpu_pct: f64,
-        values: Vec<(SymId, f64)>,
+        values: Values,
         plan: Arc<[CellSpec]>,
         texts: Vec<String>,
     ) -> Row {
@@ -303,7 +402,7 @@ mod tests {
             "user1".into(),
             "mcf".into(),
             100.0,
-            values_of([("IPC", 1.97)]),
+            values_of([("IPC", 1.97)]).into(),
             plan,
             vec!["R".to_string()],
         );
@@ -316,7 +415,7 @@ mod tests {
             "".into(),
             "".into(),
             0.0,
-            Vec::new(),
+            Values::new(),
             vec![CellSpec::Metric(7, NumFormat::Int)].into(),
             Vec::new(),
         );
@@ -331,5 +430,24 @@ mod tests {
         assert_eq!(f.row_for_comm("mcf").unwrap().pid, Pid(101));
         // Never-interned headers resolve to "no value", not a panic.
         assert_eq!(f.rows[0].value("NO-SUCH-COLUMN-EVER"), None);
+    }
+
+    #[test]
+    fn values_stay_inline_up_to_capacity_then_spill() {
+        let entry = |i: u32| (SymId(i), f64::from(i));
+        let mut values = Values::new();
+        let all: Vec<_> = (0..=INLINE_VALUES as u32).map(entry).collect();
+        for (n, &e) in all.iter().enumerate() {
+            values.push(e);
+            assert_eq!(&*values, &all[..=n], "pushed across the spill");
+        }
+        assert_eq!(&*Values::from(all.clone()), &all[..]);
+        assert_eq!(&*Values::from(all[..2].to_vec()), &all[..2]);
+        let sum: f64 = (&values).into_iter().map(|&(_, v)| v).sum();
+        assert_eq!(sum, all.iter().map(|&(_, v)| v).sum::<f64>());
+        assert_eq!(
+            format!("{:?}", Values::from(vec![entry(1)])),
+            "[(SymId(1), 1.0)]"
+        );
     }
 }

@@ -127,10 +127,22 @@ pub struct Kernel {
     exited: BTreeMap<Pid, ExitRecord>,
     next_pid: u32,
     counters: BTreeMap<PerfFd, PerfCounter>,
+    /// Every open counter fd by task: ascending by pid, each task's fds
+    /// ascending (fds are handed out in increasing order, so an open
+    /// appends). A charge walks only its task's counters, in the fd order
+    /// a scan of `counters` would visit them.
+    task_fds: Vec<(Pid, Vec<PerfFd>)>,
+    /// Open fds per observer, kept by open and close (the `EMFILE` check).
+    observer_fds: BTreeMap<Uid, usize>,
     next_fd: u64,
+    /// Registered names, plus the numeric label of every uid a task
+    /// spawned with before (or without) its `add_user`.
     users: BTreeMap<Uid, Label>,
     /// Per-epoch counter-update buffers, reused across every advance.
     charge_scratch: ChargeScratch,
+    /// Charge by the full-scan reference instead (the oracle's twin).
+    #[cfg(test)]
+    reference_charging: bool,
 }
 
 impl Kernel {
@@ -147,9 +159,13 @@ impl Kernel {
             exited: BTreeMap::new(),
             next_pid: 100,
             counters: BTreeMap::new(),
+            task_fds: Vec::new(),
+            observer_fds: BTreeMap::new(),
             next_fd: 3,
             users,
             charge_scratch: ChargeScratch::default(),
+            #[cfg(test)]
+            reference_charging: false,
             cfg,
         }
     }
@@ -209,13 +225,21 @@ impl Kernel {
         self.users.insert(uid, Label::from(name.into()));
     }
 
-    /// `/etc/passwd` lookup; unknown uids render as their number. A known
-    /// user's name is a refcount bump of the registered label.
+    /// `/etc/passwd` lookup; unknown uids render as their number. The name
+    /// of a registered user, or of a uid some task spawned with, is a
+    /// refcount bump of a label built once.
     pub fn username(&self, uid: Uid) -> Label {
         self.users
             .get(&uid)
             .cloned()
-            .unwrap_or_else(|| Label::new(uid.0.to_string()))
+            .unwrap_or_else(|| numeric_name(uid))
+    }
+
+    /// Give a spawning task's uid its numeric name unless it has one, so
+    /// every row of the task shares one label. A later `add_user`
+    /// replaces it.
+    fn name_uid(&mut self, uid: Uid) {
+        self.users.entry(uid).or_insert_with(|| numeric_name(uid));
     }
 
     // ------------------------------------------------------------------
@@ -226,6 +250,7 @@ impl Kernel {
     pub fn spawn(&mut self, spec: SpawnSpec) -> Pid {
         let pid = Pid(self.next_pid);
         self.next_pid += 1;
+        self.name_uid(spec.uid);
         let mut task = Task::new(pid, spec, self.engine.now());
         // CFS: a newcomer starts at the current minimum vruntime so it
         // neither starves others nor waits forever.
@@ -319,6 +344,7 @@ impl Kernel {
             .affinity(affinity);
         let pid = Pid(self.next_pid);
         self.next_pid += 1;
+        self.name_uid(spec.uid);
         let mut task = Task::new(pid, spec, self.engine.now());
         task.cursor = cp.cursor;
         task.total_instructions = cp.total_instructions;
@@ -402,16 +428,16 @@ impl Kernel {
         if !observer.is_root() && observer != task.uid {
             return Err(Errno::EACCES);
         }
-        let open_by_observer = self
-            .counters
-            .values()
-            .filter(|c| c.owner == observer)
-            .count();
-        if open_by_observer >= MAX_FDS_PER_OBSERVER {
+        if self.open_fds(observer) >= MAX_FDS_PER_OBSERVER {
             return Err(Errno::EMFILE);
         }
         let fd = PerfFd(self.next_fd);
         self.next_fd += 1;
+        *self.observer_fds.entry(observer).or_insert(0) += 1;
+        match self.task_fds.binary_search_by_key(&pid, |(p, _)| *p) {
+            Ok(i) => self.task_fds[i].1.push(fd),
+            Err(i) => self.task_fds.insert(i, (pid, vec![fd])),
+        }
         self.counters.insert(
             fd,
             PerfCounter {
@@ -476,15 +502,29 @@ impl Kernel {
     }
 
     pub fn perf_close(&mut self, fd: PerfFd) -> Result<(), Errno> {
-        self.counters.remove(&fd).map(|_| ()).ok_or(Errno::EBADF)
+        let c = self.counters.remove(&fd).ok_or(Errno::EBADF)?;
+        if let Some(open) = self.observer_fds.get_mut(&c.owner) {
+            *open -= 1;
+            if *open == 0 {
+                self.observer_fds.remove(&c.owner);
+            }
+        }
+        if let Ok(i) = self.task_fds.binary_search_by_key(&c.task, |(p, _)| *p) {
+            let fds = &mut self.task_fds[i].1;
+            if let Ok(at) = fds.binary_search(&fd) {
+                fds.remove(at);
+            }
+            if fds.is_empty() {
+                self.task_fds.remove(i);
+            }
+        }
+        Ok(())
     }
 
-    /// Open fds held by an observer (for leak assertions in tests).
+    /// Open fds held by an observer (the `EMFILE` limit, and leak
+    /// assertions in tests).
     pub fn open_fds(&self, observer: Uid) -> usize {
-        self.counters
-            .values()
-            .filter(|c| c.owner == observer)
-            .count()
+        self.observer_fds.get(&observer).copied().unwrap_or(0)
     }
 
     // ------------------------------------------------------------------
@@ -501,14 +541,38 @@ impl Kernel {
             tasks,
             exited,
             counters,
+            task_fds,
             cfg,
             charge_scratch,
             ..
         } = self;
         let pmu = cfg.machine.uarch.pmu;
+        #[cfg(test)]
+        let reference = self.reference_charging;
         engine.advance(dur, tasks, exited, |epoch_index, charges| {
+            #[cfg(test)]
+            if reference {
+                for charge in charges {
+                    tests::apply_perf_charge_scan(
+                        counters,
+                        pmu,
+                        epoch_index,
+                        charge,
+                        charge_scratch,
+                    );
+                }
+                return;
+            }
+            // Charges and the fd index both ascend by pid: one merge walk
+            // finds each charged task's counters.
+            let mut at = 0;
             for charge in charges {
-                apply_perf_charge(counters, pmu, epoch_index, charge, charge_scratch);
+                while task_fds.get(at).is_some_and(|(p, _)| *p < charge.pid) {
+                    at += 1;
+                }
+                if let Some((_, fds)) = task_fds.get(at).filter(|(p, _)| *p == charge.pid) {
+                    apply_perf_charge(counters, fds, pmu, epoch_index, charge, charge_scratch);
+                }
             }
         });
     }
@@ -545,27 +609,31 @@ struct ChargeScratch {
     fixed: Vec<HwEvent>,
     programmable: Vec<HwEvent>,
     active: Vec<HwEvent>,
+    /// Every counter charged, in visit order (what the oracle compares).
+    #[cfg(test)]
+    charged: Vec<PerfFd>,
 }
 
-/// Update all counters attached to `charge.pid` for an epoch in which the
-/// task ran for `charge.run_dur` and the hardware observed `charge.delta`.
-/// Multiplexing rotates with `epoch_index`, like the kernel's tick.
+/// Update the counters `fds` (all attached to `charge.pid`, ascending) for
+/// an epoch in which the task ran for `charge.run_dur` and the hardware
+/// observed `charge.delta`. Multiplexing rotates with `epoch_index`, like
+/// the kernel's tick.
 fn apply_perf_charge(
     counters: &mut BTreeMap<PerfFd, PerfCounter>,
+    fds: &[PerfFd],
     pmu: PmuCapabilities,
     epoch_index: u64,
     charge: &PerfCharge,
     scratch: &mut ChargeScratch,
 ) {
-    let pid = charge.pid;
-
     // Distinct requested events for this task, split fixed/programmable.
     let fixed = &mut scratch.fixed;
     let programmable = &mut scratch.programmable;
     fixed.clear();
     programmable.clear();
-    for c in counters.values() {
-        if c.task == pid && c.enabled {
+    for fd in fds {
+        let c = &counters[fd];
+        if c.enabled {
             let bucket = if c.hw.is_fixed() && fixed_slot(c.hw) < pmu.fixed_counters {
                 &mut *fixed
             } else {
@@ -585,10 +653,13 @@ fn apply_perf_charge(
     );
     let active = &scratch.active;
 
-    for c in counters.values_mut() {
-        if c.task != pid || !c.enabled {
+    for fd in fds {
+        let c = counters.get_mut(fd).expect("indexed fds are open");
+        if !c.enabled {
             continue;
         }
+        #[cfg(test)]
+        scratch.charged.push(c.fd);
         c.time_enabled += charge.run_dur;
         let on_fixed = c.hw.is_fixed() && fixed_slot(c.hw) < pmu.fixed_counters;
         if on_fixed || active.contains(&c.hw) {
@@ -596,6 +667,11 @@ fn apply_perf_charge(
             c.time_running += charge.run_dur;
         }
     }
+}
+
+/// A uid's name when no user is registered for it: its number.
+fn numeric_name(uid: Uid) -> Label {
+    Label::new(uid.0.to_string())
 }
 
 /// Which fixed-counter slot an event occupies (Intel order: instructions,
@@ -606,5 +682,231 @@ fn fixed_slot(e: HwEvent) -> usize {
         HwEvent::Cycles => 1,
         HwEvent::RefCycles => 2,
         _ => usize::MAX,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::perf::{EventSel, PerfEventAttr};
+    use tiptop_machine::access::MemoryBehavior;
+    use tiptop_machine::exec::ExecProfile;
+    use tiptop_machine::pmu::{ALL_EVENTS, N_EVENTS};
+
+    /// The full-scan charge the fd index replaced, kept as the oracle's
+    /// reference: every open counter of the machine is visited twice per
+    /// charged task, in fd order.
+    pub(super) fn apply_perf_charge_scan(
+        counters: &mut BTreeMap<PerfFd, PerfCounter>,
+        pmu: PmuCapabilities,
+        epoch_index: u64,
+        charge: &PerfCharge,
+        scratch: &mut ChargeScratch,
+    ) {
+        let pid = charge.pid;
+        let fixed = &mut scratch.fixed;
+        let programmable = &mut scratch.programmable;
+        fixed.clear();
+        programmable.clear();
+        for c in counters.values() {
+            if c.task == pid && c.enabled {
+                let bucket = if c.hw.is_fixed() && fixed_slot(c.hw) < pmu.fixed_counters {
+                    &mut *fixed
+                } else {
+                    &mut *programmable
+                };
+                if !bucket.contains(&c.hw) {
+                    bucket.push(c.hw);
+                }
+            }
+        }
+        programmable.sort_by_key(|e| e.index());
+        multiplex_active_into(
+            programmable,
+            pmu.programmable_counters,
+            epoch_index,
+            &mut scratch.active,
+        );
+        let active = &scratch.active;
+        for c in counters.values_mut() {
+            if c.task != pid || !c.enabled {
+                continue;
+            }
+            scratch.charged.push(c.fd);
+            c.time_enabled += charge.run_dur;
+            let on_fixed = c.hw.is_fixed() && fixed_slot(c.hw) < pmu.fixed_counters;
+            if on_fixed || active.contains(&c.hw) {
+                c.count += charge.delta.get(c.hw);
+                c.time_running += charge.run_dur;
+            }
+        }
+    }
+
+    /// SplitMix64: the property test's seeded draws.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+
+        fn pick<T: Copy>(&mut self, xs: &[T]) -> Option<T> {
+            (!xs.is_empty()).then(|| xs[self.below(xs.len() as u64) as usize])
+        }
+    }
+
+    /// Two kernels of one seed on a PMU with two programmable counters:
+    /// the first charges through the fd index, the second by the scan.
+    fn twins(seed: u64) -> (Kernel, Kernel) {
+        let mut cfg = MachineConfig::nehalem_w3550().noiseless();
+        cfg.uarch.pmu = PmuCapabilities {
+            fixed_counters: 3,
+            programmable_counters: 2,
+        };
+        let make = |reference| {
+            let mut k = Kernel::new(KernelConfig::new(cfg.clone()).seed(seed));
+            k.reference_charging = reference;
+            k
+        };
+        (make(false), make(true))
+    }
+
+    fn program(rng: &mut Rng) -> Program {
+        let profile = ExecProfile::builder("p")
+            .base_cpi(0.7 + 0.1 * rng.below(6) as f64)
+            .branches(0.2, 0.02)
+            .memory(MemoryBehavior::uniform(32 * 1024))
+            .build();
+        match rng.below(3) {
+            0 => Program::single(profile, 20_000_000 + 10_000_000 * rng.below(8)),
+            _ => Program::endless(profile),
+        }
+    }
+
+    /// Counters by task from a scan of the whole table, ascending.
+    fn scanned_index(k: &Kernel) -> Vec<(Pid, Vec<PerfFd>)> {
+        let mut index: Vec<(Pid, Vec<PerfFd>)> = Vec::new();
+        for c in k.counters.values() {
+            match index.iter_mut().find(|(p, _)| *p == c.task) {
+                Some((_, fds)) => fds.push(c.fd),
+                None => index.push((c.task, vec![c.fd])),
+            }
+        }
+        index.sort_by_key(|(p, _)| *p);
+        index
+    }
+
+    #[test]
+    fn indexed_charging_matches_the_full_scan() {
+        let observers = [Uid(1), Uid(2), Uid::ROOT];
+        let (mut multiplexed, mut denied, mut exited) = (false, false, false);
+        for seed in 0..24 {
+            let (mut k, mut r) = twins(seed);
+            let mut rng = Rng(seed);
+            let (mut pids, mut fds) = (Vec::new(), Vec::new());
+            for step in 0..80 {
+                let at = format!("seed {seed} step {step}");
+                match rng.below(10) {
+                    0 | 1 => {
+                        let uid = Uid(1 + rng.below(2) as u32);
+                        let prog = program(&mut rng);
+                        let spec = SpawnSpec::new("t", uid, prog).seed(step);
+                        let pid = k.spawn(spec.clone());
+                        assert_eq!(pid, r.spawn(spec), "{at}");
+                        pids.push(pid);
+                    }
+                    2..=4 => {
+                        // Mostly the newest task, so some tasks carry more
+                        // events than there are programmable counters.
+                        let pid = match rng.below(3) {
+                            0 => rng.pick(&pids),
+                            _ => pids.last().copied(),
+                        };
+                        let Some(pid) = pid else { continue };
+                        let mut attr = PerfEventAttr::counting(EventSel::Raw(
+                            ALL_EVENTS[rng.below(N_EVENTS as u64) as usize],
+                        ));
+                        attr.disabled = rng.below(5) == 0;
+                        let observer = rng.pick(&observers).expect("three observers");
+                        let got = k.perf_event_open(&attr, pid, -1, observer);
+                        assert_eq!(got, r.perf_event_open(&attr, pid, -1, observer), "{at}");
+                        denied |= got == Err(Errno::EACCES);
+                        fds.extend(got);
+                    }
+                    5 => {
+                        let Some(pid) = rng.pick(&pids) else { continue };
+                        assert_eq!(k.kill(pid), r.kill(pid), "{at}");
+                    }
+                    6 => {
+                        let Some(fd) = rng.pick(&fds) else { continue };
+                        if rng.below(2) == 0 {
+                            assert_eq!(k.perf_enable(fd), r.perf_enable(fd), "{at}");
+                        } else {
+                            assert_eq!(k.perf_disable(fd), r.perf_disable(fd), "{at}");
+                        }
+                    }
+                    7 => {
+                        let Some(fd) = rng.pick(&fds) else { continue };
+                        assert_eq!(k.perf_close(fd), r.perf_close(fd), "{at}");
+                    }
+                    _ => {
+                        let dur = SimDuration::from_millis(10 + 10 * rng.below(12));
+                        k.charge_scratch.charged.clear();
+                        r.charge_scratch.charged.clear();
+                        k.advance(dur);
+                        r.advance(dur);
+                        assert_eq!(
+                            k.charge_scratch.charged, r.charge_scratch.charged,
+                            "counters charged, in order, {at}"
+                        );
+                    }
+                }
+                for &fd in &fds {
+                    let v = k.perf_read(fd);
+                    assert_eq!(v, r.perf_read(fd), "{fd:?}, {at}");
+                    multiplexed |= v.is_ok_and(|v| v.time_running < v.time_enabled);
+                }
+                for uid in observers {
+                    let scanned = r.counters.values().filter(|c| c.owner == uid).count();
+                    assert_eq!(k.open_fds(uid), scanned, "{uid:?}, {at}");
+                    assert_eq!(r.open_fds(uid), scanned, "{uid:?}, {at}");
+                }
+                assert_eq!(k.task_fds, scanned_index(&k), "fd index, {at}");
+                exited |= pids.iter().any(|&p| k.exit_record(p).is_some());
+            }
+        }
+        assert!(
+            multiplexed && denied && exited,
+            "the draws cover multiplexing, EACCES and exits"
+        );
+    }
+
+    #[test]
+    fn unregistered_uids_share_one_numeric_label_until_named() {
+        let mut k = Kernel::new(KernelConfig::new(
+            MachineConfig::nehalem_w3550().noiseless(),
+        ));
+        let prog = || Program::endless(ExecProfile::builder("p").build());
+        k.spawn(SpawnSpec::new("a", Uid(7), prog()));
+        let first = k.username(Uid(7));
+        assert_eq!(first, "7");
+        assert_eq!(
+            first.as_ptr(),
+            k.username(Uid(7)).as_ptr(),
+            "every row shares the label"
+        );
+        k.add_user(Uid(7), "seven");
+        assert_eq!(k.username(Uid(7)), "seven", "add_user wins");
+        k.spawn(SpawnSpec::new("b", Uid(7), prog()));
+        assert_eq!(k.username(Uid(7)), "seven", "a later spawn keeps the name");
+        assert_eq!(
+            k.username(Uid(8)),
+            "8",
+            "a uid no task has still reads as its number"
+        );
     }
 }
