@@ -69,9 +69,10 @@
 //! policies. A barrier is paid only where the run needs one: once no
 //! policy, unresolved edge or unpublished handoff can act between two
 //! instants, a round becomes a **window** — each machine takes all of its
-//! observations up to a horizon in one task, bounded to 256 buffered
-//! frames, and the window is merged by `(time, machine)`. The merged
-//! stream is the same either way, and byte-identical at any thread count.
+//! observations up to a horizon in one task, at least eight instants of
+//! them, buffering at most `max(256, 8 × monitors)` frames, and the window
+//! is merged by `(time, machine)`. The merged stream is the same either
+//! way, and byte-identical at any thread count.
 //!
 //! Failure is contained per shard: a [`SessionError`] inside one machine
 //! surfaces as [`SessionError::Shard`], a panic as
@@ -123,7 +124,9 @@
 //! ```
 
 use std::any::Any;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -271,8 +274,9 @@ pub struct ClusterWindow {
     /// Total frames folded in (the window size, except for the final
     /// partial window).
     pub frames: usize,
-    /// Aggregates keyed by `(machine, monitor-name)`.
-    pub sources: BTreeMap<(String, String), WindowStats>,
+    /// Aggregates keyed by `(machine, monitor-name)`. The labels are
+    /// shared with the stream's frames, and order by their text.
+    pub sources: BTreeMap<(Label, Label), WindowStats>,
 }
 
 /// Bounded-memory sink for long cluster runs: folds each frame into the
@@ -284,10 +288,10 @@ pub struct ClusterWindow {
 /// are `O(total / window)` when a few sources fill each window, but
 /// `O(frames)` when a window's frames come from distinct sources — as on a
 /// 1,000-machine fleet with 256-frame windows. A retained source-window
-/// of the default screen costs about 280 B (its map entry, its two name
-/// strings and five column sums at exact size; about 370 B while the sums
-/// were a growable vector). A fleet observed for hours never holds its
-/// stream, unlike [`ClusterCollectSink`], but it does hold its summaries.
+/// of the default screen holds its map entry, whose key shares the
+/// stream's two labels, and five column sums at exact size. A fleet
+/// observed for hours never holds its stream, unlike
+/// [`ClusterCollectSink`], but it does hold its summaries.
 ///
 /// Callers who need the raw frames spilled elsewhere (rendered to a file,
 /// forwarded downstream) can chain a closure sink in front; this sink's
@@ -325,8 +329,8 @@ struct OpenWindow {
     start: SimTime,
     end: SimTime,
     frames: usize,
-    /// Every source seen so far, in first-seen order, with its names
-    /// resolved once (the sink's name cache) and its open aggregates.
+    /// Every source seen so far, in first-seen order, with its labels
+    /// (the sink's name cache) and its open aggregates.
     sources: Vec<OpenSource>,
     /// `(machine, monitor)` ids to their index in `sources`, ascending by
     /// ids: a frame finds its source by binary search, and only a source
@@ -341,7 +345,7 @@ struct OpenWindow {
 /// the open window.
 #[derive(Debug)]
 struct OpenSource {
-    names: (String, String),
+    names: (Label, Label),
     active: bool,
     frames: usize,
     rows: usize,
@@ -350,17 +354,15 @@ struct OpenSource {
 }
 
 impl OpenWindow {
-    /// The open aggregates of `key`, joining it to this window.
-    fn source(&mut self, key: (SymId, SymId)) -> &mut OpenSource {
+    /// The open aggregates of the `(machine, monitor)` source, joining it
+    /// to this window.
+    fn source(&mut self, machine: &Label, monitor: &Label) -> &mut OpenSource {
+        let key = (machine.sym(), monitor.sym());
         let i = match self.slots.binary_search_by_key(&key, |(k, _)| *k) {
             Ok(at) => self.slots[at].1,
             Err(at) => {
-                let (machine, monitor) = key;
                 self.sources.push(OpenSource {
-                    names: (
-                        symbols::resolve(machine).to_string(),
-                        symbols::resolve(monitor).to_string(),
-                    ),
+                    names: (machine.clone(), monitor.clone()),
                     active: false,
                     frames: 0,
                     rows: 0,
@@ -480,7 +482,7 @@ impl ClusterWindowSink {
 
     /// Fold one frame's rows into the open window. A row's command is
     /// compared only if this instant has registered handovers.
-    fn fold(&mut self, machine: SymId, source: SymId, time: SimTime, rows: &[Row]) {
+    fn fold(&mut self, machine: &Label, source: &Label, time: SimTime, rows: &[Row]) {
         // Drop dedupe instants the stream has moved past — frames arrive
         // in nondecreasing time, so an earlier instant can never match
         // again. This is what keeps a long reactive run's dedupe map from
@@ -503,7 +505,8 @@ impl ClusterWindowSink {
         let full = ow.frames >= self.window;
 
         let dedupe = self.dedupe.get(&time);
-        let stats = ow.source((machine, source));
+        let stats = ow.source(machine, source);
+        let machine = machine.sym();
         stats.frames += 1;
         for row in rows {
             let is_handover =
@@ -525,8 +528,8 @@ impl ClusterWindowSink {
         }
     }
 
-    /// Close the open window: each of its sources' names come from the
-    /// sink's cache, and its aggregates are copied out at exact size.
+    /// Close the open window: each of its sources' labels are shared from
+    /// the sink's cache, and its aggregates are copied out at exact size.
     fn close_window(&mut self) {
         let ow = &mut self.open;
         if ow.frames == 0 {
@@ -554,8 +557,8 @@ impl ClusterWindowSink {
 impl ClusterFrameSink for ClusterWindowSink {
     fn on_frame(&mut self, frame: ClusterFrame) {
         self.fold(
-            frame.machine.sym(),
-            frame.source.sym(),
+            &frame.machine,
+            &frame.source,
             frame.frame.time,
             &frame.frame.rows,
         );
@@ -1022,7 +1025,8 @@ pub struct RunStats {
     /// Merge deliveries: rounds and windows that produced frames.
     pub batches: usize,
     /// Most frames held at once before delivery: the largest round or
-    /// window. A window holds at most `max(256, one round)` frames.
+    /// window. A window holds at most `max(256, 8 × open monitors)`
+    /// frames.
     pub peak_buffered_frames: usize,
 }
 
@@ -1362,17 +1366,21 @@ impl ClusterSession {
     /// resume handoff is unpublished. Otherwise the round becomes a
     /// **window**: with `n` unfinished monitor slots on live machines and
     /// `i` the smallest of their intervals, `H = t* + (k − 1)·i` with
-    /// `k = max(1, 256 / n)`, so a window buffers at most `max(256, one
-    /// round)` frames and a fleet of 256 or more monitors keeps one round
-    /// per instant. Each due machine then runs its observation loop through
+    /// `k = max(256 / n, 8)`. A small fleet shares a budget of 256 frames
+    /// per window; a fleet of 32 or more monitors takes the floor of eight
+    /// instants, so each machine steps through eight consecutive instants
+    /// while its state is in cache. A window buffers at most
+    /// `max(256, 8·n)` frames, proportional to the fleet as a round
+    /// already is. Each due machine then runs its observation loop through
     /// each of its own instants up to `H` in one task, taking the monitors
-    /// due at each in set order; the calling thread stable-sorts the
-    /// window's frames by time, which is the `(time, machine, monitor)`
-    /// order the rounds deliver. In a run that marches (it started with
-    /// live edges), a window needs every observing machine due at the same
-    /// instants, and it ends with every live machine — stopped ones
-    /// included — marched through those instants to the last one observed,
-    /// as the rounds would have left it; otherwise it stays a round.
+    /// due at each in set order; the calling thread merges the machines'
+    /// frames by time, ties to the lower machine, which is the
+    /// `(time, machine, monitor)` order the rounds deliver. In a run that
+    /// marches (it started with live edges), a window needs every
+    /// observing machine due at the same instants, and it ends with every
+    /// live machine — stopped ones included — marched through those
+    /// instants to the last one observed, as the rounds would have left
+    /// it; otherwise it stays a round.
     /// [`RunStats::rounds`] counts rounds plus windows.
     ///
     /// Decisions fired on a frame at `t*` are validated and injected as
@@ -1691,21 +1699,11 @@ impl Rounds<'_> {
         if !self.policies.is_empty() || !self.pending.is_empty() || !self.handoffs.is_empty() {
             return round;
         }
-        let mut open = self.live().flat_map(|u| u.monitors.open());
-        let Some((_, mut interval, _)) = open.next() else {
+        let open = || self.live().flat_map(|u| u.monitors.open());
+        let Some(interval) = open().map(|(_, i, _)| i).min() else {
             return round;
         };
-        let mut n = 1;
-        for (_, i, _) in open {
-            n += 1;
-            // More than half the budget open: a window would take one
-            // instant, which is the round.
-            if n > WINDOW_FRAMES / 2 {
-                return round;
-            }
-            interval = interval.min(i);
-        }
-        let k = WINDOW_FRAMES / n;
+        let k = (WINDOW_FRAMES / open().count()).max(MIN_WINDOW_INSTANTS);
         let horizon = t_star + interval * (k as u64 - 1);
         if !self.march_all {
             return Window {
@@ -1939,10 +1937,9 @@ impl Rounds<'_> {
 
     /// Steps 3–5: advance the machines due by the window's horizon
     /// concurrently, each taking its due observations on its own worker;
-    /// merge them by `(time, machine, monitor)` — a stable sort by time of
-    /// the outcomes in machine order, each already in time-then-slot
-    /// order; show each frame to every policy and deliver it; then apply
-    /// the round's decisions.
+    /// merge them by `(time, machine, monitor)` ([`Rounds::deliver_merged`]);
+    /// show each frame to every policy and deliver it; then apply the
+    /// round's decisions.
     fn observe(&mut self, t_star: SimTime, window: Window) -> Result<(), SessionError> {
         let Window { horizon, grid } = window;
         let due = |u: &WorkUnit| u.monitors.next_due().is_some_and(|at| at <= horizon);
@@ -1955,7 +1952,7 @@ impl Rounds<'_> {
 
         let mut decisions: Vec<(String, MigrationDecision)> = Vec::new();
         let mut delivered = 0usize;
-        let mut merged = Vec::new();
+        let mut streams = Vec::new();
         let mut failed = Vec::new();
         let mut last = t_star;
         for o in stepped {
@@ -1963,16 +1960,18 @@ impl Rounds<'_> {
             if let Err(e) = o.result {
                 failed.push((o.index, e));
             }
+            delivered += o.frames.len();
             // A round's frames all share `t_star`, so machine order is
             // already the merge.
             if horizon == t_star {
-                delivered += self.deliver(o.frames, &mut decisions);
+                for frame in o.frames {
+                    self.deliver(frame, &mut decisions);
+                }
             } else {
-                merged.extend(o.frames);
+                streams.push(o.frames);
             }
         }
-        merged.sort_by_key(|f| f.frame.time);
-        delivered += self.deliver(merged, &mut decisions);
+        self.deliver_merged(streams, &mut decisions);
         for (index, e) in failed {
             self.fail(index, e, false);
         }
@@ -1991,23 +1990,49 @@ impl Rounds<'_> {
         Ok(())
     }
 
-    /// Show each frame to every policy, collecting its decisions, and
-    /// deliver it. Returns how many frames were delivered.
-    fn deliver(
+    /// Deliver a window's frames by `(time, machine, monitor)`. Each
+    /// outcome's frames are already in time-then-slot order, and the
+    /// outcomes come in machine order, so a heap of their heads keyed by
+    /// `(time, outcome)` yields the earliest frame each time, ties to the
+    /// lower machine: every frame moves once, and no merged vector is
+    /// built.
+    fn deliver_merged(
         &mut self,
-        frames: Vec<ClusterFrame>,
+        outcomes: Vec<Vec<ClusterFrame>>,
         decisions: &mut Vec<(String, MigrationDecision)>,
-    ) -> usize {
-        let n = frames.len();
-        for frame in frames {
-            for p in self.policies.iter_mut() {
-                for d in p.observe(&frame) {
-                    decisions.push((p.name().to_string(), d));
+    ) {
+        let mut streams: Vec<_> = outcomes.into_iter().map(Vec::into_iter).collect();
+        let head =
+            |s: &std::vec::IntoIter<ClusterFrame>| s.as_slice().first().map(|f| f.frame.time);
+        let mut heads: BinaryHeap<Reverse<(SimTime, usize)>> = streams
+            .iter()
+            .enumerate()
+            .filter_map(|(k, s)| Some(Reverse((head(s)?, k))))
+            .collect();
+        while let Some(mut top) = heads.peek_mut() {
+            let k = top.0 .1;
+            let frame = streams[k]
+                .next()
+                .expect("a heap entry per non-empty stream");
+            match head(&streams[k]) {
+                Some(next) => top.0 .0 = next,
+                None => {
+                    PeekMut::pop(top);
                 }
             }
-            self.sink.on_frame(frame);
+            self.deliver(frame, decisions);
         }
-        n
+    }
+
+    /// Show `frame` to every policy, collecting its decisions, and deliver
+    /// it.
+    fn deliver(&mut self, frame: ClusterFrame, decisions: &mut Vec<(String, MigrationDecision)>) {
+        for p in self.policies.iter_mut() {
+            for d in p.observe(&frame) {
+                decisions.push((p.name().to_string(), d));
+            }
+        }
+        self.sink.on_frame(frame);
     }
 
     /// End a marching window where the rounds would have: march every
@@ -2307,8 +2332,17 @@ fn killed_at(session: &Session, tag: &str, at: SimTime) -> bool {
     })
 }
 
-/// Most frames a window may buffer (see [`ClusterSession::run_reactive`]).
+/// Frames a window spreads over the fleet's open monitors: a fleet of
+/// fewer than `WINDOW_FRAMES / MIN_WINDOW_INSTANTS` monitors takes
+/// `WINDOW_FRAMES / n` instants per window (see
+/// [`ClusterSession::run_reactive`]).
 const WINDOW_FRAMES: usize = 256;
+
+/// Fewest instants a window takes, so a large fleet still steps each
+/// machine through several observations while its state is in cache. A
+/// window buffers at most `max(WINDOW_FRAMES, MIN_WINDOW_INSTANTS × n)`
+/// frames for `n` open monitors.
+const MIN_WINDOW_INSTANTS: usize = 8;
 
 /// One driver step: its horizon, `t*` for a round, and — for a marching
 /// window — the instants every observing machine is due at up to it.
@@ -2331,6 +2365,19 @@ fn instants(u: &WorkUnit, horizon: SimTime) -> Vec<SimTime> {
     at.sort_unstable();
     at.dedup();
     at
+}
+
+/// How many observations machine `u`'s monitors are due to take up to
+/// `horizon`: exact, unless a stop rule ends a monitor sooner.
+fn observations(u: &WorkUnit, horizon: SimTime) -> usize {
+    u.monitors
+        .open()
+        .filter(|(next, _, _)| *next <= horizon)
+        .map(|(next, interval, left)| {
+            let more = horizon.since(next).as_nanos() / interval.as_nanos();
+            left.min(more as usize + 1)
+        })
+        .sum()
 }
 
 /// One machine handed to the pool for one parallel phase, with the
@@ -2469,7 +2516,10 @@ fn serve(shares: mpsc::Receiver<Share>, stepped: mpsc::Sender<Vec<(WorkUnit, Out
 fn step(task: Task, phase: &Phase) -> (WorkUnit, Outcome) {
     let Task { mut unit, to } = task;
     let u = &mut unit;
-    let mut frames = Vec::new();
+    let mut frames = match phase {
+        Phase::March(_) => Vec::new(),
+        Phase::Observe => Vec::with_capacity(observations(u, to)),
+    };
     let mut reached = to;
     let result = guard(&u.id, || match phase {
         Phase::March(stops) => {

@@ -190,30 +190,38 @@ impl Collector {
     }
 
     /// Read the deltas of the attached tasks: snapshot every fd in one
-    /// batched pass, then distribute the values per task.
-    fn read_attached(&mut self, k: &Kernel) {
+    /// batched pass, then distribute the values per task. A task whose
+    /// read fails (one of its fds was closed behind the collector's back)
+    /// has no delta: its other fds are closed and it is dropped, so the
+    /// next refresh attaches it afresh if it is still live.
+    fn read_attached(&mut self, k: &mut Kernel) {
         self.scratch_fds.clear();
         for tc in &self.tasks {
             self.scratch_fds.extend(tc.fds.iter().map(|&(_, fd)| fd));
         }
         k.perf_read_batch_into(&self.scratch_fds, &mut self.scratch_vals);
         let mut vals = self.scratch_vals.iter();
-        for tc in &mut self.tasks {
+        let deltas = &mut self.deltas;
+        self.tasks.retain_mut(|tc| {
             let Some(now) = read_counts(&tc.fds, &mut vals) else {
-                continue; // raced with exit; next refresh cleans up
+                for &(_, fd) in &tc.fds {
+                    let _ = k.perf_close(fd);
+                }
+                return false;
             };
             let delta = now.delta_since(&tc.last);
             tc.last = now;
             let full = tc.primed;
             tc.primed = true;
-            self.deltas.push((
+            deltas.push((
                 tc.pid,
                 TaskDelta {
                     counts: delta,
                     full_interval: full,
                 },
             ));
-        }
+            true
+        });
     }
 
     /// Close everything (end of session).
@@ -407,6 +415,37 @@ mod tests {
     }
 
     #[test]
+    fn a_live_task_with_a_closed_fd_is_released_and_reattached() {
+        let mut k = kernel();
+        let pid = k.spawn(SpawnSpec::new("spin", Uid(1), spin()));
+        let mut c = Collector::new(Uid(1), base_events());
+        refresh(&mut c, &mut k);
+        assert_eq!(k.open_fds(Uid(1)), 3);
+        k.advance(SimDuration::from_millis(100));
+        let (_, fd) = c.tasks[0].fds[1];
+        k.perf_close(fd).unwrap();
+        assert_eq!(k.open_fds(Uid(1)), 2);
+        // The failed read has no delta and releases the task's other fds.
+        assert!(delta(refresh(&mut c, &mut k), pid).is_none());
+        assert_eq!(k.open_fds(Uid(1)), 0, "the other fds are released");
+        assert_eq!(c.attached(), 0);
+        // The next refresh attaches it afresh: a partial first delta, then
+        // full intervals again.
+        k.advance(SimDuration::from_millis(100));
+        let first = *delta(refresh(&mut c, &mut k), pid).expect("re-attached");
+        assert!(!first.full_interval, "re-attached, not a full interval");
+        assert_eq!(k.open_fds(Uid(1)), 3);
+        k.advance(SimDuration::from_secs(1));
+        let d = *delta(refresh(&mut c, &mut k), pid).expect("deltas resume");
+        assert!(d.full_interval);
+        let cy = d.counts.get(HwEvent::Cycles) as f64;
+        assert!(
+            (cy / 3.07e9 - 1.0).abs() < 0.02,
+            "one second of cycles, got {cy}"
+        );
+    }
+
+    #[test]
     fn attach_midway_counts_only_from_attach() {
         let mut k = kernel();
         let pid = k.spawn(SpawnSpec::new("spin", Uid(1), spin()));
@@ -549,6 +588,10 @@ mod tests {
                         cursor += 1;
                     }
                     if !ok {
+                        let tc = self.tasks.remove(pid).expect("just listed");
+                        for (_, fd) in tc.fds {
+                            let _ = k.perf_close(fd);
+                        }
                         continue;
                     }
                     let delta = now.delta_since(&tc.last);

@@ -17,7 +17,7 @@ use tiptop_core::monitor::Monitor;
 use tiptop_core::reactive::{MigrationDecision, MigrationMode, SchedulerPolicy};
 use tiptop_core::render::Frame;
 use tiptop_core::scenario::{DagError, Scenario, SessionError};
-use tiptop_core::symbols;
+use tiptop_core::symbols::{self, Label};
 use tiptop_kernel::kernel::Kernel;
 use tiptop_kernel::program::Program;
 use tiptop_kernel::task::{SpawnSpec, Uid};
@@ -596,7 +596,7 @@ fn window_sink_bounds_buffered_frames_on_a_10k_frame_run() {
         for m in ["m0", "m1"] {
             let stats = w
                 .sources
-                .get(&(m.to_string(), "tiptop".to_string()))
+                .get(&(Label::from(m), Label::from("tiptop")))
                 .expect("both machines in every window");
             let ipc = stats.mean("IPC").expect("IPC aggregated");
             assert!(ipc > 0.5, "healthy spin IPC, got {ipc}");
@@ -2843,7 +2843,7 @@ fn windowed_run_all_matches_one_round_per_instant_at_1_2_and_8_threads() {
             stats.rounds
         );
         assert!(
-            stats.peak_buffered_frames <= 256.max(monitors),
+            stats.peak_buffered_frames <= 256.max(8 * monitors),
             "a window buffers at most 256 frames, got {}",
             stats.peak_buffered_frames
         );
@@ -3013,31 +3013,84 @@ fn windowed_dag_run_all_matches_one_round_per_instant() {
     }
 }
 
+/// A fleet of `machines` light machines on one shared config: each runs
+/// one fixed-CPI job with no loads or stores.
+fn light_fleet(machines: usize) -> ClusterScenario {
+    let cfg = std::sync::Arc::new(MachineConfig::nehalem_w3550().noiseless());
+    (0..machines).fold(ClusterScenario::new(), |cluster, i| {
+        let seed = i as u64 + 1;
+        let light = ExecProfile::builder("light")
+            .base_cpi(0.6 + 0.1 * (i % 8) as f64)
+            .loads_per_insn(0.0)
+            .stores_per_insn(0.0)
+            .build();
+        let spec = SpawnSpec::new("light", Uid(1), Program::endless(light)).seed(seed);
+        cluster.machine(
+            format!("m{i:04}"),
+            Scenario::new(std::sync::Arc::clone(&cfg))
+                .seed(seed)
+                .user(Uid(1), "u1")
+                .spawn("light", spec),
+        )
+    })
+}
+
 #[test]
-fn fleets_of_256_monitors_or_more_keep_one_round_per_instant() {
-    let sets = |n: usize| {
-        move |_: MachineRef<'_>| -> Vec<Box<dyn Monitor + Send>> {
-            (0..n)
-                .map(|_| {
-                    Box::new(TopView::new().delay(SimDuration::from_millis(100)))
-                        as Box<dyn Monitor + Send>
-                })
-                .collect()
-        }
+fn large_fleets_take_windows_of_at_least_eight_instants() {
+    let top_views = |_: MachineRef<'_>| -> Vec<Box<dyn Monitor + Send>> {
+        (0..64)
+            .map(|_| {
+                Box::new(TopView::new().delay(SimDuration::from_millis(100)))
+                    as Box<dyn Monitor + Send>
+            })
+            .collect()
     };
-    let steps = |n: usize| {
-        let mut session = cluster().build().unwrap();
+    let one_tiptop = |_: MachineRef<'_>| vec![tool_ms(20) as Box<dyn Monitor + Send>];
+    // 4 machines x 64 monitors, and 1,000 machines x 1: both fleets hold
+    // 256 or more monitors, so a window takes the floor of eight instants.
+    let fleets: [(&dyn Fn() -> ClusterScenario, &MonitorSets, usize); 2] = [
+        (&cluster, &top_views, 4 * 64),
+        (&|| light_fleet(1_000), &one_tiptop, 1_000),
+    ];
+    let refreshes = 16;
+    for (fleet, sets, monitors) in fleets {
+        let mut reference = fleet().build().unwrap();
         let mut sink = ClusterCollectSink::new();
-        session.run_all(2, 6, sets(n), &mut sink).unwrap();
-        session.last_run_stats()
-    };
-    // 4 machines x 64 monitors: one round per instant, each holding them all.
-    let full = steps(64);
-    assert_eq!((full.rounds, full.peak_buffered_frames), (6, 256));
-    // 4 x 16: a window takes four instants at once, still 256 frames.
-    let windowed = steps(16);
-    assert_eq!(windowed.rounds, 2);
-    assert_eq!(windowed.peak_buffered_frames, 256);
+        let mut policies: Vec<Box<dyn SchedulerPolicy>> = vec![Box::new(NeverDecides)];
+        reference
+            .run_reactive(1, refreshes, sets, &mut policies, &mut sink)
+            .unwrap();
+        let (golden, golden_state) = (rendered(sink.frames()), handed_back(&reference));
+        let rounds = reference.last_run_stats().rounds;
+        assert_eq!(
+            rounds, refreshes,
+            "{monitors} monitors: one round per instant"
+        );
+
+        for threads in [1, 2, 8] {
+            let mut session = fleet().build().unwrap();
+            let mut sink = ClusterCollectSink::new();
+            session
+                .run_all(threads, refreshes, sets, &mut sink)
+                .unwrap();
+            let at = format!("{monitors} monitors, {threads} threads");
+            assert_eq!(golden, rendered(sink.frames()), "{at}: stream");
+            assert_eq!(golden_state, handed_back(&session), "{at}: state");
+            let stats = session.last_run_stats();
+            assert_eq!(stats.frames, monitors * refreshes, "{at}");
+            assert!(
+                stats.rounds < rounds,
+                "{at}: a scripted run takes windows, {} steps against {rounds} rounds",
+                stats.rounds
+            );
+            assert_eq!(stats.rounds, refreshes / 8, "{at}: eight instants a window");
+            assert!(
+                stats.peak_buffered_frames <= 256.max(8 * monitors),
+                "{at}: a window buffers at most max(256, 8 x monitors) frames, got {}",
+                stats.peak_buffered_frames
+            );
+        }
+    }
 }
 
 /// One node of [`failing_fleet`], by index.
