@@ -12,7 +12,7 @@
 //! deterministically — same frames as the old serial loop, a machine-count
 //! speedup in wall clock.
 
-use tiptop_core::cluster::{ClusterScenario, ClusterSession, MachineRef};
+use tiptop_core::cluster::{ClusterScenario, ClusterSession, MachineRef, Until};
 use tiptop_core::render::Frame;
 use tiptop_core::scenario::Scenario;
 use tiptop_kernel::task::{SpawnSpec, Uid};
@@ -91,17 +91,14 @@ pub fn run_on(seed: u64, scale: f64, threads: usize) -> Fig0607Result {
         let mut sink = |cf: tiptop_core::cluster::ClusterFrame| {
             per_shard[cf.machine_index].push(cf.frame);
         };
+        let monitor = spec_monitor_factory(delay);
+        let tools = |m: MachineRef<'_>| {
+            let comm = pairs[m.index].1.comm();
+            let until: Until = Box::new(move |f: &Frame| f.row_for_comm(comm).is_none());
+            vec![(monitor(m), Some(until))]
+        };
         session
-            .run_each(
-                threads,
-                1_000_000,
-                spec_monitor_factory(delay),
-                |m: MachineRef<'_>| {
-                    let comm = pairs[m.index].1.comm();
-                    Box::new(move |f: &Frame| f.row_for_comm(comm).is_none())
-                },
-                &mut sink,
-            )
+            .run(threads, 1_000_000, tools, &mut [], &mut sink)
             .expect("cluster run");
     }
 

@@ -8,8 +8,9 @@
 //! scripted: it emerges from the cache model.
 
 use tiptop_core::app::{Tiptop, TiptopOptions};
-use tiptop_core::cluster::ClusterScenario;
+use tiptop_core::cluster::{ClusterScenario, MachineRef, Until};
 use tiptop_core::config::ScreenConfig;
+use tiptop_core::monitor::Monitor;
 use tiptop_core::render::Frame;
 use tiptop_core::scenario::Scenario;
 use tiptop_core::session::series_for_comm;
@@ -80,33 +81,28 @@ pub fn run(seed: u64, scale: f64) -> Fig10Result {
     let mut frames: Vec<Frame> = Vec::new();
     {
         let mut sink = |cf: tiptop_core::cluster::ClusterFrame| frames.push(cf.frame);
+        let tools = |_: MachineRef<'_>| {
+            let tool = Tiptop::new(
+                TiptopOptions::default()
+                    .observer(Uid::ROOT)
+                    .delay(SimDuration::from_secs_f64(DELAY_S)),
+                ScreenConfig::default_screen(),
+            );
+            let mut stop_at: Option<f64> = None;
+            let until: Until = Box::new(move |f: &Frame| {
+                let t = f.time.as_secs_f64();
+                if stop_at.is_none()
+                    && t > arrival + DELAY_S
+                    && !f.rows.iter().any(|r| r.user == "user2")
+                {
+                    stop_at = Some(t + RECOVERY_FRAMES as f64 * DELAY_S);
+                }
+                stop_at.is_some_and(|end| t >= end)
+            });
+            vec![(Box::new(tool) as Box<dyn Monitor + Send>, Some(until))]
+        };
         cluster
-            .run_each(
-                1,
-                1_000_000,
-                |_| {
-                    Box::new(Tiptop::new(
-                        TiptopOptions::default()
-                            .observer(Uid::ROOT)
-                            .delay(SimDuration::from_secs_f64(DELAY_S)),
-                        ScreenConfig::default_screen(),
-                    ))
-                },
-                |_| {
-                    let mut stop_at: Option<f64> = None;
-                    Box::new(move |f: &Frame| {
-                        let t = f.time.as_secs_f64();
-                        if stop_at.is_none()
-                            && t > arrival + DELAY_S
-                            && !f.rows.iter().any(|r| r.user == "user2")
-                        {
-                            stop_at = Some(t + RECOVERY_FRAMES as f64 * DELAY_S);
-                        }
-                        stop_at.is_some_and(|end| t >= end)
-                    })
-                },
-                &mut sink,
-            )
+            .run(1, 1_000_000, tools, &mut [], &mut sink)
             .expect("cluster run");
     }
     let burst_end = frames

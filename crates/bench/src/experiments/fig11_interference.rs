@@ -149,13 +149,15 @@ pub fn run_on(seed: u64, threads: usize) -> Fig11Result {
                 threads,
                 (WARMUP_S + MEASURE_S) as usize,
                 |_| {
-                    Box::new(Tiptop::new(
+                    let tool = Tiptop::new(
                         TiptopOptions::default()
                             .observer(Uid::ROOT)
                             .delay(SimDuration::from_secs(1)),
                         ScreenConfig::cache_screen(),
-                    ))
+                    );
+                    vec![(Box::new(tool), None)]
                 },
+                &mut [],
                 &mut sink,
             )
             .expect("cluster run");

@@ -13,7 +13,7 @@
 //! when the Nehalem has finished, and each node dropping out of the
 //! timeline at its own completion instant.
 
-use tiptop_core::cluster::{ClusterFrame, ClusterScenario, MachineRef};
+use tiptop_core::cluster::{ClusterFrame, ClusterScenario, MachineRef, Until};
 use tiptop_core::render::Frame;
 use tiptop_core::scenario::Scenario;
 use tiptop_core::session::cluster_series_for_comm;
@@ -75,14 +75,13 @@ pub fn run_on(seed: u64, scale: f64, threads: usize) -> FleetResult {
     let mut merged: Vec<ClusterFrame> = Vec::new();
     {
         let mut sink = |cf: ClusterFrame| merged.push(cf);
+        let monitor = spec_monitor_factory(delay);
+        let tools = |m: MachineRef<'_>| {
+            let until: Until = Box::new(move |f: &Frame| f.row_for_comm(comm).is_none());
+            vec![(monitor(m), Some(until))]
+        };
         session
-            .run_each(
-                threads,
-                1_000_000,
-                spec_monitor_factory(delay),
-                |_: MachineRef<'_>| Box::new(move |f: &Frame| f.row_for_comm(comm).is_none()),
-                &mut sink,
-            )
+            .run(threads, 1_000_000, tools, &mut [], &mut sink)
             .expect("fleet run");
     }
 

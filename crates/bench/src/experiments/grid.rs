@@ -6,16 +6,16 @@
 //! an exit on the victims' node and a spawn on the spare at the same
 //! sim-time. The victims' IPC, depressed through shared-L3 contention the
 //! whole dwell, recovers the moment the aggressors leave — while `top`
-//! (watching the same node as a second monitor of the fleet-scale
-//! [`ClusterSession::run_all`]) still shows every `%CPU` pegged at ~100
+//! (watching the same node as a second monitor of the node's set in
+//! [`ClusterSession::run`]) still shows every `%CPU` pegged at ~100
 //! throughout.
 //!
 //! [`ClusterScenario::migrate_at`]: tiptop_core::cluster::ClusterScenario::migrate_at
-//! [`ClusterSession::run_all`]: tiptop_core::cluster::ClusterSession::run_all
+//! [`ClusterSession::run`]: tiptop_core::cluster::ClusterSession::run
 
 use tiptop_core::app::{Tiptop, TiptopOptions};
 use tiptop_core::baseline::TopView;
-use tiptop_core::cluster::{ClusterCollectSink, ClusterFrame, ClusterScenario, MachineRef};
+use tiptop_core::cluster::{ClusterCollectSink, ClusterFrame, ClusterScenario, MachineRef, Until};
 use tiptop_core::config::ScreenConfig;
 use tiptop_core::monitor::Monitor;
 use tiptop_core::scenario::Scenario;
@@ -84,16 +84,16 @@ pub(crate) fn nodes(seed: u64, script: &GridScript) -> (Scenario, Scenario, Vec<
 /// cluster scale.
 pub(crate) fn fleet_monitors(
     delay: SimDuration,
-) -> impl FnMut(MachineRef<'_>) -> Vec<Box<dyn Monitor + Send>> {
+) -> impl FnMut(MachineRef<'_>) -> Vec<(Box<dyn Monitor + Send>, Option<Until>)> {
     move |m: MachineRef<'_>| {
         let tip: Box<dyn Monitor + Send> = Box::new(Tiptop::new(
             TiptopOptions::default().observer(Uid::ROOT).delay(delay),
             ScreenConfig::default_screen(),
         ));
         if m.id == VICTIM_NODE {
-            vec![tip, Box::new(TopView::new().delay(delay))]
+            vec![(tip, None), (Box::new(TopView::new().delay(delay)), None)]
         } else {
-            vec![tip]
+            vec![(tip, None)]
         }
     }
 }
@@ -210,13 +210,19 @@ pub fn run_on(seed: u64, scale: f64, threads: usize) -> GridResult {
     }
     let mut session = cluster.build().expect("migrations validated at build");
 
-    // Fleet-scale run_all: tiptop everywhere, plus a second observer
+    // A monitor set per machine: tiptop everywhere, plus a second observer
     // (`top`) on the contended node — the §2.5 shape at cluster scale.
     let refreshes = ((relief + RECOVERY_FRAMES as f64 * DELAY_S) / DELAY_S).ceil() as usize;
     let delay = SimDuration::from_secs_f64(DELAY_S);
     let mut sink = ClusterCollectSink::new();
     session
-        .run_all(threads, refreshes, fleet_monitors(delay), &mut sink)
+        .run(
+            threads,
+            refreshes,
+            fleet_monitors(delay),
+            &mut [],
+            &mut sink,
+        )
         .expect("grid run");
     let merged = sink.into_frames();
 

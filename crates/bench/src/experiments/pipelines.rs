@@ -14,7 +14,7 @@
 //! doubles as the determinism case of the byte-identity suite).
 
 use tiptop_core::app::{Tiptop, TiptopOptions};
-use tiptop_core::cluster::{ClusterFrame, ClusterScenario};
+use tiptop_core::cluster::{ClusterCollectSink, ClusterFrame, ClusterScenario};
 use tiptop_core::config::ScreenConfig;
 use tiptop_core::scenario::Scenario;
 use tiptop_kernel::task::{SpawnSpec, Uid};
@@ -117,14 +117,23 @@ fn run_script(script: &PipelineScript, seed: u64, threads: usize) -> PipelineRun
         .build()
         .expect("pipeline DAGs validate at build");
     let delay = SimDuration::from_secs_f64(DELAY_S);
-    let frames = session
-        .run_collect(threads, REFRESHES, |_| {
-            Box::new(Tiptop::new(
-                TiptopOptions::default().observer(Uid::ROOT).delay(delay),
-                ScreenConfig::default_screen(),
-            ))
-        })
+    let tool = || {
+        Tiptop::new(
+            TiptopOptions::default().observer(Uid::ROOT).delay(delay),
+            ScreenConfig::default_screen(),
+        )
+    };
+    let mut sink = ClusterCollectSink::new();
+    session
+        .run(
+            threads,
+            REFRESHES,
+            |_| vec![(Box::new(tool()), None)],
+            &mut [],
+            &mut sink,
+        )
         .expect("pipeline run");
+    let frames = sink.into_frames();
 
     let mut records: Vec<StageRecord> = script
         .stages

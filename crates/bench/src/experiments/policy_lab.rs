@@ -1,11 +1,11 @@
 //! **Policy lab** — the pluggable-scheduling payoff: N policies × M
-//! scenarios through [`run_reactive`], ranked. Where [`tournament`] fixed
-//! the detector question to *restart vs resume*, the lab crosses three
-//! **detector × placement** policies — the [`IpcFloor`] threshold, the
-//! [`Cusum`] statistic (both relieving onto a fixed spare) and the
-//! [`Population`] change-point detector composed with [`LeastLoaded`]
-//! placement (destination picked from live fleet load) — with three
-//! scenarios that also exercise the *in-kernel* layer:
+//! scenarios, each policy driving a cluster [`run`], ranked. Where
+//! [`tournament`] fixed the detector question to *restart vs resume*, the
+//! lab crosses three **detector × placement** policies — the
+//! [`IpcFloor`] threshold, the [`Cusum`] statistic (both relieving onto a
+//! fixed spare) and the [`Population`] change-point detector composed
+//! with [`LeastLoaded`] placement (destination picked from live fleet
+//! load) — with three scenarios that also exercise the *in-kernel* layer:
 //!
 //! * `burst/cfs` — the tournament's finite burst on the default
 //!   [`CfsLike`] epoch planner;
@@ -24,7 +24,7 @@
 //! recovery on the victim node, and the migrations fired — and each cell's
 //! stream is byte-identical at any worker-thread count.
 //!
-//! [`run_reactive`]: tiptop_core::cluster::ClusterSession::run_reactive
+//! [`run`]: tiptop_core::cluster::ClusterSession::run
 //! [`tournament`]: crate::experiments::tournament
 //! [`IpcFloor`]: tiptop_core::reactive::IpcFloor
 //! [`Cusum`]: tiptop_core::reactive::Cusum
@@ -36,7 +36,7 @@
 
 use tiptop_core::app::{Tiptop, TiptopOptions};
 use tiptop_core::cluster::{
-    ClusterCollectSink, ClusterFrame, ClusterScenario, ClusterSession, MachineRef,
+    ClusterCollectSink, ClusterFrame, ClusterScenario, ClusterSession, MachineRef, Until,
 };
 use tiptop_core::config::ScreenConfig;
 use tiptop_core::monitor::Monitor;
@@ -279,17 +279,18 @@ fn run_cell_raw(
     let horizon = script.arrival.as_secs_f64() + 2.1 * script.dwell.as_secs_f64();
     let refreshes = (horizon / DELAY_S).ceil() as usize;
     let delay = SimDuration::from_secs_f64(DELAY_S);
-    let monitors = move |_m: MachineRef<'_>| -> Vec<Box<dyn Monitor + Send>> {
-        vec![Box::new(Tiptop::new(
+    let monitors = move |_m: MachineRef<'_>| -> Vec<(Box<dyn Monitor + Send>, Option<Until>)> {
+        let tool = Tiptop::new(
             TiptopOptions::default()
                 .observer(tiptop_kernel::task::Uid::ROOT)
                 .delay(delay),
             ScreenConfig::default_screen(),
-        ))]
+        );
+        vec![(Box::new(tool), None)]
     };
     let mut sink = ClusterCollectSink::new();
     let decisions = session
-        .run_reactive(threads, refreshes, monitors, &mut policies, &mut sink)
+        .run(threads, refreshes, monitors, &mut policies, &mut sink)
         .expect("policy lab cell run");
     (sink.into_frames(), decisions, session)
 }

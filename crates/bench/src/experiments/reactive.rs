@@ -4,8 +4,8 @@
 //! when the victim's IPC has dropped below the floor and stayed there for
 //! the scheduler's patience window, the policy fires and every aggressor is
 //! migrated to the spare node — the decision is *made from the stream*
-//! ([`ClusterSession::run_reactive`]), validated at run time, and applied
-//! at the next scheduler-epoch boundary after the deciding frame.
+//! (a [`ClusterSession::run`] with a policy), validated at run time, and
+//! applied at the next scheduler-epoch boundary after the deciding frame.
 //!
 //! The experiment runs the scripted [`grid`] baseline side by side: the
 //! oracle scheduler migrates at the scripted relief instant, the reactive
@@ -16,7 +16,7 @@
 //! stream (frames, decisions, application instants) is byte-identical at
 //! any worker-thread count.
 //!
-//! [`ClusterSession::run_reactive`]: tiptop_core::cluster::ClusterSession::run_reactive
+//! [`ClusterSession::run`]: tiptop_core::cluster::ClusterSession::run
 //! [`IpcFloor`]: tiptop_core::reactive::IpcFloor
 //! [`grid`]: crate::experiments::grid
 
@@ -170,7 +170,7 @@ fn run_reactive_only(
     let refreshes = ((relief + grid::RECOVERY_FRAMES as f64 * DELAY_S) / DELAY_S).ceil() as usize;
     let mut sink = ClusterCollectSink::new();
     let decisions = session
-        .run_reactive(
+        .run(
             threads,
             refreshes,
             fleet_monitors(delay),

@@ -223,7 +223,13 @@ pub fn run_on(seed: u64, thread_sweep: &[usize], points: &[(usize, usize)]) -> S
             let rss_before_run = current_rss_bytes();
             let t0 = Instant::now();
             session
-                .run(threads, refreshes, |_| monitor(), &mut sink)
+                .run(
+                    threads,
+                    refreshes,
+                    |_| vec![(monitor(), None)],
+                    &mut [],
+                    &mut sink,
+                )
                 .expect("scaling arm");
             let wall = t0.elapsed().as_secs_f64();
             let rss_delta_bytes = current_rss_bytes() as i64 - rss_before_run as i64;

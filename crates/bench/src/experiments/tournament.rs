@@ -27,7 +27,7 @@
 
 use tiptop_core::app::{Tiptop, TiptopOptions};
 use tiptop_core::cluster::{
-    ClusterCollectSink, ClusterFrame, ClusterScenario, ClusterSession, MachineRef,
+    ClusterCollectSink, ClusterFrame, ClusterScenario, ClusterSession, MachineRef, Until,
 };
 use tiptop_core::config::ScreenConfig;
 use tiptop_core::monitor::Monitor;
@@ -284,15 +284,16 @@ fn run_cell_raw(
     let horizon = script.arrival.as_secs_f64() + 2.1 * script.dwell.as_secs_f64();
     let refreshes = (horizon / DELAY_S).ceil() as usize;
     let delay = SimDuration::from_secs_f64(DELAY_S);
-    let monitors = move |_m: MachineRef<'_>| -> Vec<Box<dyn Monitor + Send>> {
-        vec![Box::new(Tiptop::new(
+    let monitors = move |_m: MachineRef<'_>| -> Vec<(Box<dyn Monitor + Send>, Option<Until>)> {
+        let tool = Tiptop::new(
             TiptopOptions::default().observer(Uid::ROOT).delay(delay),
             ScreenConfig::default_screen(),
-        ))]
+        );
+        vec![(Box::new(tool), None)]
     };
     let mut sink = ClusterCollectSink::new();
     let decisions = session
-        .run_reactive(threads, refreshes, monitors, &mut policies, &mut sink)
+        .run(threads, refreshes, monitors, &mut policies, &mut sink)
         .expect("tournament cell run");
     (sink.into_frames(), decisions, session)
 }

@@ -171,6 +171,7 @@ fn random_dag_execution_is_invariant_under_edge_declaration_shuffles() {
 #[test]
 fn random_dag_clusters_fire_exactly_through_the_lockstep_driver() {
     use tiptop_core::app::{Tiptop, TiptopOptions};
+    use tiptop_core::cluster::ClusterCollectSink;
     use tiptop_core::config::ScreenConfig;
 
     for seed in 0..12u64 {
@@ -178,15 +179,22 @@ fn random_dag_clusters_fire_exactly_through_the_lockstep_driver() {
         let mut session = cluster_for(&script, 1000 + seed)
             .build()
             .expect("random DAGs validate at cluster build");
+        let tool = || {
+            Tiptop::new(
+                TiptopOptions::default()
+                    .observer(Uid::ROOT)
+                    .delay(SimDuration::from_secs_f64(0.5)),
+                ScreenConfig::default_screen(),
+            )
+        };
         session
-            .run_collect(2, 10, |_| {
-                Box::new(Tiptop::new(
-                    TiptopOptions::default()
-                        .observer(Uid::ROOT)
-                        .delay(SimDuration::from_secs_f64(0.5)),
-                    ScreenConfig::default_screen(),
-                ))
-            })
+            .run(
+                2,
+                10,
+                |_| vec![(Box::new(tool()), None)],
+                &mut [],
+                &mut ClusterCollectSink::new(),
+            )
             .expect("cluster run");
         let records: Vec<ExitRecord> = script
             .stages

@@ -8,12 +8,13 @@
 //! 6–8) and a data-center co-run node (Fig 10); those machines are
 //! physically independent, so simulating them serially wastes every core
 //! but one. A [`ClusterScenario`] declares one [`Scenario`] per machine;
-//! building it yields a [`ClusterSession`] whose `run*` methods drive every
-//! machine concurrently. Because each shard owns its whole stack (machine,
-//! kernel, monitor) and the merge orders frames by `(time, machine-index)`
-//! with per-machine streams already time-ordered, **the merged stream is
-//! byte-identical at any worker-thread count** — `threads: 1` and
-//! `threads: 8` produce the same frames in the same order.
+//! building it yields a [`ClusterSession`] whose one
+//! [`run`](ClusterSession::run) drives every machine concurrently. Because
+//! each shard owns its whole stack (machine, kernel, monitor) and the
+//! merge orders frames by `(time, machine-index)` with per-machine streams
+//! already time-ordered, **the merged stream is byte-identical at any
+//! worker-thread count** — `threads: 1` and `threads: 8` produce the same
+//! frames in the same order.
 //!
 //! On top of the independent shards sit the *distributed* affordances:
 //!
@@ -29,7 +30,7 @@
 //!   re-submission); [`ClusterScenario::resume_at`] instead checkpoints the
 //!   task at the kill instant and resumes it mid-program on the
 //!   destination, conserving its total retired-instruction count.
-//! * [`ClusterSession::run_all`] — the fleet-scale version of
+//! * [`ClusterSession::run`] — the fleet-scale version of
 //!   [`Session::run_all`]: every machine drives its own *set* of monitors
 //!   at distinct intervals (the §2.5 perturbation story on every node at
 //!   once), frames labelled `(machine, monitor)` in the merged stream.
@@ -37,9 +38,9 @@
 //!   tumbling windows of the merged stream are folded into per
 //!   `(machine, monitor)` column aggregates, so a fleet observed for hours
 //!   never buffers more than one window of frames.
-//! * [`ClusterSession::run_reactive`] — the monitor→migration loop
-//!   *closed*: [`SchedulerPolicy`]s observe the merged stream during the
-//!   run and issue live migrations — restart or checkpoint/resume, per the
+//! * The monitor→migration loop *closed*: [`SchedulerPolicy`]s handed to
+//!   [`ClusterSession::run`] observe the merged stream during the run and
+//!   issue live migrations — restart or checkpoint/resume, per the
 //!   decision's [`MigrationMode`] — validated at run time and applied at
 //!   the next epoch boundary (see [`crate::reactive`]).
 //! * **Cross-machine dependency edges** — a machine's scenario may key an
@@ -63,22 +64,21 @@
 //! observation instant it resolves dependency edges and resume handoffs,
 //! advances the machines due then on a worker pool spawned once per run,
 //! each through the observation loop of a lone [`Session`], delivers the
-//! round's frames in machine order, and lets policies decide
-//! (the steps of a round are documented on
-//! [`ClusterSession::run_reactive`]). Scripted runs are runs with no
-//! policies. A barrier is paid only where the run needs one: once no
-//! policy, unresolved edge or unpublished handoff can act between two
-//! instants, a round becomes a **window** — each machine takes all of its
-//! observations up to a horizon in one task, at least eight instants of
-//! them, buffering at most `max(256, 8 × monitors)` frames, and the window
-//! is merged by `(time, machine)`. The merged stream is the same either
-//! way, and byte-identical at any thread count.
+//! round's frames in machine order, and lets policies decide (the steps
+//! of a round are documented on [`ClusterSession::run`]). Scripted runs
+//! are runs with no policies. A barrier is paid only where the run needs
+//! one: once no policy, unresolved edge or unpublished handoff can act
+//! between two instants, a round becomes a **window** — each machine
+//! takes all of its observations up to a horizon in one task, at least
+//! eight instants of them, buffering at most `max(256, 8 × monitors)`
+//! frames, and the window is merged by `(time, machine)`. The merged
+//! stream is the same either way, and byte-identical at any thread count.
 //!
 //! Failure is contained per shard: a [`SessionError`] inside one machine
 //! surfaces as [`SessionError::Shard`], a panic as
 //! [`SessionError::ShardPanicked`]; the rest of the fleet keeps running and
 //! their frames still reach the sink (the exact contract is documented on
-//! [`ClusterSession::run_each`]; reactive runs halt at the round barrier
+//! [`ClusterSession::run`]; runs with policies halt at the round barrier
 //! instead).
 //!
 //! ```
@@ -99,14 +99,17 @@
 //!     .migrate_at(SimTime::from_secs(2), "job", "node-a", "node-b")
 //!     .build()
 //!     .unwrap();
-//! let frames = cluster
-//!     .run_collect(2, 3, |_m| {
-//!         Box::new(Tiptop::new(
-//!             TiptopOptions::default().delay(SimDuration::from_secs(1)),
-//!             ScreenConfig::default_screen(),
-//!         ))
-//!     })
+//! let tiptop = || {
+//!     Tiptop::new(
+//!         TiptopOptions::default().delay(SimDuration::from_secs(1)),
+//!         ScreenConfig::default_screen(),
+//!     )
+//! };
+//! let mut sink = ClusterCollectSink::new();
+//! cluster
+//!     .run(2, 3, |_m| vec![(Box::new(tiptop()), None)], &mut [], &mut sink)
 //!     .unwrap();
+//! let frames = sink.into_frames();
 //! // 2 machines x 3 refreshes, merged by (time, machine).
 //! assert_eq!(frames.len(), 6);
 //! let on = |t: u64, machine: &str| {
@@ -130,7 +133,7 @@ mod session;
 mod sink;
 
 pub use scenario::{ClusterScenario, HandoverRecord};
-pub use session::{ClusterRunError, ClusterSession, RunStats};
+pub use session::{ClusterSession, RunStats, Until};
 pub use sink::{
     ClusterCollectSink, ClusterFrameSink, ClusterWindow, ClusterWindowSink, WindowStats,
 };

@@ -71,7 +71,7 @@ pub(super) enum Status {
 
 /// The round-barrier driver behind every cluster run: scripted runs are
 /// runs with no policies. The five steps of a round, and when a round
-/// becomes a window, are documented on [`ClusterSession::run_reactive`].
+/// becomes a window, are documented on [`ClusterSession::run`].
 pub(super) struct Rounds<'a> {
     /// Every machine, in index order. A phase moves its machines to the
     /// pool and puts them back before the next one starts.
@@ -175,7 +175,7 @@ impl Rounds<'_> {
 
     /// The round at `t_star`, or a window past it once no policy, edge or
     /// handoff can act between two instants (the rule is documented on
-    /// [`ClusterSession::run_reactive`]).
+    /// [`ClusterSession::run`]).
     fn window(&self, t_star: SimTime) -> Window {
         let round = Window {
             horizon: t_star,
@@ -823,7 +823,7 @@ fn killed_at(session: &Session, tag: &str, at: SimTime) -> bool {
 /// Frames a window spreads over the fleet's open monitors: a fleet of
 /// fewer than `WINDOW_FRAMES / MIN_WINDOW_INSTANTS` monitors takes
 /// `WINDOW_FRAMES / n` instants per window (see
-/// [`ClusterSession::run_reactive`]).
+/// [`ClusterSession::run`]).
 const WINDOW_FRAMES: usize = 256;
 
 /// Fewest instants a window takes, so a large fleet still steps each

@@ -20,8 +20,8 @@ use crate::symbols;
 /// One migration's handover, as the merged stream can observe it: at `at`
 /// the job (command `comm`, scenario tag `tag`) exits on `from` and starts
 /// on `to` — the same sim-time on both machines. Scripted migrations
-/// ([`ClusterScenario::migrate_at`]) record theirs at build time, reactive
-/// runs ([`ClusterSession::run_reactive`]) append as decisions apply; read
+/// ([`ClusterScenario::migrate_at`]) record theirs at build time, runs
+/// with policies ([`ClusterSession::run`]) append as decisions apply; read
 /// them back with [`ClusterSession::handovers`], e.g. to feed
 /// [`ClusterWindowSink::dedupe_handovers`].
 #[derive(Clone, Debug, PartialEq, Eq)]

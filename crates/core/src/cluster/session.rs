@@ -6,7 +6,7 @@ use std::sync::mpsc;
 use super::pool::{serve, Pool, Worker};
 use super::rounds::{Handoff, Rounds, Status, WorkUnit};
 use super::scenario::ClusterDep;
-use super::{ClusterCollectSink, ClusterFrame, ClusterFrameSink, HandoverRecord, MachineRef};
+use super::{ClusterFrameSink, HandoverRecord, MachineRef};
 use crate::monitor::Monitor;
 use crate::reactive::{AppliedDecision, SchedulerPolicy};
 use crate::render::Frame;
@@ -14,18 +14,18 @@ use crate::scenario::{MonitorSet, Session, SessionError};
 use crate::symbols::Label;
 #[cfg(doc)]
 use {
-    super::{ClusterScenario, ClusterWindowSink},
+    super::{ClusterCollectSink, ClusterScenario, ClusterWindowSink},
     crate::reactive::MigrationMode,
 };
 
-/// Statistics of the most recent `run*` (see
+/// Statistics of the most recent [`ClusterSession::run`] (see
 /// [`ClusterSession::last_run_stats`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RunStats {
     /// Frames delivered to the sink.
     pub frames: usize,
     /// Driver steps: rounds plus windows (see
-    /// [`ClusterSession::run_reactive`]). Each one is a barrier.
+    /// [`ClusterSession::run`]). Each one is a barrier.
     pub rounds: usize,
     /// Merge deliveries: rounds and windows that produced frames.
     pub batches: usize,
@@ -69,38 +69,12 @@ impl fmt::Debug for ClusterSession {
     }
 }
 
-/// The error of [`ClusterSession::run_collect`]: the failure *plus* every
-/// frame the merge delivered — per the deliver-then-error contract a
-/// two-hour fleet run is not lost to one bad shard.
-#[derive(Debug)]
-pub struct ClusterRunError {
-    pub error: SessionError,
-    /// The merged stream as streamed up to pool drain, in `(time,
-    /// machine)` order — the healthy machines' full runs and the failed
-    /// machines' pre-failure frames.
-    pub partial: Vec<ClusterFrame>,
-}
-
-impl fmt::Display for ClusterRunError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} ({} merged frames preserved)",
-            self.error,
-            self.partial.len()
-        )
-    }
-}
-
-impl std::error::Error for ClusterRunError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.error)
-    }
-}
-
-pub(super) type Until = Box<dyn FnMut(&Frame) -> bool + Send>;
+/// A monitor's stop rule in a [`ClusterSession::run`]: the monitor stops
+/// after the first frame the rule returns `true` on, and that frame is
+/// still delivered.
+pub type Until = Box<dyn FnMut(&Frame) -> bool + Send>;
 /// The monitor set one machine runs: each tool paired with its stop rule.
-pub(super) type ToolSet = Vec<(Box<dyn Monitor + Send>, Option<Until>)>;
+type ToolSet = Vec<(Box<dyn Monitor + Send>, Option<Until>)>;
 /// One machine's monitors with their clocks, as a run drives them.
 pub(super) type Monitors = MonitorSet<Box<dyn Monitor + Send>, Until>;
 
@@ -123,7 +97,7 @@ impl ClusterSession {
 
     /// Every migration handover of this cluster so far, in application
     /// order: the scripted [`ClusterScenario::migrate_at`]s from build
-    /// time, plus — after a [`ClusterSession::run_reactive`] — the
+    /// time, plus — after a [`ClusterSession::run`] with policies — the
     /// handovers of every applied live decision. Feed these to
     /// [`ClusterWindowSink::dedupe_handovers`] so fleet-wide aggregates
     /// count a migrating job once at its handover instant.
@@ -131,7 +105,7 @@ impl ClusterSession {
         &self.handovers
     }
 
-    /// Statistics of the most recent `run*`, scripted or reactive: frames
+    /// Statistics of the most recent run, scripted or reactive: frames
     /// delivered, driver steps, merge deliveries, and the peak buffering.
     pub fn last_run_stats(&self) -> RunStats {
         self.last_stats
@@ -147,35 +121,142 @@ impl ClusterSession {
             .and_then(|s| s.session.as_ref())
     }
 
-    /// Drive every machine for up to `max_refreshes` frames of its own
-    /// monitor, stopping a machine early when its `until` predicate says so
-    /// (the stopping frame is still delivered). Work is sharded over
-    /// `threads` workers (clamped to `1..=machines`); frames stream into
-    /// `sink` merged by `(time, machine_index)` — deterministically, at any
-    /// thread count.
+    /// Drive every machine's own *set* of monitors — [`Session::run_all`]
+    /// lifted to the fleet — while [`SchedulerPolicy`]s watch the merged
+    /// stream **live** and issue migrations, closing the paper's
+    /// monitor→decision loop. Returns the decisions that were applied.
     ///
-    /// # The driver
+    /// Each machine's `tools(mref)` are primed together and observed on
+    /// their own intervals until every one has produced `refreshes` frames
+    /// or has been stopped by its [`Until`] rule (the stopping frame is
+    /// still delivered). An **empty monitor set is rejected** with a typed
+    /// [`SessionError::InvalidScenario`] before anything runs: a machine
+    /// only advances through its observations, so an unobserved machine
+    /// would silently stay frozen at its current sim-time (its events —
+    /// including migrations landing on it — never applying) rather than
+    /// "run unobserved". The error leaves every shard intact and the
+    /// cluster re-runnable.
     ///
-    /// Every run goes to the round driver (see
-    /// [`ClusterSession::run_reactive`]), here with no policies: each round
-    /// advances the machines due at the globally earliest observation
-    /// instant on a pool of `threads − 1` workers, spawned once for the
-    /// run, plus the calling thread, and delivers the round's frames in
-    /// machine order. Cross-machine dependency edges and scripted resume
-    /// handoffs are resolved at those barriers. Once every edge has fired
-    /// and every handoff is published, nothing couples the machines
-    /// between two instants, so each round becomes a **window**: every
-    /// machine runs the observation loop of [`Session::run_until`] up to
-    /// the window's horizon in one task, and the window is merged by
-    /// `(time, machine)` — the same stream, with a barrier per window
-    /// instead of per instant. Without migrations or cross-machine edges,
-    /// a machine's frames are the ones a lone [`Session`] built from its
-    /// scenario would take.
+    /// Work is sharded over `threads` workers (clamped to `1..=machines`);
+    /// frames stream into `sink` labelled `(machine, monitor-name)` and
+    /// merged by `(time, machine_index)`. Same-instant frames of one
+    /// machine observe (and merge) in set order, same-instant frames of
+    /// different machines in machine order — so the merged stream is
+    /// byte-identical at any worker-thread count. With an empty `policies`
+    /// slice nothing decides and the run is scripted.
     ///
-    /// # Failure contract: deliver-then-error
+    /// # The round driver
     ///
-    /// A shard failure does **not** tear down the run. The contract, locked
-    /// by the multi-shard failure tests:
+    /// A decision must land on an instant no machine has passed yet, so no
+    /// machine may race ahead of the merge frontier. Every cluster run
+    /// therefore goes to the **round driver**; scripted runs are runs with
+    /// no policies. Each round takes the globally earliest pending
+    /// observation instant `t*` and, in order:
+    ///
+    /// 1. resolves cross-machine dependency edges to fixpoint: an edge
+    ///    whose dependency's final incarnation has exited injects its event
+    ///    on the consumer at `max(exit + delay, consumer-now)`;
+    /// 2. advances every resume-handoff source to its handoff instant
+    ///    before any consumer crosses it (publish first; same-instant
+    ///    chains in topological order), so a checkpoint is always on the
+    ///    board before its destination takes it;
+    /// 3. advances the machines due at `t*` concurrently on a pool of
+    ///    `threads − 1` workers, spawned once for the run, plus the calling
+    ///    thread; on the worker it was moved to, each machine runs the
+    ///    observation loop of [`Session::run_all`] up to the round's
+    ///    horizon;
+    /// 4. merges the round's frames in `(machine, monitor)` order — the
+    ///    order `run_all` produces;
+    /// 5. shows each frame to every policy, then delivers it to the sink.
+    ///
+    /// With live dependency edges, steps 1–2 repeat in epoch-bounded
+    /// passes that march *every* machine to `t*`: an unresolved edge caps
+    /// its consumer at `host-watermark + delay`, which keeps cross-machine
+    /// firing instants exact. Without them only the machines due at `t*`
+    /// advance. Without migrations or cross-machine edges, a machine's
+    /// frames are the ones a lone [`Session`] built from its scenario
+    /// would take.
+    ///
+    /// # Rounds and windows
+    ///
+    /// Each round has a horizon `H`. It stays `t*` — exactly the round
+    /// above — while the run has policies (any frame can trigger a
+    /// decision), while any cross-machine edge is unresolved, or while any
+    /// resume handoff is unpublished. Otherwise the round becomes a
+    /// **window**: with `n` unfinished monitor slots on live machines and
+    /// `i` the smallest of their intervals, `H = t* + (k − 1)·i` with
+    /// `k = max(256 / n, 8)`. A small fleet shares a budget of 256 frames
+    /// per window; a fleet of 32 or more monitors takes the floor of eight
+    /// instants, so each machine steps through eight consecutive instants
+    /// while its state is in cache. A window buffers at most
+    /// `max(256, 8·n)` frames, proportional to the fleet as a round
+    /// already is. Each due machine then runs its observation loop through
+    /// each of its own instants up to `H` in one task, taking the monitors
+    /// due at each in set order; the calling thread merges the machines'
+    /// frames by time, ties to the lower machine, which is the
+    /// `(time, machine, monitor)` order the rounds deliver. In a run that
+    /// marches (it started with live edges), a window needs every
+    /// observing machine due at the same instants, and it ends with every
+    /// live machine — stopped ones included — marched through those
+    /// instants to the last one observed, as the rounds would have left
+    /// it; otherwise it stays a round.
+    /// [`RunStats::rounds`] counts rounds plus windows.
+    ///
+    /// Decisions fired on a frame at `t*` are validated and injected as
+    /// pending events at the **next scheduler-epoch boundary after `t*`**
+    /// ([`Kernel::epoch_boundary_after`]) — strictly ahead of every
+    /// machine's clock, since no machine is ever past `t*` between rounds.
+    /// Everything is keyed to sim-time, so the merged stream, the decisions
+    /// and their application instants are **byte-identical at any
+    /// worker-thread count**; `threads` only changes wall-clock.
+    ///
+    /// # Dependency edges and decisions at one instant
+    ///
+    /// A dependency-fired event and a decision event landing at the same
+    /// instant on one machine apply in the order they were scheduled.
+    /// An edge is scheduled as soon as a pass sees its dependency's exit,
+    /// and every exit at or before `t*` is seen before the round's frames
+    /// are taken; a decision is scheduled after its round. So an edge whose
+    /// dependency exited at or before the deciding frame's instant applies
+    /// **before** the decision; one whose dependency exits later (only
+    /// possible when `exit + delay` falls inside the single epoch between
+    /// `t*` and the decision's boundary) applies after it.
+    ///
+    /// A decision is a kill on the source plus a spawn of the retained job
+    /// spec ([`Session::job_spec`]) on the destination at the same instant,
+    /// exactly like a scripted [`ClusterScenario::migrate_at`] — and, like
+    /// it, mode-aware: a [`MigrationMode::Resume`] decision checkpoints the
+    /// task at the kill instant and resumes it mid-program on the
+    /// destination (step 2 publishes the checkpoint; the split advance
+    /// changes nothing observable, since `advance_to` stops at every event
+    /// instant anyway). When the refresh interval exceeds the scheduler
+    /// epoch (the usual shape — seconds-scale refreshes over a 20 ms epoch)
+    /// the boundary falls strictly between observation instants and the
+    /// reactive stream has no double-visibility handover frame; if an
+    /// observation lands exactly on the application instant, the handover
+    /// frame appears just as in scripted runs —
+    /// [`ClusterSession::handovers`] (every applied decision is appended to
+    /// it) identifies those instants for post-hoc dedupe of aggregates.
+    ///
+    /// # Run-time validation
+    ///
+    /// Scripted schedules are fully validated at build time; a live
+    /// decision gets the run-time half, with infeasible requests surfacing
+    /// as typed [`SessionError::InvalidDecision`]s: unknown machines,
+    /// source == destination, no task with the tag on the source, a tag
+    /// that already exited, a destination that currently carries a live
+    /// task with the tag, or a resume-mode kill of a program that already
+    /// ran to completion (nothing left to checkpoint).
+    ///
+    /// # Failure contract
+    ///
+    /// A shard failure surfaces as [`SessionError::Shard`], a panic as
+    /// [`SessionError::ShardPanicked`]; the first failure **by machine
+    /// index** is returned, deterministic at any thread count. Healthy
+    /// shards' sessions are handed back; a panicked shard's is withheld.
+    ///
+    /// A scripted run (no policies) **delivers, then errors**. The
+    /// contract, locked by the multi-shard failure tests:
     ///
     /// * every healthy machine keeps running to completion and its frames
     ///   keep streaming into `sink` — including frames with times *after*
@@ -184,15 +265,37 @@ impl ClusterSession {
     /// * frames the failed machine produced *before* failing are still
     ///   merged at their proper `(time, machine)` position relative to
     ///   every other stream — never reordered around the failure;
-    /// * only after every machine has finished does `run_each` return the first
-    ///   failure **by machine index** (deterministic at any thread count);
-    ///   when several shards fail, the later-indexed errors are dropped but
-    ///   their pre-failure frames are not.
+    /// * only after every machine has finished does `run` return the
+    ///   error; when several shards fail, the later-indexed errors are
+    ///   dropped but their pre-failure frames are not.
     ///
-    /// Callers who need the stream on error should stream into their own
-    /// sink (it is fully populated before the error returns) or use
-    /// [`ClusterSession::run_collect`], whose error carries the partial
-    /// merged stream.
+    /// The sink is fully populated before the error returns, so a caller
+    /// that wants the stream on error streams into a
+    /// [`ClusterCollectSink`] and reads it back.
+    ///
+    /// A run with policies **halts at the round barrier** instead: on a
+    /// shard error (or an infeasible decision) the current round's healthy
+    /// frames are still delivered, then the run stops — continuing without
+    /// the full fleet would feed the policies a partial view and silently
+    /// change their decisions.
+    ///
+    /// [`Kernel::epoch_boundary_after`]: tiptop_kernel::kernel::Kernel::epoch_boundary_after
+    pub fn run(
+        &mut self,
+        threads: usize,
+        refreshes: usize,
+        mut tools: impl FnMut(MachineRef<'_>) -> Vec<(Box<dyn Monitor + Send>, Option<Until>)>,
+        policies: &mut [Box<dyn SchedulerPolicy>],
+        sink: &mut dyn ClusterFrameSink,
+    ) -> Result<Vec<AppliedDecision>, SessionError> {
+        let units = self.take_units(refreshes, &mut tools)?;
+        self.run_rounds(units, threads, policies, sink)
+    }
+
+    // Kept only for the `perfbench` workloads, whose next change (with
+    // the benchmark's in-process ledger) moves them to `run` and deletes
+    // this forward.
+    #[doc(hidden)]
     pub fn run_each(
         &mut self,
         threads: usize,
@@ -201,38 +304,25 @@ impl ClusterSession {
         mut until: impl FnMut(MachineRef<'_>) -> Until,
         sink: &mut dyn ClusterFrameSink,
     ) -> Result<(), SessionError> {
-        self.run_units(
-            threads,
-            max_refreshes,
-            |mref| vec![(monitor(mref), Some(until(mref)))],
-            sink,
-        )
+        let tools = |m: MachineRef<'_>| vec![(monitor(m), Some(until(m)))];
+        self.run(threads, max_refreshes, tools, &mut [], sink)
+            .map(|_| ())
     }
 
-    /// Drive every machine's own *set* of monitors — [`Session::run_all`]
-    /// lifted to the fleet. Each machine's `monitors(mref)` are primed
-    /// together and observed on their own intervals until every one has
-    /// produced `refreshes` frames. An **empty monitor set is rejected**
-    /// with a typed [`SessionError::InvalidScenario`] before anything runs:
-    /// a machine only advances through its observations, so an unobserved
-    /// machine would silently stay frozen at its current sim-time (its
-    /// events — including migrations landing on it — never applying)
-    /// rather than "run unobserved". The error leaves every shard intact
-    /// and the cluster re-runnable. Frames are labelled
-    /// `(machine, monitor-name)` in the
-    /// merged stream; same-instant frames of one machine observe (and
-    /// merge) in set order, same-instant frames of different machines in
-    /// machine order — so the merged stream stays byte-identical at any
-    /// worker-thread count. The driver and the failure contract are those
-    /// of [`ClusterSession::run_each`].
-    pub fn run_all(
+    // Kept only for the `perfbench` workloads, whose next change (with
+    // the benchmark's in-process ledger) moves them to `run` and deletes
+    // this forward.
+    #[doc(hidden)]
+    pub fn run_reactive(
         &mut self,
         threads: usize,
         refreshes: usize,
         mut monitors: impl FnMut(MachineRef<'_>) -> Vec<Box<dyn Monitor + Send>>,
+        policies: &mut [Box<dyn SchedulerPolicy>],
         sink: &mut dyn ClusterFrameSink,
-    ) -> Result<(), SessionError> {
-        self.run_units(threads, refreshes, |mref| never_stop(monitors(mref)), sink)
+    ) -> Result<Vec<AppliedDecision>, SessionError> {
+        let tools = |m: MachineRef<'_>| monitors(m).into_iter().map(|t| (t, None)).collect();
+        self.run(threads, refreshes, tools, policies, sink)
     }
 
     /// Move every machine's session and monitor set into a [`WorkUnit`].
@@ -279,186 +369,6 @@ impl ClusterSession {
             });
         }
         Ok(units)
-    }
-
-    /// The shared entry behind [`run_each`](ClusterSession::run_each) and
-    /// [`run_all`](ClusterSession::run_all): the round driver with no
-    /// policies, so a shard failure is delivered-then-errored.
-    fn run_units(
-        &mut self,
-        threads: usize,
-        max_refreshes: usize,
-        mut tools: impl FnMut(MachineRef<'_>) -> ToolSet,
-        sink: &mut dyn ClusterFrameSink,
-    ) -> Result<(), SessionError> {
-        let units = self.take_units(max_refreshes, &mut tools)?;
-        self.run_rounds(units, threads, &mut [], sink).map(|_| ())
-    }
-
-    /// [`ClusterSession::run_each`] without early stopping: every machine
-    /// produces exactly `refreshes` frames.
-    pub fn run(
-        &mut self,
-        threads: usize,
-        refreshes: usize,
-        monitor: impl FnMut(MachineRef<'_>) -> Box<dyn Monitor + Send>,
-        sink: &mut dyn ClusterFrameSink,
-    ) -> Result<(), SessionError> {
-        self.run_each(threads, refreshes, monitor, |_| Box::new(|_| false), sink)
-    }
-
-    /// [`ClusterSession::run`] into a [`ClusterCollectSink`], returning the
-    /// merged stream. On failure the error carries every frame merged
-    /// before the run finished ([`ClusterRunError::partial`]) — the
-    /// deliver-then-error contract means a long run's healthy shards are
-    /// preserved, not discarded.
-    pub fn run_collect(
-        &mut self,
-        threads: usize,
-        refreshes: usize,
-        monitor: impl FnMut(MachineRef<'_>) -> Box<dyn Monitor + Send>,
-    ) -> Result<Vec<ClusterFrame>, ClusterRunError> {
-        let mut sink = ClusterCollectSink::new();
-        match self.run(threads, refreshes, monitor, &mut sink) {
-            Ok(()) => Ok(sink.into_frames()),
-            Err(error) => Err(ClusterRunError {
-                error,
-                partial: sink.into_frames(),
-            }),
-        }
-    }
-
-    /// Drive the fleet like [`ClusterSession::run_all`] — per-machine
-    /// monitor sets, `refreshes` frames each, frames merged by
-    /// `(time, machine)` into `sink` — while [`SchedulerPolicy`]s watch the
-    /// merged stream **live** and issue migrations, closing the paper's
-    /// monitor→decision loop. Returns the decisions that were applied.
-    ///
-    /// # The round driver
-    ///
-    /// A decision must land on an instant no machine has passed yet, so no
-    /// machine may race ahead of the merge frontier. Every cluster run
-    /// therefore goes to the **round driver**; scripted runs are runs with
-    /// no policies. Each round takes the globally earliest pending
-    /// observation instant `t*` and, in order:
-    ///
-    /// 1. resolves cross-machine dependency edges to fixpoint: an edge
-    ///    whose dependency's final incarnation has exited injects its event
-    ///    on the consumer at `max(exit + delay, consumer-now)`;
-    /// 2. advances every resume-handoff source to its handoff instant
-    ///    before any consumer crosses it (publish first; same-instant
-    ///    chains in topological order), so a checkpoint is always on the
-    ///    board before its destination takes it;
-    /// 3. advances the machines due at `t*` concurrently on the run's
-    ///    worker pool (spawned once per run); on the worker it was moved
-    ///    to, each machine runs the observation loop of
-    ///    [`Session::run_all`] up to the round's horizon;
-    /// 4. merges the round's frames in `(machine, monitor)` order — the
-    ///    order `run_all` produces;
-    /// 5. shows each frame to every policy, then delivers it to the sink.
-    ///
-    /// With live dependency edges, steps 1–2 repeat in epoch-bounded
-    /// passes that march *every* machine to `t*`: an unresolved edge caps
-    /// its consumer at `host-watermark + delay`, which keeps cross-machine
-    /// firing instants exact. Without them only the machines due at `t*`
-    /// advance.
-    ///
-    /// # Rounds and windows
-    ///
-    /// Each round has a horizon `H`. It stays `t*` — exactly the round
-    /// above — while the run has policies (any frame can trigger a
-    /// decision), while any cross-machine edge is unresolved, or while any
-    /// resume handoff is unpublished. Otherwise the round becomes a
-    /// **window**: with `n` unfinished monitor slots on live machines and
-    /// `i` the smallest of their intervals, `H = t* + (k − 1)·i` with
-    /// `k = max(256 / n, 8)`. A small fleet shares a budget of 256 frames
-    /// per window; a fleet of 32 or more monitors takes the floor of eight
-    /// instants, so each machine steps through eight consecutive instants
-    /// while its state is in cache. A window buffers at most
-    /// `max(256, 8·n)` frames, proportional to the fleet as a round
-    /// already is. Each due machine then runs its observation loop through
-    /// each of its own instants up to `H` in one task, taking the monitors
-    /// due at each in set order; the calling thread merges the machines'
-    /// frames by time, ties to the lower machine, which is the
-    /// `(time, machine, monitor)` order the rounds deliver. In a run that
-    /// marches (it started with live edges), a window needs every
-    /// observing machine due at the same instants, and it ends with every
-    /// live machine — stopped ones included — marched through those
-    /// instants to the last one observed, as the rounds would have left
-    /// it; otherwise it stays a round.
-    /// [`RunStats::rounds`] counts rounds plus windows.
-    ///
-    /// Decisions fired on a frame at `t*` are validated and injected as
-    /// pending events at the **next scheduler-epoch boundary after `t*`**
-    /// ([`Kernel::epoch_boundary_after`]) — strictly ahead of every
-    /// machine's clock, since no machine is ever past `t*` between rounds.
-    /// Everything is keyed to sim-time, so the merged stream, the decisions
-    /// and their application instants are **byte-identical at any
-    /// worker-thread count**; `threads` only changes wall-clock.
-    ///
-    /// # Dependency edges and decisions at one instant
-    ///
-    /// Cross-machine dependency edges work here exactly as in scripted
-    /// runs. A dependency-fired event and a decision event landing at the
-    /// same instant on one machine apply in the order they were scheduled.
-    /// An edge is scheduled as soon as a pass sees its dependency's exit,
-    /// and every exit at or before `t*` is seen before the round's frames
-    /// are taken; a decision is scheduled after its round. So an edge whose
-    /// dependency exited at or before the deciding frame's instant applies
-    /// **before** the decision; one whose dependency exits later (only
-    /// possible when `exit + delay` falls inside the single epoch between
-    /// `t*` and the decision's boundary) applies after it.
-    ///
-    /// A decision is a kill on the source plus a spawn of the retained job
-    /// spec ([`Session::job_spec`]) on the destination at the same instant,
-    /// exactly like a scripted [`ClusterScenario::migrate_at`] — and, like
-    /// it, mode-aware: a [`MigrationMode::Resume`] decision checkpoints the
-    /// task at the kill instant and resumes it mid-program on the
-    /// destination (step 2 publishes the checkpoint; the split advance
-    /// changes nothing observable, since `advance_to` stops at every event
-    /// instant anyway). When the refresh interval exceeds the scheduler
-    /// epoch (the usual shape — seconds-scale refreshes over a 20 ms epoch)
-    /// the boundary falls strictly between observation instants and the
-    /// reactive stream has no double-visibility handover frame; if an
-    /// observation lands exactly on the application instant, the handover
-    /// frame appears just as in scripted runs —
-    /// [`ClusterSession::handovers`] (every applied decision is appended to
-    /// it) identifies those instants for post-hoc dedupe of aggregates.
-    ///
-    /// # Run-time validation
-    ///
-    /// Scripted schedules are fully validated at build time; a live
-    /// decision gets the run-time half, with infeasible requests surfacing
-    /// as typed [`SessionError::InvalidDecision`]s: unknown machines,
-    /// source == destination, no task with the tag on the source, a tag
-    /// that already exited, a destination that currently carries a live
-    /// task with the tag, or a resume-mode kill of a program that already
-    /// ran to completion (nothing left to checkpoint).
-    ///
-    /// # Failure contract
-    ///
-    /// Unlike [`ClusterSession::run_each`]'s deliver-then-error, a run with
-    /// policies **halts at the round barrier**: on a shard error (or an
-    /// infeasible decision) the current round's healthy frames are still
-    /// delivered, then the run stops — continuing without the full fleet
-    /// would feed the policies a partial view and silently change their
-    /// decisions. The first error by machine index is returned; healthy
-    /// shards' sessions are handed back (a panicked shard's is withheld,
-    /// as everywhere else). With an empty policy slice nothing can decide,
-    /// and the run is a scripted [`ClusterSession::run_all`] with its
-    /// deliver-then-error contract.
-    ///
-    /// [`Kernel::epoch_boundary_after`]: tiptop_kernel::kernel::Kernel::epoch_boundary_after
-    pub fn run_reactive(
-        &mut self,
-        threads: usize,
-        refreshes: usize,
-        mut monitors: impl FnMut(MachineRef<'_>) -> Vec<Box<dyn Monitor + Send>>,
-        policies: &mut [Box<dyn SchedulerPolicy>],
-        sink: &mut dyn ClusterFrameSink,
-    ) -> Result<Vec<AppliedDecision>, SessionError> {
-        let units = self.take_units(refreshes, &mut |mref| never_stop(monitors(mref)))?;
-        self.run_rounds(units, threads, policies, sink)
     }
 
     /// Run `units` on the round driver over a pool of `threads − 1` workers
@@ -531,14 +441,8 @@ impl ClusterSession {
     }
 }
 
-/// Pair every monitor with no stop rule.
-fn never_stop(monitors: Vec<Box<dyn Monitor + Send>>) -> ToolSet {
-    monitors.into_iter().map(|m| (m, None)).collect()
-}
-
-/// Reject monitor sets that cannot drive a machine — shared by
-/// [`ClusterSession::run_all`]/[`ClusterSession::run_each`] and
-/// [`ClusterSession::run_reactive`]: zero-interval monitors
+/// Reject monitor sets that cannot drive a machine in a
+/// [`ClusterSession::run`]: zero-interval monitors
 /// ([`MonitorSet::check`]) and an empty set (the machine would stay frozen
 /// at its current sim-time, since machines only advance through their
 /// observations). Both errors name the machine.

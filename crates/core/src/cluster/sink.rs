@@ -39,8 +39,10 @@ impl<F: FnMut(ClusterFrame)> ClusterFrameSink for F {
     }
 }
 
-/// The simplest sink: keep the whole merged stream. For runs long enough
-/// that this buffer matters, use [`ClusterWindowSink`] instead.
+/// The simplest sink: keep the whole merged stream. A scripted run delivers
+/// before it errors, so after a failed [`ClusterSession::run`] this sink
+/// holds every frame merged before the error. For runs long enough that
+/// this buffer matters, use [`ClusterWindowSink`] instead.
 #[derive(Debug, Default)]
 pub struct ClusterCollectSink {
     frames: Vec<ClusterFrame>,

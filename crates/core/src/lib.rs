@@ -32,18 +32,18 @@
 //!   any set of monitors over one live kernel;
 //! * [`session`] — per-task time-series helpers over recorded frames;
 //! * [`cluster`] — the multi-machine layer: [`ClusterScenario`] builds N
-//!   independent sessions (one per machine), shards them across a worker
-//!   pool, and merges their frames deterministically by (time, machine)
-//!   into a streaming [`ClusterFrameSink`];
-//! * [`reactive`] — reactive fleet scheduling: [`SchedulerPolicy`]s
-//!   watch the merged stream during a
-//!   [`ClusterSession::run_reactive`](cluster::ClusterSession::run_reactive)
-//!   and issue live migrations — restart-from-zero or checkpoint/resume
-//!   per [`MigrationMode`] — applied deterministically at the next epoch
-//!   boundary. The detectors ([`IpcFloor`] threshold detection, [`Cusum`]
-//!   and [`Population`] change-point detection) are each a [`Watch`] over
-//!   a [`Statistic`], and [`Balanced`] re-routes any of them to the
-//!   machine [`LeastLoaded`] ranks lowest.
+//!   independent sessions (one per machine), and one
+//!   [`ClusterSession::run`] shards them across a worker pool and merges
+//!   their frames deterministically by (time, machine) into a streaming
+//!   [`ClusterFrameSink`];
+//! * [`reactive`] — reactive fleet scheduling: [`SchedulerPolicy`]s handed
+//!   to that same run watch the merged stream and issue live migrations —
+//!   restart-from-zero or checkpoint/resume per [`MigrationMode`] —
+//!   applied deterministically at the next epoch boundary. The detectors
+//!   ([`IpcFloor`] threshold detection, [`Cusum`] and [`Population`]
+//!   change-point detection) are each a [`Watch`] over a [`Statistic`],
+//!   and [`Balanced`] re-routes any of them to the machine
+//!   [`LeastLoaded`] ranks lowest.
 //!
 //! ## Quickstart
 //!
@@ -100,9 +100,8 @@ pub use app::{SortKey, Tiptop, TiptopOptions};
 pub use baseline::{PinInscount, PinReport, TopView};
 pub use batch::FrameBatch;
 pub use cluster::{
-    ClusterCollectSink, ClusterFrame, ClusterFrameSink, ClusterRunError, ClusterScenario,
-    ClusterSession, ClusterWindow, ClusterWindowSink, HandoverRecord, MachineRef, RunStats,
-    WindowStats,
+    ClusterCollectSink, ClusterFrame, ClusterFrameSink, ClusterScenario, ClusterSession,
+    ClusterWindow, ClusterWindowSink, HandoverRecord, MachineRef, RunStats, Until, WindowStats,
 };
 pub use collector::{Collector, TaskDelta};
 pub use config::{ColumnKind, ColumnSpec, NumFormat, ScreenConfig};
@@ -124,9 +123,8 @@ pub mod prelude {
     pub use crate::baseline::{PinInscount, TopView};
     pub use crate::batch::FrameBatch;
     pub use crate::cluster::{
-        ClusterCollectSink, ClusterFrame, ClusterFrameSink, ClusterRunError, ClusterScenario,
-        ClusterSession, ClusterWindow, ClusterWindowSink, HandoverRecord, MachineRef, RunStats,
-        WindowStats,
+        ClusterCollectSink, ClusterFrame, ClusterFrameSink, ClusterScenario, ClusterSession,
+        ClusterWindow, ClusterWindowSink, HandoverRecord, MachineRef, RunStats, Until, WindowStats,
     };
     pub use crate::config::ScreenConfig;
     pub use crate::monitor::{CollectSink, FrameSink, Monitor};

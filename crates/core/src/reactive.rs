@@ -8,7 +8,7 @@
 //! *made* during the run: a [`SchedulerPolicy`] observes every frame of the
 //! merged stream (the same frames the sink sees) and returns
 //! [`MigrationDecision`]s, which
-//! [`ClusterSession::run_reactive`](crate::cluster::ClusterSession::run_reactive)
+//! [`ClusterSession::run`](crate::cluster::ClusterSession::run)
 //! validates at run time and injects into the affected machines' event
 //! queues at the next scheduler-epoch boundary after the deciding frame.
 //! Decisions are keyed to sim-time, so a reactive run is byte-identical at

@@ -439,7 +439,7 @@ impl Scenario {
             kernel.add_user(uid, name);
         }
         // Retain every job spec by tag: a live migration decided mid-run
-        // (see `ClusterSession::run_reactive`) re-spawns the job on its
+        // (see `ClusterSession::run` with policies) re-spawns the job on its
         // destination machine from this copy.
         let mut specs: BTreeMap<String, SpawnSpec> = BTreeMap::new();
         for ev in timed

@@ -46,8 +46,8 @@ pub enum SessionError {
     /// scripted schedules: scheduling into the past, migrating a tag that
     /// just exited, spawning a tag the machine already carries, ... Raised
     /// by [`Session::schedule_at`](super::Session::schedule_at) and by
-    /// reactive policies' decisions (see `ClusterSession::run_reactive` in
-    /// [`crate::cluster`]).
+    /// reactive policies' decisions (see
+    /// [`ClusterSession::run`](crate::cluster::ClusterSession::run)).
     InvalidDecision(String),
 }
 

@@ -5,13 +5,11 @@
 //! [`Scenario`](crate::scenario::Scenario) and use
 //! [`Session::run`](crate::scenario::Session::run), which owns the clock,
 //! applies timed workload events, and can drive several monitors at once.
-//! (The deprecated `run_refreshes`/`run_until` free-function shims that used
-//! to live here are gone; their semantics live on in `Session::run`.)
 //!
-//! What remains are the series helpers ([`series_for_pid`],
-//! [`series_for_comm`], [`mean`]) that the figure-regeneration experiments
-//! consume to turn frame streams into `(time, value)` curves.
-
+//! The series helpers here ([`series_for_pid`], [`series_for_comm`],
+//! [`mean`]) turn the frame streams the figure-regeneration experiments
+//! record into `(time, value)` curves.
+//!
 //! The cluster-stream variants ([`machine_frames`],
 //! [`cluster_series_for_comm`]) slice one machine (and optionally one
 //! monitor) out of a merged [`ClusterFrame`] stream first.
@@ -50,8 +48,8 @@ pub fn series_for_comm(frames: &[Frame], comm: &str, column: &str) -> Vec<(f64, 
 
 /// One machine's frames out of a merged cluster stream, in merge (= time)
 /// order; `source` further restricts to one monitor's frames when a
-/// [`ClusterSession::run_all`](crate::cluster::ClusterSession::run_all)
-/// run interleaved several monitors per machine.
+/// [`ClusterSession::run`](crate::cluster::ClusterSession::run)
+/// interleaved several monitors per machine.
 pub fn machine_frames(merged: &[ClusterFrame], machine: &str, source: Option<&str>) -> Vec<Frame> {
     merged
         .iter()

@@ -223,8 +223,8 @@ fn a_window_of_known_sources_allocates_only_its_summary() {
     assert_eq!(sink.windows().len(), 2, "two windows closed");
     // Folding into a known source touches only the reused open table.
     assert_eq!(folds, 0, "allocations before the close");
-    // The retained summary: per source its two names and its sums, plus
-    // the map's nodes and the window list.
-    let bound = 3 * SOURCES as u64 + 6;
+    // The retained summary: per source its sums (its key shares the
+    // stream's two labels), plus the map's nodes and the window list.
+    let bound = SOURCES as u64 + 6;
     assert!(close <= bound, "close: {close} > {bound}");
 }

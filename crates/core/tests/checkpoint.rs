@@ -5,7 +5,7 @@
 //! incarnations of one tag coexist.
 
 use tiptop_core::app::{Tiptop, TiptopOptions};
-use tiptop_core::cluster::{ClusterFrame, ClusterScenario, MachineRef};
+use tiptop_core::cluster::{ClusterCollectSink, ClusterFrame, ClusterScenario};
 use tiptop_core::config::ScreenConfig;
 use tiptop_core::scenario::{Scenario, SessionError};
 use tiptop_kernel::program::Program;
@@ -97,9 +97,11 @@ fn resume_round_trip_conserves_instructions_and_is_byte_identical() {
             .resume_at(SimTime::from_secs(4), "job", "node-b", "node-a")
             .build()
             .unwrap();
-        let frames = session
-            .run_collect(threads, 7, |_m: MachineRef<'_>| tool(1))
+        let mut sink = ClusterCollectSink::new();
+        session
+            .run(threads, 7, |_| vec![(tool(1), None)], &mut [], &mut sink)
             .unwrap();
+        let frames = sink.into_frames();
         (rendered(&frames), session)
     };
     let (golden, session) = run_at(1);
@@ -179,7 +181,13 @@ fn random_resume_chains_conserve_instructions_and_never_alias_live_tasks() {
             .build()
             .unwrap_or_else(|e| panic!("script {script} path {path:?}: {e:?}"));
         session
-            .run_collect(2, 7, |_m: MachineRef<'_>| tool(1))
+            .run(
+                2,
+                7,
+                |_| vec![(tool(1), None)],
+                &mut [],
+                &mut ClusterCollectSink::new(),
+            )
             .unwrap_or_else(|e| panic!("script {script} path {path:?}: {e:?}"));
 
         // Conservation: the final incarnation's exit record equals the
@@ -334,9 +342,11 @@ fn scripted_resume_stream_is_identical_at_1_and_2_threads_under_a_slow_producer(
             .resume_at(SimTime::from_secs(2), "job", "node-a", "node-b")
             .build()
             .unwrap();
-        let frames = session
-            .run_collect(threads, 5, |_m: MachineRef<'_>| tool(1))
+        let mut sink = ClusterCollectSink::new();
+        session
+            .run(threads, 5, |_| vec![(tool(1), None)], &mut [], &mut sink)
             .unwrap();
+        let frames = sink.into_frames();
         rendered(&frames)
     };
     let golden = run_at(1);
@@ -409,9 +419,11 @@ fn same_instant_resume_chain_publishes_in_topological_order() {
             .resume_at(SimTime::from_secs(2), "job-a", "node-a", "node-b")
             .build()
             .unwrap();
-        let frames = session
-            .run_collect(threads, 7, |_m: MachineRef<'_>| tool(1))
+        let mut sink = ClusterCollectSink::new();
+        session
+            .run(threads, 7, |_| vec![(tool(1), None)], &mut [], &mut sink)
             .unwrap();
+        let frames = sink.into_frames();
         (rendered(&frames), session)
     };
     let (golden, session) = run_at(1);

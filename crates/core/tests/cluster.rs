@@ -2,15 +2,15 @@
 //! deterministic at any worker-thread count, shard failures surface as
 //! typed errors without poisoning the pool, per-machine stop predicates
 //! behave like `Session::run_until`, cross-machine migrations hand a job
-//! over at one exact instant, fleet-scale `run_all` interleaves monitor
-//! sets deterministically, the window sink bounds buffered frames, and a
+//! over at one exact instant, per-machine monitor sets interleave
+//! deterministically, the window sink bounds buffered frames, and a
 //! windowed run delivers exactly the stream of one round per instant.
 
 use tiptop_core::app::{Tiptop, TiptopOptions};
 use tiptop_core::baseline::TopView;
 use tiptop_core::cluster::{
     ClusterCollectSink, ClusterFrame, ClusterScenario, ClusterSession, ClusterWindow,
-    ClusterWindowSink, MachineRef,
+    ClusterWindowSink, MachineRef, Until,
 };
 use tiptop_core::config::{ColumnSpec, NumFormat, ScreenConfig};
 use tiptop_core::monitor::Monitor;
@@ -87,13 +87,20 @@ fn rendered(frames: &[ClusterFrame]) -> String {
 fn merged_stream_is_byte_identical_at_1_2_8_and_16_threads() {
     let run_at = |threads: usize| {
         let mut session = cluster().build().unwrap();
-        let frames = session
-            .run_collect(threads, 5, |m: MachineRef<'_>| {
-                // Different refresh rates per machine exercise the merge.
-                tool(if m.index.is_multiple_of(2) { 1 } else { 2 })
-            })
+        let mut sink = ClusterCollectSink::new();
+        session
+            .run(
+                threads,
+                5,
+                |m: MachineRef<'_>| {
+                    // Different refresh rates per machine exercise the merge.
+                    vec![(tool(if m.index.is_multiple_of(2) { 1 } else { 2 }), None)]
+                },
+                &mut [],
+                &mut sink,
+            )
             .unwrap();
-        rendered(&frames)
+        rendered(sink.frames())
     };
     let single = run_at(1);
     assert_eq!(single, run_at(2), "2 workers must not change one byte");
@@ -108,7 +115,11 @@ fn merged_stream_is_byte_identical_at_1_2_8_and_16_threads() {
 #[test]
 fn merge_orders_frames_by_time_then_machine_index() {
     let mut session = cluster().build().unwrap();
-    let frames = session.run_collect(3, 4, |_| tool(1)).unwrap();
+    let mut sink = ClusterCollectSink::new();
+    session
+        .run(3, 4, |_| vec![(tool(1), None)], &mut [], &mut sink)
+        .unwrap();
+    let frames = sink.into_frames();
     assert_eq!(frames.len(), 16);
     for w in frames.windows(2) {
         let a = (w[0].frame.time, w[0].machine_index);
@@ -129,20 +140,21 @@ fn per_machine_until_stops_that_machine_only() {
     let mut session = cluster().build().unwrap();
     let mut sink = ClusterCollectSink::new();
     session
-        .run_each(
+        .run(
             2,
             6,
-            |_| tool(1),
             |m: MachineRef<'_>| {
                 // node-1 stops after its second frame; everyone else runs out
                 // the refresh budget.
                 let stop_early = m.id == "node-1";
                 let mut seen = 0usize;
-                Box::new(move |_f: &Frame| {
+                let until: Until = Box::new(move |_f: &Frame| {
                     seen += 1;
                     stop_early && seen >= 2
-                })
+                });
+                vec![(tool(1), Some(until))]
             },
+            &mut [],
             &mut sink,
         )
         .unwrap();
@@ -186,11 +198,11 @@ fn panicking_shard_surfaces_as_typed_error_without_poisoning_the_pool() {
     let mut session = cluster().build().unwrap();
     let mut sink = ClusterCollectSink::new();
     let err = session
-        .run_each(
+        .run(
             2,
             4,
             |m: MachineRef<'_>| {
-                if m.id == "node-1" {
+                let monitor: Box<dyn Monitor + Send> = if m.id == "node-1" {
                     Box::new(PanicMonitor {
                         inner: *tool(1),
                         observations: 0,
@@ -198,9 +210,10 @@ fn panicking_shard_surfaces_as_typed_error_without_poisoning_the_pool() {
                     })
                 } else {
                     tool(1)
-                }
+                };
+                vec![(monitor, None)]
             },
-            |_| Box::new(|_| false),
+            &mut [],
             &mut sink,
         )
         .unwrap_err();
@@ -253,7 +266,9 @@ fn shard_session_error_is_labelled_with_its_machine() {
         .build()
         .unwrap();
     let mut sink = ClusterCollectSink::new();
-    let err = session.run(2, 4, |_| tool(1), &mut sink).unwrap_err();
+    let err = session
+        .run(2, 4, |_| vec![(tool(1), None)], &mut [], &mut sink)
+        .unwrap_err();
     match &err {
         SessionError::Shard { machine, error } => {
             assert_eq!(machine, "doomed");
@@ -283,7 +298,8 @@ fn zero_interval_monitor_is_rejected_without_losing_any_shard() {
         .run(
             2,
             3,
-            |m: MachineRef<'_>| tool(if m.id == "node-2" { 0 } else { 1 }),
+            |m: MachineRef<'_>| vec![(tool(if m.id == "node-2" { 0 } else { 1 }), None)],
+            &mut [],
             &mut sink,
         )
         .unwrap_err();
@@ -296,7 +312,11 @@ fn zero_interval_monitor_is_rejected_without_losing_any_shard() {
         assert!(session.session(id).is_some(), "{id} must survive the error");
     }
     // And the cluster is still fully runnable afterwards.
-    let frames = session.run_collect(2, 2, |_| tool(1)).unwrap();
+    let mut sink = ClusterCollectSink::new();
+    session
+        .run(2, 2, |_| vec![(tool(1), None)], &mut [], &mut sink)
+        .unwrap();
+    let frames = sink.into_frames();
     assert_eq!(frames.len(), 8);
 }
 
@@ -324,7 +344,11 @@ fn migration_cluster() -> ClusterScenario {
 fn migration_hands_over_at_one_instant_and_is_byte_identical_at_1_2_and_8_threads() {
     let run_at = |threads: usize| {
         let mut session = migration_cluster().build().unwrap();
-        let frames = session.run_collect(threads, 8, |_| tool(1)).unwrap();
+        let mut sink = ClusterCollectSink::new();
+        session
+            .run(threads, 8, |_| vec![(tool(1), None)], &mut [], &mut sink)
+            .unwrap();
+        let frames = sink.into_frames();
         (rendered(&frames), frames, session)
     };
     let (golden, frames, session) = run_at(1);
@@ -484,15 +508,19 @@ fn cluster_run_all_interleaves_monitor_sets_deterministically() {
         let mut session = cluster().build().unwrap();
         let mut sink = ClusterCollectSink::new();
         session
-            .run_all(
+            .run(
                 threads,
                 4,
                 |_: MachineRef<'_>| {
                     vec![
-                        tool(1) as Box<dyn Monitor + Send>,
-                        Box::new(TopView::new().delay(SimDuration::from_secs(2))),
+                        (tool(1) as Box<dyn Monitor + Send>, None),
+                        (
+                            Box::new(TopView::new().delay(SimDuration::from_secs(2))),
+                            None,
+                        ),
                     ]
                 },
+                &mut [],
                 &mut sink,
             )
             .unwrap();
@@ -564,13 +592,15 @@ fn window_sink_bounds_buffered_frames_on_a_10k_frame_run() {
             2,
             5000,
             |_| {
-                Box::new(Tiptop::new(
+                let tool = Tiptop::new(
                     TiptopOptions::default()
                         .observer(Uid::ROOT)
                         .delay(SimDuration::from_millis(100)),
                     ScreenConfig::default_screen(),
-                ))
+                );
+                vec![(Box::new(tool), None)]
             },
+            &mut [],
             &mut sink,
         )
         .unwrap();
@@ -613,7 +643,7 @@ fn multi_shard_failure_delivers_healthy_frames_then_lowest_index_error() {
         let mut session = cluster().build().unwrap();
         let mut sink = ClusterCollectSink::new();
         let err = session
-            .run_each(
+            .run(
                 threads,
                 4,
                 |m: MachineRef<'_>| {
@@ -622,13 +652,14 @@ fn multi_shard_failure_delivers_healthy_frames_then_lowest_index_error() {
                         "node-2" => 1,
                         _ => usize::MAX,
                     };
-                    Box::new(PanicMonitor {
+                    let monitor = PanicMonitor {
                         inner: *tool(1),
                         observations: 0,
                         panic_on,
-                    })
+                    };
+                    vec![(Box::new(monitor), None)]
                 },
-                |_| Box::new(|_| false),
+                &mut [],
                 &mut sink,
             )
             .unwrap_err();
@@ -691,24 +722,27 @@ fn run_collect_preserves_the_partial_stream_on_shard_failure() {
         .machine("doomed", doomed)
         .build()
         .unwrap();
-    let e = session.run_collect(2, 4, |_| tool(1)).unwrap_err();
+    let mut sink = ClusterCollectSink::new();
+    let error = session
+        .run(2, 4, |_| vec![(tool(1), None)], &mut [], &mut sink)
+        .unwrap_err();
+    let partial = sink.into_frames();
     assert!(
-        matches!(&e.error, SessionError::Shard { machine, .. } if machine == "doomed"),
+        matches!(&error, SessionError::Shard { machine, .. } if machine == "doomed"),
         "got {:?}",
-        e.error
+        error
     );
     // The two-hour-run-not-lost guarantee: the healthy machine's full
     // stream (and the failed one's pre-failure frames) survive the error.
     assert_eq!(
-        e.partial.iter().filter(|f| f.machine == "ok").count(),
+        partial.iter().filter(|f| f.machine == "ok").count(),
         4,
         "healthy machine's frames preserved"
     );
     assert!(
-        e.partial.iter().filter(|f| f.machine == "doomed").count() >= 1,
+        partial.iter().filter(|f| f.machine == "doomed").count() >= 1,
         "pre-failure frames preserved"
     );
-    assert!(e.to_string().contains("merged frames preserved"), "{e}");
 }
 
 #[test]
@@ -719,16 +753,17 @@ fn run_all_rejects_an_empty_monitor_set() {
     let mut session = cluster().build().unwrap();
     let mut sink = ClusterCollectSink::new();
     let err = session
-        .run_all(
+        .run(
             2,
             3,
             |m: MachineRef<'_>| {
                 if m.id == "node-2" {
                     Vec::new()
                 } else {
-                    vec![tool(1) as Box<dyn Monitor + Send>]
+                    vec![(tool(1) as Box<dyn Monitor + Send>, None)]
                 }
             },
+            &mut [],
             &mut sink,
         )
         .unwrap_err();
@@ -740,7 +775,11 @@ fn run_all_rejects_an_empty_monitor_set() {
     for id in ["node-0", "node-1", "node-2", "ppc"] {
         assert!(session.session(id).is_some(), "{id} must survive the error");
     }
-    let frames = session.run_collect(2, 2, |_| tool(1)).unwrap();
+    let mut sink = ClusterCollectSink::new();
+    session
+        .run(2, 2, |_| vec![(tool(1), None)], &mut [], &mut sink)
+        .unwrap();
+    let frames = sink.into_frames();
     assert_eq!(frames.len(), 8, "cluster still fully runnable");
 }
 
@@ -753,7 +792,11 @@ fn window_sink_dedupes_registered_handover_rows_from_the_aggregates() {
     // row and reports it in WindowStats::handover_rows instead.
     let raw = {
         let mut session = migration_cluster().build().unwrap();
-        session.run_collect(2, 8, |_| tool(1)).unwrap()
+        let mut sink = ClusterCollectSink::new();
+        session
+            .run(2, 8, |_| vec![(tool(1), None)], &mut [], &mut sink)
+            .unwrap();
+        sink.into_frames()
     };
     let job_rows_at = |t: u64| {
         raw.iter()
@@ -772,7 +815,9 @@ fn window_sink_dedupes_registered_handover_rows_from_the_aggregates() {
     assert_eq!(handovers[0].comm, "job");
     assert_eq!(handovers[1].to, "node-c");
     let mut sink = ClusterWindowSink::new(1000).dedupe_handovers(handovers);
-    session.run(2, 8, |_| tool(1), &mut sink).unwrap();
+    session
+        .run(2, 8, |_| vec![(tool(1), None)], &mut [], &mut sink)
+        .unwrap();
     let windows = sink.finish();
     let aggregated: usize = windows
         .iter()
@@ -890,11 +935,13 @@ fn window_summaries_are_identical_at_1_2_and_8_threads_whatever_the_id_order() {
                 threads,
                 8,
                 |_| {
-                    Box::new(Tiptop::new(
+                    let tool = Tiptop::new(
                         TiptopOptions::default().delay(SimDuration::from_secs(1)),
                         screen.clone(),
-                    ))
+                    );
+                    vec![(Box::new(tool), None)]
                 },
+                &mut [],
                 &mut sink,
             )
             .unwrap();
@@ -946,12 +993,15 @@ fn window_sink_keeps_the_final_partial_window_on_the_deliver_then_error_path() {
 
     // Reference: how many frames does the deliver-then-error path stream?
     let mut reference = build();
-    let e = reference.run_collect(2, 4, |_| tool(1)).unwrap_err();
-    let delivered = e.partial.len();
+    let mut collected = ClusterCollectSink::new();
+    let error = reference
+        .run(2, 4, |_| vec![(tool(1), None)], &mut [], &mut collected)
+        .unwrap_err();
+    let delivered = collected.frames().len();
     assert!(
-        matches!(&e.error, SessionError::Shard { machine, .. } if machine == "doomed"),
+        matches!(&error, SessionError::Shard { machine, .. } if machine == "doomed"),
         "got {:?}",
-        e.error
+        error
     );
     assert_eq!(
         delivered, 5,
@@ -962,7 +1012,9 @@ fn window_sink_keeps_the_final_partial_window_on_the_deliver_then_error_path() {
     // the tail must survive as a partial window.
     let mut session = build();
     let mut sink = ClusterWindowSink::new(3);
-    let err = session.run(2, 4, |_| tool(1), &mut sink).unwrap_err();
+    let err = session
+        .run(2, 4, |_| vec![(tool(1), None)], &mut [], &mut sink)
+        .unwrap_err();
     assert!(matches!(err, SessionError::Shard { .. }));
     let windows = sink.finish();
     assert_eq!(
@@ -1038,7 +1090,13 @@ fn reactive_migration_is_byte_identical_at_1_2_and_8_threads() {
         })];
         let mut sink = ClusterCollectSink::new();
         let applied = session
-            .run_reactive(threads, 8, |_| vec![tool(1)], &mut policies, &mut sink)
+            .run(
+                threads,
+                8,
+                |_| vec![(tool(1), None)],
+                &mut policies,
+                &mut sink,
+            )
             .unwrap();
         (
             rendered(sink.frames()),
@@ -1147,12 +1205,15 @@ fn infeasible_live_decisions_are_typed_errors_and_leave_the_cluster_runnable() {
         })];
         let mut sink = ClusterCollectSink::new();
         let err = session
-            .run_reactive(2, 4, |_| vec![tool(1)], &mut policies, &mut sink)
+            .run(2, 4, |_| vec![(tool(1), None)], &mut policies, &mut sink)
             .unwrap_err();
         // The halt is clean: every session is handed back and runnable.
         assert!(session.session("node-a").is_some());
         assert!(session.session("node-b").is_some());
-        assert!(session.run_collect(2, 1, |_| tool(1)).is_ok());
+        let mut sink = ClusterCollectSink::new();
+        assert!(session
+            .run(2, 1, |_| vec![(tool(1), None)], &mut [], &mut sink)
+            .is_ok());
         err
     };
     let migrate = |tag: &str, from: &str, to: &str| MigrationDecision {
@@ -1194,7 +1255,7 @@ fn infeasible_live_decisions_are_typed_errors_and_leave_the_cluster_runnable() {
         })];
         let mut sink = ClusterCollectSink::new();
         session
-            .run_reactive(2, 4, |_| vec![tool(1)], &mut policies, &mut sink)
+            .run(2, 4, |_| vec![(tool(1), None)], &mut policies, &mut sink)
             .unwrap_err();
         for id in ["node-a", "node-b"] {
             assert_eq!(
@@ -1246,7 +1307,7 @@ fn infeasible_live_decisions_are_typed_errors_and_leave_the_cluster_runnable() {
     })];
     let mut sink = ClusterCollectSink::new();
     let applied = session
-        .run_reactive(2, 3, |_| vec![tool(1)], &mut policies, &mut sink)
+        .run(2, 3, |_| vec![(tool(1), None)], &mut policies, &mut sink)
         .unwrap();
     assert_eq!(applied.len(), 1);
     assert!(sink
@@ -1290,7 +1351,7 @@ fn conflicting_same_round_decisions_cannot_both_claim_one_job() {
     let mut policies: Vec<Box<dyn SchedulerPolicy>> = vec![claim("node-b"), claim("node-c")];
     let mut sink = ClusterCollectSink::new();
     let err = session
-        .run_reactive(2, 4, |_| vec![tool(1)], &mut policies, &mut sink)
+        .run(2, 4, |_| vec![(tool(1), None)], &mut policies, &mut sink)
         .unwrap_err();
     assert!(
         matches!(&err, SessionError::InvalidDecision(msg) if msg.contains("already claimed")),
@@ -1314,7 +1375,11 @@ fn conflicting_same_round_decisions_cannot_both_claim_one_job() {
     let pid = a.pid("job").unwrap();
     assert!(a.kernel().is_alive(pid));
     // ...and a re-run does not resurrect the cancelled migration.
-    let frames = session.run_collect(2, 2, |_| tool(1)).unwrap();
+    let mut sink = ClusterCollectSink::new();
+    session
+        .run(2, 2, |_| vec![(tool(1), None)], &mut [], &mut sink)
+        .unwrap();
+    let frames = sink.into_frames();
     assert!(frames
         .iter()
         .all(|cf| cf.machine != "node-b" || cf.frame.row_for_comm("job").is_none()));
@@ -1339,7 +1404,7 @@ fn decision_on_the_final_round_still_applies() {
     })];
     let mut sink = ClusterCollectSink::new();
     let applied = session
-        .run_reactive(2, 4, |_| vec![tool(1)], &mut policies, &mut sink)
+        .run(2, 4, |_| vec![(tool(1), None)], &mut policies, &mut sink)
         .unwrap();
     assert_eq!(applied.len(), 1);
     let d = &applied[0];
@@ -1418,17 +1483,20 @@ fn half_applied_decision_on_error_is_completed_and_recorded() {
     })];
     let mut sink = ClusterCollectSink::new();
     let err = session
-        .run_reactive(
+        .run(
             2,
             5,
             |m: MachineRef<'_>| match m.id {
-                "node-b" => vec![tool(1)],
-                "node-c" => vec![Box::new(PanicMonitor {
-                    inner: fast(),
-                    observations: 0,
-                    panic_on: 2,
-                })],
-                _ => vec![Box::new(fast())],
+                "node-b" => vec![(tool(1), None)],
+                "node-c" => {
+                    let monitor = PanicMonitor {
+                        inner: fast(),
+                        observations: 0,
+                        panic_on: 2,
+                    };
+                    vec![(Box::new(monitor), None)]
+                }
+                _ => vec![(Box::new(fast()), None)],
             },
             &mut policies,
             &mut sink,
@@ -1506,7 +1574,7 @@ fn misfired_kill_racing_a_natural_exit_reverts_the_destination_clone() {
     })];
     let mut sink = ClusterCollectSink::new();
     let err = session
-        .run_reactive(2, 4, |_| vec![tool(1)], &mut policies, &mut sink)
+        .run(2, 4, |_| vec![(tool(1), None)], &mut policies, &mut sink)
         .unwrap_err();
     assert!(
         matches!(&err, SessionError::Shard { machine, error }
@@ -1531,7 +1599,11 @@ fn misfired_kill_racing_a_natural_exit_reverts_the_destination_clone() {
         );
     }
     // A later run shows no resurrected job anywhere.
-    let frames = session.run_collect(2, 2, |_| tool(1)).unwrap();
+    let mut sink = ClusterCollectSink::new();
+    session
+        .run(2, 2, |_| vec![(tool(1), None)], &mut [], &mut sink)
+        .unwrap();
+    let frames = sink.into_frames();
     assert!(frames
         .iter()
         .all(|cf| cf.frame.row_for_comm("job").is_none()));
@@ -1580,7 +1652,7 @@ fn misfired_resume_kill_is_a_typed_invalid_decision_and_reverts_the_clone() {
     })];
     let mut sink = ClusterCollectSink::new();
     let err = session
-        .run_reactive(2, 4, |_| vec![tool(1)], &mut policies, &mut sink)
+        .run(2, 4, |_| vec![(tool(1), None)], &mut policies, &mut sink)
         .unwrap_err();
     assert!(
         matches!(&err, SessionError::InvalidDecision(msg)
@@ -1601,7 +1673,11 @@ fn misfired_resume_kill_is_a_typed_invalid_decision_and_reverts_the_clone() {
         );
     }
     // A later run shows no resurrected job anywhere.
-    let frames = session.run_collect(2, 2, |_| tool(1)).unwrap();
+    let mut sink = ClusterCollectSink::new();
+    session
+        .run(2, 2, |_| vec![(tool(1), None)], &mut [], &mut sink)
+        .unwrap();
+    let frames = sink.into_frames();
     assert!(frames
         .iter()
         .all(|cf| cf.frame.row_for_comm("job").is_none()));
@@ -1652,7 +1728,13 @@ fn reactive_resume_migration_conserves_instructions_and_is_byte_identical() {
         })];
         let mut sink = ClusterCollectSink::new();
         let applied = session
-            .run_reactive(threads, 8, |_| vec![tool(1)], &mut policies, &mut sink)
+            .run(
+                threads,
+                8,
+                |_| vec![(tool(1), None)],
+                &mut policies,
+                &mut sink,
+            )
             .unwrap();
         (rendered(sink.frames()), applied, session)
     };
@@ -1733,10 +1815,10 @@ fn batched_run_coalesces_sends_and_reports_its_frames() {
     // `merged_stream_is_byte_identical_at_1_2_8_and_16_threads`.
     let mut session = cluster().build().unwrap();
     let mut sink = ClusterCollectSink::new();
-    let monitor = |m: MachineRef<'_>| -> Box<dyn Monitor + Send> {
-        tool(if m.index.is_multiple_of(2) { 1 } else { 2 })
+    let monitor = |m: MachineRef<'_>| -> ToolSet {
+        vec![(tool(if m.index.is_multiple_of(2) { 1 } else { 2 }), None)]
     };
-    session.run(1, 5, monitor, &mut sink).unwrap();
+    session.run(1, 5, monitor, &mut [], &mut sink).unwrap();
     let stats = session.last_run_stats();
     assert_eq!(stats.frames, sink.frames().len(), "every frame counted");
     assert_eq!(stats.frames, session.len() * 5, "5 frames per machine");
@@ -1770,7 +1852,15 @@ fn shards_share_immutable_state_across_the_fleet() {
         );
     }
     let mut session = cluster.build().unwrap();
-    session.run_collect(2, 1, |_| tool(1)).unwrap();
+    session
+        .run(
+            2,
+            1,
+            |_| vec![(tool(1), None)],
+            &mut [],
+            &mut ClusterCollectSink::new(),
+        )
+        .unwrap();
     let ids: Vec<String> = session.machines().map(|m| m.id.to_string()).collect();
     assert_eq!(ids.len(), 6);
     for id in &ids {
@@ -1820,7 +1910,9 @@ fn window_sink_stays_bounded_on_a_hundred_machine_run() {
     const WINDOW: usize = 256;
     const REFRESHES: usize = 6;
     let mut sink = ClusterWindowSink::new(WINDOW);
-    session.run(4, REFRESHES, |_| tool(1), &mut sink).unwrap();
+    session
+        .run(4, REFRESHES, |_| vec![(tool(1), None)], &mut [], &mut sink)
+        .unwrap();
 
     assert!(
         sink.peak_buffered() <= WINDOW,
@@ -1919,10 +2011,11 @@ fn scheduler_selection_default_matches_cfs_and_alternatives_are_deterministic() 
             cluster = cluster.scheduler(scheduler);
         }
         let mut session = cluster.build().unwrap();
-        let frames = session
-            .run_collect(threads, 4, |_m: MachineRef<'_>| tool(1))
+        let mut sink = ClusterCollectSink::new();
+        session
+            .run(threads, 4, |_| vec![(tool(1), None)], &mut [], &mut sink)
             .unwrap();
-        rendered(&frames)
+        rendered(sink.frames())
     };
 
     // Byte-identity golden: leaving the knob alone is exactly CFS-like —
@@ -2039,7 +2132,11 @@ fn pipeline_cluster() -> ClusterScenario {
 fn cross_machine_fan_out_fan_in_is_byte_identical_at_1_2_and_8_threads() {
     let run_at = |threads: usize| {
         let mut session = pipeline_cluster().build().unwrap();
-        let frames = session.run_collect(threads, 5, |_| tool(1)).unwrap();
+        let mut sink = ClusterCollectSink::new();
+        session
+            .run(threads, 5, |_| vec![(tool(1), None)], &mut [], &mut sink)
+            .unwrap();
+        let frames = sink.into_frames();
         (rendered(&frames), session)
     };
     let (golden, session) = run_at(1);
@@ -2115,7 +2212,13 @@ fn cross_machine_kill_after_lands_exactly() {
         .build()
         .unwrap();
     session
-        .run_collect(2, 4, |_| tool(1))
+        .run(
+            2,
+            4,
+            |_| vec![(tool(1), None)],
+            &mut [],
+            &mut ClusterCollectSink::new(),
+        )
         .expect("run must succeed");
     let trigger = {
         let s = session.session("node-1").unwrap();
@@ -2164,7 +2267,11 @@ fn resume_handoff_in_a_dependency_cluster_publishes_before_its_consumer_crosses_
             .resume_at(handoff, "batch", "node-4", "node-3")
             .build()
             .unwrap();
-        let frames = session.run_collect(threads, 5, |_| tool(1)).unwrap();
+        let mut sink = ClusterCollectSink::new();
+        session
+            .run(threads, 5, |_| vec![(tool(1), None)], &mut [], &mut sink)
+            .unwrap();
+        let frames = sink.into_frames();
         (rendered(&frames), session)
     };
     let (golden, session) = run_at(1);
@@ -2519,8 +2626,8 @@ fn reactive_pipeline(probe: Option<SimDuration>) -> ClusterScenario {
     )
 }
 
-/// Run [`reactive_pipeline`] through `run_reactive` with a policy that
-/// moves `bg` from the spare to `to` on the spare's second frame (t=2s).
+/// Run [`reactive_pipeline`] with a policy that moves `bg` from the spare
+/// to `to` on the spare's second frame (t=2s).
 fn run_reactive_pipeline(
     probe: Option<SimDuration>,
     to: &str,
@@ -2544,7 +2651,13 @@ fn run_reactive_pipeline(
     })];
     let mut sink = ClusterCollectSink::new();
     let applied = session
-        .run_reactive(threads, 5, |_| vec![tool(1)], &mut policies, &mut sink)
+        .run(
+            threads,
+            5,
+            |_| vec![(tool(1), None)],
+            &mut policies,
+            &mut sink,
+        )
         .unwrap();
     (rendered(sink.frames()), applied, session)
 }
@@ -2652,7 +2765,13 @@ fn same_instant_dependency_and_decision_events_apply_in_scheduling_order() {
 fn last_run_stats_reports_the_reactive_run() {
     let mut session = reactive_pair().build().unwrap();
     session
-        .run(2, 3, |_| tool(1), &mut ClusterCollectSink::new())
+        .run(
+            2,
+            3,
+            |_| vec![(tool(1), None)],
+            &mut [],
+            &mut ClusterCollectSink::new(),
+        )
         .unwrap();
     assert_eq!(session.last_run_stats().frames, 6);
 
@@ -2669,7 +2788,7 @@ fn last_run_stats_reports_the_reactive_run() {
     })];
     let mut sink = ClusterCollectSink::new();
     session
-        .run_reactive(2, 5, |_| vec![tool(1)], &mut policies, &mut sink)
+        .run(2, 5, |_| vec![(tool(1), None)], &mut policies, &mut sink)
         .unwrap();
     let stats = session.last_run_stats();
     assert_eq!(sink.frames().len(), 10);
@@ -2732,14 +2851,23 @@ fn worker_pool_is_spawned_once_per_run() {
         .build()
         .unwrap();
     let seen = std::sync::Arc::new(std::sync::Mutex::new(std::collections::HashSet::new()));
-    let frames = session
-        .run_collect(2, 24, |_| {
-            Box::new(ThreadProbe {
-                inner: *tool(1),
-                seen: seen.clone(),
-            })
-        })
+    let mut sink = ClusterCollectSink::new();
+    session
+        .run(
+            2,
+            24,
+            |_| {
+                let probe = ThreadProbe {
+                    inner: *tool(1),
+                    seen: seen.clone(),
+                };
+                vec![(Box::new(probe), None)]
+            },
+            &mut [],
+            &mut sink,
+        )
         .unwrap();
+    let frames = sink.into_frames();
     assert_eq!(frames.len(), 48, "24 refreshes on each machine");
     assert_eq!(session.handovers().len(), 1, "the resume handoff ran");
     let threads = seen.lock().unwrap().len();
@@ -2798,16 +2926,22 @@ fn handed_back(session: &ClusterSession) -> String {
         .join("\n")
 }
 
+/// One machine's monitors, each with its stop rule.
+type ToolSet = Vec<(Box<dyn Monitor + Send>, Option<Until>)>;
+
 /// A per-machine monitor-set factory.
-type MonitorSets = dyn Fn(MachineRef<'_>) -> Vec<Box<dyn Monitor + Send>>;
+type MonitorSets = dyn Fn(MachineRef<'_>) -> ToolSet;
 
 /// Two monitors per machine at intervals that differ across the fleet, so
 /// instants interleave and machines finish at different times.
-fn mixed_sets(m: MachineRef<'_>) -> Vec<Box<dyn Monitor + Send>> {
+fn mixed_sets(m: MachineRef<'_>) -> ToolSet {
     let (a, b) = [(50, 80), (70, 50), (60, 90), (50, 50)][m.index];
     vec![
-        tool_ms(a) as Box<dyn Monitor + Send>,
-        Box::new(TopView::new().delay(SimDuration::from_millis(b))),
+        (tool_ms(a) as Box<dyn Monitor + Send>, None),
+        (
+            Box::new(TopView::new().delay(SimDuration::from_millis(b))),
+            None,
+        ),
     ]
 }
 
@@ -2818,7 +2952,7 @@ fn windowed_run_all_matches_one_round_per_instant_at_1_2_and_8_threads() {
     let mut sink = ClusterCollectSink::new();
     let mut policies: Vec<Box<dyn SchedulerPolicy>> = vec![Box::new(NeverDecides)];
     reference
-        .run_reactive(1, refreshes, mixed_sets, &mut policies, &mut sink)
+        .run(1, refreshes, mixed_sets, &mut policies, &mut sink)
         .unwrap();
     let (golden, golden_state) = (rendered(sink.frames()), handed_back(&reference));
     let rounds = reference.last_run_stats().rounds;
@@ -2827,7 +2961,7 @@ fn windowed_run_all_matches_one_round_per_instant_at_1_2_and_8_threads() {
         let mut session = cluster().build().unwrap();
         let mut sink = ClusterCollectSink::new();
         session
-            .run_all(threads, refreshes, mixed_sets, &mut sink)
+            .run(threads, refreshes, mixed_sets, &mut [], &mut sink)
             .unwrap();
         assert_eq!(golden, rendered(sink.frames()), "{threads} threads: stream");
         assert_eq!(
@@ -2929,14 +3063,15 @@ fn windowed_dag_run_matches_one_round_per_instant_with_a_machine_stopped_early()
         let mut session = dag_cluster(pin).build().unwrap();
         let mut sink = ClusterCollectSink::new();
         session
-            .run_each(
+            .run(
                 threads,
                 refreshes,
-                |_| tool_ms(interval),
                 |m| {
                     let stops = m.id == "node-2";
-                    Box::new(move |f: &Frame| stops && f.time >= stop)
+                    let until: Until = Box::new(move |f: &Frame| stops && f.time >= stop);
+                    vec![(tool_ms(interval), Some(until))]
                 },
+                &mut [],
                 &mut sink,
             )
             .unwrap();
@@ -2988,18 +3123,20 @@ fn windowed_dag_run_all_matches_one_round_per_instant() {
     // intervals a marching window would skip instants the rounds march
     // every machine through, so it stays a round until the machines still
     // observing share their instants again.
-    let uniform = |_: MachineRef<'_>| vec![tool_ms(40) as Box<dyn Monitor + Send>];
+    let uniform = |_: MachineRef<'_>| vec![(tool_ms(40) as Box<dyn Monitor + Send>, None)];
     let sets: [&MonitorSets; 2] = [&uniform, &mixed_sets];
     for (k, monitors) in sets.into_iter().enumerate() {
         let mut reference = dag_cluster(false).build().unwrap();
         let mut sink = ClusterCollectSink::new();
         let mut policies: Vec<Box<dyn SchedulerPolicy>> = vec![Box::new(NeverDecides)];
         reference
-            .run_reactive(2, 60, monitors, &mut policies, &mut sink)
+            .run(2, 60, monitors, &mut policies, &mut sink)
             .unwrap();
         let mut session = dag_cluster(false).build().unwrap();
         let mut windowed = ClusterCollectSink::new();
-        session.run_all(2, 60, monitors, &mut windowed).unwrap();
+        session
+            .run(2, 60, monitors, &mut [], &mut windowed)
+            .unwrap();
         assert_eq!(rendered(sink.frames()), rendered(windowed.frames()));
         assert_eq!(handed_back(&reference), handed_back(&session));
         let (steps, rounds) = (
@@ -3037,15 +3174,15 @@ fn light_fleet(machines: usize) -> ClusterScenario {
 
 #[test]
 fn large_fleets_take_windows_of_at_least_eight_instants() {
-    let top_views = |_: MachineRef<'_>| -> Vec<Box<dyn Monitor + Send>> {
+    let top_views = |_: MachineRef<'_>| -> ToolSet {
         (0..64)
             .map(|_| {
-                Box::new(TopView::new().delay(SimDuration::from_millis(100)))
-                    as Box<dyn Monitor + Send>
+                let top = Box::new(TopView::new().delay(SimDuration::from_millis(100)));
+                (top as Box<dyn Monitor + Send>, None)
             })
             .collect()
     };
-    let one_tiptop = |_: MachineRef<'_>| vec![tool_ms(20) as Box<dyn Monitor + Send>];
+    let one_tiptop = |_: MachineRef<'_>| vec![(tool_ms(20) as Box<dyn Monitor + Send>, None)];
     // 4 machines x 64 monitors, and 1,000 machines x 1: both fleets hold
     // 256 or more monitors, so a window takes the floor of eight instants.
     let fleets: [(&dyn Fn() -> ClusterScenario, &MonitorSets, usize); 2] = [
@@ -3058,7 +3195,7 @@ fn large_fleets_take_windows_of_at_least_eight_instants() {
         let mut sink = ClusterCollectSink::new();
         let mut policies: Vec<Box<dyn SchedulerPolicy>> = vec![Box::new(NeverDecides)];
         reference
-            .run_reactive(1, refreshes, sets, &mut policies, &mut sink)
+            .run(1, refreshes, sets, &mut policies, &mut sink)
             .unwrap();
         let (golden, golden_state) = (rendered(sink.frames()), handed_back(&reference));
         let rounds = reference.last_run_stats().rounds;
@@ -3071,7 +3208,7 @@ fn large_fleets_take_windows_of_at_least_eight_instants() {
             let mut session = fleet().build().unwrap();
             let mut sink = ClusterCollectSink::new();
             session
-                .run_all(threads, refreshes, sets, &mut sink)
+                .run(threads, refreshes, sets, &mut [], &mut sink)
                 .unwrap();
             let at = format!("{monitors} monitors, {threads} threads");
             assert_eq!(golden, rendered(sink.frames()), "{at}: stream");
@@ -3132,8 +3269,9 @@ fn a_shard_failing_mid_window_delivers_healthy_frames_then_the_lowest_index_erro
             .build()
             .unwrap();
         let mut sink = ClusterCollectSink::new();
-        let monitor = |_: MachineRef<'_>| failing_monitor(MachineRef { id, index: i });
-        let _ = solo.run_each(1, 8, monitor, |_| Box::new(|_| false), &mut sink);
+        let monitor =
+            |_: MachineRef<'_>| vec![(failing_monitor(MachineRef { id, index: i }), None)];
+        let _ = solo.run(1, 8, monitor, &mut [], &mut sink);
         expected.extend(sink.into_frames());
     }
     expected.sort_by_key(|f| f.frame.time);
@@ -3149,11 +3287,11 @@ fn a_shard_failing_mid_window_delivers_healthy_frames_then_the_lowest_index_erro
             .unwrap();
         let mut sink = ClusterCollectSink::new();
         let err = fleet
-            .run_each(
+            .run(
                 threads,
                 8,
-                failing_monitor,
-                |_| Box::new(|_| false),
+                |m| vec![(failing_monitor(m), None)],
+                &mut [],
                 &mut sink,
             )
             .unwrap_err();
@@ -3238,7 +3376,7 @@ fn clock_and_exits(session: &tiptop_core::scenario::Session) -> String {
 #[test]
 fn a_machine_of_the_fleet_observes_exactly_as_a_lone_session() {
     let refreshes = 8;
-    // `run_all`: each machine's sub-stream is what `Session::run_all`
+    // A monitor set: each machine's sub-stream is what `Session::run_all`
     // streams over the same scenario.
     let solo: Vec<(Vec<String>, String)> = (0..3)
         .map(|i| {
@@ -3259,8 +3397,9 @@ fn a_machine_of_the_fleet_observes_exactly_as_a_lone_session() {
     for threads in [1, 2] {
         let mut fleet = evented_cluster().build().unwrap();
         let mut sink = ClusterCollectSink::new();
+        let sets = |_: MachineRef<'_>| tiptop_and_top().into_iter().map(|m| (m, None)).collect();
         fleet
-            .run_all(threads, refreshes, |_| tiptop_and_top(), &mut sink)
+            .run(threads, refreshes, sets, &mut [], &mut sink)
             .unwrap();
         for (i, (frames, state)) in solo.iter().enumerate() {
             assert_eq!(
@@ -3277,7 +3416,7 @@ fn a_machine_of_the_fleet_observes_exactly_as_a_lone_session() {
         }
     }
 
-    // `run_each` with an `until`: each machine's sub-stream is what
+    // A monitor with an `until`: each machine's sub-stream is what
     // `Session::run_until` returns. node-0 stops at 3 s, node-1 at 6 s and
     // node-2 never (its instant lies past the budget).
     let stop_at = |i: usize| SimTime::from_secs(3 + 3 * i as u64);
@@ -3297,14 +3436,15 @@ fn a_machine_of_the_fleet_observes_exactly_as_a_lone_session() {
         let mut fleet = evented_cluster().build().unwrap();
         let mut sink = ClusterCollectSink::new();
         fleet
-            .run_each(
+            .run(
                 threads,
                 refreshes,
-                |_| tool(1),
                 |m| {
                     let at = stop_at(m.index);
-                    Box::new(move |f: &Frame| f.time == at)
+                    let until: Until = Box::new(move |f: &Frame| f.time == at);
+                    vec![(tool(1), Some(until))]
                 },
+                &mut [],
                 &mut sink,
             )
             .unwrap();

@@ -94,14 +94,23 @@ fn main() {
         .machine("node-b", node(8, 1.2))
         .build()
         .expect("well-formed cluster");
-    let frames = cluster
-        .run_collect(2, 3, |_| {
-            Box::new(Tiptop::new(
-                TiptopOptions::default().delay(SimDuration::from_secs(2)),
-                ScreenConfig::default_screen(),
-            ))
-        })
+    let tiptop = || {
+        Tiptop::new(
+            TiptopOptions::default().delay(SimDuration::from_secs(2)),
+            ScreenConfig::default_screen(),
+        )
+    };
+    let mut sink = ClusterCollectSink::new();
+    cluster
+        .run(
+            2,
+            3,
+            |_| vec![(Box::new(tiptop()), None)],
+            &mut [],
+            &mut sink,
+        )
         .expect("healthy shards");
+    let frames = sink.into_frames();
     println!(
         "--- cluster: {} merged frames from 2 machines on 2 workers ---",
         frames.len()

@@ -23,13 +23,13 @@
 //! (sim-time, machine) — byte-identical at any thread count. On top of
 //! the shards sit the distributed affordances: cross-machine
 //! [`migrate_at`](tiptop_core::cluster::ClusterScenario::migrate_at)
-//! events move a job between machines at one exact instant,
-//! [`run_all`](tiptop_core::cluster::ClusterSession::run_all) drives a
-//! *set* of monitors per machine, and
+//! events move a job between machines at one exact instant, one
+//! [`run`](tiptop_core::cluster::ClusterSession::run) drives a *set* of
+//! monitors per machine, and
 //! [`ClusterWindowSink`](tiptop_core::cluster::ClusterWindowSink) bounds
 //! memory on long runs by folding the stream into tumbling-window
 //! aggregates (migration handovers deduped on request). The loop closes
-//! with [`run_reactive`](tiptop_core::cluster::ClusterSession::run_reactive):
+//! in that same run:
 //! [`SchedulerPolicy`](tiptop_core::reactive::SchedulerPolicy)s — the
 //! [`IpcFloor`](tiptop_core::reactive::IpcFloor) threshold detector, the
 //! [`Cusum`](tiptop_core::reactive::Cusum) and
@@ -48,6 +48,11 @@ pub use tiptop_core as core;
 pub use tiptop_kernel as kernel;
 pub use tiptop_machine as machine;
 pub use tiptop_workloads as workloads;
+
+// The README's examples compile and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
 
 /// Everything needed to build a machine, spawn workloads, and watch them.
 pub mod prelude {
