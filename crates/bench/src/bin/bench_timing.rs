@@ -25,11 +25,14 @@
 //! fresh 100-machine frames/sec, at **either** the single-thread or the
 //! 8-thread arm, falls more than 30% below the committed curve.
 //!
-//! Two per-layer cost lines ride along, report-only: `machine_sample_ns`,
-//! the machine's cost per cache sample on a fixed seeded epoch sequence
-//! (see [`machine_sample_ns`]), and `dag_build_ms`, the median wall time of
-//! `ClusterScenario::build` on a 4,000-stage random DAG over 64 machines
-//! (see [`dag_build_ms`]). No budget gates either yet.
+//! Per-layer cost lines ride along, report-only: `machine_sample_ns` and
+//! `machine_sample_smt_ns`, the machine's cost per cache sample on a fixed
+//! seeded epoch sequence with one slice per physical core and with SMT
+//! pairs (see [`machine_sample_ns`]; each the median of
+//! [`SAMPLE_REPEATS`] runs, reported with its min and max), and
+//! `dag_build_ms`, the median wall time of `ClusterScenario::build` on a
+//! 4,000-stage random DAG over 64 machines (see [`dag_build_ms`]). No
+//! budget gates any of them yet.
 
 use std::time::Instant;
 
@@ -125,13 +128,45 @@ fn budget_for(name: &str) -> Option<f64> {
 /// Epochs in the [`machine_sample_ns`] sequence.
 const SAMPLE_EPOCHS: u64 = 300;
 
+/// Runs of each [`machine_sample_ns`] placement; the report gives their
+/// median, min and max.
+const SAMPLE_REPEATS: usize = 5;
+
+/// Median, min and max of a report-only cost line's repeats.
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(mut xs: Vec<f64>) -> Self {
+        xs.sort_by(f64::total_cmp);
+        Spread {
+            median: xs[xs.len() / 2],
+            min: xs[0],
+            max: xs[xs.len() - 1],
+        }
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"median\": {:.2}, \"min\": {:.2}, \"max\": {:.2}}}",
+            self.median, self.min, self.max
+        )
+    }
+}
+
 /// Nanoseconds per cache sample of [`Machine::execute_epoch`] on the
 /// contended node of the burst experiments: the tournament's canary,
-/// payload and five aggressors, one per physical core of a
-/// `datacenter_e5640` sampling 4,096 accesses per slice, through
-/// [`SAMPLE_EPOCHS`] seeded 10 ms epochs. Each slice's CPI hint is its
-/// previous outcome, as the kernel's.
-fn machine_sample_ns() -> f64 {
+/// payload and five aggressors on a `datacenter_e5640` sampling 4,096
+/// accesses per slice, through [`SAMPLE_EPOCHS`] seeded 10 ms epochs. Each
+/// slice's CPI hint is its previous outcome, as the kernel's.
+///
+/// The seven slices run one per physical core, or with `smt` two per core
+/// (three SMT pairs and a lone slice on one socket), where the sampler
+/// merges each pair's streams through their shared L1 and L2.
+fn machine_sample_ns(smt: bool) -> f64 {
     let script = tournament_script(0.01);
     let mut jobs = vec![script.canary, script.payload];
     jobs.extend(script.aggressors);
@@ -143,10 +178,11 @@ fn machine_sample_ns() -> f64 {
         })
         .collect();
     let cfg = MachineConfig::datacenter_e5640().with_samples(4096);
+    let per_core = if smt { cfg.topology.smt() } else { 1 };
     let pus: Vec<PuId> = cfg
         .topology
         .cores()
-        .map(|core| cfg.topology.pus_of_core(core)[0])
+        .flat_map(|core| cfg.topology.pus_of_core(core).into_iter().take(per_core))
         .collect();
     let mut machine = Machine::new(cfg, 7);
     let mut streams: Vec<TaskStream> = jobs
@@ -188,7 +224,7 @@ const DAG_BUILD_SEEDS: u64 = 5;
 /// by [`pipelines::cluster_for`]. Only the build is timed: fleet-wide
 /// dependency validation, edge classification and the 64 machine builds.
 fn dag_build_ms() -> f64 {
-    let mut ms: Vec<f64> = (0..DAG_BUILD_SEEDS)
+    let ms = (0..DAG_BUILD_SEEDS)
         .map(|seed| {
             let cluster = pipelines::cluster_for(&random_dag(seed, 4000, 64), seed);
             let t0 = Instant::now();
@@ -198,8 +234,7 @@ fn dag_build_ms() -> f64 {
             dt
         })
         .collect();
-    ms.sort_by(f64::total_cmp);
-    ms[ms.len() / 2]
+    Spread::of(ms).median
 }
 
 fn main() {
@@ -275,8 +310,23 @@ fn main() {
     });
     let scaling_result = scaling_result.expect("scaling ran");
     eprintln!("{}", scaling_result.report());
-    let sample_ns = machine_sample_ns();
-    eprintln!("{:>24}  {sample_ns:7.2}ns/sample", "machine_sample_ns");
+    // The two placements alternate, so host drift spreads over both.
+    let (mut lone, mut paired) = (Vec::new(), Vec::new());
+    for _ in 0..SAMPLE_REPEATS {
+        lone.push(machine_sample_ns(false));
+        paired.push(machine_sample_ns(true));
+    }
+    let sample_ns = Spread::of(lone);
+    let sample_smt_ns = Spread::of(paired);
+    for (name, ns) in [
+        ("machine_sample_ns", &sample_ns),
+        ("machine_sample_smt_ns", &sample_smt_ns),
+    ] {
+        eprintln!(
+            "{name:>24}  {:7.2}ns/sample (median of {SAMPLE_REPEATS}, {:.2}–{:.2})",
+            ns.median, ns.min, ns.max
+        );
+    }
     let build_ms = dag_build_ms();
     eprintln!("{:>24}  {build_ms:7.2}ms", "dag_build_ms");
 
@@ -305,7 +355,11 @@ fn main() {
     }
     json.push_str("  },\n");
     json.push_str(&format!("  \"total_seconds\": {total:.3},\n"));
-    json.push_str(&format!("  \"machine_sample_ns\": {sample_ns:.2},\n"));
+    json.push_str(&format!(
+        "  \"machine_sample_ns\": {},\n  \"machine_sample_smt_ns\": {},\n",
+        sample_ns.json(),
+        sample_smt_ns.json()
+    ));
     json.push_str(&format!("  \"dag_build_ms\": {build_ms:.2}\n}}\n"));
 
     std::fs::write(&out_path, &json).expect("write timing json");

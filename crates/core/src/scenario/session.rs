@@ -62,8 +62,9 @@ impl fmt::Debug for Session {
 }
 
 impl Session {
-    /// Assemble a session from its validated parts ([`Scenario::build`]'s
-    /// tail — the builder lives in a sibling module).
+    /// Assemble a session from its validated parts (the tail of
+    /// [`Scenario::build`](super::Scenario::build) — the builder lives in a
+    /// sibling module).
     pub(crate) fn from_parts(
         kernel: Kernel,
         pending: VecDeque<(SimTime, WorkloadEvent)>,

@@ -2,7 +2,9 @@
 //! global allocator that wraps `System`: per scheduler epoch (the kernel's
 //! `advance`, counters attached) and per displayed row (a tiptop refresh),
 //! on a compute-only machine with 3 and 6 tasks, with and without a
-//! registered user name; and per frame folded by the cluster window sink.
+//! registered user name; per epoch of a machine whose jobs load and store,
+//! so that cache sampling runs; and per frame folded by the cluster window
+//! sink.
 //!
 //! Allocation counts do not depend on the host, so unlike a timing they
 //! can be pinned exactly. The bounds are `≤` and hold in debug and release
@@ -21,6 +23,7 @@ use tiptop_kernel::kernel::{Kernel, KernelConfig};
 use tiptop_kernel::program::Program;
 use tiptop_kernel::task::Pid;
 use tiptop_kernel::task::{SpawnSpec, Uid};
+use tiptop_machine::access::{AccessPattern, MemoryBehavior, WorkingSetTier};
 use tiptop_machine::config::MachineConfig;
 use tiptop_machine::exec::ExecProfile;
 use tiptop_machine::time::{SimDuration, SimTime};
@@ -154,6 +157,60 @@ fn steady_state_epochs_and_rows_allocate_within_their_bounds() {
 #[test]
 fn rows_of_an_unregistered_uid_allocate_nothing() {
     epochs_and_rows_within_bounds(false);
+}
+
+/// Six endless jobs that load and store over a 16 KiB hot set and a 32 MiB
+/// cold one, on a four-core SMT machine with an 8 MiB L3: every epoch runs
+/// all six, so at least two cores run SMT siblings, whose samples the
+/// sampler merges through their shared L1 and L2, and the cold set keeps
+/// the L2-miss queue of the L3 pass full.
+#[test]
+fn steady_state_epochs_that_sample_memory_allocate_nothing() {
+    let mut k = Kernel::new(KernelConfig::new(MachineConfig::nehalem_w3550().noiseless()).seed(5));
+    let mut pids = Vec::new();
+    for j in 0..6 {
+        let profile = ExecProfile::builder("memory")
+            .base_cpi(0.7 + 0.1 * j as f64)
+            .loads_per_insn(0.3)
+            .stores_per_insn(0.1)
+            .memory(MemoryBehavior::new(vec![
+                WorkingSetTier::new(16 << 10, 0.8, AccessPattern::Random),
+                WorkingSetTier::new(32 << 20, 0.2, AccessPattern::Random),
+            ]))
+            .build();
+        pids.push(k.spawn(
+            SpawnSpec::new(format!("memory-{j}"), Uid(1), Program::endless(profile)).seed(j),
+        ));
+    }
+    // Warm-up: every buffer, the sampler's per-thread ones included, grows
+    // to its steady size.
+    k.advance(SimDuration::from_secs(2));
+    let l3_before = k.machine().l3_stats(0);
+    let (epochs, ()) = allocations(|| k.advance(SimDuration::from_secs(DELAY_S)));
+    let (hits, misses) = k.machine().l3_stats(0);
+    let l3_accesses = hits + misses - l3_before.0 - l3_before.1;
+    let topology = k.machine().topology();
+    let mut cores: Vec<usize> = pids
+        .iter()
+        .map(|&pid| {
+            let pu = k
+                .stat(pid)
+                .and_then(|s| s.processor)
+                .expect("every job runs");
+            topology.core_of(pu).0
+        })
+        .collect();
+    cores.sort_unstable();
+    println!(
+        "memory-sampling epochs: {epochs} allocations over {EPOCHS_PER_REFRESH} epochs, \
+         {l3_accesses} L3 accesses, jobs on cores {cores:?}"
+    );
+    assert!(
+        cores.windows(2).any(|w| w[0] == w[1]),
+        "an SMT pair: {cores:?}"
+    );
+    assert!(l3_accesses > 0, "L2 misses reach the L3");
+    assert_eq!(epochs, 0, "allocations per {EPOCHS_PER_REFRESH} epochs");
 }
 
 /// Sources per window and frames per source in the window-fold case.

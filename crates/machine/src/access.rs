@@ -14,6 +14,8 @@ use rand::rngs::SmallRng;
 use rand::{RngCore, RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use crate::fastmod::FastMod;
+
 /// How addresses are drawn within one tier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AccessPattern {
@@ -38,7 +40,10 @@ pub struct WorkingSetTier {
 impl WorkingSetTier {
     pub fn new(bytes: u64, weight: f64, pattern: AccessPattern) -> Self {
         assert!(bytes >= 64, "tier smaller than a cache line");
-        assert!(weight > 0.0, "tier weight must be positive");
+        assert!(
+            weight > 0.0 && weight.is_finite(),
+            "tier weight must be positive and finite"
+        );
         WorkingSetTier {
             bytes,
             weight,
@@ -186,6 +191,88 @@ impl TaskStream {
             AccessPattern::Random => self.rng.random_range(0..tier.bytes),
         };
         (self.asid << 40) | (mem.bases[ti] + offset)
+    }
+}
+
+/// Tiers [`TaskStream::fill`] resolves into a table on the stack. A
+/// behaviour with more tiers (none shipped has over three) is drawn address
+/// by address.
+const TABLE_TIERS: usize = 4;
+
+/// How one tier turns draws into byte offsets, resolved once per batch.
+#[derive(Clone, Copy)]
+enum Offsets {
+    /// The tier's cursor, advanced by `step` and wrapped at `bytes`.
+    Cursor { step: u64, bytes: u64 },
+    /// `next_u64() & mask`: a random tier of `mask + 1` bytes.
+    Mask(u64),
+    /// `next_u64() % bytes`: a random tier of any other size.
+    Modulo(FastMod),
+}
+
+impl TaskStream {
+    /// Fill `out` with the next `out.len()` addresses: exactly the
+    /// addresses, RNG draws, cursor moves and [`TaskStream::drawn`] count
+    /// of as many [`TaskStream::next_addr`] calls.
+    ///
+    /// The tier count is checked once per batch, and each tier's base and
+    /// mask, reciprocal or cursor step are read from a small table. The
+    /// tier is picked without a branch: tier weights are positive and
+    /// finite, so the cumulative weights are non-decreasing, and the first
+    /// tier whose bound is at least `u` is the count of bounds below `u`,
+    /// over every tier but the last.
+    pub fn fill(&mut self, mem: &MemoryBehavior, out: &mut [u64]) {
+        let tiers = mem.tiers.len();
+        if tiers > TABLE_TIERS || out.is_empty() {
+            for addr in out {
+                *addr = self.next_addr(mem);
+            }
+            return;
+        }
+        if self.cursors.len() != tiers {
+            self.cursors = vec![0; tiers];
+        }
+        // A bound of 2 is above every `u`, so padding tiers are never picked.
+        let mut bounds = [2.0; TABLE_TIERS - 1];
+        bounds[..tiers - 1].copy_from_slice(&mem.cdf[..tiers - 1]);
+        let asid = self.asid << 40;
+        let mut bases = [0; TABLE_TIERS];
+        let mut cursors = [0; TABLE_TIERS];
+        let mut offsets = [Offsets::Mask(0); TABLE_TIERS];
+        for (ti, tier) in mem.tiers.iter().enumerate() {
+            bases[ti] = mem.bases[ti];
+            cursors[ti] = self.cursors[ti];
+            offsets[ti] = match tier.pattern {
+                AccessPattern::Sequential => Offsets::Cursor {
+                    step: 64,
+                    bytes: tier.bytes,
+                },
+                AccessPattern::Strided(step) => Offsets::Cursor {
+                    step,
+                    bytes: tier.bytes,
+                },
+                AccessPattern::Random if tier.bytes.is_power_of_two() => {
+                    Offsets::Mask(tier.bytes - 1)
+                }
+                AccessPattern::Random => Offsets::Modulo(FastMod::new(tier.bytes)),
+            };
+        }
+        for addr in out.iter_mut() {
+            let u: f64 = self.rng.random();
+            let ti: usize = bounds.iter().map(|&c| usize::from(u > c)).sum();
+            let offset = match offsets[ti] {
+                Offsets::Cursor { step, bytes } => {
+                    let o = cursors[ti];
+                    cursors[ti] = wrap_add(o, step, bytes);
+                    o
+                }
+                Offsets::Mask(mask) => self.rng.next_u64() & mask,
+                Offsets::Modulo(bytes) => bytes.rem(self.rng.next_u64()),
+            };
+            *addr = asid | (bases[ti] + offset);
+        }
+        self.cursors.copy_from_slice(&cursors[..tiers]);
+        self.drawn += out.len() as u64;
     }
 }
 
@@ -352,6 +439,109 @@ mod tests {
             }
             assert_eq!(fast.drawn(), reference.drawn());
         }
+    }
+
+    /// Batches through `fill` against the same draws one `next_addr` at a
+    /// time: the addresses, `drawn()`, and the address each stream draws
+    /// next (which depends on its RNG state and cursors) must agree, over
+    /// every pattern, power-of-two and other random tiers, strides below,
+    /// at and above the tier, one to six tiers (more than the fill table
+    /// holds), and cursors left past the end of a smaller tier.
+    #[test]
+    fn fill_matches_repeated_next_addr() {
+        use AccessPattern::{Random, Sequential, Strided};
+        let tiers = |t: &[(u64, f64, AccessPattern)]| {
+            MemoryBehavior::new(
+                t.iter()
+                    .map(|&(bytes, weight, pattern)| WorkingSetTier::new(bytes, weight, pattern))
+                    .collect(),
+            )
+        };
+        let behaviours = [
+            MemoryBehavior::uniform(16 << 10),
+            MemoryBehavior::uniform(24_000),
+            MemoryBehavior::streaming(1000),
+            tiers(&[(16 << 10, 0.7, Random), (5 << 20, 0.3, Random)]),
+            tiers(&[
+                (144 << 10, 0.5, Random),
+                (4_718_592, 0.3, Random),
+                (400 << 20, 0.2, Random),
+            ]),
+            tiers(&[
+                (4096, 1.0, Strided(192)),
+                (4096, 1.0, Strided(4096)),
+                (4096, 1.0, Strided(10_000)),
+                (5000, 2.0, Strided(4999)),
+            ]),
+            tiers(&[
+                (640, 0.1, Strided(64)),
+                (100, 0.2, Strided(250)),
+                (64 * 7 + 8, 0.3, Sequential),
+                (24_000, 0.2, Random),
+                (1 << 20, 0.1, Random),
+            ]),
+            tiers(&[
+                (64, 1.0, Random),
+                (65, 1.0, Random),
+                (200, 1.0, Sequential),
+                (300, 1.0, Strided(128)),
+                (4096, 1.0, Strided(8192)),
+                (3 << 30, 1.0, Random),
+            ]),
+        ];
+        // Tier sizes of the last three behaviours, shrunk: cursors left past
+        // the end of the smaller tiers.
+        let shrunk = [
+            tiers(&[
+                (100, 1.0, Strided(192)),
+                (200, 1.0, Strided(4096)),
+                (64, 1.0, Strided(10_000)),
+                (128, 2.0, Strided(4999)),
+            ]),
+            tiers(&[
+                (64, 0.1, Strided(64)),
+                (96, 0.2, Strided(250)),
+                (100, 0.3, Sequential),
+                (24_000, 0.2, Random),
+                (1 << 20, 0.1, Random),
+            ]),
+            tiers(&[
+                (64, 1.0, Random),
+                (65, 1.0, Random),
+                (64, 1.0, Sequential),
+                (100, 1.0, Strided(128)),
+                (128, 1.0, Strided(8192)),
+                (3 << 30, 1.0, Random),
+            ]),
+        ];
+        let batches = [0, 1, 3, 64, 1000, 4096];
+        for (b, mem) in behaviours.iter().enumerate() {
+            let mut batched = TaskStream::new(b as u64 + 1, 31 * b as u64);
+            let mut single = batched.clone();
+            let mut buf = vec![0; 4096];
+            for (k, &len) in batches.iter().cycle().take(24).enumerate() {
+                let mem = match b.checked_sub(behaviours.len() - shrunk.len()) {
+                    Some(s) if k >= 12 => &shrunk[s],
+                    _ => mem,
+                };
+                let ctx = format!("behaviour {b}, batch {k} of {len}");
+                batched.fill(mem, &mut buf[..len]);
+                let expected: Vec<u64> = (0..len).map(|_| single.next_addr(mem)).collect();
+                assert_eq!(buf[..len], expected[..], "{ctx}: addresses");
+                assert_eq!(batched.drawn(), single.drawn(), "{ctx}: drawn");
+                assert_eq!(batched.cursors, single.cursors, "{ctx}: cursors");
+                let (mut a, mut s) = (batched.clone(), single.clone());
+                assert_eq!(a.next_addr(mem), s.next_addr(mem), "{ctx}: next address");
+            }
+        }
+    }
+
+    /// An infinite weight would make the cumulative weights NaN, and the
+    /// tier pick of `fill` would then differ from `next_addr`'s.
+    #[test]
+    #[should_panic(expected = "positive and finite")]
+    fn infinite_tier_weight_panics() {
+        WorkingSetTier::new(4096, f64::INFINITY, AccessPattern::Random);
     }
 
     #[test]

@@ -16,9 +16,17 @@
 //! an access moves its line to slot 0 with a bitmask lookup and per-slot
 //! selects over a fixed-width array instead of a search and a rotate. The
 //! set index is a mask whenever the set count is a power of two: every
-//! shipped cache but the E5640's 12,288-set L3, which only L2 misses reach.
+//! shipped cache but the E5640's 12,288-set L3, which only L2 misses reach,
+//! and whose index is an exact multiply-based remainder instead of a `%`.
+//!
+//! Tags are allocated lazily, on a cache's first access, and the machine's
+//! sampler walks each cache's samples of an epoch in one call
+//! (`SetAssocCache::walk`): the tag array, set rule, padded width and way
+//! count are resolved once per walk, not once per access.
 
 use serde::{Deserialize, Serialize};
+
+use crate::fastmod::FastMod;
 
 /// Geometry of one cache level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -120,9 +128,12 @@ impl AccessOutcome {
 /// line and slot `ways - 1` the LRU line, the next victim. No per-way stamps
 /// are kept. Slots past `ways` (only when the associativity is not a power
 /// of two, which no shipped geometry is) stay invalid and never match.
+///
 /// A line's set is `line & (sets - 1)` when the set count is a power of two
-/// and `line % sets` otherwise; the rule is fixed by the geometry in
-/// [`SetAssocCache::new`].
+/// and `line % sets` otherwise. The remainder is taken by multiplication
+/// (see `FastMod`), with a reciprocal computed when the tag array is
+/// materialised rather than in [`SetAssocCache::new`], so a cache that is
+/// never touched never pays for it.
 ///
 /// The tag array is allocated **lazily, on the first access**: a machine
 /// whose workload never touches memory (the cluster bench's pure-compute
@@ -130,6 +141,11 @@ impl AccessOutcome {
 /// of the `sets × width × 8` bytes — at fleet scale that is hundreds of KiB
 /// per simulated machine that is never paid. An untouched cache behaves
 /// exactly like an all-invalid one: every probe misses, no lines resident.
+///
+/// [`SetAssocCache::access`] takes one address; the machine's sampler walks
+/// a whole sequence with `SetAssocCache::walk`, which resolves the tag
+/// array, set rule, width and associativity once for the sequence. Both run
+/// the same per-set routine, so a walk is exactly the repeated accesses.
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     geometry: CacheGeometry,
@@ -138,19 +154,34 @@ pub struct SetAssocCache {
     width: u32,
     index: SetIndex,
     /// `sets * width` tags, LRU-ordered within each set: index 0 is MRU.
-    /// Empty until the first [`SetAssocCache::access`].
+    /// Empty until the first access.
     tags: Vec<u64>,
     hits: u64,
     misses: u64,
 }
 
 /// How a line finds its set, fixed by the set count.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 enum SetIndex {
     /// `line & mask`, for a power-of-two set count `mask + 1`.
     Mask(u64),
-    /// `line % sets`, for any other set count.
-    Modulo(u64),
+    /// `line % sets`, for any other set count, before the tags exist.
+    Divide(u64),
+    /// `line % sets` by multiplication: [`SetIndex::Divide`] once the tags
+    /// are materialised. Boxed, so that every cache, fleets of untouched
+    /// ones included, keeps a one-word index.
+    Multiply(Box<FastMod>),
+}
+
+impl SetIndex {
+    #[inline(always)]
+    fn set(&self, line: u64) -> usize {
+        (match self {
+            SetIndex::Mask(mask) => line & mask,
+            SetIndex::Divide(sets) => line % sets,
+            SetIndex::Multiply(sets) => sets.rem(line),
+        }) as usize
+    }
 }
 
 const INVALID: u64 = u64::MAX;
@@ -168,7 +199,7 @@ impl SetAssocCache {
             index: if sets.is_power_of_two() {
                 SetIndex::Mask(sets - 1)
             } else {
-                SetIndex::Modulo(sets)
+                SetIndex::Divide(sets)
             },
             tags: Vec::new(),
             hits: 0,
@@ -186,48 +217,103 @@ impl SetAssocCache {
         addr >> self.line_shift
     }
 
-    /// Tags of `line`'s set: its first index and the padded width.
-    #[inline]
-    fn set_of(&self, line: u64) -> (usize, usize) {
-        let set = match self.index {
-            SetIndex::Mask(mask) => line & mask,
-            SetIndex::Modulo(sets) => line % sets,
-        };
-        let width = self.width as usize;
-        (set as usize * width, width)
-    }
-
     /// Access the line containing `addr` (byte address); on miss, fill it.
     /// Returns `true` on hit.
     #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
-        let line = self.line_of(addr);
-        debug_assert_ne!(line, INVALID, "reserved tag");
-        if self.tags.is_empty() {
-            // First touch: materialize the tag array.
-            let slots = self.geometry.num_sets() as usize * self.width as usize;
-            self.tags = vec![INVALID; slots];
-        }
-        let (base, width) = self.set_of(line);
-        let ways = self.geometry.ways as usize;
-        let hit = access_set(&mut self.tags[base..base + width], line, ways);
-        self.hits += u64::from(hit);
-        self.misses += u64::from(!hit);
+        let mut hit = false;
+        self.walk([addr], |a| a, |_, h| hit = h);
         hit
     }
 
-    /// Is `addr`'s line currently resident? Does not touch LRU state: the
-    /// lookup runs on a copy of the set.
+    /// Access each sample's address (`addr(sample)`, a byte address) in
+    /// order, exactly as repeated [`SetAssocCache::access`] calls would,
+    /// and report each sample with whether it hit to `served`.
+    ///
+    /// The cache is resolved once for the whole walk: the tag array is
+    /// materialised, and the set rule, padded width and way count are read
+    /// before the loop, which runs one fixed-width instance of the per-set
+    /// routine. Hit and miss counts are added once, after it.
+    pub(crate) fn walk<S: Copy>(
+        &mut self,
+        samples: impl IntoIterator<Item = S>,
+        addr: impl Fn(S) -> u64,
+        served: impl FnMut(S, bool),
+    ) {
+        let mut samples = samples.into_iter();
+        // An empty walk, like no access at all, leaves an untouched cache
+        // unallocated.
+        let Some(first) = samples.next() else {
+            return;
+        };
+        self.materialise();
+        match self.width {
+            1 => self.walk_fixed::<1, S>(first, samples, addr, served),
+            2 => self.walk_fixed::<2, S>(first, samples, addr, served),
+            4 => self.walk_fixed::<4, S>(first, samples, addr, served),
+            8 => self.walk_fixed::<8, S>(first, samples, addr, served),
+            16 => self.walk_fixed::<16, S>(first, samples, addr, served),
+            32 => self.walk_fixed::<32, S>(first, samples, addr, served),
+            64 => self.walk_fixed::<64, S>(first, samples, addr, served),
+            w => unreachable!("set width {w} is not a power of two up to {MAX_WAYS}"),
+        }
+    }
+
+    /// [`SetAssocCache::walk`] over sets of `W` slots, from its first
+    /// sample on. The loop body is written out rather than passed to an
+    /// iterator adapter as a closure, which the compiler may leave as a
+    /// call per sample.
+    #[inline(always)]
+    fn walk_fixed<const W: usize, S: Copy>(
+        &mut self,
+        first: S,
+        mut rest: impl Iterator<Item = S>,
+        addr: impl Fn(S) -> u64,
+        mut served: impl FnMut(S, bool),
+    ) {
+        let (index, line_shift) = (&self.index, self.line_shift);
+        let ways = self.geometry.ways as usize;
+        let (sets, _) = self.tags.as_chunks_mut::<W>();
+        let (mut accesses, mut hits) = (0, 0);
+        let mut sample = first;
+        loop {
+            let line = addr(sample) >> line_shift;
+            debug_assert_ne!(line, INVALID, "reserved tag");
+            let hit = access_fixed(&mut sets[index.set(line)], line, ways);
+            accesses += 1;
+            hits += u64::from(hit);
+            served(sample, hit);
+            match rest.next() {
+                Some(next) => sample = next,
+                None => break,
+            }
+        }
+        self.hits += hits;
+        self.misses += accesses - hits;
+    }
+
+    /// Allocate the all-invalid tag array if the cache has none (first
+    /// access since construction or [`SetAssocCache::flush`]), and switch a
+    /// modulo set index to its multiply.
+    fn materialise(&mut self) {
+        if self.tags.is_empty() {
+            let slots = self.geometry.num_sets() as usize * self.width as usize;
+            self.tags = vec![INVALID; slots];
+            if let SetIndex::Divide(sets) = self.index {
+                self.index = SetIndex::Multiply(Box::new(FastMod::new(sets)));
+            }
+        }
+    }
+
+    /// Is `addr`'s line currently resident? Does not touch LRU state.
     pub fn probe(&self, addr: u64) -> bool {
         if self.tags.is_empty() {
             return false;
         }
         let line = self.line_of(addr);
-        let (base, width) = self.set_of(line);
-        let mut set = [INVALID; MAX_WAYS as usize];
-        let set = &mut set[..width];
-        set.copy_from_slice(&self.tags[base..base + width]);
-        access_set(set, line, self.geometry.ways as usize)
+        let width = self.width as usize;
+        let base = self.index.set(line) * width;
+        self.tags[base..base + width].contains(&line)
     }
 
     /// Lifetime (hits, misses) over all accesses.
@@ -254,36 +340,18 @@ impl SetAssocCache {
     }
 }
 
-/// Access `line` in one set of `set.len()` slots, the first `ways` of them
-/// live: move it to slot 0, filling it over slot `ways - 1` on a miss.
-/// Returns `true` on hit. The one `match` on the padded width instantiates
-/// [`access_fixed`] for every supported associativity.
-#[inline]
-fn access_set(set: &mut [u64], line: u64, ways: usize) -> bool {
-    match set.len() {
-        1 => access_fixed::<1>(set, line, ways),
-        2 => access_fixed::<2>(set, line, ways),
-        4 => access_fixed::<4>(set, line, ways),
-        8 => access_fixed::<8>(set, line, ways),
-        16 => access_fixed::<16>(set, line, ways),
-        32 => access_fixed::<32>(set, line, ways),
-        64 => access_fixed::<64>(set, line, ways),
-        w => unreachable!("set width {w} is not a power of two up to {MAX_WAYS}"),
-    }
-}
-
-/// [`access_set`] over a fixed-width set, in constant work whichever slot
-/// hits. A hit in slot 0 changes nothing. Otherwise the position is the
-/// lowest set bit of the tag-equality mask with the victim slot
-/// `ways - 1` ORed in, so a miss lands on the victim; slots `1..=pos` take
-/// their lower neighbour by per-slot selects and the line goes to slot 0.
-/// This is exactly a right rotation of `set[..=pos]` by one.
+/// Access `line` in one set of `W` slots, the first `ways` of them live:
+/// move it to slot 0, filling it over slot `ways - 1` on a miss. Returns
+/// `true` on hit.
+///
+/// The work is constant whichever slot hits. A hit in slot 0 changes
+/// nothing. Otherwise the position is the lowest set bit of the
+/// tag-equality mask with the victim slot `ways - 1` ORed in, so a miss
+/// lands on the victim; slots `1..=pos` take their lower neighbour by
+/// per-slot selects and the line goes to slot 0. This is exactly a right
+/// rotation of `set[..=pos]` by one.
 #[inline(always)]
-fn access_fixed<const W: usize>(set: &mut [u64], line: u64, ways: usize) -> bool {
-    let set: &mut [u64; W] = set.try_into().expect("the match passes a set of W slots");
-    if set[0] == line {
-        return true;
-    }
+fn access_fixed<const W: usize>(set: &mut [u64; W], line: u64, ways: usize) -> bool {
     let mut equal = 0u64;
     for (k, &tag) in set.iter().enumerate() {
         equal |= u64::from(tag == line) << k;

@@ -55,6 +55,7 @@ pub mod access;
 pub mod cache;
 pub mod config;
 pub mod exec;
+mod fastmod;
 pub mod machine;
 pub mod pmu;
 pub mod time;

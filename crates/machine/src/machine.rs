@@ -15,12 +15,13 @@
 //! `(t, i)` order, and each slice's tallies accumulate in its own `j` order,
 //! which is all a global merge would guarantee (see `Machine::sample_caches`).
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::access::TaskStream;
+use crate::access::{MemoryBehavior, TaskStream};
 use crate::cache::{CacheLevel, SetAssocCache};
 use crate::config::{MachineConfig, UarchParams};
 use crate::exec::{ExecOutcome, ExecProfile, FpUnit};
@@ -87,8 +88,28 @@ struct SampleStats {
 }
 
 impl SampleStats {
-    /// Count one sample served by `level`.
-    #[inline]
+    /// The tallies of samples served by `levels`, in order: exactly what
+    /// `SampleStats::add` of each gives, without a branch. An L1 hit adds
+    /// `0.0` to the penalty sum, which leaves its bits unchanged: the sum
+    /// starts at `+0.0` and so is never `-0.0`, the one value `+ 0.0`
+    /// changes.
+    fn of(levels: &[CacheLevel], u: &UarchParams) -> Self {
+        let penalty = [0.0, u.lat_l2, u.lat_l3, u.lat_mem];
+        let mut st = SampleStats {
+            sampled: levels.len() as u64,
+            ..SampleStats::default()
+        };
+        for &level in levels {
+            st.l1_miss += u64::from(level > CacheLevel::L1);
+            st.l2_miss += u64::from(level > CacheLevel::L2);
+            st.l3_miss += u64::from(level > CacheLevel::L3);
+            st.penalty_sum += penalty[level as usize];
+        }
+        st
+    }
+
+    /// Count one sample served by `level`: the single-merge oracle's tally.
+    #[cfg(test)]
     fn add(&mut self, level: CacheLevel, u: &UarchParams) {
         self.sampled += 1;
         match level {
@@ -125,7 +146,7 @@ pub struct Machine {
     l3: Vec<SetAssocCache>,
     noise_rng: SmallRng,
     epochs_executed: u64,
-    scratch: SampleScratch,
+    scratch: EpochScratch,
 }
 
 impl Machine {
@@ -146,7 +167,7 @@ impl Machine {
             noise_rng: SmallRng::seed_from_u64(seed ^ 0x6d61_6368_696e_6531),
             cfg,
             epochs_executed: 0,
-            scratch: SampleScratch::default(),
+            scratch: EpochScratch::default(),
         }
     }
 
@@ -329,23 +350,34 @@ impl Machine {
     ///
     /// Slice `i`'s `j`-th sample is due at virtual epoch time
     /// `(j + 0.5) / quota_i` (scaled to an integer by [`sample_time`]), and
-    /// the interleaving is the order of `(t, i)` over all samples. Only the
-    /// shared L3 needs that global order, so the walk runs in two passes
-    /// that present each cache with exactly the accesses, in exactly the
-    /// order, a single global merge would:
+    /// the interleaving is the order of `(t, i)` over all samples. Each
+    /// slice draws its addresses in batches of [`CHUNK`]
+    /// ([`TaskStream::fill`]) as the walk of its core takes them; streams
+    /// are per task, so drawing slice by slice draws what an interleaved
+    /// draw would. Only the shared L3 needs the global order, so the walk
+    /// runs in passes that present each cache with exactly the accesses, in
+    /// exactly the order, a single global merge would:
     ///
     /// 1. *Per physical core.* The core's slices (one, or two SMT siblings)
-    ///    are merged by `(t, i)` and walked through its private L1, then
-    ///    L2. No other core touches those caches, so they see their core's
-    ///    accesses in `(t, i)` order. Every L2 miss is queued for the
-    ///    core's socket.
-    /// 2. *Per socket.* The queued misses are sorted by `(t, i)` (unique:
-    ///    `t` is strictly increasing in `j`) and walked through the L3, which
-    ///    therefore sees its socket's L2 misses in `(t, i)` order.
+    ///    are merged by `(t, i)` and walked through its private L1, a chunk
+    ///    at a time; each chunk's L1 misses, still in that order, are
+    ///    walked through its L2. No other core touches those caches, and
+    ///    the L1 does not depend on the L2, so they see their core's
+    ///    accesses in `(t, i)` order. The L2 misses are queued for the
+    ///    core's socket: one run per core, each in `(t, i)` order.
+    /// 2. *Per socket.* The runs are merged by `(t, i)` (unique: `t` is
+    ///    strictly increasing in `j`) into one reused buffer, which the L3
+    ///    walks, so it sees its socket's L2 misses in `(t, i)` order.
     ///
-    /// Each slice draws its addresses in its own `j` order, and its tallies,
-    /// the `f64` penalty sum included, accumulate in `j` order from the
-    /// per-sample levels, so the result is the single merge's bit for bit.
+    /// Each cache is resolved once per walk (`SetAssocCache::walk`), not
+    /// once per access. The walks record each sample's serving level, and
+    /// each slice's tallies, the `f64` penalty sum included, accumulate in
+    /// `j` order from those levels, so the result is the single merge's bit
+    /// for bit.
+    ///
+    /// The walk's buffers are per thread ([`WalkScratch`]): a cluster
+    /// worker steps many machines, and a machine whose jobs never touch
+    /// memory never takes them.
     fn sample_caches(
         &mut self,
         slices: &mut [SliceRequest<'_>],
@@ -354,10 +386,8 @@ impl Machine {
     ) {
         let n = slices.len();
         stats.clear();
-        let mut quotas = std::mem::take(&mut self.scratch.quotas);
-        if !sample_quotas(&self.cfg, slices, &mut quotas) {
+        if !sample_quotas(&self.cfg, slices, &mut self.scratch.quotas) {
             stats.resize(n, SampleStats::default());
-            self.scratch.quotas = quotas;
             return;
         }
         let Machine {
@@ -368,100 +398,97 @@ impl Machine {
             scratch,
             ..
         } = self;
+        let quotas = &scratch.quotas;
+        let mut walk = WALK.take();
+        let WalkScratch {
+            core,
+            start,
+            levels,
+            queue,
+            runs,
+            merged,
+        } = &mut walk;
 
-        scratch.core.clear();
-        scratch.start.clear();
+        core.clear();
+        start.clear();
         let mut total = 0;
-        for (s, &q) in slices.iter().zip(&quotas) {
-            scratch.core.push(topo.core_of(s.pu).0);
-            scratch.start.push(total);
+        for (s, &q) in slices.iter().zip(quotas) {
+            core.push(topo.core_of(s.pu).0);
+            start.push(total);
             total += q as usize;
         }
-        scratch.levels.clear();
-        scratch.levels.resize(total, CacheLevel::L1);
-        scratch.misses.resize_with(topo.sockets(), Vec::new);
-        for queue in &mut scratch.misses {
-            queue.clear();
-        }
+        assert!(
+            u32::try_from(total).is_ok(),
+            "{total} cache samples in one epoch"
+        );
+        // L1 hits are the default: the walks below record only the others.
+        levels.clear();
+        levels.resize(total, CacheLevel::L1);
 
-        // Pass 1: each physical core's slices through its L1 and L2.
-        for i in 0..n {
-            let core = scratch.core[i];
-            let sibling = (0..n).find(|&k| k != i && scratch.core[k] == core);
-            if sibling.is_some_and(|k| k < i) {
-                continue; // walked together with its lower-indexed sibling
-            }
-            let (l1, l2) = (&mut l1[core], &mut l2[core]);
-            let misses = &mut scratch.misses[topo.socket_of_core(CoreId(core)).0];
-            let (start, levels) = (&scratch.start, &mut scratch.levels);
-            // Draw slice `i`'s `j`-th address and walk it through L1 then
-            // L2, recording the serving level or, on an L2 miss, queueing
-            // it for the socket's L3.
-            let mut walk = |s: &mut SliceRequest<'_>, i: usize, j: u64| {
-                let addr = s.stream.next_addr(&s.profile.mem);
-                let at = start[i] + j as usize;
-                levels[at] = if l1.access(addr) {
-                    CacheLevel::L1
-                } else if l2.access(addr) {
-                    CacheLevel::L2
-                } else {
-                    let t = sample_time(j, quotas[i]);
-                    misses.push(L2Miss {
-                        t,
-                        slice: i,
-                        at,
-                        addr,
+        // An L2 miss's place in the (t, i) order.
+        let key = |s: Sample| {
+            let (at, i) = (s.at as usize, s.slice as usize);
+            (sample_time((at - start[i]) as u64, quotas[i]), s.slice)
+        };
+        for (socket, l3) in l3.iter_mut().enumerate() {
+            runs.clear();
+            let mut queued = 0;
+            // Pass 1: each physical core of the socket through its L1 and
+            // L2, queueing its L2 misses as one run.
+            for i in 0..n {
+                let c = core[i];
+                if topo.socket_of_core(CoreId(c)).0 != socket {
+                    continue;
+                }
+                let sibling = (0..n).find(|&k| k != i && core[k] == c);
+                if sibling.is_some_and(|k| k < i) {
+                    continue; // walked together with its lower-indexed sibling
+                }
+                let (l1, l2) = (&mut l1[c], &mut l2[c]);
+                let run = queued;
+                match sibling {
+                    None => {
+                        let (q, at) = (quotas[i] as usize, start[i]);
+                        let mut draws = Draws::new(&mut slices[i], q);
+                        let own = (at..at + q).map(|at| Sample::new(draws.next(), at, i));
+                        walk_core(own, q, l1, l2, levels, queue, &mut queued);
+                    }
+                    Some(k) => {
+                        let (low, high) = slices.split_at_mut(k);
+                        let (qi, qk) = (quotas[i] as usize, quotas[k] as usize);
+                        let draws = [Draws::new(&mut low[i], qi), Draws::new(&mut high[0], qk)];
+                        let both = siblings([i, k], start, quotas, draws);
+                        walk_core(both, qi + qk, l1, l2, levels, queue, &mut queued);
+                    }
+                }
+                if queued > run {
+                    runs.push(Run {
+                        next: run,
+                        end: queued,
+                        head: key(queue[run]),
                     });
-                    CacheLevel::Memory // settled by the L3 pass
-                };
-            };
-            match sibling {
-                None => {
-                    for j in 0..quotas[i] {
-                        walk(&mut slices[i], i, j);
-                    }
-                }
-                Some(k) => {
-                    let (qi, qk) = (quotas[i], quotas[k]);
-                    let (mut ji, mut jk) = (0, 0);
-                    let (mut ti, mut tk) = (sample_time(0, qi), sample_time(0, qk));
-                    // `i < k`, so a tie in `t` goes to `i`.
-                    while ji < qi || jk < qk {
-                        if jk == qk || (ji < qi && ti <= tk) {
-                            walk(&mut slices[i], i, ji);
-                            ji += 1;
-                            ti = sample_time(ji, qi);
-                        } else {
-                            walk(&mut slices[k], k, jk);
-                            jk += 1;
-                            tk = sample_time(jk, qk);
-                        }
-                    }
                 }
             }
-        }
-
-        // Pass 2: each socket's L2 misses through its L3, in (t, i) order.
-        for (queue, l3) in scratch.misses.iter_mut().zip(l3.iter_mut()) {
-            queue.sort_unstable_by_key(|m| (m.t, m.slice));
-            for m in queue.iter() {
-                scratch.levels[m.at] = if l3.access(m.addr) {
-                    CacheLevel::L3
-                } else {
-                    CacheLevel::Memory
-                };
-            }
+            // Pass 2: the socket's L2 misses through its L3, in (t, i) order.
+            merge_runs(queue, runs, key, merged);
+            l3.walk(
+                merged.iter().copied(),
+                |s| s.addr,
+                |s, hit| {
+                    levels[s.at as usize] = if hit {
+                        CacheLevel::L3
+                    } else {
+                        CacheLevel::Memory
+                    };
+                },
+            );
         }
 
         stats.extend((0..n).map(|i| {
-            let at = scratch.start[i];
-            let mut st = SampleStats::default();
-            for &level in &scratch.levels[at..at + quotas[i] as usize] {
-                st.add(level, &cfg.uarch);
-            }
-            st
+            let at = start[i];
+            SampleStats::of(&levels[at..at + quotas[i] as usize], &cfg.uarch)
         }));
-        scratch.quotas = quotas;
+        WALK.set(walk);
     }
 
     /// The single-pass sampler [`Machine::sample_caches`] replaces: one
@@ -561,22 +588,187 @@ fn sample_quotas(cfg: &MachineConfig, slices: &[SliceRequest<'_>], quotas: &mut 
 /// Fewest samples a memory-touching epoch gives any one slice.
 const MIN_SLICE_SAMPLES: u64 = 16;
 
-/// A sample that missed its core's L2, queued for its socket's L3.
-struct L2Miss {
-    /// Virtual time key, see [`sample_time`].
-    t: u64,
-    slice: usize,
-    /// Index of the sample in [`SampleScratch::levels`].
-    at: usize,
-    addr: u64,
+/// Samples a core walks through its L1 and L2 at a time. A chunk's
+/// addresses and L1 misses are drawn and kept on the stack, so an epoch
+/// holds no buffer of all its addresses.
+const CHUNK: usize = 256;
+
+/// One slice's addresses, drawn [`CHUNK`] at a time as a walk takes them:
+/// exactly its quota, in `j` order.
+struct Draws<'s> {
+    stream: &'s mut TaskStream,
+    mem: &'s MemoryBehavior,
+    /// Addresses of the quota not drawn yet.
+    left: usize,
+    buf: [u64; CHUNK],
+    /// The next address's index in `buf`; `CHUNK` when it is used up.
+    next: usize,
 }
 
-/// Working memory of an epoch ([`Machine::execute_epoch_into`] and
-/// [`Machine::sample_caches`]), kept across epochs. Every vector starts
-/// empty, and the sampling ones stay empty on a machine whose epochs never
-/// sample memory.
+impl<'s> Draws<'s> {
+    fn new(slice: &'s mut SliceRequest<'_>, quota: usize) -> Self {
+        Draws {
+            stream: &mut *slice.stream,
+            mem: &slice.profile.mem,
+            left: quota,
+            buf: [0; CHUNK],
+            next: CHUNK,
+        }
+    }
+
+    /// The slice's next address. Called at most its quota times.
+    #[inline]
+    fn next(&mut self) -> u64 {
+        if self.next == CHUNK {
+            let n = self.left.min(CHUNK);
+            debug_assert!(n > 0, "more samples than the quota");
+            self.stream.fill(self.mem, &mut self.buf[..n]);
+            self.left -= n;
+            self.next = 0;
+        }
+        self.next += 1;
+        self.buf[self.next - 1]
+    }
+}
+
+/// Walk one core's `count` samples, in `(t, i)` order, through its `l1`,
+/// and each chunk's L1 misses through its `l2`, recording L2 hits in
+/// `levels` and appending the L2 misses to `queue` at `queued`.
+///
+/// A miss is kept without a branch: every sample is written to the next
+/// free slot, which a miss then keeps by advancing the count. So the L1
+/// misses of a chunk take a slot per sample, and `queue` is grown to hold
+/// every L1 miss of the chunk before the L2 walk.
+fn walk_core(
+    mut samples: impl Iterator<Item = Sample>,
+    count: usize,
+    l1: &mut SetAssocCache,
+    l2: &mut SetAssocCache,
+    levels: &mut [CacheLevel],
+    queue: &mut Vec<Sample>,
+    queued: &mut usize,
+) {
+    let mut l1_misses = [Sample::default(); CHUNK];
+    for _ in 0..count.div_ceil(CHUNK) {
+        let mut missed = 0;
+        let chunk = samples.by_ref().take(CHUNK);
+        l1.walk(
+            chunk,
+            |s| s.addr,
+            |s, hit| {
+                l1_misses[missed] = s;
+                missed += usize::from(!hit);
+            },
+        );
+        if queue.len() < *queued + missed {
+            // Its length only grows: the entries in use are `..queued`.
+            queue.resize(*queued + missed, Sample::default());
+        }
+        let mut end = *queued;
+        l2.walk(
+            l1_misses[..missed].iter().copied(),
+            |s| s.addr,
+            |s, hit| {
+                // A miss is settled by the L3 pass.
+                levels[s.at as usize] = if hit {
+                    CacheLevel::L2
+                } else {
+                    CacheLevel::Memory
+                };
+                queue[end] = s;
+                end += usize::from(!hit);
+            },
+        );
+        *queued = end;
+    }
+}
+
+/// The samples of two SMT siblings `i < k` (`slices`) in `(t, i)` order,
+/// each drawing its address from its `draws`: a tie in `t` goes to `i`.
+fn siblings<'s>(
+    slices: [usize; 2],
+    start: &[usize],
+    quotas: &[u64],
+    mut draws: [Draws<'s>; 2],
+) -> impl Iterator<Item = Sample> + 's {
+    let [i, k] = slices;
+    let (qi, qk) = (quotas[i], quotas[k]);
+    let (si, sk) = (start[i], start[k]);
+    let (mut ji, mut jk) = (0, 0);
+    let (mut ti, mut tk) = (sample_time(0, qi), sample_time(0, qk));
+    std::iter::from_fn(move || {
+        if ji < qi && (jk == qk || ti <= tk) {
+            let at = si + ji as usize;
+            ji += 1;
+            ti = sample_time(ji, qi);
+            Some(Sample::new(draws[0].next(), at, i))
+        } else if jk < qk {
+            let at = sk + jk as usize;
+            jk += 1;
+            tk = sample_time(jk, qk);
+            Some(Sample::new(draws[1].next(), at, k))
+        } else {
+            None
+        }
+    })
+}
+
+/// One core's L2 misses in [`WalkScratch::queue`], `next..end`, in
+/// `(t, i)` order, with the `(t, i)` of the next.
+struct Run {
+    next: usize,
+    end: usize,
+    head: (u64, u32),
+}
+
+/// The samples of the non-empty `runs` of `queue` into `merged` (cleared
+/// first) in `(t, i)` order, which `key` gives. The runs are a socket's busy
+/// cores, so a pick scans a handful of heads; each run is dropped from
+/// `runs` as it empties.
+fn merge_runs(
+    queue: &[Sample],
+    runs: &mut Vec<Run>,
+    key: impl Fn(Sample) -> (u64, u32),
+    merged: &mut Vec<Sample>,
+) {
+    merged.clear();
+    while let Some(r) = (0..runs.len()).min_by_key(|&r| runs[r].head) {
+        let run = &mut runs[r];
+        merged.push(queue[run.next]);
+        run.next += 1;
+        if run.next == run.end {
+            runs.swap_remove(r);
+        } else {
+            run.head = key(queue[run.next]);
+        }
+    }
+}
+
+/// One sample of an epoch: its address, its index in
+/// [`WalkScratch::levels`], and its slice.
+#[derive(Clone, Copy, Default)]
+struct Sample {
+    addr: u64,
+    at: u32,
+    slice: u32,
+}
+
+impl Sample {
+    #[inline]
+    fn new(addr: u64, at: usize, slice: usize) -> Self {
+        // `sample_caches` checks that every sample index fits.
+        Sample {
+            addr,
+            at: at as u32,
+            slice: slice as u32,
+        }
+    }
+}
+
+/// Working memory of [`Machine::execute_epoch_into`], kept across epochs.
+/// Every vector starts empty.
 #[derive(Default)]
-struct SampleScratch {
+struct EpochScratch {
     /// Per PU: whether a slice of this epoch runs there (the sanity check).
     pu_taken: Vec<bool>,
     /// Per physical core: slices of this epoch running on it.
@@ -585,14 +777,32 @@ struct SampleScratch {
     quotas: Vec<u64>,
     /// Per slice: its sampling tallies.
     stats: Vec<SampleStats>,
+}
+
+/// Working memory of [`Machine::sample_caches`], one per thread ([`WALK`])
+/// rather than one per machine: it is sized by an epoch's samples, and a
+/// cluster worker steps many machines one at a time.
+#[derive(Default)]
+struct WalkScratch {
     /// Per slice: its physical core.
     core: Vec<usize>,
     /// Per slice: index of its first sample in `levels`.
     start: Vec<usize>,
     /// Level that served each sample, slice by slice, each in `j` order.
     levels: Vec<CacheLevel>,
-    /// Per socket: the L2 misses bound for its L3.
-    misses: Vec<Vec<L2Miss>>,
+    /// One socket's L2 misses bound for its L3, a `(t, i)`-ordered run per
+    /// core, followed by room for the next chunk's L2 misses.
+    queue: Vec<Sample>,
+    /// The runs of `queue`.
+    runs: Vec<Run>,
+    /// The socket's L2 misses merged into `(t, i)` order.
+    merged: Vec<Sample>,
+}
+
+thread_local! {
+    /// The walk buffers of the machines this thread samples, taken for the
+    /// length of a [`Machine::sample_caches`] call and put back after it.
+    static WALK: Cell<WalkScratch> = Cell::new(WalkScratch::default());
 }
 
 /// Fraction of this profile's FP ops that take a micro-code assist on a
@@ -993,9 +1203,24 @@ mod tests {
 
     /// Seeded random epochs through the two-pass sampler and the heap-merge
     /// oracle on twin machines: every tally, outcome, L3 count and stream
-    /// position must agree after every epoch.
+    /// position must agree after every epoch. The L3 has 256 sets, indexed
+    /// by a mask.
     #[test]
     fn two_pass_sampler_matches_the_single_merge_oracle() {
+        sampler_matches_the_oracle(256);
+    }
+
+    /// [`two_pass_sampler_matches_the_single_merge_oracle`] with an L3 of
+    /// 192 sets, indexed by the multiply-based remainder, as the E5640's
+    /// 12,288-set L3 is.
+    #[test]
+    fn two_pass_sampler_matches_the_oracle_on_a_modulo_indexed_l3() {
+        sampler_matches_the_oracle(192);
+    }
+
+    /// The oracle comparison on a `datacenter_e5640` with an L3 of
+    /// `l3_kib`, 16 ways of 64-byte lines.
+    fn sampler_matches_the_oracle(l3_kib: u64) {
         use crate::access::{AccessPattern, WorkingSetTier};
 
         let mem = |tiers: Vec<(u64, f64, AccessPattern)>| {
@@ -1034,11 +1259,24 @@ mod tests {
                 ]),
             ),
             profile("no-mem", 0.0, MemoryBehavior::uniform(4096)),
+            // More tiers than `TaskStream::fill` takes in one table.
+            profile(
+                "five-tier",
+                0.3,
+                mem(vec![
+                    (16 << 10, 0.5, AccessPattern::Random),
+                    (640, 0.1, AccessPattern::Sequential),
+                    (100 << 10, 0.2, AccessPattern::Strided(320)),
+                    (3 << 20, 0.1, AccessPattern::Random),
+                    (32 << 20, 0.1, AccessPattern::Random),
+                ]),
+            ),
         ];
         // Non-integer latencies make the order of the f64 penalty additions
         // observable; an L3 this small evicts within a few epochs, which
         // makes the order of its accesses observable.
-        let mut base = MachineConfig::datacenter_e5640().with_l3_kib(256);
+        let mut base = MachineConfig::datacenter_e5640().with_l3_kib(l3_kib);
+        assert_eq!(base.uarch.l3.num_sets(), l3_kib);
         base.uarch.lat_l2 = 8.3;
         base.uarch.lat_l3 = 37.7;
         base.uarch.lat_mem = 181.9;
