@@ -22,7 +22,10 @@
 //! Tags are allocated lazily, on a cache's first access, and the machine's
 //! sampler walks each cache's samples of an epoch in one call
 //! (`SetAssocCache::walk`): the tag array, set rule, padded width and way
-//! count are resolved once per walk, not once per access.
+//! count are resolved once per walk, not once per access. The sets start
+//! on a host cache line, and a walk over a slice of samples
+//! (`SetAssocCache::walk_slice`) prefetches each sample's set a few
+//! samples ahead.
 
 use serde::{Deserialize, Serialize};
 
@@ -141,6 +144,8 @@ impl AccessOutcome {
 /// of the `sets × width × 8` bytes — at fleet scale that is hundreds of KiB
 /// per simulated machine that is never paid. An untouched cache behaves
 /// exactly like an all-invalid one: every probe misses, no lines resident.
+/// The sets start on a host cache line, so a set of up to eight slots is
+/// one host line and a 16-slot L3 set is two.
 ///
 /// [`SetAssocCache::access`] takes one address; the machine's sampler walks
 /// a whole sequence with `SetAssocCache::walk`, which resolves the tag
@@ -153,9 +158,13 @@ pub struct SetAssocCache {
     /// Slots per set: the associativity rounded up to a power of two.
     width: u32,
     index: SetIndex,
-    /// `sets * width` tags, LRU-ordered within each set: index 0 is MRU.
-    /// Empty until the first access.
+    /// `sets * width` tags from slot `first` on, LRU-ordered within each
+    /// set: index 0 is MRU. Empty until the first access.
     tags: Vec<u64>,
+    /// The first slot of the sets: the first on a host cache line, when
+    /// the allocator gives one within [`LINE_SLOTS`]. The slots before it
+    /// stay invalid.
+    first: usize,
     hits: u64,
     misses: u64,
 }
@@ -189,6 +198,9 @@ const INVALID: u64 = u64::MAX;
 /// Widest supported set: one bit per way in a `u64` match mask.
 const MAX_WAYS: u32 = 64;
 
+/// Tags per host cache line of 64 bytes.
+const LINE_SLOTS: usize = 8;
+
 impl SetAssocCache {
     pub fn new(geometry: CacheGeometry) -> Self {
         let sets = geometry.num_sets();
@@ -202,6 +214,7 @@ impl SetAssocCache {
                 SetIndex::Divide(sets)
             },
             tags: Vec::new(),
+            first: 0,
             hits: 0,
             misses: 0,
         }
@@ -240,6 +253,37 @@ impl SetAssocCache {
         addr: impl Fn(S) -> u64,
         served: impl FnMut(S, bool),
     ) {
+        self.walk_ahead(samples, std::iter::empty(), addr, served);
+    }
+
+    /// [`SetAssocCache::walk`] over a slice of samples, prefetching the set
+    /// of the sample [`PREFETCH_AHEAD`] places on before each access.
+    ///
+    /// For a cache whose tags do not stay in the host's own caches (the
+    /// megabytes of an L3's), a walk is otherwise a chain of host cache
+    /// misses, each paid in full: its time is the host's memory latency,
+    /// which swings with whatever else the host runs. The prefetches keep
+    /// several of those misses in flight at once. A prefetch is only a
+    /// hint, so the walk's results are the same.
+    pub(crate) fn walk_slice<S: Copy>(
+        &mut self,
+        samples: &[S],
+        addr: impl Fn(S) -> u64 + Copy,
+        served: impl FnMut(S, bool),
+    ) {
+        let ahead = samples.iter().skip(PREFETCH_AHEAD).map(move |&s| addr(s));
+        self.walk_ahead(samples.iter().copied(), ahead, addr, served);
+    }
+
+    /// [`SetAssocCache::walk`], prefetching the set of each address of
+    /// `ahead` as it steps to the next sample.
+    fn walk_ahead<S: Copy>(
+        &mut self,
+        samples: impl IntoIterator<Item = S>,
+        ahead: impl Iterator<Item = u64>,
+        addr: impl Fn(S) -> u64,
+        served: impl FnMut(S, bool),
+    ) {
         let mut samples = samples.into_iter();
         // An empty walk, like no access at all, leaves an untouched cache
         // unallocated.
@@ -248,18 +292,18 @@ impl SetAssocCache {
         };
         self.materialise();
         match self.width {
-            1 => self.walk_fixed::<1, S>(first, samples, addr, served),
-            2 => self.walk_fixed::<2, S>(first, samples, addr, served),
-            4 => self.walk_fixed::<4, S>(first, samples, addr, served),
-            8 => self.walk_fixed::<8, S>(first, samples, addr, served),
-            16 => self.walk_fixed::<16, S>(first, samples, addr, served),
-            32 => self.walk_fixed::<32, S>(first, samples, addr, served),
-            64 => self.walk_fixed::<64, S>(first, samples, addr, served),
+            1 => self.walk_fixed::<1, S>(first, samples, ahead, addr, served),
+            2 => self.walk_fixed::<2, S>(first, samples, ahead, addr, served),
+            4 => self.walk_fixed::<4, S>(first, samples, ahead, addr, served),
+            8 => self.walk_fixed::<8, S>(first, samples, ahead, addr, served),
+            16 => self.walk_fixed::<16, S>(first, samples, ahead, addr, served),
+            32 => self.walk_fixed::<32, S>(first, samples, ahead, addr, served),
+            64 => self.walk_fixed::<64, S>(first, samples, ahead, addr, served),
             w => unreachable!("set width {w} is not a power of two up to {MAX_WAYS}"),
         }
     }
 
-    /// [`SetAssocCache::walk`] over sets of `W` slots, from its first
+    /// [`SetAssocCache::walk_ahead`] over sets of `W` slots, from its first
     /// sample on. The loop body is written out rather than passed to an
     /// iterator adapter as a closure, which the compiler may leave as a
     /// call per sample.
@@ -268,15 +312,19 @@ impl SetAssocCache {
         &mut self,
         first: S,
         mut rest: impl Iterator<Item = S>,
+        mut ahead: impl Iterator<Item = u64>,
         addr: impl Fn(S) -> u64,
         mut served: impl FnMut(S, bool),
     ) {
         let (index, line_shift) = (&self.index, self.line_shift);
         let ways = self.geometry.ways as usize;
-        let (sets, _) = self.tags.as_chunks_mut::<W>();
+        let (sets, _) = self.tags[self.first..].as_chunks_mut::<W>();
         let (mut accesses, mut hits) = (0, 0);
         let mut sample = first;
         loop {
+            if let Some(next) = ahead.next() {
+                prefetch(&sets[index.set(next >> line_shift)]);
+            }
             let line = addr(sample) >> line_shift;
             debug_assert_ne!(line, INVALID, "reserved tag");
             let hit = access_fixed(&mut sets[index.set(line)], line, ways);
@@ -293,12 +341,16 @@ impl SetAssocCache {
     }
 
     /// Allocate the all-invalid tag array if the cache has none (first
-    /// access since construction or [`SetAssocCache::flush`]), and switch a
-    /// modulo set index to its multiply.
+    /// access since construction or [`SetAssocCache::flush`]), with the
+    /// slack to start its sets on a host cache line, and switch a modulo
+    /// set index to its multiply.
     fn materialise(&mut self) {
         if self.tags.is_empty() {
             let slots = self.geometry.num_sets() as usize * self.width as usize;
-            self.tags = vec![INVALID; slots];
+            self.tags = vec![INVALID; slots + LINE_SLOTS - 1];
+            // Any offset within the slack is correct; the aligned one
+            // saves a host cache line per access.
+            self.first = self.tags.as_ptr().align_offset(64).min(LINE_SLOTS - 1);
             if let SetIndex::Divide(sets) = self.index {
                 self.index = SetIndex::Multiply(Box::new(FastMod::new(sets)));
             }
@@ -312,7 +364,7 @@ impl SetAssocCache {
         }
         let line = self.line_of(addr);
         let width = self.width as usize;
-        let base = self.index.set(line) * width;
+        let base = self.first + self.index.set(line) * width;
         self.tags[base..base + width].contains(&line)
     }
 
@@ -338,6 +390,25 @@ impl SetAssocCache {
     pub fn allocated_bytes(&self) -> usize {
         self.tags.capacity() * std::mem::size_of::<u64>()
     }
+}
+
+/// Samples between a [`SetAssocCache::walk_slice`] prefetch and the access
+/// it is for: enough walk steps to cover a host memory access.
+const PREFETCH_AHEAD: usize = 16;
+
+/// Ask the host to bring `set` into its L1: one prefetch per host cache
+/// line, as the sets start on one.
+#[inline(always)]
+fn prefetch<const W: usize>(set: &[u64; W]) {
+    #[cfg(target_arch = "x86_64")]
+    for k in (0..W).step_by(LINE_SLOTS) {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: a prefetch reads nothing into the program and cannot
+        // fault; the pointer is in bounds of `set` anyway.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(set[k..].as_ptr().cast()) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = set;
 }
 
 /// Access `line` in one set of `W` slots, the first `ways` of them live:
@@ -471,6 +542,45 @@ mod tests {
                     }
                 }
                 assert!(cache.stats().0 > 0 && cache.stats().1 > 0);
+            }
+        }
+    }
+
+    /// `walk_slice` against repeated `access` on a twin cache, over every
+    /// width class and both set-index rules, with walks shorter and longer
+    /// than the prefetch distance: the same hit for every sample, the same
+    /// statistics and the same resident lines after every walk.
+    #[test]
+    fn prefetching_walk_matches_repeated_access() {
+        for ways in [1u32, 2, 3, 8, 12, 16] {
+            for sets in [16u64, 12] {
+                let geometry = CacheGeometry {
+                    size_bytes: sets * ways as u64 * 64,
+                    ways,
+                    line_bytes: 64,
+                };
+                let mut walked = SetAssocCache::new(geometry);
+                let mut accessed = SetAssocCache::new(geometry);
+                walked.walk_slice(&[] as &[u64], |a| a, |_, _| unreachable!());
+                assert_eq!(walked.allocated_bytes(), 0, "an empty walk allocates");
+                let mut rng = SmallRng::seed_from_u64(sets * 1000 + ways as u64);
+                let pool = 3 * sets * ways as u64;
+                for len in [1, 2, PREFETCH_AHEAD - 1, PREFETCH_AHEAD, 40, 200] {
+                    let addrs: Vec<u64> = (0..len)
+                        .map(|_| rng.random_range(0..pool) << 6 | rng.random_range(0..64))
+                        .collect();
+                    let mut hits = Vec::new();
+                    walked.walk_slice(&addrs, |a| a, |_, hit| hits.push(hit));
+                    let expected: Vec<bool> = addrs.iter().map(|&a| accessed.access(a)).collect();
+                    let ctx = format!("{ways} ways, {sets} sets, walk of {len}");
+                    assert_eq!(hits, expected, "{ctx}: hits");
+                    assert_eq!(walked.stats(), accessed.stats(), "{ctx}: stats");
+                    assert_eq!(
+                        walked.resident_lines(),
+                        accessed.resident_lines(),
+                        "{ctx}: resident lines"
+                    );
+                }
             }
         }
     }
@@ -610,7 +720,16 @@ mod tests {
         assert!(!c.probe(0));
         assert_eq!(c.resident_lines(), 0);
         assert!(!c.access(0), "first access is a cold miss");
-        assert_eq!(c.allocated_bytes(), 8 * 8, "4 sets x 2 ways x 8 bytes");
+        assert_eq!(
+            c.allocated_bytes(),
+            (8 + LINE_SLOTS - 1) * 8,
+            "4 sets x 2 ways x 8 bytes, and the slack to align them"
+        );
+        assert_eq!(
+            c.tags[c.first..].as_ptr() as usize % 64,
+            0,
+            "the sets start on a host cache line"
+        );
         assert!(c.probe(0));
         c.flush();
         assert_eq!(c.allocated_bytes(), 0, "flush deallocates, not just fills");

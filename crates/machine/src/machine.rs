@@ -367,7 +367,12 @@ impl Machine {
     ///    core's socket: one run per core, each in `(t, i)` order.
     /// 2. *Per socket.* The runs are merged by `(t, i)` (unique: `t` is
     ///    strictly increasing in `j`) into one reused buffer, which the L3
-    ///    walks, so it sees its socket's L2 misses in `(t, i)` order.
+    ///    walks, so it sees its socket's L2 misses in `(t, i)` order. The
+    ///    buffer is known before the walk, so the walk prefetches the L3
+    ///    sets of the samples ahead (`SetAssocCache::walk_slice`): an L3's
+    ///    tags do not fit the host's own caches, and one host miss after
+    ///    another made this pass the part of an epoch most at the mercy of
+    ///    the host's memory latency.
     ///
     /// Each cache is resolved once per walk (`SetAssocCache::walk`), not
     /// once per access. The walks record each sample's serving level, and
@@ -471,8 +476,8 @@ impl Machine {
             }
             // Pass 2: the socket's L2 misses through its L3, in (t, i) order.
             merge_runs(queue, runs, key, merged);
-            l3.walk(
-                merged.iter().copied(),
+            l3.walk_slice(
+                merged,
                 |s| s.addr,
                 |s, hit| {
                     levels[s.at as usize] = if hit {
@@ -633,7 +638,9 @@ impl<'s> Draws<'s> {
 
 /// Walk one core's `count` samples, in `(t, i)` order, through its `l1`,
 /// and each chunk's L1 misses through its `l2`, recording L2 hits in
-/// `levels` and appending the L2 misses to `queue` at `queued`.
+/// `levels` and appending the L2 misses to `queue` at `queued`. A chunk's
+/// L1 misses are known before its L2 walk, which therefore prefetches, as
+/// the L3 walk does (`SetAssocCache::walk_slice`).
 ///
 /// A miss is kept without a branch: every sample is written to the next
 /// free slot, which a miss then keeps by advancing the count. So the L1
@@ -665,8 +672,8 @@ fn walk_core(
             queue.resize(*queued + missed, Sample::default());
         }
         let mut end = *queued;
-        l2.walk(
-            l1_misses[..missed].iter().copied(),
+        l2.walk_slice(
+            &l1_misses[..missed],
             |s| s.addr,
             |s, hit| {
                 // A miss is settled by the L3 pass.
