@@ -43,17 +43,15 @@ use tiptop_workloads::pipelines::random_dag;
 
 use tiptop_bench::experiments::{
     fig01_snapshot, fig03_evolution, fig06_07_phases, fig08_ipc_vs_instructions, fig09_compilers,
-    fig10_datacenter, fig11_interference, fleet, grid, pipelines, policy_lab, reactive, scaling,
-    table1_fp_micro, tournament, validation,
+    fig10_datacenter, fig11_interference, fleet, pipelines, relief, scaling, table1_fp_micro,
+    validation,
 };
 
 /// Release-profile wall-second baselines, seeded from the PR 3 trajectory
-/// (`BENCH_experiments.json`; `grid`, `reactive` and `tournament` from the
-/// PRs that introduced them — `reactive` pays for its run *plus* the
-/// scripted grid baseline it compares against, `tournament` for its four
-/// detector×mode cells). A budget breach means the experiment
-/// regressed by more than [`REGRESSION_ALLOWANCE`] against this trajectory.
-const BASELINE_SECONDS: [(&str, f64); 16] = [
+/// (`BENCH_experiments.json`; each later experiment from its first
+/// recorded runs). A budget breach means the experiment regressed by
+/// more than [`REGRESSION_ALLOWANCE`] against this trajectory.
+const BASELINE_SECONDS: [(&str, f64); 13] = [
     ("fig01_snapshot", 0.400),
     ("table1_fp_micro", 0.002),
     ("fig03_evolution", 0.206),
@@ -63,13 +61,11 @@ const BASELINE_SECONDS: [(&str, f64); 16] = [
     ("fig10_datacenter", 3.454),
     ("fig11_interference", 2.088),
     ("fleet", 0.078),
-    ("grid", 2.900),
-    ("reactive", 5.800),
-    ("tournament", 10.500),
-    // Nine policy×scenario cells; the three `fleet` cells carry four
-    // endless background jobs each, so the grid costs ~2.7× the
-    // tournament's four cells.
-    ("policy_lab", 29.240),
+    // The 13 relief cells, each simulated once; the three `fleet` cells
+    // carry four endless background jobs each. The budget is the sum of
+    // the four experiments the cells replace (grid 2.900, reactive 5.800,
+    // tournament 10.500, policy_lab 29.240), which simulated 16 cell runs.
+    ("relief", 48.440),
     // Four three-machine pipelines (chain, fan-out, shuffle, random DAG)
     // through the cluster's round driver.
     ("pipelines", 0.020),
@@ -286,17 +282,8 @@ fn main() {
     time("fleet", &mut || {
         fleet::run(31, 0.02);
     });
-    time("grid", &mut || {
-        grid::run(37, 0.01);
-    });
-    time("reactive", &mut || {
-        reactive::run(41, 0.01);
-    });
-    time("tournament", &mut || {
-        tournament::run(43, 0.01);
-    });
-    time("policy_lab", &mut || {
-        policy_lab::run(53, 0.01);
+    time("relief", &mut || {
+        relief::run(53, 0.01);
     });
     time("pipelines", &mut || {
         pipelines::run(7);

@@ -9,25 +9,20 @@
 //! instructions), Figure 9 (gcc vs icc), Figure 10 (the data-center
 //! interference burst), Figure 11 (the SMT/shared-cache interference
 //! matrix), Table 1 (the x87/SSE FP micro-benchmark), and the §2.4
-//! tiptop-vs-Pin validation — plus three beyond-the-paper cluster
-//! experiments: [`fleet`] (one workload on every machine, one merged
-//! timeline), [`grid`] (a Fig 10-style burst relieved by migrating the
-//! aggressors off the victims' node at a scripted instant), [`reactive`]
-//! (the same relief *decided live* by an IPC-floor policy watching the
-//! merged stream, compared against the scripted baseline) and
-//! [`tournament`] (restart-vs-resume relocation crossed with the
-//! IPC-floor and CUSUM detectors — the checkpoint/restore subsystem
-//! measured as a 2×2 of wall-clock and recovered IPC), [`scaling`]
-//! (the throughput frontier of the round driver: frames/sec and parallel
-//! efficiency at 10, 100 and 1000 machines, swept across worker-thread
-//! counts),
-//! [`policy_lab`] (the pluggable-scheduling payoff: detector × placement
-//! policies crossed with scenarios that also swap the *in-kernel* epoch
-//! planner, ranked by payload wall-clock) and [`pipelines`]
-//! (dependency-driven scenario DAGs: ETL-chain, build-farm, map-shuffle
-//! and seeded random-DAG scripts whose stages are submitted by after-exit
-//! edges and resolved — across machines — by the cluster's round
-//! driver).
+//! tiptop-vs-Pin validation — plus beyond-the-paper cluster experiments:
+//! [`fleet`] (one workload on every machine, one merged timeline),
+//! [`relief`] (the Fig 10 burst relieved by moving work off the contended
+//! node: one table of cells keyed by scenario — the endless-aggressor grid,
+//! the finite burst on CFS-like or round-robin kernels, a three-node fleet
+//! with a busy spare — by trigger — a scripted migration, or an IPC-floor,
+//! CUSUM or population+least-loaded policy deciding from the merged stream
+//! — and by restart or resume mode, each cell simulated once),
+//! [`scaling`] (the throughput frontier of the round driver: frames/sec
+//! and parallel efficiency at 10, 100 and 1000 machines, swept across
+//! worker-thread counts) and [`pipelines`] (dependency-driven scenario
+//! DAGs: ETL-chain, build-farm, map-shuffle and seeded random-DAG scripts
+//! whose stages are submitted by after-exit edges and resolved — across
+//! machines — by the cluster's round driver).
 
 pub mod fig01_snapshot;
 pub mod fig03_evolution;
@@ -37,13 +32,10 @@ pub mod fig09_compilers;
 pub mod fig10_datacenter;
 pub mod fig11_interference;
 pub mod fleet;
-pub mod grid;
 pub mod pipelines;
-pub mod policy_lab;
-pub mod reactive;
+pub mod relief;
 pub mod scaling;
 pub mod table1_fp_micro;
-pub mod tournament;
 pub mod validation;
 
 use tiptop_core::app::{Tiptop, TiptopOptions};

@@ -6,14 +6,15 @@
 //! the §2.4 validation; Figure 1 and Table 1 are covered by their module
 //! tests.
 
-use tiptop_bench::experiments::policy_lab::{LabPolicy, LabScenario};
-use tiptop_bench::experiments::tournament::Detector;
+use std::sync::OnceLock;
+
+use tiptop_bench::experiments::relief::{self, Scenario, Trigger};
 use tiptop_bench::experiments::{
     evaluation_machines, fig03_evolution, fig06_07_phases, fig08_ipc_vs_instructions,
-    fig09_compilers, fig10_datacenter, fig11_interference, fleet, grid, pipelines, policy_lab,
-    reactive, scaling, tournament, validation,
+    fig09_compilers, fig10_datacenter, fig11_interference, fleet, pipelines, scaling, validation,
 };
 use tiptop_core::reactive::MigrationMode;
+use tiptop_workloads::datacenter::grid_script;
 use tiptop_workloads::spec::{Compiler, SpecBenchmark};
 
 #[test]
@@ -383,13 +384,28 @@ fn fleet_merges_all_machines_into_one_deterministic_timeline() {
     assert!(r.report().contains("473.astar"), "report renders");
 }
 
+/// The relief table at seed 53 and 1 worker thread, simulated once per test
+/// binary and read by every relief test: each cell runs once.
+fn relief_53() -> &'static relief::Relief {
+    static RUN: OnceLock<relief::Relief> = OnceLock::new();
+    RUN.get_or_init(|| relief::run_on(53, 0.01, 1))
+}
+
+/// `key`'s stream at 2 and 8 worker threads. The thread-identity checks
+/// simulate these before reading [`relief_53`], so they overlap with the
+/// shared run instead of queueing behind it.
+fn streams_at_2_and_8(key: relief::Key) -> [String; 2] {
+    [2, 8].map(|threads| relief::run_cell(53, 0.01, threads, key).rendered_stream())
+}
+
 #[test]
 fn grid_migration_relieves_the_victims_mid_burst() {
-    let r = grid::run(37, 0.01);
+    let r = relief_53().cell(Scenario::Grid, Trigger::Scripted, MigrationMode::Restart);
     let [before, during, after] = r.windows();
-    assert!(r.arrival < r.relief && r.relief < r.end);
+    let relief = r.trigger;
+    assert!(r.arrival < relief && relief < r.end);
 
-    for v in &r.victims {
+    for v in &r.victims() {
         let ipc_before = v.ipc.mean_in(before.0, before.1);
         let ipc_during = v.ipc.mean_in(during.0, during.1);
         let ipc_after = v.ipc.mean_in(after.0, after.1);
@@ -420,6 +436,7 @@ fn grid_migration_relieves_the_victims_mid_burst() {
     // runs on the victims' node during the dwell and on the spare after —
     // never on the spare before the relief instant, never on the victims'
     // node after the handover frame.
+    assert_eq!(r.handovers.len(), 5, "all five aggressors migrated");
     for h in &r.handovers {
         assert_eq!(
             h.exit_at, h.start_at,
@@ -427,26 +444,26 @@ fn grid_migration_relieves_the_victims_mid_burst() {
              carry the same sim-time",
             h.comm
         );
-        assert_eq!(h.exit_at, r.relief);
+        assert_eq!(h.exit_at, relief);
         assert!(
-            r.frames_showing(grid::VICTIM_NODE, &h.comm, r.arrival, r.relief) > 0,
+            r.frames_showing(relief::VICTIM_NODE, &h.comm, r.arrival, relief) > 0,
             "{}: visible on the victims' node during the dwell",
             h.comm
         );
         assert_eq!(
-            r.frames_showing(grid::SPARE_NODE, &h.comm, 0.0, r.relief - 0.1),
+            r.frames_showing(relief::SPARE_NODE, &h.comm, 0.0, relief - 0.1),
             0,
             "{}: never on the spare before the migration",
             h.comm
         );
         assert_eq!(
-            r.frames_showing(grid::VICTIM_NODE, &h.comm, r.relief + 0.1, f64::INFINITY),
+            r.frames_showing(relief::VICTIM_NODE, &h.comm, relief + 0.1, f64::INFINITY),
             0,
             "{}: gone from the victims' node after the handover frame",
             h.comm
         );
         assert!(
-            r.frames_showing(grid::SPARE_NODE, &h.comm, r.relief - 0.1, f64::INFINITY) > 0,
+            r.frames_showing(relief::SPARE_NODE, &h.comm, relief - 0.1, f64::INFINITY) > 0,
             "{}: visible on the spare from the handover frame on",
             h.comm
         );
@@ -460,15 +477,15 @@ fn grid_migration_relieves_the_victims_mid_burst() {
             .filter(|cf| cf.machine == m && cf.source == s)
             .count()
     };
-    assert!(count(grid::VICTIM_NODE, "tiptop") > 0);
+    assert!(count(relief::VICTIM_NODE, "tiptop") > 0);
     assert_eq!(
-        count(grid::VICTIM_NODE, "tiptop"),
-        count(grid::VICTIM_NODE, "top"),
+        count(relief::VICTIM_NODE, "tiptop"),
+        count(relief::VICTIM_NODE, "top"),
         "both observers cover the whole run"
     );
     assert_eq!(
-        count(grid::VICTIM_NODE, "tiptop"),
-        count(grid::SPARE_NODE, "tiptop"),
+        count(relief::VICTIM_NODE, "tiptop"),
+        count(relief::SPARE_NODE, "tiptop"),
         "the spare node is observed for the whole run too"
     );
     for w in r.merged.windows(2) {
@@ -477,27 +494,37 @@ fn grid_migration_relieves_the_victims_mid_burst() {
         assert!(a <= b, "merge order violated: {a:?} then {b:?}");
     }
 
-    assert!(r.report().contains("migrated away"), "report renders");
+    assert!(
+        relief_53().report().contains("migrated away"),
+        "report renders"
+    );
 }
 
 #[test]
 fn reactive_policy_fires_within_one_refresh_of_the_scripted_relief() {
-    // Run the reactive experiment single-threaded; the worker-thread
-    // determinism is asserted against this run's stream below.
-    let r = reactive::run_on(41, 0.01, 1);
-    assert!(r.arrival < r.trigger() && r.trigger() < r.end);
+    let key = relief::Key {
+        scenario: Scenario::Grid,
+        trigger: Trigger::IpcFloor,
+        mode: MigrationMode::Restart,
+    };
+    let [at_2, at_8] = streams_at_2_and_8(key);
+    let all = relief_53();
+    let r = all.cell(key.scenario, key.trigger, key.mode);
+    let scripted = all.cell(Scenario::Grid, Trigger::Scripted, MigrationMode::Restart);
+    assert!(r.arrival < r.trigger && r.trigger < r.end);
 
     // The headline: the relief is *decided from the stream*, and the
     // trigger lands within one refresh interval of the instant the
-    // scripted grid baseline migrates at.
-    assert_eq!(r.scripted_relief, r.baseline.relief);
+    // scripted grid cell migrates at.
+    let scripted_relief = grid_script(0.01).relief.as_secs_f64();
+    assert_eq!(scripted_relief, scripted.trigger);
     assert!(
-        (r.trigger() - r.scripted_relief).abs() <= r.refresh + 1e-9,
+        (r.trigger - scripted_relief).abs() <= relief::DELAY_S + 1e-9,
         "reactive trigger {} vs scripted relief {} must agree within one \
          refresh ({}s)",
-        r.trigger(),
-        r.scripted_relief,
-        r.refresh
+        r.trigger,
+        scripted_relief,
+        relief::DELAY_S
     );
 
     // One firing moved every aggressor; the decisions applied at the first
@@ -506,10 +533,10 @@ fn reactive_policy_fires_within_one_refresh_of_the_scripted_relief() {
     assert_eq!(r.decisions.len(), 5, "all five aggressors evicted");
     for d in &r.decisions {
         assert_eq!(d.policy, "ipc-floor");
-        assert_eq!(d.decided_at.as_secs_f64(), r.trigger());
-        assert_eq!(d.applied_at.as_secs_f64(), r.applied());
+        assert_eq!(d.decided_at.as_secs_f64(), r.trigger);
+        assert_eq!(d.applied_at.as_secs_f64(), r.applied);
     }
-    let boundary_lag = r.applied() - r.trigger();
+    let boundary_lag = r.applied - r.trigger;
     assert!(
         boundary_lag > 0.0 && boundary_lag <= 0.02 + 1e-9,
         "applied at the next 20 ms epoch boundary, got +{boundary_lag}s"
@@ -522,26 +549,27 @@ fn reactive_policy_fires_within_one_refresh_of_the_scripted_relief() {
              carry the same sim-time",
             h.comm
         );
-        assert_eq!(h.exit_at, r.applied());
+        assert_eq!(h.exit_at, r.applied);
         // Stream-level: on the victims' node during the dwell, never on
         // the spare before the migration, gone from the victims' node (and
         // on the spare) after it.
-        assert!(r.frames_showing(grid::VICTIM_NODE, &h.comm, r.arrival, r.trigger()) > 0);
+        assert!(r.frames_showing(relief::VICTIM_NODE, &h.comm, r.arrival, r.trigger) > 0);
         assert_eq!(
-            r.frames_showing(grid::SPARE_NODE, &h.comm, 0.0, r.applied()),
+            r.frames_showing(relief::SPARE_NODE, &h.comm, 0.0, r.applied),
             0
         );
         assert_eq!(
-            r.frames_showing(grid::VICTIM_NODE, &h.comm, r.applied(), f64::INFINITY),
+            r.frames_showing(relief::VICTIM_NODE, &h.comm, r.applied, f64::INFINITY),
             0
         );
-        assert!(r.frames_showing(grid::SPARE_NODE, &h.comm, r.applied(), f64::INFINITY) > 0);
+        assert!(r.frames_showing(relief::SPARE_NODE, &h.comm, r.applied, f64::INFINITY) > 0);
     }
 
     // The Fig 10 shape, with the dwell ended by the *policy*: IPC dips
     // through the dwell, recovers once the migration applies — while the
     // co-running `top` still shows every %CPU pegged.
-    for v in &r.victims {
+    let scripted_victims = scripted.victims();
+    for (v, baseline) in r.victims().iter().zip(&scripted_victims) {
         let [before, during, after] = r.windows();
         let ipc_before = v.ipc.mean_in(before.0, before.1);
         let ipc_during = v.ipc.mean_in(during.0, during.1);
@@ -563,14 +591,11 @@ fn reactive_policy_fires_within_one_refresh_of_the_scripted_relief() {
             "{}: %CPU must stay ~100 through the dwell, got {cpu_during}",
             v.comm
         );
-        // Side-by-side: after its relief the reactive run recovers to the
-        // same place the scripted baseline does (the migration instants
-        // differ by at most one refresh + one epoch).
-        let scripted_after = r
-            .baseline
-            .victim(&v.comm)
-            .ipc
-            .mean_in(r.end - 6.0, r.end + 1.0);
+        // Side-by-side: after its relief the reactive cell recovers to the
+        // same place the scripted one does (the migration instants differ
+        // by at most one refresh + one epoch).
+        assert_eq!(v.comm, baseline.comm);
+        let scripted_after = baseline.ipc.mean_in(r.end - 6.0, r.end + 1.0);
         assert!(
             (ipc_after - scripted_after).abs() < 0.05 * scripted_after,
             "{}: reactive recovery {ipc_after} vs scripted {scripted_after}",
@@ -579,21 +604,287 @@ fn reactive_policy_fires_within_one_refresh_of_the_scripted_relief() {
     }
 
     // Determinism: stream AND decisions byte-identical at 1, 2, 8 workers
-    // (the main run above was single-threaded — it is the golden).
+    // (the shared run is single-threaded — it is the golden).
     let golden = r.rendered_stream();
-    assert!(golden.contains("[decision ipc-floor 'batch0'"));
-    assert_eq!(
-        golden,
-        reactive::run_stream(41, 0.01, 2),
-        "2 workers must not change one byte"
-    );
-    assert_eq!(
-        golden,
-        reactive::run_stream(41, 0.01, 8),
-        "8 workers must not change one byte"
+    assert!(golden.contains("[decision ipc-floor restart 'batch0'"));
+    assert_eq!(golden, at_2, "2 workers must not change one byte");
+    assert_eq!(golden, at_8, "8 workers must not change one byte");
+
+    assert!(all.report().contains("policy fired"), "report renders");
+}
+
+#[test]
+fn tournament_resume_beats_restart_under_both_detectors() {
+    let key = relief::Key {
+        scenario: Scenario::BurstCfs,
+        trigger: Trigger::Cusum,
+        mode: MigrationMode::Resume,
+    };
+    let [at_2, at_8] = streams_at_2_and_8(key);
+    let r = relief_53();
+
+    for detector in [Trigger::IpcFloor, Trigger::Cusum] {
+        let restart = r.cell(Scenario::BurstCfs, detector, MigrationMode::Restart);
+        let resume = r.cell(Scenario::BurstCfs, detector, MigrationMode::Resume);
+
+        // Within a detector the trigger is identical across modes: the
+        // decision is made from the same merged stream before any
+        // migration lands, so the wall-clock gap below is pure mode.
+        assert_eq!(restart.trigger, resume.trigger, "{detector:?}");
+        assert_eq!(restart.applied, resume.applied, "{detector:?}");
+        assert!(
+            restart.arrival < restart.trigger,
+            "{detector:?} fired during the burst, not the warmup"
+        );
+        assert!(
+            restart.canary_dwell_ipc() < 1.15,
+            "{detector:?} fired on a genuinely depressed canary, got {}",
+            restart.canary_dwell_ipc()
+        );
+
+        // The headline pin: resume carries the payload's progress across
+        // the hop and completes in strictly less wall-clock than restart,
+        // which redoes every instruction the contended node had retired.
+        assert!(
+            resume.payload_wall() < restart.payload_wall(),
+            "{detector:?}: resume {} must beat restart {}",
+            resume.payload_wall(),
+            restart.payload_wall()
+        );
+        assert!(
+            r.saving(detector) > 0.5 * r.dwell,
+            "{detector:?}: the saving should be of dwell magnitude, got {}s",
+            r.saving(detector)
+        );
+
+        // Conservation: both modes end with the whole job retired — the
+        // resumed incarnation reports the whole job's totals — but only
+        // restart paid for instructions twice.
+        assert_eq!(
+            resume.payload_total_insns(),
+            r.payload_insns,
+            "{detector:?}"
+        );
+        assert_eq!(
+            restart.payload_total_insns(),
+            r.payload_insns,
+            "{detector:?}"
+        );
+        assert_eq!(resume.wasted_insns(), 0, "{detector:?}");
+        assert!(
+            restart.wasted_insns() > r.payload_insns / 2,
+            "{detector:?}: restart redid most of the dwell's work, got {}",
+            restart.wasted_insns()
+        );
+
+        // The relocated payload recovers on the spare node: the restart
+        // clone runs long enough there for its mean IPC to approach the
+        // healthy level (the resumed one may exit within a frame or two of
+        // landing, so its spare-side mean is reported, not pinned).
+        assert!(
+            restart.recovered_ipc() > 0.8,
+            "{detector:?}: payload IPC on the spare stayed at {}",
+            restart.recovered_ipc()
+        );
+        assert_eq!(resume.decisions.len(), 1, "exactly one job relocated");
+        assert_eq!(resume.decisions[0].tag, "sim-batch");
+        assert_eq!(resume.decisions[0].policy, detector.label());
+        assert_eq!(resume.decisions[0].mode, MigrationMode::Resume);
+    }
+
+    // The two families legitimately disagree on when to act — that is what
+    // makes it a tournament, not one detector measured twice.
+    assert_ne!(
+        r.cell(Scenario::BurstCfs, Trigger::IpcFloor, MigrationMode::Resume)
+            .trigger,
+        r.cell(Scenario::BurstCfs, Trigger::Cusum, MigrationMode::Resume)
+            .trigger,
+        "detectors should differ on the trigger instant"
     );
 
-    assert!(r.report().contains("policy fired"), "report renders");
+    // Determinism: a cell that exercises both CUSUM and resume is
+    // byte-identical at 1, 2 and 8 worker threads.
+    let golden = r
+        .cell(key.scenario, key.trigger, key.mode)
+        .rendered_stream();
+    assert!(golden.contains("[decision cusum resume 'sim-batch'"));
+    assert_eq!(golden, at_2, "2 workers must not change one byte");
+    assert_eq!(golden, at_8, "8 workers must not change one byte");
+
+    assert!(r.report().contains("resume saves"), "report renders");
+}
+
+#[test]
+fn policy_lab_ranks_least_loaded_placement_first_in_the_fleet() {
+    let key = relief::Key {
+        scenario: Scenario::BurstRr,
+        trigger: Trigger::Population,
+        mode: MigrationMode::Resume,
+    };
+    let [at_2, at_8] = streams_at_2_and_8(key);
+    let r = relief_53();
+    let cell = |trigger, scenario| r.cell(scenario, trigger, MigrationMode::Resume);
+
+    // Structure: every resume cell of the 3x3 grid fired exactly one
+    // migration, landed it at an epoch boundary after its trigger, and
+    // recovered the canary above the dwell level on the victim node.
+    for scenario in Scenario::BURSTS {
+        for policy in Trigger::POLICIES {
+            let c = cell(policy, scenario);
+            assert_eq!(c.decisions.len(), 1, "{policy:?}/{scenario:?} fired once");
+            assert!(c.applied >= c.trigger, "applied at the next epoch boundary");
+            assert!(
+                c.payload_wall() > c.applied,
+                "the payload finished after the hop"
+            );
+            assert!(
+                c.canary_recovery_ipc() > 1.0,
+                "{policy:?}/{scenario:?}: canary recovered past the dwell (~1.0), got {}",
+                c.canary_recovery_ipc()
+            );
+        }
+    }
+
+    // The population detector calibrates on the same plateau the CUSUM
+    // skips and confirms on the second dwell sample — one refresh ahead of
+    // the CUSUM, level with the floor's patience.
+    for scenario in Scenario::BURSTS {
+        let population = cell(Trigger::Population, scenario);
+        let cusum = cell(Trigger::Cusum, scenario);
+        let floor = cell(Trigger::IpcFloor, scenario);
+        assert!(
+            population.trigger < cusum.trigger,
+            "{scenario:?}: population ({}) should fire before cusum ({})",
+            population.trigger,
+            cusum.trigger
+        );
+        assert_eq!(
+            population.trigger, floor.trigger,
+            "{scenario:?}: population and floor confirm on the same refresh"
+        );
+    }
+
+    // Fixed placement always relieves onto the designated spare; live
+    // placement routes around it to the idle third node the moment the
+    // spare is busy.
+    for scenario in [Scenario::BurstCfs, Scenario::BurstRr] {
+        for policy in Trigger::POLICIES {
+            assert_eq!(cell(policy, scenario).payload().to, "node-spare");
+        }
+    }
+    assert_eq!(
+        cell(Trigger::IpcFloor, Scenario::Fleet).payload().to,
+        "node-spare"
+    );
+    assert_eq!(
+        cell(Trigger::Cusum, Scenario::Fleet).payload().to,
+        "node-spare"
+    );
+    assert_eq!(
+        cell(Trigger::Population, Scenario::Fleet).payload().to,
+        relief::IDLE_NODE,
+        "least-loaded placement picks the idle machine from live fleet load"
+    );
+
+    // The ranked table: in the fleet scenario, population+least-loaded wins
+    // wall-clock outright because the fixed policies co-locate the payload
+    // with the background load.
+    assert_eq!(
+        r.ranking(Scenario::Fleet),
+        vec![Trigger::Population, Trigger::Cusum, Trigger::IpcFloor]
+    );
+    let fleet_floor = cell(Trigger::IpcFloor, Scenario::Fleet);
+    let burst_floor = cell(Trigger::IpcFloor, Scenario::BurstCfs);
+    assert!(
+        fleet_floor.payload_wall() > burst_floor.payload_wall(),
+        "fixed placement pays for co-locating with the busy spare \
+         ({} vs {})",
+        fleet_floor.payload_wall(),
+        burst_floor.payload_wall()
+    );
+    let fleet_population = cell(Trigger::Population, Scenario::Fleet);
+    assert!(
+        fleet_population.payload_wall() < fleet_floor.payload_wall(),
+        "routing around the busy spare wins wall-clock"
+    );
+    assert!(
+        fleet_population.recovered_ipc() > fleet_floor.recovered_ipc(),
+        "and recovers more IPC on the destination"
+    );
+
+    // In the burst scenarios nobody is co-located, so the walls collapse to
+    // the trigger instants: floor and population tie (same trigger, same
+    // destination) and the stable ranking keeps declaration order.
+    assert_eq!(
+        r.ranking(Scenario::BurstCfs),
+        vec![Trigger::Cusum, Trigger::IpcFloor, Trigger::Population]
+    );
+    assert_eq!(
+        r.ranking(Scenario::BurstRr),
+        vec![Trigger::Cusum, Trigger::IpcFloor, Trigger::Population]
+    );
+
+    // The kernel-layer axis is real: the same burst under round-robin
+    // kernels produces a different stream than under CFS-like kernels.
+    let rr = cell(Trigger::Population, Scenario::BurstRr).rendered_stream();
+    let cfs = cell(Trigger::Population, Scenario::BurstCfs).rendered_stream();
+    assert_ne!(rr, cfs, "swapping the epoch planner must change the frames");
+    assert!(rr.contains("[decision population+least-loaded resume 'sim-batch'"));
+
+    // Determinism: the cell exercising both layers (round-robin kernels +
+    // population/least-loaded policy) is byte-identical at 2 and 8 worker
+    // threads.
+    assert_eq!(rr, at_2, "2 workers must not change one byte");
+    assert_eq!(rr, at_8, "8 workers must not change one byte");
+
+    let report = r.report();
+    assert!(report.contains("policy lab (3 policies × 3 scenarios"));
+    assert!(report.contains("population+least-loaded"));
+    assert!(report.contains("node-idle"));
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn relief_cells_reproduce_the_seed_53_goldens() {
+    // Each cell's rendered stream at seed 53, scale 0.01, 1 worker thread,
+    // as the four experiments that preceded the relief table rendered it
+    // (the grid's frames alone; the grid's floor decisions with their mode
+    // label). The tournament's resume cells were the policy lab's
+    // burst/cfs ipc-floor and cusum cells, byte for byte.
+    use MigrationMode::{Restart, Resume};
+    use Scenario::*;
+    use Trigger::*;
+    let goldens = [
+        (Grid, Scripted, Restart, 0x4b48_b4ab_c935_d818, 21_648),
+        (Grid, IpcFloor, Restart, 0x270a_1cc7_d3d1_c264, 21_783),
+        (BurstCfs, IpcFloor, Restart, 0xa52b_1c99_47a3_56cd, 14_984),
+        (BurstCfs, Cusum, Restart, 0x97e2_5e4f_2fca_bef9, 15_045),
+        (BurstCfs, IpcFloor, Resume, 0x80cf_b30d_64af_78c6, 14_399),
+        (BurstCfs, Cusum, Resume, 0x04a0_6090_6ff8_e383, 14_395),
+        (BurstCfs, Population, Resume, 0x5e02_b0d5_0bd4_e74e, 14_413),
+        (BurstRr, IpcFloor, Resume, 0x7399_07f2_4771_7824, 14_399),
+        (BurstRr, Cusum, Resume, 0x6f68_1979_9245_2149, 14_395),
+        (BurstRr, Population, Resume, 0x995a_c484_25c7_8030, 14_413),
+        (Fleet, IpcFloor, Resume, 0x9fb9_6d72_0edf_d1d9, 24_439),
+        (Fleet, Cusum, Resume, 0xc82c_edca_89eb_2088, 24_435),
+        (Fleet, Population, Resume, 0x92e9_0ddf_2a7d_b774, 24_452),
+    ];
+    let r = relief_53();
+    assert_eq!(r.cells.len(), goldens.len(), "one golden per cell");
+    for (scenario, trigger, mode, digest, len) in goldens {
+        let stream = r.cell(scenario, trigger, mode).rendered_stream();
+        assert_eq!(
+            (fnv1a64(stream.as_bytes()), stream.len()),
+            (digest, len),
+            "{scenario:?}/{trigger:?}/{mode:?} drifted from its golden"
+        );
+    }
 }
 
 #[test]
@@ -639,98 +930,6 @@ fn validation_pin_counts_are_exact_and_tiptop_agrees() {
 }
 
 #[test]
-fn tournament_resume_beats_restart_under_both_detectors() {
-    let r = tournament::run_on(43, 0.01, 1);
-    assert_eq!(r.cells.len(), 4, "the full 2x2 ran");
-
-    for detector in [Detector::IpcFloor, Detector::Cusum] {
-        let restart = r.cell(detector, MigrationMode::Restart);
-        let resume = r.cell(detector, MigrationMode::Resume);
-
-        // Within a detector the trigger is identical across modes: the
-        // decision is made from the same merged stream before any
-        // migration lands, so the wall-clock gap below is pure mode.
-        assert_eq!(restart.trigger, resume.trigger, "{detector:?}");
-        assert_eq!(restart.applied, resume.applied, "{detector:?}");
-        assert!(
-            r.arrival < restart.trigger,
-            "{detector:?} fired during the burst, not the warmup"
-        );
-        assert!(
-            restart.canary_dwell_ipc < 1.15,
-            "{detector:?} fired on a genuinely depressed canary, got {}",
-            restart.canary_dwell_ipc
-        );
-
-        // The headline pin: resume carries the payload's progress across
-        // the hop and completes in strictly less wall-clock than restart,
-        // which redoes every instruction the contended node had retired.
-        assert!(
-            resume.payload_wall < restart.payload_wall,
-            "{detector:?}: resume {} must beat restart {}",
-            resume.payload_wall,
-            restart.payload_wall
-        );
-        assert!(
-            r.saving(detector) > 0.5 * r.dwell,
-            "{detector:?}: the saving should be of dwell magnitude, got {}s",
-            r.saving(detector)
-        );
-
-        // Conservation: both modes end with the whole job retired — the
-        // resumed incarnation reports the whole job's totals — but only
-        // restart paid for instructions twice.
-        assert_eq!(resume.payload_total_insns, r.payload_insns, "{detector:?}");
-        assert_eq!(restart.payload_total_insns, r.payload_insns, "{detector:?}");
-        assert_eq!(resume.wasted_insns, 0, "{detector:?}");
-        assert!(
-            restart.wasted_insns > r.payload_insns / 2,
-            "{detector:?}: restart redid most of the dwell's work, got {}",
-            restart.wasted_insns
-        );
-
-        // The relocated payload recovers on the spare node: the restart
-        // clone runs long enough there for its mean IPC to approach the
-        // healthy level (the resumed one may exit within a frame or two of
-        // landing, so its spare-side mean is reported, not pinned).
-        assert!(
-            restart.recovered_ipc > 0.8,
-            "{detector:?}: payload IPC on the spare stayed at {}",
-            restart.recovered_ipc
-        );
-        assert_eq!(resume.decisions.len(), 1, "exactly one job relocated");
-        assert_eq!(resume.decisions[0].tag, "sim-batch");
-        assert_eq!(resume.decisions[0].policy, detector.label());
-        assert_eq!(resume.decisions[0].mode, MigrationMode::Resume);
-    }
-
-    // The two families legitimately disagree on when to act — that is what
-    // makes it a tournament, not one detector measured twice.
-    assert_ne!(
-        r.cell(Detector::IpcFloor, MigrationMode::Resume).trigger,
-        r.cell(Detector::Cusum, MigrationMode::Resume).trigger,
-        "detectors should differ on the trigger instant"
-    );
-
-    // Determinism: a cell that exercises both new pieces (CUSUM + resume)
-    // is byte-identical at 1, 2 and 8 worker threads.
-    let golden = tournament::run_cell_stream(43, 0.01, 1, Detector::Cusum, MigrationMode::Resume);
-    assert!(golden.contains("[decision cusum resume 'sim-batch'"));
-    assert_eq!(
-        golden,
-        tournament::run_cell_stream(43, 0.01, 2, Detector::Cusum, MigrationMode::Resume),
-        "2 workers must not change one byte"
-    );
-    assert_eq!(
-        golden,
-        tournament::run_cell_stream(43, 0.01, 8, Detector::Cusum, MigrationMode::Resume),
-        "8 workers must not change one byte"
-    );
-
-    assert!(r.report().contains("resume saves"), "report renders");
-}
-
-#[test]
 fn scaling_sweeps_threads_and_reports_a_full_curve() {
     // Tiny points and a short sweep: the full 10/100/1000 × 1/2/4/8 curve
     // runs in bench_timing; this asserts the experiment's structure, not
@@ -773,142 +972,6 @@ fn scaling_sweeps_threads_and_reports_a_full_curve() {
     assert!(json.contains("\"rss_per_machine_bytes\""));
     assert!(json.contains("\"rss_delta_bytes\""));
     assert!(r.report().contains("scaling frontier"));
-}
-
-#[test]
-fn policy_lab_ranks_least_loaded_placement_first_in_the_fleet() {
-    let r = policy_lab::run_on(53, 0.01, 1);
-    assert_eq!(r.cells.len(), 9, "the full 3x3 grid ran");
-
-    // Structure: every cell fired exactly one migration, landed it at an
-    // epoch boundary after its trigger, and recovered the canary above the
-    // dwell level on the victim node.
-    for c in &r.cells {
-        assert_eq!(
-            c.migrations, 1,
-            "{:?}/{:?} fired once",
-            c.policy, c.scenario
-        );
-        assert!(c.applied >= c.trigger, "applied at the next epoch boundary");
-        assert!(
-            c.payload_wall > c.applied,
-            "the payload finished after the hop"
-        );
-        assert!(
-            c.canary_recovery_ipc > 1.0,
-            "{:?}/{:?}: canary recovered past the dwell (~1.0), got {}",
-            c.policy,
-            c.scenario,
-            c.canary_recovery_ipc
-        );
-    }
-
-    // The population detector calibrates on the same plateau the CUSUM
-    // skips and confirms on the second dwell sample — one refresh ahead of
-    // the CUSUM, level with the floor's patience.
-    for scenario in LabScenario::ALL {
-        let population = r.cell(LabPolicy::Population, scenario);
-        let cusum = r.cell(LabPolicy::Cusum, scenario);
-        let floor = r.cell(LabPolicy::Floor, scenario);
-        assert!(
-            population.trigger < cusum.trigger,
-            "{scenario:?}: population ({}) should fire before cusum ({})",
-            population.trigger,
-            cusum.trigger
-        );
-        assert_eq!(
-            population.trigger, floor.trigger,
-            "{scenario:?}: population and floor confirm on the same refresh"
-        );
-    }
-
-    // Fixed placement always relieves onto the designated spare; live
-    // placement routes around it to the idle third node the moment the
-    // spare is busy.
-    for scenario in [LabScenario::BurstCfs, LabScenario::BurstRr] {
-        for policy in LabPolicy::ALL {
-            assert_eq!(r.cell(policy, scenario).destination, "node-spare");
-        }
-    }
-    assert_eq!(
-        r.cell(LabPolicy::Floor, LabScenario::Fleet).destination,
-        "node-spare"
-    );
-    assert_eq!(
-        r.cell(LabPolicy::Cusum, LabScenario::Fleet).destination,
-        "node-spare"
-    );
-    assert_eq!(
-        r.cell(LabPolicy::Population, LabScenario::Fleet)
-            .destination,
-        policy_lab::IDLE_NODE,
-        "least-loaded placement picks the idle machine from live fleet load"
-    );
-
-    // The ranked table: in the fleet scenario, population+least-loaded wins
-    // wall-clock outright because the fixed policies co-locate the payload
-    // with the background load.
-    assert_eq!(
-        r.ranking(LabScenario::Fleet),
-        vec![LabPolicy::Population, LabPolicy::Cusum, LabPolicy::Floor]
-    );
-    let fleet_floor = r.cell(LabPolicy::Floor, LabScenario::Fleet);
-    let burst_floor = r.cell(LabPolicy::Floor, LabScenario::BurstCfs);
-    assert!(
-        fleet_floor.payload_wall > burst_floor.payload_wall,
-        "fixed placement pays for co-locating with the busy spare \
-         ({} vs {})",
-        fleet_floor.payload_wall,
-        burst_floor.payload_wall
-    );
-    let fleet_population = r.cell(LabPolicy::Population, LabScenario::Fleet);
-    assert!(
-        fleet_population.payload_wall < fleet_floor.payload_wall,
-        "routing around the busy spare wins wall-clock"
-    );
-    assert!(
-        fleet_population.recovered_ipc > fleet_floor.recovered_ipc,
-        "and recovers more IPC on the destination"
-    );
-
-    // In the burst scenarios nobody is co-located, so the walls collapse to
-    // the trigger instants: floor and population tie (same trigger, same
-    // destination) and the stable ranking keeps declaration order.
-    assert_eq!(
-        r.ranking(LabScenario::BurstCfs),
-        vec![LabPolicy::Cusum, LabPolicy::Floor, LabPolicy::Population]
-    );
-    assert_eq!(
-        r.ranking(LabScenario::BurstRr),
-        vec![LabPolicy::Cusum, LabPolicy::Floor, LabPolicy::Population]
-    );
-
-    // The kernel-layer axis is real: the same burst under round-robin
-    // kernels produces a different stream than under CFS-like kernels.
-    let rr = policy_lab::run_cell_stream(53, 0.01, 1, LabPolicy::Population, LabScenario::BurstRr);
-    let cfs =
-        policy_lab::run_cell_stream(53, 0.01, 1, LabPolicy::Population, LabScenario::BurstCfs);
-    assert_ne!(rr, cfs, "swapping the epoch planner must change the frames");
-    assert!(rr.contains("[decision population+least-loaded resume 'sim-batch'"));
-
-    // Determinism: the cell exercising both new layers (round-robin kernels
-    // + population/least-loaded policy) is byte-identical at 2 and 8
-    // worker threads.
-    assert_eq!(
-        rr,
-        policy_lab::run_cell_stream(53, 0.01, 2, LabPolicy::Population, LabScenario::BurstRr),
-        "2 workers must not change one byte"
-    );
-    assert_eq!(
-        rr,
-        policy_lab::run_cell_stream(53, 0.01, 8, LabPolicy::Population, LabScenario::BurstRr),
-        "8 workers must not change one byte"
-    );
-
-    let report = r.report();
-    assert!(report.contains("policy lab (3 policies × 3 scenarios"));
-    assert!(report.contains("population+least-loaded"));
-    assert!(report.contains("node-idle"));
 }
 
 #[test]

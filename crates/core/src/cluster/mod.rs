@@ -126,6 +126,10 @@
 //! assert!(!on(3, "node-a") && on(3, "node-b"), "after: only node-b");
 //! ```
 
+// Driver code reports failures as typed errors; a panic here would take
+// a whole fleet run down with it.
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::unwrap_used))]
+
 mod pool;
 mod rounds;
 mod scenario;

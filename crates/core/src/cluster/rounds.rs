@@ -499,9 +499,10 @@ impl Rounds<'_> {
             .collect();
         while let Some(mut top) = heads.peek_mut() {
             let k = top.0 .1;
-            let frame = streams[k]
-                .next()
-                .expect("a heap entry per non-empty stream");
+            let Some(frame) = streams[k].next() else {
+                leave_heap(top);
+                continue;
+            };
             match head(&streams[k]) {
                 Some(next) => top.0 .0 = next,
                 None => {
@@ -837,6 +838,15 @@ const MIN_WINDOW_INSTANTS: usize = 8;
 struct Window {
     horizon: SimTime,
     grid: Vec<SimTime>,
+}
+
+/// Drop an exhausted stream's merge-heap entry. Never taken, since a
+/// stream is in the heap only while it has a head; cold and out of line,
+/// so the per-frame merge loop pays one untaken branch for it.
+#[cold]
+#[inline(never)]
+fn leave_heap(top: PeekMut<'_, Reverse<(SimTime, usize)>>) {
+    PeekMut::pop(top);
 }
 
 /// Machine `u`'s observation instants up to `horizon`, in order.

@@ -281,16 +281,18 @@ impl ClusterScenario {
                     Some(&(spawned, _)) if spawned > m.at => {
                         format!("{label}: precedes the job's spawn at {spawned:?}")
                     }
-                    Some(_) => {
-                        let killed = self.machines[fi]
-                            .1
-                            .kill_events(&m.tag)
-                            .into_iter()
-                            .filter(|k| *k <= m.at)
-                            .max()
-                            .expect("spawned but not live implies an earlier kill");
-                        format!("{label}: the job is already gone (killed at {killed:?})")
-                    }
+                    Some(_) => match self.machines[fi]
+                        .1
+                        .kill_events(&m.tag)
+                        .into_iter()
+                        .filter(|k| *k <= m.at)
+                        .max()
+                    {
+                        Some(killed) => {
+                            format!("{label}: the job is already gone (killed at {killed:?})")
+                        }
+                        None => format!("{label}: the job is not live on '{}' then", m.from),
+                    },
                     None => {
                         // The source never hosts the tag at all; point at
                         // whichever machine does (live at `at` if any,
@@ -336,7 +338,12 @@ impl ClusterScenario {
                 .rev()
                 .find(|(s, _)| *s <= m.at)
                 .map(|(_, spec)| spec.clone())
-                .expect("a live tag has a spawn at or before the instant");
+                .ok_or_else(|| {
+                    SessionError::InvalidScenario(format!(
+                        "{label}: no spawn of '{}' on '{}' at or before the instant",
+                        m.tag, m.from
+                    ))
+                })?;
             let landing = m.land(fi, ti, spec, false);
             self.machines[fi].1.schedule(m.at, landing.kill);
             self.machines[ti].1.schedule(m.at, landing.spawn);

@@ -433,7 +433,7 @@ impl Calibrating for CusumStat {}
 
 /// One-sided CUSUM change-point detection on a monitored IPC series: the
 /// classic sequential detector for a *sustained downward shift* in a noisy
-/// signal, dropped in beside [`IpcFloor`] so the `tournament` experiment
+/// signal, dropped in beside [`IpcFloor`] so the `relief` experiment
 /// can rank the two families.
 ///
 /// The first `warmup` watched samples calibrate a reference level `μ` (their
