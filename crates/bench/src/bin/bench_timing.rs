@@ -14,8 +14,7 @@
 //! regression gate. Budgets are calibrated for the release profile; in a
 //! debug build `--check` only reports, it never fails.
 //!
-//! The JSON is written by hand (the offline `serde` stub has no
-//! serializer): a flat object of per-experiment wall seconds plus totals —
+//! The JSON is written by hand (the workspace has no `serde`): a flat object of per-experiment wall seconds plus totals —
 //! trivially diffable between commits.
 //!
 //! The harness also drives the [`scaling`] throughput curve (the full
@@ -92,8 +91,8 @@ fn scan_value(s: &str, key: &str) -> Option<f64> {
 }
 
 /// The committed 100-machine `frames_per_sec` at `threads` workers out of
-/// `BENCH_cluster.json` (hand-rolled scan — the offline serde stub has no
-/// deserializer either). The file carries one arm per swept thread count.
+/// `BENCH_cluster.json` (hand-rolled scan — the workspace has no serde
+/// deserializer). The file carries one arm per swept thread count.
 fn anchor_fps(json: &str, threads: usize) -> Option<f64> {
     let at = json.find("\"machines\": 100,")?;
     let rest = &json[at..];

@@ -19,7 +19,8 @@
 //! * **mode** — [`MigrationMode`] restart (from instruction zero) or
 //!   resume (from a checkpoint).
 //!
-//! [`CELLS`] lists the 13 cells that exist and [`run`] simulates each once.
+//! [`CELLS`] lists the 13 cells that exist and [`run`] simulates each once;
+//! [`run_on`] with fewer pool threads per cell runs cells side by side.
 //! Read together they show four things. The grid's victims lose IPC
 //! through the dwell and recover at the migration while `top` shows every
 //! `%CPU` pegged (`grid/scripted`). A floor policy deciding from the stream
@@ -39,8 +40,9 @@
 //! [`Balanced`]: tiptop_core::reactive::Balanced
 //! [`MigrationMode`]: tiptop_core::reactive::MigrationMode
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use tiptop_core::app::{Tiptop, TiptopOptions};
-use tiptop_core::baseline::TopView;
 use tiptop_core::cluster::{
     ClusterCollectSink, ClusterFrame, ClusterScenario, ClusterSession, MachineRef, Until,
 };
@@ -378,13 +380,16 @@ fn monitors(
     top: bool,
 ) -> impl FnMut(MachineRef<'_>) -> Vec<(Box<dyn Monitor + Send>, Option<Until>)> {
     let delay = SimDuration::from_secs_f64(DELAY_S);
-    move |m: MachineRef<'_>| {
-        let tip: Box<dyn Monitor + Send> = Box::new(Tiptop::new(
+    let tool = move |screen| -> Box<dyn Monitor + Send> {
+        Box::new(Tiptop::new(
             TiptopOptions::default().observer(Uid::ROOT).delay(delay),
-            ScreenConfig::default_screen(),
-        ));
+            screen,
+        ))
+    };
+    move |m: MachineRef<'_>| {
+        let tip = tool(ScreenConfig::default_screen());
         if top && m.id == VICTIM_NODE {
-            vec![(tip, None), (Box::new(TopView::new().delay(delay)), None)]
+            vec![(tip, None), (tool(ScreenConfig::top_screen()), None)]
         } else {
             vec![(tip, None)]
         }
@@ -651,15 +656,40 @@ pub fn run(seed: u64, scale: f64) -> Relief {
     run_on(seed, scale, default_threads())
 }
 
-/// [`run`] with an explicit worker-thread count; every cell's stream is
-/// byte-identical at any count.
+/// [`run`] with an explicit worker-thread count per cell; every cell's
+/// stream is byte-identical at any count.
+///
+/// The cells are independent simulations, so they run concurrently on
+/// `available_parallelism / threads` host threads (at least one, never
+/// more than there are cells), each taking the next unrun cell; the busy
+/// threads stay about one per CPU. They come back in table order.
 pub fn run_on(seed: u64, scale: f64, threads: usize) -> Relief {
     let script = tournament_script(scale);
+    let next = AtomicUsize::new(0);
+    let hosts = (default_threads() / threads.max(1)).clamp(1, CELLS.len());
+    let mut cells: Vec<(usize, Cell)> = std::thread::scope(|s| {
+        let hosts: Vec<_> = (0..hosts)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&key) = CELLS.get(i) else {
+                            return done;
+                        };
+                        done.push((i, run_cell(seed, scale, threads, key)));
+                    }
+                })
+            })
+            .collect();
+        hosts
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
+    cells.sort_unstable_by_key(|(i, _)| *i);
     Relief {
-        cells: CELLS
-            .iter()
-            .map(|&key| run_cell(seed, scale, threads, key))
-            .collect(),
+        cells: cells.into_iter().map(|(_, cell)| cell).collect(),
         dwell: script.dwell.as_secs_f64(),
         payload_insns: script.payload_insns,
     }

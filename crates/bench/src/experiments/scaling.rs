@@ -97,11 +97,6 @@ impl ScalePoint {
     pub fn arm(&self, threads: usize) -> Option<&SweepArm> {
         self.arms.iter().find(|a| a.threads == threads)
     }
-
-    /// The single-thread arm (every sweep starts at 1).
-    pub fn single_thread(&self) -> &SweepArm {
-        self.arm(1).unwrap_or(&self.arms[0])
-    }
 }
 
 pub struct ScalingResult {
@@ -288,8 +283,8 @@ impl ScalingResult {
             .map(|a| a.frames_per_sec)
     }
 
-    /// The hand-written `BENCH_cluster.json` body (the offline serde stub
-    /// has no serializer). Schema `/4`: per-point `arms` array, one entry
+    /// The hand-written `BENCH_cluster.json` body (the workspace has no
+    /// serde). Schema `/4`: per-point `arms` array, one entry
     /// per swept thread count, each carrying `threads` *before*
     /// `frames_per_sec` (the `--check` anchor parser relies on that
     /// order).

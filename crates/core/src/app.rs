@@ -1,20 +1,17 @@
 //! The tiptop application: options, the refresh loop, row building.
 //!
-//! Mirrors the real tool's shape: `tiptop [-b] [-d delay] [-n iters]
-//! [-u user] [-H]` — live mode periodically refreshes a screen; batch mode
-//! streams the same rows as text. Each refresh: scan `/proc`, attach to
-//! newcomers, read counter deltas, evaluate the screen's metric
-//! expressions, sort, render.
+//! Mirrors the real tool's shape: `tiptop [-d delay]` periodically
+//! refreshes a screen. Each refresh: scan `/proc`, attach to newcomers,
+//! read counter deltas, evaluate the screen's metric expressions, sort,
+//! render. A screen that reads no counters ([`ScreenConfig::top_screen`])
+//! is plain `top`: the same loop, with no counter fds and every task shown.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use tiptop_kernel::kernel::Kernel;
 use tiptop_kernel::procfs::ProcStat;
-use tiptop_kernel::program::{Phase, Program};
-use tiptop_kernel::task::{Pid, SpawnSpec, Uid};
-use tiptop_machine::access::MemoryBehavior;
-use tiptop_machine::exec::ExecProfile;
+use tiptop_kernel::task::{Pid, Uid};
 use tiptop_machine::pmu::{EventCounts, HwEvent};
 use tiptop_machine::time::SimDuration;
 
@@ -63,34 +60,17 @@ pub struct TiptopOptions {
     /// Refresh interval (`-d`); the paper typically samples every few
     /// seconds.
     pub delay: SimDuration,
-    /// Batch mode (`-b`).
-    pub batch: bool,
-    /// Stop after this many refreshes (`-n`).
-    pub iterations: Option<usize>,
     /// Who is running the tool (decides which tasks are observable).
     pub observer: Uid,
-    /// Show only this user's tasks (`-u`).
-    pub user_filter: Option<Uid>,
-    /// Per-thread rows (`-H`) instead of per-process aggregation.
-    pub per_thread: bool,
     pub sort: SortKey,
-    /// Model the monitor's own (tiny) CPU cost as a real task in the kernel
-    /// — used by the §2.5 perturbation experiment. The paper measures
-    /// tiptop's self-load below 0.06% at a 5 s refresh.
-    pub model_self_load: bool,
 }
 
 impl Default for TiptopOptions {
     fn default() -> Self {
         TiptopOptions {
             delay: SimDuration::from_secs(2),
-            batch: false,
-            iterations: None,
             observer: Uid::ROOT,
-            user_filter: None,
-            per_thread: false,
             sort: SortKey::CpuPct,
-            model_self_load: false,
         }
     }
 }
@@ -101,38 +81,13 @@ impl TiptopOptions {
         self
     }
 
-    pub fn batch(mut self, b: bool) -> Self {
-        self.batch = b;
-        self
-    }
-
-    pub fn iterations(mut self, n: usize) -> Self {
-        self.iterations = Some(n);
-        self
-    }
-
     pub fn observer(mut self, uid: Uid) -> Self {
         self.observer = uid;
         self
     }
 
-    pub fn user_filter(mut self, uid: Uid) -> Self {
-        self.user_filter = Some(uid);
-        self
-    }
-
-    pub fn per_thread(mut self, h: bool) -> Self {
-        self.per_thread = h;
-        self
-    }
-
     pub fn sort(mut self, s: SortKey) -> Self {
         self.sort = s;
-        self
-    }
-
-    pub fn model_self_load(mut self, m: bool) -> Self {
-        self.model_self_load = m;
         self
     }
 }
@@ -263,7 +218,6 @@ pub struct Tiptop {
     screen: ScreenConfig,
     collector: Collector,
     cpu: CpuTracker,
-    self_pid: Option<Pid>,
     /// Derived screen state, shared process-wide per distinct screen.
     plan: Arc<ScreenPlan>,
     /// Per-refresh scratch, reused: the `/proc` scan (ascending pids) and
@@ -281,7 +235,6 @@ impl Tiptop {
             screen,
             collector,
             cpu: CpuTracker::new(),
-            self_pid: None,
             plan,
             pids: Vec::new(),
             entries: Vec::new(),
@@ -294,11 +247,6 @@ impl Tiptop {
         self.plan.cell_plan.clone()
     }
 
-    /// Tool with default options and the Figure 1 screen, run as root.
-    pub fn with_defaults() -> Self {
-        Self::new(TiptopOptions::default(), ScreenConfig::default_screen())
-    }
-
     pub fn options(&self) -> &TiptopOptions {
         &self.options
     }
@@ -307,44 +255,16 @@ impl Tiptop {
         &self.screen
     }
 
-    /// The monitor's own task pid, when self-load modelling is on.
-    pub fn self_pid(&self) -> Option<Pid> {
-        self.self_pid
-    }
-
-    /// Ensure the self-load task exists (idempotent).
-    fn ensure_self_task(&mut self, k: &mut Kernel) {
-        if !self.options.model_self_load || self.self_pid.is_some() {
-            return;
-        }
-        // Per refresh: read /proc + a few hundred counter fds + redraw.
-        // Modelled as ~2.5 ms of CPU per refresh, then sleep until the next
-        // one: 2.5 ms / 5 s = 0.05% CPU, matching the paper's "below 0.06%".
-        let clock = k.config().machine.uarch.clock.hz() as f64;
-        let work_insns = (0.0025 * clock * 0.9) as u64; // IPC ~0.9 bookkeeping code
-        let profile = ExecProfile::builder("tiptop-self")
-            .base_cpi(1.1)
-            .loads_per_insn(0.3)
-            .stores_per_insn(0.12)
-            .branches(0.2, 0.03)
-            .memory(MemoryBehavior::uniform(64 * 1024))
-            .build();
-        let prog = Program::looping(vec![
-            Phase::compute(profile, work_insns.max(1)),
-            Phase::sleep(self.options.delay),
-        ]);
-        let pid = k.spawn(
-            SpawnSpec::new("tiptop", self.options.observer, prog)
-                .nice(0)
-                .seed(0xF1F),
-        );
-        self.self_pid = Some(pid);
+    /// Whether the screen reads any counter. One that reads none is `top`:
+    /// its collector attaches every task with no fds, so it shows every
+    /// task and opens no counter.
+    pub(crate) fn reads_counters(&self) -> bool {
+        !self.plan.events.is_empty()
     }
 
     /// One refresh: returns the new frame. Does *not* advance time — the
     /// session loop owns the clock (see [`crate::session`]).
     pub fn refresh(&mut self, k: &mut Kernel) -> Frame {
-        self.ensure_self_task(k);
         let now = k.now();
 
         // Scan /proc once: the collector and the %CPU tracker merge their
@@ -364,11 +284,6 @@ impl Tiptop {
         for &pid in pids {
             let Some(stat) = k.stat(pid) else { continue };
             let pct = self.cpu.update(&stat, now);
-            if let Some(filter) = self.options.user_filter {
-                if stat.uid != filter {
-                    continue;
-                }
-            }
             while deltas.get(at).is_some_and(|(p, _)| *p < pid) {
                 at += 1;
             }
@@ -378,13 +293,8 @@ impl Tiptop {
             }
         }
 
-        // Aggregate threads into processes unless -H.
-        let mut rows: Vec<Row> = if self.options.per_thread {
-            entries
-                .iter()
-                .map(|(pid, stat, pct, counts)| self.build_row(k, *pid, stat, *pct, *counts, now))
-                .collect()
-        } else if entries.iter().all(|(pid, stat, _, _)| stat.tgid == *pid) {
+        // Aggregate threads into processes.
+        let mut rows: Vec<Row> = if entries.iter().all(|(pid, stat, _, _)| stat.tgid == *pid) {
             // No multi-threaded process in sight (the cluster-shard common
             // case): every task is its own group — skip the group map.
             entries
@@ -525,9 +435,6 @@ impl Tiptop {
     /// Tear down all counters (end of run).
     pub fn shutdown(&mut self, k: &mut Kernel) {
         self.collector.detach_all(k);
-        if let Some(pid) = self.self_pid.take() {
-            let _ = k.kill(pid);
-        }
     }
 }
 

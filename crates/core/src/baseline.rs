@@ -1,91 +1,24 @@
-//! Baseline comparators.
+//! The Pin baseline.
 //!
-//! * [`TopView`] — what plain `top` shows (pid, user, `%CPU`, command): the
-//!   paper's motivating blind spot. It needs no counters and no privilege,
-//!   but also sees nothing below the scheduler.
-//! * [`PinInscount`] — a Pin-style `inscount2` run: instrument the program,
-//!   run it to completion ~1.7× slower, and report the *exact* retired
-//!   instruction count. §2.4 validates tiptop against this (within 0.06%);
-//!   §2.5 contrasts its 1.7× overhead with tiptop's ~0.7%.
+//! [`PinInscount`] is a Pin-style `inscount2` run: instrument the program,
+//! run it to completion ~1.7× slower, and report the *exact* retired
+//! instruction count. §2.4 validates tiptop against this (within 0.06%);
+//! §2.5 contrasts its 1.7× overhead with tiptop's ~0.7%. It implements
+//! [`crate::monitor::Monitor`], so it can be driven side-by-side with
+//! tiptop through one [`crate::scenario::Session`].
 //!
-//! Both implement [`crate::monitor::Monitor`], so either can be driven
-//! side-by-side with tiptop through one [`crate::scenario::Session`].
+//! The other baseline, plain `top`, is not a tool of its own: it is
+//! [`crate::app::Tiptop`] on [`crate::config::ScreenConfig::top_screen`],
+//! a screen that reads no counters.
 
 use std::collections::BTreeMap;
 
-use tiptop_kernel::kernel::{ExitRecord, Kernel, KernelConfig};
+use tiptop_kernel::kernel::{Kernel, KernelConfig};
 use tiptop_kernel::program::Program;
 use tiptop_kernel::task::{Pid, SpawnSpec, Uid};
 use tiptop_machine::time::{SimDuration, SimTime};
 
-use crate::procinfo::CpuTracker;
 use crate::scenario::{Scenario, SessionError};
-use crate::symbols::Label;
-
-/// One row of the `top` baseline.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TopRow {
-    pub pid: Pid,
-    pub user: Label,
-    pub cpu_pct: f64,
-    pub comm: Label,
-}
-
-/// The CPU%-only view.
-#[derive(Debug)]
-pub struct TopView {
-    cpu: CpuTracker,
-    /// Refresh period when driven as a [`crate::monitor::Monitor`] (`top -d`).
-    pub(crate) delay: SimDuration,
-}
-
-impl Default for TopView {
-    fn default() -> Self {
-        TopView {
-            cpu: CpuTracker::new(),
-            delay: SimDuration::from_secs(2),
-        }
-    }
-}
-
-impl TopView {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the refresh period (`top -d`; defaults to 2 s).
-    pub fn delay(mut self, d: SimDuration) -> Self {
-        self.delay = d;
-        self
-    }
-
-    /// One refresh: all tasks, sorted by `%CPU` descending.
-    pub fn refresh(&mut self, k: &Kernel) -> Vec<TopRow> {
-        let now = k.now();
-        let pids = k.pids();
-        self.cpu.retain_pids(&pids);
-        let mut rows: Vec<TopRow> = pids
-            .into_iter()
-            .filter_map(|pid| {
-                let stat = k.stat(pid)?;
-                let pct = self.cpu.update(&stat, now);
-                Some(TopRow {
-                    pid,
-                    user: k.username(stat.uid),
-                    cpu_pct: pct,
-                    comm: stat.comm,
-                })
-            })
-            .collect();
-        rows.sort_by(|a, b| {
-            b.cpu_pct
-                .partial_cmp(&a.cpu_pct)
-                .unwrap()
-                .then_with(|| a.pid.cmp(&b.pid))
-        });
-        rows
-    }
-}
 
 /// Report of a Pin-style instrumented run.
 #[derive(Clone, Debug, PartialEq)]
@@ -166,7 +99,26 @@ impl PinInscount {
         seed: u64,
         timeout: SimDuration,
     ) -> Result<PinReport, SessionError> {
-        let rec = try_run_to_completion_as("inscount-target", kcfg, program, seed, timeout)?;
+        const COMM: &str = "inscount-target";
+        let mut session = Scenario::from_kernel_config(kcfg)
+            .spawn(COMM, SpawnSpec::new(COMM, Uid(1), program).seed(seed))
+            .build()?;
+        let pid = session.pid(COMM).expect("spawned at t=0");
+        let step = SimDuration::from_millis(200);
+        let deadline = SimTime::ZERO + timeout;
+        while session.kernel().is_alive(pid) {
+            if session.now() >= deadline {
+                return Err(SessionError::Timeout {
+                    limit: timeout,
+                    waiting_for: format!("{COMM} exit"),
+                });
+            }
+            session.advance(step)?;
+        }
+        let rec = session
+            .kernel()
+            .exit_record(pid)
+            .expect("exited task has a record");
         let native = rec.end_time - rec.start_time;
         Ok(PinReport {
             instructions: rec.total_instructions,
@@ -176,46 +128,6 @@ impl PinInscount {
             ),
         })
     }
-}
-
-fn try_run_to_completion_as(
-    comm: &str,
-    kcfg: KernelConfig,
-    program: Program,
-    seed: u64,
-    timeout: SimDuration,
-) -> Result<ExitRecord, SessionError> {
-    let mut session = Scenario::from_kernel_config(kcfg)
-        .spawn(comm, SpawnSpec::new(comm, Uid(1), program).seed(seed))
-        .build()?;
-    let pid = session.pid(comm).expect("spawned at t=0");
-    let step = SimDuration::from_millis(200);
-    let deadline = SimTime::ZERO + timeout;
-    while session.kernel().is_alive(pid) {
-        if session.now() >= deadline {
-            return Err(SessionError::Timeout {
-                limit: timeout,
-                waiting_for: format!("{comm} exit"),
-            });
-        }
-        session.advance(step)?;
-    }
-    Ok(session
-        .kernel()
-        .exit_record(pid)
-        .expect("exited task has a record")
-        .clone())
-}
-
-/// Run a program natively (no instrumentation) to completion and return its
-/// exit record — used by experiments measuring wall times.
-pub fn try_run_to_completion(
-    kcfg: KernelConfig,
-    program: Program,
-    seed: u64,
-    timeout: SimDuration,
-) -> Result<ExitRecord, SessionError> {
-    try_run_to_completion_as("native-run", kcfg, program, seed, timeout)
 }
 
 /// Helper: spawn a list of programs and run until all exit, returning the
@@ -257,6 +169,8 @@ pub fn run_all_to_completion(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::app::{Tiptop, TiptopOptions};
+    use crate::config::ScreenConfig;
     use tiptop_machine::access::MemoryBehavior;
     use tiptop_machine::config::MachineConfig;
     use tiptop_machine::exec::ExecProfile;
@@ -285,10 +199,10 @@ mod tests {
             Uid(1),
             Program::endless(ExecProfile::builder("x").build()),
         ));
-        let mut top = TopView::new();
-        top.refresh(&k);
+        let mut top = Tiptop::new(TiptopOptions::default(), ScreenConfig::top_screen());
+        top.refresh(&mut k);
         k.advance(SimDuration::from_secs(1));
-        let rows = top.refresh(&k);
+        let rows = top.refresh(&mut k).rows;
         assert_eq!(rows[0].pid, pid);
         assert!(rows[0].cpu_pct > 99.0);
         assert_eq!(rows[0].user, "user1");

@@ -151,6 +151,17 @@ impl ScreenConfig {
         }
     }
 
+    /// Plain `top`'s screen: pid, user, `%CPU`, command — the default
+    /// screen without its metric columns. It reads no counters, which is
+    /// the paper's motivating blind spot: nothing below the scheduler.
+    pub fn top_screen() -> ScreenConfig {
+        let mut s = Self::default_screen();
+        s.name = "top".to_string();
+        s.columns
+            .retain(|c| !matches!(c.kind, ColumnKind::Metric { .. }));
+        s
+    }
+
     /// The §3.1 screen: default plus the `%ASS` FP-assist column the author
     /// added to trace the R anomaly ("We added a new column to tiptop in
     /// order to trace simultaneously IPC and FP assist events").

@@ -17,11 +17,11 @@
 //!   attachment, with permission walls and task churn handled the way the
 //!   real syscalls force you to;
 //! * [`procinfo`] — `%CPU` computed from `/proc` deltas, like `top`;
-//! * [`app`] — the refresh loop, sorting, thread aggregation, live/batch
-//!   modes;
+//! * [`app`] — the refresh loop, sorting, thread aggregation; `top` is
+//!   the same tool on a screen that reads no counters;
 //! * [`render`] — aligned text frames (the "no graphics" philosophy);
-//! * [`baseline`] — the comparators the paper measures against (`top`,
-//!   Pin-style `inscount`).
+//! * [`baseline`] — the Pin-style `inscount` comparator the paper
+//!   measures against.
 //!
 //! Experiments drive the tools through the **session subsystem**:
 //!
@@ -97,7 +97,7 @@ pub mod session;
 pub use tiptop_kernel::symbols;
 
 pub use app::{SortKey, Tiptop, TiptopOptions};
-pub use baseline::{PinInscount, PinReport, TopView};
+pub use baseline::{PinInscount, PinReport};
 pub use batch::FrameBatch;
 pub use cluster::{
     ClusterCollectSink, ClusterFrame, ClusterFrameSink, ClusterScenario, ClusterSession,
@@ -120,7 +120,7 @@ pub use symbols::{Label, SymId, SymbolTable};
 /// Convenient glob import.
 pub mod prelude {
     pub use crate::app::{SortKey, Tiptop, TiptopOptions};
-    pub use crate::baseline::{PinInscount, TopView};
+    pub use crate::baseline::PinInscount;
     pub use crate::batch::FrameBatch;
     pub use crate::cluster::{
         ClusterCollectSink, ClusterFrame, ClusterFrameSink, ClusterScenario, ClusterSession,

@@ -3,16 +3,16 @@
 //! The paper's evaluation runs *different monitors over the same live
 //! system* — tiptop next to `top` (Fig 1), tiptop against a Pin-style
 //! `inscount` (§2.4), several observers at once for the perturbation study
-//! (§2.5). The seed gave each tool a bespoke driver; this module gives them
-//! one contract:
+//! (§2.5). `top` is [`Tiptop`] on
+//! [`ScreenConfig::top_screen`](crate::config::ScreenConfig::top_screen);
+//! this module gives every tool one contract:
 //!
 //! * [`Monitor::prime`] attaches at the current instant without recording
 //!   (like starting the real tool);
 //! * [`Monitor::interval`] is the tool's refresh period;
 //! * [`Monitor::observe`] takes one [`Frame`] covering the interval since
 //!   the previous call;
-//! * [`Monitor::teardown`] releases kernel resources (counter fds, the
-//!   modelled self-load task).
+//! * [`Monitor::teardown`] releases kernel resources (counter fds).
 //!
 //! Frames are delivered to a [`FrameSink`], so long runs can stream instead
 //! of accumulating a `Vec<Frame>`. The session loop that owns the clock and
@@ -26,14 +26,14 @@ use tiptop_kernel::task::Pid;
 use tiptop_machine::time::SimDuration;
 
 use crate::app::Tiptop;
-use crate::baseline::{PinInscount, TopView};
+use crate::baseline::PinInscount;
 use crate::render::{values_of, Frame, Row};
 use crate::symbols::Label;
 
 /// A tool that periodically observes a kernel and produces [`Frame`]s.
 ///
-/// Implemented by [`Tiptop`], [`TopView`] and [`PinInscount`], so any of
-/// them — or several concurrently — can be driven by one
+/// Implemented by [`Tiptop`] (which is also `top`) and [`PinInscount`], so
+/// any of them — or several concurrently — can be driven by one
 /// [`crate::scenario::Session`] loop.
 pub trait Monitor {
     /// Short identifier used to label frames at the sink (`"tiptop"`,
@@ -100,8 +100,13 @@ impl FrameSink for CollectSink {
 }
 
 impl Monitor for Tiptop {
+    /// `"top"` for a screen that reads no counters, else `"tiptop"`.
     fn name(&self) -> &str {
-        "tiptop"
+        if self.reads_counters() {
+            "tiptop"
+        } else {
+            "top"
+        }
     }
 
     fn interval(&self) -> SimDuration {
@@ -119,66 +124,6 @@ impl Monitor for Tiptop {
     fn teardown(&mut self, k: &mut Kernel) {
         self.shutdown(k);
     }
-}
-
-impl Monitor for TopView {
-    fn name(&self) -> &str {
-        "top"
-    }
-
-    fn interval(&self) -> SimDuration {
-        self.delay
-    }
-
-    fn prime(&mut self, k: &mut Kernel) {
-        self.refresh(k);
-    }
-
-    /// `top`'s screen as a [`Frame`]: pid, user, `%CPU`, command — and
-    /// nothing below the scheduler, which is the paper's point.
-    fn observe(&mut self, k: &mut Kernel) -> Frame {
-        let rows = self
-            .refresh(k)
-            .into_iter()
-            .map(|r| {
-                let cells = vec![
-                    r.pid.0.to_string(),
-                    r.user.to_string(),
-                    format!("{:.1}", r.cpu_pct),
-                    r.comm.to_string(),
-                ];
-                Row::new(
-                    r.pid,
-                    r.user,
-                    r.comm,
-                    r.cpu_pct,
-                    cells,
-                    values_of([("%CPU", r.cpu_pct)]),
-                )
-            })
-            .collect();
-        Frame {
-            time: k.now(),
-            headers: top_headers(),
-            rows,
-            unobservable: 0,
-        }
-    }
-}
-
-fn top_headers() -> Arc<[(String, usize)]> {
-    static HEADERS: OnceLock<Arc<[(String, usize)]>> = OnceLock::new();
-    HEADERS
-        .get_or_init(|| {
-            vec![
-                ("PID".to_string(), 6),
-                ("USER".to_string(), 8),
-                ("%CPU".to_string(), 5),
-                ("COMMAND".to_string(), 12),
-            ]
-            .into()
-        })
-        .clone()
 }
 
 impl Monitor for PinInscount {
@@ -295,18 +240,16 @@ mod tests {
         let mut k =
             Kernel::new(KernelConfig::new(MachineConfig::nehalem_w3550().noiseless()).seed(3));
         k.add_user(Uid(1), "user1");
-        let pid = k.spawn(SpawnSpec::new(
-            "spin",
-            Uid(1),
-            Program::endless(
-                ExecProfile::builder("spin")
-                    .base_cpi(0.8)
-                    .branches(0.18, 0.0)
-                    .memory(MemoryBehavior::uniform(16 * 1024))
-                    .build(),
-            ),
-        ));
+        let pid = k.spawn(SpawnSpec::new("spin", Uid(1), Program::endless(spin())));
         (k, pid)
+    }
+
+    fn spin() -> ExecProfile {
+        ExecProfile::builder("spin")
+            .base_cpi(0.8)
+            .branches(0.18, 0.0)
+            .memory(MemoryBehavior::uniform(16 * 1024))
+            .build()
     }
 
     #[test]
@@ -316,7 +259,10 @@ mod tests {
             TiptopOptions::default().delay(SimDuration::from_secs(1)),
             ScreenConfig::default_screen(),
         );
-        let mut top = TopView::new().delay(SimDuration::from_secs(1));
+        let mut top = Tiptop::new(
+            TiptopOptions::default().delay(SimDuration::from_secs(1)),
+            ScreenConfig::top_screen(),
+        );
         let monitors: &mut [&mut dyn Monitor] = &mut [&mut tip, &mut top];
         for m in monitors.iter_mut() {
             m.prime(&mut k);
@@ -332,7 +278,8 @@ mod tests {
     #[test]
     fn top_frame_has_no_counter_columns() {
         let (mut k, pid) = world();
-        let mut top = TopView::new();
+        let mut top = Tiptop::new(TiptopOptions::default(), ScreenConfig::top_screen());
+        assert_eq!(top.name(), "top");
         top.prime(&mut k);
         k.advance(SimDuration::from_secs(1));
         let f = top.observe(&mut k);
@@ -343,6 +290,35 @@ mod tests {
         );
         assert_eq!(f.headers.len(), 4);
         assert!(f.render().contains("COMMAND"));
+        // No counter fds: a top running beside tiptop never changes
+        // tiptop's counter multiplexing.
+        assert_eq!(k.open_fds(Uid::ROOT), 0);
+    }
+
+    #[test]
+    fn top_shows_every_task_and_groups_threads_into_processes() {
+        let (mut k, pid) = world();
+        let thread =
+            k.spawn(SpawnSpec::new("spin", Uid(1), Program::endless(spin())).thread_of(pid));
+        let other = k.spawn(SpawnSpec::new("rootd", Uid::ROOT, Program::endless(spin())));
+        // Not root: tiptop could not count `rootd`, but top reads no
+        // counter, so it shows it.
+        let mut top = Tiptop::new(
+            TiptopOptions::default().observer(Uid(1)),
+            ScreenConfig::top_screen(),
+        );
+        top.prime(&mut k);
+        k.advance(SimDuration::from_secs(1));
+        let f = top.observe(&mut k);
+        assert_eq!(f.unobservable, 0);
+        assert!(f.row_for(other).is_some(), "another user's task is shown");
+        // Like real `top`, one row per process: the thread's %CPU is
+        // summed into its process's row.
+        assert!(f.row_for(thread).is_none(), "no row of its own");
+        assert_eq!(f.rows.len(), 2);
+        let cpu = f.row_for(pid).unwrap().value("%CPU").unwrap();
+        assert!(cpu > 199.0, "two busy threads in one row: {cpu}");
+        assert_eq!(k.open_fds(Uid(1)), 0);
     }
 
     #[test]
@@ -447,7 +423,7 @@ mod tests {
     #[test]
     fn closure_is_a_sink() {
         let (mut k, _) = world();
-        let mut top = TopView::new();
+        let mut top = Tiptop::new(TiptopOptions::default(), ScreenConfig::top_screen());
         top.prime(&mut k);
         k.advance(SimDuration::from_secs(1));
         let f = top.observe(&mut k);

@@ -171,8 +171,8 @@ type EvictRule = Box<dyn FnMut(&Row) -> bool>;
 /// When it fires, the watch evicts the triggering frame's co-runners to the
 /// relief machine `to`: by default every job of a different **non-root**
 /// user than the victim (protect the interactive user, move the batch
-/// arrivals; root rows are monitoring plumbing such as tiptop's own
-/// self-load task), or whatever [`evicting`](Watch::evicting) selects. The
+/// arrivals; root rows are system plumbing, not anyone's job), or
+/// whatever [`evicting`](Watch::evicting) selects. The
 /// victim is never evicted, and each tag at most once.
 pub struct Watch<S> {
     name: &'static str,

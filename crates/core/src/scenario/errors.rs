@@ -82,9 +82,7 @@ impl std::error::Error for SessionError {}
 
 /// Why a scenario's dependency graph was rejected. Raised at build time by
 /// [`Scenario::build`](super::Scenario::build) (and cluster-wide by
-/// `ClusterScenario::build`), and at live-injection time by
-/// [`Session::schedule_after`](super::Session::schedule_after) — the same
-/// typed errors in both places.
+/// `ClusterScenario::build`).
 #[derive(Clone, Debug, PartialEq)]
 pub enum DagError {
     /// The spawn-after edges loop: some set of jobs each wait on another

@@ -2,7 +2,7 @@
 //! checkpoint handoff board.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use tiptop_kernel::kernel::Checkpoint;
 use tiptop_kernel::sched::CpuSet;
@@ -124,13 +124,19 @@ impl HandoffBoard {
         Arc::new(HandoffBoard::default())
     }
 
+    /// The board, recovering a poisoned lock: every holder makes one whole
+    /// insert or remove, so a panic elsewhere never leaves it half-written.
+    fn published(&self) -> MutexGuard<'_, HashMap<(String, SimTime), Checkpoint>> {
+        self.published
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     pub(crate) fn publish(&self, tag: &str, at: SimTime, cp: Checkpoint) {
-        let mut published = self.published.lock().unwrap();
-        published.insert((tag.to_string(), at), cp);
+        self.published().insert((tag.to_string(), at), cp);
     }
 
     pub(crate) fn take(&self, tag: &str, at: SimTime) -> Option<Checkpoint> {
-        let mut published = self.published.lock().unwrap();
-        published.remove(&(tag.to_string(), at))
+        self.published().remove(&(tag.to_string(), at))
     }
 }

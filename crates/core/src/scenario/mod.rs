@@ -67,6 +67,10 @@
 //! assert!(session.pid("transform").is_some(), "spawned by extract's exit");
 //! ```
 
+// Driver code reports failures as typed errors; a panic here would take
+// a whole run down with it.
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::unwrap_used))]
+
 mod builder;
 mod errors;
 mod events;

@@ -14,8 +14,8 @@ use tiptop_machine::time::{SimDuration, SimTime};
 use crate::monitor::{FrameSink, Monitor};
 use crate::render::Frame;
 
-use super::errors::{DagError, SessionError};
-use super::events::{DeferredEvent, HandoffBoard, Trigger, WorkloadEvent};
+use super::errors::SessionError;
+use super::events::{DeferredEvent, HandoffBoard, WorkloadEvent};
 use super::validation::{self, TagFacts};
 
 /// A live experiment: the kernel plus the not-yet-due workload events. The
@@ -155,13 +155,6 @@ impl Session {
             .find_map(|(at, ev)| (ev.is_kill() && ev.tag() == tag).then_some(*at))
     }
 
-    /// Is `tag` spawned by a not-yet-resolved dependency edge?
-    pub(crate) fn deferred_spawn(&self, tag: &str) -> bool {
-        self.deferred
-            .iter()
-            .any(|d| d.ev.is_spawn() && d.ev.tag() == tag)
-    }
-
     /// Remove every not-yet-applied event targeting `tag` at exactly `at`
     /// — the reactive layer rolls a decision's kill/spawn back when the
     /// run errors before they could apply, so a handed-back session never
@@ -264,85 +257,11 @@ impl Session {
         Ok(())
     }
 
-    /// Schedule an event to fire `delay` after `dep`'s completion — the
-    /// run-time counterpart of the `*_after` builder methods, validated
-    /// with the same typed [`DagError`]s as
-    /// [`Scenario::build`](super::Scenario::build): the dependency must be
-    /// spawned (live, pending, or itself dependency-triggered), and a
-    /// dependency-triggered spawn must not close a cycle with the edges
-    /// already waiting. If the dependency already completed, the event is
-    /// scheduled (and possibly applied) before this returns.
-    pub fn schedule_after(
-        &mut self,
-        dep: impl Into<String>,
-        delay: SimDuration,
-        ev: WorkloadEvent,
-    ) -> Result<(), SessionError> {
-        let dep = dep.into();
-        let spawned_incarnations = self.pids.get(dep.as_str()).map_or(0, |v| v.len());
-        let scheduled_spawns = self
-            .pending
-            .iter()
-            .filter(|(_, e)| e.is_spawn() && e.tag() == dep)
-            .count()
-            + self
-                .deferred
-                .iter()
-                .filter(|d| d.ev.is_spawn() && d.ev.tag() == dep)
-                .count();
-        if spawned_incarnations + scheduled_spawns == 0 {
-            return Err(SessionError::InvalidDag(DagError::UnknownDependency {
-                event_tag: ev.tag().to_string(),
-                dependency: dep,
-            }));
-        }
-        if ev.is_spawn() {
-            if self.deferred_spawn(ev.tag()) {
-                return Err(SessionError::InvalidDecision(format!(
-                    "tag '{}' already has a dependency-triggered spawn waiting \
-                     (incarnation addressing never aliases two live tasks)",
-                    ev.tag()
-                )));
-            }
-            let mut edges: Vec<(&str, &str)> = self
-                .deferred
-                .iter()
-                .filter(|d| d.ev.is_spawn())
-                .map(|d| (d.dep.as_str(), d.ev.tag()))
-                .collect();
-            edges.push((dep.as_str(), ev.tag()));
-            if let Some(tags) = validation::spawn_edge_cycle(&edges) {
-                return Err(SessionError::InvalidDag(DagError::Cycle { tags }));
-            }
-        }
-        if let WorkloadEvent::Spawn { tag, spec } | WorkloadEvent::ResumeSpawn { tag, spec } = &ev {
-            self.specs.insert(tag.clone(), spec.clone());
-        }
-        self.deferred.push(DeferredEvent {
-            dep,
-            min_incarnations: (spawned_incarnations + scheduled_spawns).max(1),
-            delay,
-            ev,
-        });
-        self.settle_now()
-    }
-
-    /// Schedule an event at run time by [`Trigger`] — timed triggers go
-    /// through [`Session::schedule_at`], dependency triggers through
-    /// [`Session::schedule_after`].
-    pub fn schedule(&mut self, trigger: Trigger, ev: WorkloadEvent) -> Result<(), SessionError> {
-        match trigger {
-            Trigger::At(at) => self.schedule_at(at, ev),
-            Trigger::AfterExit { tag, delay } => self.schedule_after(tag, delay, ev),
-        }
-    }
-
     fn apply_due(&mut self) -> Result<(), SessionError> {
-        while let Some((at, _)) = self.pending.front() {
-            if *at > self.kernel.now() {
-                break;
-            }
-            let (_, ev) = self.pending.pop_front().expect("front exists");
+        while let Some((_, ev)) = self
+            .pending
+            .pop_front_if(|(at, _)| *at <= self.kernel.now())
+        {
             self.apply(ev)?;
         }
         Ok(())

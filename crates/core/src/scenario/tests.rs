@@ -481,86 +481,6 @@ fn same_instant_timed_events_apply_before_resolved_dependents() {
 }
 
 #[test]
-fn schedule_after_matches_build_time_errors() {
-    let mut session = base()
-        .spawn("a", SpawnSpec::new("a", Uid(1), burst(30_000_000)))
-        .build()
-        .unwrap();
-    // Unknown dependency: same typed error as at build time.
-    let err = session
-        .schedule_after(
-            "ghost",
-            SimDuration::ZERO,
-            WorkloadEvent::Spawn {
-                tag: "b".into(),
-                spec: SpawnSpec::new("b", Uid(1), spin()),
-            },
-        )
-        .unwrap_err();
-    assert!(
-        matches!(
-            err,
-            SessionError::InvalidDag(DagError::UnknownDependency { .. })
-        ),
-        "got {err:?}"
-    );
-    // A feasible live-injected edge fires like a scripted one.
-    session
-        .schedule_after(
-            "a",
-            SimDuration::from_millis(50),
-            WorkloadEvent::Spawn {
-                tag: "b".into(),
-                spec: SpawnSpec::new("b", Uid(1), spin()),
-            },
-        )
-        .unwrap();
-    session.advance_to(SimTime::from_secs(10)).unwrap();
-    let exit = session
-        .kernel()
-        .exit_record(session.pid("a").unwrap())
-        .unwrap()
-        .end_time;
-    let spawn = session
-        .kernel()
-        .stat(session.pid("b").unwrap())
-        .unwrap()
-        .start_time;
-    assert_eq!(spawn, exit + SimDuration::from_millis(50));
-}
-
-#[test]
-fn live_injected_cycle_rejected() {
-    // Scripted: 'b' is a timed spawn, 'c' spawns after 'b'. Injecting a
-    // *respawn* of 'b' gated on 'c' closes a loop among the spawn-after
-    // edges — rejected with the same typed error as at build time.
-    let mut session = base()
-        .spawn("b", SpawnSpec::new("b", Uid(1), burst(30_000_000)))
-        .spawn_after(
-            "b",
-            SimDuration::ZERO,
-            "c",
-            SpawnSpec::new("c", Uid(1), spin()),
-        )
-        .build()
-        .unwrap();
-    let err = session
-        .schedule_after(
-            "c",
-            SimDuration::ZERO,
-            WorkloadEvent::Spawn {
-                tag: "b".into(),
-                spec: SpawnSpec::new("b", Uid(1), spin()),
-            },
-        )
-        .unwrap_err();
-    assert!(
-        matches!(err, SessionError::InvalidDag(DagError::Cycle { .. })),
-        "got {err:?}"
-    );
-}
-
-#[test]
 fn affinity_allowing_no_pu_is_rejected_for_timed_and_triggered_events() {
     // The Nehalem W3550 has 8 PUs; PU 20 is none of them.
     let outside = CpuSet::single(PuId(20));

@@ -419,10 +419,12 @@ pub(crate) fn spawn_edge_cycle(edges: &[(&str, &str)]) -> Option<Vec<String>> {
     while let Some(t) = queue.pop_front() {
         resolved += 1;
         for next in out.get(t).into_iter().flatten() {
-            let deg = indegree.get_mut(next).expect("target registered");
-            *deg -= 1;
-            if *deg == 0 {
-                queue.push_back(next);
+            // Every edge target is registered above.
+            if let Some(deg) = indegree.get_mut(next) {
+                *deg -= 1;
+                if *deg == 0 {
+                    queue.push_back(next);
+                }
             }
         }
     }

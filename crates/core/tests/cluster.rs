@@ -7,7 +7,6 @@
 //! windowed run delivers exactly the stream of one round per instant.
 
 use tiptop_core::app::{Tiptop, TiptopOptions};
-use tiptop_core::baseline::TopView;
 use tiptop_core::cluster::{
     ClusterCollectSink, ClusterFrame, ClusterScenario, ClusterSession, ClusterWindow,
     ClusterWindowSink, MachineRef, Until,
@@ -63,6 +62,14 @@ fn tool(delay_s: u64) -> Box<Tiptop> {
             .observer(Uid::ROOT)
             .delay(SimDuration::from_secs(delay_s)),
         ScreenConfig::default_screen(),
+    ))
+}
+
+/// `top`: the tool on a screen that reads no counters.
+fn top(delay: SimDuration) -> Box<Tiptop> {
+    Box::new(Tiptop::new(
+        TiptopOptions::default().delay(delay),
+        ScreenConfig::top_screen(),
     ))
 }
 
@@ -514,10 +521,7 @@ fn cluster_run_all_interleaves_monitor_sets_deterministically() {
                 |_: MachineRef<'_>| {
                     vec![
                         (tool(1) as Box<dyn Monitor + Send>, None),
-                        (
-                            Box::new(TopView::new().delay(SimDuration::from_secs(2))),
-                            None,
-                        ),
+                        (top(SimDuration::from_secs(2)), None),
                     ]
                 },
                 &mut [],
@@ -2938,10 +2942,7 @@ fn mixed_sets(m: MachineRef<'_>) -> ToolSet {
     let (a, b) = [(50, 80), (70, 50), (60, 90), (50, 50)][m.index];
     vec![
         (tool_ms(a) as Box<dyn Monitor + Send>, None),
-        (
-            Box::new(TopView::new().delay(SimDuration::from_millis(b))),
-            None,
-        ),
+        (top(SimDuration::from_millis(b)), None),
     ]
 }
 
@@ -3177,8 +3178,10 @@ fn large_fleets_take_windows_of_at_least_eight_instants() {
     let top_views = |_: MachineRef<'_>| -> ToolSet {
         (0..64)
             .map(|_| {
-                let top = Box::new(TopView::new().delay(SimDuration::from_millis(100)));
-                (top as Box<dyn Monitor + Send>, None)
+                (
+                    top(SimDuration::from_millis(100)) as Box<dyn Monitor + Send>,
+                    None,
+                )
             })
             .collect()
     };
@@ -3348,10 +3351,7 @@ fn evented_cluster() -> ClusterScenario {
 
 /// tiptop every second next to top every two seconds.
 fn tiptop_and_top() -> Vec<Box<dyn Monitor + Send>> {
-    vec![
-        tool(1),
-        Box::new(TopView::new().delay(SimDuration::from_secs(2))),
-    ]
+    vec![tool(1), top(SimDuration::from_secs(2))]
 }
 
 /// The frames of machine `index`, rendered, in merge order.

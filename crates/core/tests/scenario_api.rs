@@ -61,7 +61,10 @@ fn tiptop_and_top_agree_on_cpu_pct_side_by_side() {
     let half = session.pid("half").unwrap();
 
     let mut tip = tiptop_1s();
-    let mut top = TopView::new().delay(SimDuration::from_secs(1));
+    let mut top = Tiptop::new(
+        TiptopOptions::default().delay(SimDuration::from_secs(1)),
+        ScreenConfig::top_screen(),
+    );
 
     let mut tip_frames: Vec<Frame> = Vec::new();
     let mut top_frames: Vec<Frame> = Vec::new();

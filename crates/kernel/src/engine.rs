@@ -154,11 +154,6 @@ impl EpochEngine {
         }
     }
 
-    /// Name of the active epoch planner.
-    pub fn scheduler_name(&self) -> &'static str {
-        self.scheduler.name()
-    }
-
     pub fn now(&self) -> SimTime {
         self.now
     }

@@ -49,7 +49,6 @@ pub mod program;
 pub mod sched;
 pub mod symbols;
 pub mod task;
-pub mod world;
 
 pub use engine::{EpochEngine, PerfCharge};
 pub use errno::Errno;
@@ -63,7 +62,6 @@ pub use sched::{
 };
 pub use symbols::{Label, SymId, SymbolTable};
 pub use task::{Pid, SpawnSpec, Task, TaskState, Uid};
-pub use world::World;
 
 /// Convenient glob import.
 pub mod prelude {
@@ -74,7 +72,6 @@ pub mod prelude {
     pub use crate::program::{Phase, Program};
     pub use crate::sched::{CpuSet, Scheduler, SchedulerSelect};
     pub use crate::task::{Pid, SpawnSpec, TaskState, Uid};
-    pub use crate::world::World;
     pub use tiptop_machine::time::{SimDuration, SimTime};
 }
 

@@ -248,7 +248,7 @@ pub struct SchedCtx<'a> {
 /// Implementations must be deterministic functions of the contexts seen so
 /// far — the cluster layer replays machines on arbitrary worker threads and
 /// expects byte-identical streams. `Send + Sync` because kernels are
-/// sharded across cluster workers and shared behind `World`'s lock.
+/// sharded across cluster worker threads.
 pub trait Scheduler: Send + Sync {
     fn name(&self) -> &'static str;
 

@@ -12,12 +12,11 @@
 
 use rand::rngs::SmallRng;
 use rand::{RngCore, RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::fastmod::FastMod;
 
 /// How addresses are drawn within one tier.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AccessPattern {
     /// Consecutive lines, wrapping at the tier end (streaming).
     Sequential,
@@ -28,7 +27,7 @@ pub enum AccessPattern {
 }
 
 /// One tier of a task's working set.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WorkingSetTier {
     /// Tier size in bytes (≥ one cache line).
     pub bytes: u64,
@@ -53,7 +52,7 @@ impl WorkingSetTier {
 }
 
 /// A task's complete memory behaviour: its working-set tiers.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MemoryBehavior {
     tiers: Vec<WorkingSetTier>,
     /// Cumulative normalized weights, same length as `tiers`.

@@ -27,12 +27,10 @@
 //! (`SetAssocCache::walk_slice`) prefetches each sample's set a few
 //! samples ahead.
 
-use serde::{Deserialize, Serialize};
-
 use crate::fastmod::FastMod;
 
 /// Geometry of one cache level.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheGeometry {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -99,25 +97,6 @@ pub enum CacheLevel {
     L2,
     L3,
     Memory,
-}
-
-/// Result of one address walked through a [`crate::machine::Machine`]
-/// hierarchy: the level that finally supplied the data.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AccessOutcome {
-    pub served_by: CacheLevel,
-}
-
-impl AccessOutcome {
-    pub fn missed_l1(&self) -> bool {
-        self.served_by > CacheLevel::L1
-    }
-    pub fn missed_l2(&self) -> bool {
-        self.served_by > CacheLevel::L2
-    }
-    pub fn missed_l3(&self) -> bool {
-        self.served_by > CacheLevel::L3
-    }
 }
 
 /// A set-associative cache with true-LRU replacement.

@@ -14,8 +14,6 @@
 //! * **PPC970** — 1.8 GHz PowerPC 970: lower clock and IPC, and *no* x87-style
 //!   assist behaviour (Fig 3(d) shows the R workload does not collapse there).
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::CacheGeometry;
 use crate::pmu::PmuCapabilities;
 use crate::time::Freq;
@@ -23,7 +21,7 @@ use crate::topology::Topology;
 
 /// Which family a parameter set belongs to (used for reporting only; all
 /// behaviour is carried by the numeric parameters).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CpuModelKind {
     Nehalem,
     Core2,
@@ -35,7 +33,7 @@ pub enum CpuModelKind {
 /// FP unit. On Nehalem, x87 assists on non-finite (Inf/NaN) and denormal
 /// operands; SSE assists only on denormals; PPC970 handles everything in
 /// hardware.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AssistTriggers {
     /// x87 ops on Inf/NaN operands take an assist.
     pub x87_nonfinite: bool,
@@ -64,7 +62,7 @@ impl AssistTriggers {
 }
 
 /// The numeric soul of a CPU model.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct UarchParams {
     pub kind: CpuModelKind,
     pub name: String,
@@ -96,20 +94,6 @@ pub struct UarchParams {
     pub smt_share: f64,
     /// PMU counter resources.
     pub pmu: PmuCapabilities,
-}
-
-/// Serde `Serialize`/`Deserialize` for [`Freq`] lives here to keep `time.rs`
-/// dependency-free in spirit; it is just a `u64` in hertz.
-impl serde::Serialize for Freq {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_u64(self.0)
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Freq {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        u64::deserialize(d).map(Freq)
-    }
 }
 
 impl UarchParams {
@@ -202,7 +186,7 @@ impl UarchParams {
 
 /// Complete machine description: micro-architecture × topology × sampling
 /// fidelity knobs.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MachineConfig {
     pub uarch: UarchParams,
     pub topology: Topology,

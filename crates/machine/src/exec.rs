@@ -6,15 +6,13 @@
 //! build programs as sequences of profiles (phases); the machine turns a
 //! profile plus a cycle budget into retired instructions and event counts.
 
-use serde::{Deserialize, Serialize};
-
 use crate::access::MemoryBehavior;
 use crate::pmu::EventCounts;
 
 /// Which FP instruction unit the code uses — on Nehalem this decides whether
 /// non-finite operands trigger the micro-code assist (x87 does, SSE does
 /// not), the crux of the paper's §3.1 / Table 1.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FpUnit {
     X87,
     Sse,
@@ -28,7 +26,7 @@ pub enum FpUnit {
 /// All `*_per_insn` rates are fractions of retired instructions; operand
 /// class fractions (`nonfinite_frac`, `denormal_frac`) are fractions of FP
 /// operations.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ExecProfile {
     pub name: String,
     /// CPI with a perfect memory system and no mispredictions/assists.

@@ -62,7 +62,7 @@ pub mod time;
 pub mod topology;
 
 pub use access::{AccessPattern, MemoryBehavior, TaskStream, WorkingSetTier};
-pub use cache::{AccessOutcome, CacheGeometry, CacheLevel, SetAssocCache};
+pub use cache::{CacheGeometry, CacheLevel, SetAssocCache};
 pub use config::{AssistTriggers, CpuModelKind, MachineConfig, UarchParams};
 pub use exec::{ExecOutcome, ExecProfile, ExecProfileBuilder, FpUnit};
 pub use machine::{Machine, SliceRequest};

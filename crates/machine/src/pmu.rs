@@ -11,14 +11,12 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-use serde::{Deserialize, Serialize};
-
 /// Every hardware event a simulated PMU can count.
 ///
 /// `CacheReferences`/`CacheMisses` follow the Linux generic-event convention
 /// of referring to the *last-level* cache: references are accesses that reach
 /// the L3, misses are accesses the L3 could not serve.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 #[repr(usize)]
 pub enum HwEvent {
     /// Unhalted core cycles.
@@ -125,7 +123,7 @@ impl fmt::Display for HwEvent {
 }
 
 /// A vector of per-event counts, indexable by [`HwEvent`].
-#[derive(Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct EventCounts([u64; N_EVENTS]);
 
 impl EventCounts {
@@ -203,7 +201,7 @@ impl fmt::Debug for EventCounts {
 /// What the PMU hardware of a CPU model offers: how many events can be
 /// counted *simultaneously*. Requesting more forces the kernel to
 /// time-multiplex (see `tiptop-kernel::perf`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PmuCapabilities {
     /// Fixed-function counters (each tied to one [`HwEvent::is_fixed`] event).
     pub fixed_counters: usize,
@@ -226,14 +224,6 @@ impl PmuCapabilities {
         PmuCapabilities {
             fixed_counters: 3,
             programmable_counters: 13,
-        }
-    }
-
-    /// Older machines "used to have only a few counters" (§2.6).
-    pub fn legacy(programmable: usize) -> Self {
-        PmuCapabilities {
-            fixed_counters: 0,
-            programmable_counters: programmable,
         }
     }
 }

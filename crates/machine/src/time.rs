@@ -101,10 +101,6 @@ impl Freq {
         Freq((g * 1e9).round() as u64)
     }
 
-    pub fn mhz(m: f64) -> Self {
-        Freq((m * 1e6).round() as u64)
-    }
-
     pub fn hz(self) -> u64 {
         self.0
     }

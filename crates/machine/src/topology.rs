@@ -9,22 +9,20 @@
 
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a processing unit (hardware thread / logical CPU).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct PuId(pub usize);
 
 /// Index of a physical core (owns private L1/L2, hosts 1–2 PUs).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct CoreId(pub usize);
 
 /// Index of a socket (owns a shared L3).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SocketId(pub usize);
 
 /// Static description of the machine's processor layout.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Topology {
     sockets: usize,
     cores_per_socket: usize,

@@ -49,12 +49,16 @@ fn main() {
         .expect("well-formed scenario");
 
     // Two monitors over the same kernel: tiptop (counters) and top (%CPU
-    // only). Frames stream to a closure sink as they are observed.
+    // only: the same tool on a screen that reads no counters). Frames
+    // stream to a closure sink as they are observed.
     let mut tiptop_tool = Tiptop::new(
         TiptopOptions::default().delay(SimDuration::from_secs(2)),
         ScreenConfig::default_screen(),
     );
-    let mut top_tool = TopView::new().delay(SimDuration::from_secs(5));
+    let mut top_tool = Tiptop::new(
+        TiptopOptions::default().delay(SimDuration::from_secs(5)),
+        ScreenConfig::top_screen(),
+    );
 
     let mut sink = |source: &str, frame: Frame| {
         println!("--- {source} @ t={:.0}s ---", frame.time.as_secs_f64());
