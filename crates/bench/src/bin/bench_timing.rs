@@ -28,7 +28,10 @@
 //! `machine_sample_smt_ns`, the machine's cost per cache sample on a fixed
 //! seeded epoch sequence with one slice per physical core and with SMT
 //! pairs (see [`machine_sample_ns`]; each the median of
-//! [`SAMPLE_REPEATS`] runs, reported with its min and max), and
+//! [`SAMPLE_REPEATS`] runs, reported with its min and max), recorded with
+//! the hardware they ran on: the sampler kernels CPUID picked
+//! (`sampler_kernels`), the CPU model (`cpu_model`, from `/proc/cpuinfo`)
+//! and the host's `available_parallelism`; and
 //! `dag_build_ms`, the median wall time of `ClusterScenario::build` on a
 //! 4,000-stage random DAG over 64 machines (see [`dag_build_ms`]). No
 //! budget gates any of them yet.
@@ -210,6 +213,27 @@ fn machine_sample_ns(smt: bool) -> f64 {
     elapsed * 1e9 / samples as f64
 }
 
+/// The host CPU's model name with its family and model numbers, from the
+/// first processor of `/proc/cpuinfo` (a virtual machine's name may be as
+/// plain as "Intel(R) Xeon(R) Processor"); `unknown` where the file or the
+/// name is missing.
+fn cpu_model() -> String {
+    let info = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let field = |key: &str| {
+        info.lines().find_map(|line| {
+            let (k, v) = line.split_once(':')?;
+            (k.trim() == key).then(|| v.trim().to_string())
+        })
+    };
+    match (field("model name"), field("cpu family"), field("model")) {
+        (Some(name), Some(family), Some(model)) => {
+            format!("{name} (family {family} model {model})")
+        }
+        (Some(name), _, _) => name,
+        _ => "unknown".to_string(),
+    }
+}
+
 /// Seeds of the [`dag_build_ms`] median.
 const DAG_BUILD_SEEDS: u64 = 5;
 
@@ -345,6 +369,13 @@ fn main() {
         "  \"machine_sample_ns\": {},\n  \"machine_sample_smt_ns\": {},\n",
         sample_ns.json(),
         sample_smt_ns.json()
+    ));
+    // The hardware the cost lines ran on.
+    json.push_str(&format!(
+        "  \"sampler_kernels\": \"{}\",\n  \"cpu_model\": \"{}\",\n  \"available_parallelism\": {},\n",
+        tiptop_machine::sampler_kernels(),
+        cpu_model().escape_default(),
+        std::thread::available_parallelism().map_or(0, usize::from)
     ));
     json.push_str(&format!("  \"dag_build_ms\": {build_ms:.2}\n}}\n"));
 

@@ -9,11 +9,19 @@
 //!
 //! Streams are deterministic: a task's addresses depend only on its stream
 //! seed and the number of addresses drawn so far.
-
-use rand::rngs::SmallRng;
-use rand::{RngCore, RngExt, SeedableRng};
+//!
+//! Each stream draws from its own SplitMix64, seeded as the vendored `rand`
+//! stub's `SmallRng` was, so every stream draws what it always drew.
+//! SplitMix64 is counter-based (draw `k` after state `s` is
+//! `mix(s + k·γ)`), so a batch can be drawn in lanes: when every tier of a
+//! behaviour is random and a power of two in size and CPUID reports
+//! AVX-512F and AVX-512DQ, [`TaskStream::fill`] draws eight addresses per
+//! step in vector registers. Other tier mixes and hosts take the scalar
+//! loop, and [`TaskStream::next_addr`], one address at a time, stays the
+//! reference both batch forms are checked against.
 
 use crate::fastmod::FastMod;
+use crate::vector::Avx512Dq;
 
 /// How addresses are drawn within one tier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -126,7 +134,7 @@ impl MemoryBehavior {
 #[derive(Clone, Debug)]
 pub struct TaskStream {
     asid: u64,
-    rng: SmallRng,
+    rng: SplitMix64,
     cursors: Vec<u64>,
     drawn: u64,
 }
@@ -137,7 +145,7 @@ impl TaskStream {
     pub fn new(asid: u64, seed: u64) -> Self {
         TaskStream {
             asid,
-            rng: SmallRng::seed_from_u64(seed ^ 0x7469_7074_6f70_5f73), // "tiptop_s"
+            rng: SplitMix64::new(seed ^ 0x7469_7074_6f70_5f73), // "tiptop_s"
             cursors: Vec::new(),
             drawn: 0,
         }
@@ -168,7 +176,7 @@ impl TaskStream {
             self.cursors = vec![0; mem.tiers.len()];
         }
         self.drawn += 1;
-        let u: f64 = self.rng.random();
+        let u = self.rng.next_f64();
         let ti = mem.pick_tier(u);
         let tier = &mem.tiers[ti];
         let offset = match tier.pattern {
@@ -182,12 +190,11 @@ impl TaskStream {
                 self.cursors[ti] = wrap_add(o, stride, tier.bytes);
                 o
             }
-            // `random_range(0..bytes)` is `next_u64() % bytes`; for a
-            // power-of-two size that is the low bits.
+            // For a power-of-two size, the remainder is the low bits.
             AccessPattern::Random if tier.bytes.is_power_of_two() => {
                 self.rng.next_u64() & (tier.bytes - 1)
             }
-            AccessPattern::Random => self.rng.random_range(0..tier.bytes),
+            AccessPattern::Random => self.rng.next_u64() % tier.bytes,
         };
         (self.asid << 40) | (mem.bases[ti] + offset)
     }
@@ -220,7 +227,18 @@ impl TaskStream {
     /// finite, so the cumulative weights are non-decreasing, and the first
     /// tier whose bound is at least `u` is the count of bounds below `u`,
     /// over every tier but the last.
+    ///
+    /// When every tier is random and a power of two in size, and the host
+    /// has AVX-512F and AVX-512DQ, the batch is drawn eight addresses at a
+    /// time, and only its last `len % 8` by the scalar loop, which draws
+    /// every other batch.
     pub fn fill(&mut self, mem: &MemoryBehavior, out: &mut [u64]) {
+        self.fill_on(Avx512Dq::detect(), mem, out);
+    }
+
+    /// [`TaskStream::fill`], drawing in eight lanes only when `vector`
+    /// proves the host can.
+    fn fill_on(&mut self, vector: Option<Avx512Dq>, mem: &MemoryBehavior, out: &mut [u64]) {
         let tiers = mem.tiers.len();
         if tiers > TABLE_TIERS || out.is_empty() {
             for addr in out {
@@ -256,8 +274,36 @@ impl TaskStream {
                 AccessPattern::Random => Offsets::Modulo(FastMod::new(tier.bytes)),
             };
         }
-        for addr in out.iter_mut() {
-            let u: f64 = self.rng.random();
+        let mut rest = &mut *out;
+        #[cfg(target_arch = "x86_64")]
+        if let Some(dq) = vector {
+            // Padding tiers are masks too, never picked.
+            let mut masks = [0; TABLE_TIERS];
+            let all_masks = offsets.iter().zip(&mut masks).all(|(&o, m)| match o {
+                Offsets::Mask(mask) => {
+                    *m = mask;
+                    true
+                }
+                _ => false,
+            });
+            if all_masks {
+                let (lanes, tail) = rest.split_at_mut(rest.len() / LANES * LANES);
+                let table = DrawTable {
+                    bounds,
+                    masks,
+                    bases,
+                    asid,
+                };
+                // SAFETY: `dq` is an `Avx512Dq`, which only exists where
+                // CPUID reported AVX-512F and AVX-512DQ (`Avx512Dq::detect`).
+                unsafe { draw_avx512(dq, &mut self.rng, &table, lanes) };
+                rest = tail;
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = vector;
+        for addr in rest.iter_mut() {
+            let u = self.rng.next_f64();
             let ti: usize = bounds.iter().map(|&c| usize::from(u > c)).sum();
             let offset = match offsets[ti] {
                 Offsets::Cursor { step, bytes } => {
@@ -272,6 +318,131 @@ impl TaskStream {
         }
         self.cursors.copy_from_slice(&cursors[..tiers]);
         self.drawn += out.len() as u64;
+    }
+}
+
+/// SplitMix64, the generator of every address stream: the vendored `rand`
+/// stub's `SmallRng`, seeded the same way, so every stream draws what it
+/// drew through the stub. It is counter-based: after state `s`, draw `k`
+/// (from 1) is `mix(s + k·γ)`, so a batch of draws can be computed in
+/// lanes, each from the state it starts from.
+#[derive(Clone, Debug)]
+struct SplitMix64 {
+    state: u64,
+}
+
+/// SplitMix64's increment γ, the golden ratio in 64-bit fixed point.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+/// SplitMix64's two mixing multipliers.
+const MIX: [u64; 2] = [0xBF58_476D_1CE4_E5B9, 0x94D0_49BB_1331_11EB];
+
+impl SplitMix64 {
+    fn new(seed: u64) -> Self {
+        SplitMix64 { state: seed }
+    }
+
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(GAMMA);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(MIX[0]);
+        z = (z ^ (z >> 27)).wrapping_mul(MIX[1]);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[0, 1)` from the top 53 bits of a draw, exactly.
+    #[inline]
+    fn next_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * UNIT
+    }
+}
+
+/// `2^-53`: one step of [`SplitMix64::next_f64`].
+const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
+
+/// Addresses [`draw_avx512`] draws per step: one per 64-bit lane.
+#[cfg(target_arch = "x86_64")]
+const LANES: usize = 8;
+
+/// The tier table of a batch whose tiers are all random and a power of two
+/// in size, padded to [`TABLE_TIERS`]: the bounds of the tier pick, each
+/// tier's offset mask and base, and the address-space bits.
+#[cfg(target_arch = "x86_64")]
+struct DrawTable {
+    bounds: [f64; TABLE_TIERS - 1],
+    masks: [u64; TABLE_TIERS],
+    bases: [u64; TABLE_TIERS],
+    asid: u64,
+}
+
+/// Fill `out`, a whole number of [`LANES`] long, with the addresses the
+/// scalar loop of [`TaskStream::fill`] draws from `table`, eight at a time
+/// in AVX-512F and AVX-512DQ, leaving `rng` where that loop leaves it.
+///
+/// Every address takes two draws, its `u` and its offset, so address `a`
+/// of a step takes draws `2a + 1` and `2a + 2` past the step's state, which
+/// SplitMix64 being counter-based computes in lanes: `vpmullq` mixes
+/// them, the top 53 bits of `u`'s draw convert exactly (`vcvtuqq2pd`),
+/// three `vcmppd` compares against the bounds count the tier, and
+/// `vpermq` gathers each lane's tier mask and base from the table.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn draw_avx512(_: Avx512Dq, rng: &mut SplitMix64, table: &DrawTable, out: &mut [u64]) {
+    use std::arch::x86_64::{
+        __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_cmp_pd_mask, _mm512_cvtepu64_pd,
+        _mm512_loadu_epi64, _mm512_maskz_loadu_epi64, _mm512_movm_epi64, _mm512_mul_pd,
+        _mm512_mullo_epi64, _mm512_or_si512, _mm512_permutexvar_epi64, _mm512_set1_epi64,
+        _mm512_set1_pd, _mm512_setzero_si512, _mm512_srli_epi64, _mm512_storeu_epi64,
+        _mm512_sub_epi64, _mm512_xor_si512, _CMP_GT_OQ,
+    };
+    #[target_feature(enable = "avx512f,avx512dq")]
+    #[inline]
+    fn mix(z: __m512i, mul: [__m512i; 2]) -> __m512i {
+        let z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64::<30>(z)), mul[0]);
+        let z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64::<27>(z)), mul[1]);
+        _mm512_xor_si512(z, _mm512_srli_epi64::<31>(z))
+    }
+    let tier_lanes = (1 << TABLE_TIERS) - 1;
+    // SAFETY: the load reads the first `TABLE_TIERS` lanes, which each
+    // table holds, and no memory for the lanes its mask leaves out.
+    let (masks, bases) = unsafe {
+        (
+            _mm512_maskz_loadu_epi64(tier_lanes, table.masks.as_ptr().cast()),
+            _mm512_maskz_loadu_epi64(tier_lanes, table.bases.as_ptr().cast()),
+        )
+    };
+    let bounds = table.bounds.map(|c| _mm512_set1_pd(c));
+    let unit = _mm512_set1_pd(UNIT);
+    let asid = _mm512_set1_epi64(table.asid as i64);
+    let mul = MIX.map(|m| _mm512_set1_epi64(m as i64));
+    // Lane `a` draws its `u` at `2a + 1` increments past a step's state,
+    // and its offset at `2a + 2`.
+    let steps: [u64; LANES] = std::array::from_fn(|a| GAMMA.wrapping_mul(2 * a as u64 + 1));
+    // SAFETY: `steps` holds the eight 64-bit lanes the load reads.
+    let u_steps = unsafe { _mm512_loadu_epi64(steps.as_ptr().cast()) };
+    let offset_steps = _mm512_add_epi64(u_steps, _mm512_set1_epi64(GAMMA as i64));
+    let batch = GAMMA.wrapping_mul(2 * LANES as u64);
+    for chunk in out.chunks_exact_mut(LANES) {
+        let state = _mm512_set1_epi64(rng.state as i64);
+        let u_draw = mix(_mm512_add_epi64(state, u_steps), mul);
+        let offset_draw = mix(_mm512_add_epi64(state, offset_steps), mul);
+        rng.state = rng.state.wrapping_add(batch);
+        let u = _mm512_mul_pd(_mm512_cvtepu64_pd(_mm512_srli_epi64::<11>(u_draw)), unit);
+        // Each bound below `u` adds one to the lane's tier: a set mask
+        // lane reads as -1.
+        let tier = bounds.iter().fold(_mm512_setzero_si512(), |tier, &c| {
+            _mm512_sub_epi64(
+                tier,
+                _mm512_movm_epi64(_mm512_cmp_pd_mask::<_CMP_GT_OQ>(u, c)),
+            )
+        });
+        let offset = _mm512_and_si512(offset_draw, _mm512_permutexvar_epi64(tier, masks));
+        let addr = _mm512_or_si512(
+            asid,
+            _mm512_add_epi64(_mm512_permutexvar_epi64(tier, bases), offset),
+        );
+        // SAFETY: `chunk` is eight 64-bit slots, all the store writes.
+        unsafe { _mm512_storeu_epi64(chunk.as_mut_ptr().cast(), addr) };
     }
 }
 
@@ -373,7 +544,7 @@ mod tests {
             s.cursors = vec![0; mem.tiers.len()];
         }
         s.drawn += 1;
-        let u: f64 = s.rng.random();
+        let u = s.rng.next_f64();
         let ti = mem.pick_tier(u);
         let tier = &mem.tiers[ti];
         let offset = match tier.pattern {
@@ -387,7 +558,7 @@ mod tests {
                 s.cursors[ti] = (o + stride) % tier.bytes;
                 o
             }
-            AccessPattern::Random => s.rng.random_range(0..tier.bytes),
+            AccessPattern::Random => s.rng.next_u64() % tier.bytes,
         };
         (s.asid << 40) | (mem.bases[ti] + offset)
     }
@@ -531,6 +702,82 @@ mod tests {
                 assert_eq!(batched.cursors, single.cursors, "{ctx}: cursors");
                 let (mut a, mut s) = (batched.clone(), single.clone());
                 assert_eq!(a.next_addr(mem), s.next_addr(mem), "{ctx}: next address");
+            }
+        }
+    }
+
+    /// Batches through the fill of each host's kernel against the scalar
+    /// fill on a twin stream, for one to four random tiers of power-of-two
+    /// sizes and every batch length from 0 to 40 and 256: the same
+    /// addresses, the same `drawn()`, and the same address from the next
+    /// scalar draw. Each stream starts its batch where the previous one
+    /// and a few single draws left it, so batches begin at every offset
+    /// of the generator, and a second batch resumes from the first. On a
+    /// host without AVX-512F and DQ both fills are scalar.
+    #[test]
+    fn vector_fill_matches_the_scalar_fill() {
+        use AccessPattern::Random;
+        println!("sampler kernels: {}", crate::sampler_kernels());
+        let sizes = [16 << 10, 4 << 20, 64, 1 << 30];
+        let weights = [0.55, 0.25, 0.15, 0.05];
+        for tiers in 1..=sizes.len() {
+            let mem = MemoryBehavior::new(
+                (0..tiers)
+                    .map(|t| WorkingSetTier::new(sizes[t], weights[t], Random))
+                    .collect(),
+            );
+            let mut vector = TaskStream::new(tiers as u64, 97 * tiers as u64);
+            let mut scalar = vector.clone();
+            let mut picked = [false; 4];
+            for len in (0..=40).chain([256]) {
+                let ctx = format!("{tiers} tiers, batch of {len}");
+                for _ in 0..len % 3 {
+                    assert_eq!(vector.next_addr(&mem), scalar.next_addr(&mem), "{ctx}");
+                }
+                let (mut fast, mut slow) = (vec![0; len], vec![0; len]);
+                vector.fill_on(Avx512Dq::detect(), &mem, &mut fast);
+                scalar.fill_on(None, &mem, &mut slow);
+                assert_eq!(fast, slow, "{ctx}: addresses");
+                let (mut fast, mut slow) = (vec![0; 13], vec![0; 13]);
+                vector.fill_on(Avx512Dq::detect(), &mem, &mut fast);
+                scalar.fill_on(None, &mem, &mut slow);
+                assert_eq!(fast, slow, "{ctx}: the batch after it");
+                assert_eq!(vector.drawn(), scalar.drawn(), "{ctx}: drawn");
+                let next = vector.clone().next_addr(&mem);
+                assert_eq!(next, scalar.clone().next_addr(&mem), "{ctx}: next draw");
+                for addr in fast {
+                    let offset = addr & ((1 << 40) - 1);
+                    picked[mem.bases.iter().rposition(|&b| b <= offset).unwrap()] = true;
+                }
+            }
+            assert!(
+                picked[..tiers].iter().all(|&p| p),
+                "{tiers} tiers: {picked:?}"
+            );
+        }
+    }
+
+    /// The stream's own SplitMix64 draws exactly what the vendored `rand`
+    /// stub's `SmallRng` draws from the same seed, which every stream drew
+    /// from before: as integers and as uniform floats.
+    #[test]
+    fn splitmix_matches_the_rand_stub() {
+        use rand::rngs::SmallRng;
+        use rand::{RngCore, RngExt, SeedableRng};
+        for seed in [0, 1, 0x7469_7074_6f70_5f73, u64::MAX] {
+            let mut own = SplitMix64::new(seed);
+            let mut stub = SmallRng::seed_from_u64(seed);
+            for k in 0..1000 {
+                if k % 2 == 0 {
+                    assert_eq!(own.next_u64(), stub.next_u64(), "seed {seed}, draw {k}");
+                } else {
+                    let u: f64 = stub.random();
+                    assert_eq!(
+                        own.next_f64().to_bits(),
+                        u.to_bits(),
+                        "seed {seed}, draw {k}"
+                    );
+                }
             }
         }
     }

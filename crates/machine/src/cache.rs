@@ -26,8 +26,18 @@
 //! on a host cache line, and a walk over a slice of samples
 //! (`SetAssocCache::walk_slice`) prefetches each sample's set a few
 //! samples ahead.
+//!
+//! A walk over sets of 8 or 16 slots (every shipped L1, L2 and L3 has one
+//! of those widths) runs in AVX-512F when CPUID reports it, which the
+//! `vector` module reads at run time: one `vpcmpeqq` per eight slots gives
+//! the hit mask, and a `valignq` written back under the mask of the slots
+//! up to the hit or the victim is the same rotation as the scalar
+//! per-slot selects. Every other host and width runs the scalar
+//! `access_fixed`, which stays the reference: the two give the same tags,
+//! hits and order of reports, bit for bit.
 
 use crate::fastmod::FastMod;
+use crate::vector::Avx512F;
 
 /// Geometry of one cache level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -232,7 +242,8 @@ impl SetAssocCache {
         addr: impl Fn(S) -> u64,
         served: impl FnMut(S, bool),
     ) {
-        self.walk_ahead(samples, std::iter::empty(), addr, served);
+        let vector = Avx512F::detect();
+        self.walk_ahead(vector, samples, std::iter::empty(), addr, served);
     }
 
     /// [`SetAssocCache::walk`] over a slice of samples, prefetching the set
@@ -251,13 +262,17 @@ impl SetAssocCache {
         served: impl FnMut(S, bool),
     ) {
         let ahead = samples.iter().skip(PREFETCH_AHEAD).map(move |&s| addr(s));
-        self.walk_ahead(samples.iter().copied(), ahead, addr, served);
+        let vector = Avx512F::detect();
+        self.walk_ahead(vector, samples.iter().copied(), ahead, addr, served);
     }
 
     /// [`SetAssocCache::walk`], prefetching the set of each address of
-    /// `ahead` as it steps to the next sample.
+    /// `ahead` as it steps to the next sample. Sets of 8 or 16 slots are
+    /// walked by the AVX-512F routine when `vector` proves the host has
+    /// it, and by the scalar [`access_fixed`] otherwise.
     fn walk_ahead<S: Copy>(
         &mut self,
+        vector: Option<Avx512F>,
         samples: impl IntoIterator<Item = S>,
         ahead: impl Iterator<Item = u64>,
         addr: impl Fn(S) -> u64,
@@ -270,25 +285,56 @@ impl SetAssocCache {
             return;
         };
         self.materialise();
+        #[cfg(target_arch = "x86_64")]
+        if let Some(f) = vector.filter(|_| matches!(self.width, 8 | 16)) {
+            // SAFETY: `f` is an `Avx512F`, which only exists where CPUID
+            // reported AVX-512F (`Avx512F::detect`).
+            return unsafe { self.walk_avx512(f, first, samples, ahead, addr, served) };
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = vector;
+        let scalar = Scalar;
         match self.width {
-            1 => self.walk_fixed::<1, S>(first, samples, ahead, addr, served),
-            2 => self.walk_fixed::<2, S>(first, samples, ahead, addr, served),
-            4 => self.walk_fixed::<4, S>(first, samples, ahead, addr, served),
-            8 => self.walk_fixed::<8, S>(first, samples, ahead, addr, served),
-            16 => self.walk_fixed::<16, S>(first, samples, ahead, addr, served),
-            32 => self.walk_fixed::<32, S>(first, samples, ahead, addr, served),
-            64 => self.walk_fixed::<64, S>(first, samples, ahead, addr, served),
+            1 => self.walk_fixed::<1, S>(scalar, first, samples, ahead, addr, served),
+            2 => self.walk_fixed::<2, S>(scalar, first, samples, ahead, addr, served),
+            4 => self.walk_fixed::<4, S>(scalar, first, samples, ahead, addr, served),
+            8 => self.walk_fixed::<8, S>(scalar, first, samples, ahead, addr, served),
+            16 => self.walk_fixed::<16, S>(scalar, first, samples, ahead, addr, served),
+            32 => self.walk_fixed::<32, S>(scalar, first, samples, ahead, addr, served),
+            64 => self.walk_fixed::<64, S>(scalar, first, samples, ahead, addr, served),
             w => unreachable!("set width {w} is not a power of two up to {MAX_WAYS}"),
         }
     }
 
+    /// [`SetAssocCache::walk_fixed`] over sets of 8 or 16 slots with the
+    /// AVX-512F set access, compiled for AVX-512F as a whole so that the
+    /// set access inlines into the loop.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn walk_avx512<S: Copy>(
+        &mut self,
+        f: Avx512F,
+        first: S,
+        rest: impl Iterator<Item = S>,
+        ahead: impl Iterator<Item = u64>,
+        addr: impl Fn(S) -> u64,
+        served: impl FnMut(S, bool),
+    ) {
+        match self.width {
+            8 => self.walk_fixed::<8, S>(f, first, rest, ahead, addr, served),
+            16 => self.walk_fixed::<16, S>(f, first, rest, ahead, addr, served),
+            w => unreachable!("no AVX-512F walk over sets of {w} slots"),
+        }
+    }
+
     /// [`SetAssocCache::walk_ahead`] over sets of `W` slots, from its first
-    /// sample on. The loop body is written out rather than passed to an
-    /// iterator adapter as a closure, which the compiler may leave as a
-    /// call per sample.
+    /// sample on, each access by `kernel`. The loop body is written out
+    /// rather than passed to an iterator adapter as a closure, which the
+    /// compiler may leave as a call per sample.
     #[inline(always)]
     fn walk_fixed<const W: usize, S: Copy>(
         &mut self,
+        kernel: impl SetAccess,
         first: S,
         mut rest: impl Iterator<Item = S>,
         mut ahead: impl Iterator<Item = u64>,
@@ -306,7 +352,7 @@ impl SetAssocCache {
             }
             let line = addr(sample) >> line_shift;
             debug_assert_ne!(line, INVALID, "reserved tag");
-            let hit = access_fixed(&mut sets[index.set(line)], line, ways);
+            let hit = kernel.access(&mut sets[index.set(line)], line, ways);
             accesses += 1;
             hits += u64::from(hit);
             served(sample, hit);
@@ -412,6 +458,78 @@ fn access_fixed<const W: usize>(set: &mut [u64; W], line: u64, ways: usize) -> b
         set[k] = if k <= pos { old[k - 1] } else { old[k] };
     }
     set[0] = line;
+    equal != 0
+}
+
+/// One access to a set of `W` slots: the scalar [`access_fixed`] or its
+/// AVX-512F form.
+trait SetAccess: Copy {
+    fn access<const W: usize>(self, set: &mut [u64; W], line: u64, ways: usize) -> bool;
+}
+
+/// The scalar set access, [`access_fixed`]: every host, every width.
+#[derive(Clone, Copy)]
+struct Scalar;
+
+impl SetAccess for Scalar {
+    #[inline(always)]
+    fn access<const W: usize>(self, set: &mut [u64; W], line: u64, ways: usize) -> bool {
+        access_fixed(set, line, ways)
+    }
+}
+
+/// The AVX-512F set access for sets of 8 and 16 slots; other widths take
+/// the scalar one.
+#[cfg(target_arch = "x86_64")]
+impl SetAccess for Avx512F {
+    #[inline(always)]
+    fn access<const W: usize>(self, set: &mut [u64; W], line: u64, ways: usize) -> bool {
+        match W {
+            // SAFETY: `self` is an `Avx512F`, which only exists where CPUID
+            // reported AVX-512F (`Avx512F::detect`).
+            8 => unsafe { access_avx512::<1>(set, line, ways) },
+            // SAFETY: as above, `self` proves the CPUID check for AVX-512F.
+            16 => unsafe { access_avx512::<2>(set, line, ways) },
+            _ => access_fixed(set, line, ways),
+        }
+    }
+}
+
+/// [`access_fixed`] on a set of `8 * V` slots (`V` of 1 or 2) in
+/// AVX-512F, a vector of eight slots at a time: the hit mask is one
+/// compare per vector, `pos` is the same `tzcnt` of it with the victim
+/// slot `ways - 1` ORed in, and the set shifts right by one slot with
+/// `valignq`, the line entering slot 0 and each vector's top slot entering
+/// the next one's bottom. The shifted slots are written back under the
+/// mask of slots `0..=pos`: exactly the right rotation of `set[..=pos]`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn access_avx512<const V: usize>(set: &mut [u64], line: u64, ways: usize) -> bool {
+    use std::arch::x86_64::{
+        __m512i, _mm512_alignr_epi64, _mm512_cmpeq_epi64_mask, _mm512_loadu_epi64,
+        _mm512_mask_storeu_epi64, _mm512_set1_epi64,
+    };
+    assert!(set.len() == 8 * V && (1..=2).contains(&V));
+    let ptr = set.as_mut_ptr().cast::<i64>();
+    let broadcast = _mm512_set1_epi64(line as i64);
+    let mut slots = [broadcast; V];
+    let mut equal = 0u32;
+    for (v, slot) in slots.iter_mut().enumerate() {
+        // SAFETY: the assert above puts slots `8 * v..8 * v + 8` inside
+        // `set`.
+        *slot = unsafe { _mm512_loadu_epi64(ptr.add(8 * v)) };
+        equal |= u32::from(_mm512_cmpeq_epi64_mask(*slot, broadcast)) << (8 * v);
+    }
+    let pos = (equal | 1 << (ways - 1)).trailing_zeros();
+    let moved = (2u32 << pos) - 1;
+    let mut below: __m512i = broadcast;
+    for (v, &slot) in slots.iter().enumerate() {
+        let shifted = _mm512_alignr_epi64::<7>(slot, below);
+        // SAFETY: as for the load, slots `8 * v..8 * v + 8` are in `set`.
+        unsafe { _mm512_mask_storeu_epi64(ptr.add(8 * v), (moved >> (8 * v)) as u8, shifted) };
+        below = slot;
+    }
     equal != 0
 }
 
@@ -560,6 +678,57 @@ mod tests {
                         "{ctx}: resident lines"
                     );
                 }
+            }
+        }
+    }
+
+    /// The walk of each host's kernel against the scalar walk on a twin
+    /// cache, over sets of 8 and 16 slots with every slot live and with
+    /// `ways` below the width, under both set-index rules: the same
+    /// `served` calls in the same order, the same hit and miss counts, and
+    /// the same tags in every slot after every walk. On a host without
+    /// AVX-512F both walks are scalar.
+    #[test]
+    fn vector_walk_matches_the_scalar_walk() {
+        println!("sampler kernels: {}", crate::sampler_kernels());
+        for ways in [5u32, 8, 12, 16] {
+            for sets in [16u64, 12] {
+                let geometry = CacheGeometry {
+                    size_bytes: sets * ways as u64 * 64,
+                    ways,
+                    line_bytes: 64,
+                };
+                let mut vector = SetAssocCache::new(geometry);
+                let mut scalar = SetAssocCache::new(geometry);
+                let mut rng = SmallRng::seed_from_u64(sets * 100 + ways as u64);
+                let pool = 2 * sets * ways as u64;
+                for len in [1, 7, 8, 9, 100, 1000] {
+                    let addrs: Vec<(usize, u64)> = (0..len)
+                        .map(|k| (k, rng.random_range(0..pool) << 6 | rng.random_range(0..64)))
+                        .collect();
+                    let walk = |cache: &mut SetAssocCache, kernel: Option<Avx512F>| {
+                        let mut served = Vec::new();
+                        let samples = addrs.iter().copied();
+                        let ahead = std::iter::empty();
+                        cache.walk_ahead(
+                            kernel,
+                            samples,
+                            ahead,
+                            |(_, a)| a,
+                            |(k, _), hit| served.push((k, hit)),
+                        );
+                        served
+                    };
+                    let ctx = format!("{ways} ways, {sets} sets, walk of {len}");
+                    let served = walk(&mut vector, Avx512F::detect());
+                    assert_eq!(served, walk(&mut scalar, None), "{ctx}: served");
+                    assert_eq!(vector.stats(), scalar.stats(), "{ctx}: stats");
+                    let slots = sets as usize * vector.width as usize;
+                    let sets_of = |c: &SetAssocCache| c.tags[c.first..c.first + slots].to_vec();
+                    assert_eq!(sets_of(&vector), sets_of(&scalar), "{ctx}: tags");
+                }
+                let (hits, misses) = vector.stats();
+                assert!(hits > 0 && misses > 0, "{ways} ways, {sets} sets");
             }
         }
     }

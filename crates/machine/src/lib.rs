@@ -51,6 +51,8 @@
 //! assert_eq!(out[0].events.get(HwEvent::Instructions), out[0].instructions);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
+
 pub mod access;
 pub mod cache;
 pub mod config;
@@ -60,6 +62,7 @@ pub mod machine;
 pub mod pmu;
 pub mod time;
 pub mod topology;
+mod vector;
 
 pub use access::{AccessPattern, MemoryBehavior, TaskStream, WorkingSetTier};
 pub use cache::{CacheGeometry, CacheLevel, SetAssocCache};
@@ -69,6 +72,7 @@ pub use machine::{Machine, SliceRequest};
 pub use pmu::{EventCounts, HwEvent, PmuCapabilities, N_EVENTS};
 pub use time::{Freq, SimDuration, SimTime};
 pub use topology::{CoreId, PuId, SocketId, Topology};
+pub use vector::{sampler_kernels, SamplerKernels};
 
 /// Convenient glob import for downstream crates and examples.
 pub mod prelude {

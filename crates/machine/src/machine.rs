@@ -380,6 +380,16 @@ impl Machine {
     /// `j` order from those levels, so the result is the single merge's bit
     /// for bit.
     ///
+    /// On a host with AVX-512 (read from CPUID at run time; see
+    /// [`crate::sampler_kernels`]), walks over sets of 8 or 16 slots and
+    /// draws from all-random, power-of-two tiers run in 8-lane vector
+    /// kernels; each core's chunk of samples is gathered on the stack
+    /// before its L1 walk, so that walk's loop is the vector access alone.
+    /// Every other host, width and tier mix runs the scalar forms, which
+    /// give the same counts bit for bit and stay the reference:
+    /// [`SetAssocCache::access`] and [`TaskStream::next_addr`], like this
+    /// method's own oracle, `sample_caches_reference`.
+    ///
     /// The walk's buffers are per thread ([`WalkScratch`]): a cluster
     /// worker steps many machines, and a machine whose jobs never touch
     /// memory never takes them.
@@ -638,9 +648,12 @@ impl<'s> Draws<'s> {
 
 /// Walk one core's `count` samples, in `(t, i)` order, through its `l1`,
 /// and each chunk's L1 misses through its `l2`, recording L2 hits in
-/// `levels` and appending the L2 misses to `queue` at `queued`. A chunk's
-/// L1 misses are known before its L2 walk, which therefore prefetches, as
-/// the L3 walk does (`SetAssocCache::walk_slice`).
+/// `levels` and appending the L2 misses to `queue` at `queued`. Each
+/// chunk's samples are gathered into a buffer on the stack before its L1
+/// walk, so the walk's loop runs no draw or refill code: it is the tag
+/// walk alone. A chunk's L1 misses are known before its L2
+/// walk, which therefore prefetches, as the L3 walk does
+/// (`SetAssocCache::walk_slice`).
 ///
 /// A miss is kept without a branch: every sample is written to the next
 /// free slot, which a miss then keeps by advancing the count. So the L1
@@ -655,12 +668,17 @@ fn walk_core(
     queue: &mut Vec<Sample>,
     queued: &mut usize,
 ) {
+    let mut chunk = [Sample::default(); CHUNK];
     let mut l1_misses = [Sample::default(); CHUNK];
     for _ in 0..count.div_ceil(CHUNK) {
+        let mut len = 0;
+        for sample in samples.by_ref().take(CHUNK) {
+            chunk[len] = sample;
+            len += 1;
+        }
         let mut missed = 0;
-        let chunk = samples.by_ref().take(CHUNK);
         l1.walk(
-            chunk,
+            chunk[..len].iter().copied(),
             |s| s.addr,
             |s, hit| {
                 l1_misses[missed] = s;
