@@ -1,10 +1,7 @@
 //! Reporting helpers shared by every experiment: labelled series, aligned
-//! tables, quick ASCII plots, and CSV dumps under `target/experiments/`.
+//! tables and quick ASCII plots.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 
 /// A labelled `(x, y)` series — one curve of a figure.
 #[derive(Clone, Debug, PartialEq)]
@@ -86,7 +83,7 @@ pub struct Panel {
 }
 
 /// A multi-panel figure — the Figs 3/6–8 shape: the same curves regenerated
-/// once per machine (or per configuration), rendered and dumped together.
+/// once per machine (or per configuration), rendered together.
 #[derive(Clone, Debug, Default)]
 pub struct PanelSet {
     pub title: String,
@@ -124,87 +121,6 @@ impl PanelSet {
         }
         out
     }
-
-    /// Write one CSV per panel into `dir` (file-name-safe slug of
-    /// `title_label`, suffixed on collision so no panel overwrites
-    /// another); returns the paths.
-    pub fn write_csvs_in(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
-        let mut used: std::collections::HashSet<String> = std::collections::HashSet::new();
-        self.panels
-            .iter()
-            .map(|p| {
-                let base = slug(&format!("{}_{}", self.title, p.label));
-                let mut name = base.clone();
-                let mut i = 2;
-                while !used.insert(name.clone()) {
-                    name = format!("{base}-{i}");
-                    i += 1;
-                }
-                write_csv_in(dir, &name, &p.series)
-            })
-            .collect()
-    }
-}
-
-fn slug(s: &str) -> String {
-    s.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() {
-                c.to_ascii_lowercase()
-            } else {
-                '-'
-            }
-        })
-        .collect()
-}
-
-/// Where experiment CSVs are written.
-pub fn experiments_dir() -> PathBuf {
-    let base = std::env::var_os("CARGO_TARGET_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target"));
-    base.join("experiments")
-}
-
-/// Write series as a CSV into the default [`experiments_dir`]. See
-/// [`write_csv_in`].
-pub fn write_csv(name: &str, series: &[Series]) -> io::Result<PathBuf> {
-    write_csv_in(&experiments_dir(), name, series)
-}
-
-/// Write series as a CSV (`x,label1,label2,...` by x-merge of the union of
-/// x values; missing samples are blank) into `dir`, creating it if needed.
-/// Tests pass a temp dir so `cargo test` never leaves artifacts behind.
-pub fn write_csv_in(dir: &Path, name: &str, series: &[Series]) -> io::Result<PathBuf> {
-    fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.csv"));
-    let mut xs: Vec<f64> = series
-        .iter()
-        .flat_map(|s| s.points.iter().map(|(x, _)| *x))
-        .collect();
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    xs.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-
-    let mut out = String::new();
-    out.push('x');
-    for s in series {
-        let _ = write!(out, ",{}", s.label.replace(',', ";"));
-    }
-    out.push('\n');
-    for x in xs {
-        let _ = write!(out, "{x}");
-        for s in series {
-            match s.points.iter().find(|(px, _)| (px - x).abs() < 1e-12) {
-                Some((_, y)) => {
-                    let _ = write!(out, ",{y}");
-                }
-                None => out.push(','),
-            }
-        }
-        out.push('\n');
-    }
-    fs::write(&path, out)?;
-    Ok(path)
 }
 
 /// A quick dot-matrix ASCII plot of one or more series (distinct glyphs per
@@ -323,41 +239,8 @@ mod tests {
         assert_eq!(s.last_x(), 2.0);
     }
 
-    /// A scratch dir under the OS temp dir, removed on drop — CSV tests must
-    /// never dirty the working tree (`git status` stays clean after tests).
-    struct TempDir(PathBuf);
-
-    impl TempDir {
-        fn new(tag: &str) -> Self {
-            let dir =
-                std::env::temp_dir().join(format!("tiptop-bench-{tag}-{}", std::process::id()));
-            TempDir(dir)
-        }
-    }
-
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = fs::remove_dir_all(&self.0);
-        }
-    }
-
-    #[test]
-    fn csv_merges_x_values() {
-        let tmp = TempDir::new("csv-merge");
-        let a = Series::new("a", vec![(0.0, 1.0), (1.0, 2.0)]);
-        let b = Series::new("b", vec![(1.0, 5.0), (2.0, 6.0)]);
-        let path = write_csv_in(&tmp.0, "test_csv_merge", &[a, b]).unwrap();
-        let text = std::fs::read_to_string(path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], "x,a,b");
-        assert_eq!(lines[1], "0,1,");
-        assert_eq!(lines[2], "1,2,5");
-        assert_eq!(lines[3], "2,,6");
-    }
-
     #[test]
     fn panel_set_renders_and_dumps_per_panel() {
-        let tmp = TempDir::new("panels");
         let mut fig = PanelSet::new("Fig X");
         fig.panel(
             "Nehalem",
@@ -371,27 +254,6 @@ mod tests {
         assert!(text.contains("=== Fig X ==="));
         assert!(text.contains("Nehalem") && text.contains("PPC970"));
         assert_eq!(fig.panel_series("PPC970").unwrap().len(), 1);
-
-        let paths = fig.write_csvs_in(&tmp.0).unwrap();
-        assert_eq!(paths.len(), 2);
-        assert!(paths[0]
-            .file_name()
-            .unwrap()
-            .to_str()
-            .unwrap()
-            .contains("fig-x-nehalem"));
-        for p in &paths {
-            assert!(p.exists());
-        }
-
-        // Labels that differ only in punctuation slug identically — the
-        // second panel must not overwrite the first.
-        let mut fig = PanelSet::new("F");
-        fig.panel("mcf+mcf", vec![Series::new("a", vec![(0.0, 1.0)])]);
-        fig.panel("mcf-mcf", vec![Series::new("b", vec![(0.0, 2.0)])]);
-        let paths = fig.write_csvs_in(&tmp.0).unwrap();
-        assert_ne!(paths[0], paths[1], "colliding slugs must not overwrite");
-        assert!(paths[1].to_str().unwrap().contains("-2"));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use tiptop_kernel::kernel::{Kernel, KernelConfig};
+use tiptop_kernel::kernel::KernelConfig;
 use tiptop_kernel::program::Program;
 use tiptop_kernel::task::{Pid, SpawnSpec, Uid};
 use tiptop_machine::time::{SimDuration, SimTime};
@@ -130,47 +130,12 @@ impl PinInscount {
     }
 }
 
-/// Helper: spawn a list of programs and run until all exit, returning the
-/// kernel for inspection.
-///
-/// # Panics
-/// Panics if any program is still alive after `timeout`.
-pub fn run_all_to_completion(
-    kcfg: KernelConfig,
-    programs: Vec<(String, Uid, Program, u64)>,
-    timeout: SimDuration,
-) -> (Kernel, Vec<Pid>) {
-    let mut scenario = Scenario::from_kernel_config(kcfg);
-    let tags: Vec<String> = programs
-        .iter()
-        .enumerate()
-        .map(|(i, (comm, _, _, _))| format!("{comm}#{i}"))
-        .collect();
-    for (tag, (comm, uid, prog, seed)) in tags.iter().zip(programs) {
-        scenario = scenario.spawn(tag, SpawnSpec::new(comm, uid, prog).seed(seed));
-    }
-    let mut session = scenario.build().expect("unique tags");
-    let pids: Vec<Pid> = tags
-        .iter()
-        .map(|t| session.pid(t).expect("spawned at t=0"))
-        .collect();
-    let step = SimDuration::from_millis(200);
-    let deadline = SimTime::ZERO + timeout;
-    while pids.iter().any(|&p| session.kernel().is_alive(p)) {
-        assert!(
-            session.now() < deadline,
-            "programs did not finish in {timeout:?}"
-        );
-        session.advance(step).expect("no scheduled events can fail");
-    }
-    (session.into_kernel(), pids)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::app::{Tiptop, TiptopOptions};
     use crate::config::ScreenConfig;
+    use tiptop_kernel::kernel::Kernel;
     use tiptop_machine::access::MemoryBehavior;
     use tiptop_machine::config::MachineConfig;
     use tiptop_machine::exec::ExecProfile;
@@ -237,36 +202,5 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, SessionError::Timeout { .. }), "got {err:?}");
-    }
-
-    #[test]
-    fn run_all_waits_for_every_program() {
-        let (k, pids) = run_all_to_completion(
-            kcfg(),
-            vec![
-                ("a".into(), Uid(1), short_program(100_000_000), 1),
-                ("b".into(), Uid(1), short_program(300_000_000), 2),
-            ],
-            SimDuration::from_secs(60),
-        );
-        for pid in pids {
-            assert!(k.exit_record(pid).is_some());
-        }
-    }
-
-    #[test]
-    fn run_all_allows_duplicate_comms() {
-        let (k, pids) = run_all_to_completion(
-            kcfg(),
-            vec![
-                ("twin".into(), Uid(1), short_program(50_000_000), 1),
-                ("twin".into(), Uid(1), short_program(50_000_000), 2),
-            ],
-            SimDuration::from_secs(60),
-        );
-        assert_eq!(pids.len(), 2);
-        for pid in pids {
-            assert!(k.exit_record(pid).is_some());
-        }
     }
 }

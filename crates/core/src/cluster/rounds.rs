@@ -449,15 +449,7 @@ impl Rounds<'_> {
                 failed.push((o.index, e));
             }
             delivered += o.frames.len();
-            // A round's frames all share `t_star`, so machine order is
-            // already the merge.
-            if horizon == t_star {
-                for frame in o.frames {
-                    self.deliver(frame, &mut decisions);
-                }
-            } else {
-                streams.push(o.frames);
-            }
+            streams.push(o.frames);
         }
         self.deliver_merged(streams, &mut decisions);
         for (index, e) in failed {
@@ -618,9 +610,9 @@ impl Rounds<'_> {
         }
     }
 
-    /// Validate one live decision against the live sessions (the run-time
-    /// half of migration validation) and inject its kill + spawn at the
-    /// next epoch boundary after the deciding frame.
+    /// Check one live decision against the live sessions, through the
+    /// [`Session::check_at`] that guards every run-time event, and inject
+    /// its kill + spawn at the next epoch boundary after the deciding frame.
     fn apply_decision(
         &mut self,
         policy: String,
@@ -632,58 +624,18 @@ impl Rounds<'_> {
             d.tag, d.from, d.to
         );
         let infeasible = |msg: String| SessionError::InvalidDecision(format!("{label}: {msg}"));
-        let position = |id: &str| self.units.iter().position(|u| u.id == id);
-        let (fi, ti) = endpoints(&d.from, &d.to, position).map_err(infeasible)?;
-        let src = &self.units[fi].session;
-        let Some(pid) = src.pid(&d.tag) else {
-            return Err(infeasible(format!(
-                "no task tagged '{}' on '{}'",
-                d.tag, d.from
-            )));
-        };
-        if !src.kernel().is_alive(pid) {
-            return Err(infeasible(format!("'{}' already exited", d.tag)));
-        }
-        // Checked *before* touching the destination, so a rejected duplicate
-        // claim (two same-round decisions fighting over one job) leaves no
-        // stray spawn behind.
-        if let Some(kill_at) = src.pending_kill(&d.tag) {
-            return Err(infeasible(format!(
-                "'{}' is already claimed by another decision (kill pending at {kill_at:?})",
-                d.tag
-            )));
-        }
-        let Some(spec) = src.job_spec(&d.tag).cloned() else {
-            return Err(infeasible(format!(
-                "'{}' retains no job spec on '{}'",
-                d.tag, d.from
-            )));
-        };
-        // Between rounds no machine's clock is past the deciding frame, so the
-        // next epoch boundary after it is strictly ahead of both sessions.
-        let at = src.kernel().epoch_boundary_after(decided_at);
-        // A resume decision whose destination is itself the source of
-        // another resume handoff at the same instant would chain two
-        // handoffs through one machine at one sim-time. Publishing orders
-        // such chains only while they stay acyclic, which one more live
-        // edge can break, so same-instant resume chains are rejected.
-        if d.mode == MigrationMode::Resume
-            && self.handoffs.iter().any(|h| h.at == at && h.src == ti)
-        {
-            return Err(infeasible(format!(
-                "machine '{}' is already the source of a resume handoff applying at \
-                 {at:?}; same-instant resume chains are not supported",
-                d.to
-            )));
-        }
         // Re-label the sessions' own InvalidDecision messages with the
         // decision context before surfacing them.
         let relabel = |e: SessionError| match e {
-            SessionError::InvalidDecision(msg) => {
-                SessionError::InvalidDecision(format!("{label}: {msg}"))
-            }
+            SessionError::InvalidDecision(msg) => infeasible(msg),
             other => other,
         };
+        let position = |id: &str| self.units.iter().position(|u| u.id == id);
+        let (fi, ti) = endpoints(&d.from, &d.to, position).map_err(infeasible)?;
+        let src = &self.units[fi].session;
+        // Between rounds no machine's clock is past the deciding frame, so the
+        // next epoch boundary after it is strictly ahead of both sessions.
+        let at = src.kernel().epoch_boundary_after(decided_at);
         let m = Migration {
             at,
             tag: d.tag,
@@ -691,6 +643,31 @@ impl Rounds<'_> {
             to: d.to,
             mode: d.mode,
         };
+        // The source first, so a rejected duplicate claim (two same-round
+        // decisions fighting over one job) leaves no stray spawn behind.
+        src.check_at(at, &m.kill()).map_err(relabel)?;
+        let Some(spec) = src.job_spec(&m.tag).cloned() else {
+            return Err(infeasible(format!(
+                "'{}' retains no job spec on '{}'",
+                m.tag, m.from
+            )));
+        };
+        // A resume decision whose destination is itself the source of
+        // another resume handoff at the same instant would chain two
+        // handoffs through one machine at one sim-time. Publishing orders
+        // such chains only while they stay acyclic, which one more live
+        // edge can break, so same-instant resume chains are rejected.
+        if m.mode == MigrationMode::Resume
+            && self.handoffs.iter().any(|h| h.at == at && h.src == ti)
+        {
+            return Err(infeasible(format!(
+                "machine '{}' is already the source of a resume handoff applying at \
+                 {at:?}; same-instant resume chains are not supported",
+                m.to
+            )));
+        }
+        // Scheduling checks the destination's spawn and inserts nothing if
+        // it is infeasible; the source's kill was checked above.
         let landing = m.land(fi, ti, spec, true);
         self.units[ti]
             .session

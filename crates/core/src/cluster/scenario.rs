@@ -59,6 +59,16 @@ pub(super) struct Landing {
 }
 
 impl Migration {
+    /// The event that ends the job on the source: a kill, or a
+    /// checkpoint-kill in resume mode.
+    pub(super) fn kill(&self) -> WorkloadEvent {
+        let tag = self.tag.clone();
+        match self.mode {
+            MigrationMode::Restart => WorkloadEvent::Kill { tag },
+            MigrationMode::Resume => WorkloadEvent::CheckpointKill { tag },
+        }
+    }
+
     /// Desugar the migration of `spec` from machine index `src` to `dst`.
     /// `decided` marks a live decision's handoff (see [`Handoff`]).
     pub(super) fn land(&self, src: usize, dst: usize, spec: SpawnSpec, decided: bool) -> Landing {
@@ -71,14 +81,9 @@ impl Migration {
             to: self.to.clone(),
             mode: self.mode,
         };
-        let (kill, spawn, handoff) = match self.mode {
-            MigrationMode::Restart => (
-                WorkloadEvent::Kill { tag: tag.clone() },
-                WorkloadEvent::Spawn { tag, spec },
-                None,
-            ),
+        let (spawn, handoff) = match self.mode {
+            MigrationMode::Restart => (WorkloadEvent::Spawn { tag, spec }, None),
             MigrationMode::Resume => (
-                WorkloadEvent::CheckpointKill { tag: tag.clone() },
                 WorkloadEvent::ResumeSpawn { tag, spec },
                 Some(Handoff {
                     at: self.at,
@@ -89,7 +94,7 @@ impl Migration {
             ),
         };
         Landing {
-            kill,
+            kill: self.kill(),
             spawn,
             handoff,
             handover,
@@ -159,13 +164,16 @@ impl ClusterScenario {
     /// next epoch) while the destination already shows its first row; from
     /// the next refresh the job lives only on the destination.
     ///
-    /// Validated at build time across machines: both ids must exist and
-    /// differ, `tag` must live on `from` at `at` (spawned before, not yet
-    /// killed), and `to` must not carry a live task with the tag at `at`.
-    /// A tag resolves to a `(machine, incarnation)` pair — each hop spawns
-    /// a fresh incarnation on its destination — so migrations chain freely:
-    /// onward hops (`A→B→C`) and round trips (`A→B→A`) both validate, and a
-    /// machine a job already ran on can receive it again.
+    /// Validated at build time: both ids must exist and differ. The kill
+    /// and the spawn then join the two machines' schedules, and each
+    /// machine's own [`Scenario::build`] walk checks them like any scripted
+    /// event: `tag` must live on `from` at `at` (spawned before, not yet
+    /// killed), and `to` must not carry a live task with the tag at `at`;
+    /// such an error is labelled with its machine. A tag resolves to a
+    /// `(machine, incarnation)` pair — each hop spawns a fresh incarnation
+    /// on its destination — so migrations chain freely: onward hops
+    /// (`A→B→C`) and round trips (`A→B→A`) both validate, and a machine a
+    /// job already ran on can receive it again.
     pub fn migrate_at(
         self,
         at: SimTime,
@@ -224,9 +232,12 @@ impl ClusterScenario {
         self.migrate_at_mode(at, tag, from, to, MigrationMode::Resume)
     }
 
-    /// Validate every per-machine scenario *and* every cross-machine
-    /// migration, then build the live [`ClusterSession`]. A scenario error
-    /// is labelled with its machine; a migration error names the migration.
+    /// Desugar every cross-machine migration onto its two machines, validate
+    /// every per-machine scenario, then build the live [`ClusterSession`].
+    /// A scenario error is labelled with its machine, and that includes a
+    /// migration whose job is not live on its source or whose destination
+    /// already carries the tag. A migration's own errors (its endpoints,
+    /// and the resume-mode rules) name the migration.
     pub fn build(mut self) -> Result<ClusterSession, SessionError> {
         if self.machines.is_empty() {
             return Err(SessionError::InvalidScenario(
@@ -256,12 +267,12 @@ impl ClusterScenario {
         }
 
         // Desugar migrations in chronological order (stable: same-instant
-        // migrations keep declaration order, so chained moves compose),
-        // validating each against the machines' evolving schedules. A tag
-        // resolves to a (machine, incarnation) pair, so the walk asks the
-        // incarnation-aware question — "is the tag live on the source at
-        // `at`?" — rather than "did the source ever spawn it?": onward
-        // chains and round trips both validate.
+        // migrations keep declaration order, so chained moves compose) into
+        // a kill on the source and a spawn on the destination. Whether the
+        // job is live on the source and the destination free at `at` is
+        // each machine's own `Scenario::build` walk to check, over the
+        // schedule these events join: a tag resolves to a (machine,
+        // incarnation) pair there, so onward chains and round trips build.
         self.migrations.sort_by_key(|m| m.at);
         let mut handovers: Vec<HandoverRecord> = Vec::with_capacity(self.migrations.len());
         let mut handoffs: Vec<Handoff> = Vec::new();
@@ -275,54 +286,6 @@ impl ClusterScenario {
             let index_of = |id: &str| self.machines.iter().position(|(mid, _)| mid == id);
             let (fi, ti) = endpoints(&m.from, &m.to, index_of)
                 .map_err(|msg| SessionError::InvalidScenario(format!("{label}: {msg}")))?;
-            if !self.machines[fi].1.tag_live_at(&m.tag, m.at) {
-                let spawns = self.machines[fi].1.spawn_events(&m.tag);
-                let msg = match spawns.first() {
-                    Some(&(spawned, _)) if spawned > m.at => {
-                        format!("{label}: precedes the job's spawn at {spawned:?}")
-                    }
-                    Some(_) => match self.machines[fi]
-                        .1
-                        .kill_events(&m.tag)
-                        .into_iter()
-                        .filter(|k| *k <= m.at)
-                        .max()
-                    {
-                        Some(killed) => {
-                            format!("{label}: the job is already gone (killed at {killed:?})")
-                        }
-                        None => format!("{label}: the job is not live on '{}' then", m.from),
-                    },
-                    None => {
-                        // The source never hosts the tag at all; point at
-                        // whichever machine does (live at `at` if any,
-                        // otherwise any machine that ever spawns it).
-                        let home = self
-                            .machines
-                            .iter()
-                            .find(|(_, sc)| sc.tag_live_at(&m.tag, m.at))
-                            .or_else(|| {
-                                self.machines
-                                    .iter()
-                                    .find(|(_, sc)| !sc.spawn_events(&m.tag).is_empty())
-                            })
-                            .map(|(id, _)| id.clone());
-                        match home {
-                            Some(home) => {
-                                format!("{label}: '{}' lives on machine '{home}'", m.tag)
-                            }
-                            None => format!("{label}: no machine spawns '{}'", m.tag),
-                        }
-                    }
-                };
-                return Err(SessionError::InvalidScenario(msg));
-            }
-            if self.machines[ti].1.tag_live_at(&m.tag, m.at) {
-                return Err(SessionError::InvalidScenario(format!(
-                    "{label}: destination already carries a task tagged '{}'",
-                    m.tag
-                )));
-            }
             if m.mode == MigrationMode::Resume && !resume_hops.insert((m.tag.clone(), m.at)) {
                 return Err(SessionError::InvalidScenario(format!(
                     "{label}: another resume-mode hop of '{}' shares this instant; \
@@ -331,19 +294,21 @@ impl ClusterScenario {
                     m.tag
                 )));
             }
+            // The job spec to clone onto the destination: the source's
+            // latest spawn at or before the instant. With none, the kill is
+            // scheduled alone, and the source's walk names why it cannot
+            // apply (an unknown tag, or one spawned only later).
             let spec = self.machines[fi]
                 .1
                 .spawn_events(&m.tag)
                 .into_iter()
                 .rev()
                 .find(|(s, _)| *s <= m.at)
-                .map(|(_, spec)| spec.clone())
-                .ok_or_else(|| {
-                    SessionError::InvalidScenario(format!(
-                        "{label}: no spawn of '{}' on '{}' at or before the instant",
-                        m.tag, m.from
-                    ))
-                })?;
+                .map(|(_, spec)| spec.clone());
+            let Some(spec) = spec else {
+                self.machines[fi].1.schedule(m.at, m.kill());
+                continue;
+            };
             let landing = m.land(fi, ti, spec, false);
             self.machines[fi].1.schedule(m.at, landing.kill);
             self.machines[ti].1.schedule(m.at, landing.spawn);

@@ -240,13 +240,20 @@ impl ClusterSession {
     ///
     /// # Run-time validation
     ///
-    /// Scripted schedules are fully validated at build time; a live
-    /// decision gets the run-time half, with infeasible requests surfacing
-    /// as typed [`SessionError::InvalidDecision`]s: unknown machines,
-    /// source == destination, no task with the tag on the source, a tag
-    /// that already exited, a destination that currently carries a live
-    /// task with the tag, or a resume-mode kill of a program that already
-    /// ran to completion (nothing left to checkpoint).
+    /// Scripted schedules are fully validated at build time. A live
+    /// decision's kill and spawn are checked against the live source and
+    /// destination by the checker behind [`Session::schedule_at`], the
+    /// same one a build's schedule walk uses, before either is scheduled.
+    /// Infeasible requests surface as typed
+    /// [`SessionError::InvalidDecision`]s: unknown machines, source ==
+    /// destination, no task with the tag on the source, a tag that already
+    /// exited or is already claimed by another decision, a destination
+    /// that currently carries a live task with the tag, a restart whose
+    /// spawn affinity allows no PU of the destination, a same-instant
+    /// resume chain, or a resume-mode kill of a program that already ran to
+    /// completion (nothing left to checkpoint). A tag whose spawn on the
+    /// source is still pending at or before the application instant
+    /// migrates that incarnation.
     ///
     /// # Failure contract
     ///

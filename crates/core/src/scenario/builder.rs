@@ -10,12 +10,11 @@ use tiptop_kernel::sched::{CpuSet, SchedulerSelect};
 use tiptop_kernel::task::{SpawnSpec, Uid};
 use tiptop_machine::config::MachineConfig;
 use tiptop_machine::time::{SimDuration, SimTime};
-use tiptop_machine::topology::PuId;
 
 use super::errors::SessionError;
 use super::events::{DeferredEvent, Trigger, WorkloadEvent};
 use super::session::Session;
-use super::validation::{self, TagFacts};
+use super::validation::{self, TagFacts, When};
 
 /// Declarative description of an experiment: machine, seed, users, and a
 /// schedule of [`WorkloadEvent`]s fired by [`Trigger`]s. Build it into a
@@ -221,9 +220,8 @@ impl Scenario {
 
     /// Every *timed* spawn-like event declared for `tag` (scripted spawns
     /// and desugared resume-spawns alike), sorted by instant — the cluster
-    /// layer reads these to resolve which machine hosts a tag's *current*
-    /// incarnation when validating cross-machine migrations, and to clone
-    /// the job spec onto a migration's destination. Dependency-triggered
+    /// layer clones the job spec of the latest one at or before a
+    /// migration's instant onto its destination. Dependency-triggered
     /// spawns have no instant; the cluster rejects migrations of such tags.
     pub(crate) fn spawn_events(&self, tag: &str) -> Vec<(SimTime, &SpawnSpec)> {
         let mut spawns: Vec<(SimTime, &SpawnSpec)> = self
@@ -240,43 +238,6 @@ impl Scenario {
             .collect();
         spawns.sort_by_key(|(at, _)| *at);
         spawns
-    }
-
-    /// Every timed kill-like event declared against `tag`, sorted by
-    /// instant.
-    pub(crate) fn kill_events(&self, tag: &str) -> Vec<SimTime> {
-        let mut kills: Vec<SimTime> = self
-            .events
-            .iter()
-            .filter_map(|(trigger, ev)| match (trigger, ev) {
-                (
-                    Trigger::At(at),
-                    WorkloadEvent::Kill { tag: t } | WorkloadEvent::CheckpointKill { tag: t },
-                ) if t == tag => Some(*at),
-                _ => None,
-            })
-            .collect();
-        kills.sort();
-        kills
-    }
-
-    /// Is some incarnation of `tag` live at instant `at`, per the declared
-    /// timed schedule? Each spawn is paired with the earliest following
-    /// kill; an incarnation killed at exactly `at` no longer counts as live.
-    pub(crate) fn tag_live_at(&self, tag: &str, at: SimTime) -> bool {
-        let spawns = self.spawn_events(tag);
-        let mut kills = self.kill_events(tag).into_iter().peekable();
-        for (s, _) in spawns {
-            // Consume kills that ended earlier incarnations.
-            while kills.peek().is_some_and(|k| *k < s) {
-                kills.next();
-            }
-            let end = kills.next();
-            if s <= at && end.is_none_or(|k| k > at) {
-                return true;
-            }
-        }
-        false
     }
 
     /// Append a timed event in place (the by-value builder methods cover
@@ -387,7 +348,8 @@ impl Scenario {
                     _ => None,
                 },
             };
-            validation::check_event(&facts, ev, *at).map_err(|i| i.build_error(tag, *at))?;
+            validation::check_event(&facts, ev, *at)
+                .map_err(|i| i.build_error(tag, When::At(*at)))?;
             if ev.is_spawn() {
                 state.insert(tag, TagState::Live);
             } else if ev.is_kill() {
@@ -395,36 +357,15 @@ impl Scenario {
             }
         }
 
-        // Affinity masks are validated here, not at apply time: a pin (or a
-        // spawn affinity) that no PU of this machine satisfies would
-        // otherwise surface as a mid-run sched_setaffinity EINVAL — a
-        // scripting mistake, so reject it before the kernel boots. (The
-        // `CpuSet` constructors still assert internally; scripts that build
-        // masks from untrusted input use `CpuSet::try_of`/`try_single`.)
-        enum When<'a> {
-            At(SimTime),
-            After(&'a str),
-        }
+        // Affinity masks are checked before the kernel boots, triggered
+        // events included. (The `CpuSet` constructors still assert
+        // internally; scripts that build masks from untrusted input use
+        // `CpuSet::try_of`/`try_single`.)
         let num_pus = self.machine.topology.num_pus();
         let scheduled = timed.iter().map(|(at, ev)| (When::At(*at), ev));
         let triggered = deferred.iter().map(|(dep, _, ev)| (When::After(dep), ev));
         for (when, ev) in scheduled.chain(triggered) {
-            let (tag, cpus, what) = match ev {
-                WorkloadEvent::Pin { tag, cpus } => (tag, cpus, "pin"),
-                WorkloadEvent::Spawn { tag, spec } | WorkloadEvent::ResumeSpawn { tag, spec } => {
-                    (tag, &spec.affinity, "spawn affinity")
-                }
-                _ => continue,
-            };
-            if !(0..num_pus).any(|pu| cpus.allows(PuId(pu))) {
-                let when = match when {
-                    When::At(at) => format!("at {at:?}"),
-                    When::After(dep) => format!("(triggered after '{dep}' exits)"),
-                };
-                return Err(SessionError::InvalidScenario(format!(
-                    "{what} for '{tag}' {when} allows none of the machine's {num_pus} PUs"
-                )));
-            }
+            validation::check_affinity(ev, num_pus).map_err(|i| i.build_error(ev.tag(), when))?;
         }
 
         let mut cfg = KernelConfig::new(self.machine).seed(self.seed);

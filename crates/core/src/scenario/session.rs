@@ -140,16 +140,16 @@ impl Session {
 
     /// Time of the earliest not-yet-applied spawn (or resume-spawn) of
     /// `tag`, if any.
-    pub(crate) fn pending_spawn(&self, tag: &str) -> Option<SimTime> {
+    fn pending_spawn(&self, tag: &str) -> Option<SimTime> {
         self.pending
             .iter()
             .find_map(|(at, ev)| (ev.is_spawn() && ev.tag() == tag).then_some(*at))
     }
 
     /// Time of the earliest not-yet-applied kill (plain or checkpointing)
-    /// of `tag`, if any — the reactive layer checks this so two live
-    /// decisions cannot both claim the same job.
-    pub(crate) fn pending_kill(&self, tag: &str) -> Option<SimTime> {
+    /// of `tag`, if any — so two live decisions cannot both claim the same
+    /// job.
+    fn pending_kill(&self, tag: &str) -> Option<SimTime> {
         self.pending
             .iter()
             .find_map(|(at, ev)| (ev.is_kill() && ev.tag() == tag).then_some(*at))
@@ -219,27 +219,15 @@ impl Session {
     ///   incarnation is spawned (or has a pending spawn no later than `at`)
     ///   and has not already exited;
     /// * a `Kill` is rejected while another kill of the same tag is still
-    ///   pending (two live decisions cannot both claim one job).
+    ///   pending (two live decisions cannot both claim one job);
+    /// * a `Spawn`'s affinity or a `Pin`'s mask must allow some PU of this
+    ///   machine (a `ResumeSpawn` relaxes its pin instead).
     ///
     /// A task can still exit *between* scheduling and `at`; that surfaces
     /// as [`SessionError::Syscall`] when the event applies, exactly like a
     /// scripted kill racing a natural exit.
     pub fn schedule_at(&mut self, at: SimTime, ev: WorkloadEvent) -> Result<(), SessionError> {
-        let now = self.kernel.now();
-        if at < now {
-            return Err(SessionError::InvalidDecision(format!(
-                "event scheduled at {at:?} lies in the past (now {now:?})"
-            )));
-        }
-        let tag = ev.tag().to_string();
-        let facts = TagFacts {
-            live: self.pid(&tag).is_some_and(|pid| self.kernel.is_alive(pid)),
-            pending_spawn: self.pending_spawn(&tag).map(|s| (s, s <= at)),
-            pending_kill: self.pending_kill(&tag),
-            ever_spawned: self.pids.contains_key(tag.as_str()),
-            dead_at: None,
-        };
-        validation::check_event(&facts, &ev, at).map_err(|i| i.decision_error(&tag, at))?;
+        self.check_at(at, &ev)?;
         if let WorkloadEvent::Spawn { tag, spec } | WorkloadEvent::ResumeSpawn { tag, spec } = &ev {
             self.specs.insert(tag.clone(), spec.clone());
         }
@@ -251,10 +239,34 @@ impl Session {
             .position(|(t, _)| *t > at)
             .unwrap_or(self.pending.len());
         self.pending.insert(pos, (at, ev));
-        if at == now {
+        if at == self.kernel.now() {
             self.settle_now()?;
         }
         Ok(())
+    }
+
+    /// Would [`Session::schedule_at`] accept `ev` at `at`? Changes nothing:
+    /// a live migration asks this of its source before it schedules on
+    /// either machine.
+    pub(crate) fn check_at(&self, at: SimTime, ev: &WorkloadEvent) -> Result<(), SessionError> {
+        let now = self.kernel.now();
+        if at < now {
+            return Err(SessionError::InvalidDecision(format!(
+                "event scheduled at {at:?} lies in the past (now {now:?})"
+            )));
+        }
+        let tag = ev.tag();
+        let facts = TagFacts {
+            live: self.pid(tag).is_some_and(|pid| self.kernel.is_alive(pid)),
+            pending_spawn: self.pending_spawn(tag).map(|s| (s, s <= at)),
+            pending_kill: self.pending_kill(tag),
+            ever_spawned: self.pids.contains_key(tag),
+            dead_at: None,
+        };
+        let num_pus = self.kernel.config().machine.topology.num_pus();
+        validation::check_event(&facts, ev, at)
+            .and_then(|()| validation::check_affinity(ev, num_pus))
+            .map_err(|i| i.decision_error(tag, at))
     }
 
     fn apply_due(&mut self) -> Result<(), SessionError> {

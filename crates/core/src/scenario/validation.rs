@@ -3,11 +3,16 @@
 //! * **Event feasibility.** [`Scenario::build`](super::Scenario::build)
 //!   validates a whole scripted schedule up front;
 //!   [`Session::schedule_at`](super::Session::schedule_at) validates a
-//!   single event injected mid-run. Both ask the same question — "is this
-//!   event feasible against the tag's state at its instant?" — so both
-//!   route through [`check_event`] and differ only in how they phrase the
-//!   refusal: build time wraps it as [`SessionError::InvalidScenario`], run
-//!   time as [`SessionError::InvalidDecision`].
+//!   single event injected mid-run. Both ask the same questions — "is this
+//!   event feasible against the tag's state at its instant?"
+//!   ([`check_event`]) and "does its CPU mask allow a PU of this
+//!   machine?" ([`check_affinity`]) — and differ only in how they phrase
+//!   the refusal: build time wraps it as [`SessionError::InvalidScenario`],
+//!   run time as [`SessionError::InvalidDecision`]. A fleet's migrations
+//!   are no exception: `ClusterScenario::build` schedules each hop's kill
+//!   and spawn onto its two machines, whose own builds check them, and a
+//!   live decision asks the same of both live sessions before it
+//!   schedules either event.
 //! * **Dependency edges.** [`validate_dag`] checks the after-exit edges of
 //!   every machine's schedule at once — one machine for `Scenario::build`,
 //!   the whole fleet for `ClusterScenario::build` — and resolves the
@@ -16,8 +21,10 @@
 //!   lone scenario report the same error.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::fmt;
 
 use tiptop_machine::time::SimTime;
+use tiptop_machine::topology::PuId;
 
 use super::errors::{DagError, SessionError};
 use super::events::{Trigger, WorkloadEvent};
@@ -59,16 +66,36 @@ pub(crate) enum Infeasible {
     AfterEnd { end: Option<SimTime> },
     /// No event ever spawns the tag.
     UnknownTag,
+    /// A spawn affinity or a pin (`what`) that allows none of the
+    /// machine's `num_pus` PUs.
+    NoPu { what: &'static str, num_pus: usize },
+}
+
+/// When a build-time event applies: at an instant, or after a dependency
+/// exits.
+#[derive(Clone, Copy)]
+pub(crate) enum When<'a> {
+    At(SimTime),
+    After(&'a str),
+}
+
+impl fmt::Display for When<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            When::At(at) => write!(f, "at {at:?}"),
+            When::After(dep) => write!(f, "(triggered after '{dep}' exits)"),
+        }
+    }
 }
 
 impl Infeasible {
     /// The build-time rendering ([`SessionError::InvalidScenario`]).
-    pub(crate) fn build_error(&self, tag: &str, at: SimTime) -> SessionError {
+    pub(crate) fn build_error(&self, tag: &str, when: When<'_>) -> SessionError {
         SessionError::InvalidScenario(match self {
             Infeasible::SpawnAliasesPending { .. } | Infeasible::SpawnAliasesLive => {
                 format!(
                     "duplicate spawn tag '{tag}': the previous incarnation is still \
-                     live at {at:?} (incarnations of one tag must not overlap)"
+                     live {when} (incarnations of one tag must not overlap)"
                 )
             }
             Infeasible::DuplicateKill { kill_at } => {
@@ -76,17 +103,20 @@ impl Infeasible {
             }
             Infeasible::PrecedesSpawn { spawn_at } => {
                 format!(
-                    "event against '{tag}' at {at:?} precedes its spawn at \
+                    "event against '{tag}' {when} precedes its spawn at \
                      {spawn_at:?} (same-instant events apply in declaration order)"
                 )
             }
             Infeasible::AfterEnd { end } => match end {
                 Some(kill_at) => {
-                    format!("event against '{tag}' at {at:?} follows its kill at {kill_at:?}")
+                    format!("event against '{tag}' {when} follows its kill at {kill_at:?}")
                 }
-                None => format!("event against '{tag}' at {at:?} follows its end"),
+                None => format!("event against '{tag}' {when} follows its end"),
             },
             Infeasible::UnknownTag => format!("event against unknown tag '{tag}'"),
+            Infeasible::NoPu { what, num_pus } => {
+                format!("{what} for '{tag}' {when} allows none of the machine's {num_pus} PUs")
+            }
         })
     }
 
@@ -106,7 +136,9 @@ impl Infeasible {
                 )
             }
             Infeasible::DuplicateKill { kill_at } => {
-                format!("'{tag}' already has a kill pending at {kill_at:?}")
+                format!(
+                    "'{tag}' is already claimed by another decision (kill pending at {kill_at:?})"
+                )
             }
             Infeasible::PrecedesSpawn { spawn_at } => {
                 format!(
@@ -116,6 +148,9 @@ impl Infeasible {
             }
             Infeasible::AfterEnd { .. } => format!("'{tag}' already exited"),
             Infeasible::UnknownTag => format!("no task tagged '{tag}' on this machine"),
+            Infeasible::NoPu { what, num_pus } => {
+                format!("{what} for '{tag}' allows none of the machine's {num_pus} PUs")
+            }
         })
     }
 }
@@ -158,6 +193,25 @@ pub(crate) fn check_event(
         Some((spawn_at, false)) => Err(Infeasible::PrecedesSpawn { spawn_at }),
         None if facts.ever_spawned => Err(Infeasible::AfterEnd { end: facts.dead_at }),
         None => Err(Infeasible::UnknownTag),
+    }
+}
+
+/// Does `ev`'s CPU mask allow some PU of a machine with `num_pus` PUs? A
+/// mask that allows none would leave a spawned task runnable on no PU
+/// forever, or fail a pin mid-run with `sched_setaffinity` EINVAL. Checked
+/// for a `Spawn`'s affinity and a `Pin`; a `ResumeSpawn` is exempt, as
+/// resuming relaxes a pin the destination cannot honour
+/// ([`Kernel::spawn_from_checkpoint`](tiptop_kernel::kernel::Kernel::spawn_from_checkpoint)).
+pub(crate) fn check_affinity(ev: &WorkloadEvent, num_pus: usize) -> Result<(), Infeasible> {
+    let (cpus, what) = match ev {
+        WorkloadEvent::Pin { cpus, .. } => (cpus, "pin"),
+        WorkloadEvent::Spawn { spec, .. } => (&spec.affinity, "spawn affinity"),
+        _ => return Ok(()),
+    };
+    if (0..num_pus).any(|pu| cpus.allows(PuId(pu))) {
+        Ok(())
+    } else {
+        Err(Infeasible::NoPu { what, num_pus })
     }
 }
 

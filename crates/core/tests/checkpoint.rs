@@ -9,11 +9,13 @@ use tiptop_core::cluster::{ClusterCollectSink, ClusterFrame, ClusterScenario};
 use tiptop_core::config::ScreenConfig;
 use tiptop_core::scenario::{Scenario, SessionError};
 use tiptop_kernel::program::Program;
+use tiptop_kernel::sched::CpuSet;
 use tiptop_kernel::task::{SpawnSpec, Uid};
 use tiptop_machine::access::MemoryBehavior;
 use tiptop_machine::config::MachineConfig;
 use tiptop_machine::exec::ExecProfile;
 use tiptop_machine::time::{SimDuration, SimTime};
+use tiptop_machine::topology::PuId;
 
 /// Exactly 20e9 instructions: ~5.3s of work on the W3550, so hops at
 /// 1..=4s land while the job is still running.
@@ -236,16 +238,19 @@ fn incarnation_addressing_rejects_aliasing_and_dead_sources_at_build() {
     };
 
     // Destination already carries a live incarnation of the tag: the hop
-    // would alias two live tasks under one address — rejected.
+    // would alias two live tasks under one address — rejected by the
+    // destination's own schedule walk.
     let err = base()
         .resume_at(SimTime::from_secs(2), "job", "node-a", "node-b")
         .build()
         .unwrap_err();
     match err {
-        SessionError::InvalidScenario(msg) => {
-            assert!(msg.contains("destination already carries"), "{msg}")
+        SessionError::Shard { machine, error } => {
+            assert_eq!(machine, "node-b");
+            let msg = error.to_string();
+            assert!(msg.contains("duplicate spawn tag 'job'"), "{msg}")
         }
-        other => panic!("expected InvalidScenario, got {other:?}"),
+        other => panic!("expected a node-b Shard error, got {other:?}"),
     }
 
     // After node-b's own incarnation dies, the same hop validates: the
@@ -266,7 +271,7 @@ fn incarnation_addressing_rejects_aliasing_and_dead_sources_at_build() {
         .expect("dead incarnation frees the address");
 
     // A hop out of a machine whose incarnation is already gone names a
-    // dead source — rejected with the kill instant.
+    // dead source — rejected by the source's walk, with the kill instant.
     let err = ClusterScenario::new()
         .machine(
             "node-a",
@@ -279,10 +284,12 @@ fn incarnation_addressing_rejects_aliasing_and_dead_sources_at_build() {
         .build()
         .unwrap_err();
     match err {
-        SessionError::InvalidScenario(msg) => {
-            assert!(msg.contains("already gone"), "{msg}")
+        SessionError::Shard { machine, error } => {
+            assert_eq!(machine, "node-a");
+            let msg = error.to_string();
+            assert!(msg.contains("follows its kill at"), "{msg}")
         }
-        other => panic!("expected InvalidScenario, got {other:?}"),
+        other => panic!("expected a node-a Shard error, got {other:?}"),
     }
 
     // Two resume hops of one tag cannot share an instant: both would key
@@ -304,6 +311,37 @@ fn incarnation_addressing_rejects_aliasing_and_dead_sources_at_build() {
         }
         other => panic!("expected InvalidScenario, got {other:?}"),
     }
+}
+
+#[test]
+fn a_scripted_resume_onto_a_machine_without_the_pinned_pu_builds_and_runs() {
+    // The job is pinned to PU 6, which node-b (SMT off: 4 PUs) lacks.
+    // Resuming relaxes a pin the destination cannot honour, so the hop
+    // builds, and the resumed job finishes on node-b with the whole job's
+    // instructions.
+    let pinned = SpawnSpec::new("job", Uid(1), job())
+        .seed(5)
+        .affinity(CpuSet::single(PuId(6)));
+    let small = Scenario::new(MachineConfig::nehalem_w3550().without_smt().noiseless())
+        .seed(2)
+        .user(Uid(1), "u1");
+    let mut session = ClusterScenario::new()
+        .machine("node-a", node(1).spawn("job", pinned))
+        .machine("node-b", small)
+        .resume_at(SimTime::from_secs(2), "job", "node-a", "node-b")
+        .build()
+        .expect("a resume relaxes a pin the destination lacks");
+    let mut sink = ClusterCollectSink::new();
+    session
+        .run(1, 8, |_| vec![(tool(1), None)], &mut [], &mut sink)
+        .unwrap();
+    let b = session.session("node-b").unwrap();
+    let exit = b
+        .kernel()
+        .exit_record(b.pid("job").unwrap())
+        .expect("the resumed job finishes on node-b");
+    assert_eq!(exit.start_time, SimTime::from_secs(2));
+    assert_eq!(exit.total_instructions, JOB_INSNS);
 }
 
 #[test]

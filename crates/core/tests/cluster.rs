@@ -19,11 +19,13 @@ use tiptop_core::scenario::{DagError, Scenario, SessionError};
 use tiptop_core::symbols::{self, Label};
 use tiptop_kernel::kernel::Kernel;
 use tiptop_kernel::program::Program;
+use tiptop_kernel::sched::CpuSet;
 use tiptop_kernel::task::{SpawnSpec, Uid};
 use tiptop_machine::access::MemoryBehavior;
 use tiptop_machine::config::MachineConfig;
 use tiptop_machine::exec::ExecProfile;
 use tiptop_machine::time::{SimDuration, SimTime};
+use tiptop_machine::topology::PuId;
 use tiptop_workloads::pipelines::{random_dag, PIPELINE_USER};
 
 fn spin(cpi: f64) -> Program {
@@ -436,11 +438,17 @@ fn migrate_at_is_validated_across_machines_at_build_time() {
     assert!(e.contains("unknown machine 'ghost'"), "{e}");
 
     let e = err(base().migrate_at(at, "nosuch", "a", "b"));
-    assert!(e.contains("no machine spawns 'nosuch'"), "{e}");
+    assert!(
+        e.contains("machine 'a': invalid scenario: event against unknown tag 'nosuch'"),
+        "{e}"
+    );
 
-    // The tag exists — on a different machine; the error says where.
+    // The tag exists — on a different machine than the named source.
     let e = err(base().migrate_at(at, "job", "b", "a"));
-    assert!(e.contains("lives on machine 'a'"), "{e}");
+    assert!(
+        e.contains("machine 'b': invalid scenario: event against unknown tag 'job'"),
+        "{e}"
+    );
 
     // Migrating before the job exists, or after it was killed.
     let early = base()
@@ -456,7 +464,10 @@ fn migrate_at_is_validated_across_machines_at_build_time() {
         )
         .migrate_at(at, "late", "c", "b");
     let e = err(early);
-    assert!(e.contains("precedes the job's spawn"), "{e}");
+    assert!(
+        e.contains("machine 'c': invalid scenario: event against 'late' at t+2.000000s precedes its spawn at t+5.000000s"),
+        "{e}"
+    );
 
     let killed = ClusterScenario::new()
         .machine(
@@ -472,7 +483,10 @@ fn migrate_at_is_validated_across_machines_at_build_time() {
         )
         .migrate_at(at, "job", "a", "b");
     let e = err(killed);
-    assert!(e.contains("already gone"), "{e}");
+    assert!(
+        e.contains("machine 'a': invalid scenario: event against 'job' at t+2.000000s follows its kill at t+1.000000s"),
+        "{e}"
+    );
 
     // Destination already carries the tag (two machines legitimately run
     // jobs under the same tag until a migration tries to collide them).
@@ -485,7 +499,11 @@ fn migrate_at_is_validated_across_machines_at_build_time() {
         )
         .migrate_at(at, "job", "a", "c");
     let e = err(onto_occupied);
-    assert!(e.contains("destination already carries"), "{e}");
+    assert!(
+        e.contains("machine 'c': invalid scenario: duplicate spawn tag 'job'")
+            && e.contains("still live at t+2.000000s"),
+        "{e}"
+    );
 
     // Round trips validate: a tag resolves to a (machine, incarnation)
     // pair, so after a->b the job can come back to a as a fresh
@@ -498,12 +516,17 @@ fn migrate_at_is_validated_across_machines_at_build_time() {
         .is_ok());
 
     // The incarnation-aware walk still rejects a hop whose source stay is
-    // already over: after a->b->a the job is gone from b.
+    // already over: after a->b->a the job is gone from b (and live on a,
+    // whose walk, the first machine's, reports the clash).
     let e = err(base()
         .migrate_at(at, "job", "a", "b")
         .migrate_at(SimTime::from_secs(4), "job", "b", "a")
         .migrate_at(SimTime::from_secs(6), "job", "b", "a"));
-    assert!(e.contains("already gone"), "{e}");
+    assert!(
+        e.contains("machine 'a': invalid scenario: duplicate spawn tag 'job'")
+            && e.contains("still live at t+6.000000s"),
+        "{e}"
+    );
 
     // And a well-formed migration builds.
     assert!(base().migrate_at(at, "job", "a", "b").build().is_ok());
@@ -1220,15 +1243,8 @@ fn infeasible_live_decisions_are_typed_errors_and_leave_the_cluster_runnable() {
             .is_ok());
         err
     };
-    let migrate = |tag: &str, from: &str, to: &str| MigrationDecision {
-        tag: tag.to_string(),
-        from: from.to_string(),
-        to: to.to_string(),
-        mode: MigrationMode::Restart,
-    };
-
     // The headline case: migrating a tag that just exited.
-    let err = attempt(migrate("short", "node-a", "node-b"));
+    let err = attempt(restart("short", "node-a", "node-b"));
     assert!(
         matches!(&err, SessionError::InvalidDecision(msg) if msg.contains("already exited")),
         "got {err:?}"
@@ -1254,7 +1270,7 @@ fn infeasible_live_decisions_are_typed_errors_and_leave_the_cluster_runnable() {
         let mut policies: Vec<Box<dyn SchedulerPolicy>> = vec![Box::new(MigrateOnSeq {
             machine: "node-a",
             on_seq: 0,
-            decision: migrate("ghost", "node-a", "node-b"),
+            decision: restart("ghost", "node-a", "node-b"),
             fired: false,
         })];
         let mut sink = ClusterCollectSink::new();
@@ -1270,19 +1286,19 @@ fn infeasible_live_decisions_are_typed_errors_and_leave_the_cluster_runnable() {
         }
     }
 
-    let err = attempt(migrate("ghost", "node-a", "node-b"));
+    let err = attempt(restart("ghost", "node-a", "node-b"));
     assert!(
         matches!(&err, SessionError::InvalidDecision(msg) if msg.contains("no task tagged")),
         "got {err:?}"
     );
 
-    let err = attempt(migrate("job", "node-a", "nowhere"));
+    let err = attempt(restart("job", "node-a", "nowhere"));
     assert!(
         matches!(&err, SessionError::InvalidDecision(msg) if msg.contains("unknown machine")),
         "got {err:?}"
     );
 
-    let err = attempt(migrate("job", "node-a", "node-a"));
+    let err = attempt(restart("job", "node-a", "node-a"));
     assert!(
         matches!(&err, SessionError::InvalidDecision(msg) if msg.contains("same machine")),
         "got {err:?}"
@@ -1306,7 +1322,7 @@ fn infeasible_live_decisions_are_typed_errors_and_leave_the_cluster_runnable() {
     let mut policies: Vec<Box<dyn SchedulerPolicy>> = vec![Box::new(MigrateOnSeq {
         machine: "node-a",
         on_seq: 0,
-        decision: migrate("job", "node-a", "node-b"),
+        decision: restart("job", "node-a", "node-b"),
         fired: false,
     })];
     let mut sink = ClusterCollectSink::new();
@@ -1318,6 +1334,188 @@ fn infeasible_live_decisions_are_typed_errors_and_leave_the_cluster_runnable() {
         .frames()
         .iter()
         .any(|cf| cf.machine == "node-b" && cf.frame.row_for_comm("job").is_some()));
+}
+
+/// Run `fleet` at one-second refreshes with one policy that issues
+/// `decision` on node-a's frame `on_seq`; the run's error.
+fn live_decision_error(
+    fleet: ClusterScenario,
+    on_seq: usize,
+    decision: MigrationDecision,
+) -> SessionError {
+    let mut session = fleet.build().unwrap();
+    let mut policies: Vec<Box<dyn SchedulerPolicy>> = vec![Box::new(MigrateOnSeq {
+        machine: "node-a",
+        on_seq,
+        decision,
+        fired: false,
+    })];
+    let mut sink = ClusterCollectSink::new();
+    session
+        .run(1, 4, |_| vec![(tool(1), None)], &mut policies, &mut sink)
+        .unwrap_err()
+}
+
+fn restart(tag: &str, from: &str, to: &str) -> MigrationDecision {
+    MigrationDecision {
+        tag: tag.to_string(),
+        from: from.to_string(),
+        to: to.to_string(),
+        mode: MigrationMode::Restart,
+    }
+}
+
+#[test]
+fn scripted_and_live_migrations_are_refused_by_one_checker() {
+    // Each infeasible move in its scripted form (`migrate_at`, refused by
+    // a machine's build walk) and its live form (a decision, refused by
+    // the live session's check): one condition found both ways, phrased
+    // for build time and for run time.
+    fn node(seed: u64) -> Scenario {
+        Scenario::new(MachineConfig::nehalem_w3550().noiseless())
+            .seed(seed)
+            .user(Uid(1), "u1")
+    }
+    fn job() -> SpawnSpec {
+        SpawnSpec::new("job", Uid(1), spin(0.8))
+    }
+    fn pair(a: Scenario, b: Scenario) -> ClusterScenario {
+        ClusterScenario::new()
+            .machine("node-a", a)
+            .machine("node-b", b)
+    }
+    type Fleet = fn() -> ClusterScenario;
+    let cases: [(&str, Fleet, &str, &str, &str); 3] = [
+        (
+            "dead source",
+            || {
+                pair(
+                    node(1)
+                        .spawn("job", job())
+                        .kill_at(SimTime::from_secs(1), "job"),
+                    node(2),
+                )
+            },
+            "job",
+            "machine 'node-a': invalid scenario: event against 'job' at t+2.000000s \
+             follows its kill at t+1.000000s",
+            "'job' already exited",
+        ),
+        (
+            "occupied destination",
+            || pair(node(1).spawn("job", job()), node(2).spawn("job", job())),
+            "job",
+            "machine 'node-b': invalid scenario: duplicate spawn tag 'job': the previous \
+             incarnation is still live at t+2.000000s",
+            "tag 'job' already names a live task on this machine",
+        ),
+        (
+            "unknown tag",
+            || pair(node(1).spawn("job", job()), node(2)),
+            "ghost",
+            "machine 'node-a': invalid scenario: event against unknown tag 'ghost'",
+            "no task tagged 'ghost' on this machine",
+        ),
+    ];
+    for (case, fleet, tag, scripted, live) in cases {
+        let err = fleet()
+            .migrate_at(SimTime::from_secs(2), tag, "node-a", "node-b")
+            .build()
+            .unwrap_err();
+        assert!(err.to_string().contains(scripted), "{case}: {err}");
+
+        // Decided on node-a's 2 s frame, long after the kill at 1 s.
+        let err = live_decision_error(fleet(), 1, restart(tag, "node-a", "node-b"));
+        assert!(
+            matches!(&err, SessionError::InvalidDecision(msg) if msg.contains(live)),
+            "{case}: {err:?}"
+        );
+    }
+}
+
+#[test]
+fn a_live_decision_migrates_an_incarnation_whose_spawn_is_still_pending() {
+    // The decision comes on node-a's first frame (1 s) and applies at the
+    // next epoch boundary (1.02 s). "late" spawns on node-a at 1.01 s, so
+    // its spawn is still pending when the decision is checked; the
+    // decision's kill lands after it, and that incarnation moves.
+    let node = |seed: u64| {
+        Scenario::new(MachineConfig::nehalem_w3550().noiseless())
+            .seed(seed)
+            .user(Uid(1), "u1")
+    };
+    let mut session = ClusterScenario::new()
+        .machine(
+            "node-a",
+            node(1)
+                .spawn("job", SpawnSpec::new("job", Uid(1), spin(0.8)))
+                .spawn_at(
+                    SimTime::ZERO + SimDuration::from_millis(1010),
+                    "late",
+                    SpawnSpec::new("late", Uid(1), spin(0.9)),
+                ),
+        )
+        .machine("node-b", node(2))
+        .build()
+        .unwrap();
+    let mut policies: Vec<Box<dyn SchedulerPolicy>> = vec![Box::new(MigrateOnSeq {
+        machine: "node-a",
+        on_seq: 0,
+        decision: restart("late", "node-a", "node-b"),
+        fired: false,
+    })];
+    let mut sink = ClusterCollectSink::new();
+    let applied = session
+        .run(1, 3, |_| vec![(tool(1), None)], &mut policies, &mut sink)
+        .unwrap();
+    assert_eq!(applied.len(), 1);
+    let at = applied[0].applied_at;
+    assert_eq!(at, SimTime::ZERO + SimDuration::from_millis(1020));
+
+    let a = session.session("node-a").unwrap();
+    assert_eq!(a.incarnations("late").len(), 1);
+    let gone = a.kernel().exit_record(a.pid("late").unwrap()).unwrap();
+    assert_eq!(
+        gone.start_time,
+        SimTime::ZERO + SimDuration::from_millis(1010)
+    );
+    assert_eq!(gone.end_time, at);
+    let b = session.session("node-b").unwrap();
+    assert!(b.kernel().is_alive(b.pid("late").unwrap()));
+    assert!(sink
+        .frames()
+        .iter()
+        .any(|cf| cf.machine == "node-b" && cf.frame.row_for_comm("late").is_some()));
+}
+
+#[test]
+fn a_live_restart_onto_a_machine_without_the_pinned_pu_is_refused() {
+    // "job" is pinned to PU 6 of a W3550; node-b has SMT off, so 4 PUs.
+    // Restarted there, the clone would stay runnable on no PU for the rest
+    // of the run: the destination's check refuses the spawn instead.
+    let fleet = ClusterScenario::new()
+        .machine(
+            "node-a",
+            Scenario::new(MachineConfig::nehalem_w3550().noiseless())
+                .seed(1)
+                .user(Uid(1), "u1")
+                .spawn(
+                    "job",
+                    SpawnSpec::new("job", Uid(1), spin(0.8)).affinity(CpuSet::single(PuId(6))),
+                ),
+        )
+        .machine(
+            "node-b",
+            Scenario::new(MachineConfig::nehalem_w3550().without_smt().noiseless())
+                .seed(2)
+                .user(Uid(1), "u1"),
+        );
+    let err = live_decision_error(fleet, 0, restart("job", "node-a", "node-b"));
+    assert!(
+        matches!(&err, SessionError::InvalidDecision(msg)
+            if msg.contains("spawn affinity for 'job' allows none of the machine's 4 PUs")),
+        "got {err:?}"
+    );
 }
 
 #[test]
