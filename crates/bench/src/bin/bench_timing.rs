@@ -27,7 +27,9 @@
 //! Per-layer cost lines ride along, report-only: `machine_sample_ns` and
 //! `machine_sample_smt_ns`, the machine's cost per cache sample on a fixed
 //! seeded epoch sequence with one slice per physical core and with SMT
-//! pairs (see [`machine_sample_ns`]; each the median of
+//! pairs (see [`machine_sample_ns`]), and `machine_sample_dag_ns`, the same
+//! on a node of pipeline stages (see [`machine_sample_dag_ns`]; each the
+//! median of
 //! [`SAMPLE_REPEATS`] runs, reported with its min and max), recorded with
 //! the hardware they ran on: the sampler kernels CPUID picked
 //! (`sampler_kernels`), the CPU model (`cpu_model`, from `/proc/cpuinfo`)
@@ -38,7 +40,7 @@
 
 use std::time::Instant;
 
-use tiptop_kernel::program::Phase;
+use tiptop_kernel::program::{Phase, Program};
 use tiptop_machine::prelude::*;
 use tiptop_workloads::datacenter::tournament_script;
 use tiptop_workloads::pipelines::random_dag;
@@ -158,8 +160,8 @@ impl Spread {
 /// Nanoseconds per cache sample of [`Machine::execute_epoch`] on the
 /// contended node of the burst experiments: the tournament's canary,
 /// payload and five aggressors on a `datacenter_e5640` sampling 4,096
-/// accesses per slice, through [`SAMPLE_EPOCHS`] seeded 10 ms epochs. Each
-/// slice's CPI hint is its previous outcome, as the kernel's.
+/// accesses per slice, through [`SAMPLE_EPOCHS`] seeded 10 ms epochs (see
+/// [`sample_ns`]).
 ///
 /// The seven slices run one per physical core, or with `smt` two per core
 /// (three SMT pairs and a lone slice on one socket), where the sampler
@@ -168,28 +170,55 @@ fn machine_sample_ns(smt: bool) -> f64 {
     let script = tournament_script(0.01);
     let mut jobs = vec![script.canary, script.payload];
     jobs.extend(script.aggressors);
-    let profiles: Vec<ExecProfile> = jobs
-        .iter()
-        .map(|job| match &job.program.phases()[0] {
-            Phase::Compute { profile, .. } => profile.clone(),
-            Phase::Sleep { .. } => unreachable!("every burst job computes"),
-        })
-        .collect();
+    let jobs: Vec<(&Program, u64)> = jobs.iter().map(|job| (&job.program, job.seed)).collect();
     let cfg = MachineConfig::datacenter_e5640().with_samples(4096);
     let per_core = if smt { cfg.topology.smt() } else { 1 };
+    sample_ns(cfg, per_core, &jobs)
+}
+
+/// Nanoseconds per cache sample as [`machine_sample_ns`] takes them, on a
+/// node of the benchmark's `dag_lockstep` workload: the first four stages
+/// of a seeded `random_dag`, whose profiles all draw from one uniform
+/// 24 KiB tier, one per physical core of a noiseless `nehalem_w3550`.
+fn machine_sample_dag_ns() -> f64 {
+    let script = random_dag(1, 4, 1);
+    let jobs: Vec<(&Program, u64)> = script
+        .stages
+        .iter()
+        .map(|stage| (&stage.program, stage.seed))
+        .collect();
+    let cfg = MachineConfig::nehalem_w3550()
+        .noiseless()
+        .with_samples(4096);
+    sample_ns(cfg, 1, &jobs)
+}
+
+/// Nanoseconds per cache sample of [`Machine::execute_epoch`] running the
+/// first phase of each of `jobs` (a program and its stream seed), with
+/// `per_core` slices on each physical core of a machine of `cfg`, through
+/// [`SAMPLE_EPOCHS`] seeded 10 ms epochs. Each slice's CPI hint is its
+/// previous outcome, as the kernel's.
+fn sample_ns(cfg: MachineConfig, per_core: usize, jobs: &[(&Program, u64)]) -> f64 {
+    let profiles: Vec<ExecProfile> = jobs
+        .iter()
+        .map(|(program, _)| match &program.phases()[0] {
+            Phase::Compute { profile, .. } => profile.clone(),
+            Phase::Sleep { .. } => unreachable!("every sampled job computes"),
+        })
+        .collect();
     let pus: Vec<PuId> = cfg
         .topology
         .cores()
         .flat_map(|core| cfg.topology.pus_of_core(core).into_iter().take(per_core))
         .collect();
+    let cycles = cfg.uarch.clock.cycles_in(SimDuration::from_millis(10));
     let mut machine = Machine::new(cfg, 7);
     let mut streams: Vec<TaskStream> = jobs
         .iter()
         .zip(1..)
-        .map(|(job, asid)| TaskStream::new(asid, job.seed))
+        .map(|(&(_, seed), asid)| TaskStream::new(asid, seed))
         .collect();
     let mut hints = vec![0.0; jobs.len()];
-    let cycles = 26_700_000; // 10 ms at 2.67 GHz
 
     let t0 = Instant::now();
     for _ in 0..SAMPLE_EPOCHS {
@@ -320,17 +349,20 @@ fn main() {
     });
     let scaling_result = scaling_result.expect("scaling ran");
     eprintln!("{}", scaling_result.report());
-    // The two placements alternate, so host drift spreads over both.
-    let (mut lone, mut paired) = (Vec::new(), Vec::new());
+    // The three nodes alternate, so host drift spreads over all of them.
+    let (mut lone, mut paired, mut dag) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..SAMPLE_REPEATS {
         lone.push(machine_sample_ns(false));
         paired.push(machine_sample_ns(true));
+        dag.push(machine_sample_dag_ns());
     }
     let sample_ns = Spread::of(lone);
     let sample_smt_ns = Spread::of(paired);
+    let sample_dag_ns = Spread::of(dag);
     for (name, ns) in [
         ("machine_sample_ns", &sample_ns),
         ("machine_sample_smt_ns", &sample_smt_ns),
+        ("machine_sample_dag_ns", &sample_dag_ns),
     ] {
         eprintln!(
             "{name:>24}  {:7.2}ns/sample (median of {SAMPLE_REPEATS}, {:.2}–{:.2})",
@@ -366,9 +398,10 @@ fn main() {
     json.push_str("  },\n");
     json.push_str(&format!("  \"total_seconds\": {total:.3},\n"));
     json.push_str(&format!(
-        "  \"machine_sample_ns\": {},\n  \"machine_sample_smt_ns\": {},\n",
+        "  \"machine_sample_ns\": {},\n  \"machine_sample_smt_ns\": {},\n  \"machine_sample_dag_ns\": {},\n",
         sample_ns.json(),
-        sample_smt_ns.json()
+        sample_smt_ns.json(),
+        sample_dag_ns.json()
     ));
     // The hardware the cost lines ran on.
     json.push_str(&format!(

@@ -14,11 +14,14 @@
 //! stub's `SmallRng` was, so every stream draws what it always drew.
 //! SplitMix64 is counter-based (draw `k` after state `s` is
 //! `mix(s + k·γ)`), so a batch can be drawn in lanes: when every tier of a
-//! behaviour is random and a power of two in size and CPUID reports
-//! AVX-512F and AVX-512DQ, [`TaskStream::fill`] draws eight addresses per
-//! step in vector registers. Other tier mixes and hosts take the scalar
-//! loop, and [`TaskStream::next_addr`], one address at a time, stays the
-//! reference both batch forms are checked against.
+//! behaviour is random and CPUID reports AVX-512F and AVX-512DQ,
+//! [`TaskStream::fill`] draws eight addresses per step in vector
+//! registers. A tier size that is a power of two is reduced by a mask, and
+//! any other `o·2ᵏ` (odd `o`, `k ≥ 11`, every such size shipped) by an
+//! exact remainder in lanes. Sequential and strided tiers, smaller `k`,
+//! and hosts without those extensions take the scalar loop, and
+//! [`TaskStream::next_addr`], one address at a time, stays the reference
+//! both batch forms are checked against.
 
 use crate::fastmod::FastMod;
 use crate::vector::Avx512Dq;
@@ -228,10 +231,14 @@ impl TaskStream {
     /// tier whose bound is at least `u` is the count of bounds below `u`,
     /// over every tier but the last.
     ///
-    /// When every tier is random and a power of two in size, and the host
-    /// has AVX-512F and AVX-512DQ, the batch is drawn eight addresses at a
+    /// When every tier is random, each a power of two in size or `o·2ᵏ`
+    /// bytes with `k ≥ 11` and at most 2⁵³ bytes, and the host has
+    /// AVX-512F and AVX-512DQ, the batch is drawn eight addresses at a
     /// time, and only its last `len % 8` by the scalar loop, which draws
-    /// every other batch.
+    /// every other batch. The lanes' table is resolved per batch on the
+    /// stack, like the scalar one, so building a behaviour costs nothing
+    /// more; the scalar table is resolved only when the scalar loop has
+    /// addresses left to draw.
     pub fn fill(&mut self, mem: &MemoryBehavior, out: &mut [u64]) {
         self.fill_on(Avx512Dq::detect(), mem, out);
     }
@@ -249,15 +256,49 @@ impl TaskStream {
         if self.cursors.len() != tiers {
             self.cursors = vec![0; tiers];
         }
+        self.drawn += out.len() as u64;
         // A bound of 2 is above every `u`, so padding tiers are never picked.
         let mut bounds = [2.0; TABLE_TIERS - 1];
         bounds[..tiers - 1].copy_from_slice(&mem.cdf[..tiers - 1]);
         let asid = self.asid << 40;
         let mut bases = [0; TABLE_TIERS];
+        bases[..tiers].copy_from_slice(&mem.bases);
+        let mut rest = &mut *out;
+        #[cfg(target_arch = "x86_64")]
+        if let Some(dq) = vector {
+            if let Some(table) = DrawTable::new(mem, bounds, bases, asid) {
+                let (lanes, tail) = rest.split_at_mut(rest.len() / LANES * LANES);
+                let rng = &mut self.rng;
+                // A table of powers of two takes the mask-only kernel. The
+                // reducing one gives the same addresses there, but 256-address
+                // fills of 32 KiB, 16 KiB + 4 MiB and 32 KiB + 2 MiB + 1 GiB
+                // tables cost it 1.68–1.71 ns per address against 1.13–1.15
+                // (medians of 20 alternating pairs, the mask form faster in
+                // every pair; Xeon family 6 model 143, 2 vCPUs).
+                //
+                // SAFETY: `dq` is an `Avx512Dq`, which only exists where
+                // CPUID reported AVX-512F and AVX-512DQ (`Avx512Dq::detect`).
+                unsafe {
+                    if table.divisors.iter().any(|&d| d != 0) {
+                        draw_avx512::<true>(dq, rng, &table, lanes);
+                    } else {
+                        draw_avx512::<false>(dq, rng, &table, lanes);
+                    }
+                }
+                rest = tail;
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = vector;
+        // The lanes draw whole batches of random tiers, which move no
+        // cursor, so a batch they finish needs no scalar table (whose
+        // reciprocals each cost a 128-bit division).
+        if rest.is_empty() {
+            return;
+        }
         let mut cursors = [0; TABLE_TIERS];
         let mut offsets = [Offsets::Mask(0); TABLE_TIERS];
         for (ti, tier) in mem.tiers.iter().enumerate() {
-            bases[ti] = mem.bases[ti];
             cursors[ti] = self.cursors[ti];
             offsets[ti] = match tier.pattern {
                 AccessPattern::Sequential => Offsets::Cursor {
@@ -274,34 +315,6 @@ impl TaskStream {
                 AccessPattern::Random => Offsets::Modulo(FastMod::new(tier.bytes)),
             };
         }
-        let mut rest = &mut *out;
-        #[cfg(target_arch = "x86_64")]
-        if let Some(dq) = vector {
-            // Padding tiers are masks too, never picked.
-            let mut masks = [0; TABLE_TIERS];
-            let all_masks = offsets.iter().zip(&mut masks).all(|(&o, m)| match o {
-                Offsets::Mask(mask) => {
-                    *m = mask;
-                    true
-                }
-                _ => false,
-            });
-            if all_masks {
-                let (lanes, tail) = rest.split_at_mut(rest.len() / LANES * LANES);
-                let table = DrawTable {
-                    bounds,
-                    masks,
-                    bases,
-                    asid,
-                };
-                // SAFETY: `dq` is an `Avx512Dq`, which only exists where
-                // CPUID reported AVX-512F and AVX-512DQ (`Avx512Dq::detect`).
-                unsafe { draw_avx512(dq, &mut self.rng, &table, lanes) };
-                rest = tail;
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = vector;
         for addr in rest.iter_mut() {
             let u = self.rng.next_f64();
             let ti: usize = bounds.iter().map(|&c| usize::from(u > c)).sum();
@@ -317,7 +330,6 @@ impl TaskStream {
             *addr = asid | (bases[ti] + offset);
         }
         self.cursors.copy_from_slice(&cursors[..tiers]);
-        self.drawn += out.len() as u64;
     }
 }
 
@@ -364,15 +376,106 @@ const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
 #[cfg(target_arch = "x86_64")]
 const LANES: usize = 8;
 
-/// The tier table of a batch whose tiers are all random and a power of two
-/// in size, padded to [`TABLE_TIERS`]: the bounds of the tier pick, each
-/// tier's offset mask and base, and the address-space bits.
+/// Low bits of an offset draw [`lane_rem`] drops before it converts the
+/// rest to a double: what is left is below 2⁵³, so it converts exactly.
+#[cfg(target_arch = "x86_64")]
+const LANE_SHIFT: u32 = 11;
+
+/// The tier table of a batch whose tiers are all random, padded to
+/// [`TABLE_TIERS`]: the bounds of the tier pick, each tier's
+/// [`lane_rem`] constants and base, and the address-space bits.
 #[cfg(target_arch = "x86_64")]
 struct DrawTable {
     bounds: [f64; TABLE_TIERS - 1],
+    /// `2¹¹ / bytes`, rounded to nearest, for a tier that is not a power
+    /// of two; 0 for one that is.
+    scales: [f64; TABLE_TIERS],
+    /// The size in bytes of a tier that is not a power of two; 0 for one
+    /// that is.
+    divisors: [u64; TABLE_TIERS],
+    /// `bytes − 1` for a power of two; all ones for any other size.
     masks: [u64; TABLE_TIERS],
     bases: [u64; TABLE_TIERS],
     asid: u64,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl DrawTable {
+    /// The table of `mem`'s tiers, if [`lane_rem`] reduces every one of
+    /// them exactly: each is random, and its size is a power of two or
+    /// `o·2ᵏ` with `k ≥ 11` and at most 2⁵³ bytes. Padding tiers, never
+    /// picked, keep zeros.
+    fn new(
+        mem: &MemoryBehavior,
+        bounds: [f64; TABLE_TIERS - 1],
+        bases: [u64; TABLE_TIERS],
+        asid: u64,
+    ) -> Option<Self> {
+        let mut table = DrawTable {
+            bounds,
+            scales: [0.0; TABLE_TIERS],
+            divisors: [0; TABLE_TIERS],
+            masks: [0; TABLE_TIERS],
+            bases,
+            asid,
+        };
+        for (ti, tier) in mem.tiers.iter().enumerate() {
+            let bytes = tier.bytes;
+            if tier.pattern != AccessPattern::Random {
+                return None;
+            } else if bytes.is_power_of_two() {
+                table.masks[ti] = bytes - 1;
+            } else if bytes.trailing_zeros() >= LANE_SHIFT && bytes <= 1 << 53 {
+                // Both operands are exact doubles, so the quotient is
+                // rounded once.
+                table.scales[ti] = (1u64 << LANE_SHIFT) as f64 / bytes as f64;
+                table.divisors[ti] = bytes;
+                table.masks[ti] = u64::MAX;
+            } else {
+                return None;
+            }
+        }
+        Some(table)
+    }
+}
+
+/// `x mod bytes` in each lane, exactly, for a lane's [`DrawTable`]
+/// constants: `scale`, `divisor` and `mask`.
+///
+/// A size that is not a power of two is `D = o·2ᵏ` with `o ≥ 3` odd,
+/// `k ≥ 11` and `D ≤ 2⁵³`. Write `q = ⌊x / 2¹¹⌋`, which is below 2⁵³ and
+/// so converts to a double exactly, and `D′ = D / 2¹¹ = o·2ᵏ⁻¹¹ ≥ 3`, an
+/// integer, so that `n = ⌊x / D⌋ = ⌊q / D′⌋`. The scale is `s = 1/D′`
+/// rounded once, and `p = q·s` is rounded once more, each with a relative
+/// error of at most `u = 2⁻⁵³`. So `|p − q/D′| ≤ (q/D′)(2u + u²)`, which
+/// is below `2⁵³/D′ · 2.01·2⁻⁵³ = 2.01/D′ < 1`. Then `p ≥ 0` truncates
+/// (`vcvttpd2uqq`) to `t ∈ {n − 1, n, n + 1}`, and `r = x − t·D` is
+/// `x mod D` plus `D`, 0 or `−D`: a value in `[−D, 2D)`, held mod 2⁶⁴.
+/// Of `r − D`, `r` and `r + D` exactly one is `x mod D`, in `[0, D)`. Each
+/// other one lies in `[D, 3D)`, or is negative and wraps to at least
+/// `2⁶⁴ − 2D`, which is above `D` since `3D ≤ 2⁶⁴`. So their unsigned
+/// minimum is `x mod D`, and the mask of all ones keeps it.
+///
+/// A power of two has scale and divisor 0: then `t·D = 0`, all three
+/// candidates are `x`, and the mask `D − 1` takes `x mod D`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+#[inline]
+fn lane_rem(
+    x: std::arch::x86_64::__m512i,
+    scale: std::arch::x86_64::__m512d,
+    divisor: std::arch::x86_64::__m512i,
+    mask: std::arch::x86_64::__m512i,
+) -> std::arch::x86_64::__m512i {
+    use std::arch::x86_64::{
+        _mm512_add_epi64, _mm512_and_si512, _mm512_cvtepu64_pd, _mm512_cvttpd_epu64,
+        _mm512_min_epu64, _mm512_mul_pd, _mm512_mullo_epi64, _mm512_srli_epi64, _mm512_sub_epi64,
+    };
+    let q = _mm512_cvtepu64_pd(_mm512_srli_epi64::<LANE_SHIFT>(x));
+    let t = _mm512_cvttpd_epu64(_mm512_mul_pd(q, scale));
+    let r = _mm512_sub_epi64(x, _mm512_mullo_epi64(t, divisor));
+    let low = _mm512_min_epu64(r, _mm512_sub_epi64(r, divisor));
+    _mm512_and_si512(_mm512_min_epu64(low, _mm512_add_epi64(r, divisor)), mask)
 }
 
 /// Fill `out`, a whole number of [`LANES`] long, with the addresses the
@@ -383,17 +486,23 @@ struct DrawTable {
 /// of a step takes draws `2a + 1` and `2a + 2` past the step's state, which
 /// SplitMix64 being counter-based computes in lanes: `vpmullq` mixes
 /// them, the top 53 bits of `u`'s draw convert exactly (`vcvtuqq2pd`),
-/// three `vcmppd` compares against the bounds count the tier, and
-/// `vpermq` gathers each lane's tier mask and base from the table.
+/// three `vcmppd` compares against the bounds count the tier, `vpermq`
+/// gathers each lane's tier constants and base from the table, and
+/// [`lane_rem`] reduces the offset draw to the tier.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq")]
-fn draw_avx512(_: Avx512Dq, rng: &mut SplitMix64, table: &DrawTable, out: &mut [u64]) {
+fn draw_avx512<const REDUCE: bool>(
+    _: Avx512Dq,
+    rng: &mut SplitMix64,
+    table: &DrawTable,
+    out: &mut [u64],
+) {
     use std::arch::x86_64::{
         __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_cmp_pd_mask, _mm512_cvtepu64_pd,
-        _mm512_loadu_epi64, _mm512_maskz_loadu_epi64, _mm512_movm_epi64, _mm512_mul_pd,
-        _mm512_mullo_epi64, _mm512_or_si512, _mm512_permutexvar_epi64, _mm512_set1_epi64,
-        _mm512_set1_pd, _mm512_setzero_si512, _mm512_srli_epi64, _mm512_storeu_epi64,
-        _mm512_sub_epi64, _mm512_xor_si512, _CMP_GT_OQ,
+        _mm512_loadu_epi64, _mm512_mask_add_epi64, _mm512_maskz_loadu_epi64, _mm512_maskz_loadu_pd,
+        _mm512_mul_pd, _mm512_mullo_epi64, _mm512_or_si512, _mm512_permutexvar_epi64,
+        _mm512_permutexvar_pd, _mm512_set1_epi64, _mm512_set1_pd, _mm512_setzero_si512,
+        _mm512_srli_epi64, _mm512_storeu_epi64, _mm512_xor_si512, _CMP_GT_OQ,
     };
     #[target_feature(enable = "avx512f,avx512dq")]
     #[inline]
@@ -403,16 +512,19 @@ fn draw_avx512(_: Avx512Dq, rng: &mut SplitMix64, table: &DrawTable, out: &mut [
         _mm512_xor_si512(z, _mm512_srli_epi64::<31>(z))
     }
     let tier_lanes = (1 << TABLE_TIERS) - 1;
-    // SAFETY: the load reads the first `TABLE_TIERS` lanes, which each
+    // SAFETY: each load reads the first `TABLE_TIERS` lanes, which each
     // table holds, and no memory for the lanes its mask leaves out.
-    let (masks, bases) = unsafe {
+    let (scales, divisors, masks, bases) = unsafe {
         (
+            _mm512_maskz_loadu_pd(tier_lanes, table.scales.as_ptr()),
+            _mm512_maskz_loadu_epi64(tier_lanes, table.divisors.as_ptr().cast()),
             _mm512_maskz_loadu_epi64(tier_lanes, table.masks.as_ptr().cast()),
             _mm512_maskz_loadu_epi64(tier_lanes, table.bases.as_ptr().cast()),
         )
     };
     let bounds = table.bounds.map(|c| _mm512_set1_pd(c));
     let unit = _mm512_set1_pd(UNIT);
+    let one = _mm512_set1_epi64(1);
     let asid = _mm512_set1_epi64(table.asid as i64);
     let mul = MIX.map(|m| _mm512_set1_epi64(m as i64));
     // Lane `a` draws its `u` at `2a + 1` increments past a step's state,
@@ -428,15 +540,22 @@ fn draw_avx512(_: Avx512Dq, rng: &mut SplitMix64, table: &DrawTable, out: &mut [
         let offset_draw = mix(_mm512_add_epi64(state, offset_steps), mul);
         rng.state = rng.state.wrapping_add(batch);
         let u = _mm512_mul_pd(_mm512_cvtepu64_pd(_mm512_srli_epi64::<11>(u_draw)), unit);
-        // Each bound below `u` adds one to the lane's tier: a set mask
-        // lane reads as -1.
+        // Each bound below `u` adds one to the lane's tier.
         let tier = bounds.iter().fold(_mm512_setzero_si512(), |tier, &c| {
-            _mm512_sub_epi64(
-                tier,
-                _mm512_movm_epi64(_mm512_cmp_pd_mask::<_CMP_GT_OQ>(u, c)),
-            )
+            _mm512_mask_add_epi64(tier, _mm512_cmp_pd_mask::<_CMP_GT_OQ>(u, c), tier, one)
         });
-        let offset = _mm512_and_si512(offset_draw, _mm512_permutexvar_epi64(tier, masks));
+        let mask = _mm512_permutexvar_epi64(tier, masks);
+        let offset = if REDUCE {
+            let scale = _mm512_permutexvar_pd(tier, scales);
+            lane_rem(
+                offset_draw,
+                scale,
+                _mm512_permutexvar_epi64(tier, divisors),
+                mask,
+            )
+        } else {
+            _mm512_and_si512(offset_draw, mask)
+        };
         let addr = _mm512_or_si512(
             asid,
             _mm512_add_epi64(_mm512_permutexvar_epi64(tier, bases), offset),
@@ -706,31 +825,71 @@ mod tests {
         }
     }
 
+    /// Random tier sizes the 8-lane draw takes: powers of two from one line
+    /// up, and every shipped size of the form `o·2ᵏ` (24 KiB, 36 KiB,
+    /// 144 KiB, 4.5 MiB, 5 MiB, 6 MiB, 24 MiB and 400 MiB).
+    const LANE_SIZES: [u64; 12] = [
+        64,
+        16 << 10,
+        4 << 20,
+        1 << 30,
+        24 << 10,
+        36 << 10,
+        144 << 10,
+        9 << 19,
+        5 << 20,
+        6 << 20,
+        24 << 20,
+        400 << 20,
+    ];
+
     /// Batches through the fill of each host's kernel against the scalar
-    /// fill on a twin stream, for one to four random tiers of power-of-two
-    /// sizes and every batch length from 0 to 40 and 256: the same
-    /// addresses, the same `drawn()`, and the same address from the next
-    /// scalar draw. Each stream starts its batch where the previous one
-    /// and a few single draws left it, so batches begin at every offset
-    /// of the generator, and a second batch resumes from the first. On a
-    /// host without AVX-512F and DQ both fills are scalar.
+    /// fill on a twin stream, for tables of one to four random tiers, of
+    /// power-of-two sizes, of `o·2ᵏ` sizes (uniform 24 KiB as every
+    /// pipeline stage draws, the datacenter jobs' 16 KiB + 5 or 6 MiB, and
+    /// 429.mcf's 144 KiB + 4.5 MiB + 400 MiB) and of both mixed, and every
+    /// batch length from 0 to 40 and 256: the same addresses, the same
+    /// `drawn()`, and the same address from the next scalar draw. Each
+    /// stream starts its batch where the previous one and a few single
+    /// draws left it, so batches begin at every offset of the generator,
+    /// and a second batch resumes from the first. On a host without
+    /// AVX-512F and DQ both fills are scalar.
     #[test]
     fn vector_fill_matches_the_scalar_fill() {
         use AccessPattern::Random;
         println!("sampler kernels: {}", crate::sampler_kernels());
-        let sizes = [16 << 10, 4 << 20, 64, 1 << 30];
+        let tables: [&[u64]; 10] = [
+            &[16 << 10],
+            &[16 << 10, 4 << 20],
+            &[16 << 10, 4 << 20, 64],
+            &[16 << 10, 4 << 20, 64, 1 << 30],
+            &[24 << 10],
+            &[16 << 10, 5 << 20],
+            &[16 << 10, 6 << 20],
+            &[144 << 10, 9 << 19, 400 << 20],
+            &[24 << 10, 64, 24 << 20, 1 << 30],
+            &[36 << 10, 5 << 20, 6 << 20, 3 << 30],
+        ];
         let weights = [0.55, 0.25, 0.15, 0.05];
-        for tiers in 1..=sizes.len() {
+        for (b, sizes) in tables.into_iter().enumerate() {
+            let tiers = sizes.len();
             let mem = MemoryBehavior::new(
-                (0..tiers)
-                    .map(|t| WorkingSetTier::new(sizes[t], weights[t], Random))
+                sizes
+                    .iter()
+                    .zip(weights)
+                    .map(|(&bytes, weight)| WorkingSetTier::new(bytes, weight, Random))
                     .collect(),
             );
-            let mut vector = TaskStream::new(tiers as u64, 97 * tiers as u64);
+            #[cfg(target_arch = "x86_64")]
+            assert!(
+                DrawTable::new(&mem, [2.0; 3], [0; 4], 0).is_some(),
+                "{sizes:?} in lanes"
+            );
+            let mut vector = TaskStream::new(b as u64 + 1, 97 * (b as u64 + 1));
             let mut scalar = vector.clone();
             let mut picked = [false; 4];
             for len in (0..=40).chain([256]) {
-                let ctx = format!("{tiers} tiers, batch of {len}");
+                let ctx = format!("tiers {sizes:?}, batch of {len}");
                 for _ in 0..len % 3 {
                     assert_eq!(vector.next_addr(&mem), scalar.next_addr(&mem), "{ctx}");
                 }
@@ -752,9 +911,84 @@ mod tests {
             }
             assert!(
                 picked[..tiers].iter().all(|&p| p),
-                "{tiers} tiers: {picked:?}"
+                "tiers {sizes:?}: {picked:?}"
             );
         }
+    }
+
+    /// The 8-lane remainder of [`lane_rem`] against `%`, for every size in
+    /// [`LANE_SIZES`] and 2,000 seeded random sizes `o·2ᵏ` (odd `o < 2¹⁶`,
+    /// `11 ≤ k` and at most 2⁵³ bytes). The values are the edges and seeded
+    /// lines of the multiply-based remainder's oracle, and multiples of
+    /// the size ± 1, where the rounded quotient is most often one off, up
+    /// to the largest below 2⁶⁴. On a host without AVX-512F and DQ it
+    /// checks only that the table takes every size.
+    #[test]
+    fn lane_remainder_equals_the_remainder() {
+        use crate::fastmod::tests::lines;
+        let mut rng = SplitMix64::new(0x6c61_6e65);
+        let random = (0..2_000).map(|_| {
+            let o = (rng.next_u64() % (1 << 16)) | 1;
+            let k = 11 + rng.next_u64() % u64::from(53 - 11 - (64 - o.leading_zeros()) + 1);
+            o << k
+        });
+        let sizes: Vec<u64> = LANE_SIZES.into_iter().chain(random).collect();
+        assert!(sizes.iter().all(|&d| d <= 1 << 53));
+        #[cfg(target_arch = "x86_64")]
+        println!("sampler kernels: {}", crate::sampler_kernels());
+        for (n, &bytes) in sizes.iter().enumerate() {
+            let mem = MemoryBehavior::uniform(bytes);
+            #[cfg(target_arch = "x86_64")]
+            {
+                let table = DrawTable::new(&mem, [2.0; 3], [0; 4], 0);
+                let table = table.unwrap_or_else(|| panic!("{bytes} in lanes"));
+                let Some(dq) = Avx512Dq::detect() else {
+                    continue;
+                };
+                let top = u64::MAX / bytes;
+                let multiples = (0..64)
+                    .flat_map(|j| [top - j, (1 << j).min(top)])
+                    .flat_map(|m| [m * bytes - 1, m * bytes, m * bytes + 1]);
+                // The shipped sizes take the whole oracle, random ones a
+                // part of its seeded lines.
+                let lines =
+                    lines(bytes, bytes).take(if n < LANE_SIZES.len() { 20_015 } else { 1_015 });
+                let xs: Vec<u64> = lines.chain(multiples).collect();
+                for chunk in xs.chunks(LANES) {
+                    let mut x = [0; LANES];
+                    x[..chunk.len()].copy_from_slice(chunk);
+                    // SAFETY: `dq` proves the host has AVX-512F and DQ.
+                    let rem = unsafe { rem_lanes(dq, &table, x) };
+                    for (&x, r) in x.iter().zip(rem) {
+                        assert_eq!(r, x % bytes, "{x} mod {bytes}");
+                    }
+                }
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            let _ = (n, mem);
+        }
+    }
+
+    /// `x mod` the first tier of `table`, eight lanes at a time.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn rem_lanes(_: Avx512Dq, table: &DrawTable, x: [u64; LANES]) -> [u64; LANES] {
+        use std::arch::x86_64::{
+            _mm512_loadu_epi64, _mm512_set1_epi64, _mm512_set1_pd, _mm512_storeu_epi64,
+        };
+        let mut out = [0; LANES];
+        // SAFETY: `x` and `out` each hold the eight 64-bit lanes the load
+        // reads and the store writes.
+        unsafe {
+            let rem = lane_rem(
+                _mm512_loadu_epi64(x.as_ptr().cast()),
+                _mm512_set1_pd(table.scales[0]),
+                _mm512_set1_epi64(table.divisors[0] as i64),
+                _mm512_set1_epi64(table.masks[0] as i64),
+            );
+            _mm512_storeu_epi64(out.as_mut_ptr().cast(), rem);
+        }
+        out
     }
 
     /// The stream's own SplitMix64 draws exactly what the vendored `rand`

@@ -42,7 +42,7 @@ impl FastMod {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::MachineConfig;
     use rand::rngs::SmallRng;
@@ -50,7 +50,7 @@ mod tests {
 
     /// Lines at the edges of the divisor and of the 32- and 64-bit ranges,
     /// then seeded random lines, small and full-width.
-    fn lines(d: u64, seed: u64) -> impl Iterator<Item = u64> {
+    pub(crate) fn lines(d: u64, seed: u64) -> impl Iterator<Item = u64> {
         let edges = [
             0,
             1,

@@ -382,8 +382,8 @@ impl Machine {
     ///
     /// On a host with AVX-512 (read from CPUID at run time; see
     /// [`crate::sampler_kernels`]), walks over sets of 8 or 16 slots and
-    /// draws from all-random, power-of-two tiers run in 8-lane vector
-    /// kernels; each core's chunk of samples is gathered on the stack
+    /// draws from behaviours whose tiers are all random run in 8-lane
+    /// vector kernels; each core's chunk of samples is gathered on the stack
     /// before its L1 walk, so that walk's loop is the vector access alone.
     /// Every other host, width and tier mix runs the scalar forms, which
     /// give the same counts bit for bit and stay the reference:

@@ -3,36 +3,39 @@
 //! The sampler's two inner loops have AVX-512 forms that work on eight
 //! 64-bit lanes at once: the tag walk over sets of 8 or 16 slots
 //! (`SetAssocCache::walk`, in AVX-512F) and the address draw of a
-//! behaviour whose tiers are all random and a power of two in size
-//! (`TaskStream::fill`, in AVX-512F and AVX-512DQ). Which form runs is
-//! read from CPUID at run time, once per process (the standard library
-//! caches the answer). Every other host, set width and tier mix runs the
-//! scalar code, which stays the reference the vector forms are tested
-//! against; either way every simulated count is the same, bit for bit.
+//! behaviour whose tiers are all random (`TaskStream::fill`, in AVX-512F
+//! and AVX-512DQ). Which form runs is read from CPUID at run time, once
+//! per process (the standard library caches the answer). Every other
+//! host, set width and tier mix runs the scalar code, which stays the
+//! reference the vector forms are tested against; either way every
+//! simulated count is the same, bit for bit.
 //!
 //! A vector kernel is reached only through a token, [`Avx512F`] or
 //! [`Avx512Dq`], that only the CPUID check builds, so no safe caller can
-//! run an instruction the host lacks.
+//! run an instruction the host lacks. Building with
+//! `RUSTFLAGS="--cfg tiptop_scalar"` compiles the check out: no token is
+//! ever built, and the whole sampler runs its scalar code on any host.
 
 use std::fmt;
 
 /// Proof that the host has AVX-512F, built only by [`Avx512F::detect`].
-/// Off x86-64 it is never built.
+/// Off x86-64, and under `--cfg tiptop_scalar`, it is never built.
 #[derive(Clone, Copy, Debug)]
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+#[cfg_attr(any(not(target_arch = "x86_64"), tiptop_scalar), allow(dead_code))]
 pub(crate) struct Avx512F(());
 
 /// Proof that the host has AVX-512F and AVX-512DQ, built only by
-/// [`Avx512Dq::detect`]. Off x86-64 it is never built.
+/// [`Avx512Dq::detect`]. Off x86-64, and under `--cfg tiptop_scalar`, it
+/// is never built.
 #[derive(Clone, Copy, Debug)]
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+#[cfg_attr(any(not(target_arch = "x86_64"), tiptop_scalar), allow(dead_code))]
 pub(crate) struct Avx512Dq(());
 
 impl Avx512F {
     /// The token, if CPUID reports AVX-512F.
     #[inline]
     pub(crate) fn detect() -> Option<Self> {
-        #[cfg(target_arch = "x86_64")]
+        #[cfg(all(target_arch = "x86_64", not(tiptop_scalar)))]
         if std::arch::is_x86_feature_detected!("avx512f") {
             return Some(Avx512F(()));
         }
@@ -44,7 +47,7 @@ impl Avx512Dq {
     /// The token, if CPUID reports AVX-512F and AVX-512DQ.
     #[inline]
     pub(crate) fn detect() -> Option<Self> {
-        #[cfg(target_arch = "x86_64")]
+        #[cfg(all(target_arch = "x86_64", not(tiptop_scalar)))]
         if std::arch::is_x86_feature_detected!("avx512f")
             && std::arch::is_x86_feature_detected!("avx512dq")
         {
@@ -60,8 +63,9 @@ impl Avx512Dq {
 pub struct SamplerKernels {
     /// Tag walks over sets of 8 or 16 slots run in AVX-512F.
     pub avx512_walk: bool,
-    /// Draws from behaviours of one to four random, power-of-two tiers run
-    /// eight addresses at a time in AVX-512F and AVX-512DQ.
+    /// Draws from behaviours of one to four random tiers, each a power of
+    /// two or `o·2ᵏ` bytes with `k ≥ 11`, run eight addresses at a time in
+    /// AVX-512F and AVX-512DQ.
     pub avx512_draw: bool,
 }
 
